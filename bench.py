@@ -76,7 +76,6 @@ def headline(num_cpus: int) -> dict:
     # best-of-2 timed passes at every level — run-to-run noisy-neighbor
     # variance on this shared box is large, especially at low CPU counts
     sec = min(one_pass(), one_pass())
-    n_pages = sum(1 for _ in open(os.devnull)) if False else None
     import pyarrow.parquet as pq
 
     n_pages = sum(pq.read_metadata(os.path.join(out_dir, f)).num_rows

@@ -7,7 +7,9 @@ concurrency=N)``. Parser tables / regexes are built once per actor in
 way, scraper.py:283-309 / ST2 in SURVEY.md); ``__call__`` handles one Arrow
 batch. Per-row failures degrade to the reference's error shape
 (status_code=500 + error message, scraper.py:1272-1293) and never poison the
-batch.
+batch. The per-row code (``decode_html``, ``page_row``, ``error_row``,
+``rows_table``) is shared with the crawl's kernel, ``pipeline.WaveExtractor``,
+so both modes emit the same bytes per url.
 
 Pipeline per row (reference extract_content, scraper.py:664-700 +
 _process_page_data 1300-1355):
@@ -64,6 +66,55 @@ def extract_page(url: str, html: str, only_main: bool = True) -> dict[str, Any]:
     }
 
 
+def decode_html(html) -> str:
+    """A PAGES ``html`` cell (bytes, str or null) as text."""
+    if isinstance(html, (bytes, bytearray)):
+        return html.decode("utf-8", errors="replace")
+    return html or ""
+
+
+def page_row(res: dict[str, Any]) -> dict[str, Any]:
+    """One ``extract_page`` result as a whole status-200 row over the
+    EXTRACTED columns after ``url``/``warc_ts``."""
+    md, st = res["metadata"], res["structured"]
+    return {
+        "markdown": res["markdown"],
+        "html_clean": res["html_clean"],
+        "title": md.get("title", ""),
+        "description": md.get("description", ""),
+        "language": st["metaData"].get("language", ""),
+        "status_code": 200,
+        "error": None,
+        "links": res["links"],
+        "json_ld": json.dumps(st["jsonLd"], sort_keys=True),
+        "open_graph": json.dumps(st["openGraph"], sort_keys=True),
+        "twitter_card": json.dumps(st["twitterCard"], sort_keys=True),
+        "meta_data": json.dumps(st["metaData"], sort_keys=True),
+        "metadata_json": json.dumps(md, sort_keys=True),
+    }
+
+
+def error_row(exc: Exception, **extra: Any) -> dict[str, Any]:
+    """The reference's error row (scraper.py:1272-1293) for a page whose
+    extraction raised; ``extra`` fills a kernel's own columns."""
+    return {
+        "markdown": "", "html_clean": "", "title": "", "description": "",
+        "language": "", "status_code": 500, "error": str(exc), "links": [],
+        "json_ld": "[]", "open_graph": "{}", "twitter_card": "{}",
+        "meta_data": '{"language": ""}', "metadata_json": "{}", **extra,
+    }
+
+
+def rows_table(rows: list[dict[str, Any]], schema: pa.Schema,
+               **columns: Any) -> pa.Table:
+    """Whole rows → a table of ``schema``. ``columns`` supplies ready-made
+    columns (a batch's own url array) that the rows leave out."""
+    return pa.Table.from_arrays(
+        [columns[f.name] if f.name in columns
+         else pa.array([r[f.name] for r in rows], f.type) for f in schema],
+        schema=schema)
+
+
 class PageExtractor:
     """Actor-pool batch stage: PAGES schema in → EXTRACTED schema out.
 
@@ -90,7 +141,7 @@ class PageExtractor:
     ``get_batch`` RPC per batch, fresh results pushed back with one
     fire-and-forget ``put_batch``; ``shared_cache_hits`` counts them.
     The two levels compose as L1 (per-actor, RPC-free) / L2 (shared,
-    cross-actor); either works alone."""
+    cross-actor); either works alone. Cache entries are whole rows."""
 
     def __init__(self, only_main: bool = True,
                  include_raw_html: bool = False,
@@ -118,20 +169,35 @@ class PageExtractor:
         if len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)  # evict LRU
 
+    def _cached_row(self, key: bytes, shared_hits: dict) -> Optional[dict]:
+        """``key``'s row from L1, else from this batch's L2 hits (promoted
+        into L1); None on a miss."""
+        row = self._cache.get(key)
+        if row is not None:
+            self._cache.move_to_end(key)
+            self.cache_hits += 1
+            return row
+        row = shared_hits.get(key)
+        if row is not None:
+            self.shared_cache_hits += 1
+            if self.cache_size > 0:
+                self._local_store(key, row)
+            return row
+        self.cache_misses += 1
+        return None
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()
         htmls = batch.column("html").to_pylist()
-        has_ts = "warc_ts" in batch.column_names
-        ts = batch.column("warc_ts") if has_ts else pa.nulls(len(batch), pa.timestamp("us"))
-
         caching = self.cache_size > 0 or self.shared_cache is not None
+        keys = ([self._cache_key(u) for u in urls] if caching
+                else [None] * len(urls))
         shared_hits: dict[bytes, dict] = {}
         if self.shared_cache is not None:
             # ONE lookup RPC per batch, only for keys the local L1 misses
             import ray as _ray
 
-            miss_keys = sorted({k for k in (self._cache_key(u) for u in urls)
-                                if k not in self._cache})
+            miss_keys = sorted({k for k in keys if k not in self._cache})
             if miss_keys:
                 found = _ray.get(
                     self.shared_cache.get_batch.remote(miss_keys))
@@ -140,84 +206,36 @@ class PageExtractor:
         new_keys: list[bytes] = []
         new_vals: list[dict] = []
 
-        cols: dict[str, list] = {name: [] for name in EXTRACTED.names if name not in ("url", "warc_ts")}
-        for url, html in zip(urls, htmls):
-            if caching:
-                key = self._cache_key(url)
-                hit = self._cache.get(key)
-                if hit is not None:
-                    self._cache.move_to_end(key)
-                    self.cache_hits += 1
-                    for name, v in hit.items():
-                        cols[name].append(v)
-                    continue
-                hit = shared_hits.get(key)
-                if hit is not None:
-                    self.shared_cache_hits += 1
-                    for name, v in hit.items():
-                        cols[name].append(v)
-                    if self.cache_size > 0:
-                        self._local_store(key, hit)
-                    continue
-                self.cache_misses += 1
-            try:
-                text = html.decode("utf-8", errors="replace") if isinstance(html, (bytes, bytearray)) else (html or "")
-                res = extract_page(url, text, only_main=self.only_main)
-                md = res["metadata"]
-                st = res["structured"]
-                cols["markdown"].append(res["markdown"])
-                cols["html_clean"].append(res["html_clean"])
-                cols["title"].append(md.get("title", ""))
-                cols["description"].append(md.get("description", ""))
-                cols["language"].append(st["metaData"].get("language", ""))
-                cols["status_code"].append(200)
-                cols["error"].append(None)
-                cols["links"].append(res["links"])
-                cols["json_ld"].append(json.dumps(st["jsonLd"], sort_keys=True))
-                cols["open_graph"].append(json.dumps(st["openGraph"], sort_keys=True))
-                cols["twitter_card"].append(json.dumps(st["twitterCard"], sort_keys=True))
-                cols["meta_data"].append(json.dumps(st["metaData"], sort_keys=True))
-                cols["metadata_json"].append(json.dumps(md, sort_keys=True))
-            except Exception as exc:  # reference error shape scraper.py:1272-1293
-                cols["markdown"].append("")
-                cols["html_clean"].append("")
-                cols["title"].append("")
-                cols["description"].append("")
-                cols["language"].append("")
-                cols["status_code"].append(500)
-                cols["error"].append(str(exc))
-                cols["links"].append([])
-                cols["json_ld"].append("[]")
-                cols["open_graph"].append("{}")
-                cols["twitter_card"].append("{}")
-                cols["meta_data"].append('{"language": ""}')
-                cols["metadata_json"].append("{}")
-            if caching:
-                entry = {name: cols[name][-1] for name in cols}
+        rows: list[dict] = []
+        for url, html, key in zip(urls, htmls, keys):
+            row = self._cached_row(key, shared_hits) if caching else None
+            if row is None:
+                try:
+                    row = page_row(extract_page(url, decode_html(html),
+                                                only_main=self.only_main))
+                except Exception as exc:
+                    row = error_row(exc)
                 if self.cache_size > 0:
-                    self._local_store(key, entry)
+                    self._local_store(key, row)
                 if self.shared_cache is not None:
                     new_keys.append(key)
-                    new_vals.append(entry)
+                    new_vals.append(row)
+            rows.append(row)
 
         if new_keys:
             # fire-and-forget publish; the cache is advisory (a lost put
             # only costs a future miss, never correctness)
             self.shared_cache.put_batch.remote(new_keys, new_vals)
 
-        arrays = [batch.column("url").cast(pa.string()), ts]
-        for name in EXTRACTED.names:
-            if name in ("url", "warc_ts"):
-                continue
-            arrays.append(pa.array(cols[name], type=EXTRACTED.field(name).type))
-        out = pa.Table.from_arrays(arrays, schema=EXTRACTED)
+        ts = (batch.column("warc_ts") if "warc_ts" in batch.column_names
+              else pa.nulls(len(batch), pa.timestamp("us")))
+        out = rows_table(rows, EXTRACTED,
+                         url=batch.column("url").cast(pa.string()),
+                         warc_ts=ts)
         if self.include_raw_html:
-            raw = [
-                (h.decode("utf-8", errors="replace")
-                 if isinstance(h, (bytes, bytearray)) else (h or ""))
-                for h in htmls
-            ]
-            out = out.append_column("raw_html", pa.array(raw, pa.large_string()))
+            out = out.append_column(
+                "raw_html",
+                pa.array([decode_html(h) for h in htmls], pa.large_string()))
         return out
 
 

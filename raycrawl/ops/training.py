@@ -129,10 +129,13 @@ def build_training_shards(ds, out_dir: str, num_merges: int = 200,
             "shards": shards, "sequences": n_seq, "tokens": tot}
 
 
+# stratified_split_assign's range buckets per stratum: hv's top byte
+_SPLIT_BUCKETS = 256
+
+
 def stratified_split_assign(ds, fractions=(0.8, 0.1, 0.1),
                             salt: str = "split0", id_col: str = "doc_id",
-                            stratum_col: str = "lang",
-                            n_buckets: int = 256) -> pd.DataFrame:
+                            stratum_col: str = "lang") -> pd.DataFrame:
     """Deterministic stratified train/val/test assignment with EXACT
     per-stratum cut points — the split every training pipeline needs:
     within each stratum (language, source, quality tier) the docs whose
@@ -148,7 +151,7 @@ def stratified_split_assign(ds, fractions=(0.8, 0.1, 0.1),
     trick, keyed per stratum): each doc hashes to
     hv = first-64-bits of md5(salt‖id); hv's top byte range-buckets the
     stratum, a driver table of (stratum, bucket) counts — bounded by
-    |strata|·n_buckets, never corpus size — gives prefix offsets, and
+    |strata|·256, never corpus size — gives prefix offsets, and
     within-bucket (hv, id) argsorts finish the exact per-stratum rank
     WITHOUT co-locating any whole stratum on one worker (strata are
     few; a stratum is usually most of the corpus). Thresholds replay in
@@ -171,7 +174,8 @@ def stratified_split_assign(ds, fractions=(0.8, 0.1, 0.1),
             id_col: b[id_col].astype("int64"),
             stratum_col: b[stratum_col],
             "__h": hv.view(np.int64),
-            "__bucket": (hv >> np.uint64(56)).astype("int64")})
+            "__bucket": (hv // np.uint64((1 << 64) // _SPLIT_BUCKETS)
+                         ).astype("int64")})
 
     hds = ds.map_batches(hashed, batch_format="pandas").materialize()
 
@@ -187,7 +191,7 @@ def stratified_split_assign(ds, fractions=(0.8, 0.1, 0.1),
     totals: dict = {}
     for s in strata:
         run = 0
-        for bk in range(n_buckets):
+        for bk in range(_SPLIT_BUCKETS):
             c = counts.get((s, bk), 0)
             if c:
                 offsets[(s, bk)] = run
@@ -220,6 +224,6 @@ def stratified_split_assign(ds, fractions=(0.8, 0.1, 0.1),
 
     out = partitioned_map_partitions(
         hds, [stratum_col, "__bucket"], rank_part,
-        n_parts=min(64, n_buckets)).to_pandas()
+        n_parts=min(64, _SPLIT_BUCKETS)).to_pandas()
     out[id_col] = out[id_col].astype("int64")
     return out.sort_values(id_col).reset_index(drop=True)

@@ -4,7 +4,7 @@ Ray shape per wave:
 
     frontier shards --pop (depth,seq) order--> wave
     wave -> corpus fetch (partition-pruned read_parquet + is_in filter, J4)
-         -> map_batches(WaveExtractor actor pool)   # extract + filter links
+         -> persistent WaveWorker actor pool (WaveExtractor)  # extract + filter links
          -> write wave Parquet (resume point)
          -> small link projection to driver -> two-phase admission to shards
     checkpoint (frontier snapshots + manifest)
@@ -34,10 +34,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from .extract import extract_page
+from .extract import decode_html, error_row, extract_page, page_row, rows_table
 from .frontier import FrontierShard
 from .links import LinkFilter
-from .schema import CRAWL_RESULT, SEEN
+from .schema import CRAWL_RESULT, EXTRACTED, SEEN
 from .urlnorm import canonicalize, host_of, host_shard, normalize_url, url_key
 
 
@@ -63,11 +63,6 @@ class CrawlConfig:
     exact_shadow: bool = True
     filter_capacity: int = 1 << 16
     max_waves: Optional[int] = None  # stop after N waves (checkpoint test hook)
-    # keep the fetch+extract worker pool alive across crawl() calls in
-    # this process (the reference's persistent browser pool,
-    # browser_manager.py) — workers hold no per-crawl state, so reuse
-    # only skips actor spawn + import cost on repeat jobs
-    reuse_workers: bool = True
     # sink='warc': each fetch task ALSO archives its fetched pages
     # (url, warc_ts, raw html) as a Common-Crawl-layout .warc.gz under
     # <out_dir>/warc/wave=NNNNNN/part-NNNN.warc.gz — one gzip member per
@@ -84,9 +79,21 @@ class CrawlConfig:
     snapshot_full_every: int = 8
 
 
+# WaveExtractor's output: the crawl result's page columns, then each page's
+# filtered links with their canonical SHA-1 keys and hosts
+WAVE_COLUMNS = pa.schema(
+    [EXTRACTED.field(n) for n in (
+        "url", "markdown", "title", "language", "status_code", "json_ld",
+        "open_graph", "twitter_card", "meta_data", "links")]
+    + [pa.field("link_keys", pa.list_(pa.binary())),
+       pa.field("link_hosts", pa.list_(pa.string()))])
+
+
 class WaveExtractor:
-    """Actor-pool stage: fetched wave rows → CRAWL_RESULT columns + filtered
-    candidate links. Link filter compiled once per actor (ST7).
+    """Crawl batch kernel: fetched wave rows → ``WAVE_COLUMNS``. The page
+    columns come from the same row code as the bulk ``PageExtractor``;
+    ``links`` are the cleaned page's links that pass the crawl's filter
+    (compiled once per actor, ST7).
 
     Each filtered link also carries its canonical SHA-1 key and host,
     computed here in the (parallel) worker pool so the driver's admission
@@ -99,60 +106,22 @@ class WaveExtractor:
         self.only_main = only_main
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        out: dict[str, list] = {
-            "url": urls, "markdown": [], "title": [], "language": [],
-            "status_code": [], "json_ld": [], "open_graph": [],
-            "twitter_card": [], "meta_data": [], "links": [],
-            "link_keys": [], "link_hosts": [],
-        }
-        for url, html in zip(urls, htmls):
+        rows: list[dict] = []
+        for url, html in zip(batch.column("url").to_pylist(),
+                             batch.column("html").to_pylist()):
             try:
-                text = html.decode("utf-8", errors="replace") if isinstance(html, (bytes, bytearray)) else (html or "")
-                res = extract_page(url, text, only_main=self.only_main)
-                st = res["structured"]
-                out["markdown"].append(res["markdown"])
-                out["title"].append(res["metadata"].get("title", ""))
-                out["language"].append(st["metaData"].get("language", ""))
-                out["status_code"].append(200)
-                out["json_ld"].append(json.dumps(st["jsonLd"], sort_keys=True))
-                out["open_graph"].append(json.dumps(st["openGraph"], sort_keys=True))
-                out["twitter_card"].append(json.dumps(st["twitterCard"], sort_keys=True))
-                out["meta_data"].append(json.dumps(st["metaData"], sort_keys=True))
-                flinks = [u for u in res["crawl_links"] if self.link_filter(u)]
-                canons = [canonicalize(u) for u in flinks]
-                out["links"].append(flinks)
-                out["link_keys"].append([url_key(c) for c in canons])
-                out["link_hosts"].append([host_of(c) for c in canons])
+                res = extract_page(url, decode_html(html),
+                                   only_main=self.only_main)
+                links = [u for u in res["crawl_links"] if self.link_filter(u)]
+                canons = [canonicalize(u) for u in links]
+                row = {**page_row(res), "links": links,
+                       "link_keys": [url_key(c) for c in canons],
+                       "link_hosts": [host_of(c) for c in canons]}
             except Exception as exc:
-                out["markdown"].append("")
-                out["title"].append("")
-                out["language"].append("")
-                out["status_code"].append(500)
-                out["json_ld"].append("[]")
-                out["open_graph"].append("{}")
-                out["twitter_card"].append("{}")
-                out["meta_data"].append('{"language": ""}')
-                out["links"].append([])
-                out["link_keys"].append([])
-                out["link_hosts"].append([])
-        return pa.Table.from_pydict(
-            {
-                "url": pa.array(out["url"], pa.string()),
-                "markdown": pa.array(out["markdown"], pa.large_string()),
-                "title": pa.array(out["title"], pa.string()),
-                "language": pa.array(out["language"], pa.string()),
-                "status_code": pa.array(out["status_code"], pa.int32()),
-                "json_ld": pa.array(out["json_ld"], pa.string()),
-                "open_graph": pa.array(out["open_graph"], pa.string()),
-                "twitter_card": pa.array(out["twitter_card"], pa.string()),
-                "meta_data": pa.array(out["meta_data"], pa.string()),
-                "links": pa.array(out["links"], pa.list_(pa.string())),
-                "link_keys": pa.array(out["link_keys"], pa.list_(pa.binary())),
-                "link_hosts": pa.array(out["link_hosts"], pa.list_(pa.string())),
-            }
-        )
+                row = error_row(exc, link_keys=[], link_hosts=[])
+            rows.append(row)
+        return rows_table(rows, WAVE_COLUMNS,
+                          url=batch.column("url").cast(pa.string()))
 
 
 @ray.remote(max_restarts=2, max_task_retries=2)
@@ -165,7 +134,7 @@ class WaveWorker:
     can't express the semantics (long-lived per-wave state) and raw actors
     are the right Ray tool. Each ``process`` call reads only the wave URLs'
     rows from its corpus bucket files (parquet predicate pushdown) and runs
-    the same ``WaveExtractor`` logic the bulk pipeline uses.
+    ``WaveExtractor`` on them.
 
     Fault tolerance: workers are stateless between calls, so Ray restarts
     them transparently (max_restarts/max_task_retries); frontier shards are
@@ -191,17 +160,10 @@ class WaveWorker:
         ``warc_out``: archive this task's fetched rows as one
         Common-Crawl-layout .warc.gz (crawl sink='warc') — written here in
         the worker so the sink parallelizes with extraction."""
-        cols = ["url", "warc_ts", "html"] if warc_out else ["url", "html"]
-        tables = []
-        for paths, urls in groups:
-            for f in paths:
-                t = pq.read_table(f, columns=cols,
-                                  filters=[("url", "in", urls)])
-                if t.num_rows:
-                    tables.append(t)
-        if not tables:
+        fetched = _read_groups(
+            groups, ["url", "warc_ts", "html"] if warc_out else ["url", "html"])
+        if fetched is None:
             return None
-        fetched = pa.concat_tables(tables)
         if warc_out is not None:
             from .warc import write_warc_pages
 
@@ -229,42 +191,52 @@ def _corpus_files(corpus_path: str) -> tuple[dict[Optional[int], list[str]], Opt
     return out, None
 
 
-def _read_rows_for_urls(corpus_path: str, urls: list[str],
-                        columns: list[str]) -> pa.Table:
-    """Small targeted read (robots bodies, seed checks) without Ray."""
-    files_by_bucket, num_buckets = _corpus_files(corpus_path)
-    want_files: list[str] = []
-    if num_buckets:
-        buckets = {host_shard(host_of(u), num_buckets) for u in urls}
-        for b in buckets:
-            want_files.extend(files_by_bucket.get(b, []))
-    else:
-        want_files = files_by_bucket.get(None, [])
+def _by_bucket(urls: list[str],
+               num_buckets: Optional[int]) -> dict[Optional[int], list[str]]:
+    """Group urls by corpus host bucket (None = unpartitioned corpus)."""
+    if not num_buckets:
+        return {None: urls}
+    out: dict[Optional[int], list[str]] = {}
+    for u in urls:
+        out.setdefault(host_shard(host_of(u), num_buckets), []).append(u)
+    return out
+
+
+def _read_groups(groups: list[tuple[list[str], list[str]]],
+                 columns: list[str]) -> Optional[pa.Table]:
+    """The corpus rows of ``groups`` = [(parquet paths, urls), ...]: each
+    path is read with only its group's urls as the predicate (parquet
+    predicate pushdown). None when no row matches."""
     tables = []
-    urlset = set(urls)
-    for f in want_files:
-        t = pq.read_table(f, columns=columns,
-                          filters=[("url", "in", list(urlset))])
-        if t.num_rows:
-            tables.append(t)
-    if not tables:
-        return pa.table({c: pa.array([], pa.string()) for c in columns})
-    return pa.concat_tables(tables)
+    for paths, urls in groups:
+        for f in paths:
+            t = pq.read_table(f, columns=columns, filters=[("url", "in", urls)])
+            if t.num_rows:
+                tables.append(t)
+    return pa.concat_tables(tables) if tables else None
 
 
 # process-global persistent actor pools (the reference's browser-pool
-# shape: browsers outlive jobs; crawls only borrow them). Workers are
-# keyed by the constructor args that define their behavior; frontier
-# shards are generic (reset() reinitializes them per crawl). One crawl
-# at a time per process under reuse — the same contract as the
-# reference's global pool.
+# shape, browser_manager.py: browsers outlive jobs; crawls only borrow
+# them). Workers hold no per-crawl state, so reuse only skips actor spawn
+# + import cost on repeat jobs; they are keyed by the constructor args
+# that define their behavior. Frontier shards are generic (reset()
+# reinitializes them per crawl). One crawl at a time per process — the
+# same contract as the reference's global pool.
 _WORKER_POOLS: dict[tuple, list] = {}
 _SHARD_POOL: list = []
 
 
 def _prune_dead(pool: list) -> None:
+    """Keep the pooled actors that answer a ping. A killed actor fails the
+    get; a handle from a shut-down Ray session already fails the submit."""
+    pings = []
+    for a in pool:
+        try:
+            pings.append((a, a.ping.remote()))
+        except Exception:
+            pass
     alive = []
-    pings = [(a, a.ping.remote()) for a in pool]
     for a, ref in pings:
         try:
             ray.get(ref, timeout=10)
@@ -276,21 +248,18 @@ def _prune_dead(pool: list) -> None:
 
 def _get_worker_pool(key: tuple, n: int, ctor_args: tuple) -> list:
     pool = _WORKER_POOLS.setdefault(key, [])
-    if pool:
-        _prune_dead(pool)  # drop actors a previous session killed
+    _prune_dead(pool)  # drop actors that died or belong to a past session
     while len(pool) < n:
         pool.append(WaveWorker.remote(*ctor_args))
     return pool[:n]
 
 
-def _get_shard_pool(n: int, per_shard_kwargs: list[dict]) -> list:
-    if _SHARD_POOL:
-        _prune_dead(_SHARD_POOL)
+def _get_shard_pool(n: int, shard_kwargs: dict) -> list:
+    _prune_dead(_SHARD_POOL)
     while len(_SHARD_POOL) < n:
         _SHARD_POOL.append(FrontierShard.remote(len(_SHARD_POOL)))
     shards = _SHARD_POOL[:n]
-    ray.get([s.reset.remote(i, **per_shard_kwargs[i])
-             for i, s in enumerate(shards)])
+    ray.get([s.reset.remote(i, **shard_kwargs) for i, s in enumerate(shards)])
     return shards
 
 
@@ -392,30 +361,25 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
         respect_robots=cfg.respect_robots,
         priority_fn=cfg.priority_fn,
     )
-    if cfg.reuse_workers:
-        shards = _get_shard_pool(S, [shard_kwargs] * S)
-    else:
-        shards = [FrontierShard.remote(i, **shard_kwargs) for i in range(S)]
-
-    worker_ctor = (frozenset(seed_hosts), cfg.exclude_patterns,
-                   cfg.include_patterns, cfg.only_main)
-    if cfg.reuse_workers:
-        pool_key = (tuple(sorted(seed_hosts)),
-                    tuple(cfg.exclude_patterns or ()),
-                    tuple(cfg.include_patterns or ()), cfg.only_main)
-        workers = _get_worker_pool(pool_key, cfg.extract_concurrency,
-                                   worker_ctor)
-    else:
-        workers = [WaveWorker.remote(*worker_ctor)
-                   for _ in range(cfg.extract_concurrency)]
+    shards = _get_shard_pool(S, shard_kwargs)
+    pool_key = (tuple(sorted(seed_hosts)), tuple(cfg.exclude_patterns or ()),
+                tuple(cfg.include_patterns or ()), cfg.only_main)
+    workers = _get_worker_pool(
+        pool_key, cfg.extract_concurrency,
+        (frozenset(seed_hosts), cfg.exclude_patterns, cfg.include_patterns,
+         cfg.only_main))
+    files_by_bucket, num_buckets = _corpus_files(corpus_path)
 
     # robots preload: one targeted read of https://host/robots.txt rows.
     # seed-host-only quirk mode loads the seed's rules into every shard.
     if cfg.respect_robots:
         robots_urls = [f"https://{h}/robots.txt" for h in dict.fromkeys(seed_hosts)]
-        t = _read_rows_for_urls(corpus_path, robots_urls, ["url", "text"])
-        bodies = {host_of(u): txt for u, txt in
-                  zip(t.column("url").to_pylist(), t.column("text").to_pylist())}
+        t = _read_groups([(files_by_bucket.get(b, []), urls) for b, urls in
+                          _by_bucket(robots_urls, num_buckets).items()],
+                         ["url", "text"])
+        bodies = ({} if t is None else
+                  dict(zip(map(host_of, t.column("url").to_pylist()),
+                           t.column("text").to_pylist())))
         if seed_host_only:
             body = bodies.get(seed_host)
             ray.get([s.load_robots.remote({seed_host: body}) for s in shards])
@@ -480,7 +444,6 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
                  for sid, items in by_shard_seed.items()])
         _write_seen_wave(seen_dir, 0, seed_seen_rows)
 
-    files_by_bucket, num_buckets = _corpus_files(corpus_path)
     wave_stats: list[dict] = []
     waves_done = 0
     # per-phase wall-time accounting (driver-observed, cumulative): where
@@ -523,12 +486,7 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
         may span buckets) gives every worker one near-equal task per
         wave; small waves still split at ≥16 urls/task for stragglers.
         Returns the (unblocked) futures."""
-        if num_buckets:
-            by_bucket: dict[Optional[int], list[str]] = {}
-            for u in wave_urls:
-                by_bucket.setdefault(host_shard(host_of(u), num_buckets), []).append(u)
-        else:
-            by_bucket = {None: wave_urls}
+        by_bucket = _by_bucket(wave_urls, num_buckets)
         total = len(wave_urls)
         W = len(workers)
         # task count = a whole multiple of the pool size nearest
@@ -838,9 +796,6 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
     }
     if cfg.sink == "warc":
         stats["warc_dir"] = warc_dir
-    if not cfg.reuse_workers:
-        for a in shards + workers:
-            ray.kill(a)
     return CrawlOutcome(results_dir=results_dir, seen_dir=seen_dir, stats=stats)
 
 

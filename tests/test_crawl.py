@@ -5,8 +5,12 @@ The oracle (raycrawl/oracle.py) is the executable spec of the reference BFS
 the Ray engine must reproduce its crawl order, seen set and markdown bytes.
 """
 
+import json
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
 
 import pyarrow.parquet as pq
 import pytest
@@ -397,3 +401,41 @@ def test_crawl_warc_sink_digest_verified_roundtrip(tmp_path):
     crawl(corpus_dir, cfg)
     for f, blob in bytes_a.items():
         assert open(f, "rb").read() == blob, f
+
+
+def test_crawl_survives_ray_restart_in_one_process(tmp_path):
+    """crawl() keeps its worker and shard actors in process-global pools.
+    After ``ray.shutdown()`` + ``ray.init()`` in the same process those
+    handles are stale; the next crawl() must drop them on its own and still
+    match the oracle. Runs in a child process that owns its Ray sessions."""
+    script = textwrap.dedent("""
+        import json, sys
+        import ray
+        from raycrawl.fixtures import cached_corpus
+        from raycrawl.gen_golden import CRAWL_KW, SEED, T2
+        from raycrawl.pipeline import CrawlConfig, crawl
+
+        corpus_dir = cached_corpus("feature", **T2)
+        cfg = CrawlConfig(seed_url=SEED, num_shards=2, wave_budget=16,
+                          extract_concurrency=1, out_dir=sys.argv[1],
+                          **CRAWL_KW)
+        runs = []
+        for _ in range(2):
+            ray.init(address="local", num_cpus=2, include_dashboard=False,
+                     logging_level="ERROR", object_store_memory=128 << 20)
+            res = crawl(corpus_dir, cfg).results()
+            ray.shutdown()
+            runs.append(res.select(["seq", "depth", "url"]).to_pylist())
+        print(json.dumps(runs))
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")], cwd=root,
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    first, second = json.loads(proc.stdout.strip().splitlines()[-1])
+    oracle = crawl_oracle(feature_corpus(**T2), SEED, wave_budget=16,
+                          **CRAWL_KW)
+    exp = [{"seq": p.seq, "depth": p.depth, "url": p.url} for p in oracle.pages]
+    assert first == exp
+    assert second == exp

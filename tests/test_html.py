@@ -1,5 +1,7 @@
 """Unit tests for the extraction chain (SURVEY.md M1-M11 semantics)."""
 
+import pytest
+
 from raycrawl.extract import extract_page
 from raycrawl.html.clean import clean_html, find_main_content
 from raycrawl.html.dom import parse_html
@@ -207,6 +209,58 @@ def test_error_row_shape():
     out = PageExtractor()(batch)
     assert out.column("status_code")[0].as_py() == 200  # empty html is still extractable
     assert out.column("markdown")[0].as_py() == ""
+
+
+@pytest.mark.parametrize("kernel", ["page", "page_raw_html", "wave"])
+def test_failed_page_gets_reference_error_row(kernel, monkeypatch):
+    """One page whose extraction raises becomes the reference's error row
+    (scraper.py:1272-1293) in both batch kernels; its batch neighbours are
+    untouched."""
+    import raycrawl.extract
+    import raycrawl.pipeline
+    from raycrawl.fixtures import feature_corpus
+
+    pages = feature_corpus(n_hosts=1, pages_per_host=3).select(
+        ["url", "warc_ts", "html"]).slice(0, 3)
+    bad = pages.column("url")[1].as_py()
+    if kernel == "wave":
+        module, batch = raycrawl.pipeline, pages.select(["url", "html"])
+
+        def make():
+            return raycrawl.pipeline.WaveExtractor("h0.example", None, None, True)
+    else:
+        module, batch = raycrawl.extract, pages
+
+        def make():
+            return raycrawl.extract.PageExtractor(
+                include_raw_html=kernel == "page_raw_html")
+    clean = make()(batch).to_pylist()
+    assert [r["status_code"] for r in clean] == [200, 200, 200]
+
+    real = module.extract_page
+
+    def failing(url, html, only_main=True):
+        if url == bad:
+            raise ValueError("boom")
+        return real(url, html, only_main=only_main)
+
+    monkeypatch.setattr(module, "extract_page", failing)
+    out = make()(batch)
+    rows = out.to_pylist()
+    assert [rows[0], rows[2]] == [clean[0], clean[2]]
+    reference = {
+        "url": bad, "warc_ts": clean[1].get("warc_ts"),
+        "markdown": "", "html_clean": "", "title": "", "description": "",
+        "language": "", "status_code": 500, "error": "boom", "links": [],
+        "json_ld": "[]", "open_graph": "{}", "twitter_card": "{}",
+        "meta_data": '{"language": ""}', "metadata_json": "{}",
+        "link_keys": [], "link_hosts": [],
+        "raw_html": pages.column("html")[1].as_py().decode(),
+    }
+    assert rows[1] == {name: reference[name] for name in out.column_names}
+    if kernel == "page_raw_html":
+        assert [r["raw_html"] for r in clean] == [
+            h.decode() for h in pages.column("html").to_pylist()]
 
 
 def test_parsers_agree_on_corpora():
