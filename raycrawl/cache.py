@@ -4,12 +4,13 @@ TTL cache, services/cache/cache_service.py:37-99).
 The reference caches scrape results in a Redis shared across worker
 processes, keyed ``sha256(url | options)`` with a TTL. The engine's
 batch equivalents are (a) resumable partitioned outputs and (b) the
-per-actor LRU in ``PageExtractor`` (round 4). This module adds the
+per-worker LRU in ``PageExtractor`` (round 4). This module adds the
 remaining half: a CROSS-WORKER shared cache, as a Ray actor — the
 documented case where the Dataset API can't express the semantics
 (one shared mutable map) and a raw actor is the right Ray tool.
 
-Design for the actor-pool hot path:
+Design for the extraction hot path (task workers reused across calls,
+one ``PageExtractor`` per worker per call):
 - ONE ``get_batch`` RPC per map_batches batch (only for keys that miss
   the worker's local L1 LRU), one fire-and-forget ``put_batch`` — the
   actor is never chatted with per row.

@@ -1,15 +1,17 @@
 """The extraction stage: pages → ScrapeData-shaped Arrow rows.
 
-Ray-Data-first design: ``PageExtractor`` is a callable class deployed as an
-actor pool via ``ds.map_batches(PageExtractor, batch_format="pyarrow",
-concurrency=N)``. Parser tables / regexes are built once per actor in
-``__init__`` (reference keeps them on a long-lived ContentExtractor the same
-way, scraper.py:283-309 / ST2 in SURVEY.md); ``__call__`` handles one Arrow
-batch. Per-row failures degrade to the reference's error shape
-(status_code=500 + error message, scraper.py:1272-1293) and never poison the
-batch. The per-row code (``decode_html``, ``page_row``, ``error_row``,
-``rows_table``) is shared with the crawl's kernel, ``pipeline.WaveExtractor``,
-so both modes emit the same bytes per url.
+Ray-Data-first design: ``PageExtractor`` is the per-batch kernel and
+``extract_batch`` runs it as a plain ``map_batches`` function, on Ray task
+workers reused across calls, one ``PageExtractor`` per worker per call. A
+reused worker has already imported ``ray.data`` and ``raycrawl``, so a
+``scrape_dataset`` call starts no actor pool (reference keeps its extractor
+long-lived the same way, scraper.py:283-309 / ST2 in SURVEY.md);
+``__call__`` handles one Arrow batch. Per-row failures degrade to the
+reference's error shape (status_code=500 + error message,
+scraper.py:1272-1293) and never poison the batch. The per-row code
+(``decode_html``, ``page_row``, ``error_row``, ``rows_table``) is shared
+with the crawl's kernel, ``pipeline.WaveExtractor``, so both modes emit
+the same bytes per url.
 
 Pipeline per row (reference extract_content, scraper.py:664-700 +
 _process_page_data 1300-1355):
@@ -20,6 +22,7 @@ _process_page_data 1300-1355):
 from __future__ import annotations
 
 import json
+import uuid
 from typing import Any, Optional
 
 import pyarrow as pa
@@ -116,32 +119,34 @@ def rows_table(rows: list[dict[str, Any]], schema: pa.Schema,
 
 
 class PageExtractor:
-    """Actor-pool batch stage: PAGES schema in → EXTRACTED schema out.
+    """Batch kernel: PAGES schema in → EXTRACTED schema out.
 
     ``include_raw_html=True`` appends the original page source as a
     ``raw_html`` column (the reference's opt-in rawHtml field,
     models/response.py:23 / scraper.py:1343).
 
-    ``cache_size > 0`` enables a per-actor LRU keyed
-    SHA-256(url | options) — the actor-held analogue of the reference's
+    ``cache_size > 0`` enables an in-process LRU keyed
+    SHA-256(url | options) — the worker-held analogue of the reference's
     shared TTL result cache (cache_service.py:37-99): a second pass over
     the same corpus slice (or a repeated-URL workload) skips extraction
-    entirely. Per-ACTOR, so the hit rate scales with how often the same
-    url lands on the same actor (Ray Data task routing is
-    block-affine — a re-pass over the same blocks hits well); keyed by
-    url+options like the reference, which is sound because a corpus
-    slice is one snapshot (url → html is functional within a run — a
-    DIFFERENT snapshot must use a fresh pool, exactly as the reference's
-    TTL bounds staleness). ``cache_hits``/``cache_misses`` counters
-    surface the dedup-hit-rate metric.
+    entirely. It lives as long as this instance: under ``scrape_dataset``
+    that is one task worker for one call (see ``extract_batch``), so the
+    hit rate scales with how often the same url lands on the same worker
+    within a call. Keyed by url+options like the reference, which is
+    sound because a call's input is one snapshot (url → html is
+    functional within a run — a DIFFERENT snapshot is a new call and
+    gets fresh instances, exactly as the reference's TTL bounds
+    staleness). ``cache_hits``/``cache_misses`` counters surface the
+    dedup-hit-rate metric.
 
     ``shared_cache`` (a ``raycrawl.cache.SharedExtractCache`` actor
     handle) adds the CROSS-WORKER level — the reference's Redis role
     (cache_service.py:37-99): local-LRU misses are looked up in ONE
     ``get_batch`` RPC per batch, fresh results pushed back with one
     fire-and-forget ``put_batch``; ``shared_cache_hits`` counts them.
-    The two levels compose as L1 (per-actor, RPC-free) / L2 (shared,
-    cross-actor); either works alone. Cache entries are whole rows."""
+    The two levels compose as L1 (in-process, RPC-free) / L2 (shared,
+    cross-worker and cross-call); either works alone. Cache entries are
+    whole rows."""
 
     def __init__(self, only_main: bool = True,
                  include_raw_html: bool = False,
@@ -239,6 +244,25 @@ class PageExtractor:
         return out
 
 
+# the extractor of this worker process: (call token, PageExtractor)
+_WORKER_EXTRACTOR: Optional[tuple[str, PageExtractor]] = None
+
+
+def extract_batch(batch: pa.Table, token: Optional[str] = None,
+                  **options: Any) -> pa.Table:
+    """``PageExtractor(**options)`` over one batch, as a plain
+    ``map_batches`` function. The extractor is kept per worker process
+    and per ``token``: a worker holds only the latest token's, so its L1
+    cache never outlives one ``scrape_dataset`` call, which passes a
+    fresh token. With no token the extractor lasts one batch."""
+    global _WORKER_EXTRACTOR
+    if token is None:
+        return PageExtractor(**options)(batch)
+    if _WORKER_EXTRACTOR is None or _WORKER_EXTRACTOR[0] != token:
+        _WORKER_EXTRACTOR = (token, PageExtractor(**options))
+    return _WORKER_EXTRACTOR[1](batch)
+
+
 def scrape_dataset(
     pages_ds: "ray.data.Dataset",  # noqa: F821
     only_main: bool = True,
@@ -249,25 +273,26 @@ def scrape_dataset(
     shared_cache=None,
 ):
     """pages Dataset → extracted Dataset (the /scrape pipeline, SURVEY.md
-    §3.1 Ray shape). Modest batch_size because html rows can be MBs (R5).
-    ``cache_size`` enables the per-actor repeated-URL LRU (see
-    PageExtractor) — useful when the same slice is scraped repeatedly in
-    one session, the reference cache_service workload. ``shared_cache``
-    (a raycrawl.cache.SharedExtractCache handle) adds the cross-worker
-    shared level — the reference's Redis role."""
-    import ray.data  # local import: module must not force ray at import time
-
+    §3.1 Ray shape), run as Ray tasks on task workers reused across
+    calls, one ``PageExtractor`` per worker per call; ``concurrency``
+    bounds the tasks in flight. Modest batch_size because html rows can
+    be MBs (R5). ``cache_size`` enables each worker's repeated-URL LRU
+    for this call (see PageExtractor) — useful when a slice repeats
+    within one call. ``shared_cache`` (a raycrawl.cache.SharedExtractCache
+    handle) adds the cross-worker shared level — the reference's Redis
+    role — which also serves later calls."""
     kwargs: dict[str, Any] = dict(
         batch_format="pyarrow",
         batch_size=batch_size,
-        fn_constructor_kwargs={"only_main": only_main,
-                               "include_raw_html": include_raw_html,
-                               "cache_size": cache_size,
-                               "shared_cache": shared_cache},
+        fn_kwargs={"token": uuid.uuid4().hex,
+                   "only_main": only_main,
+                   "include_raw_html": include_raw_html,
+                   "cache_size": cache_size,
+                   "shared_cache": shared_cache},
     )
     if concurrency is not None:
         kwargs["concurrency"] = concurrency
-    return pages_ds.map_batches(PageExtractor, **kwargs)
+    return pages_ds.map_batches(extract_batch, **kwargs)
 
 
 def scrape_to_parquet(

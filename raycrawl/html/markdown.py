@@ -317,7 +317,6 @@ def to_markdown_tree(root: Node) -> str:
 _HTML_COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
 _HEADER_FIX_RE = re.compile(r"(#{1,6})([^#\s])")
 _LIST_FIX_RE = re.compile(r"(\n\s*)-([^\s])")
-_TRAILING_SPACES_RE = re.compile(r"[ \t]+$", re.MULTILINE)
 _EXCESSIVE_NEWLINES_RE = re.compile(r"\n{3,}")
 _ORDERED_ITEM_RE = re.compile(r"^\s*\d+\.")
 _LONELY_PUNCT_RE = re.compile(r"^\s*[\*\.\-]\s*$", re.MULTILINE)
@@ -326,17 +325,26 @@ _CODE_SPACING_RE = re.compile(r"(\n*)(```[\w]*\n.*?\n```)(\n*)", re.DOTALL)
 _IMG_SPACING_RE = re.compile(r"(\n*)(!\[.*?\]\(.*?\))(\n*)")
 
 
+def _collapse_newlines(markdown: str) -> str:
+    if "\n\n\n" in markdown:
+        return _EXCESSIVE_NEWLINES_RE.sub("\n\n", markdown)
+    return markdown
+
+
 def post_process_markdown(markdown: str) -> str:
     """Operation-for-operation reimplementation of
-    ``ContentExtractor._post_process_markdown`` (scraper.py:543-662)."""
-    markdown = _HTML_COMMENT_RE.sub("", markdown)
+    ``ContentExtractor._post_process_markdown`` (scraper.py:543-662), with
+    the same output. A regex pass is skipped when a substring check shows
+    it cannot match, and the reference's trailing-space strip is left to
+    the per-line ``rstrip``, which removes a superset of it."""
+    if "<!--" in markdown:
+        markdown = _HTML_COMMENT_RE.sub("", markdown)
 
     markdown = markdown.replace("&nbsp;", " ")
     markdown = markdown.replace("\xa0", " ")
 
     markdown = _HEADER_FIX_RE.sub(r"\1 \2", markdown)
     markdown = _LIST_FIX_RE.sub(r"\1- \2", markdown)
-    markdown = _TRAILING_SPACES_RE.sub("", markdown)
 
     lines = markdown.split("\n")
     processed: list[str] = []
@@ -379,9 +387,9 @@ def post_process_markdown(markdown: str) -> str:
         processed.append(line)
     markdown = "\n".join(processed)
 
-    markdown = _EXCESSIVE_NEWLINES_RE.sub("\n\n", markdown)
+    markdown = _collapse_newlines(markdown)
     markdown = _LONELY_PUNCT_RE.sub("", markdown)
-    markdown = _EXCESSIVE_NEWLINES_RE.sub("\n\n", markdown)
+    markdown = _collapse_newlines(markdown)
 
     # literal patterns — plain str.replace, same semantics as the re.sub
     markdown = markdown.replace("**Copy\n[code]", "Copy\n\n```")
@@ -390,14 +398,16 @@ def post_process_markdown(markdown: str) -> str:
     markdown = markdown.replace("[/code]", "```")
 
     markdown = _LONELY_PUNCT_RE.sub("", markdown)
-    markdown = _EXCESSIVE_NEWLINES_RE.sub("\n\n", markdown)
+    markdown = _collapse_newlines(markdown)
 
-    markdown = _CODE_SPACING_RE.sub(r"\n\n\2\n\n", markdown)
-    markdown = _IMG_SPACING_RE.sub(r"\n\n\2\n\n", markdown)
-    markdown = _EXCESSIVE_NEWLINES_RE.sub("\n\n", markdown)
+    if "```" in markdown:
+        markdown = _CODE_SPACING_RE.sub(r"\n\n\2\n\n", markdown)
+    if "![" in markdown:
+        markdown = _IMG_SPACING_RE.sub(r"\n\n\2\n\n", markdown)
+    markdown = _collapse_newlines(markdown)
 
     markdown = _LONELY_STAR_RE.sub("", markdown)
-    markdown = _EXCESSIVE_NEWLINES_RE.sub("\n\n", markdown)
+    markdown = _collapse_newlines(markdown)
 
     return markdown.strip()
 

@@ -88,11 +88,13 @@ def read_csv_shards(out_dir: str, columns=None, dtypes=None):
 
     def decode(b: pd.DataFrame) -> pd.DataFrame:
         frames = []
-        for raw in b["bytes"]:
+        for raw, path in zip(b["bytes"], b["path"]):
             raw = bytes(raw)
             if raw[:2] == b"\x1f\x8b":  # see jsonl.read_jsonl_shards
                 raw = gzip.decompress(raw)
             rows = list(csv.reader(io.StringIO(raw.decode("utf-8"))))
+            if not rows:
+                raise ValueError(f"CSV shard {path} is empty: no header row")
             header, body = rows[0], rows[1:]
             frames.append(pd.DataFrame(body, columns=header))
         df = pd.concat(frames, ignore_index=True)
@@ -100,5 +102,5 @@ def read_csv_shards(out_dir: str, columns=None, dtypes=None):
             df = df.astype(dtypes)
         return df[columns] if columns else df
 
-    return (rd.read_binary_files(files)
+    return (rd.read_binary_files(files, include_paths=True)
             .map_batches(decode, batch_format="pandas", batch_size=1))

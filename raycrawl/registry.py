@@ -23,7 +23,8 @@ class StageSpec:
     fn: Union[Callable, type]
     batch_format: str = "pyarrow"
     batch_size: Optional[int] = 64
-    default_concurrency: Optional[int] = None  # None → stateless task
+    # None: a function stage runs unbounded, an actor stage on 4 actors
+    default_concurrency: Optional[int] = None
     num_cpus: float = 1.0
     description: str = ""
 
@@ -51,31 +52,33 @@ def list_stages() -> list[str]:
 
 
 def apply_stage(ds, name: str, concurrency: Optional[int] = None,
-                batch_size: Optional[int] = None, **ctor_kwargs: Any):
-    """``ds.map_batches`` with the registered stage's defaults."""
+                batch_size: Optional[int] = None, **options: Any):
+    """``ds.map_batches`` with the registered stage's defaults; ``options``
+    go to an actor stage's constructor or a function stage's calls."""
     spec = get_stage(name)
     kwargs: dict[str, Any] = {"batch_format": spec.batch_format}
     bs = batch_size or spec.batch_size
     if bs:
         kwargs["batch_size"] = bs
-    if spec.is_actor:
-        kwargs["concurrency"] = concurrency or spec.default_concurrency or 4
-        if ctor_kwargs:
-            kwargs["fn_constructor_kwargs"] = ctor_kwargs
-        if spec.num_cpus != 1.0:
-            kwargs["num_cpus"] = spec.num_cpus
-        return ds.map_batches(spec.fn, **kwargs)
-    fn = spec.fn if not ctor_kwargs else (lambda b: spec.fn(b, **ctor_kwargs))
-    return ds.map_batches(fn, **kwargs)
+    conc = (concurrency or spec.default_concurrency
+            or (4 if spec.is_actor else None))
+    if conc:
+        kwargs["concurrency"] = conc
+    if spec.num_cpus != 1.0:
+        kwargs["num_cpus"] = spec.num_cpus
+    if options:
+        kwargs["fn_constructor_kwargs" if spec.is_actor
+               else "fn_kwargs"] = options
+    return ds.map_batches(spec.fn, **kwargs)
 
 
 def _register_builtins() -> None:
     from .chunker import ChunkStage
     from .convert import ConvertStage
-    from .extract import PageExtractor
+    from .extract import extract_batch
     from .ops.multimodal import FrameSampleStage, ImageFeatureStage
 
-    register_stage(StageSpec("extract", PageExtractor, "pyarrow", 32, 4,
+    register_stage(StageSpec("extract", extract_batch, "pyarrow", 32, 4,
                              description="pages → ScrapeData columns (M1-M18)"))
     register_stage(StageSpec("chunk", ChunkStage, "pyarrow", 64, 4,
                              description="markdown → chunk rows (C1-C3)"))

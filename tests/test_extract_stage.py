@@ -116,8 +116,8 @@ def test_repeated_url_lru_skips_extraction():
 
 
 def test_scrape_dataset_cache_size_plumbed():
-    """The pool constructor kwarg reaches the actors: a duplicated slice
-    through one actor yields cache-served rows equal to fresh rows."""
+    """With ``cache_size`` on, a duplicated slice through one call yields
+    cache-served rows equal to fresh rows."""
     import ray.data as rd
 
     from raycrawl.fixtures import feature_corpus
@@ -181,3 +181,62 @@ def test_shared_cache_cross_actor_hits():
     assert core.get_batch([b"k3"]) == [{"v": 3}]
     _t.sleep(0.06)
     assert core.get_batch([b"k3"]) == [None]      # expired (TTL)
+
+
+def _snapshots():
+    """Two snapshots of one slice: same urls, each url's html from its
+    neighbour in the second."""
+    from raycrawl.fixtures import feature_corpus
+
+    a = feature_corpus(n_hosts=1, pages_per_host=8).select(
+        ["url", "warc_ts", "html"])
+    html = a.column("html").to_pylist()
+    b = a.set_column(2, "html", pa.array(html[1:] + html[:1], pa.binary()))
+    return a, b
+
+
+def _rows_by_url(ds) -> list:
+    return sorted(ds.take_all(), key=lambda r: r["url"])
+
+
+def test_scrape_dataset_cache_scoped_to_one_call():
+    """A worker's L1 cache lasts one scrape_dataset call: a second call
+    over a new snapshot of the same urls gets that snapshot's rows."""
+    import ray.data as rd
+
+    from raycrawl.extract import PageExtractor
+
+    for snap in _snapshots():
+        got = _rows_by_url(scrape_dataset(rd.from_arrow(snap), concurrency=1,
+                                          batch_size=4, cache_size=32))
+        want = sorted(PageExtractor()(snap).to_pylist(),
+                      key=lambda r: r["url"])
+        assert got == want
+
+
+def test_scrape_dataset_shared_cache_serves_second_call():
+    """The shared (L2) cache outlives a call: a second scrape_dataset over
+    the same slice is served from it, with rows equal to the first."""
+    import time
+
+    import ray.data as rd
+
+    from raycrawl.cache import SharedExtractCache
+
+    snap, _ = _snapshots()
+    n = snap.num_rows
+    shared = SharedExtractCache.remote(max_entries=1000)
+
+    def scrape():
+        return _rows_by_url(scrape_dataset(rd.from_arrow(snap), concurrency=1,
+                                           batch_size=4, shared_cache=shared))
+
+    first = scrape()
+    deadline = time.monotonic() + 30  # the workers' puts are fire-and-forget
+    while ray.get(shared.stats.remote())["entries"] < n:
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
+    assert ray.get(shared.stats.remote())["hits"] == 0
+    assert scrape() == first
+    assert ray.get(shared.stats.remote())["hits"] == n
+    ray.kill(shared)

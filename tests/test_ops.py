@@ -2071,6 +2071,25 @@ def test_csv_shards_roundtrip_and_determinism(tmp_path):
             for p in d1.glob("shard-*.csv.gz")} == mtimes
 
 
+def test_read_csv_shards_empty_shard_names_path(tmp_path):
+    import re
+
+    import pytest
+
+    from raycrawl.ops.csvio import read_csv_shards, write_csv_shards
+
+    docs = pd.DataFrame({"doc_id": np.arange(20, dtype=np.int64),
+                         "text": [f"doc {i}" for i in range(20)]})
+    write_csv_shards(rd.from_pandas(docs), str(tmp_path), n_shards=4)
+    victim = sorted(tmp_path.glob("shard-*.csv.gz"))[1]
+    victim.write_bytes(b"")
+    # Ray Data re-raises a task's error under its own type, with the
+    # original type and message in the text
+    with pytest.raises(Exception, match="ValueError: CSV shard "
+                                        f"{re.escape(str(victim))} is empty"):
+        read_csv_shards(str(tmp_path)).to_pandas()
+
+
 def test_stratified_split_exact_cuts_and_determinism():
     from raycrawl.ops.training import stratified_split_assign
 

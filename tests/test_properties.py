@@ -53,6 +53,92 @@ def test_post_process_bounded(text):
     assert not out.endswith("\n")
 
 
+def _unguarded_post_process(markdown: str) -> str:
+    """The post-process chain of reference scraper.py:543-662 as a plain
+    sequence: every regex pass runs, the trailing-space strip included."""
+    import re
+
+    markdown = re.sub(r"<!--.*?-->", "", markdown, flags=re.DOTALL)
+    markdown = markdown.replace("&nbsp;", " ").replace("\xa0", " ")
+    markdown = re.sub(r"(#{1,6})([^#\s])", r"\1 \2", markdown)
+    markdown = re.sub(r"(\n\s*)-([^\s])", r"\1- \2", markdown)
+    markdown = re.sub(r"[ \t]+$", "", markdown, flags=re.MULTILINE)
+    processed: list = []
+    in_code_block = in_list = False
+    for line in markdown.split("\n"):
+        line = line.rstrip()
+        if line.startswith("```"):
+            in_code_block = not in_code_block
+            processed.append(line)
+            continue
+        if in_code_block:
+            processed.append(line)
+            continue
+        if not line.strip():
+            if processed and processed[-1].strip():
+                processed.append("")
+            continue
+        if line.startswith("#"):
+            if processed and processed[-1].strip():
+                processed.append("")
+            processed += [line, ""]
+            in_list = False
+            continue
+        if (line.strip().startswith(("-", "*", "+"))
+                or re.match(r"^\s*\d+\.", line)):
+            if not in_list and processed and processed[-1].strip():
+                processed.append("")
+            processed.append(line)
+            in_list = True
+            continue
+        in_list = False
+        if line.strip().startswith("!["):
+            if processed and processed[-1].strip():
+                processed.append("")
+            processed += [line, ""]
+            continue
+        processed.append(line)
+    markdown = "\n".join(processed)
+
+    def newlines(s):
+        return re.sub(r"\n{3,}", "\n\n", s)
+
+    def lonely_punct(s):
+        return re.sub(r"^\s*[\*\.\-]\s*$", "", s, flags=re.MULTILINE)
+
+    markdown = newlines(lonely_punct(newlines(markdown)))
+    markdown = re.sub(r"\*\*Copy\n\[code\]", "Copy\n\n```", markdown)
+    markdown = re.sub(r"\[/code\]", "```", markdown)
+    markdown = re.sub(r"\[code\]", "```", markdown)
+    markdown = re.sub(r"\[/code\]", "```", markdown)
+    markdown = newlines(lonely_punct(markdown))
+    markdown = re.sub(r"(\n*)(```[\w]*\n.*?\n```)(\n*)", r"\n\n\2\n\n",
+                      markdown, flags=re.DOTALL)
+    markdown = re.sub(r"(\n*)(!\[.*?\]\(.*?\))(\n*)", r"\n\n\2\n\n",
+                      markdown)
+    markdown = newlines(markdown)
+    markdown = re.sub(r"^\s*\*\s*$", "", markdown, flags=re.MULTILINE)
+    return newlines(markdown).strip()
+
+
+# fragments that trigger (or just miss) every pass of the chain
+_MD_FRAGMENTS = ["\n", "\n\n\n", "\r", "\r\n", " ", "\t", "\xa0", "&nbsp;",
+                 "*", "**", "-", "+", ".", "1.", "#", "## ", "![", "](",
+                 ")", "]", "![a](b)", "![](u)", "```", "```py\n", "[code]",
+                 "[/code]", "**Copy\n[code]", "<!--", "-->", "<!-- c -->",
+                 "a", "word", "x y"]
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(_MD_FRAGMENTS), max_size=80).map("".join),
+    st.text(alphabet="\n*-#![]()`<>/code\xa0\r \t.1+a", max_size=300)))
+@settings(max_examples=600, deadline=None)
+def test_post_process_matches_unguarded_chain(text):
+    """Skipping regex passes that cannot match, and leaving the trailing
+    space strip to the per-line rstrip, changes no output."""
+    assert post_process_markdown(text) == _unguarded_post_process(text)
+
+
 def test_feature_corpus_deterministic():
     from raycrawl.fixtures import feature_corpus
 

@@ -39,6 +39,35 @@ def test_register_custom_function_stage():
     assert out["url"][0] == "ABC"
 
 
+def test_function_stage_gets_concurrency_and_num_cpus():
+    """A function stage's concurrency, num_cpus and options all reach
+    ``map_batches``; the extract stage is scrape_dataset's function."""
+    from raycrawl.extract import extract_batch
+
+    class Recorder:
+        def map_batches(self, fn, **kwargs):
+            self.call = (fn, kwargs)
+            return self
+
+    def scale(batch, factor=1):
+        return batch
+
+    register_stage(StageSpec("scale", scale, "pyarrow", 8, num_cpus=0.5))
+    fn, kwargs = apply_stage(Recorder(), "scale", concurrency=2,
+                             factor=3).call
+    assert fn is scale
+    assert kwargs == {"batch_format": "pyarrow", "batch_size": 8,
+                      "concurrency": 2, "num_cpus": 0.5,
+                      "fn_kwargs": {"factor": 3}}
+    # unset concurrency stays unbounded for a function stage
+    assert "concurrency" not in apply_stage(Recorder(), "scale").call[1]
+
+    fn, kwargs = apply_stage(Recorder(), "extract", only_main=False).call
+    assert fn is extract_batch
+    assert kwargs["concurrency"] == 4
+    assert kwargs["fn_kwargs"] == {"only_main": False}
+
+
 def test_extract_full_page_mode():
     """only_main=False: boilerplate-stripped whole page (still no nav)."""
     t = feature_corpus(1, 4)
