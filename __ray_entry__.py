@@ -7,9 +7,9 @@ here (or in raycrawl) calls ray.init()/ray.shutdown().
 pipelines run over a deterministic pages corpus in the BASELINE.json
 input_hint shape (synthesized from the driver's ``documents`` table or the
 FIXTURES.md feature matrix — no external data); training-data ops (dedup /
-similarity / text analysis), converters and relational pipelines run over
-the sf tables. EVERY query has an exact DuckDB oracle with matching column
-names — including the formerly rows-only ops: the crawl state machine is
+similarity / text analysis) and converters run over the sf tables. EVERY
+query has an exact DuckDB oracle with matching column names — including
+the formerly rows-only ops: the crawl state machine is
 compared against the independent single-threaded conformance model
 materialized as parquet; MinHash pairs against brute-force n-gram Jaccard;
 HLL/simhash/winnowing recomputed bit-exactly via md5-keyed SQL; IVF run at
@@ -20,7 +20,6 @@ CTE; converters against closed-form expected markdown.
 from __future__ import annotations
 
 import os
-import re
 from collections.abc import Callable
 from typing import Any
 
@@ -201,9 +200,6 @@ def entry() -> Any:
 # ---------------------------------------------------------------------------
 # queries
 # ---------------------------------------------------------------------------
-
-_DOC_URL_RE = re.compile(r"/doc(\d+)\.html$")
-
 
 def _pool(frac: float = 0.5) -> int:
     """Actor-pool size that leaves CPUs for read/shuffle tasks — a pool
@@ -1135,7 +1131,7 @@ def _q_corpus_shuffle(sf_dir: str):
     md5 hex ordering."""
     import ray.data as rd
 
-    from raycrawl.ops.relational import deterministic_shuffle_rank
+    from raycrawl.ops.training import deterministic_shuffle_rank
 
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id"])
@@ -1151,7 +1147,7 @@ def _q_corpus_mix(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.relational import mix_sources
+    from raycrawl.ops.training import mix_sources
 
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id"])
@@ -1450,12 +1446,6 @@ def _q_text_tfidf(sf_dir: str):
     return out.sort_values(["doc_id", "rank"]).reset_index(drop=True)
 
 
-def _q_events_stratified(sf_dir: str):
-    from raycrawl.ops.relational import events_stratified_sample
-
-    return events_stratified_sample(sf_dir)
-
-
 def _q_token_count(sf_dir: str):
     import ray.data as rd
 
@@ -1675,114 +1665,6 @@ def _q_knn_semantic(sf_dir: str):
             .sort_values(["query_id", "rank"]).reset_index(drop=True))
 
 
-def _q_q1(sf_dir: str):
-    from raycrawl.ops.relational import q1_pricing_summary
-
-    return q1_pricing_summary(sf_dir)
-
-
-def _q_region(sf_dir: str):
-    from raycrawl.ops.relational import region_customer_stats
-
-    return region_customer_stats(sf_dir)
-
-
-def _q_customer_nation_join(sf_dir: str):
-    """Ray-native Dataset.join (hash-shuffle aggregator actors) +
-    map-side-combined per-nation aggregate."""
-    from raycrawl.ops.relational import customer_nation_native_join
-
-    return customer_nation_native_join(sf_dir)
-
-
-def _q_top_orders(sf_dir: str):
-    from raycrawl.ops.relational import top_orders_by_revenue
-
-    return top_orders_by_revenue(sf_dir)
-
-
-def _q_events_hourly(sf_dir: str):
-    from raycrawl.ops.relational import events_hourly
-
-    return events_hourly(sf_dir)
-
-
-def _q_events_sliding(sf_dir: str):
-    from raycrawl.ops.relational import events_sliding_window
-
-    return events_sliding_window(sf_dir)
-
-
-def _q_sessionize(sf_dir: str):
-    from raycrawl.ops.relational import events_sessionize
-
-    return events_sessionize(sf_dir)
-
-
-def _q_sessionize_sliced(sf_dir: str):
-    """Hot-key-hardened sessionize (time-sliced pre-aggregation with
-    boundary merge, VERDICT r2 item 6) — same semantics and oracle as
-    events_sessionize, with bounded per-group memory."""
-    from raycrawl.ops.relational import events_sessionize_sliced
-
-    return events_sessionize_sliced(sf_dir)
-
-
-
-def _q_events_props(sf_dir: str):
-    """Scalar JSON extraction (the reference's json.loads surface, M7/§2.8):
-    parse events.props and aggregate sum(k) per event_type."""
-    import json as _json
-
-    import pandas as pd
-    import ray.data as rd
-
-    from raycrawl.ops.agg import aggregate_partials
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "props"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        ks = b["props"].apply(lambda s: _json.loads(s).get("k", 0) if s else 0)
-        g = pd.DataFrame({"event_type": b["event_type"],
-                          "sum_k": ks.astype("int64"), "n_events": 1})
-        return g.groupby("event_type", as_index=False).agg(
-            sum_k=("sum_k", "sum"), n_events=("n_events", "sum"))
-
-    out = aggregate_partials(ev, partial, keys=["event_type"],
-                             agg_spec={"sum_k": "sum", "n_events": "sum"})
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-
-def _q_q6(sf_dir: str):
-    from raycrawl.ops.relational import q6_revenue_delta
-
-    return q6_revenue_delta(sf_dir)
-
-
-def _q_events_latest(sf_dir: str):
-    from raycrawl.ops.relational import events_latest
-
-    return events_latest(sf_dir)
-
-
-def _q_events_top_per_user(sf_dir: str):
-    from raycrawl.ops.relational import events_top_per_user
-
-    return events_top_per_user(sf_dir)
-
-
-def _q_events_running_total(sf_dir: str):
-    """Per-user ROWS-UNBOUNDED-PRECEDING running window (event count +
-    exact integer-millis running value), whole-partition vectorized over
-    user-hash partitions (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_running_total
-
-    return events_running_total(sf_dir)
-
-
-
 def _q_docs_jsonl_roundtrip(sf_dir: str):
     """JSONL sink/source e2e: documents → hash-sharded gzip JSONL
     archives (byte-deterministic, resumable at file granularity) → read
@@ -1888,74 +1770,6 @@ def _q_docs_csv_roundtrip(sf_dir: str):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _q_events_lag_value(sf_dir: str):
-    """LAG window — previous event id + exact value millis within each
-    user's (ts, event_id) order, SQL LAG defaults mirrored
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_lag_value
-
-    return events_lag_value(sf_dir)
-
-
-def _q_users_value_ntile(sf_dir: str):
-    """Distributed NTILE(4) over per-user total value — global rank via
-    value-range buckets + driver prefix offsets (no single-node sort),
-    floor-division tiles replayed identically by the oracle
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import users_value_ntile
-
-    return users_value_ntile(sf_dir)
-
-
-def _q_users_value_rank(sf_dir: str):
-    """Distributed RANK + DENSE_RANK over per-user total value — the
-    NTILE range-bucket machinery extended to tie-aware SQL rank
-    semantics in one shuffle; driver state is O(n_buckets)
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import users_value_rank
-
-    return users_value_rank(sf_dir)
-
-
-def _q_events_moving_window(sf_dir: str):
-    """ROWS BETWEEN 2 PRECEDING AND CURRENT ROW per-user moving frame
-    — cumsum-minus-shifted-cumsum inside user-hash partitions, O(rows)
-    regardless of frame width (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_moving_window
-
-    return events_moving_window(sf_dir)
-
-
-def _q_customer_segment_cube(sf_dir: str):
-    """GROUP BY CUBE(segment, nation): all four grouping sets from ONE
-    distributed pass over the finest level (cube-from-finest; additive
-    measures make it exact) (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import customer_segment_cube
-
-    return customer_segment_cube(sf_dir)
-
-
-def _q_events_trailing_1h(sf_dir: str):
-    """RANGE BETWEEN INTERVAL 1 HOUR PRECEDING per-user trailing window
-    — (user, ts) collapsed to one monotone int64 key so both frame
-    edges are a single vectorized searchsorted; RANGE peer semantics
-    (ts-equal rows share a frame) match SQL exactly
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_trailing_1h
-
-    return events_trailing_1h(sf_dir)
-
-
-def _q_events_hourly_anomaly(sf_dir: str):
-    """Hourly volume anomaly flags via the cross-multiplied integer
-    z-score predicate (n·c − s)² > k²(n·q − s²) — second-moment
-    statistics with every division cleared, bit-equal to the HUGEINT
-    SQL oracle (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_hourly_anomaly
-
-    return events_hourly_anomaly(sf_dir)
-
-
 def _q_text_top_tokens_per_lang(sf_dir: str):
     """Grouped top-k by aggregate — per-language top-5 tokens: (lang,
     tok)-keyed shuffle makes every token's total complete inside one
@@ -1964,170 +1778,6 @@ def _q_text_top_tokens_per_lang(sf_dir: str):
     from raycrawl.ops.textstats import top_tokens_per_lang
 
     return top_tokens_per_lang(sf_dir)
-
-
-def _q_events_sequence_match(sf_dir: str):
-    """MATCH_RECOGNIZE-lite: per-user event-type strings scanned by a
-    compiled regex ('sv*p' = signup → views → purchase), one scan per
-    USER; oracle = string_agg + RE2 with the lazy-prefix match-pos
-    trick (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_sequence_match
-
-    return events_sequence_match(sf_dir)
-
-
-def _q_events_type_transitions(sf_dir: str):
-    """First-order Markov transition counts (prev_type → type, 'START'
-    sentinel at user boundaries) — one user-hash shuffle, driver fold
-    bounded by |types|² (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_type_transitions
-
-    return events_type_transitions(sf_dir)
-
-
-def _q_events_user_gap_median(sf_dir: str):
-    """Per-user lower-median inter-event gap in whole seconds — one
-    shuffle, whole-partition vectorized run-boundary median (zero
-    per-user Python); oracle replays idx = (n−1)//2
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_user_gap_median
-
-    return events_user_gap_median(sf_dir)
-
-
-def _q_events_daily_approx_users(sf_dir: str):
-    """Per-day HLL approximate distinct users — the grouped mergeable-
-    sketch path (16 KB registers per group per batch instead of
-    shuffling every (day, user) pair); md5-keyed registers and the
-    exact-integer harmonic sum make the per-day estimates bit-exactly
-    SQL-recomputable (raycrawl/ops/sketch.py::grouped_approx_distinct)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from raycrawl.ops.sketch import grouped_approx_distinct
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
-
-    def day(b: "pd.DataFrame") -> "pd.DataFrame":
-        return pd.DataFrame({"day": b["ts"].dt.floor("D"),
-                             "user_id": b["user_id"]})
-
-    out = grouped_approx_distinct(
-        ev.map_batches(day, batch_format="pandas"), "day", "user_id")
-    out = out.rename(columns={"approx_distinct": "approx_users"})
-    return out.sort_values("day").reset_index(drop=True)
-
-
-def _q_events_daily_active(sf_dir: str):
-    """Exact DAU — grouped COUNT(DISTINCT): map-side (day, user) dedup
-    combiner, one user-hash shuffle (per-partition distinct is globally
-    exact — users disjoint), calendar-bounded driver fold
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_daily_active
-
-    return events_daily_active(sf_dir)
-
-
-def _q_events_weekly_active(sf_dir: str):
-    """Rolling 7-day distinct actives (WAU per day) — the windowed
-    COUNT(DISTINCT) no window function computes: each distinct (user,
-    day) pair explodes to its ≤7 covered report days (bounded
-    amplification converts the sliding distinct into a grouped
-    distinct), deduped inside user partitions
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_weekly_active
-
-    return events_weekly_active(sf_dir)
-
-
-def _q_events_value_winsorize(sf_dir: str):
-    """P1/P99 winsorize: thresholds are exact distributed order
-    statistics (two-pass selection, O(n_bins) driver — no global sort),
-    broadcast + one vectorized clip; the oracle replays the integer
-    idx = (q_num·(n−1)) // q_den convention
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_value_winsorize
-
-    return events_value_winsorize(sf_dir)
-
-
-def _q_events_user_top_type(sf_dir: str):
-    """Grouped MODE — each user's most frequent event_type (ties →
-    lexicographically smallest), exact per user-hash partition
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_user_top_type
-
-    return events_user_top_type(sf_dir)
-
-
-def _q_events_daily_pivot(sf_dir: str):
-    """Day × event-type crosstab — the pivot happens inside the
-    per-batch partial (conditional counts as additive columns), one
-    aggregate_partials pass (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_daily_pivot
-
-    return events_daily_pivot(sf_dir)
-
-
-def _q_customer_segment_rollup(sf_dir: str):
-    """GROUP BY ROLLUP(segment, nation): finest level distributed-exact,
-    coarser levels derived driver-side from the small finest table
-    (additive aggregates — the cube-from-finest trick)."""
-    from raycrawl.ops.relational import customer_segment_rollup
-
-    return customer_segment_rollup(sf_dir)
-
-
-def _q_customers_semi(sf_dir: str):
-    """Semi join (EXISTS): customers with an order on/after 2001-01-01 —
-    distinct-key-staged existence filter inside hash buckets
-    (raycrawl/ops/join.py::bucket_hash_join how='semi')."""
-    from raycrawl.ops.relational import customers_by_recent_orders
-
-    return customers_by_recent_orders(sf_dir)
-
-
-def _q_customers_anti(sf_dir: str):
-    """Anti join (NOT EXISTS): customers WITHOUT an order on/after
-    2001-01-01 (the churn-candidate complement; how='anti')."""
-    from raycrawl.ops.relational import customers_by_recent_orders
-
-    return customers_by_recent_orders(sf_dir, anti=True)
-
-
-def _q_events_cohort_retention(sf_dir: str):
-    """Cohort retention matrix (first-seen day × day-offset distinct
-    actives) — one user-hash shuffle emits exact per-partition partial
-    counts (users disjoint across partitions), driver combine bounded by
-    calendar-span² (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_cohort_retention
-
-    return events_cohort_retention(sf_dir)
-
-
-def _q_events_funnel(sf_dir: str):
-    """Ordered signup→view→purchase funnel per user (strictly-after
-    semantics, epoch-millis timestamps, -1 sentinels), vectorized inside
-    user-hash partitions (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import events_funnel
-
-    return events_funnel(sf_dir)
-
-
-def _q_events_asof(sf_dir: str):
-    from raycrawl.ops.relational import events_asof_prev_purchase
-
-    return events_asof_prev_purchase(sf_dir)
-
-
-def _q_events_asof_sliced(sf_dir: str):
-    """Hot-key-hardened as-of join (per-(user,slice) groups + prefix-scan
-    carry, VERDICT r2 item 6) — same semantics and oracle as
-    events_asof_prev_purchase."""
-    from raycrawl.ops.relational import events_asof_sliced
-
-    return events_asof_sliced(sf_dir)
 
 
 def _q_link_degree_hist(sf_dir: str):
@@ -2192,27 +1842,6 @@ def _q_corpus_report(sf_dir: str):
         "n_empty": [int(parts["n_empty"].sum())],
         "n_langs": [len(langs)],
     })
-
-
-def _q_weighted_sample(sf_dir: str):
-    """Size-biased deterministic sampling: p = l_quantity/50 per row,
-    keyed by md5 of (orderkey, linenumber) — integer cross-multiplied,
-    reproducible across partitionings (ops/relational.py::weighted_sample)."""
-    from raycrawl.ops.relational import lineitem_weighted_sample
-
-    return lineitem_weighted_sample(sf_dir)
-
-
-def _q_events_hash_sample(sf_dir: str):
-    from raycrawl.ops.relational import events_hash_sample
-
-    return events_hash_sample(sf_dir)
-
-
-def _q_distinct_flags(sf_dir: str):
-    from raycrawl.ops.relational import lineitem_distinct_flags
-
-    return lineitem_distinct_flags(sf_dir)
 
 
 def _q_dedup_survivors_quality(sf_dir: str):
@@ -2390,12 +2019,6 @@ def _q_convert_pdf(sf_dir: str):
         out_cols=("doc_id", "markdown", "metadata_json"))
 
 
-def _q_part_brand(sf_dir: str):
-    from raycrawl.ops.relational import part_brand_stats
-
-    return part_brand_stats(sf_dir)
-
-
 def _q_pii_scrub(sf_dir: str):
     """PII redaction over documents whose text is deterministically salted
     with synthetic contact info (email + NANP phone + IPv4 derived from
@@ -2476,118 +2099,6 @@ def _q_cluster_assign(sf_dir: str):
                           columns=["vec_id", "embedding"])
     return cluster_assign(emb, centroid_ids=list(range(8))) \
         .to_pandas().sort_values("vec_id").reset_index(drop=True)
-
-
-_CAMPAIGNS = [
-    (0, "2024-01-01 00:00:00", "2024-01-01 11:59:59.999999"),
-    (1, "2024-01-01 06:00:00", "2024-01-01 17:59:59.999999"),  # overlaps 0
-    (2, "2024-01-02 00:00:00", "2024-01-03 23:59:59.999999"),
-    (3, "2024-01-01 00:00:00", "2024-12-31 23:59:59.999999"),  # covers most
-]
-
-
-def _q_interval_join(sf_dir: str):
-    """Range join: events × overlapping campaign windows (broadcast
-    small side, one boolean containment matrix per batch)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from raycrawl.ops.join import interval_join
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "user_id", "ts"])
-    iv = pd.DataFrame({
-        "interval_id": pd.Series([c[0] for c in _CAMPAIGNS], dtype="int64"),
-        "lo": pd.to_datetime([c[1] for c in _CAMPAIGNS]),
-        "hi": pd.to_datetime([c[2] for c in _CAMPAIGNS])})
-    out = interval_join(ev, iv, on="ts",
-                        keep_cols=["event_id", "user_id"]).to_pandas()
-    return out.sort_values(["interval_id", "event_id"]).reset_index(drop=True)
-
-
-def _q_customer_rfm(sf_dir: str):
-    """RFM segmentation: one map-side-combinable fold for all three
-    metrics, then three ntile_over range-bucket rankings (R ascending,
-    F/M descending; floor tiles + custkey tie-break replayed verbatim
-    by the oracle) (raycrawl/ops/relational.py::customer_rfm)."""
-    from raycrawl.ops.relational import customer_rfm
-
-    return customer_rfm(sf_dir)
-
-
-def _q_part_pair_affinity(sf_dir: str):
-    """Market-basket pair mining — top-20 part pairs co-occurring in an
-    order: per-order triu scan (pair volume Σ C(basket,2)), pair-keyed
-    count shuffle, provably-exact bounded candidate top-k merge
-    (raycrawl/ops/relational.py)."""
-    from raycrawl.ops.relational import part_pair_affinity
-
-    return part_pair_affinity(sf_dir)
-
-
-def _q_q5(sf_dir: str):
-    """TPC-H Q5 shape: 6-table star join — region/nation/supplier/
-    filtered-customer broadcast as key→nation maps, orders date-pruned
-    at the scan and annotated batch-local, ONE fact shuffle
-    (lineitem⋈orders) with the supplier lookup + cust=supp nation
-    equality + per-nation revenue partial pushed into the join's post
-    (raycrawl/ops/relational.py::q5_local_supplier_volume)."""
-    from raycrawl.ops.relational import q5_local_supplier_volume
-
-    return q5_local_supplier_volume(sf_dir)
-
-
-def _q_q3(sf_dir: str):
-    """TPC-H Q3 shape: broadcast customer semi-join + bucketed
-    orders⋈lineitem hash join with the aggregate and top-k partial pushed
-    into the co-located join groups (one all-to-all total)."""
-    from raycrawl.ops.relational import q3_shipping_priority
-
-    return q3_shipping_priority(sf_dir)
-
-
-def _q_quantiles(sf_dir: str):
-    """Grouped exact quantiles (p25/p50/p75/p90 of l_quantity per return
-    flag) via the distributed-histogram shape — integer order statistics,
-    no float index math."""
-    import ray.data as rd
-
-    from raycrawl.ops.sketch import grouped_exact_quantiles
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_returnflag", "l_quantity"])
-    li = li.map_batches(
-        lambda b: b.set_column(
-            b.schema.get_field_index("l_quantity"), "l_quantity",
-            b.column("l_quantity").cast("int64")),
-        batch_format="pyarrow")
-    out = grouped_exact_quantiles(
-        li, "l_returnflag", "l_quantity",
-        qs=[(1, 4), (1, 2), (3, 4), (9, 10)])
-    return out.sort_values(["l_returnflag", "q_num", "q_den"]) \
-        .reset_index(drop=True)
-
-
-def _q_quantile_selection(sf_dir: str):
-    """Unbounded-domain exact quantiles (p50/p90/p99 of order totals in
-    cents) via the two-pass distributed-selection op: coarse histogram →
-    filtered second pass over only the target bins."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from raycrawl.ops.sketch import exact_quantile_selection
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_totalprice"])
-
-    def cents(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"cents": np.floor(
-            b["o_totalprice"] * 100 + 0.5).astype("int64")})
-
-    return exact_quantile_selection(
-        orders.map_batches(cents, batch_format="pandas"), "cents",
-        qs=[(1, 2), (9, 10), (99, 100)])
 
 
 _NORM_SALT = ["  CaFÉ  déjà\tVu ", " Übermäßig  ŁÓDŹ ", " 한국어 테스트 q̃ ",
@@ -2703,7 +2214,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "text_vocab": _q_vocab,
         "video_frame_sample": _q_video_frames,
         "text_collocations": _q_collocations,
-        "events_stratified_sample": _q_events_stratified,
         "text_quality": _q_quality,
         "text_lang_id": _q_lang_id,
         "text_fingerprints": _q_fingerprints,
@@ -2715,52 +2225,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "knn_bruteforce": _q_knn_bruteforce,
         "knn_semantic_lookup": _q_knn_semantic,
         "knn_ivf": _q_knn_ivf,
-        "q1_pricing_summary": _q_q1,
-        "region_customer_stats": _q_region,
-        "customer_nation_join": _q_customer_nation_join,
-        "top_orders_by_revenue": _q_top_orders,
-        "events_hourly": _q_events_hourly,
-        "events_sliding_1h15m": _q_events_sliding,
-        "events_sessionize": _q_sessionize,
-        "events_sessionize_sliced": _q_sessionize_sliced,
-        "events_props_json": _q_events_props,
-        "part_brand_stats": _q_part_brand,
-        "q6_revenue_delta": _q_q6,
-        "events_latest": _q_events_latest,
-        "events_top_per_user": _q_events_top_per_user,
-        "events_running_total": _q_events_running_total,
         "docs_jsonl_roundtrip": _q_docs_jsonl_roundtrip,
         "docs_csv_roundtrip": _q_docs_csv_roundtrip,
         "docs_split_assign": _q_docs_split_assign,
-        "events_lag_value": _q_events_lag_value,
-        "users_value_ntile": _q_users_value_ntile,
-        "users_value_rank": _q_users_value_rank,
-        "events_moving_window": _q_events_moving_window,
-        "events_trailing_1h": _q_events_trailing_1h,
-        "events_hourly_anomaly": _q_events_hourly_anomaly,
-        "events_value_winsorize": _q_events_value_winsorize,
-        "events_daily_active": _q_events_daily_active,
-        "events_daily_approx_users": _q_events_daily_approx_users,
-        "events_weekly_active": _q_events_weekly_active,
-        "events_type_transitions": _q_events_type_transitions,
-        "events_sequence_match": _q_events_sequence_match,
         "text_top_tokens_per_lang": _q_text_top_tokens_per_lang,
-        "events_user_gap_median": _q_events_user_gap_median,
-        "customer_segment_cube": _q_customer_segment_cube,
-        "events_user_top_type": _q_events_user_top_type,
-        "events_daily_pivot": _q_events_daily_pivot,
-        "customer_segment_rollup": _q_customer_segment_rollup,
-        "customers_with_recent_orders": _q_customers_semi,
-        "customers_no_recent_orders": _q_customers_anti,
-        "events_cohort_retention": _q_events_cohort_retention,
-        "events_funnel": _q_events_funnel,
-        "events_asof_prev_purchase": _q_events_asof,
-        "events_asof_sliced": _q_events_asof_sliced,
-        "events_hash_sample": _q_events_hash_sample,
-        "lineitem_weighted_sample": _q_weighted_sample,
         "corpus_report": _q_corpus_report,
         "link_degree_hist": _q_link_degree_hist,
-        "lineitem_distinct_flags": _q_distinct_flags,
         "dedup_survivors": _q_dedup_survivors,
         "dedup_survivors_quality": _q_dedup_survivors_quality,
         "dedup_incremental": _q_dedup_incremental,
@@ -2773,14 +2243,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "cluster_kmeans": _q_kmeans,
         "dedup_spans": _q_dup_spans,
         "text_normalize": _q_normalize,
-        "quantiles_lineitem_qty": _q_quantiles,
         "search_index_lookup": _q_index_lookup,
-        "events_interval_join": _q_interval_join,
-        "q3_shipping_priority": _q_q3,
-        "q5_local_supplier_volume": _q_q5,
-        "part_pair_affinity": _q_part_pair_affinity,
-        "customer_rfm": _q_customer_rfm,
-        "quantiles_order_totals": _q_quantile_selection,
     }
 
 
@@ -2951,8 +2414,8 @@ def oracle_sql() -> dict[str, str]:
             "::UBIGINT, doc_id) - 1 AS BIGINT) AS shuffle_rank "
             "FROM documents"
         ),
-        # source-weighted mixing: same 60-bit md5 HUGEINT cross-multiply
-        # as lineitem_weighted_sample, per-source weights
+        # source-weighted mixing: keep iff the 60-bit md5 prefix times the
+        # scale is below w·2^60, cross-multiplied in HUGEINT per source
         "corpus_mix": (
             "WITH t AS (SELECT doc_id, "
             "  CASE doc_id % 3 WHEN 0 THEN 'web' WHEN 1 THEN 'books' "
@@ -3563,17 +3026,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(COALESCE(s.min_freq, 0) AS BIGINT) AS min_freq "
             "FROM w LEFT JOIN s ON w.doc_id = s.doc_id"
         ),
-        # deterministic stratified sampler: k smallest md5(event_id) per
-        # event_type, rank order (hash, event_id)
-        "events_stratified_sample": (
-            "WITH h AS (SELECT event_type, event_id, user_id, "
-            "  ('0x'||substr(md5(CAST(event_id AS VARCHAR)),1,16))::UBIGINT AS hv "
-            "  FROM events), "
-            "r AS (SELECT *, row_number() OVER (PARTITION BY event_type "
-            "  ORDER BY hv, event_id) AS rnk FROM h) "
-            "SELECT event_type, event_id, user_id, "
-            "CAST(rnk AS BIGINT) AS sample_rank FROM r WHERE rnk <= 100"
-        ),
         # repetition signals: distinct words + top adjacent-bigram count
         "text_repetition": (
             "WITH w AS (SELECT doc_id, "
@@ -3908,92 +3360,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT query_id, neighbor_id, CAST(rank AS BIGINT) AS rank "
             "FROM ranked WHERE rank <= 10"
         ),
-        "q1_pricing_summary": (
-            "SELECT l_returnflag, l_linestatus, "
-            "CAST(sum(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty, "
-            "CAST(sum(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_base_cents, "
-            "CAST(sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_disc_cents, "
-            "CAST(count(*) AS BIGINT) AS count_order, "
-            "CAST(sum(CAST(l_quantity AS BIGINT)) AS DOUBLE) / count(*) AS avg_qty "
-            "FROM lineitem GROUP BY l_returnflag, l_linestatus"
-        ),
-        "region_customer_stats": (
-            "SELECT r.r_name AS r_name, CAST(count(*) AS BIGINT) AS num_customers, "
-            "CAST(sum(CAST(floor(c.c_acctbal * 100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_acctbal_cents "
-            "FROM customer c JOIN nation n ON c.c_nationkey = n.n_nationkey "
-            "JOIN region r ON n.n_regionkey = r.r_regionkey GROUP BY r.r_name"
-        ),
-        # Ray-native Dataset.join path
-        "customer_nation_join": (
-            "SELECT n.n_name AS n_name, CAST(count(*) AS BIGINT) AS n_customers, "
-            "CAST(sum(CAST(floor(c.c_acctbal * 100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_acctbal_cents "
-            "FROM customer c JOIN nation n ON c.c_nationkey = n.n_nationkey "
-            "GROUP BY n.n_name"
-        ),
-        "top_orders_by_revenue": (
-            "WITH rev AS (SELECT l_orderkey, "
-            "  CAST(sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents "
-            "  FROM lineitem GROUP BY l_orderkey) "
-            "SELECT o.o_orderkey, rev.revenue_cents, o.o_custkey, o.o_orderstatus "
-            "FROM rev JOIN orders o ON o.o_orderkey = rev.l_orderkey "
-            "ORDER BY rev.revenue_cents DESC, o.o_orderkey LIMIT 10"
-        ),
-        "events_hourly": (
-            "SELECT event_type, date_trunc('hour', ts) AS hour, "
-            "CAST(count(*) AS BIGINT) AS n_events, "
-            "CAST(sum(CAST(floor(value * 1000 + 0.5) AS BIGINT)) AS BIGINT) AS sum_value_millis "
-            "FROM events GROUP BY event_type, date_trunc('hour', ts)"
-        ),
-        # sliding window = cross join with the k slide offsets
-        "events_sliding_1h15m": (
-            "SELECT event_type, "
-            "time_bucket(INTERVAL '15 minutes', ts) - k.i * INTERVAL '15 minutes' AS window_start, "
-            "CAST(count(*) AS BIGINT) AS n_events, "
-            "CAST(sum(CAST(floor(value * 1000 + 0.5) AS BIGINT)) AS BIGINT) AS sum_value_millis "
-            "FROM events, (SELECT unnest(generate_series(0, 3)) AS i) k "
-            "GROUP BY event_type, window_start"
-        ),
-        "events_props_json": (
-            "SELECT event_type, "
-            "CAST(sum(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT) AS sum_k, "
-            "CAST(count(*) AS BIGINT) AS n_events "
-            "FROM events GROUP BY event_type"
-        ),
-        "events_sessionize": (
-            "WITH o AS (SELECT user_id, ts, "
-            "  lag(ts) OVER (PARTITION BY user_id ORDER BY ts) AS prev FROM events), "
-            "m AS (SELECT user_id, ts, CASE WHEN prev IS NULL OR "
-            "  ts - prev > INTERVAL '30 minutes' THEN 1 ELSE 0 END AS brk FROM o), "
-            "s AS (SELECT user_id, sum(brk) OVER (PARTITION BY user_id ORDER BY ts "
-            "  ROWS UNBOUNDED PRECEDING) AS sid FROM m), "
-            "g AS (SELECT user_id, sid, count(*) AS n FROM s GROUP BY user_id, sid) "
-            "SELECT user_id, CAST(count(*) AS BIGINT) AS n_sessions, "
-            "CAST(max(n) AS BIGINT) AS max_session_events FROM g GROUP BY user_id"
-        ),
-        # identical semantics to events_sessionize — the sliced engine path
-        # must reproduce the one-shot window result exactly
-        "events_sessionize_sliced": (
-            "WITH o AS (SELECT user_id, ts, "
-            "  lag(ts) OVER (PARTITION BY user_id ORDER BY ts) AS prev FROM events), "
-            "m AS (SELECT user_id, ts, CASE WHEN prev IS NULL OR "
-            "  ts - prev > INTERVAL '30 minutes' THEN 1 ELSE 0 END AS brk FROM o), "
-            "s AS (SELECT user_id, sum(brk) OVER (PARTITION BY user_id ORDER BY ts "
-            "  ROWS UNBOUNDED PRECEDING) AS sid FROM m), "
-            "g AS (SELECT user_id, sid, count(*) AS n FROM s GROUP BY user_id, sid) "
-            "SELECT user_id, CAST(count(*) AS BIGINT) AS n_sessions, "
-            "CAST(max(n) AS BIGINT) AS max_session_events FROM g GROUP BY user_id"
-        ),
-        "q6_revenue_delta": (
-            "SELECT CAST(sum(CAST(floor(l_extendedprice * l_discount * 100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents, "
-            "CAST(count(*) AS BIGINT) AS n_rows FROM lineitem "
-            "WHERE l_shipdate >= TIMESTAMP '1995-01-01' AND l_shipdate < TIMESTAMP '1996-01-01' "
-            "AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
-        ),
-        "events_latest": (
-            "SELECT event_id, ts, event_type, "
-            "CAST(floor(value * 1000 + 0.5) AS BIGINT) AS value_millis "
-            "FROM events ORDER BY ts DESC, event_id DESC LIMIT 10"
-        ),
         # aggregates the ORIGINAL table — matching the Ray side (which
         # aggregates the JSONL read-back) certifies lossless roundtrip
         "docs_jsonl_roundtrip": (
@@ -4031,314 +3397,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(sum(doc_id) AS BIGINT) AS sum_doc_id "
             "FROM documents GROUP BY doc_id % 16"
         ),
-        "events_lag_value": (
-            "SELECT event_id, user_id, "
-            "CAST(COALESCE(LAG(event_id) OVER w, -1) AS BIGINT) "
-            "  AS prev_event_id, "
-            "CAST(COALESCE(LAG(CAST(floor(value * 1000 + 0.5) AS BIGINT)) "
-            "  OVER w, 0) AS BIGINT) AS prev_value_millis "
-            "FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)"
-        ),
-        # floor-division tiles (rank0·4 // n + 1) — NOT SQL ntile(),
-        # whose remainder placement differs; both sides replay the
-        # same formula so the comparison is exact
-        "users_value_ntile": (
-            "WITH t AS (SELECT user_id, "
-            "  CAST(sum(CAST(floor(value * 1000 + 0.5) AS BIGINT)) "
-            "    AS BIGINT) AS total_value_millis "
-            "  FROM events GROUP BY user_id), "
-            "r AS (SELECT user_id, total_value_millis, "
-            "  row_number() OVER (ORDER BY total_value_millis DESC, "
-            "    user_id) - 1 AS r0, "
-            "  count(*) OVER () AS n FROM t) "
-            "SELECT user_id, total_value_millis, "
-            "CAST(r0 * 4 // n + 1 AS BIGINT) AS tile FROM r"
-        ),
-        "users_value_rank": (
-            "WITH t AS (SELECT user_id, "
-            "  CAST(sum(CAST(floor(value * 1000 + 0.5) AS BIGINT)) "
-            "    AS BIGINT) AS total_value_millis "
-            "  FROM events GROUP BY user_id) "
-            "SELECT user_id, total_value_millis, "
-            "CAST(RANK() OVER (ORDER BY total_value_millis DESC) "
-            "  AS BIGINT) AS rnk, "
-            "CAST(DENSE_RANK() OVER (ORDER BY total_value_millis DESC) "
-            "  AS BIGINT) AS dense_rnk FROM t"
-        ),
-        "events_moving_window": (
-            "SELECT event_id, user_id, "
-            "CAST(count(*) OVER w AS BIGINT) AS win_n, "
-            "CAST(sum(CAST(floor(value * 1000 + 0.5) AS BIGINT)) "
-            "  OVER w AS BIGINT) AS win_value_millis "
-            "FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
-            "  ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)"
-        ),
-        "events_trailing_1h": (
-            "SELECT event_id, user_id, "
-            "CAST(count(*) OVER w AS BIGINT) AS trail_n, "
-            "CAST(sum(CAST(floor(value * 1000 + 0.5) AS BIGINT)) "
-            "  OVER w AS BIGINT) AS trail_value_millis "
-            "FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts "
-            "  RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)"
-        ),
-        "events_daily_active": (
-            "SELECT date_trunc('day', ts) AS day, "
-            "CAST(count(DISTINCT user_id) AS BIGINT) AS n_users "
-            "FROM events GROUP BY 1"
-        ),
-        # per-day HLL, bit-exact: the approx_distinct_orders register
-        # arithmetic with GROUP BY day threaded through every level
-        "events_daily_approx_users": (
-            "WITH h AS (SELECT DISTINCT date_trunc('day', ts) AS day, "
-            "  ('0x'||substr(md5(CAST(user_id AS VARCHAR)),1,16))"
-            "::UBIGINT AS hv FROM events), "
-            "b AS (SELECT day, hv >> 50 AS bucket, "
-            "  hv & 1125899906842623::UBIGINT AS low FROM h), "
-            "r AS (SELECT day, bucket, max(CASE WHEN low = 0::UBIGINT "
-            "  THEN 51 ELSE 51 - length(bin(low)) END) AS reg "
-            "  FROM b GROUP BY day, bucket), "
-            "s AS (SELECT day, sum((1::HUGEINT << (51 - reg))) "
-            "  AS s_present, count(*) AS n_present FROM r GROUP BY day), "
-            "e AS (SELECT day, CAST(s_present + (16384 - n_present) * "
-            "  (1::HUGEINT << 51) AS DOUBLE) / 2251799813685248.0 "
-            "  AS denom, 16384 - n_present AS v FROM s), "
-            "est AS (SELECT day, 0.7213/(1.0 + 1.079/16384.0)"
-            "*16384.0*16384.0/denom AS raw, v FROM e) "
-            "SELECT day, CAST(floor((CASE WHEN raw <= 2.5*16384.0 "
-            "  AND v > 0 THEN 16384.0 * ln(16384.0 / v) ELSE raw END) "
-            "  + 0.5) AS BIGINT) AS approx_users FROM est"
-        ),
-        # sliding 7-day distinct: the day×activity interval join is the
-        # oracle's direct statement of the window-as-union semantics
-        "events_weekly_active": (
-            "WITH au AS (SELECT DISTINCT user_id, "
-            "  date_trunc('day', ts) AS day FROM events), "
-            "days AS (SELECT DISTINCT day FROM au) "
-            "SELECT d.day, CAST(count(DISTINCT a.user_id) AS BIGINT) "
-            "  AS n_users FROM days d JOIN au a "
-            "  ON a.day BETWEEN d.day - INTERVAL 6 DAY AND d.day "
-            "GROUP BY 1"
-        ),
-        # event types have distinct first letters, so substr(,1,1) is
-        # the char encoding; match_pos = length of the lazy prefix
-        # group before the leftmost match (RE2 ≡ Python re.search)
-        "events_sequence_match": (
-            "WITH w AS (SELECT user_id, "
-            "  string_agg(substr(event_type, 1, 1), '' "
-            "    ORDER BY ts, event_id) AS seq FROM events "
-            "  GROUP BY user_id) "
-            "SELECT user_id, CAST(length(seq) AS BIGINT) AS seq_len, "
-            "CAST(length(regexp_extract(seq, '^(.*?)sv*p', 1)) "
-            "  AS BIGINT) AS match_pos "
-            "FROM w WHERE regexp_matches(seq, 'sv*p')"
-        ),
-        "events_type_transitions": (
-            "WITH w AS (SELECT user_id, event_type, "
-            "  COALESCE(LAG(event_type) OVER (PARTITION BY user_id "
-            "    ORDER BY ts, event_id), 'START') AS prev_type "
-            "  FROM events) "
-            "SELECT prev_type, event_type, "
-            "CAST(count(*) AS BIGINT) AS n FROM w GROUP BY 1, 2"
-        ),
-        # lower discrete median: the unique row at idx = (n-1)//2 of
-        # each user's gap order (ties share the value, so tie order
-        # cannot change the answer)
-        "events_user_gap_median": (
-            "WITH g AS (SELECT user_id, "
-            "  (epoch_us(ts) - epoch_us(LAG(ts) OVER ("
-            "    PARTITION BY user_id ORDER BY ts, event_id))) "
-            "    // 1000000 AS gap FROM events), "
-            "d AS (SELECT user_id, gap FROM g WHERE gap IS NOT NULL), "
-            "r AS (SELECT user_id, gap, "
-            "  row_number() OVER (PARTITION BY user_id ORDER BY gap) "
-            "    - 1 AS idx, "
-            "  count(*) OVER (PARTITION BY user_id) AS n FROM d) "
-            "SELECT user_id, CAST(gap AS BIGINT) AS median_gap_sec "
-            "FROM r WHERE idx = (n - 1) // 2"
-        ),
-        # winsorize thresholds at the module's exact integer-fraction
-        # order statistic; LEAST/GREATEST is the clip
-        "events_value_winsorize": (
-            "WITH v AS (SELECT event_id, "
-            "  CAST(floor(value * 1000 + 0.5) AS BIGINT) AS m "
-            "  FROM events), "
-            "n AS (SELECT count(*) AS n FROM v), "
-            "r AS (SELECT m, row_number() OVER (ORDER BY m) - 1 AS idx "
-            "  FROM v), "
-            "t AS (SELECT "
-            "  max(CASE WHEN r.idx = (1 * (n.n - 1)) // 100 "
-            "    THEN m END) AS lo, "
-            "  max(CASE WHEN r.idx = (99 * (n.n - 1)) // 100 "
-            "    THEN m END) AS hi FROM r CROSS JOIN n) "
-            "SELECT event_id, m AS value_millis, "
-            "CAST(LEAST(GREATEST(m, t.lo), t.hi) AS BIGINT) "
-            "  AS value_winsorized_millis FROM v, t"
-        ),
-        # z-score test with divisions cleared: HUGEINT keeps the
-        # squared deviations exact at any count magnitude
-        "events_hourly_anomaly": (
-            "WITH h AS (SELECT date_trunc('hour', ts) AS hour, "
-            "  CAST(count(*) AS BIGINT) AS n_events FROM events "
-            "  GROUP BY 1), "
-            "m AS (SELECT count(*) AS n, sum(n_events) AS s, "
-            "  sum(CAST(n_events AS HUGEINT) * n_events) AS q FROM h) "
-            "SELECT hour, n_events, "
-            "CAST(CASE WHEN (CAST(m.n AS HUGEINT) * n_events - m.s) * "
-            "  (CAST(m.n AS HUGEINT) * n_events - m.s) "
-            "  > 4 * (m.n * m.q - CAST(m.s AS HUGEINT) * m.s) "
-            "  THEN 1 ELSE 0 END AS BIGINT) AS is_anomaly "
-            "FROM h, m"
-        ),
-        # sentinel convention: 'ALL' / -1 for rolled-up levels, so the
-        # cube stays a single union-free schema on both sides
-        "customer_segment_cube": (
-            "SELECT COALESCE(c_mktsegment, 'ALL') AS c_mktsegment, "
-            "CAST(COALESCE(c_nationkey, -1) AS BIGINT) AS c_nationkey, "
-            "CAST(count(*) AS BIGINT) AS n_customers, "
-            "CAST(sum(CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT)) "
-            "  AS BIGINT) AS acctbal_cents "
-            "FROM customer GROUP BY CUBE(c_mktsegment, c_nationkey)"
-        ),
-        "events_user_top_type": (
-            "WITH c AS (SELECT user_id, event_type, "
-            "  CAST(count(*) AS BIGINT) AS n FROM events "
-            "  GROUP BY user_id, event_type), "
-            "r AS (SELECT c.*, row_number() OVER (PARTITION BY user_id "
-            "  ORDER BY n DESC, event_type) AS rnk FROM c) "
-            "SELECT user_id, event_type AS top_type, n "
-            "FROM r WHERE rnk = 1"
-        ),
-        "events_daily_pivot": (
-            "SELECT date_trunc('day', ts) AS day, "
-            "CAST(count(*) FILTER (event_type = 'click') AS BIGINT) "
-            "  AS n_click, "
-            "CAST(count(*) FILTER (event_type = 'error') AS BIGINT) "
-            "  AS n_error, "
-            "CAST(count(*) FILTER (event_type = 'purchase') AS BIGINT) "
-            "  AS n_purchase, "
-            "CAST(count(*) FILTER (event_type = 'signup') AS BIGINT) "
-            "  AS n_signup, "
-            "CAST(count(*) FILTER (event_type = 'view') AS BIGINT) "
-            "  AS n_view, "
-            "CAST(count(*) AS BIGINT) AS n_total "
-            "FROM events GROUP BY date_trunc('day', ts)"
-        ),
-        # ROLLUP levels carry the 'ALL' / -1 sentinels so the column
-        # types stay NULL-free on both sides
-        "customer_segment_rollup": (
-            "SELECT COALESCE(c_mktsegment, 'ALL') AS c_mktsegment, "
-            "CAST(COALESCE(c_nationkey, -1) AS BIGINT) AS c_nationkey, "
-            "CAST(count(*) AS BIGINT) AS n_customers, "
-            "CAST(sum(CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT)) "
-            "  AS BIGINT) AS acctbal_cents "
-            "FROM customer GROUP BY ROLLUP(c_mktsegment, c_nationkey)"
-        ),
-        "customers_with_recent_orders": (
-            "SELECT c_custkey, c_nationkey, "
-            "CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT) "
-            "  AS c_acctbal_cents "
-            "FROM customer c WHERE EXISTS (SELECT 1 FROM orders o "
-            "  WHERE o.o_custkey = c.c_custkey "
-            "  AND o.o_orderdate >= TIMESTAMP '2001-01-01')"
-        ),
-        "customers_no_recent_orders": (
-            "SELECT c_custkey, c_nationkey, "
-            "CAST(floor(c_acctbal * 100 + 0.5) AS BIGINT) "
-            "  AS c_acctbal_cents "
-            "FROM customer c WHERE NOT EXISTS (SELECT 1 FROM orders o "
-            "  WHERE o.o_custkey = c.c_custkey "
-            "  AND o.o_orderdate >= TIMESTAMP '2001-01-01')"
-        ),
-        "events_cohort_retention": (
-            "WITH a AS (SELECT DISTINCT user_id, date_trunc('day', ts) AS d "
-            "  FROM events), "
-            "f AS (SELECT user_id, min(d) AS cohort_day FROM a "
-            "  GROUP BY user_id) "
-            "SELECT f.cohort_day, "
-            "  CAST(date_diff('day', f.cohort_day, a.d) AS BIGINT) "
-            "    AS day_offset, "
-            "  CAST(count(*) AS BIGINT) AS n_users "
-            "FROM a JOIN f USING (user_id) "
-            "GROUP BY f.cohort_day, day_offset"
-        ),
-        # strictly-after 3-step funnel: each step's min ts among events
-        # later than the user's previous-step ts; -1 sentinels
-        "events_funnel": (
-            "WITH u AS (SELECT DISTINCT user_id FROM events), "
-            "s AS (SELECT user_id, min(ts) AS t1 FROM events "
-            "  WHERE event_type = 'signup' GROUP BY user_id), "
-            "v AS (SELECT e.user_id, min(e.ts) AS t2 FROM events e "
-            "  JOIN s ON s.user_id = e.user_id "
-            "  WHERE e.event_type = 'view' AND e.ts > s.t1 "
-            "  GROUP BY e.user_id), "
-            "p AS (SELECT e.user_id, min(e.ts) AS t3 FROM events e "
-            "  JOIN v ON v.user_id = e.user_id "
-            "  WHERE e.event_type = 'purchase' AND e.ts > v.t2 "
-            "  GROUP BY e.user_id) "
-            "SELECT u.user_id, "
-            "  CAST(CASE WHEN p.t3 IS NOT NULL THEN 3 "
-            "       WHEN v.t2 IS NOT NULL THEN 2 "
-            "       WHEN s.t1 IS NOT NULL THEN 1 ELSE 0 END AS BIGINT) "
-            "    AS stage, "
-            "  CAST(COALESCE(epoch_ms(s.t1), -1) AS BIGINT) AS t1_ms, "
-            "  CAST(COALESCE(epoch_ms(v.t2), -1) AS BIGINT) AS t2_ms, "
-            "  CAST(COALESCE(epoch_ms(p.t3), -1) AS BIGINT) AS t3_ms "
-            "FROM u LEFT JOIN s USING (user_id) "
-            "LEFT JOIN v USING (user_id) LEFT JOIN p USING (user_id)"
-        ),
-        "events_running_total": (
-            "SELECT event_id, user_id, "
-            "  CAST(row_number() OVER w AS BIGINT) AS run_n, "
-            "  CAST(sum(CAST(floor(value * 1000 + 0.5) AS BIGINT)) "
-            "       OVER w AS BIGINT) AS run_value_millis "
-            "FROM events "
-            "WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id "
-            "  ROWS UNBOUNDED PRECEDING)"
-        ),
-        "events_top_per_user": (
-            "WITH r AS (SELECT user_id, event_id, "
-            "  CAST(floor(value * 1000 + 0.5) AS BIGINT) AS value_millis, "
-            "  row_number() OVER (PARTITION BY user_id "
-            "    ORDER BY floor(value * 1000 + 0.5) DESC, event_id) AS rank "
-            "  FROM events) "
-            "SELECT user_id, event_id, value_millis, CAST(rank AS BIGINT) AS rank "
-            "FROM r WHERE rank <= 3"
-        ),
-        # tie-safe + strictly-earlier (matches merge_asof with
-        # allow_exact_matches=False): among strictly-earlier purchases pick
-        # max ts, ties broken by max event_id — NOT a ROWS window over ts
-        # alone, which is nondeterministic among same-ts rows (ADVICE fix)
-        "events_asof_prev_purchase": (
-            "SELECT e.event_id, e.user_id, CAST(COALESCE((("
-            "  SELECT p.event_id FROM events p "
-            "  WHERE p.user_id = e.user_id AND p.event_type = 'purchase' "
-            "  AND p.ts < e.ts "
-            "  ORDER BY p.ts DESC, p.event_id DESC LIMIT 1)), -1) AS BIGINT) "
-            "AS prev_purchase_id FROM events e"
-        ),
-        # identical semantics to events_asof_prev_purchase — the sliced
-        # engine path must reproduce the one-shot as-of result exactly
-        "events_asof_sliced": (
-            "SELECT e.event_id, e.user_id, CAST(COALESCE((("
-            "  SELECT p.event_id FROM events p "
-            "  WHERE p.user_id = e.user_id AND p.event_type = 'purchase' "
-            "  AND p.ts < e.ts "
-            "  ORDER BY p.ts DESC, p.event_id DESC LIMIT 1)), -1) AS BIGINT) "
-            "AS prev_purchase_id FROM events e"
-        ),
-        "lineitem_distinct_flags": (
-            "SELECT DISTINCT l_returnflag, l_linestatus FROM lineitem"
-        ),
-        # deterministic hash sampling (reproducible, partition-independent,
-        # all-or-nothing per user) — same md5 keyed decision in SQL
-        "events_hash_sample": (
-            "SELECT event_id, user_id, event_type FROM events "
-            "WHERE ('0x'||substr(md5('s0'||CAST(user_id AS VARCHAR)),1,16))::UBIGINT "
-            "% 100 < 10"
-        ),
         # degree distribution of the lattice: out-degree of rank r is
         # clamp(n-1-4r, 0, 4) per host
         "link_degree_hist": (
@@ -4359,15 +3417,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(sum(CASE WHEN trim(COALESCE(text, '')) = '' THEN 1 ELSE 0 END) "
             " AS BIGINT) AS n_empty, "
             "CAST(count(DISTINCT lang) AS BIGINT) AS n_langs FROM documents"
-        ),
-        # size-biased deterministic sampler: p = qty/50, decided by a
-        # 60-bit key hash, HUGEINT cross-multiply (no float threshold)
-        "lineitem_weighted_sample": (
-            "SELECT l_orderkey, l_linenumber, l_quantity FROM lineitem "
-            "WHERE ('0x'||substr(md5('w0'||CAST(l_orderkey AS VARCHAR)"
-            "||'-'||CAST(l_linenumber AS VARCHAR)),1,15))::UBIGINT::HUGEINT"
-            " * 50 < CAST(l_quantity AS BIGINT) "
-            " * CAST(1152921504606846976 AS HUGEINT)"
         ),
         # closed-form expected markdown of the generated .docx per row
         # (COALESCE mirrors the query side's `text or ''`, ADVICE r2)
@@ -4409,12 +3458,6 @@ def oracle_sql() -> dict[str, str]:
             "'|:' || repeat('-', w1) || '|:' || repeat('-', w2) || '|' || chr(10) || "
             "'| ' || rpad(c1, w1, ' ') || ' | ' || rpad(c2, w2, ' ') || ' |' "
             "AS markdown FROM w"
-        ),
-        "part_brand_stats": (
-            "SELECT p_brand, CAST(count(*) AS BIGINT) AS n_parts, "
-            "CAST(sum(CAST(floor(p_retailprice * 100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_price_cents, "
-            "CAST(max(p_size) AS INTEGER) AS max_size "
-            "FROM part GROUP BY p_brand"
         ),
         # same salt arithmetic as the query, then the same three RE2
         # passes in the same order (count on the text as it stands)
@@ -4493,22 +3536,6 @@ def oracle_sql() -> dict[str, str]:
             "nfc_normalize(t))), '[\\t\\n\\f\\r ]+', ' ', 'g'), ' ') "
             "AS text_norm FROM s"
         ),
-        # order statistic at floor(q_num*(n-1)/q_den) per group — the
-        # value at that sorted index is tie-order-independent
-        "quantiles_lineitem_qty": (
-            "WITH v AS (SELECT l_returnflag, CAST(l_quantity AS BIGINT) AS val "
-            "  FROM lineitem), "
-            "n AS (SELECT l_returnflag, count(*) AS n FROM v GROUP BY l_returnflag), "
-            "r AS (SELECT l_returnflag, val, row_number() OVER "
-            "  (PARTITION BY l_returnflag ORDER BY val) - 1 AS idx FROM v), "
-            "q AS (SELECT * FROM (VALUES (1, 4), (1, 2), (3, 4), (9, 10)) "
-            "  AS t(q_num, q_den)) "
-            "SELECT r.l_returnflag, CAST(q.q_num AS BIGINT) AS q_num, "
-            "CAST(q.q_den AS BIGINT) AS q_den, "
-            "CAST(r.val AS BIGINT) AS quantile_value "
-            "FROM r JOIN n ON n.l_returnflag = r.l_returnflag "
-            "JOIN q ON r.idx = (q.q_num * (n.n - 1)) // q.q_den"
-        ),
         # postings of the query terms: (term, doc_id, tf) — the staged
         # index's bucket-pruned read must equal the direct group-by
         "search_index_lookup": (
@@ -4518,92 +3545,5 @@ def oracle_sql() -> dict[str, str]:
             "SELECT term, doc_id, CAST(count(*) AS BIGINT) AS tf FROM t "
             "WHERE term IN ('dup', 'spark', 'merge', 'vector') "
             "GROUP BY term, doc_id"
-        ),
-        # inclusive-bounds range join against the same literal windows
-        "events_interval_join": (
-            "WITH iv AS (SELECT * FROM (VALUES "
-            + ", ".join(
-                f"({i}, TIMESTAMP '{lo}', TIMESTAMP '{hi}')"
-                for i, lo, hi in _CAMPAIGNS)
-            + ") AS t(interval_id, lo, hi)) "
-            "SELECT e.event_id, e.user_id, "
-            "CAST(iv.interval_id AS BIGINT) AS interval_id "
-            "FROM events e JOIN iv ON e.ts BETWEEN iv.lo AND iv.hi"
-        ),
-        # classic Q3: three-way join, integer-cents revenue, top 10 by
-        # (revenue desc, orderdate, orderkey)
-        # three floor-division quartiles over the same per-customer
-        # fold; R ranks ascending (fresher = tile 1), F/M descending
-        "customer_rfm": (
-            "WITH t AS (SELECT o_custkey AS c_custkey, "
-            "  CAST(date_diff('day', date_trunc('day', "
-            "    max(o_orderdate)), DATE '1998-08-01') AS BIGINT) "
-            "    AS recency_days, "
-            "  CAST(count(*) AS BIGINT) AS frequency, "
-            "  CAST(sum(CAST(floor(o_totalprice * 100 + 0.5) "
-            "    AS BIGINT)) AS BIGINT) AS monetary_cents "
-            "  FROM orders GROUP BY 1), "
-            "r AS (SELECT t.*, count(*) OVER () AS n, "
-            "  row_number() OVER (ORDER BY recency_days, c_custkey) "
-            "    - 1 AS r0, "
-            "  row_number() OVER (ORDER BY frequency DESC, c_custkey) "
-            "    - 1 AS f0, "
-            "  row_number() OVER (ORDER BY monetary_cents DESC, "
-            "    c_custkey) - 1 AS m0 FROM t) "
-            "SELECT c_custkey, recency_days, frequency, monetary_cents, "
-            "CAST(r0 * 4 // n + 1 AS BIGINT) AS r_score, "
-            "CAST(f0 * 4 // n + 1 AS BIGINT) AS f_score, "
-            "CAST(m0 * 4 // n + 1 AS BIGINT) AS m_score FROM r"
-        ),
-        "part_pair_affinity": (
-            "WITH p AS (SELECT DISTINCT l_orderkey, l_partkey "
-            "  FROM lineitem), "
-            "pp AS (SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, "
-            "  CAST(count(*) AS BIGINT) AS n "
-            "  FROM p a JOIN p b ON a.l_orderkey = b.l_orderkey "
-            "  AND a.l_partkey < b.l_partkey GROUP BY 1, 2), "
-            "r AS (SELECT *, row_number() OVER (ORDER BY n DESC, "
-            "  part_a, part_b) AS rnk FROM pp) "
-            "SELECT part_a, part_b, n, CAST(rnk AS BIGINT) AS rnk "
-            "FROM r WHERE rnk <= 20"
-        ),
-        "q5_local_supplier_volume": (
-            "SELECT n_name, "
-            "CAST(sum(CAST(floor(l_extendedprice * (1 - l_discount) "
-            "  * 100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents "
-            "FROM customer, orders, lineitem, supplier, nation, region "
-            "WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey "
-            "  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey "
-            "  AND s_nationkey = n_nationkey "
-            "  AND n_regionkey = r_regionkey AND r_name = 'ASIA' "
-            "  AND o_orderdate >= DATE '1997-01-01' "
-            "  AND o_orderdate < DATE '1998-01-01' "
-            "GROUP BY n_name"
-        ),
-        "q3_shipping_priority": (
-            "SELECT l_orderkey, "
-            "CAST(sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents, "
-            "o_orderdate, o_orderpriority "
-            "FROM customer, orders, lineitem "
-            "WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey "
-            "AND l_orderkey = o_orderkey "
-            "AND o_orderdate < TIMESTAMP '1998-06-01' "
-            "AND l_shipdate > TIMESTAMP '1998-06-01' "
-            "GROUP BY l_orderkey, o_orderdate, o_orderpriority "
-            "ORDER BY revenue_cents DESC, o_orderdate, l_orderkey LIMIT 10"
-        ),
-        # unbounded-domain order statistics at the same exact-fraction
-        # indices the selection op uses
-        "quantiles_order_totals": (
-            "WITH v AS (SELECT CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) "
-            "  AS val FROM orders), "
-            "n AS (SELECT count(*) AS n FROM v), "
-            "r AS (SELECT val, row_number() OVER (ORDER BY val) - 1 AS idx FROM v), "
-            "q AS (SELECT * FROM (VALUES (1, 2), (9, 10), (99, 100)) "
-            "  AS t(q_num, q_den)) "
-            "SELECT CAST(q.q_num AS BIGINT) AS q_num, "
-            "CAST(q.q_den AS BIGINT) AS q_den, "
-            "CAST(r.val AS BIGINT) AS quantile_value "
-            "FROM r CROSS JOIN n JOIN q ON r.idx = (q.q_num * (n.n - 1)) // q.q_den"
         ),
     }

@@ -133,8 +133,7 @@ def run_queries(sf_dir: str) -> dict[str, float]:
     q = entrymod.queries()
     picks = ["extract_pages", "chunk_semantic", "chunk_sentence", "crawl_bfs",
              "dedup_exact", "dedup_minhash_pairs", "knn_bruteforce", "knn_ivf",
-             "q1_pricing_summary", "top_orders_by_revenue", "events_hourly",
-             "events_sessionize", "text_quality", "dedup_embedding_pairs",
+             "text_quality", "dedup_embedding_pairs",
              "convert_docx", "convert_pdf", "text_pii_scrub", "search_bm25",
              "cluster_kmeans", "image_png_features", "image_jpeg_features",
              "warc_extract",

@@ -1,22 +1,18 @@
-"""Two-level aggregation helper: distributed map-side combine + final merge.
+"""Two-level aggregation helper: distributed map-side combine + driver merge.
 
 ``aggregate_partials`` runs ``partial_fn`` (a per-batch pandas groupby that
 emits one row per key per batch) as a distributed ``map_batches`` stage, then
-merges the partials. Merge strategy:
+streams the partial batches to the driver and combines them with one pandas
+groupby. That is the right merge whenever |keys| × |blocks| is small (all
+partials together are a few MB): a Ray all-to-all shuffle costs tens of
+seconds of fixed overhead that dwarfs the work at that size (measured: 40-50 s
+for a 15 k-row sort-shuffle aggregate vs 0.3 s of real work on this Ray
+version). Unbounded key spaces go through ``partitioned_map_groups`` /
+``partitioned_map_partitions`` instead.
 
-- ``reduce='driver'`` (default): stream the partial batches to the driver
-  and combine with one pandas groupby. Correct choice whenever
-  |keys| × |blocks| is small (all partials together are a few MB) — a Ray
-  all-to-all shuffle costs tens of seconds of fixed overhead that dwarfs
-  the work at that size (measured: 40-50 s for a 15 k-row sort-shuffle
-  aggregate vs 0.3 s of real work on this Ray version).
-- ``reduce='shuffle'``: ``repartition(n)`` + ``groupby().aggregate()`` for
-  high-cardinality keys (10^8+ at cluster scale), where driver-side merge
-  would not fit. Partials are already one-row-per-key-per-block, so the
-  shuffle moves the minimum possible payload.
-
-All aggregates used through this helper are exact integer sums/counts (see
-relational.py's cents discipline), so merge order never changes results.
+All aggregates used through this helper are exact integer sums/counts (the
+fixed-point discipline of graph.py and search.py), so merge order never
+changes results.
 """
 
 from __future__ import annotations
@@ -27,62 +23,15 @@ import numpy as np
 import pandas as pd
 
 
-_AUTO_SHUFFLE_ROWS = 2_000_000  # input rows above which 'auto' assumes the
-# key partials no longer belong on the driver (keys ≤ rows, and at cluster
-# scale the shuffle's fixed cost amortizes)
-
-
-def aggregate_partials_ds(
-    ds,
-    partial_fn: Callable[[pd.DataFrame], pd.DataFrame],
-    keys: list[str],
-    agg_spec: dict[str, str],
-    batch_size: int = 65536,
-    shuffle_partitions: int = 32,
-):
-    """Shuffle-merged aggregation returned AS A DATASET — for consumers
-    that continue distributed (per-block top-k, further map_batches)
-    instead of collecting the per-key table to the driver.
-
-    The merge is a COARSE-partition shuffle (keys co-locate by hash into
-    ``shuffle_partitions`` groups; the per-key combine is one pandas C
-    groupby inside each) — never one Ray aggregate group per key, which
-    costs ~0.2 ms/key and is exactly wrong for the unbounded-key case
-    this path exists for (see partitioned_map_groups)."""
-    partials = ds.map_batches(partial_fn, batch_format="pandas",
-                              batch_size=batch_size)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(keys, as_index=False).agg(
-            **{col: (col, how) for col, how in agg_spec.items()})
-
-    return partitioned_map_partitions(partials, keys, combine,
-                                      n_parts=shuffle_partitions)
-
-
 def aggregate_partials(
     ds,
     partial_fn: Callable[[pd.DataFrame], pd.DataFrame],
     keys: list[str],
     agg_spec: dict[str, str],
-    reduce: str = "driver",
     batch_size: int = 65536,
-    shuffle_partitions: int = 32,
-    cardinality_hint: "int | None" = None,
 ) -> pd.DataFrame:
-    """reduce='auto' picks the driver merge ONLY when ``cardinality_hint``
-    (an upper bound on the key cardinality, e.g. the input row count from
-    parquet metadata) is provided and small; with no hint 'auto' resolves
-    to the scale-safe shuffle — the no-hint case is exactly the one where
-    keys may be unbounded (same convention as dedup.exact_dedup)."""
-    if reduce == "auto":
-        reduce = "driver" if (cardinality_hint is not None and
-                              cardinality_hint <= _AUTO_SHUFFLE_ROWS) \
-            else "shuffle"
-    if reduce == "shuffle":
-        return aggregate_partials_ds(
-            ds, partial_fn, keys, agg_spec, batch_size=batch_size,
-            shuffle_partitions=shuffle_partitions).to_pandas()
+    """``partial_fn`` per batch, then one driver groupby merging each
+    column with its ``agg_spec`` function; returns one row per key."""
     partials = ds.map_batches(partial_fn, batch_format="pandas",
                               batch_size=batch_size)
     frames = [b for b in partials.iter_batches(batch_size=batch_size,

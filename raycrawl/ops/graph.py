@@ -5,7 +5,7 @@ that matter; the classic signal is PageRank over the already-extracted
 link graph (Page et al., 1999, "The PageRank citation ranking"). This
 module computes it with **integer fixed-point arithmetic** so results are
 bit-reproducible across partitionings, merge orders and the SQL oracle —
-the same cents/fixed-point discipline as relational.py and search.py.
+the same fixed-point discipline as search.py.
 
 Recurrence (all floor divisions, nonnegative operands — Python ``//`` ==
 DuckDB ``//``):
@@ -814,7 +814,10 @@ def bfs_distance(edges_ds, node_ids, seeds, *, max_depth: int = 8,
     ``how='anti'`` against the reached set; the reached set stays a
     Dataset that grows by union. Per-level cost is O(edges touched),
     total O(E) across the run — each edge's source is in the frontier
-    at most once."""
+    at most once.
+
+    Both paths raise ``ValueError`` when an edge reaches a node outside
+    ``node_ids``."""
     if method == "auto":
         n_hint = (node_ids.count() if hasattr(node_ids, "map_batches")
                   else len(node_ids))
@@ -875,8 +878,14 @@ def _bfs_broadcast(edges_ds, node_ids, seeds, max_depth: int
             .reset_index(drop=True))
 
 
+def _unknown_nodes(b: pd.DataFrame, ids) -> pd.DataFrame:
+    node = b["node"].to_numpy(np.int64)
+    return pd.DataFrame({"node": node[~np.isin(node, ids)]})
+
+
 def _bfs_shuffle(edges_ds, node_ids, seeds, max_depth: int,
                  n_parts: int, num_buckets: int) -> pd.DataFrame:
+    import ray
     import ray.data as rd
 
     from .agg import partitioned_map_partitions
@@ -888,6 +897,7 @@ def _bfs_shuffle(edges_ds, node_ids, seeds, max_depth: int,
         node_ids = node_ids.to_pandas()["node"].to_numpy(np.int64)
     ids = np.unique(np.asarray(node_ids, dtype=np.int64))
     seed_arr = seed_arr[np.isin(seed_arr, ids)]
+    iref = ray.put(ids)
 
     frontier = rd.from_pandas(pd.DataFrame(
         {"node": seed_arr})).materialize()
@@ -913,6 +923,12 @@ def _bfs_shuffle(edges_ds, node_ids, seeds, max_depth: int,
             how="anti", num_buckets=num_buckets).materialize()
         if new.count() == 0:
             break
+        # membership is checked in-task; only unknown dsts reach the
+        # driver, which raises the broadcast path's error for them
+        bad = new.map_batches(_unknown_nodes, fn_args=(iref,),
+                              batch_format="pandas").to_pandas()
+        if len(bad):
+            _lookup(ids, bad["node"].to_numpy(np.int64))
 
         def with_dist(b: pd.DataFrame, d=d) -> pd.DataFrame:
             return pd.DataFrame({

@@ -163,40 +163,3 @@ def bucket_hash_join(left_ds, right_ds, left_on: str, right_on: str,
 
     return (left_ds.map_batches(tag_left, batch_format="pandas")
             .groupby("__bucket").map_groups(join_group, batch_format="pandas"))
-
-
-def interval_join(ds, intervals: pd.DataFrame, on: str,
-                  lo_col: str = "lo", hi_col: str = "hi",
-                  interval_id_col: str = "interval_id",
-                  keep_cols: "list[str] | None" = None):
-    """Range (interval) join: match each left row to every interval with
-    ``lo <= row[on] <= hi`` (inclusive; intervals may overlap, so a row can
-    match several). The intervals side is broadcast once via ``ray.put``
-    (range joins are almost always fact-table × small-dimension — campaign
-    windows, maintenance slots, rate periods); each batch evaluates ONE
-    (B × k) boolean containment matrix and emits the matching pairs — no
-    shuffle, no per-row Python. For an intervals side too big to
-    broadcast, partition both sides by a coarse time bucket and apply this
-    same kernel within buckets.
-
-    Returns keep_cols + interval_id, one output row per (row, interval)
-    match."""
-    import numpy as np
-    import ray
-
-    iv = intervals[[interval_id_col, lo_col, hi_col]].reset_index(drop=True)
-    ref = ray.put((iv[interval_id_col].to_numpy(),
-                   iv[lo_col].to_numpy(), iv[hi_col].to_numpy()))
-    cols = keep_cols
-
-    def match(batch: pd.DataFrame) -> pd.DataFrame:
-        ids, lo, hi = ray.get(ref)
-        v = batch[on].to_numpy()
-        hit = (v[:, None] >= lo[None, :]) & (v[:, None] <= hi[None, :])
-        ri, ci = np.nonzero(hit)
-        keep = cols if cols is not None else [c for c in batch.columns]
-        out = batch.iloc[ri][keep].reset_index(drop=True)
-        out[interval_id_col] = pd.Series(ids[ci], dtype="int64")
-        return out
-
-    return ds.map_batches(match, batch_format="pandas")

@@ -269,65 +269,11 @@ def approx_distinct(ds, col: str, p: int = 14,
     return merged.estimate()
 
 
-def grouped_exact_quantiles(ds, group_col: str, value_col: str,
-                            qs: "list[float]",
-                            batch_size: int = 65536) -> pd.DataFrame:
-    """Exact discrete quantiles per group via the distributed-histogram
-    shape: each batch emits (group, value, count) partials — payload
-    bounded by the per-batch distinct-(group, value) count, independent of
-    row count — and the driver folds them into cumulative counts and picks
-    the order statistic at index floor(q · (n−1)) ("lower" discrete
-    quantile, DuckDB ``quantile_disc``-compatible when q·(n−1) is exact).
-
-    Exactness contract: the quantile index is computed as (q_num·(n−1)) //
-    q_den with the q given as an exact fraction (e.g. (1, 4) for 0.25) —
-    no float multiply anywhere, so the SQL oracle (row_number over a sorted
-    window) reproduces it bit-for-bit.
-
-    Scale note: this is the bounded-cardinality path (the value column's
-    distinct count per group must fit the driver — true for enum-ish
-    measures like quantities/sizes/status codes). For unbounded values use
-    ``exact_quantile_selection`` below (two-pass distributed selection,
-    O(n_bins) driver memory) or a mergeable quantile sketch.
-
-    ``qs`` entries are (numerator, denominator) integer tuples."""
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.groupby([group_col, value_col], sort=False).size()
-        out = g.reset_index()
-        out.columns = [group_col, value_col, "cnt"]
-        out["cnt"] = out["cnt"].astype("int64")
-        return out
-
-    parts = ds.map_batches(partial, batch_format="pandas",
-                           batch_size=batch_size).to_pandas()
-    hist = (parts.groupby([group_col, value_col], sort=True)["cnt"].sum()
-            .reset_index())
-    rows = {group_col: [], "q_num": [], "q_den": [], "quantile_value": []}
-    for gkey, grp in hist.groupby(group_col, sort=True):
-        vals = grp[value_col].to_numpy()
-        cum = grp["cnt"].to_numpy().cumsum()
-        n = int(cum[-1])
-        for q_num, q_den in qs:
-            idx = (q_num * (n - 1)) // q_den      # 0-based order statistic
-            pos = int(np.searchsorted(cum, idx + 1))
-            rows[group_col].append(gkey)
-            rows["q_num"].append(q_num)
-            rows["q_den"].append(q_den)
-            rows["quantile_value"].append(vals[pos])
-    return pd.DataFrame({
-        group_col: rows[group_col],
-        "q_num": pd.Series(rows["q_num"], dtype="int64"),
-        "q_den": pd.Series(rows["q_den"], dtype="int64"),
-        "quantile_value": pd.Series(rows["quantile_value"], dtype="int64")})
-
-
 def exact_quantile_selection(ds, value_col: str, qs: "list[tuple]",
                              n_bins: int = 4096,
                              batch_size: int = 65536) -> pd.DataFrame:
-    """Exact order statistics over an UNBOUNDED integer value domain — the
-    two-pass distributed-selection companion to the histogram path of
-    ``grouped_exact_quantiles``:
+    """Exact order statistics over an UNBOUNDED integer value domain via
+    two-pass distributed selection:
 
     1. one streaming pass builds a coarse fixed-width histogram (min/max
        come from the same partials), locating for every requested quantile
@@ -337,7 +283,7 @@ def exact_quantile_selection(ds, value_col: str, qs: "list[tuple]",
        bins (a tiny slice of the data for any reasonably spread
        distribution), sorts them, and reads the answer off at the offset.
 
-    Quantile indices use the same exact-fraction convention:
+    Quantile indices use an exact-fraction convention, no float multiply:
     idx = (q_num · (n−1)) // q_den. Returns (q_num, q_den,
     quantile_value)."""
 
@@ -398,40 +344,3 @@ def exact_quantile_selection(ds, value_col: str, qs: "list[tuple]",
         out["quantile_value"].append(int(vals[off]))
     return pd.DataFrame({k: pd.Series(v, dtype="int64")
                          for k, v in out.items()})
-
-
-def grouped_approx_distinct(ds, group_col: str, col: str, p: int = 14,
-                            batch_size: int = 65536) -> pd.DataFrame:
-    """Per-group HLL count-distinct — the grouped sibling of
-    :func:`approx_distinct`: each batch emits one serialized sketch per
-    group it touches (payload = groups-per-batch × 2^p bytes), the
-    driver folds register-max per group (associative+commutative, so
-    any fold order is bit-identical) and reads off the same
-    SQL-replayable md5-keyed estimate. Right when the group key space
-    is bounded (days, hosts, languages) but per-group distincts are
-    huge — exact grouped distinct costs a shuffle of every (group,
-    value) pair; this ships 16 KB per group per batch."""
-    import math
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        gs, blobs = [], []
-        for gkey, sub in b.groupby(group_col, sort=False):
-            h = HyperLogLog(p)
-            h.add_values(sub[col].tolist())
-            gs.append(gkey)
-            blobs.append(h.serialize())
-        return pd.DataFrame({group_col: gs, "sketch": blobs})
-
-    parts = ds.map_batches(partial, batch_format="pandas",
-                           batch_size=batch_size).to_pandas()
-    out_g, out_e = [], []
-    for gkey, grp in parts.groupby(group_col, sort=True):
-        merged = None
-        for blob in grp["sketch"]:
-            h = HyperLogLog.deserialize(bytes(blob))
-            merged = h if merged is None else merged.merge(h)
-        out_g.append(gkey)
-        out_e.append(int(math.floor(merged.estimate() + 0.5)))
-    return pd.DataFrame({group_col: out_g,
-                         "approx_distinct": pd.Series(out_e,
-                                                      dtype="int64")})

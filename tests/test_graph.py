@@ -294,6 +294,18 @@ def test_bfs_distance_paths_match_serial():
             got.reset_index(drop=True), want, check_dtype=False)
 
 
+@pytest.mark.parametrize("method", ["broadcast", "shuffle"])
+def test_bfs_distance_dangling_edge_raises(method):
+    """An edge into a dst outside ``node_ids`` is an input error on both
+    paths: the shuffle path must not emit the unknown node."""
+    from raycrawl.ops.graph import bfs_distance
+
+    # 0 -> 1 -> 99, with 99 missing from the node universe
+    eds = rd.from_pandas(pd.DataFrame({"src": [0, 1], "dst": [1, 99]}))
+    with pytest.raises(ValueError, match="not in the node universe"):
+        bfs_distance(eds, [0, 1, 2], [0], max_depth=4, method=method)
+
+
 def test_bfs_distance_max_depth_truncates():
     from raycrawl.ops.graph import bfs_distance
 

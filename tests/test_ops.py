@@ -290,19 +290,6 @@ def test_minhash_scale_paths_match_default():
     assert sim_b == sim_j
 
 
-def test_top_orders_shuffle_path_matches_driver(monkeypatch):
-    """Force the auto threshold to 0 so the distributed groupby + per-block
-    top-k path runs, and check it equals the driver-merge path."""
-    import raycrawl.ops.agg as agg
-    import raycrawl.ops.relational as rel
-
-    expected = rel.top_orders_by_revenue("/root/testdata/sf0.001")
-    monkeypatch.setattr(agg, "_AUTO_SHUFFLE_ROWS", 0)
-    got = rel.top_orders_by_revenue("/root/testdata/sf0.001")
-    pd.testing.assert_frame_equal(got.reset_index(drop=True),
-                                  expected.reset_index(drop=True))
-
-
 def test_embedding_dup_pairs_bucketed_recall(tmp_path):
     """The bucketed scale path must find the (high-cosine) near-dup pairs
     the exact broadcast op finds — recall >= 0.9 at 0.9 threshold on the
@@ -535,168 +522,6 @@ def test_join_stage_dirs_capped(monkeypatch):
     assert len(rj._STAGE_DIRS) <= 2
 
 
-def _sessionize_pandas_oracle(df, gap_minutes=30):
-    out = []
-    for uid, g in df.groupby("user_id"):
-        ts = g["ts"].sort_values().to_numpy()
-        breaks = np.diff(ts) > np.timedelta64(gap_minutes * 60, "s")
-        sizes = np.diff(np.concatenate([[0], np.where(breaks)[0] + 1,
-                                        [len(ts)]]))
-        out.append((uid, len(sizes), int(sizes.max())))
-    return pd.DataFrame(out, columns=["user_id", "n_sessions",
-                                      "max_session_events"]) \
-        .astype("int64").sort_values("user_id").reset_index(drop=True)
-
-
-def test_sessionize_sliced_hot_key_skew():
-    """VERDICT r2 item 6: one user owns ~half the events, spread over 30
-    days — the sliced path must (a) split that user across many bounded
-    (user, slice) groups, and (b) still reproduce the exact one-shot
-    window result, including sessions that span slice boundaries."""
-    from raycrawl.ops.relational import (
-        _sessionize_slice_summaries,
-        sessionize_sliced_ds,
-    )
-
-    rng = np.random.RandomState(11)
-    base = np.datetime64("2024-01-01T00:00:00")
-    rows = []
-    # hot user 1: 6000 events over 30 days (every ~7 min → mixed gaps)
-    t = base
-    for i in range(6000):
-        t = t + np.timedelta64(int(rng.randint(60, 3600)), "s")
-        rows.append((1, t))
-    # 50 normal users with sessions that intentionally straddle midnight
-    for uid in range(2, 52):
-        day = base + np.timedelta64(int(rng.randint(0, 28)), "D")
-        start = day + np.timedelta64(23, "h") + np.timedelta64(50, "m")
-        for j in range(6):  # 10-min spacing crosses the day boundary
-            rows.append((uid, start + np.timedelta64(10 * j, "m")))
-        for j in range(4):  # second session later next day
-            rows.append((uid, start + np.timedelta64(5, "h")
-                         + np.timedelta64(10 * j, "m")))
-    df = pd.DataFrame(rows, columns=["user_id", "ts"])
-    df["user_id"] = df["user_id"].astype("int64")
-    ds = rd.from_pandas(df.sample(frac=1.0, random_state=3)
-                        .reset_index(drop=True))
-
-    got = sessionize_sliced_ds(ds, gap_minutes=30, slice_freq="D")
-    exact = _sessionize_pandas_oracle(df)
-    pd.testing.assert_frame_equal(got, exact)
-    # boundary-merge really happened: each normal user has exactly 2
-    # sessions even though the first one crosses midnight
-    assert (got[got["user_id"] >= 2]["n_sessions"] == 2).all()
-
-    # bounded groups: the hot user's history is split across many slices,
-    # and no (user, slice) group holds more than one day of its events
-    summ = _sessionize_slice_summaries(
-        ds, np.timedelta64(30 * 60, "s"), "D").to_pandas()
-    hot = summ[summ["user_id"] == 1]
-    assert len(hot) >= 20
-    per_day = df[df["user_id"] == 1].groupby(
-        df[df["user_id"] == 1]["ts"].dt.floor("D")).size().max()
-    assert per_day < 6000  # the one-shot path would hold all 6000
-
-
-def test_sessionize_sliced_chain_spans_many_slices():
-    """A single unbroken session chain across >2 hourly slices must fold
-    into ONE session with the summed size."""
-    from raycrawl.ops.relational import sessionize_sliced_ds
-
-    base = np.datetime64("2024-03-01T00:10:00")
-    ts = [base + np.timedelta64(20 * i, "m") for i in range(12)]  # 4 hours
-    df = pd.DataFrame({"user_id": np.ones(12, dtype="int64"), "ts": ts})
-    got = sessionize_sliced_ds(rd.from_pandas(df), gap_minutes=30,
-                               slice_freq="h")
-    assert got.iloc[0]["n_sessions"] == 1
-    assert got.iloc[0]["max_session_events"] == 12
-
-
-def test_sessionize_sliced_matches_plain_on_sf():
-    from raycrawl.ops.relational import (
-        events_sessionize,
-        events_sessionize_sliced,
-    )
-
-    plain = events_sessionize("/root/testdata/sf0.001")
-    sliced = events_sessionize_sliced("/root/testdata/sf0.001")
-    pd.testing.assert_frame_equal(plain, sliced)
-
-
-def test_asof_sliced_hot_key_skew():
-    """Sliced as-of join under user skew: matches the pandas strictly-
-    earlier oracle, including events whose previous purchase lives many
-    purchase-less slices back."""
-    from raycrawl.ops.relational import asof_sliced_ds
-
-    rng = np.random.RandomState(5)
-    base = np.datetime64("2024-01-01T00:00:00")
-    rows = []
-    eid = 0
-    # hot user 1: 3000 events over 25 days, sparse purchases
-    t = base
-    for i in range(3000):
-        t = t + np.timedelta64(int(rng.randint(120, 1500)), "s")
-        rows.append((eid, 1, t, "purchase" if rng.rand() < 0.02 else "view"))
-        eid += 1
-    # user 2: one purchase on day 0, then purchase-less events on days 5-8
-    rows.append((eid, 2, base + np.timedelta64(3, "h"), "purchase")); eid += 1
-    for d in (5, 6, 7, 8):
-        rows.append((eid, 2, base + np.timedelta64(d, "D"), "view")); eid += 1
-    # user 3: never purchases
-    for d in (1, 2):
-        rows.append((eid, 3, base + np.timedelta64(d, "D"), "view")); eid += 1
-    df = pd.DataFrame(rows, columns=["event_id", "user_id", "ts",
-                                     "event_type"])
-    df = df.astype({"event_id": "int64", "user_id": "int64"})
-    ds = rd.from_pandas(df.sample(frac=1.0, random_state=7)
-                        .reset_index(drop=True))
-    got = asof_sliced_ds(ds, slice_freq="D")
-
-    # pandas oracle: strictly-earlier purchase, ties (ts desc, id desc)
-    exp_rows = []
-    for r in df.itertuples():
-        p = df[(df["user_id"] == r.user_id)
-               & (df["event_type"] == "purchase") & (df["ts"] < r.ts)]
-        if len(p):
-            p = p.sort_values(["ts", "event_id"]).iloc[-1]
-            exp_rows.append((r.event_id, r.user_id, int(p["event_id"])))
-        else:
-            exp_rows.append((r.event_id, r.user_id, -1))
-    exp = pd.DataFrame(exp_rows, columns=["event_id", "user_id",
-                                          "prev_purchase_id"]) \
-        .astype("int64").sort_values("event_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, exp)
-    # the carry really crossed purchase-less slices
-    u2 = got[got["user_id"] == 2]
-    assert (u2[u2["prev_purchase_id"] != -1]["prev_purchase_id"]
-            == 3000).all()
-    assert (got[got["user_id"] == 3]["prev_purchase_id"] == -1).all()
-
-
-def test_top_per_user_partial_topk_matches_groups():
-    """The per-batch partial top-k path must equal a full per-user sort
-    (monoid property), exercised with small batches forcing many
-    partials."""
-    from raycrawl.ops.relational import events_top_per_user
-
-    got = events_top_per_user("/root/testdata/sf0.001", k=3)
-    ev = pd.read_parquet("/root/testdata/sf0.001/events.parquet",
-                         columns=["user_id", "event_id", "value"])
-    ev = ev.assign(value_millis=np.floor(ev["value"] * 1000 + 0.5)
-                   .astype("int64"))
-    exp = []
-    for uid, g in ev.groupby("user_id"):
-        g = g.sort_values(["value_millis", "event_id"],
-                          ascending=[False, True]).head(3)
-        for r, row in enumerate(g.itertuples(), 1):
-            exp.append((uid, row.event_id, row.value_millis, r))
-    exp = pd.DataFrame(exp, columns=["user_id", "event_id", "value_millis",
-                                     "rank"]).astype("int64") \
-        .sort_values(["user_id", "rank"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, exp)
-
-
 def test_gopher_quality_rules():
     from raycrawl.ops.textstats import gopher_quality
 
@@ -733,29 +558,6 @@ def test_unigram_commonness_scores():
     assert out.loc[0, "sum_freq"] == 3 + 3 + 1 and out.loc[0, "min_freq"] == 1
     assert out.loc[1, "sum_freq"] == 3 + 1
     assert out.loc[2, "sum_freq"] == 1 and out.loc[2, "min_freq"] == 1
-
-
-def test_stratified_sample_determinism_and_quota():
-    import hashlib
-
-    from raycrawl.ops.relational import events_stratified_sample
-
-    out = events_stratified_sample("/root/testdata/sf0.001", k=5)
-    assert (out.groupby("event_type").size() <= 5).all()
-    # deterministic: re-run identical
-    out2 = events_stratified_sample("/root/testdata/sf0.001", k=5)
-    pd.testing.assert_frame_equal(out, out2)
-    # rank-1 row per stratum really is the hash-min of that stratum
-    ev = pd.read_parquet("/root/testdata/sf0.001/events.parquet",
-                         columns=["event_id", "event_type"])
-    ev["hv"] = ev["event_id"].apply(
-        lambda e: int.from_bytes(
-            hashlib.md5(str(int(e)).encode()).digest()[:8], "big"))
-    for et, g in ev.groupby("event_type"):
-        best = g.sort_values(["hv", "event_id"]).iloc[0]["event_id"]
-        got = out[(out["event_type"] == et)
-                  & (out["sample_rank"] == 1)]["event_id"].iloc[0]
-        assert got == best
 
 
 def test_exact_dedup_against_corpus_semi_join(tmp_path):
@@ -1098,27 +900,6 @@ def test_normalize_unicode_chain():
     assert out["text_norm"].tolist() == ["a b", "n"]
 
 
-def test_grouped_exact_quantiles_order_statistics():
-    from raycrawl.ops.sketch import grouped_exact_quantiles
-
-    vals = {"a": [5, 1, 3, 2, 4], "b": [10, 10, 10, 20]}
-    df = pd.DataFrame({
-        "grp": [g for g, vs in vals.items() for _ in vs],
-        "val": pd.Series([v for vs in vals.values() for v in vs],
-                         dtype="int64")})
-    out = grouped_exact_quantiles(rd.from_pandas(df), "grp", "val",
-                                  qs=[(0, 1), (1, 2), (1, 1)])
-    got = {(r.grp, r.q_num, r.q_den): r.quantile_value
-           for r in out.itertuples()}
-    # group a sorted = [1,2,3,4,5]: min=1, median idx (1*(5-1))//2=2 -> 3, max=5
-    assert got[("a", 0, 1)] == 1
-    assert got[("a", 1, 2)] == 3
-    assert got[("a", 1, 1)] == 5
-    # group b sorted = [10,10,10,20]: median idx (4-1)//2=1 -> 10, max=20
-    assert got[("b", 1, 2)] == 10
-    assert got[("b", 1, 1)] == 20
-
-
 def test_text_index_bucket_pruned_lookup(tmp_path):
     from raycrawl.ops.search import (_term_bucket, build_text_index,
                                      index_postings)
@@ -1140,22 +921,6 @@ def test_text_index_bucket_pruned_lookup(tmp_path):
     out2 = index_postings(idx, ["beta"], num_buckets=8).to_pandas()
     assert set(zip(out2["term"], out2["doc_id"], out2["tf"])) == \
         {("beta", 0, 1), ("beta", 1, 1)}
-
-
-def test_interval_join_overlapping_windows():
-    from raycrawl.ops.join import interval_join
-
-    left = rd.from_pandas(pd.DataFrame({
-        "k": np.arange(6, dtype="int64"),
-        "v": pd.Series([0, 5, 10, 15, 20, 100], dtype="int64")}))
-    iv = pd.DataFrame({"interval_id": pd.Series([0, 1, 2], dtype="int64"),
-                       "lo": pd.Series([0, 10, 5], dtype="int64"),
-                       "hi": pd.Series([10, 20, 15], dtype="int64")})
-    out = interval_join(left, iv, on="v", keep_cols=["k"]).to_pandas()
-    got = set(zip(out["k"], out["interval_id"]))
-    # v=10 is in [0,10], [10,20] and [5,15]; v=100 matches nothing
-    assert got == {(0, 0), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2),
-                   (3, 1), (3, 2), (4, 1)}
 
 
 def test_dup_spans_shuffle_matches_driver():
@@ -1418,7 +1183,7 @@ def test_mix_sources_deterministic_and_explicit_recipe():
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.relational import mix_sources
+    from raycrawl.ops.training import mix_sources
 
     n = 3000
     df = pd.DataFrame({
@@ -1444,7 +1209,7 @@ def test_deterministic_shuffle_rank_is_permutation():
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.relational import deterministic_shuffle_rank
+    from raycrawl.ops.training import deterministic_shuffle_rank
 
     n = 5000
     df = pd.DataFrame({"doc_id": np.arange(n, dtype="int64")})
@@ -1595,95 +1360,6 @@ def test_tfidf_top_terms_matches_bruteforce():
     assert 3 not in set(got["doc_id"])  # empty doc emits nothing
 
 
-def test_events_running_total_matches_pandas(tmp_path):
-    rng = np.random.default_rng(3)
-    n = 500
-    ev = pd.DataFrame({
-        "event_id": np.arange(n, dtype=np.int64),
-        "user_id": rng.integers(0, 20, n),
-        "ts": pd.to_datetime("2025-01-01")
-        + pd.to_timedelta(rng.integers(0, 3600, n), unit="s"),
-        "value": rng.normal(10, 5, n)})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_running_total
-
-    got = events_running_total(str(tmp_path))
-
-    w = ev.sort_values(["user_id", "ts", "event_id"]).copy()
-    w["value_millis"] = np.floor(w["value"] * 1000 + 0.5).astype("int64")
-    grp = w.groupby("user_id", sort=False)
-    w["run_n"] = (grp.cumcount() + 1).astype("int64")
-    w["run_value_millis"] = grp["value_millis"].cumsum().astype("int64")
-    want = (w[["event_id", "user_id", "run_n", "run_value_millis"]]
-            .sort_values("event_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_events_funnel_ordering_semantics(tmp_path):
-    # user 0: full funnel; user 1: view BEFORE signup only -> stage 1;
-    # user 2: no signup -> stage 0; user 3: purchase ts == view ts
-    # (tie does not advance) -> stage 2
-    t = pd.Timestamp("2025-03-01")
-    s = pd.Timedelta(seconds=1)
-    rows = [
-        (0, 0, t + 0 * s, "signup"), (1, 0, t + 5 * s, "view"),
-        (2, 0, t + 9 * s, "purchase"),
-        (3, 1, t + 3 * s, "view"), (4, 1, t + 7 * s, "signup"),
-        (5, 2, t + 1 * s, "view"), (6, 2, t + 2 * s, "purchase"),
-        (7, 3, t + 0 * s, "signup"), (8, 3, t + 4 * s, "view"),
-        (9, 3, t + 4 * s, "purchase"),
-    ]
-    ev = pd.DataFrame(rows, columns=["event_id", "user_id", "ts",
-                                     "event_type"])
-    ev["value"] = 1.0
-    ev["props"] = "{}"
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_funnel
-
-    got = events_funnel(str(tmp_path)).set_index("user_id")
-    ms = int(t.value // 10**6)
-    assert got.loc[0, "stage"] == 3
-    assert got.loc[0, ["t1_ms", "t2_ms", "t3_ms"]].tolist() == \
-        [ms, ms + 5000, ms + 9000]
-    assert got.loc[1, "stage"] == 1 and got.loc[1, "t2_ms"] == -1
-    assert got.loc[2, "stage"] == 0
-    assert (got.loc[2, ["t1_ms", "t2_ms", "t3_ms"]] == -1).all()
-    assert got.loc[3, "stage"] == 2 and got.loc[3, "t3_ms"] == -1
-
-
-def test_events_cohort_retention_matches_pandas(tmp_path):
-    rng = np.random.default_rng(5)
-    n = 2000
-    ev = pd.DataFrame({
-        "event_id": np.arange(n, dtype=np.int64),
-        "user_id": rng.integers(0, 60, n),
-        "ts": pd.to_datetime("2025-02-01")
-        + pd.to_timedelta(rng.integers(0, 14 * 86400, n), unit="s"),
-        "event_type": rng.choice(["view", "click"], n),
-        "value": rng.normal(1, 1, n)})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_cohort_retention
-
-    got = events_cohort_retention(str(tmp_path))
-
-    a = ev.assign(d=ev["ts"].dt.floor("D"))[["user_id", "d"]] \
-        .drop_duplicates()
-    first = a.groupby("user_id")["d"].min().rename("cohort_day")
-    a = a.join(first, on="user_id")
-    a["day_offset"] = (a["d"] - a["cohort_day"]).dt.days.astype("int64")
-    want = (a.groupby(["cohort_day", "day_offset"], as_index=False)
-            .size().rename(columns={"size": "n_users"})
-            .sort_values(["cohort_day", "day_offset"])
-            .reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    # day-0 retention is every cohort's full size by construction
-    d0 = got[got["day_offset"] == 0]["n_users"].sum()
-    assert d0 == ev["user_id"].nunique()
-
-
 def test_bucket_hash_join_semi_anti():
     left = rd.from_pandas(pd.DataFrame({
         "k": np.arange(20, dtype=np.int64),
@@ -1721,145 +1397,6 @@ def test_bucket_hash_join_anti_empty_right():
     assert len(semi) == 0
 
 
-def test_events_daily_pivot_matches_crosstab(tmp_path):
-    rng = np.random.default_rng(9)
-    n = 800
-    ev = pd.DataFrame({
-        "event_id": np.arange(n, dtype=np.int64),
-        "user_id": rng.integers(0, 10, n),
-        "ts": pd.to_datetime("2025-04-01")
-        + pd.to_timedelta(rng.integers(0, 5 * 86400, n), unit="s"),
-        "event_type": rng.choice(
-            ["click", "error", "purchase", "signup", "view"], n),
-        "value": 1.0})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_daily_pivot
-
-    got = events_daily_pivot(str(tmp_path)).set_index("day")
-    ct = pd.crosstab(ev["ts"].dt.floor("D"), ev["event_type"])
-    for t in ["click", "error", "purchase", "signup", "view"]:
-        assert (got[f"n_{t}"] == ct[t].reindex(got.index,
-                                               fill_value=0)).all()
-    assert got["n_total"].sum() == n
-
-
-def test_customer_segment_rollup_levels(tmp_path):
-    rng = np.random.default_rng(13)
-    n = 300
-    cust = pd.DataFrame({
-        "c_custkey": np.arange(n, dtype=np.int64),
-        "c_name": [f"c{i}" for i in range(n)],
-        "c_nationkey": rng.integers(0, 7, n),
-        "c_acctbal": rng.normal(1000, 400, n),
-        "c_mktsegment": rng.choice(["AUTO", "HOUSE"], n)})
-    cust.to_parquet(tmp_path / "customer.parquet")
-
-    from raycrawl.ops.relational import customer_segment_rollup
-
-    got = customer_segment_rollup(str(tmp_path))
-    cents = np.floor(cust["c_acctbal"] * 100 + 0.5).astype("int64")
-    total = got[(got["c_mktsegment"] == "ALL")]
-    assert len(total) == 1
-    assert total["n_customers"].iloc[0] == n
-    assert total["acctbal_cents"].iloc[0] == cents.sum()
-    # each segment subtotal equals the sum of its fine rows
-    for seg in ["AUTO", "HOUSE"]:
-        rows = got[got["c_mktsegment"] == seg]
-        sub = rows[rows["c_nationkey"] == -1]
-        fine = rows[rows["c_nationkey"] >= 0]
-        assert sub["n_customers"].iloc[0] == fine["n_customers"].sum()
-        assert sub["acctbal_cents"].iloc[0] == fine["acctbal_cents"].sum()
-
-
-def test_events_user_top_type_tiebreak(tmp_path):
-    # user 0: clear mode; user 1: 2-2 tie -> lexicographically smallest
-    ev = pd.DataFrame({
-        "event_id": np.arange(7, dtype=np.int64),
-        "user_id": np.array([0, 0, 0, 1, 1, 1, 1], dtype=np.int64),
-        "ts": pd.date_range("2025-01-01", periods=7, freq="min"),
-        "event_type": ["view", "view", "click",
-                       "view", "click", "click", "view"],
-        "value": 1.0})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_user_top_type
-
-    got = events_user_top_type(str(tmp_path)).set_index("user_id")
-    assert got.loc[0, "top_type"] == "view" and got.loc[0, "n"] == 2
-    assert got.loc[1, "top_type"] == "click" and got.loc[1, "n"] == 2
-
-
-def test_events_lag_value_defaults(tmp_path):
-    ev = pd.DataFrame({
-        "event_id": np.array([5, 2, 9], dtype=np.int64),
-        "user_id": np.array([1, 1, 1], dtype=np.int64),
-        # ts order differs from event_id order on purpose
-        "ts": pd.to_datetime(["2025-01-01 00:02", "2025-01-01 00:01",
-                              "2025-01-01 00:03"]),
-        "value": [1.5, 2.5, -0.0015]})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_lag_value
-
-    got = events_lag_value(str(tmp_path)).set_index("event_id")
-    # order by ts: 2 -> 5 -> 9
-    assert got.loc[2, "prev_event_id"] == -1
-    assert got.loc[2, "prev_value_millis"] == 0
-    assert got.loc[5, "prev_event_id"] == 2
-    assert got.loc[5, "prev_value_millis"] == 2500
-    assert got.loc[9, "prev_event_id"] == 5
-    assert got.loc[9, "prev_value_millis"] == 1500
-
-
-def test_users_value_ntile_matches_rank_formula(tmp_path):
-    rng = np.random.default_rng(21)
-    n = 3000
-    ev = pd.DataFrame({
-        "event_id": np.arange(n, dtype=np.int64),
-        "user_id": rng.integers(0, 250, n),
-        "ts": pd.to_datetime("2025-01-01")
-        + pd.to_timedelta(rng.integers(0, 86400, n), unit="s"),
-        "value": rng.normal(10, 5, n)})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import users_value_ntile
-
-    got = users_value_ntile(str(tmp_path), n_buckets=16)
-
-    m = np.floor(ev["value"] * 1000 + 0.5).astype("int64")
-    t = (pd.DataFrame({"user_id": ev["user_id"], "m": m})
-         .groupby("user_id", as_index=False)["m"].sum()
-         .rename(columns={"m": "total_value_millis"}))
-    t = t.sort_values(["total_value_millis", "user_id"],
-                      ascending=[False, True]).reset_index(drop=True)
-    t["tile"] = (t.index.to_numpy() * 4 // len(t) + 1).astype("int64")
-    want = t.sort_values("user_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_users_value_ntile_extreme_span(tmp_path):
-    # value span wide enough that key*n_buckets would wrap int64 —
-    # exercises the float bucketing fallback (monotone, rank-exact)
-    vals = np.array([9.3e14, -9.3e14, 5.0e14, 0.0, 1.0], dtype=np.float64)
-    ev = pd.DataFrame({
-        "event_id": np.arange(5, dtype=np.int64),
-        "user_id": np.arange(5, dtype=np.int64),
-        "ts": pd.date_range("2025-01-01", periods=5, freq="h"),
-        "value": vals})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import users_value_ntile
-
-    got = users_value_ntile(str(tmp_path), n_buckets=64)
-    totals = np.floor(vals * 1000 + 0.5).astype("int64")
-    order = np.argsort(-totals, kind="stable")
-    want_tile = np.empty(5, dtype=np.int64)
-    for r0, u in enumerate(order):
-        want_tile[u] = r0 * 4 // 5 + 1
-    assert got.sort_values("user_id")["tile"].tolist() == want_tile.tolist()
-
-
 def test_jsonl_shards_roundtrip_and_determinism(tmp_path):
     from raycrawl.ops.jsonl import read_jsonl_shards, write_jsonl_shards
 
@@ -1893,87 +1430,6 @@ def test_jsonl_shards_roundtrip_and_determinism(tmp_path):
     write_jsonl_shards(rd.from_pandas(docs), str(d1), n_shards=4)
     assert {p.name: p.stat().st_mtime_ns
             for p in d1.glob("shard-*.jsonl.gz")} == mtimes
-
-
-def test_users_value_rank_tie_semantics(tmp_path):
-    # many tied totals so RANK gaps / DENSE_RANK compaction both fire,
-    # including ties that would straddle naive bucket boundaries
-    rng = np.random.default_rng(33)
-    n = 4000
-    ev = pd.DataFrame({
-        "event_id": np.arange(n, dtype=np.int64),
-        "user_id": rng.integers(0, 300, n),
-        "ts": pd.to_datetime("2025-01-01")
-        + pd.to_timedelta(rng.integers(0, 86400, n), unit="s"),
-        # coarse values -> repeated per-user totals
-        "value": rng.integers(1, 4, n).astype(np.float64)})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import users_value_rank
-
-    got = users_value_rank(str(tmp_path), n_buckets=16)
-
-    m = np.floor(ev["value"] * 1000 + 0.5).astype("int64")
-    t = (pd.DataFrame({"user_id": ev["user_id"], "m": m})
-         .groupby("user_id", as_index=False)["m"].sum()
-         .rename(columns={"m": "total_value_millis"}))
-    t["rnk"] = t["total_value_millis"].rank(
-        method="min", ascending=False).astype("int64")
-    t["dense_rnk"] = t["total_value_millis"].rank(
-        method="dense", ascending=False).astype("int64")
-    want = t.sort_values("user_id").reset_index(drop=True)
-    assert t["rnk"].duplicated().any()  # fixture really has ties
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_events_moving_window_rows_frame(tmp_path):
-    ev = pd.DataFrame({
-        "event_id": np.array([1, 2, 3, 4, 10], dtype=np.int64),
-        "user_id": np.array([7, 7, 7, 7, 8], dtype=np.int64),
-        "ts": pd.to_datetime(["2025-01-01 00:00", "2025-01-01 00:01",
-                              "2025-01-01 00:02", "2025-01-01 00:03",
-                              "2025-01-01 00:00"]),
-        "value": [1.0, 2.0, 4.0, 8.0, 5.0]})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_moving_window
-
-    got = events_moving_window(str(tmp_path)).set_index("event_id")
-    assert got.loc[1, ["win_n", "win_value_millis"]].tolist() == [1, 1000]
-    assert got.loc[2, ["win_n", "win_value_millis"]].tolist() == [2, 3000]
-    assert got.loc[3, ["win_n", "win_value_millis"]].tolist() == [3, 7000]
-    # frame slides: rows 2,3,4 only
-    assert got.loc[4, ["win_n", "win_value_millis"]].tolist() == [3, 14000]
-    assert got.loc[10, ["win_n", "win_value_millis"]].tolist() == [1, 5000]
-
-
-def test_customer_segment_cube_all_grouping_sets(tmp_path):
-    cust = pd.DataFrame({
-        "c_custkey": np.arange(6, dtype=np.int64),
-        "c_mktsegment": ["AUTO", "AUTO", "BUILDING",
-                         "BUILDING", "AUTO", "BUILDING"],
-        "c_nationkey": np.array([0, 1, 0, 1, 0, 0], dtype=np.int64),
-        "c_acctbal": [10.01, 20.02, 30.03, 40.04, 50.05, 60.06]})
-    cust.to_parquet(tmp_path / "customer.parquet")
-
-    from raycrawl.ops.relational import customer_segment_cube
-
-    got = customer_segment_cube(str(tmp_path))
-    idx = got.set_index(["c_mktsegment", "c_nationkey"])
-    # finest
-    assert idx.loc[("AUTO", 0), "n_customers"] == 2
-    assert idx.loc[("AUTO", 0), "acctbal_cents"] == 1001 + 5005
-    # segment margin
-    assert idx.loc[("AUTO", -1), "n_customers"] == 3
-    # nation margin (the grouping set ROLLUP lacks)
-    assert idx.loc[("ALL", 0), "n_customers"] == 4
-    assert idx.loc[("ALL", 1), "n_customers"] == 2
-    # grand total
-    assert idx.loc[("ALL", -1), "n_customers"] == 6
-    assert idx.loc[("ALL", -1), "acctbal_cents"] == \
-        idx.loc[("AUTO", -1), "acctbal_cents"] \
-        + idx.loc[("BUILDING", -1), "acctbal_cents"]
-    assert len(got) == 2 * 2 + 2 + 2 + 1
 
 
 def test_edit_prefix_pairs_matches_bruteforce(tmp_path):
@@ -2071,6 +1527,31 @@ def test_csv_shards_roundtrip_and_determinism(tmp_path):
             for p in d1.glob("shard-*.csv.gz")} == mtimes
 
 
+def test_csv_shards_export_over_stale_dir_rewrites(tmp_path):
+    """A second export of DIFFERENT rows into the same directory must not
+    keep the first export's archives: shards with other content are
+    rewritten, shards the new export has no rows for are removed, and
+    the manifest equals a fresh export's."""
+    from raycrawl.ops.csvio import read_csv_shards, write_csv_shards
+
+    a = pd.DataFrame({"doc_id": np.arange(40, dtype=np.int64),
+                      "text": [f"a{i}" for i in range(40)]})
+    # B: other text, and no ids in shard 3 (doc_id % 4 == 3)
+    ids = np.array([i for i in range(30) if i % 4 != 3], dtype=np.int64)
+    b = pd.DataFrame({"doc_id": ids, "text": [f"b{i}" for i in ids]})
+    write_csv_shards(rd.from_pandas(a), str(tmp_path / "d"), n_shards=4)
+    got = write_csv_shards(rd.from_pandas(b), str(tmp_path / "d"),
+                           n_shards=4)
+    fresh = write_csv_shards(rd.from_pandas(b), str(tmp_path / "fresh"),
+                             n_shards=4)
+    pd.testing.assert_frame_equal(got, fresh)
+    assert got["n_rows"].sum() == len(b)
+    back = (read_csv_shards(str(tmp_path / "d"), dtypes={"doc_id": "int64"})
+            .to_pandas()[["doc_id", "text"]]
+            .sort_values("doc_id").reset_index(drop=True))
+    pd.testing.assert_frame_equal(back, b)
+
+
 def test_read_csv_shards_empty_shard_names_path(tmp_path):
     import re
 
@@ -2129,102 +1610,6 @@ def test_stratified_split_exact_cuts_and_determinism():
         assert sub.set_index("doc_id").loc[lowest, "split"] == "train"
 
 
-def test_events_trailing_1h_range_semantics(tmp_path):
-    # ts ties (peer rows) and an exact-1h-ago event (inclusive bound)
-    ev = pd.DataFrame({
-        "event_id": np.array([1, 2, 3, 4, 5], dtype=np.int64),
-        "user_id": np.array([7, 7, 7, 7, 9], dtype=np.int64),
-        "ts": pd.to_datetime(["2025-01-01 00:00", "2025-01-01 00:30",
-                              "2025-01-01 01:00",  # exactly 1h after #1
-                              "2025-01-01 01:00",  # peer of #3
-                              "2025-01-01 00:10"]),
-        "value": [1.0, 2.0, 4.0, 8.0, 16.0]})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_trailing_1h
-
-    got = events_trailing_1h(str(tmp_path)).set_index("event_id")
-    assert got.loc[1, ["trail_n", "trail_value_millis"]].tolist() \
-        == [1, 1000]
-    assert got.loc[2, ["trail_n", "trail_value_millis"]].tolist() \
-        == [2, 3000]
-    # frame of #3: events at [00:00, 01:00] inclusive, including its
-    # ts-peer #4 (RANGE semantics) -> all four rows of user 7
-    assert got.loc[3, ["trail_n", "trail_value_millis"]].tolist() \
-        == [4, 15000]
-    assert got.loc[4, ["trail_n", "trail_value_millis"]].tolist() \
-        == [4, 15000]
-    assert got.loc[5, ["trail_n", "trail_value_millis"]].tolist() \
-        == [1, 16000]
-
-
-def test_events_hourly_anomaly_integer_predicate(tmp_path):
-    # 10 quiet hours of 5 events + one 50-event spike hour
-    rows = []
-    eid = 0
-    for h in range(10):
-        for i in range(5):
-            rows.append((eid, pd.Timestamp("2025-01-01")
-                         + pd.Timedelta(hours=h, minutes=i))); eid += 1
-    for i in range(50):
-        rows.append((eid, pd.Timestamp("2025-01-01 12:00")
-                     + pd.Timedelta(minutes=i % 60))); eid += 1
-    ev = pd.DataFrame(rows, columns=["event_id", "ts"])
-    ev["user_id"] = np.int64(1)
-    ev["value"] = 1.0
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_hourly_anomaly
-
-    got = events_hourly_anomaly(str(tmp_path))
-    flagged = got[got["is_anomaly"] == 1]["hour"].tolist()
-    assert flagged == [pd.Timestamp("2025-01-01 12:00")]
-    # replicate the predicate serially
-    c = got["n_events"].to_numpy(object)
-    n, s, q = len(c), int(c.sum()), int((c * c).sum())
-    want = ((n * c - s) ** 2 > 4 * (n * q - s * s)).astype("int64")
-    assert got["is_anomaly"].tolist() == want.tolist()
-
-
-def test_q5_local_supplier_volume_serial_equiv(tmp_path):
-    # tiny star schema where only (cust_nation == supp_nation) rows count
-    pd.DataFrame({"r_regionkey": [0, 1],
-                  "r_name": ["ASIA", "EUROPE"]}).to_parquet(
-        tmp_path / "region.parquet")
-    pd.DataFrame({"n_nationkey": [0, 1, 2],
-                  "n_name": ["JAPAN", "CHINA", "FRANCE"],
-                  "n_regionkey": [0, 0, 1]}).to_parquet(
-        tmp_path / "nation.parquet")
-    pd.DataFrame({"c_custkey": [10, 11, 12],
-                  "c_nationkey": [0, 1, 2]}).to_parquet(
-        tmp_path / "customer.parquet")
-    pd.DataFrame({"s_suppkey": [20, 21, 22],
-                  "s_nationkey": [0, 1, 2]}).to_parquet(
-        tmp_path / "supplier.parquet")
-    pd.DataFrame({
-        "o_orderkey": [1, 2, 3, 4],
-        "o_custkey": [10, 11, 12, 10],
-        "o_orderdate": pd.to_datetime(
-            ["1997-06-01", "1997-06-01", "1997-06-01",
-             "1996-01-01"])}).to_parquet(tmp_path / "orders.parquet")
-    pd.DataFrame({
-        # order 1 (cust JAPAN): supp JAPAN (counts), supp CHINA (no)
-        # order 2 (cust CHINA): supp CHINA (counts)
-        # order 3 (cust FRANCE, EUROPE region): excluded entirely
-        # order 4: outside the date window
-        "l_orderkey": [1, 1, 2, 3, 4],
-        "l_suppkey": [20, 21, 21, 22, 20],
-        "l_extendedprice": [100.0, 50.0, 30.0, 99.0, 77.0],
-        "l_discount": [0.1, 0.0, 0.0, 0.0, 0.0]}).to_parquet(
-        tmp_path / "lineitem.parquet")
-
-    from raycrawl.ops.relational import q5_local_supplier_volume
-
-    got = q5_local_supplier_volume(str(tmp_path))
-    assert got["n_name"].tolist() == ["JAPAN", "CHINA"]
-    assert got["revenue_cents"].tolist() == [9000, 3000]
-
-
 def test_containment_pairs_matches_bruteforce():
     rng = np.random.default_rng(9)
     vocab = [f"w{i}" for i in range(3000)]
@@ -2264,157 +1649,6 @@ def test_containment_asymmetric_vs_jaccard():
     assert containment("", big, 3) == 0.0
 
 
-def test_events_value_winsorize_exact_thresholds(tmp_path):
-    # values 0..999 -> with n=1000, idx_lo = (999)//100 = 9,
-    # idx_hi = (99*999)//100 = 989 -> clip band [9, 989] (millis x1000)
-    ev = pd.DataFrame({
-        "event_id": np.arange(1000, dtype=np.int64),
-        "user_id": np.int64(1),
-        "ts": pd.date_range("2025-01-01", periods=1000, freq="min"),
-        "value": np.arange(1000, dtype=np.float64)})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_value_winsorize
-
-    got = events_value_winsorize(str(tmp_path)).set_index("event_id")
-    assert got.loc[0, "value_winsorized_millis"] == 9 * 1000
-    assert got.loc[9, "value_winsorized_millis"] == 9 * 1000
-    assert got.loc[10, "value_winsorized_millis"] == 10 * 1000
-    assert got.loc[989, "value_winsorized_millis"] == 989 * 1000
-    assert got.loc[999, "value_winsorized_millis"] == 989 * 1000
-    assert (got["value_millis"] == got.index * 1000).all()
-
-
-def test_events_daily_active_exact_distinct(tmp_path):
-    # user 1 appears twice on day 1 (counts once); user 2 spans days
-    ev = pd.DataFrame({
-        "event_id": np.arange(5, dtype=np.int64),
-        "user_id": np.array([1, 1, 2, 2, 3], dtype=np.int64),
-        "ts": pd.to_datetime(["2025-01-01 01:00", "2025-01-01 23:00",
-                              "2025-01-01 12:00", "2025-01-02 00:00",
-                              "2025-01-02 05:00"]),
-        "value": 1.0})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_daily_active
-
-    got = events_daily_active(str(tmp_path))
-    assert got["day"].tolist() == [pd.Timestamp("2025-01-01"),
-                                   pd.Timestamp("2025-01-02")]
-    assert got["n_users"].tolist() == [2, 2]
-
-
-def test_events_weekly_active_sliding_distinct(tmp_path):
-    # user 1 active days 1 and 3 (counts once for any window covering
-    # both); user 2 only day 1; user 3 only day 10 (window break)
-    ev = pd.DataFrame({
-        "event_id": np.arange(5, dtype=np.int64),
-        "user_id": np.array([1, 1, 1, 2, 3], dtype=np.int64),
-        "ts": pd.to_datetime(["2025-01-01 01:00", "2025-01-03 05:00",
-                              "2025-01-03 09:00", "2025-01-01 12:00",
-                              "2025-01-10 00:00"]),
-        "value": 1.0})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_weekly_active
-
-    got = events_weekly_active(str(tmp_path)).set_index("day")
-    assert got.loc[pd.Timestamp("2025-01-01"), "n_users"] == 2
-    # window [2024-12-28, 2025-01-03]: users 1 (deduped), 2
-    assert got.loc[pd.Timestamp("2025-01-03"), "n_users"] == 2
-    # day 10 window reaches back to day 4 only: user 3 alone
-    assert got.loc[pd.Timestamp("2025-01-10"), "n_users"] == 1
-    # only event days are reported (no ghost days 4..9)
-    assert len(got) == 3
-
-
-def test_events_type_transitions_start_sentinel(tmp_path):
-    ev = pd.DataFrame({
-        "event_id": np.arange(5, dtype=np.int64),
-        "user_id": np.array([1, 1, 1, 2, 2], dtype=np.int64),
-        "ts": pd.date_range("2025-01-01", periods=5, freq="min"),
-        "event_type": ["view", "click", "view", "view", "view"],
-        "value": 1.0})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_type_transitions
-
-    got = events_type_transitions(str(tmp_path)).set_index(
-        ["prev_type", "event_type"])["n"]
-    assert got[("START", "view")] == 2     # both users' first events
-    assert got[("view", "click")] == 1
-    assert got[("click", "view")] == 1
-    assert got[("view", "view")] == 1      # user 2's second event
-    assert got.sum() == 5
-
-
-def test_events_user_gap_median_lower_median(tmp_path):
-    # user 1 gaps: [60, 120, 600] -> lower median 120
-    # user 2 gaps: [30, 90]       -> lower median 30 (even count)
-    # user 3 has one event        -> excluded
-    ev = pd.DataFrame({
-        "event_id": np.arange(8, dtype=np.int64),
-        "user_id": np.array([1, 1, 1, 1, 2, 2, 2, 3], dtype=np.int64),
-        "ts": pd.to_datetime([
-            "2025-01-01 00:00:00", "2025-01-01 00:01:00",
-            "2025-01-01 00:03:00", "2025-01-01 00:13:00",
-            "2025-01-01 00:00:00", "2025-01-01 00:00:30",
-            "2025-01-01 00:02:00", "2025-01-01 00:00:00"]),
-        "value": 1.0})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_user_gap_median
-
-    got = events_user_gap_median(str(tmp_path)).set_index("user_id")
-    assert got.loc[1, "median_gap_sec"] == 120
-    assert got.loc[2, "median_gap_sec"] == 30
-    assert 3 not in got.index
-
-
-def test_grouped_approx_distinct_merge_invariance():
-    from raycrawl.ops.sketch import HyperLogLog, grouped_approx_distinct
-
-    rng = np.random.default_rng(4)
-    n = 20000
-    df = pd.DataFrame({
-        "g": rng.choice(["a", "b", "c"], n),
-        "v": rng.integers(0, 5000, n)})
-    # small batches force many per-group partial sketches to merge
-    got = grouped_approx_distinct(rd.from_pandas(df), "g", "v",
-                                  batch_size=512).set_index("g")
-    # reference: one serial sketch per group (merge-order invariance)
-    import math
-    for g, sub in df.groupby("g"):
-        h = HyperLogLog(14)
-        h.add_values(sub["v"].tolist())
-        want = int(math.floor(h.estimate() + 0.5))
-        assert got.loc[g, "approx_distinct"] == want
-        true = sub["v"].nunique()
-        assert abs(got.loc[g, "approx_distinct"] - true) / true < 0.05
-
-
-def test_events_sequence_match_leftmost(tmp_path):
-    # user 1: v s v v p c -> matches 'sv*p' at pos 1
-    # user 2: s c p       -> click breaks the v* run: no match
-    # user 3: s p         -> zero views still matches, pos 0
-    ev = pd.DataFrame({
-        "event_id": np.arange(11, dtype=np.int64),
-        "user_id": np.array([1] * 6 + [2] * 3 + [3] * 2, dtype=np.int64),
-        "ts": pd.date_range("2025-01-01", periods=11, freq="min"),
-        "event_type": ["view", "signup", "view", "view", "purchase",
-                       "click", "signup", "click", "purchase",
-                       "signup", "purchase"],
-        "value": 1.0})
-    ev.to_parquet(tmp_path / "events.parquet")
-
-    from raycrawl.ops.relational import events_sequence_match
-
-    got = events_sequence_match(str(tmp_path)).set_index("user_id")
-    assert got.loc[1, "match_pos"] == 1 and got.loc[1, "seq_len"] == 6
-    assert 2 not in got.index
-    assert got.loc[3, "match_pos"] == 0 and got.loc[3, "seq_len"] == 2
-
-
 def test_top_tokens_per_lang_exact_topk(tmp_path):
     docs = pd.DataFrame({
         "doc_id": np.arange(4, dtype=np.int64),
@@ -2434,49 +1668,3 @@ def test_top_tokens_per_lang_exact_topk(tmp_path):
     fr = got[got["lang"] == "fr"]
     assert fr["tok"].tolist() == ["y", "x"]  # y=3, x/z tie -> x
     assert fr["n"].tolist() == [3, 1]
-
-
-def test_part_pair_affinity_basket_pairs(tmp_path):
-    # order 1: parts {10, 20, 30} (10 repeated -> distinct once)
-    # order 2: parts {10, 20}
-    # order 3: single part -> no pairs
-    li = pd.DataFrame({
-        "l_orderkey": np.array([1, 1, 1, 1, 2, 2, 3], dtype=np.int64),
-        "l_partkey": np.array([10, 10, 20, 30, 10, 20, 99],
-                              dtype=np.int64)})
-    li.to_parquet(tmp_path / "lineitem.parquet")
-
-    from raycrawl.ops.relational import part_pair_affinity
-
-    got = part_pair_affinity(str(tmp_path), k=10)
-    idx = got.set_index(["part_a", "part_b"])["n"]
-    assert idx[(10, 20)] == 2
-    assert idx[(10, 30)] == 1
-    assert idx[(20, 30)] == 1
-    assert len(got) == 3
-    assert got.iloc[0][["part_a", "part_b", "rnk"]].tolist() == [10, 20, 1]
-
-
-def test_customer_rfm_scores(tmp_path):
-    orders = pd.DataFrame({
-        "o_orderkey": np.arange(6, dtype=np.int64),
-        "o_custkey": np.array([1, 1, 1, 2, 3, 4], dtype=np.int64),
-        "o_orderdate": pd.to_datetime(
-            ["1998-07-01", "1998-06-01", "1998-01-01",
-             "1998-07-31", "1997-01-01", "1996-01-01"]),
-        "o_totalprice": [100.0, 50.0, 25.0, 10.0, 1000.0, 5.0]})
-    orders.to_parquet(tmp_path / "orders.parquet")
-
-    from raycrawl.ops.relational import customer_rfm
-
-    got = customer_rfm(str(tmp_path)).set_index("c_custkey")
-    # cust 1: last 1998-07-01 -> recency 31, freq 3, monetary 17500
-    assert got.loc[1, ["recency_days", "frequency",
-                       "monetary_cents"]].tolist() == [31, 3, 17500]
-    # recency asc order: 2 (1d), 1 (31d), 3, 4 -> r0 = 0,1,2,3 over n=4
-    assert got.loc[2, "r_score"] == 1 and got.loc[1, "r_score"] == 2
-    assert got.loc[3, "r_score"] == 3 and got.loc[4, "r_score"] == 4
-    # frequency desc: cust 1 (3 orders) first -> f_score 1
-    assert got.loc[1, "f_score"] == 1
-    # monetary desc: cust 3 (100000c) first, cust 4 (500c) last
-    assert got.loc[3, "m_score"] == 1 and got.loc[4, "m_score"] == 4
