@@ -20,10 +20,6 @@ quirks, which are part of the conformance spec:
 - table detection requires the literal substring ``-|-`` (line 196), which
   spaced pipe tables never contain → they classify as "text".
 
-Divergence from the reference (documented spec): chunk ids are
-deterministic ``sha1(url:position)`` hex instead of ``uuid4`` — golden
-fixtures need byte-stable output.
-
 ``sentence_chunk`` is a minimal, deterministic replacement for the Chonkie
 SentenceChunker used at chunk_service.py:95-142 (sentence split on
 ./!/?/newline, sentences shorter than ``min_chars_per_sentence`` merged
@@ -36,7 +32,6 @@ context) — Chonkie is unavailable offline, so this is this engine's spec.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from typing import Any, Optional
 
@@ -305,7 +300,3 @@ class ChunkStage:
         arrays = [pa.array(cols[n], type=CHUNKS.field(n).type) for n in CHUNKS.names]
         return pa.Table.from_arrays(arrays, schema=CHUNKS)
 
-
-def chunk_id(url: str, position: int) -> str:
-    """Deterministic chunk id (spec divergence from the reference's uuid4)."""
-    return hashlib.sha1(f"{url}:{position}".encode()).hexdigest()

@@ -240,17 +240,6 @@ def convert_markdown(content: bytes) -> tuple[str, dict]:
     return clean_text(text), {}
 
 
-def _missing(dep: str, kind: str) -> Callable[[bytes], tuple[str, dict]]:
-    def conv(content: bytes) -> tuple[str, dict]:
-        raise NotImplementedError(
-            f"{kind} conversion requires {dep}, which is not available in "
-            f"this environment (reference services/converters/converters/"
-            f"{kind.lower()}_converter.py); the registry, batching and "
-            f"error-row plumbing are real — plug in the parser to enable.")
-
-    return conv
-
-
 _REGISTRY: dict[str, Callable[[bytes], tuple[str, dict]]] = {}
 
 

@@ -87,9 +87,3 @@ def extract_links_from_anchors(
         if link_filter is None or link_filter(normalized):
             out.append(normalized)
     return out
-
-
-def extract_raw_links(html: str, base_url: str) -> list[str]:
-    """Unfiltered normalized links (the ScrapeData ``links`` column,
-    scraper.py:1334-1337), document order, deduped first-wins."""
-    return extract_links(html, base_url, link_filter=None)

@@ -10,8 +10,9 @@ id-hash shard, each shard serialized in ONE task in ascending id order
 deterministic re-exports), written crash-atomically (tmp +
 ``os.replace``) and SKIPPED when the file already holds exactly those
 rows — a failed bulk export resumes at file granularity, while a stale
-archive from a different export into the same directory is rewritten.
-The source is file-granular: one decode task per archive.
+archive from a different export into the same directory is rewritten
+(the shared ``jsonl.write_gzip_shards`` pass). The source is
+file-granular: one decode task per archive.
 
 CSV cannot distinguish null from the empty string; nulls serialize as
 empty fields and read back as ``""`` (documented lossy corner — use the
@@ -24,18 +25,9 @@ import gzip
 import io
 import os
 
-import numpy as np
 import pandas as pd
 
-
-def _holds(path: str, data: bytes) -> bool:
-    """True when the gzip archive at ``path`` decompresses to ``data``;
-    False when it is missing, unreadable or holds other rows."""
-    try:
-        with gzip.open(path, "rb") as f:
-            return f.read() == data
-    except (OSError, EOFError):  # missing, not gzip, or truncated
-        return False
+from .jsonl import write_gzip_shards
 
 
 def write_csv_shards(ds, out_dir: str, id_col: str = "doc_id",
@@ -47,50 +39,17 @@ def write_csv_shards(ds, out_dir: str, id_col: str = "doc_id",
     deterministic. An existing archive is kept only when its content is
     the shard's rows, and shard archives this export has no rows for are
     deleted, so the manifest always describes the files."""
-    from .agg import partitioned_map_partitions
 
-    os.makedirs(out_dir, exist_ok=True)
+    def encode(sub: pd.DataFrame) -> bytes:
+        text = io.StringIO()
+        w = csv.writer(text, lineterminator="\n")
+        w.writerow(list(sub.columns))
+        for row in sub.itertuples(index=False):
+            w.writerow(["" if pd.isna(v) else v for v in row])
+        return text.getvalue().encode("utf-8")
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(
-            __shard=(b[id_col].to_numpy(np.int64) % n_shards))
-
-    def write_part(g: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for shard, sub in g.groupby("__shard", sort=True):
-            shard = int(shard)
-            sub = (sub.sort_values(id_col, kind="mergesort")
-                   .drop(columns="__shard"))
-            path = os.path.join(out_dir, f"shard-{shard:05d}.csv.gz")
-            text = io.StringIO()
-            w = csv.writer(text, lineterminator="\n")
-            w.writerow(list(sub.columns))
-            for row in sub.itertuples(index=False):
-                w.writerow(["" if pd.isna(v) else v for v in row])
-            data = text.getvalue().encode("utf-8")
-            if not _holds(path, data):  # resumable: finished shard kept
-                buf = io.BytesIO()
-                with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0,
-                                   compresslevel=6) as z:
-                    z.write(data)
-                tmp = path + ".tmp"
-                with open(tmp, "wb") as f:
-                    f.write(buf.getvalue())
-                os.replace(tmp, path)
-            out.append((shard, len(sub), os.path.getsize(path),
-                        int(sub[id_col].sum())))
-        return pd.DataFrame(out, columns=["shard", "n_rows", "n_bytes",
-                                          "sum_id"]).astype("int64")
-
-    manifest = partitioned_map_partitions(
-        ds.map_batches(tag, batch_format="pandas"), "__shard",
-        write_part, n_parts=min(n_shards, 64)).to_pandas()
-    keep = {f"shard-{s:05d}.csv.gz" for s in manifest["shard"]}
-    for path in glob.glob(os.path.join(out_dir, "shard-*.csv.gz")):
-        if os.path.basename(path) not in keep:
-            os.remove(path)  # stale: this export has no rows for it
-    return (manifest.astype("int64").sort_values("shard")
-            .reset_index(drop=True))
+    return write_gzip_shards(ds, out_dir, id_col, n_shards, ".csv.gz",
+                             encode)
 
 
 def read_csv_shards(out_dir: str, columns=None, dtypes=None):

@@ -1502,7 +1502,9 @@ def build_minhash_index(corpus_ds, index_dir: str, *,
         fn_constructor_kwargs=dict(num_hashes=num_hashes, bands=bands,
                                    ngram=ngram, id_col=id_col,
                                    text_col=text_col),
-        concurrency=4)
+        # autoscaling, not a fixed 4: a fixed pool as large as a 4-CPU
+        # session leaves the downstream write no CPU and deadlocks
+        concurrency=(1, 4))
     atomic_build_dir(
         index_dir,
         lambda tmp: rows.map_batches(bucketize, batch_format="pandas")

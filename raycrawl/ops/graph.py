@@ -48,7 +48,7 @@ import pandas as pd
 _AUTO_BROADCAST_NODES = 2_000_000  # ≈32 MB of id+rank+deg vectors
 _EDGE_BATCH = 262_144  # edges per task: vectorized kernels want big
 # batches (default 1024-row batches cost ~30x in per-task overhead,
-# measured by tools/graph_scale_check.py)
+# measured by the `graph` probe in tools/probes.py)
 
 
 def _lookup(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -134,7 +134,7 @@ def _outdegree_vec(edges_ds, ids: np.ndarray) -> np.ndarray:
 
     # batch_size=None yields whole blocks: the default 256-row iterator
     # batches made the driver fold 10x slower than the map stage itself
-    # (measured in tools/graph_scale_check.py)
+    # (measured by the `graph` probe in tools/probes.py)
     parts = edges_ds.map_batches(partial, batch_format="pandas",
                                  batch_size=_EDGE_BATCH)
     for batch in parts.iter_batches(batch_format="pandas", batch_size=None):

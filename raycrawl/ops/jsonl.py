@@ -8,9 +8,13 @@ Scale shape: the sink is a coarse shard-hash partition pass — each
 shard's rows land in ONE task which serializes them in ascending id
 order (gzip mtime=0, sorted JSON keys → byte-deterministic archives),
 writes crash-atomically (tmp + os.replace) and SKIPS a shard whose file
-already exists, so a failed bulk export resumes at file granularity
-(the same discipline as warc.write_warc — see raycrawl/warc.py). The
-source is file-granular: one decode task per archive, streaming through
+already holds exactly those rows, so a failed bulk export resumes at
+file granularity (the same discipline as warc.write_warc — see
+raycrawl/warc.py), while a stale archive from a different export into
+the same directory is rewritten and one this export has no rows for is
+deleted. ``write_gzip_shards`` is that pass for any per-shard encoding;
+the CSV sink (:mod:`raycrawl.ops.csvio`) uses it too. The source is
+file-granular: one decode task per archive, streaming through
 ``read_binary_files`` — no driver-side accumulation.
 """
 from __future__ import annotations
@@ -35,13 +39,24 @@ def _json_default(o):
     raise TypeError(type(o).__name__)
 
 
-def write_jsonl_shards(ds, out_dir: str, id_col: str = "doc_id",
-                       n_shards: int = 16):
-    """Dataset → ``out_dir/shard-<k>.jsonl.gz`` (shard = id % n_shards —
-    deliberately SQL-mirrorable) + a manifest DataFrame
-    (shard, n_rows, n_bytes, sum_id). NaN/None fields serialize as JSON
-    null; bytes are deterministic (id-sorted rows, sorted keys,
-    mtime=0), so re-exports of the same table are byte-identical."""
+def _holds(path: str, data: bytes) -> bool:
+    """True when the gzip archive at ``path`` decompresses to ``data``;
+    False when it is missing, unreadable or holds other rows."""
+    try:
+        with gzip.open(path, "rb") as f:
+            return f.read() == data
+    except (OSError, EOFError):  # missing, not gzip, or truncated
+        return False
+
+
+def write_gzip_shards(ds, out_dir: str, id_col: str, n_shards: int,
+                      suffix: str, encode):
+    """Dataset → ``out_dir/shard-<k><suffix>`` (shard = id % n_shards),
+    each archive the gzip of ``encode(rows)`` over the shard's id-sorted
+    rows, + a manifest DataFrame (shard, n_rows, n_bytes, sum_id). An
+    existing archive is kept only when it already holds those bytes, and
+    shard archives this export has no rows for are deleted, so the
+    manifest always describes the files."""
     from .agg import partitioned_map_partitions
 
     os.makedirs(out_dir, exist_ok=True)
@@ -56,20 +71,15 @@ def write_jsonl_shards(ds, out_dir: str, id_col: str = "doc_id",
             shard = int(shard)
             sub = (sub.sort_values(id_col, kind="mergesort")
                    .drop(columns="__shard"))
-            path = os.path.join(out_dir, f"shard-{shard:05d}.jsonl.gz")
-            if not os.path.exists(path):  # resumable: finished shard
+            path = os.path.join(out_dir, f"shard-{shard:05d}{suffix}")
+            data = encode(sub)
+            if not _holds(path, data):  # resumable: finished shard kept
                 buf = io.BytesIO()
                 # level 6: level 9 costs ~11x the CPU for ~1% size —
                 # compression dominates the sink's wall time
                 with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0,
                                    compresslevel=6) as z:
-                    for rec in sub.to_dict("records"):
-                        rec = {k: (None if pd.isna(v) else v)
-                               for k, v in rec.items()}
-                        z.write(json.dumps(
-                            rec, sort_keys=True, ensure_ascii=False,
-                            default=_json_default).encode("utf-8"))
-                        z.write(b"\n")
+                    z.write(data)
                 tmp = path + ".tmp"
                 with open(tmp, "wb") as f:
                     f.write(buf.getvalue())
@@ -82,8 +92,32 @@ def write_jsonl_shards(ds, out_dir: str, id_col: str = "doc_id",
     manifest = partitioned_map_partitions(
         ds.map_batches(tag, batch_format="pandas"), "__shard",
         write_part, n_parts=min(n_shards, 64)).to_pandas()
+    keep = {f"shard-{s:05d}{suffix}" for s in manifest["shard"]}
+    for path in glob.glob(os.path.join(out_dir, f"shard-*{suffix}")):
+        if os.path.basename(path) not in keep:
+            os.remove(path)  # stale: this export has no rows for it
     return (manifest.astype("int64").sort_values("shard")
             .reset_index(drop=True))
+
+
+def write_jsonl_shards(ds, out_dir: str, id_col: str = "doc_id",
+                       n_shards: int = 16):
+    """Dataset → ``out_dir/shard-<k>.jsonl.gz`` (shard = id % n_shards —
+    deliberately SQL-mirrorable) + a manifest DataFrame
+    (shard, n_rows, n_bytes, sum_id). NaN/None fields serialize as JSON
+    null; bytes are deterministic (id-sorted rows, sorted keys,
+    mtime=0), so re-exports of the same table are byte-identical."""
+
+    def encode(sub: pd.DataFrame) -> bytes:
+        lines = []
+        for rec in sub.to_dict("records"):
+            rec = {k: (None if pd.isna(v) else v) for k, v in rec.items()}
+            lines.append(json.dumps(rec, sort_keys=True, ensure_ascii=False,
+                                    default=_json_default) + "\n")
+        return "".join(lines).encode("utf-8")
+
+    return write_gzip_shards(ds, out_dir, id_col, n_shards, ".jsonl.gz",
+                             encode)
 
 
 def read_jsonl_shards(out_dir: str, columns=None):

@@ -157,7 +157,8 @@ def _bounded_topk_vocab(ds, count_batch, key_col: str, top_k: int,
     scale driver RSS is O(n_parts × top_k) and the broadcast dict is
     O(top_k), independent of corpus size; evicted tail grams score with
     default count 0 — the production KenLM-style capped-vocab semantics
-    (tools/commonness_scale_check.py probes ≥10M distinct grams)."""
+    (the `commonness` probe in tools/probes.py drives ≥10M distinct
+    grams)."""
     from .agg import partitioned_map_partitions
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:

@@ -3,6 +3,7 @@ multimodal) over small Ray datasets."""
 
 import numpy as np
 import pandas as pd
+import pytest
 import ray.data as rd
 
 from raycrawl.ops.dedup import (
@@ -1527,27 +1528,30 @@ def test_csv_shards_roundtrip_and_determinism(tmp_path):
             for p in d1.glob("shard-*.csv.gz")} == mtimes
 
 
-def test_csv_shards_export_over_stale_dir_rewrites(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_csv_shards_export_over_stale_dir_rewrites(tmp_path, fmt):
     """A second export of DIFFERENT rows into the same directory must not
     keep the first export's archives: shards with other content are
     rewritten, shards the new export has no rows for are removed, and
     the manifest equals a fresh export's."""
     from raycrawl.ops.csvio import read_csv_shards, write_csv_shards
+    from raycrawl.ops.jsonl import read_jsonl_shards, write_jsonl_shards
 
+    write, read = {
+        "csv": (write_csv_shards,
+                lambda d: read_csv_shards(d, dtypes={"doc_id": "int64"})),
+        "jsonl": (write_jsonl_shards, read_jsonl_shards)}[fmt]
     a = pd.DataFrame({"doc_id": np.arange(40, dtype=np.int64),
                       "text": [f"a{i}" for i in range(40)]})
     # B: other text, and no ids in shard 3 (doc_id % 4 == 3)
     ids = np.array([i for i in range(30) if i % 4 != 3], dtype=np.int64)
     b = pd.DataFrame({"doc_id": ids, "text": [f"b{i}" for i in ids]})
-    write_csv_shards(rd.from_pandas(a), str(tmp_path / "d"), n_shards=4)
-    got = write_csv_shards(rd.from_pandas(b), str(tmp_path / "d"),
-                           n_shards=4)
-    fresh = write_csv_shards(rd.from_pandas(b), str(tmp_path / "fresh"),
-                             n_shards=4)
+    write(rd.from_pandas(a), str(tmp_path / "d"), n_shards=4)
+    got = write(rd.from_pandas(b), str(tmp_path / "d"), n_shards=4)
+    fresh = write(rd.from_pandas(b), str(tmp_path / "fresh"), n_shards=4)
     pd.testing.assert_frame_equal(got, fresh)
     assert got["n_rows"].sum() == len(b)
-    back = (read_csv_shards(str(tmp_path / "d"), dtypes={"doc_id": "int64"})
-            .to_pandas()[["doc_id", "text"]]
+    back = (read(str(tmp_path / "d")).to_pandas()[["doc_id", "text"]]
             .sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(back, b)
 
