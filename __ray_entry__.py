@@ -418,7 +418,7 @@ def _q_link_pagerank(sf_dir: str):
     nodes = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                           columns=["doc_id"]).column("doc_id").to_pylist()
     ranks = pagerank(_edges_dataset(sf_dir), nodes, num_iters=5,
-                     scale=10**12, method="auto")
+                     scale=10**12)
     return ranks.rename(columns={"node": "doc_id"})
 
 
@@ -433,7 +433,7 @@ def _q_graph_components(sf_dir: str):
 
     nodes = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                           columns=["doc_id"]).column("doc_id").to_pylist()
-    cc = connected_components(_edges_dataset(sf_dir), nodes, method="auto")
+    cc = connected_components(_edges_dataset(sf_dir), nodes)
     return cc
 
 
@@ -450,8 +450,7 @@ def _q_graph_hits(sf_dir: str):
 
     nodes = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                           columns=["doc_id"]).column("doc_id").to_pylist()
-    out = hits(_edges_dataset(sf_dir), nodes, num_iters=5, scale=10**6,
-               method="auto")
+    out = hits(_edges_dataset(sf_dir), nodes, num_iters=5, scale=10**6)
     return out.rename(columns={"node": "doc_id"})
 
 
@@ -459,7 +458,7 @@ def _q_link_bfs_depth(sf_dir: str):
     """Multi-source BFS over the extracted link graph: shortest hop
     count from the seed set (doc_id % 97 = 1 — the backlinks target
     convention) for every page within 8 hops. Level-synchronous, exact
-    on both broadcast and shuffle paths; the oracle unrolls the same
+    under either placement; the oracle unrolls the same
     levels over the lattice edge CTE
     (raycrawl/ops/graph.py::bfs_distance)."""
     import pyarrow.parquet as pq
@@ -469,8 +468,7 @@ def _q_link_bfs_depth(sf_dir: str):
     nodes = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                           columns=["doc_id"]).column("doc_id").to_numpy()
     seeds = nodes[nodes % 97 == 1]
-    out = bfs_distance(_edges_dataset(sf_dir), nodes, seeds,
-                       max_depth=8, method="auto")
+    out = bfs_distance(_edges_dataset(sf_dir), nodes, seeds, max_depth=8)
     return out.rename(columns={"node": "doc_id"})
 
 
@@ -603,7 +601,7 @@ def _q_recrawl_schedule(sf_dir: str):
     nodes = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                           columns=["doc_id"]).column("doc_id").to_pylist()
     ranks = pagerank(_edges_dataset(sf_dir), nodes, num_iters=5,
-                     scale=10**12, method="auto")
+                     scale=10**12)
     rank_ref = ray.put({
         "ids": ranks["node"].to_numpy(np.int64),
         "r": ranks["rank_fp"].to_numpy(np.int64)})
@@ -611,14 +609,18 @@ def _q_recrawl_schedule(sf_dir: str):
     k = 100
 
     def partial_topk(b: pd.DataFrame, ref=rank_ref) -> pd.DataFrame:
-        from raycrawl.ops.graph import _lookup
+        from raycrawl.ops.graph import _pos
 
         st = ray.get(ref)
         doc_id = (b["url"].str.extract(r"/doc(\d+)\.html$")[0]
                   .astype("int64").to_numpy())
         age_sec = ((ref_us - b["warc_ts"].astype("int64").to_numpy())
                    // 1_000_000)
-        r = st["r"][_lookup(st["ids"], doc_id)]
+        at = _pos(st["ids"], doc_id)
+        if (at < 0).any():
+            raise ValueError("recrawl_schedule: a page outside the link "
+                             "graph's node universe")
+        r = st["r"][at]
         score = age_sec * r
         out = pd.DataFrame({"doc_id": doc_id, "score": score})
         return out.sort_values(["score", "doc_id"],

@@ -43,24 +43,36 @@ def aggregate_partials(
         **{col: (col, how) for col, how in agg_spec.items()})
 
 
-def partitioned_map_groups(ds, keys, fn, n_parts: int = 256,
-                           part_col: str = "__part"):
+def partitioned_map_groups(ds, keys, fn, n_parts: int = 256):
     """``groupby(keys).map_groups(fn)`` with COARSE hash partitions.
 
     Ray's per-key groupby spends ~0.2 ms of scheduler/group machinery per
     distinct key (measured in the round-3 minhash probe: ~1M buckets →
     minutes), so high-cardinality keyed windows (per-user sessions, as-of
-    joins, LSH buckets) must never create one Ray group per key. This
-    helper shuffles O(n_parts) groups instead — the partition id is a
-    deterministic hash of the key columns, so every key's rows still
-    co-locate — and applies ``fn`` per key inside each partition with a
-    plain pandas groupby (~50× cheaper per key, no Ray machinery).
+    joins, LSH buckets) must never create one Ray group per key. This is
+    ``partitioned_map_partitions`` with a plain pandas groupby inside each
+    partition, applying ``fn`` per key (~50× cheaper per key, no Ray
+    machinery).
 
     ``fn``: DataFrame (one full key group) → DataFrame, exactly as with
     ``map_groups``. Memory: one partition holds all rows of its keys —
     size n_parts so (total rows / n_parts) × row width fits a worker."""
-    import pandas as pd
+    keys = [keys] if isinstance(keys, str) else list(keys)
 
+    def per_key(p: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([fn(sub) for _, sub in p.groupby(keys, sort=False)],
+                         ignore_index=True)
+
+    return partitioned_map_partitions(ds, keys, per_key, n_parts=n_parts)
+
+
+def partitioned_map_partitions(ds, keys, fn, n_parts: int = 256):
+    """``fn`` over coarse hash partitions of ``keys``: each call receives
+    one WHOLE partition (all rows of its keys, multiple keys per call).
+    The partition id is a deterministic hash of the key columns, so every
+    key's rows co-locate while Ray shuffles only O(n_parts) groups; ``fn``
+    handles every key vectorized in one pass (segment ops over a
+    (key, ts)-sorted frame), without even a per-key pandas dispatch."""
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def add_part(b: pd.DataFrame) -> pd.DataFrame:
@@ -69,42 +81,11 @@ def partitioned_map_groups(ds, keys, fn, n_parts: int = 256,
             hk = pd.util.hash_array(b[k].to_numpy())
             h = hk if h is None else (h * np.uint64(1_000_003)) ^ hk
         if h is None or len(b) == 0:
-            return b.assign(**{part_col: pd.Series([], dtype="int32")})
-        return b.assign(
-            **{part_col: (h % np.uint64(n_parts)).astype("int32")})
+            return b.assign(__part=pd.Series([], dtype="int32"))
+        return b.assign(__part=(h % np.uint64(n_parts)).astype("int32"))
 
     def run_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=[part_col])
-        outs = [fn(sub) for _, sub in g.groupby(keys, sort=False)]
-        return pd.concat(outs, ignore_index=True)
+        return fn(g.drop(columns=["__part"]))
 
     return (ds.map_batches(add_part, batch_format="pandas")
-            .groupby(part_col).map_groups(run_part, batch_format="pandas"))
-
-
-def partitioned_map_partitions(ds, keys, fn, n_parts: int = 256,
-                               part_col: str = "__part"):
-    """Like ``partitioned_map_groups`` but ``fn`` receives the WHOLE
-    partition (all rows of its keys, multiple keys per call) — for
-    kernels that handle every key vectorized in one pass (segment ops
-    over a (key, ts)-sorted frame), eliminating even the per-key pandas
-    dispatch."""
-    import pandas as pd
-
-    keys = [keys] if isinstance(keys, str) else list(keys)
-
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        h = None
-        for k in keys:
-            hk = pd.util.hash_array(b[k].to_numpy())
-            h = hk if h is None else (h * np.uint64(1_000_003)) ^ hk
-        if h is None or len(b) == 0:
-            return b.assign(**{part_col: pd.Series([], dtype="int32")})
-        return b.assign(
-            **{part_col: (h % np.uint64(n_parts)).astype("int32")})
-
-    def run_part(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns=[part_col]))
-
-    return (ds.map_batches(add_part, batch_format="pandas")
-            .groupby(part_col).map_groups(run_part, batch_format="pandas"))
+            .groupby("__part").map_groups(run_part, batch_format="pandas"))

@@ -119,6 +119,11 @@ def bucket_hash_join(left_ds, right_ds, left_on: str, right_on: str,
     for d in glob.glob(os.path.join(stage_dir, "__bucket=*")):
         files_by_bucket[int(d.rsplit("=", 1)[1])] = sorted(
             glob.glob(os.path.join(d, "*.parquet")))
+    # a left join keeps the left rows of a bucket with no right rows and
+    # still gives them every right column: the empty right side is typed
+    # from the staged schema (key-only when nothing was staged at all)
+    staged = [fs[0] for fs in files_by_bucket.values() if fs]
+    empty_right = pq.read_schema(staged[0]).empty_table() if staged else None
 
     def tag_left(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.assign(__bucket=_bucket_of(batch[left_on], num_buckets))
@@ -137,26 +142,25 @@ def bucket_hash_join(left_ds, right_ds, left_on: str, right_on: str,
                 mask = g[left_on].isin(keys)
                 out = g[mask] if how == "semi" else g[~mask]
             return post(out) if post is not None else out
-        if not files:
-            if how != "left":
-                return pd.DataFrame()
-            # left join with an empty right bucket keeps every left row;
-            # merge against a key-only empty frame so dtypes stay intact
-            # (post fns must tolerate absent right columns)
-            right = pd.DataFrame(
-                {right_on: pd.Series([], dtype=g[left_on].dtype)})
-        else:
+        if files:
             right = pa.concat_tables(
                 [pq.read_table(f) for f in files]).to_pandas()
-            if how == "left":
-                # unmatched left rows put NaN in right columns, which
-                # upcasts int64 → float64 and silently loses exactness
-                # past 2^53 (ADVICE r3: PageRank mass / node ids) —
-                # nullable Int64 keeps missing as pd.NA, so callers'
-                # fillna(0).astype(int64) stays bit-exact
-                for c in right.columns:
-                    if right[c].dtype == np.int64:
-                        right[c] = right[c].astype("Int64")
+        elif how != "left":
+            return pd.DataFrame()
+        elif empty_right is not None:
+            right = empty_right.to_pandas()
+        else:
+            right = pd.DataFrame(
+                {right_on: pd.Series([], dtype=g[left_on].dtype)})
+        if how == "left":
+            # unmatched left rows put NaN in right columns, which
+            # upcasts int64 → float64 and silently loses exactness
+            # past 2^53 (ADVICE r3: PageRank mass / node ids) —
+            # nullable Int64 keeps missing as pd.NA, so callers'
+            # fillna(0).astype(int64) stays bit-exact
+            for c in right.columns:
+                if right[c].dtype == np.int64:
+                    right[c] = right[c].astype("Int64")
         merged = g.drop(columns="__bucket").merge(
             right, how=how, left_on=left_on, right_on=right_on)
         return post(merged) if post is not None else merged

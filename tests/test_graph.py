@@ -1,10 +1,12 @@
-"""Integer fixed-point PageRank (raycrawl/ops/graph.py)."""
+"""Link-graph programs over the superstep engine (raycrawl/ops/graph.py)
+and the join / backlink pieces under them."""
 
 import numpy as np
 import pandas as pd
 import pytest
 import ray.data as rd
 
+from raycrawl.ops import graph as G
 from raycrawl.ops.graph import pagerank
 
 
@@ -38,10 +40,24 @@ def _random_graph(n=200, m=800, seed=7, isolated=5):
     return edges, list(range(n))
 
 
+def _place(monkeypatch, placement, buckets=G._NUM_BUCKETS):
+    """Force the engine's placement through its N threshold, and the
+    shuffle placement's bucket count (4 coarse partitions keep the
+    tiny test graphs fast)."""
+    monkeypatch.setattr(G, "_AUTO_BROADCAST_NODES",
+                        10**12 if placement == "broadcast" else 0)
+    monkeypatch.setattr(G, "_NUM_BUCKETS", buckets)
+    monkeypatch.setattr(G, "_N_PARTS", 4)
+
+
+def _edges_ds(edges):
+    return rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
+
+
 def test_broadcast_matches_reference():
     edges, nodes = _random_graph()
     eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-    got = pagerank(eds, nodes, num_iters=5, method="broadcast")
+    got = pagerank(eds, nodes, num_iters=5)
     want = reference_pagerank(edges, nodes)
     pd.testing.assert_frame_equal(
         got.sort_values("node").reset_index(drop=True), want,
@@ -50,24 +66,12 @@ def test_broadcast_matches_reference():
     assert 0.99 * 10**12 < got["rank_fp"].sum() <= 10**12
 
 
-def test_shuffle_path_equivalent():
-    edges, nodes = _random_graph(n=150, m=500, seed=11)
-    eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-    b = pagerank(eds, nodes, num_iters=3, method="broadcast")
-    s = pagerank(
-        rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"])),
-        nodes, num_iters=3, method="shuffle", num_buckets=8, n_parts=8)
-    pd.testing.assert_frame_equal(
-        b.sort_values("node").reset_index(drop=True),
-        s.sort_values("node").reset_index(drop=True), check_dtype=False)
-
-
 def test_dangling_and_isolated_nodes():
     # star: 0 -> 1..4; node 5 isolated; 1..4 dangling
     edges = [(0, k) for k in range(1, 5)]
     nodes = list(range(6))
     got = pagerank(rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"])),
-                   nodes, num_iters=4, method="broadcast")
+                   nodes, num_iters=4)
     want = reference_pagerank(edges, nodes, num_iters=4)
     pd.testing.assert_frame_equal(
         got.sort_values("node").reset_index(drop=True), want,
@@ -80,16 +84,30 @@ def test_dangling_and_isolated_nodes():
 def test_auto_picks_broadcast_at_small_n():
     edges, nodes = _random_graph(n=50, m=100, seed=3)
     eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-    got = pagerank(eds, nodes, num_iters=2, method="auto")
+    assert G._Graph(eds, nodes).broadcast
+    got = pagerank(eds, nodes, num_iters=2)
     want = reference_pagerank(edges, nodes, num_iters=2)
     pd.testing.assert_frame_equal(
         got.sort_values("node").reset_index(drop=True), want,
         check_dtype=False)
 
 
+def test_placement_follows_n(monkeypatch):
+    """broadcast iff N <= _AUTO_BROADCAST_NODES, for a list and for a
+    Dataset universe, on both sides of the threshold."""
+    edges, nodes = _random_graph(n=30, m=60, seed=3)
+    for universe in (nodes, rd.from_pandas(pd.DataFrame({"node": nodes}))):
+        monkeypatch.setattr(G, "_AUTO_BROADCAST_NODES", len(nodes))
+        assert G._Graph(_edges_ds(edges), universe).broadcast
+        monkeypatch.setattr(G, "_AUTO_BROADCAST_NODES", len(nodes) - 1)
+        assert not G._Graph(_edges_ds(edges), universe).broadcast
+
+
 def test_left_join_empty_bucket_keeps_rows():
     """Regression: bucket_hash_join(how='left') must not drop left rows
-    whose bucket has no right-side rows (graph.py relies on this)."""
+    whose bucket has no right-side rows (graph.py relies on this), and
+    those rows still carry every right column, so a ``post`` reading the
+    right column works in every bucket."""
     from raycrawl.ops.join import bucket_hash_join
 
     left = rd.from_pandas(pd.DataFrame({"k": list(range(64))}))
@@ -98,6 +116,14 @@ def test_left_join_empty_bucket_keeps_rows():
                            how="left").to_pandas()
     assert len(out) == 64
     assert out.loc[out["k"] == 0, "v"].iloc[0] == 7
+
+    def post(m):
+        return m.assign(v=m["v"].fillna(-1).astype("int64"))
+
+    out = bucket_hash_join(left, right, "k", "k", num_buckets=16,
+                           how="left", post=post).to_pandas()
+    assert sorted(out["v"]) == [-1] * 63 + [7]
+    assert out["v"].dtype == np.int64
 
 
 def reference_components(edges, nodes):
@@ -127,25 +153,11 @@ def test_cc_broadcast_matches_union_find():
 
     edges, nodes = _random_graph(n=300, m=250, seed=13, isolated=40)
     eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-    got = connected_components(eds, nodes, method="broadcast")
+    got = connected_components(eds, nodes)
     want = reference_components(edges, nodes)
     pd.testing.assert_frame_equal(
         got.sort_values("node").reset_index(drop=True), want,
         check_dtype=False)
-
-
-def test_cc_shuffle_equivalent():
-    from raycrawl.ops.graph import connected_components
-
-    edges, nodes = _random_graph(n=120, m=100, seed=17, isolated=10)
-    eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-    b = connected_components(eds, nodes, method="broadcast")
-    s = connected_components(
-        rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"])),
-        nodes, method="shuffle", n_parts=8)
-    pd.testing.assert_frame_equal(
-        b.sort_values("node").reset_index(drop=True),
-        s.sort_values("node").reset_index(drop=True), check_dtype=False)
 
 
 def test_cc_chain_needs_diameter_rounds():
@@ -154,7 +166,7 @@ def test_cc_chain_needs_diameter_rounds():
     # path graph 0-1-2-...-19: worst-case diameter for hash-min
     edges = [(i, i + 1) for i in range(19)]
     eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-    got = connected_components(eds, list(range(20)), method="broadcast")
+    got = connected_components(eds, list(range(20)))
     assert (got["component"] == 0).all()
 
 
@@ -185,41 +197,39 @@ def test_backlink_index_lookup(tmp_path):
     edges, nodes = _random_graph(n=100, m=400, seed=31)
     eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
     idx = str(tmp_path / "blidx")
-    build_backlink_index(eds, idx, num_buckets=16)
+    build_backlink_index(eds, idx)
     targets = [3, 19, 64]
-    got = (backlinks(idx, targets, num_buckets=16).to_pandas()
+    got = (backlinks(idx, targets).to_pandas()
            .sort_values(["dst", "src"]).reset_index(drop=True))
     want = (pd.DataFrame(edges, columns=["src", "dst"])
             .query("dst in @targets")[["dst", "src"]]
             .sort_values(["dst", "src"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    # pruning: only buckets {3%16, 19%16, 64%16} = {3, 0} are needed
+    # pruning: only the targets' buckets {3, 19, 0} (of 64) are needed
     import os as _os
 
     all_buckets = {d for d in _os.listdir(idx) if d.startswith("dst_bucket=")}
     assert len(all_buckets) > 2  # index actually has many buckets
     # empty-target lookup returns an empty, well-typed dataset
-    assert backlinks(idx, [], num_buckets=16).count() == 0
+    assert backlinks(idx, []).count() == 0
 
 
-def test_shuffle_cc_exact_above_2_53():
-    """ADVICE r3: the shuffle path's left joins used to round-trip int64
-    through float64 (NaN upcast), silently corrupting node ids above 2^53.
-    bucket_hash_join now keeps right-side integers as nullable Int64, so
-    hash-min label propagation stays bit-exact on huge ids."""
+def _check_cc_exact_above_2_53():
+    """ADVICE r3: the shuffle placement's left joins used to round-trip
+    int64 through float64 (NaN upcast), silently corrupting node ids above
+    2^53. bucket_hash_join now keeps right-side integers as nullable
+    Int64, so hash-min label propagation stays bit-exact on huge ids."""
     from raycrawl.ops.graph import connected_components
 
     big = 1 << 60  # far past float64's 2^53 integer ceiling
     # two components: {big+1, big+3, big+5} chained, {big+2, big+4}
     # chained, plus an ISOLATED node (big+7): its unmatched left-join row
-    # is what used to upcast the whole bucket's cand column to float64,
-    # corrupting the MATCHED rows' odd ids too (num_buckets=1 forces
+    # is what used to upcast the whole bucket's inbox column to float64,
+    # corrupting the MATCHED rows' odd ids too (one bucket forces
     # co-bucketing, the worst case)
     nodes = [big + k for k in (1, 2, 3, 4, 5, 7)]
     edges = [(big + 1, big + 3), (big + 3, big + 5), (big + 2, big + 4)]
-    eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-    got = connected_components(eds, nodes, method="shuffle",
-                               n_parts=4, num_buckets=1)
+    got = connected_components(_edges_ds(edges), nodes)
     comp = dict(zip(got["node"], got["component"]))
     assert comp == {big + 1: big + 1, big + 3: big + 1, big + 5: big + 1,
                     big + 2: big + 2, big + 4: big + 2,
@@ -229,26 +239,41 @@ def test_shuffle_cc_exact_above_2_53():
     assert all(isinstance(v, (int, np.integer)) for v in comp.values())
 
 
-def test_shuffle_pagerank_exact_above_2_53():
-    """Same ADVICE r3 exactness bar for the PageRank shuffle path: with
-    scale past 2^53 the contrib/rank integers exceed float64 precision;
-    the run must match the serial reference bit-for-bit."""
+def test_shuffle_cc_exact_above_2_53(monkeypatch):
+    _place(monkeypatch, "shuffle", buckets=1)
+    _check_cc_exact_above_2_53()
+
+
+def test_broadcast_cc_exact_above_2_53(monkeypatch):
+    _place(monkeypatch, "broadcast", buckets=1)
+    _check_cc_exact_above_2_53()
+
+
+def _check_pagerank_exact_above_2_53():
+    """Same ADVICE r3 exactness bar for PageRank: with scale past 2^53 the
+    contrib/rank integers exceed float64 precision; the run must match
+    the serial reference bit-for-bit."""
     edges, nodes = _random_graph(n=40, m=150, seed=11, isolated=3)
-    # a node with NO inbound edges gets an unmatched contrib row in the
-    # rank-update left join — with num_buckets=1 its NaN used to upcast
+    # a node with NO inbound edges gets an unmatched inbox row in the
+    # rank-update left join — in one bucket its NaN used to upcast
     # every co-bucketed rank past 2^53 through float64
     no_inbound = 41
     edges = [e for e in edges if e[1] != no_inbound] + [(no_inbound, 0)]
     nodes = nodes + [no_inbound]
-    eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
     scale = 10 ** 18  # contribs ~2e16: past 2^53 ≈ 9e15, float64 spacing 4
     want = reference_pagerank(edges, nodes, num_iters=3, scale=scale)
-    got = pagerank(eds, nodes, num_iters=3, scale=scale,
-                   method="shuffle", num_buckets=1, n_parts=4)
-    pd.testing.assert_frame_equal(
-        got.sort_values("node").reset_index(drop=True),
-        want.sort_values("node").reset_index(drop=True),
-        check_dtype=False, check_exact=True)
+    got = pagerank(_edges_ds(edges), nodes, num_iters=3, scale=scale)
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_shuffle_pagerank_exact_above_2_53(monkeypatch):
+    _place(monkeypatch, "shuffle", buckets=1)
+    _check_pagerank_exact_above_2_53()
+
+
+def test_broadcast_pagerank_exact_above_2_53(monkeypatch):
+    _place(monkeypatch, "broadcast", buckets=1)
+    _check_pagerank_exact_above_2_53()
 
 
 def test_survivors_driver_with_dataset_raises():
@@ -281,29 +306,38 @@ def _serial_bfs(edges, nodes, seeds, max_depth):
             .astype("int64"))
 
 
-def test_bfs_distance_paths_match_serial():
-    from raycrawl.ops.graph import bfs_distance
-
-    edges, nodes = _random_graph(n=120, m=500, seed=3, isolated=4)
-    eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-    seeds = [n for n in nodes if n % 17 == 1]
-    want = _serial_bfs(edges, nodes, seeds, max_depth=8)
-    for method in ("broadcast", "shuffle"):
-        got = bfs_distance(eds, nodes, seeds, max_depth=8, method=method)
-        pd.testing.assert_frame_equal(
-            got.reset_index(drop=True), want, check_dtype=False)
-
-
 @pytest.mark.parametrize("method", ["broadcast", "shuffle"])
-def test_bfs_distance_dangling_edge_raises(method):
-    """An edge into a dst outside ``node_ids`` is an input error on both
-    paths: the shuffle path must not emit the unknown node."""
+def test_bfs_distance_dangling_edge_raises(method, monkeypatch):
+    """An edge into a dst outside ``node_ids`` is an input error under
+    both placements: the shuffle placement must not emit the unknown
+    node."""
     from raycrawl.ops.graph import bfs_distance
 
+    _place(monkeypatch, method)
     # 0 -> 1 -> 99, with 99 missing from the node universe
     eds = rd.from_pandas(pd.DataFrame({"src": [0, 1], "dst": [1, 99]}))
     with pytest.raises(ValueError, match="not in the node universe"):
-        bfs_distance(eds, [0, 1, 2], [0], max_depth=4, method=method)
+        bfs_distance(eds, [0, 1, 2], [0], max_depth=4)
+
+
+@pytest.mark.parametrize("placement", ["broadcast", "shuffle"])
+def test_every_program_raises_on_unknown_endpoint(placement, monkeypatch):
+    """Every program validates every endpoint up front, on the driver —
+    BFS included, even for an edge the search never reaches (98 -> 2
+    here, with 98 outside the universe and unreachable from seed 0)."""
+    _place(monkeypatch, placement)
+    eds = _edges_ds([(0, 1), (98, 2)])
+    nodes = [0, 1, 2]
+    for run in (lambda: G.pagerank(eds, nodes),
+                lambda: G.connected_components(eds, nodes),
+                lambda: G.hits(eds, nodes),
+                lambda: G.bfs_distance(eds, nodes, [0])):
+        with pytest.raises(ValueError, match="not in the node universe"):
+            run()
+    dup = rd.from_pandas(pd.DataFrame({"node": [0, 1, 1, 2]}))
+    if placement == "shuffle":  # a Dataset universe must be distinct
+        with pytest.raises(ValueError, match="duplicate node id"):
+            G.pagerank(_edges_ds([(0, 1)]), dup)
 
 
 def test_bfs_distance_max_depth_truncates():
@@ -312,7 +346,40 @@ def test_bfs_distance_max_depth_truncates():
     # a 5-node chain: 0 -> 1 -> 2 -> 3 -> 4
     edges = [(i, i + 1) for i in range(4)]
     eds = rd.from_pandas(pd.DataFrame(edges, columns=["src", "dst"]))
-    got = bfs_distance(eds, list(range(5)), [0], max_depth=2,
-                       method="broadcast")
+    got = bfs_distance(eds, list(range(5)), [0], max_depth=2)
     assert got["node"].tolist() == [0, 1, 2]
     assert got["dist"].tolist() == [0, 1, 2]
+
+
+def _program(name, edges, nodes):
+    """(engine result, serial reference) of one program on one graph."""
+    from tests.test_graph_hits import reference_hits
+
+    eds = _edges_ds(edges)
+    seeds = [u for u in nodes if u % 17 == 1]
+    if name == "pagerank":
+        return (G.pagerank(eds, nodes, num_iters=4),
+                reference_pagerank(edges, nodes, num_iters=4))
+    if name == "components":
+        return (G.connected_components(eds, nodes),
+                reference_components(edges, nodes))
+    if name == "hits":
+        return (G.hits(eds, nodes, num_iters=3),
+                reference_hits(edges, nodes, num_iters=3))
+    return (G.bfs_distance(eds, nodes, seeds, max_depth=8),
+            _serial_bfs(edges, nodes, seeds, max_depth=8))
+
+
+@pytest.mark.parametrize("buckets", [1, 8])
+@pytest.mark.parametrize("placement", ["broadcast", "shuffle"])
+@pytest.mark.parametrize("program",
+                         ["pagerank", "components", "hits", "bfs"])
+def test_placement_matrix(program, placement, buckets, monkeypatch):
+    """Every program under either placement, with one or several join
+    buckets, equals its serial reference bit for bit (values and int64
+    dtypes). The graph has isolated nodes, dangling nodes, several
+    components and nodes BFS never reaches."""
+    _place(monkeypatch, placement, buckets)
+    edges, nodes = _random_graph(n=60, m=90, seed=5, isolated=4)
+    got, want = _program(program, edges, nodes)
+    pd.testing.assert_frame_equal(got, want, check_exact=True)

@@ -97,6 +97,20 @@ def _cpus() -> int:
     return int(ray.cluster_resources()["CPU"])
 
 
+@contextlib.contextmanager
+def _placement(name: str):
+    """Force the graph engine's placement ("broadcast" or "shuffle")
+    through its node-count threshold, restored on exit."""
+    from raycrawl.ops import graph as G
+
+    saved = G._AUTO_BROADCAST_NODES
+    G._AUTO_BROADCAST_NODES = sys.maxsize if name == "broadcast" else -1
+    try:
+        yield
+    finally:
+        G._AUTO_BROADCAST_NODES = saved
+
+
 # --- probes -----------------------------------------------------------------
 
 
@@ -104,11 +118,11 @@ def _cpus() -> int:
 def bfs(nodes=500_000, edges=3_000_000, max_depth=8):
     """Multi-source BFS at shuffle scale (default 500k nodes / 3M edges).
 
-    Drives `bfs_distance` over a random directed graph on BOTH paths —
-    broadcast (driver-held distance vector) and shuffle (frontier/reached
-    stay Datasets; per-level semi/anti bucket joins) — checking the two
-    agree exactly with each other and with a serial BFS, and reporting
-    per-path wall time.
+    Drives `bfs_distance` over a random directed graph under BOTH
+    placements — broadcast (driver-held distance vector) and shuffle (the
+    state stays a Dataset; each level joins only the frontier's messages)
+    — checking each equals a serial BFS exactly, and reporting per-
+    placement wall time.
     """
     import numpy as np
     import pandas as pd
@@ -145,15 +159,16 @@ def bfs(nodes=500_000, edges=3_000_000, max_depth=8):
     report = {"nodes": n, "edges": m, "seeds": len(seeds),
               "reached": len(want),
               "serial_sec": round(serial_sec, 1)}
-    for method in ("broadcast", "shuffle"):
+    for placement in ("broadcast", "shuffle"):
         t0 = time.time()
-        got = bfs_distance(edges_ds, node_ids, seeds,
-                           max_depth=max_depth, method=method)
+        with _placement(placement):
+            got = bfs_distance(edges_ds, node_ids, seeds,
+                               max_depth=max_depth)
         sec = time.time() - t0
         got = got.astype("int64").reset_index(drop=True)
-        check(got.equals(want), f"{method} mismatch")
-        report[f"{method}_sec"] = round(sec, 1)
-        report[f"{method}_edges_per_sec"] = round(m / sec)
+        check(got.equals(want), f"{placement} mismatch")
+        report[f"{placement}_sec"] = round(sec, 1)
+        report[f"{placement}_edges_per_sec"] = round(m / sec)
     return report
 
 
@@ -880,8 +895,9 @@ def graph(nodes=500_000, edges=3_000_000, stars=100_000):
     (raycrawl/ops/graph.py), checked exactly, reporting throughputs.
 
     - PageRank: 500k-node / 3M-edge random graph, 3 iterations, broadcast
-      path, verified int64-exact against a vectorized numpy implementation
-      of the documented recurrence (np.add.at contrib fold on the driver).
+      placement, verified int64-exact against a vectorized numpy
+      implementation of the documented recurrence (np.add.at contrib fold
+      on the driver).
     - Components: a 1M-node star forest (100k stars of 10) — expected label
       of every node is its star root in closed form; star diameter 2 keeps
       hash-min rounds at 3, so the probe measures edge-pass throughput, not
@@ -905,7 +921,8 @@ def graph(nodes=500_000, edges=3_000_000, stars=100_000):
     eds = rd.from_arrow(
         pa.table({"src": src, "dst": dst})).repartition(64)
     t0 = time.time()
-    got = pagerank(eds, np.arange(n), num_iters=iters, method="broadcast")
+    with _placement("broadcast"):
+        got = pagerank(eds, np.arange(n), num_iters=iters)
     pr_sec = time.time() - t0
     want = _numpy_pagerank(src, dst, n, iters)
     check(np.array_equal(got.sort_values("node")["rank_fp"].to_numpy(),
@@ -924,7 +941,8 @@ def graph(nodes=500_000, edges=3_000_000, stars=100_000):
     eds2 = rd.from_arrow(
         pa.table({"src": roots, "dst": leaves})).repartition(64)
     t0 = time.time()
-    cc = connected_components(eds2, np.arange(n2), method="broadcast")
+    with _placement("broadcast"):
+        cc = connected_components(eds2, np.arange(n2))
     cc_sec = time.time() - t0
     expect = (np.arange(n2) // size) * size
     check(np.array_equal(cc.sort_values("node")["component"].to_numpy(),
@@ -961,14 +979,14 @@ def hits(nodes=500_000, edges=3_000_000, shuffle_nodes=100_000,
     """HITS hubs & authorities on multi-million-edge graphs
     (raycrawl/ops/graph.py::hits), checked exactly, reporting throughputs.
 
-    - Broadcast path: 500k-node / 3M-edge random graph, 3 iterations,
-      verified int64-exact against a vectorized numpy implementation of the
-      documented sum-normalized floor-division recurrence (np.add.at sweep
-      folds on the driver, same `_hits_normalize` arithmetic).
-    - Shuffle path: 100k-node / 500k-edge subgraph, 2 iterations, verified
-      bit-equal to the broadcast path on the same input (the partitioning
-      the 100-TB deployment would use once the two state vectors outgrow
-      the object-store broadcast threshold).
+    - Broadcast placement: 500k-node / 3M-edge random graph, 3
+      iterations, verified int64-exact against a vectorized numpy
+      implementation of the documented sum-normalized floor-division
+      recurrence (np.add.at sweep folds on the driver).
+    - Shuffle placement: 100k-node / 500k-edge subgraph, 2 iterations,
+      verified bit-equal to the broadcast placement on the same input
+      (the partitioning the 100-TB deployment would use once the two
+      state vectors outgrow the object-store broadcast threshold).
     """
     import numpy as np
     import pyarrow as pa
@@ -987,7 +1005,8 @@ def hits(nodes=500_000, edges=3_000_000, shuffle_nodes=100_000,
     src, dst = src[keep], dst[keep]
     eds = rd.from_arrow(pa.table({"src": src, "dst": dst})).repartition(64)
     t0 = time.time()
-    got = hits_op(eds, np.arange(n), num_iters=iters, method="broadcast")
+    with _placement("broadcast"):
+        got = hits_op(eds, np.arange(n), num_iters=iters)
     sec = time.time() - t0
     a_want, h_want = _numpy_hits(src, dst, n, iters)
     got = got.sort_values("node")
@@ -1008,15 +1027,17 @@ def hits(nodes=500_000, edges=3_000_000, shuffle_nodes=100_000,
     keep2 = src2 != dst2
     src2, dst2 = src2[keep2], dst2[keep2]
     tbl = pa.table({"src": src2, "dst": dst2})
-    b = hits_op(rd.from_arrow(tbl).repartition(32), np.arange(n2),
-                num_iters=iters2, method="broadcast")
+    with _placement("broadcast"):
+        b = hits_op(rd.from_arrow(tbl).repartition(32), np.arange(n2),
+                    num_iters=iters2)
     t0 = time.time()
-    s = hits_op(rd.from_arrow(tbl).repartition(32), np.arange(n2),
-                num_iters=iters2, method="shuffle", num_buckets=32)
+    with _placement("shuffle"):
+        s = hits_op(rd.from_arrow(tbl).repartition(32), np.arange(n2),
+                    num_iters=iters2)
     sh_sec = time.time() - t0
     check_frame(b.sort_values("node").reset_index(drop=True),
                 s.sort_values("node").reset_index(drop=True),
-                "HITS shuffle path differs from broadcast")
+                "HITS shuffle placement differs from broadcast")
     out["shuffle"] = {"nodes": n2, "edges": int(len(src2)),
                       "iters": iters2, "sec": round(sh_sec, 2)}
     return out
