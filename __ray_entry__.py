@@ -12,9 +12,9 @@ query has an exact DuckDB oracle with matching column names — including
 the formerly rows-only ops: the crawl state machine is
 compared against the independent single-threaded conformance model
 materialized as parquet; MinHash pairs against brute-force n-gram Jaccard;
-HLL/simhash/winnowing recomputed bit-exactly via md5-keyed SQL; IVF run at
-nprobe == nlist (exact); the sentence chunker's packing fold as a recursive
-CTE; converters against closed-form expected markdown.
+simhash/winnowing recomputed bit-exactly via md5-keyed SQL; k-means as
+unrolled int64 Lloyd iterations; the sentence chunker's packing fold as a
+recursive CTE; converters against closed-form expected markdown.
 """
 
 from __future__ import annotations
@@ -367,8 +367,6 @@ def _q_chunk_semantic(sf_dir: str):
     return df[["doc_id", "position", "chunk_type", "word_count"]]
 
 
-
-
 def _edges_dataset(sf_dir: str):
     """(src_doc_id, dst_doc_id) edge Dataset extracted from the corpus
     HTML — the real extract pipeline, shared by extract_links and
@@ -588,7 +586,7 @@ def _q_recrawl_schedule(sf_dir: str):
     """Freshness scheduler: which 100 pages to refetch next. Score =
     staleness (seconds since warc_ts at a fixed reference instant) ×
     PageRank importance, exact int64; distributed per-batch top-k
-    partials + tiny driver merge (the knn partial-top-k shape)."""
+    partials + tiny driver merge."""
     import numpy as np
     import pandas as pd
     import ray
@@ -894,7 +892,7 @@ def _q_dedup_exact(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from raycrawl.ops.dedup import exact_dedup
+    from raycrawl.ops.dedup import add_text_hash, exact_dedup
 
     path = os.path.join(sf_dir, "documents.parquet")
     docs = rd.read_parquet(path, columns=["doc_id", "text"])
@@ -1361,25 +1359,6 @@ def _q_image_jpeg_features(sf_dir: str):
         .sort_values("image_id").reset_index(drop=True)
 
 
-def _q_video_frames(sf_dir: str):
-    """REAL video frame sampling: raw concatenated-RGB clips (no codec
-    stub — an uncompressed container, like the raw-PCM audio path)
-    flat-mapped to every-2nd-frame rows with integer channel sums,
-    regenerated closed-form by the SQL oracle."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from raycrawl.ops.multimodal import synth_video_table, video_frame_sample
-
-    n = pq.ParquetFile(
-        os.path.join(sf_dir, "documents.parquet")).metadata.num_rows
-    t = synth_video_table(n)
-    step = max(1, (n + 7) // 8)
-    ds = rd.from_arrow([t.slice(i, step) for i in range(0, n, step)])
-    return video_frame_sample(ds, every_k=2).to_pandas().sort_values(
-        ["video_id", "frame_idx"]).reset_index(drop=True)
-
-
 def _q_quality_gate(sf_dir: str):
     """Corpus-percentile quality filter (two-pass: exact distributed P90
     of the per-doc token count → broadcast threshold → streaming filter)
@@ -1434,13 +1413,13 @@ def _q_unigram_commonness(sf_dir: str):
 
 def _q_text_tfidf(sf_dir: str):
     """Per-document TF-IDF top-3 terms (exact fixed-point rational-idf
-    surrogate, raycrawl/ops/search.py::tfidf_top_terms) — the classic
+    surrogate, raycrawl/ops/textstats.py::tfidf_top_terms) — the classic
     keyword/topic-label signal attached before corpus sampling/routing.
     df comes through the bounded exact top-K vocab machinery; the oracle
     replays the identical HUGEINT floor-division score in SQL."""
     import ray.data as rd
 
-    from raycrawl.ops.search import tfidf_top_terms
+    from raycrawl.ops.textstats import tfidf_top_terms
 
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id", "text"])
@@ -1478,7 +1457,6 @@ def _q_lang_id(sf_dir: str):
     return lang_id(docs).to_pandas()
 
 
-
 def _q_token_count_bpe(sf_dir: str):
     import ray.data as rd
 
@@ -1487,27 +1465,6 @@ def _q_token_count_bpe(sf_dir: str):
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id", "text"])
     return token_count_bpe(docs).to_pandas()
-
-
-def _q_approx_distinct_orders(sf_dir: str):
-    """HLL sketch count-distinct of l_orderkey (mergeable per-batch
-    sketches). Exactly SQL-checkable: the md5-keyed sketch and its
-    integer-harmonic-sum estimate are deterministic functions of the data
-    that the DuckDB oracle recomputes register-for-register; the estimate is
-    rounded to BIGINT on both sides (absorbs sub-ulp libm ln differences).
-    Accuracy vs the exact count is separately asserted in tests/test_ops.py."""
-    import pandas as pd
-    import ray.data as rd
-
-    from raycrawl.ops.sketch import approx_distinct
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey"])
-    import math
-
-    est = approx_distinct(li, "l_orderkey", p=14)
-    return pd.DataFrame({"approx_distinct_orders": pd.Series(
-        [int(math.floor(est + 0.5))], dtype="int64")})
 
 
 def _q_decontaminate(sf_dir: str):
@@ -1528,23 +1485,6 @@ def _q_decontaminate(sf_dir: str):
     return decontaminate(docs, bench, n=8).to_pandas()
 
 
-def _q_heavy_hitters(sf_dir: str):
-    """SpaceSaving top-20 suppliers by lineitem rows, run in the exact
-    regime (capacity >= distinct keys → no eviction → exact counts,
-    merge-order-independent); small-capacity approximation guarantees are
-    asserted in tests/test_ops.py."""
-    import ray.data as rd
-
-    from raycrawl.ops.sketch import heavy_hitters
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_suppkey"])
-    out = heavy_hitters(li, "l_suppkey", k=20, capacity=65536)
-    out = out[["l_suppkey", "est_count"]].astype({"l_suppkey": "int64"})
-    out["rank"] = range(1, len(out) + 1)
-    return out.astype({"rank": "int64"})
-
-
 def _q_fingerprints(sf_dir: str):
     import ray.data as rd
 
@@ -1553,7 +1493,6 @@ def _q_fingerprints(sf_dir: str):
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id", "text"])
     return fingerprints(docs).to_pandas()
-
 
 
 def _q_pipeline_quality_dedup(sf_dir: str):
@@ -1598,73 +1537,6 @@ def _q_pipeline_quality_dedup(sf_dir: str):
 
     kept = good.map_batches(keep, batch_format="pyarrow")
     return token_count(kept).to_pandas()
-
-
-def _q_knn_bruteforce(sf_dir: str):
-    import ray.data as rd
-
-    from raycrawl.ops.knn import knn_bruteforce
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    return knn_bruteforce(emb, query_ids=list(range(10)), k=10)
-
-
-def _q_knn_ivf(sf_dir: str):
-    """IVF with nprobe == nlist: probes every bucket, so the result is
-    exact and oracle-checkable against the brute-force SQL — while still
-    exercising the full index-build + partition-pruned-read machinery.
-    (nprobe < nlist recall is covered by tests/test_ops.py.)"""
-    import hashlib
-
-    import ray.data as rd
-
-    from raycrawl.ops.knn import knn_ivf
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    emb = rd.read_parquet(path)
-    # index cache keyed by the INPUT FILE's identity (path + mtime + size),
-    # not just shape — a regenerated table must not hit a stale index
-    st = os.stat(path)
-    key = hashlib.sha1(
-        f"{path}|{st.st_mtime_ns}|{st.st_size}|16".encode()).hexdigest()[:12]
-    import pyarrow.parquet as pq
-
-    from raycrawl.ops.knn import build_ivf_index
-    from raycrawl.staging import is_complete
-
-    index_dir = f"/tmp/raycrawl_ivf/q_{key}"
-    if not is_complete(index_dir):
-        with _timed_build():
-            build_ivf_index(
-                emb, index_dir, nlist=16,
-                cardinality_hint=pq.ParquetFile(path).metadata.num_rows)
-    return knn_ivf(emb, query_ids=list(range(10)), k=10, nlist=16, nprobe=16,
-                   index_dir=index_dir,
-                   cardinality_hint=pq.ParquetFile(path).metadata.num_rows)
-
-
-def _q_knn_semantic(sf_dir: str):
-    """Composite similarity-search pipeline: brute-force top-5 cosine
-    neighbors per query vector, then a broadcast join (ops/join.py)
-    attaching each neighbor document's language — the 'ANN + metadata
-    lookup' shape of a retrieval pipeline, exactly SQL-checkable."""
-    import pandas as pd
-    import ray.data as rd
-
-    from raycrawl.ops.join import broadcast_join
-    from raycrawl.ops.knn import knn_bruteforce
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    knn = knn_bruteforce(emb, query_ids=list(range(10)), k=5)
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang"])
-    joined = broadcast_join(docs, knn, left_on="doc_id",
-                            right_on="neighbor_id")
-    out = joined.to_pandas()
-    return (out[["query_id", "neighbor_id", "rank", "lang"]]
-            .astype({"query_id": "int64", "neighbor_id": "int64",
-                     "rank": "int64"})
-            .sort_values(["query_id", "rank"]).reset_index(drop=True))
 
 
 def _q_docs_jsonl_roundtrip(sf_dir: str):
@@ -2049,53 +1921,12 @@ def _q_pii_scrub(sf_dir: str):
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
-_BM25_TERMS = ["dup", "spark", "merge", "vector"]
-
-
-def _q_bm25(sf_dir: str):
-    """BM25 top-20 keyword search (exact fixed-point variant — see
-    raycrawl/ops/search.py for the integer scoring contract the SQL
-    oracle reproduces with HUGEINT arithmetic)."""
-    import ray.data as rd
-
-    from raycrawl.ops.search import bm25_topk
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-    return bm25_topk(docs, _BM25_TERMS, k=20)
-
-
-def _q_index_lookup(sf_dir: str):
-    """Inverted-index keyword lookup: builds the bucket-partitioned
-    postings index once (cached by the documents file's identity), then
-    reads ONLY the query terms' hash-bucket partitions."""
-    import hashlib
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from raycrawl.ops.search import build_text_index, index_postings
-
-    path = os.path.join(sf_dir, "documents.parquet")
-    st = os.stat(path)
-    key = hashlib.sha1(
-        f"{path}|{st.st_mtime_ns}|{st.st_size}|64".encode()).hexdigest()[:12]
-    index_dir = f"/tmp/raycrawl_txtidx/q_{key}"
-    docs = rd.read_parquet(path, columns=["doc_id", "text"])
-    with _timed_build():
-        build_text_index(
-            docs, index_dir, num_buckets=64,
-            cardinality_hint=pq.ParquetFile(path).metadata.num_rows)
-    return index_postings(index_dir, _BM25_TERMS).to_pandas() \
-        .sort_values(["term", "doc_id"]).reset_index(drop=True)
-
-
 def _q_cluster_assign(sf_dir: str):
-    """Nearest-centroid assignment (k-means E-step / IVF routing) over
+    """Nearest-centroid assignment (the k-means E-step) over
     2^20-quantized int64 vectors — exact distances, deterministic argmin."""
     import ray.data as rd
 
-    from raycrawl.ops.knn import cluster_assign
+    from raycrawl.ops.cluster import cluster_assign
 
     emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                           columns=["vec_id", "embedding"])
@@ -2153,7 +1984,7 @@ def _q_kmeans(sf_dir: str):
     ((s%n)+n)%n trick, since DuckDB's ``//`` truncates for negatives)."""
     import ray.data as rd
 
-    from raycrawl.ops.knn import kmeans_fit
+    from raycrawl.ops.cluster import kmeans_fit
 
     emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
                           columns=["vec_id", "embedding"])
@@ -2214,19 +2045,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "image_jpeg_features": _q_image_jpeg_features,
         "text_quality_gate": _q_quality_gate,
         "text_vocab": _q_vocab,
-        "video_frame_sample": _q_video_frames,
         "text_collocations": _q_collocations,
         "text_quality": _q_quality,
         "text_lang_id": _q_lang_id,
         "text_fingerprints": _q_fingerprints,
         "text_token_count_bpe": _q_token_count_bpe,
-        "approx_distinct_orders": _q_approx_distinct_orders,
-        "heavy_hitters_suppliers": _q_heavy_hitters,
         "text_decontaminate": _q_decontaminate,
         "pipeline_quality_dedup": _q_pipeline_quality_dedup,
-        "knn_bruteforce": _q_knn_bruteforce,
-        "knn_semantic_lookup": _q_knn_semantic,
-        "knn_ivf": _q_knn_ivf,
         "docs_jsonl_roundtrip": _q_docs_jsonl_roundtrip,
         "docs_csv_roundtrip": _q_docs_csv_roundtrip,
         "docs_split_assign": _q_docs_split_assign,
@@ -2240,12 +2065,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "convert_xlsx": _q_convert_xlsx,
         "convert_pdf": _q_convert_pdf,
         "text_pii_scrub": _q_pii_scrub,
-        "search_bm25": _q_bm25,
         "cluster_assign": _q_cluster_assign,
         "cluster_kmeans": _q_kmeans,
         "dedup_spans": _q_dup_spans,
         "text_normalize": _q_normalize,
-        "search_index_lookup": _q_index_lookup,
     }
 
 
@@ -2262,42 +2085,12 @@ _PII_P = r"(\+1[- ])?\d{3}-\d{3}-\d{4}"
 _PII_I = r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b"
 
 
-def _bm25_oracle() -> str:
-    """SQL mirror of raycrawl/ops/search.py::bm25_topk — HUGEINT
-    cross-multiplied fixed-point scoring, one floor division per
-    (doc, term), rank by (score desc, doc_id)."""
-    terms = _BM25_TERMS
-    tf_exprs = ", ".join(
-        f"CAST(len(list_filter(toks, x -> x = '{t}')) AS BIGINT) AS tf_{j}"
-        for j, t in enumerate(terms))
-    df_exprs = ", ".join(
-        f"sum(CASE WHEN tf_{j} > 0 THEN 1 ELSE 0 END) AS df_{j}"
-        for j in range(len(terms)))
-    contrib = " + ".join(
-        f"(CASE WHEN tf_{j} = 0 THEN 0::HUGEINT ELSE "
-        f"(1000000::HUGEINT * 44 * tf_{j} * avgdl * (2*n_docs - 2*df_{j} + 1)) // "
-        f"((20*tf_{j}*avgdl + 6*avgdl + 18*dl) * (2*df_{j} + 1)) END)"
-        for j in range(len(terms)))
-    any_match = " OR ".join(f"tf_{j} > 0" for j in range(len(terms)))
-    return (
-        "WITH w AS (SELECT doc_id, CASE WHEN trim(COALESCE(text,'')) = '' THEN [] "
-        "  ELSE list_transform(regexp_split_to_array(trim(text), '\\s+'), x -> lower(x)) END AS toks FROM documents), "
-        f"m AS (SELECT doc_id, CAST(length(toks) AS BIGINT) AS dl, {tf_exprs} FROM w), "
-        f"g AS (SELECT count(*) AS n_docs, sum(dl) AS total_len, {df_exprs} FROM m), "
-        "a AS (SELECT *, (2*total_len + n_docs) // (2*n_docs) AS avgdl FROM g), "
-        f"sc AS (SELECT m.doc_id, CAST({contrib} AS BIGINT) AS score_fp "
-        f"  FROM m, a WHERE {any_match}), "
-        "r AS (SELECT doc_id, score_fp, row_number() OVER "
-        "  (ORDER BY score_fp DESC, doc_id) AS rank FROM sc) "
-        "SELECT doc_id, score_fp, CAST(rank AS BIGINT) AS rank "
-        "FROM r WHERE rank <= 20"
-    )
 _QUANT = ("list_transform(embedding, x -> "
           "CAST(floor(CAST(x AS DOUBLE) * 1048576 + 0.5) AS BIGINT))")
 
 
 def _kmeans_oracle(k: int = 4, iters: int = 2) -> str:
-    """SQL mirror of raycrawl/ops/knn.py::kmeans_fit — the Lloyd
+    """SQL mirror of raycrawl/ops/cluster.py::kmeans_fit — the Lloyd
     iterations unrolled as CTE chains (assign → floor-mean update), all
     in int64 arithmetic. Floor division of possibly-negative sums uses
     (s - ((s%n)+n)%n) // n because DuckDB's ``//`` truncates toward zero
@@ -2850,32 +2643,6 @@ def oracle_sql() -> dict[str, str]:
             " AND 5 * n_alpha_words >= 4 * n_words "
             " AND n_stop_distinct >= 2) AS keep FROM m"
         ),
-        # REAL raw-RGB video frame sampling + integer channel sums,
-        # pixels regenerated closed-form:
-        # value(i,f,y,x,c) = (i*7 + f*11 + y*13 + x*17 + c*29) % 256
-        "video_frame_sample": (
-            "WITH ids AS (SELECT unnest(range(0, "
-            "  (SELECT count(*) FROM documents))) AS video_id), "
-            "dims AS (SELECT video_id, 8 + video_id % 5 AS w, "
-            "  6 + video_id % 4 AS h, 4 + video_id % 9 AS nf FROM ids), "
-            "fr AS (SELECT video_id, w, h, unnest(range(0, nf)) AS f "
-            "  FROM dims), "
-            "sampled AS (SELECT * FROM fr WHERE f % 2 = 0), "
-            "yy AS (SELECT video_id, w, h, f, unnest(range(0, h)) AS y "
-            "  FROM sampled), "
-            "xx AS (SELECT video_id, w, f, y, unnest(range(0, w)) AS x "
-            "  FROM yy), "
-            "v AS (SELECT video_id, f, "
-            "  (video_id * 7 + f * 11 + y * 13 + x * 17) % 256 AS r, "
-            "  (video_id * 7 + f * 11 + y * 13 + x * 17 + 29) % 256 AS g, "
-            "  (video_id * 7 + f * 11 + y * 13 + x * 17 + 58) % 256 AS b "
-            "  FROM xx) "
-            "SELECT video_id, CAST(f AS BIGINT) AS frame_idx, "
-            "CAST(sum(r) AS BIGINT) AS sum_r, "
-            "CAST(sum(g) AS BIGINT) AS sum_g, "
-            "CAST(sum(b) AS BIGINT) AS sum_b "
-            "FROM v GROUP BY video_id, f"
-        ),
         # corpus top-50 adjacent-bigram collocations, (w1,w2) tie-break
         "text_collocations": (
             "WITH w AS (SELECT doc_id, "
@@ -3289,34 +3056,6 @@ def oracle_sql() -> dict[str, str]:
             "COALESCE(o.n, 0) > 0 AS contaminated "
             "FROM documents d LEFT JOIN o ON d.doc_id = o.doc_id"
         ),
-        # SpaceSaving in the exact regime == plain top-k frequency
-        "heavy_hitters_suppliers": (
-            "WITH c AS (SELECT l_suppkey, CAST(count(*) AS BIGINT) AS est_count "
-            "  FROM lineitem GROUP BY l_suppkey), "
-            "r AS (SELECT l_suppkey, est_count, "
-            "  row_number() OVER (ORDER BY est_count DESC, l_suppkey) AS rank FROM c) "
-            "SELECT l_suppkey, est_count, CAST(rank AS BIGINT) AS rank "
-            "FROM r WHERE rank <= 20"
-        ),
-        # HLL p=14 recomputed exactly: same md5 64-bit hash, same registers
-        # (bucket = top 14 bits, rank = leading zeros of low 50 bits + 1),
-        # same integer harmonic sum S = Σ 2^(51-reg), same correction branch
-        "approx_distinct_orders": (
-            "WITH h AS (SELECT DISTINCT "
-            "  ('0x'||substr(md5(CAST(l_orderkey AS VARCHAR)),1,16))::UBIGINT AS hv "
-            "  FROM lineitem), "
-            "b AS (SELECT hv >> 50 AS bucket, hv & 1125899906842623::UBIGINT AS low FROM h), "
-            "r AS (SELECT bucket, max(CASE WHEN low = 0::UBIGINT THEN 51 "
-            "  ELSE 51 - length(bin(low)) END) AS reg FROM b GROUP BY bucket), "
-            "s AS (SELECT sum((1::HUGEINT << (51 - reg))) AS s_present, "
-            "  count(*) AS n_present FROM r), "
-            "e AS (SELECT CAST(s_present + (16384 - n_present) * (1::HUGEINT << 51) AS DOUBLE) "
-            "  / 2251799813685248.0 AS denom, 16384 - n_present AS v FROM s), "
-            "est AS (SELECT 0.7213/(1.0 + 1.079/16384.0)*16384.0*16384.0/denom AS raw, v FROM e) "
-            "SELECT CAST(floor((CASE WHEN raw <= 2.5*16384.0 AND v > 0 "
-            "  THEN 16384.0 * ln(16384.0 / v) ELSE raw END) + 0.5) AS BIGINT) "
-            "AS approx_distinct_orders FROM est"
-        ),
         "pipeline_quality_dedup": (
             "WITH good AS (SELECT doc_id, text FROM documents "
             "  WHERE CASE WHEN trim(text) = '' THEN 0 ELSE "
@@ -3325,42 +3064,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT g.doc_id, CAST(CASE WHEN trim(g.text) = '' THEN 1 ELSE "
             "length(regexp_split_to_array(trim(g.text), '\\s+')) END AS BIGINT) "
             "AS n_tokens FROM good g JOIN keep k ON g.doc_id = k.doc_id"
-        ),
-        "knn_bruteforce": (
-            "WITH q AS (SELECT vec_id, embedding FROM embeddings WHERE vec_id < 10), "
-            "sims AS (SELECT q.vec_id AS query_id, e.vec_id AS neighbor_id, "
-            "  round(list_cosine_similarity(q.embedding, e.embedding), 6) AS sim "
-            "  FROM q JOIN embeddings e ON e.vec_id != q.vec_id), "
-            "ranked AS (SELECT query_id, neighbor_id, "
-            "  row_number() OVER (PARTITION BY query_id ORDER BY sim DESC, neighbor_id) AS rank "
-            "  FROM sims) "
-            "SELECT query_id, neighbor_id, CAST(rank AS BIGINT) AS rank "
-            "FROM ranked WHERE rank <= 10"
-        ),
-        # kNN + broadcast metadata lookup (retrieval-pipeline shape)
-        "knn_semantic_lookup": (
-            "WITH q AS (SELECT vec_id, embedding FROM embeddings WHERE vec_id < 10), "
-            "sims AS (SELECT q.vec_id AS query_id, e.vec_id AS neighbor_id, "
-            "  round(list_cosine_similarity(q.embedding, e.embedding), 6) AS sim "
-            "  FROM q JOIN embeddings e ON e.vec_id != q.vec_id), "
-            "ranked AS (SELECT query_id, neighbor_id, "
-            "  row_number() OVER (PARTITION BY query_id ORDER BY sim DESC, neighbor_id) AS rank "
-            "  FROM sims) "
-            "SELECT r.query_id, r.neighbor_id, CAST(r.rank AS BIGINT) AS rank, d.lang "
-            "FROM ranked r JOIN documents d ON d.doc_id = r.neighbor_id "
-            "WHERE r.rank <= 5"
-        ),
-        # nprobe == nlist IVF is exact → identical to the brute-force oracle
-        "knn_ivf": (
-            "WITH q AS (SELECT vec_id, embedding FROM embeddings WHERE vec_id < 10), "
-            "sims AS (SELECT q.vec_id AS query_id, e.vec_id AS neighbor_id, "
-            "  round(list_cosine_similarity(q.embedding, e.embedding), 6) AS sim "
-            "  FROM q JOIN embeddings e ON e.vec_id != q.vec_id), "
-            "ranked AS (SELECT query_id, neighbor_id, "
-            "  row_number() OVER (PARTITION BY query_id ORDER BY sim DESC, neighbor_id) AS rank "
-            "  FROM sims) "
-            "SELECT query_id, neighbor_id, CAST(rank AS BIGINT) AS rank "
-            "FROM ranked WHERE rank <= 10"
         ),
         # aggregates the ORIGINAL table — matching the Ray side (which
         # aggregates the JSONL read-back) certifies lossless roundtrip
@@ -3481,10 +3184,6 @@ def oracle_sql() -> dict[str, str]:
             "CAST(n_phones AS BIGINT) AS n_phones, CAST(n_ips AS BIGINT) AS n_ips, "
             "t AS text_scrubbed FROM i"
         ),
-        # fixed-point BM25 (see raycrawl/ops/search.py): rational idf
-        # (2N-2df+1)/(2df+1), integer avgdl, one HUGEINT floor division
-        # per (doc, term) — bit-identical to the Python bigint path
-        "search_bm25": _bm25_oracle(),
         # 2^20-quantized int64 squared-L2 nearest centroid (ties → lowest
         # cluster index); quantization floor(x*1048576+0.5) is exact on
         # both sides because the scale is a power of two
@@ -3537,15 +3236,5 @@ def oracle_sql() -> dict[str, str]:
             "SELECT doc_id, trim(regexp_replace(lower(strip_accents("
             "nfc_normalize(t))), '[\\t\\n\\f\\r ]+', ' ', 'g'), ' ') "
             "AS text_norm FROM s"
-        ),
-        # postings of the query terms: (term, doc_id, tf) — the staged
-        # index's bucket-pruned read must equal the direct group-by
-        "search_index_lookup": (
-            "WITH w AS (SELECT doc_id, CASE WHEN trim(COALESCE(text,'')) = '' THEN [] "
-            "  ELSE list_transform(regexp_split_to_array(trim(text), '\\s+'), x -> lower(x)) END AS toks FROM documents), "
-            "t AS (SELECT doc_id, unnest(toks) AS term FROM w) "
-            "SELECT term, doc_id, CAST(count(*) AS BIGINT) AS tf FROM t "
-            "WHERE term IN ('dup', 'spark', 'merge', 'vector') "
-            "GROUP BY term, doc_id"
         ),
     }

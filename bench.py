@@ -124,7 +124,8 @@ def crawl_bench(num_cpus: int) -> dict:
             "pages": out.stats["pages_success"],
             "pages_per_sec": round(out.stats["pages_success"] / sec, 1),
             "waves": out.stats["waves"],
-            "dedup_hit_rate": round(out.stats["dedup_hit_rate"], 3)}
+            "dedup_hit_rate": round(out.stats["dedup_hit_rate"], 3),
+            "phase_sec": out.stats["phase_sec"]}
 
 
 def run_queries(sf_dir: str) -> dict[str, float]:
@@ -132,9 +133,9 @@ def run_queries(sf_dir: str) -> dict[str, float]:
 
     q = entrymod.queries()
     picks = ["extract_pages", "chunk_semantic", "chunk_sentence", "crawl_bfs",
-             "dedup_exact", "dedup_minhash_pairs", "knn_bruteforce", "knn_ivf",
+             "dedup_exact", "dedup_minhash_pairs",
              "text_quality", "dedup_embedding_pairs",
-             "convert_docx", "convert_pdf", "text_pii_scrub", "search_bm25",
+             "convert_docx", "convert_pdf", "text_pii_scrub",
              "cluster_kmeans", "image_png_features", "image_jpeg_features",
              "warc_extract",
              "link_pagerank", "crawl_delta", "text_bpe_tokens",

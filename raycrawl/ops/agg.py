@@ -11,7 +11,7 @@ version). Unbounded key spaces go through ``partitioned_map_groups`` /
 ``partitioned_map_partitions`` instead.
 
 All aggregates used through this helper are exact integer sums/counts (the
-fixed-point discipline of graph.py and search.py), so merge order never
+fixed-point discipline of graph.py and textstats.py), so merge order never
 changes results.
 """
 

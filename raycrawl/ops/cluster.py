@@ -1,0 +1,152 @@
+"""Embedding clustering for LLM-data curation: exact-integer k-means over
+an embedding column (list<float>).
+
+Vectors are quantized to 2^20 fixed point (``quantize_vecs``), so every
+squared distance is an exact int64 sum and the nearest-centroid argmin is
+deterministic (ties → smallest centroid index). ``cluster_assign`` (one
+E-step) and ``kmeans_fit`` (Lloyd's iterations) share one centroid fetch
+and one assign kernel, and both are reproduced bit for bit by SQL oracles.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pandas as pd
+
+QUANT_SCALE = 1 << 20  # power of two: float32→(f64*2^20) scaling is exact
+
+
+def quantize_vecs(series, scale: int = QUANT_SCALE) -> np.ndarray:
+    """Fixed-point quantization round-half-up: floor(x * 2^20 + 0.5) as
+    int64. Scaling a float32 value by a power of two is exact in float64,
+    so DuckDB's ``floor(CAST(x AS DOUBLE) * 1048576 + 0.5)`` produces the
+    bit-identical integer — the basis for the exact cluster-assign oracle."""
+    m = np.asarray([np.asarray(v, dtype=np.float64) for v in series])
+    return np.floor(m * scale + 0.5).astype(np.int64)
+
+
+def _fetch_centroids(ds, centroid_ids: list[int], id_col: str,
+                     vec_col: str) -> np.ndarray:
+    """The quantized vectors of ``centroid_ids`` in id order, (k, d) int64,
+    fetched with one filtered pass."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    cset = pa.array(sorted(centroid_ids), pa.int64())
+    c_tbl = (
+        ds.map_batches(lambda b: b.filter(pc.is_in(b.column(id_col), cset)),
+                       batch_format="pyarrow")
+        .select_columns([id_col, vec_col]).to_pandas()
+        .sort_values(id_col).reset_index(drop=True)
+    )
+    return quantize_vecs(c_tbl[vec_col])
+
+
+def _nearest(cm: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The assign kernel: for each quantized row of ``q`` (B, d), the index
+    of its nearest centroid in ``cm`` (k, d) and that squared distance.
+    The (B, k) distance matrix is |q|² + |c|² − 2q·c in int64; argmin takes
+    the first minimum, so ties go to the smallest centroid index."""
+    d2 = (np.einsum("bd,bd->b", q, q)[:, None]
+          + np.einsum("kd,kd->k", cm, cm)[None, :] - 2 * (q @ cm.T))
+    best = d2.argmin(axis=1)
+    return best, d2[np.arange(len(q)), best]
+
+
+def _assign(ds, centroids: np.ndarray, id_col: str, vec_col: str):
+    """(id, cluster_id, dist_sq) for every row: the centroids are broadcast
+    once via ``ray.put`` and each batch runs ``_nearest``. Streams —
+    per-batch work is O(B·k·d), nothing materializes."""
+    import ray
+
+    ref = ray.put(centroids)
+
+    def assign(batch: pd.DataFrame) -> pd.DataFrame:
+        best, dist = _nearest(ray.get(ref), quantize_vecs(batch[vec_col]))
+        return pd.DataFrame({
+            id_col: batch[id_col].to_numpy(),
+            "cluster_id": pd.Series(best, dtype="int64"),
+            "dist_sq": pd.Series(dist, dtype="int64")})
+
+    return ds.map_batches(assign, batch_format="pandas", batch_size=2048)
+
+
+def cluster_assign(ds, centroid_ids: list[int], id_col: str = "vec_id",
+                   vec_col: str = "embedding"):
+    """Nearest-centroid assignment (the E-step of k-means) over
+    integer-quantized vectors, with the rows ``centroid_ids`` as the
+    centroids (cluster_id = position in sorted ``centroid_ids``).
+
+    Returns a Dataset with columns (vec_id, cluster_id, dist_sq)."""
+    return _assign(ds, _fetch_centroids(ds, centroid_ids, id_col, vec_col),
+                   id_col, vec_col)
+
+
+def kmeans_fit(ds, centroid_ids: list[int], iters: int = 2,
+               id_col: str = "vec_id", vec_col: str = "embedding"):
+    """Distributed Lloyd's k-means over 2^20-quantized int64 vectors.
+
+    Exact-integer variant: assignment is ``cluster_assign``'s int64 argmin;
+    the M-step recomputes each centroid as the elementwise FLOOR-DIVIDED
+    mean (sum // count) of its members, so every iteration stays in exact
+    integer arithmetic and the whole fit is reproducible bit-for-bit by an
+    unrolled SQL oracle (no float accumulation order anywhere). An empty
+    cluster keeps its previous centroid.
+
+    Shape per iteration (the standard scalable k-means layout):
+    - centroids broadcast once via ``ray.put`` (k×d int64 — tiny);
+    - one ``map_batches`` pass emits per-batch partials of
+      (cluster_id, member count, per-dim sums) — k rows × d ints per batch,
+      independent of batch row count;
+    - the driver folds the partials (k×d integers total) and floor-divides.
+    Nothing but k×d-integer partials crosses the wire; the vector table
+    streams from the object store every pass.
+
+    Returns (assignment Dataset with (id, cluster_id, dist_sq) from a final
+    E-step, centroids int64 ndarray (k, d))."""
+    import ray
+
+    # iterative algorithm: pin the (projected) vector table in the object
+    # store ONCE so each Lloyd pass re-reads plasma blocks instead of
+    # re-executing the parquet read + upstream plan per iteration (the
+    # one place mid-pipeline materialization is the scale-CORRECT choice;
+    # the r4 bench showed per-iteration plan re-execution dominating the
+    # fit at small k)
+    ds = ds.select_columns([id_col, vec_col]).materialize()
+
+    centroids = _fetch_centroids(ds, centroid_ids, id_col, vec_col)
+    k, d = centroids.shape
+
+    for _ in range(iters):
+        ref = ray.put(centroids)
+
+        def partial(batch: pd.DataFrame) -> pd.DataFrame:
+            cm = ray.get(ref)
+            q = quantize_vecs(batch[vec_col])
+            best, _ = _nearest(cm, q)
+            counts = np.bincount(best, minlength=len(cm)).astype(np.int64)
+            sums = np.zeros_like(cm)
+            np.add.at(sums, best, q)
+            return pd.DataFrame({
+                "cluster_id": pd.Series(np.arange(len(cm)), dtype="int64"),
+                "n": pd.Series(counts, dtype="int64"),
+                "vsum": list(sums)})
+
+        # driver fold of (batches × k) partial rows — vectorized; payload
+        # is k·d ints per batch independent of row count (past ~10^5
+        # batches, merge the partials in a second map_batches stage first)
+        parts = ds.map_batches(partial, batch_format="pandas",
+                               batch_size=2048).to_pandas()
+        cid = parts["cluster_id"].to_numpy()
+        counts = np.bincount(cid, weights=parts["n"].to_numpy(),
+                             minlength=k).astype(np.int64)
+        sums = np.zeros((k, d), dtype=np.int64)
+        np.add.at(sums, cid,
+                  np.stack([np.asarray(v, dtype=np.int64)
+                            for v in parts["vsum"]]))
+        nonempty = counts > 0
+        centroids = centroids.copy()
+        centroids[nonempty] = (
+            sums[nonempty] // counts[nonempty, None])  # floor mean, exact
+
+    return _assign(ds, centroids, id_col, vec_col), centroids

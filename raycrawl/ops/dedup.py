@@ -17,7 +17,8 @@ Scale notes (the design constraint, not an afterthought):
 - SimHash emits one 64-bit fingerprint per doc; banding the 64 bits into k
   chunks gives the same LSH-shaped grouping for hamming-distance near-dups;
 - embedding near-dup broadcasts a normalized matrix only at small scale;
-  the scale path is the IVF-bucketed variant in ``knn.py``.
+  the scale path is the centroid-bucketed
+  ``embedding_dup_pairs_bucketed``.
 """
 
 from __future__ import annotations
@@ -953,6 +954,30 @@ def _select_embedding_method(method: str,
             and cardinality_hint <= _EMBEDDING_EXACT_ROWS else "bucketed")
 
 
+def _matrix(series) -> np.ndarray:
+    """Row-normalized float64 matrix of a list<float> column."""
+    m = np.asarray([np.asarray(v, dtype=np.float64) for v in series])
+    return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
+
+
+def _kmeans(mat: np.ndarray, nlist: int, iters: int = 10,
+            seed: int = 42) -> np.ndarray:
+    """Seed-fixed spherical Lloyd on the driver: the coarse centroids the
+    bucketed embedding dedup assigns vectors to."""
+    rng = np.random.RandomState(seed)
+    centroids = mat[rng.choice(len(mat), size=min(nlist, len(mat)),
+                               replace=False)]
+    for _ in range(iters):
+        sims = mat @ centroids.T
+        assign = sims.argmax(axis=1)
+        for c in range(len(centroids)):
+            members = mat[assign == c]
+            if len(members):
+                v = members.mean(axis=0)
+                centroids[c] = v / max(np.linalg.norm(v), 1e-12)
+    return centroids
+
+
 def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
                         vec_col: str = "embedding", method: str = "exact",
                         cardinality_hint: "int | None" = None,
@@ -991,15 +1016,11 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
 
     all_tbl = ds.select_columns([id_col, vec_col]).to_pandas()
     ids = all_tbl[id_col].to_numpy()
-    mat = np.asarray([np.asarray(v, dtype=np.float64) for v in all_tbl[vec_col]])
-    mat = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-    ref = ray.put((ids, mat))
+    ref = ray.put((ids, _matrix(all_tbl[vec_col])))
 
     def scan(batch: pd.DataFrame) -> pd.DataFrame:
         all_ids, all_mat = ray.get(ref)
-        q = np.asarray([np.asarray(v, dtype=np.float64) for v in batch[vec_col]])
-        q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
-        sims = q @ all_mat.T
+        sims = _matrix(batch[vec_col]) @ all_mat.T
         qids = batch[id_col].to_numpy()
         # emit each pair once (a < b): one boolean mask, no row loop
         mask = (sims >= threshold) & (all_ids[None, :] > qids[:, None])
@@ -1028,8 +1049,6 @@ def embedding_dup_pairs_bucketed(ds, threshold: float = 0.95,
     import ray
     import ray.data as rd
 
-    from .knn import _kmeans, _matrix
-
     sample = ds.limit(sample_size).select_columns([vec_col]).to_pandas()
     centroids = _kmeans(_matrix(sample[vec_col]), nlist)
     cref = ray.put(centroids)
@@ -1047,10 +1066,7 @@ def embedding_dup_pairs_bucketed(ds, threshold: float = 0.95,
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ids = g[id_col].to_numpy()
-        mat = np.asarray([np.asarray(v, dtype=np.float64)
-                          for v in g[vec_col]])
-        mat = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True),
-                               1e-12)
+        mat = _matrix(g[vec_col])
         sims = mat @ mat.T
         ia, ib = np.triu_indices(len(ids), k=1)
         keep = sims[ia, ib] >= threshold
@@ -1481,8 +1497,7 @@ def build_minhash_index(corpus_ds, index_dir: str, *,
     rename — raycrawl.staging — so concurrent builders never expose a
     partial index); probes then read ONLY the buckets their band keys
     hash into — IO proportional to the shard, not the corpus. Same
-    staging pattern as search.build_text_index / knn.build_ivf_index /
-    graph.build_backlink_index."""
+    staging pattern as graph.build_backlink_index."""
     from ..staging import atomic_build_dir, is_complete
 
     if is_complete(index_dir):

@@ -42,8 +42,8 @@ int64s; Python ``//`` == DuckDB ``//``), so every program gives the same
 bits under either placement, any partitioning and its SQL oracle. An edge
 endpoint outside ``node_ids`` raises ``ValueError`` under either
 placement. Edges are ``materialize()``d up front: every program makes
-many passes over them, and re-running an upstream extract pipeline per
-pass is the anti-pattern the knn.py cardinality_hint note documents.
+many passes over them, and re-running an upstream extract pipeline on
+every pass would repeat the whole read and parse each time.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 PIL/ffmpeg/torchaudio are not in this container, but the image and audio
 paths are REAL anyway: PNG (ops/png.py, stdlib zlib codec), baseline JPEG
-(ops/jpeg.py, stdlib DCT entropy codec), raw int16 PCM audio and raw-RGB
-video need no external library. The deterministic fakes below remain only
-as (a) the hook contract documentation and (b) the stand-in for formats
-whose codecs are genuinely impossible offline (WEBP, MP3, H.264). The
+(ops/jpeg.py, stdlib DCT entropy codec) and raw int16 PCM audio need no
+external library. The deterministic fakes below remain only as (a) the
+hook contract documentation and (b) the stand-in for formats whose codecs
+are genuinely impossible offline (WEBP, MP3). The
 Ray-side plumbing is sized for 100 TB either way: binary columns stay in
 ``batch_format="pyarrow"`` (zero-copy; never round-trip binary through
 pandas object dtype), stages are actor pools with small ``batch_size``
@@ -222,108 +222,3 @@ class AudioFeatureStage:
 def audio_features(ds, concurrency: int = 4, batch_size: int = 64):
     return ds.map_batches(AudioFeatureStage, batch_format="pyarrow",
                           batch_size=batch_size, concurrency=concurrency)
-
-
-VIDEO_META = pa.schema([
-    ("video_id", pa.int64()),
-    ("frames", pa.binary()),       # raw uint8 RGB frames, concatenated
-    ("width", pa.int32()),
-    ("height", pa.int32()),
-    ("n_frames", pa.int32()),
-])
-
-
-def synth_video_table(n: int) -> pa.Table:
-    """Deterministic raw-RGB 'video' rows the SQL oracle can regenerate:
-    clip i has n_frames = 4 + i % 9 frames of w = 8 + i % 5 × h = 6 +
-    i % 4, pixel(i,f,y,x,c) = (i*7 + f*11 + y*13 + x*17 + c*29) % 256.
-    Like the raw-PCM audio table, no codec is needed: this decode is
-    REAL (an uncompressed video container), unlike the compressed-codec
-    FrameSampleStage stub below."""
-    ids, blobs, ws, hs, nf = [], [], [], [], []
-    for i in range(n):
-        w = 8 + i % 5
-        h = 6 + i % 4
-        frames = 4 + i % 9
-        f = np.arange(frames, dtype=np.int64)[:, None, None, None]
-        y = np.arange(h, dtype=np.int64)[None, :, None, None]
-        x = np.arange(w, dtype=np.int64)[None, None, :, None]
-        c = np.arange(3, dtype=np.int64)[None, None, None, :]
-        px = ((i * 7 + f * 11 + y * 13 + x * 17 + c * 29) % 256
-              ).astype(np.uint8)
-        ids.append(i)
-        blobs.append(px.tobytes())
-        ws.append(w)
-        hs.append(h)
-        nf.append(frames)
-    return pa.Table.from_arrays(
-        [pa.array(ids, pa.int64()), pa.array(blobs, pa.binary()),
-         pa.array(ws, pa.int32()), pa.array(hs, pa.int32()),
-         pa.array(nf, pa.int32())], schema=VIDEO_META)
-
-
-class RawVideoSampleStage:
-    """REAL video frame sampling over raw concatenated RGB frames (the
-    video analogue of AudioFeatureStage — no codec stub): one clip row →
-    one row per every-k-th frame with integer channel sums. Flat-map
-    shape; swap the frombuffer reshape for an ffmpeg seek-decode in a
-    production container, the sampling/output contract is identical.
-    Batch sizing rules as images: payload × concurrency bounds heaps."""
-
-    def __init__(self, every_k: int = 2) -> None:
-        self.every_k = every_k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vid, fidx, sums = [], [], []
-        for i, blob, w, h, nf in zip(
-                batch.column("video_id").to_pylist(),
-                batch.column("frames").to_pylist(),
-                batch.column("width").to_pylist(),
-                batch.column("height").to_pylist(),
-                batch.column("n_frames").to_pylist()):
-            clip = np.frombuffer(blob, dtype=np.uint8).reshape(
-                nf, h, w, 3).astype(np.int64)
-            for f in range(0, nf, self.every_k):
-                vid.append(i)
-                fidx.append(f)
-                sums.append(clip[f].sum(axis=(0, 1)))
-        s = np.array(sums, dtype=np.int64).reshape(len(vid), 3)
-        return pa.table({
-            "video_id": pa.array(vid, pa.int64()),
-            "frame_idx": pa.array(fidx, pa.int64()),
-            "sum_r": pa.array(s[:, 0], pa.int64()),
-            "sum_g": pa.array(s[:, 1], pa.int64()),
-            "sum_b": pa.array(s[:, 2], pa.int64()),
-        })
-
-
-def video_frame_sample(ds, every_k: int = 2, concurrency: int = 4,
-                       batch_size: int = 32):
-    return ds.map_batches(RawVideoSampleStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency,
-                          fn_constructor_kwargs={"every_k": every_k})
-
-
-class FrameSampleStage:
-    """'Video' frame sampling stub: payload → every-k-th synthetic frame.
-    Same plumbing contract as a real ffmpeg-based sampler (one row in,
-    N frame rows out — flat-map shape)."""
-
-    def __init__(self, every_k: int = 8, decoder: Optional[object] = None) -> None:
-        self.every_k = every_k
-        self.decoder = decoder or FakeImageDecoder()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frames, idxs = [], [], []
-        for i, p in zip(batch.column("image_id").to_pylist(),
-                        batch.column("payload").to_pylist()):
-            n_frames = 1 + len(p) % 32
-            for f in range(0, n_frames, self.every_k):
-                ids.append(i)
-                idxs.append(f)
-                frames.append(hashlib.sha1(p + f.to_bytes(4, "big")).digest())
-        return pa.table({
-            "image_id": pa.array(ids, pa.int64()),
-            "frame_idx": pa.array(idxs, pa.int32()),
-            "frame_sig": pa.array(frames, pa.binary()),
-        })

@@ -1,7 +1,7 @@
-"""Text analysis operators: token counting, quality scoring, language ID,
-document fingerprinting. All vectorized-per-batch ``map_batches`` stages
-over the ``documents`` table; stopword/profile tables are tiny constants
-compiled once per actor.
+"""Text analysis operators: token counting, quality scoring, TF-IDF key
+terms, language ID, document fingerprinting, exact corpus quantiles. All
+vectorized-per-batch ``map_batches`` stages over the ``documents`` table;
+stopword/profile tables are tiny constants compiled once per actor.
 
 Every metric here is defined so the DuckDB oracle can compute the identical
 value (integer counts and exact integer-ratio doubles — single IEEE
@@ -313,6 +313,96 @@ class LangIdStage:
         return out
 
 
+SCORE_SCALE = 10**6
+
+
+def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
+                    text_col: str = "text", vocab_top_k: int = 1_000_000,
+                    scale: int = SCORE_SCALE) -> "object":
+    """Per-document TF-IDF top-k terms — the classic keyword/topic-label
+    signal a training-data pipeline attaches before sampling or routing
+    (Salton & Buckley, 1988). Returns a Dataset of
+    (id, rank, term, score_fp): for each document, its ``k``
+    highest-TF-IDF distinct terms ranked by (score desc, term asc).
+
+    Exact fixed-point integer scoring (log-free rational idf surrogate,
+    no libm on either side):
+
+        score_fp(term) = (scale · tf · (2N − 2df + 1)) // (dl · (2df + 1))
+
+    where tf = term count in the doc, dl = doc token count, df = number
+    of docs containing the term, N = number of docs with ≥1 token.
+    (2N−2df+1)/(2df+1) is the monotone rational surrogate of the idf
+    log; dividing by dl is the standard length normalization. Python-int
+    exact on this side, HUGEINT-exact in ANSI SQL.
+
+    Distributed shape: pass 1 computes df through the SAME bounded exact
+    top-K machinery as the commonness scorers
+    (``_bounded_topk_vocab`` — per-batch distinct-term partials →
+    coarse-partition exact sums → capped broadcast dict, driver RSS
+    O(n_parts × top_k) regardless of corpus size); N is a two-integer
+    scalar aggregate. Pass 2 re-streams the corpus once, scoring each
+    doc against the broadcast df table. Terms evicted past
+    ``vocab_top_k`` score with df = 0 (maximum idf — the rare-term
+    convention); below the cap — every benchmark scale — results are
+    EXACT. Tokenization matches the module's other scorers (whitespace split
+    of the stripped text, case-preserving)."""
+    from collections import Counter
+
+    import ray
+
+    def df_batch(batch: pd.DataFrame) -> pd.DataFrame:
+        c: Counter = Counter()
+        for t in batch[text_col].fillna(""):
+            t = t.strip()
+            if t:
+                c.update(set(_WS_SPLIT_RE.split(t)))
+        return pd.DataFrame({"w": list(c.keys()),
+                             "cnt": pd.Series(list(c.values()),
+                                              dtype="int64")})
+
+    df_vocab = _bounded_topk_vocab(ds, df_batch, "w", vocab_top_k)
+
+    def n_batch(batch: pd.DataFrame) -> pd.DataFrame:
+        nn = int((batch[text_col].fillna("").str.strip() != "").sum())
+        return pd.DataFrame({"n": pd.Series([nn], dtype="int64")})
+
+    n_docs = sum(
+        int(b["n"].sum()) for b in
+        ds.map_batches(n_batch, batch_format="pandas")
+          .iter_batches(batch_format="pandas", batch_size=None))
+    dref = ray.put(df_vocab)
+
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        v = ray.get(dref)
+        ids: list = []
+        ranks: list[int] = []
+        terms: list[str] = []
+        scores: list[int] = []
+        for did, t in zip(batch[id_col], batch[text_col].fillna("")):
+            t = t.strip()
+            if not t:
+                continue
+            toks = _WS_SPLIT_RE.split(t)
+            dl = len(toks)
+            scored = sorted(
+                (-((scale * tf * (2 * n_docs - 2 * v.get(w, 0) + 1))
+                   // (dl * (2 * v.get(w, 0) + 1))), w)
+                for w, tf in Counter(toks).items())
+            for r, (neg, w) in enumerate(scored[:k], 1):
+                ids.append(did)
+                ranks.append(r)
+                terms.append(w)
+                scores.append(-neg)
+        return pd.DataFrame({
+            id_col: pd.Series(ids, dtype="int64"),
+            "rank": pd.Series(ranks, dtype="int64"),
+            "term": pd.Series(terms, dtype="string"),
+            "score_fp": pd.Series(scores, dtype="int64")})
+
+    return ds.map_batches(score, batch_format="pandas")
+
+
 def lang_id(ds, concurrency: int = 4):
     return ds.map_batches(LangIdStage, batch_format="pandas",
                           concurrency=concurrency)
@@ -498,6 +588,83 @@ def normalize_text(ds, id_col: str = "doc_id", text_col: str = "text"):
     return ds.map_batches(f, batch_format="pandas")
 
 
+def exact_quantile_selection(ds, value_col: str, qs: "list[tuple]",
+                             n_bins: int = 4096,
+                             batch_size: int = 65536) -> pd.DataFrame:
+    """Exact order statistics over an UNBOUNDED integer value domain via
+    two-pass distributed selection:
+
+    1. one streaming pass builds a coarse fixed-width histogram (min/max
+       come from the same partials), locating for every requested quantile
+       the bin that contains its order statistic and the rank offset
+       within that bin — driver memory is O(n_bins), never O(distinct);
+    2. a second filtered pass collects ONLY the values inside the needed
+       bins (a tiny slice of the data for any reasonably spread
+       distribution), sorts them, and reads the answer off at the offset.
+
+    Quantile indices use an exact-fraction convention, no float multiply:
+    idx = (q_num · (n−1)) // q_den. Returns (q_num, q_den,
+    quantile_value)."""
+
+    def hist_partial(b: pd.DataFrame) -> pd.DataFrame:
+        v = b[value_col].to_numpy()
+        return pd.DataFrame({"vmin": [int(v.min()) if len(v) else 0],
+                             "vmax": [int(v.max()) if len(v) else 0],
+                             "n": [len(v)]}).astype("int64")
+
+    stats = ds.map_batches(hist_partial, batch_format="pandas",
+                           batch_size=batch_size).to_pandas()
+    stats = stats[stats["n"] > 0]
+    if not len(stats):
+        return pd.DataFrame({"q_num": pd.Series(dtype="int64"),
+                             "q_den": pd.Series(dtype="int64"),
+                             "quantile_value": pd.Series(dtype="int64")})
+    lo, hi = int(stats["vmin"].min()), int(stats["vmax"].max())
+    n = int(stats["n"].sum())
+    width = max(1, (hi - lo) // n_bins + 1)
+
+    def bin_partial(b: pd.DataFrame) -> pd.DataFrame:
+        v = b[value_col].to_numpy()
+        bins = (v - lo) // width
+        cnt = np.bincount(bins, minlength=n_bins)
+        nz = np.flatnonzero(cnt)
+        return pd.DataFrame({"bin": pd.Series(nz, dtype="int64"),
+                             "cnt": pd.Series(cnt[nz], dtype="int64")})
+
+    parts = ds.map_batches(bin_partial, batch_format="pandas",
+                           batch_size=batch_size).to_pandas()
+    hist = parts.groupby("bin")["cnt"].sum().sort_index()
+    cum = hist.cumsum()
+
+    targets = []  # (q_num, q_den, bin, rank_within_bin)
+    for q_num, q_den in qs:
+        idx = (q_num * (n - 1)) // q_den
+        pos = int(np.searchsorted(cum.to_numpy(), idx + 1))
+        b = int(cum.index[pos])
+        before = int(cum.iloc[pos - 1]) if pos else 0
+        targets.append((q_num, q_den, b, idx - before))
+
+    need_bins = sorted({t[2] for t in targets})
+
+    def collect(b: pd.DataFrame) -> pd.DataFrame:
+        v = b[value_col].to_numpy()
+        bins = (v - lo) // width
+        keep = np.isin(bins, need_bins)
+        return pd.DataFrame({value_col: pd.Series(v[keep], dtype="int64"),
+                             "bin": pd.Series(bins[keep], dtype="int64")})
+
+    picked = ds.map_batches(collect, batch_format="pandas",
+                            batch_size=batch_size).to_pandas()
+    out = {"q_num": [], "q_den": [], "quantile_value": []}
+    for q_num, q_den, b, off in targets:
+        vals = np.sort(picked.loc[picked["bin"] == b, value_col].to_numpy())
+        out["q_num"].append(q_num)
+        out["q_den"].append(q_den)
+        out["quantile_value"].append(int(vals[off]))
+    return pd.DataFrame({k: pd.Series(v, dtype="int64")
+                         for k, v in out.items()})
+
+
 def quality_gate(ds, q: "tuple[int, int]" = (9, 10),
                  id_col: str = "doc_id", text_col: str = "text"):
     """Corpus-percentile quality gate — the canonical LLM-data filter
@@ -508,14 +675,12 @@ def quality_gate(ds, q: "tuple[int, int]" = (9, 10),
        later passes never re-tokenize;
     2. the exact q-th order statistic of the score across the corpus via
        the two-pass distributed-selection op
-       (``sketch.exact_quantile_selection`` — driver memory O(n_bins),
+       (``exact_quantile_selection`` — driver memory O(n_bins),
        second pass reads only the target bins);
     3. the scalar threshold broadcast into a streaming filter.
 
     Returns (id_col, n_tokens) of docs with score >= threshold. Exact
     SQL oracle: order statistic at idx = (q_num·(n−1))//q_den."""
-    from .sketch import exact_quantile_selection
-
     scored = token_count(ds, id_col=id_col, text_col=text_col).materialize()
     thr = int(exact_quantile_selection(
         scored, "n_tokens", qs=[q])["quantile_value"].iloc[0])
@@ -685,7 +850,7 @@ def commonness_buckets(ds, id_col: str = "doc_id", text_col: str = "text",
     tail (head = most corpus-common — CCNet's lowest-perplexity bucket).
     The tercile thresholds are exact order statistics at
     idx = q·(n−1) // 3 via the two-pass distributed selection
-    (``sketch.exact_quantile_selection`` — O(n_bins) driver memory);
+    (``exact_quantile_selection`` — O(n_bins) driver memory);
     ties classify by VALUE against the thresholds (≤ t33 → tail,
     ≤ t66 → middle), so bucketing is deterministic and SQL-replayable.
 
@@ -693,8 +858,6 @@ def commonness_buckets(ds, id_col: str = "doc_id", text_col: str = "text",
     the threshold pass and the labeling pass don't recompute scoring —
     at web scale it is O(docs) fixed-width rows in the object store,
     spillable."""
-    from .sketch import exact_quantile_selection
-
     scored = unigram_commonness(ds, id_col=id_col, text_col=text_col,
                                 vocab_top_k=vocab_top_k).materialize()
     qs = exact_quantile_selection(scored, "sum_freq", [(1, 3), (2, 3)])

@@ -76,7 +76,7 @@ def _register_builtins() -> None:
     from .chunker import ChunkStage
     from .convert import ConvertStage
     from .extract import extract_batch
-    from .ops.multimodal import FrameSampleStage, ImageFeatureStage
+    from .ops.multimodal import ImageFeatureStage
 
     register_stage(StageSpec("extract", extract_batch, "pyarrow", 32, 4,
                              description="pages → ScrapeData columns (M1-M18)"))
@@ -86,8 +86,6 @@ def _register_builtins() -> None:
                              description="binary files → markdown (S7, M20-M25)"))
     register_stage(StageSpec("image_features", ImageFeatureStage, "pyarrow",
                              16, 4, description="image decode/resize/features"))
-    register_stage(StageSpec("frame_sample", FrameSampleStage, "pyarrow",
-                             16, 4, description="video frame sampling stub"))
 
 
 _register_builtins()

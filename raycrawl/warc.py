@@ -166,8 +166,8 @@ def write_warc_pages(tbl: pa.Table, out_path: str) -> int:
 def write_warc(corpus_dir: str, out_dir: str) -> str:
     """Corpus parquet (host_bucket-partitioned) → .warc.gz per bucket.
 
-    One Ray task per bucket file (file-granular side-effect IO — the same
-    reason build_ivf_index uses tasks for its staging writes); resumable:
+    One Ray task per bucket file (the writes are file-granular side-effect
+    IO, which a task owns end to end); resumable:
     a bucket whose archive file already exists is skipped — the write is
     crash-atomic (tmp + os.replace), so an existing file is complete.
     Callers key ``out_dir`` by corpus identity, so a stale archive from a

@@ -1,5 +1,5 @@
-"""Tests for the training-data operators (dedup / knn / textstats / joins /
-multimodal) over small Ray datasets."""
+"""Tests for the training-data operators (dedup / cluster / textstats / joins
+/ multimodal) over small Ray datasets."""
 
 import numpy as np
 import pandas as pd
@@ -17,7 +17,6 @@ from raycrawl.ops.dedup import (
     simhash_near_pairs,
 )
 from raycrawl.ops.join import broadcast_join, bucket_hash_join
-from raycrawl.ops.knn import knn_bruteforce, knn_ivf
 from raycrawl.ops.textstats import rolling_fingerprint
 
 
@@ -80,39 +79,6 @@ def test_embedding_dup_pairs_threshold():
     assert set(zip(out["id_a"], out["id_b"])) == {(0, 1)}
 
 
-def test_knn_bruteforce_exact():
-    rng = np.random.RandomState(0)
-    mat = rng.randn(50, 8).astype("float32")
-    ds = rd.from_pandas(pd.DataFrame({
-        "vec_id": np.arange(50, dtype="int64"),
-        "embedding": pd.Series(list(mat))}))
-    out = knn_bruteforce(ds, query_ids=[0, 1], k=5)
-    assert len(out) == 10
-    # numpy oracle
-    m = mat.astype("float64")
-    m = m / np.linalg.norm(m, axis=1, keepdims=True)
-    sims = m[0] @ m.T
-    order = [i for i in np.argsort(-np.round(sims, 6)) if i != 0][:5]
-    got = out[out["query_id"] == 0].sort_values("rank")["neighbor_id"].tolist()
-    assert got == order
-
-
-def test_knn_ivf_recall_against_bruteforce():
-    rng = np.random.RandomState(1)
-    mat = rng.randn(300, 16).astype("float32")
-    ds = rd.from_pandas(pd.DataFrame({
-        "vec_id": np.arange(300, dtype="int64"),
-        "embedding": pd.Series(list(mat))}))
-    exact = knn_bruteforce(ds, query_ids=[0, 5, 9], k=10)
-    approx = knn_ivf(ds, query_ids=[0, 5, 9], k=10, nlist=8, nprobe=4)
-    recall = 0.0
-    for q in (0, 5, 9):
-        e = set(exact[exact["query_id"] == q]["neighbor_id"])
-        a = set(approx[approx["query_id"] == q]["neighbor_id"])
-        recall += len(e & a) / len(e)
-    assert recall / 3 >= 0.5  # nprobe=4 of 8 lists
-
-
 def test_rolling_fingerprint_properties():
     t1 = "the quick brown fox jumps over the lazy dog again and again"
     assert rolling_fingerprint(t1) == rolling_fingerprint(t1)
@@ -156,18 +122,6 @@ def test_multimodal_image_features():
     assert m1 == m2
 
 
-def test_multimodal_frame_sampling():
-    import ray.data as rd2
-
-    from raycrawl.ops.multimodal import FrameSampleStage, synth_image_table
-
-    ds = rd2.from_arrow(synth_image_table(8))
-    out = ds.map_batches(FrameSampleStage, batch_format="pyarrow",
-                         concurrency=1).to_pandas()
-    assert len(out) >= 8
-    assert (out["frame_idx"] % 8 == 0).all()
-
-
 def test_metrics_prometheus_render():
     from raycrawl.metrics import render_prometheus
 
@@ -193,26 +147,6 @@ def test_dedup_survivors_connected_components():
     assert survivors == [0, 1, 7, 11]
 
 
-def test_hll_accuracy_and_merge():
-    from raycrawl.ops.sketch import HyperLogLog, approx_distinct
-
-    h1, h2 = HyperLogLog(12), HyperLogLog(12)
-    h1.add_values(range(0, 60_000))
-    h2.add_values(range(40_000, 100_000))  # overlap 40k-60k
-    h1.merge(h2)
-    est = h1.estimate()
-    assert abs(est - 100_000) / 100_000 < 0.05
-    # serialization round-trip preserves the estimate
-    h3 = HyperLogLog.deserialize(h1.serialize())
-    assert h3.estimate() == est
-    # distributed path vs exact
-    li = rd.read_parquet("/root/testdata/sf0.01/lineitem.parquet",
-                         columns=["l_orderkey"])
-    approx = approx_distinct(li, "l_orderkey", p=12)
-    exact = li.to_pandas()["l_orderkey"].nunique()
-    assert abs(approx - exact) / exact < 0.05
-
-
 def test_bpe_ish_tokens():
     from raycrawl.ops.textstats import bpe_ish_tokens
 
@@ -220,43 +154,6 @@ def test_bpe_ish_tokens():
     assert "".join(toks) == "I'll say: it's 42 items, okay?"
     assert "'ll" in toks and " 42" in toks and "'s" in toks
     assert bpe_ish_tokens("") == []
-
-
-def test_knn_ivf_recall_and_pruning(tmp_path):
-    """nprobe < nlist must (a) actually prune the files read and (b) keep
-    recall@k >= 0.9 vs bruteforce on the real embeddings table."""
-    import glob
-
-    import ray.data as rd
-
-    from raycrawl.ops.knn import build_ivf_index, knn_bruteforce, knn_ivf
-
-    emb = rd.read_parquet("/root/testdata/sf0.001/embeddings.parquet")
-    idx = str(tmp_path / "ivf")
-    build_ivf_index(emb, idx, nlist=8)
-    n_parts = len(glob.glob(idx + "/ivf_bucket=*"))
-    assert n_parts > 2
-
-    qids = list(range(10))
-    exact = knn_bruteforce(emb, query_ids=qids, k=10)
-    # the synthetic embeddings are essentially unclustered — the worst case
-    # for IVF, where recall grows ~linearly with nprobe (measured: 0.68 at
-    # 4/8, 0.86 at 6/8, 0.94 at 7/8); on clustered real corpora the curve
-    # saturates much earlier. Assert the >=0.9 contract at nprobe=7 < nlist.
-    approx = knn_ivf(emb, query_ids=qids, k=10, nlist=8, nprobe=7,
-                     index_dir=idx)
-    hits = tot = 0
-    for q in qids:
-        e = set(exact[exact["query_id"] == q]["neighbor_id"])
-        a = set(approx[approx["query_id"] == q]["neighbor_id"])
-        hits += len(e & a)
-        tot += len(e)
-    assert tot > 0 and hits / tot >= 0.9, f"recall {hits}/{tot}"
-
-    # pruning evidence: the probed union must be < all partitions for at
-    # least some probe choice; with nprobe=1 it is at most n_queries buckets
-    one = knn_ivf(emb, query_ids=[0], k=5, nlist=8, nprobe=1, index_dir=idx)
-    assert len(one) <= 5
 
 
 def test_minhash_scale_paths_match_default():
@@ -356,56 +253,6 @@ def test_encode_image_kb_budget_arithmetic():
     assert uri3.startswith("data:image/jpeg;base64,")
 
 
-def test_spacesaving_guarantees_and_merge():
-    """SpaceSaving invariants at SMALL capacity: true <= est <=
-    true + max_error, high-frequency keys retained, merge-order robust at
-    exact capacity."""
-    import random
-
-    from raycrawl.ops.sketch import SpaceSaving, heavy_hitters
-
-    rng = random.Random(7)
-    stream = [f"k{i}" for i in range(40) for _ in range(i + 1)]
-    rng.shuffle(stream)
-    true = {f"k{i}": i + 1 for i in range(40)}
-
-    s = SpaceSaving(capacity=16)
-    s.add_values(stream)
-    for key, est, err in s.topk(16):
-        assert true[key] <= est <= true[key] + err + 0  # est >= true, bounded
-    # heavy keys (freq > N/capacity) must be present
-    n = len(stream)
-    for key, freq in true.items():
-        if freq > n / 16:
-            assert key in s.counts, f"heavy key {key} evicted"
-
-    # exact regime: capacity >= distinct keys -> exact counts however split
-    a, b = SpaceSaving(64), SpaceSaving(64)
-    a.add_values(stream[: n // 2]); b.add_values(stream[n // 2:])
-    m = a.merge(b)
-    assert all(m.counts[k] == true[k] for k in true)
-    assert all(e == 0 for e in m.errors.values())
-
-    # APPROXIMATE merge regime: sketches at capacity, keys evicted in some
-    # partials — merged estimates must still satisfy true <= est <= true+err
-    # (absent keys credited the other sketch's min counter)
-    parts = [stream[i::5] for i in range(5)]
-    acc = SpaceSaving(12)
-    acc.add_values(parts[0])
-    for p in parts[1:]:
-        s2 = SpaceSaving(12)
-        s2.add_values(p)
-        acc.merge(s2)
-    for key, est, err in acc.topk(12):
-        assert est >= true[key], f"{key}: est {est} < true {true[key]}"
-        assert est - err <= true[key], f"{key}: est-err {est-err} > true"
-
-    # distributed op, exact regime
-    ds = rd.from_pandas(pd.DataFrame({"k": stream}))
-    hh = heavy_hitters(ds, "k", k=5, capacity=64)
-    assert list(hh["est_count"]) == [40, 39, 38, 37, 36]
-
-
 def test_embedding_dup_pairs_auto_flip():
     """VERDICT r2 item 2: method='auto' picks the exact broadcast path only
     with a known-small cardinality hint; otherwise (or with no hint) the
@@ -463,41 +310,6 @@ def test_simhash_batch_paths_equivalent(monkeypatch):
     # per-doc reference implementation agreement
     assert int(fast[1]) == dd.simhash64(texts[1])
     assert int(fast[5]) == dd.simhash64(texts[5])
-
-
-def test_sketch_tree_merge_1k_partials():
-    """VERDICT r2 item 5: >=1k per-batch partials reduced through the
-    pairwise tree (fanin 8 -> 4 rounds), not a sequential driver loop.
-    HLL register-max is associative, so the tree estimate equals the
-    single-sketch estimate; SpaceSaving at capacity >= distinct keys is
-    exact for any merge tree."""
-    from raycrawl.ops.sketch import (
-        HyperLogLog,
-        approx_distinct,
-        heavy_hitters,
-    )
-
-    n = 2048  # batch_size=2 -> 1024 partial sketches
-    vals = np.arange(n, dtype="int64") % 300
-    ds = rd.from_pandas(pd.DataFrame({"v": vals}))
-    est = approx_distinct(ds, "v", p=12, batch_size=2, fanin=8)
-    one = HyperLogLog(12)
-    one.add_values(vals.tolist())
-    assert est == one.estimate()  # bit-identical, any merge order
-
-    hh = heavy_hitters(ds, "v", k=5, capacity=512, batch_size=2, fanin=8)
-    exact = pd.Series(vals).value_counts()
-    assert (hh["max_error"] == 0).all()
-    for key, cnt in zip(hh["v"], hh["est_count"]):
-        assert exact[key] == cnt
-
-
-def test_tree_merge_empty_dataset():
-    from raycrawl.ops.sketch import approx_distinct, heavy_hitters
-
-    empty = rd.from_pandas(pd.DataFrame({"v": pd.Series([], dtype="int64")}))
-    assert approx_distinct(empty, "v", p=10) == 0.0
-    assert len(heavy_hitters(empty, "v", k=3)) == 0
 
 
 def test_join_stage_dirs_capped(monkeypatch):
@@ -770,43 +582,8 @@ def test_pii_scrub_counts_and_sentinels():
     assert out.loc[2, "text_scrubbed"] == "clean text with no pii at all"
 
 
-def test_bm25_topk_matches_reference_fold():
-    from raycrawl.ops.search import SCORE_SCALE, bm25_topk, _term_contribution
-
-    texts = [
-        "spark spark spark merge",          # heavy on spark
-        "merge merge sort sort sort sort",  # heavy on merge, long
-        "vector",                           # short exact hit
-        "nothing relevant here at all",     # no hit
-        "spark merge vector",               # all three
-        "",
-    ]
-    terms = ["spark", "merge", "vector"]
-    out = bm25_topk(_docs(texts), terms, k=10)
-
-    # independent single-threaded reference
-    toks = [[w.lower() for w in t.strip().split()] if t.strip() else []
-            for t in texts]
-    dls = [len(ws) for ws in toks]
-    n_docs, total = len(texts), sum(dls)
-    avgdl = (2 * total + n_docs) // (2 * n_docs)
-    dfs = [sum(1 for ws in toks if term in ws) for term in terms]
-    exp = []
-    for i, ws in enumerate(toks):
-        s = sum(_term_contribution(ws.count(term), dls[i], avgdl, n_docs, dfs[j])
-                for j, term in enumerate(terms))
-        if any(term in ws for term in terms):
-            exp.append((i, s))
-    exp.sort(key=lambda t: (-t[1], t[0]))
-    assert list(zip(out["doc_id"], out["score_fp"])) == exp
-    assert out["rank"].tolist() == list(range(1, len(exp) + 1))
-    # a doc with every term outranks single-term docs of similar length
-    assert out.loc[0, "doc_id"] == 4
-    assert out["score_fp"].min() > 0 and out["score_fp"].max() < SCORE_SCALE * 100
-
-
 def test_cluster_assign_exact_and_tie_break():
-    from raycrawl.ops.knn import QUANT_SCALE, cluster_assign, quantize_vecs
+    from raycrawl.ops.cluster import QUANT_SCALE, cluster_assign, quantize_vecs
 
     vecs = [
         [1.0, 0.0], [0.0, 1.0],            # centroids 0, 1 (vec_id 0, 1)
@@ -829,7 +606,7 @@ def test_cluster_assign_exact_and_tie_break():
 
 
 def test_kmeans_fit_integer_lloyd_matches_reference():
-    from raycrawl.ops.knn import kmeans_fit, quantize_vecs
+    from raycrawl.ops.cluster import cluster_assign, kmeans_fit, quantize_vecs
 
     # negative components force negative sums → floor-division semantics;
     # centroid 1 starts far away and captures nothing (empty-cluster keep)
@@ -861,6 +638,13 @@ def test_kmeans_fit_integer_lloyd_matches_reference():
     assert out["dist_sq"].tolist() == d2[np.arange(len(q)), exp_best].tolist()
     # cluster 1 never captured anything → its centroid kept the seed value
     assert (cents[1] == q[1]).all()
+    # zero iterations is one E-step from the seeds: the same assign kernel
+    # as cluster_assign, row for row
+    out0, _ = kmeans_fit(ds, centroid_ids=[0, 1], iters=0)
+    out0 = out0.to_pandas().sort_values("vec_id").reset_index(drop=True)
+    ca = cluster_assign(ds, centroid_ids=[0, 1]).to_pandas() \
+        .sort_values("vec_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(out0, ca)
 
 
 def test_dup_spans_coverage_union():
@@ -899,29 +683,6 @@ def test_normalize_unicode_chain():
     out = normalize_text(_docs(["  A\t\tB  ", "ñ"])).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert out["text_norm"].tolist() == ["a b", "n"]
-
-
-def test_text_index_bucket_pruned_lookup(tmp_path):
-    from raycrawl.ops.search import (_term_bucket, build_text_index,
-                                     index_postings)
-
-    texts = ["alpha beta alpha", "beta gamma", "alpha delta delta", ""]
-    idx = str(tmp_path / "tidx")
-    build_text_index(_docs(texts), idx, num_buckets=8)
-    out = index_postings(idx, ["alpha", "delta"], num_buckets=8) \
-        .to_pandas().sort_values(["term", "doc_id"]).reset_index(drop=True)
-    got = set(zip(out["term"], out["doc_id"], out["tf"]))
-    assert got == {("alpha", 0, 2), ("alpha", 2, 1), ("delta", 2, 2)}
-    # pruning is real: only the queried buckets' partition dirs are read
-    import glob
-    all_parts = {p.split("=")[-1] for p in glob.glob(f"{idx}/term_bucket=*")}
-    want = {str(_term_bucket(t, 8)) for t in ("alpha", "delta")}
-    assert want <= all_parts
-    # second build call is a no-op (cache hit via _DONE)
-    build_text_index(_docs(texts), idx, num_buckets=8)
-    out2 = index_postings(idx, ["beta"], num_buckets=8).to_pandas()
-    assert set(zip(out2["term"], out2["doc_id"], out2["tf"])) == \
-        {("beta", 0, 1), ("beta", 1, 1)}
 
 
 def test_dup_spans_shuffle_matches_driver():
@@ -965,7 +726,7 @@ def test_bucket_hash_join_post_pushdown(tmp_path):
 
 
 def test_exact_quantile_selection_unbounded_domain():
-    from raycrawl.ops.sketch import exact_quantile_selection
+    from raycrawl.ops.textstats import exact_quantile_selection
 
     rng = np.random.RandomState(11)
     vals = rng.randint(-1_000_000, 50_000_000, size=20_000).astype("int64")
@@ -1013,36 +774,6 @@ def test_vocab_stats_exact():
     assert int(out["n_tokens"].iloc[0]) == 3 + 4 + 1 + 2
     assert int(out["n_distinct_tokens"].iloc[0]) == len(
         {"a", "b", "c", "d", "e", ""})
-
-
-def test_video_frame_sample_real_decode():
-    """RawVideoSampleStage decodes raw concatenated-RGB clips for real:
-    every-k-th frame, integer channel sums match numpy recomputation."""
-    import ray.data as rd
-
-    from raycrawl.ops.multimodal import (RawVideoSampleStage,
-                                         synth_video_table,
-                                         video_frame_sample)
-    import numpy as np
-
-    t = synth_video_table(9)
-    got = (video_frame_sample(rd.from_arrow(t), every_k=3, concurrency=2,
-                              batch_size=4)
-           .to_pandas().sort_values(["video_id", "frame_idx"])
-           .reset_index(drop=True))
-    rows = 0
-    for i in range(9):
-        w, h, nf = 8 + i % 5, 6 + i % 4, 4 + i % 9
-        clip = np.frombuffer(
-            t.column("frames")[i].as_py(), dtype=np.uint8).reshape(
-            nf, h, w, 3).astype(np.int64)
-        for f in range(0, nf, 3):
-            r = got[(got["video_id"] == i) & (got["frame_idx"] == f)]
-            assert len(r) == 1
-            assert r["sum_r"].iloc[0] == clip[f, :, :, 0].sum()
-            assert r["sum_b"].iloc[0] == clip[f, :, :, 2].sum()
-            rows += 1
-    assert len(got) == rows
 
 
 def test_collocations_topk_exact():
@@ -1329,7 +1060,7 @@ def test_dup_ngram_stats_cross_document():
 def test_tfidf_top_terms_matches_bruteforce():
     from collections import Counter
 
-    from raycrawl.ops.search import tfidf_top_terms
+    from raycrawl.ops.textstats import tfidf_top_terms
 
     docs = pd.DataFrame({
         "doc_id": [1, 2, 3, 4, 5],

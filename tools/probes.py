@@ -1301,7 +1301,7 @@ def _tfidf_reference(doc_ids, texts, k=3, scale=10**6):
 @probe
 def tfidf(docs=100_000):
     """Per-document TF-IDF top-3 terms at 100k docs
-    (raycrawl/ops/search.py::tfidf_top_terms), checked exactly.
+    (raycrawl/ops/textstats.py::tfidf_top_terms), checked exactly.
 
     The sf benches run at ≤5k docs; this probe drives 100k synthetic
     40-token docs over a 40k vocabulary (~4M token instances, ~2.8M
@@ -1319,7 +1319,7 @@ def tfidf(docs=100_000):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.search import tfidf_top_terms
+    from raycrawl.ops.textstats import tfidf_top_terms
 
     n = docs
     rng = np.random.RandomState(7)
