@@ -889,16 +889,13 @@ def _q_chunk_stats(sf_dir: str):
 
 
 def _q_dedup_exact(sf_dir: str):
-    import pyarrow.parquet as pq
     import ray.data as rd
 
-    from raycrawl.ops.dedup import add_text_hash, exact_dedup
+    from raycrawl.ops.dedup import exact_dedup
 
-    path = os.path.join(sf_dir, "documents.parquet")
-    docs = rd.read_parquet(path, columns=["doc_id", "text"])
-    return exact_dedup(docs, reduce="auto",
-                       cardinality_hint=pq.read_metadata(path).num_rows
-                       ).to_pandas()
+    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
+                           columns=["doc_id", "text"])
+    return exact_dedup(docs).to_pandas()
 
 
 def _q_minhash_pairs(sf_dir: str):
@@ -1008,21 +1005,16 @@ def _q_simhash_pairs(sf_dir: str):
 
 
 def _q_embedding_dups(sf_dir: str):
-    """method='auto' with a parquet-METADATA cardinality hint (no extra
-    pipeline execution): small sf tables take the exact broadcast path the
-    oracle replicates; past _EMBEDDING_EXACT_ROWS the same call flips to
-    the bucketed scale path (VERDICT r2 item 2)."""
+    """Cosine ≥ 0.4 pairs. Every sf table is at most
+    _EMBEDDING_EXACT_ROWS rows, so this is the exact broadcast path the
+    oracle replicates (larger tables switch to hyperplane LSH)."""
     import pandas as pd
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from raycrawl.ops.dedup import embedding_dup_pairs
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    n_rows = pq.ParquetFile(path).metadata.num_rows
-    emb = rd.read_parquet(path)
-    df = embedding_dup_pairs(emb, threshold=0.4, method="auto",
-                             cardinality_hint=n_rows).to_pandas()
+    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
+    df = embedding_dup_pairs(emb, threshold=0.4).to_pandas()
     if "id_a" not in df.columns:  # zero-row dataset loses its schema
         df = pd.DataFrame({"id_a": pd.Series(dtype="int64"),
                            "id_b": pd.Series(dtype="int64")})
@@ -1504,7 +1496,7 @@ def _q_pipeline_quality_dedup(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from raycrawl.ops.dedup import add_text_hash, exact_dedup
+    from raycrawl.ops.dedup import exact_dedup
     from raycrawl.ops.textstats import token_count
 
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
@@ -1519,17 +1511,11 @@ def _q_pipeline_quality_dedup(sf_dir: str):
 
     import ray
 
-    import pyarrow.parquet as pq
-
-    n_docs = pq.read_metadata(
-        os.path.join(sf_dir, "documents.parquet")).num_rows
     good = docs.map_batches(quality_filter, batch_format="pyarrow")
     # survivor set built ONCE on the driver (it is the small side),
     # broadcast via ray.put and read per batch — not rebuilt per batch
     survivors = pa.array(
-        sorted(set(exact_dedup(good, reduce="auto",
-                               cardinality_hint=n_docs)
-                   .to_pandas()["doc_id"])), pa.int64())
+        sorted(set(exact_dedup(good).to_pandas()["doc_id"])), pa.int64())
     surv_ref = ray.put(survivors)
 
     def keep(b: pa.Table) -> pa.Table:
@@ -1962,18 +1948,14 @@ def _q_normalize(sf_dir: str):
 
 def _q_dup_spans(sf_dir: str):
     """Substring-level duplicate-span stats (4-token windows occurring ≥2×
-    corpus-wide; covered-position union per doc). reduce='auto' picks the
-    driver merge at bench scale and the partitioned shuffle path above
-    100k docs (path equivalence is pytest-asserted)."""
-    import pyarrow.parquet as pq
+    corpus-wide; covered-position union per doc)."""
     import ray.data as rd
 
     from raycrawl.ops.dedup import dup_spans
 
-    path = os.path.join(sf_dir, "documents.parquet")
-    docs = rd.read_parquet(path, columns=["doc_id", "text"])
-    return dup_spans(docs, gram_len=4, reduce="auto",
-                     cardinality_hint=pq.ParquetFile(path).metadata.num_rows) \
+    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
+                           columns=["doc_id", "text"])
+    return dup_spans(docs, gram_len=4) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 

@@ -5,24 +5,34 @@ Public algorithms: MinHash/LSH banding (Broder 1997, "On the resemblance
 and containment of documents"; banding per Leskovec-Rajaraman-Ullman,
 Mining of Massive Datasets ch. 3), SimHash (Charikar 2002).
 
-Scale notes (the design constraint, not an afterthought):
+Every op has the same shape: a distributed ``map_batches`` explodes the
+documents into a narrow KEYED table (content hashes, LSH band keys,
+prefix grams, deletion variants, segment digests — never document
+bodies), and one kernel turns the rows of each key into pairs or
+survivors. ``_place`` is the only placement rule: it materializes the
+keyed table, reads its measured size, and runs the kernel once on the
+driver at or below ``_DRIVER_BYTES``, else over coarse hash partitions
+(``agg.partitioned_map_partitions``, one partition per ``_PART_BYTES``).
+The kernel is the same function under both placements. Pairs that
+several blocks emit (a pair sharing many LSH bands, prefix grams or
+deletion variants) are made distinct by ``_distinct_pairs``, the same
+rule over the pair table. Verification and survivor selection keep two
+algorithms each (broadcast/join, union-find/label propagation), chosen
+from the size they measure.
 
-- exact dedup = vectorized content-hash inside ``map_batches`` (one row per
-  key per batch partial) → coarse-partition min-merge — the only
-  shuffle moves (hash, id) pairs, never document bodies;
-- MinHash-LSH = per-batch signature computation (numpy, one matmul-free
-  vectorized pass) → explode to (band, band_hash, doc_id) rows →
-  ``groupby(band, band_hash)`` — candidate generation shuffles 16-byte
-  band digests, verification touches only candidate texts;
+- exact dedup = content hash + per-batch min partial → ``_place`` by hash;
+- MinHash-LSH = vectorized per-batch signatures → (band, band_hash,
+  doc_id) rows → ``_place`` by (band, band_hash) → verify only candidate
+  texts;
 - SimHash emits one 64-bit fingerprint per doc; banding the 64 bits into k
   chunks gives the same LSH-shaped grouping for hamming-distance near-dups;
-- embedding near-dup broadcasts a normalized matrix only at small scale;
-  the scale path is the centroid-bucketed
-  ``embedding_dup_pairs_bucketed``.
+- embedding near-dup broadcasts a normalized matrix up to
+  ``_EMBEDDING_EXACT_ROWS`` rows and runs random-hyperplane LSH above it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import re
 import numpy as np
@@ -44,9 +54,9 @@ def _token_ngrams(text: str, n: int) -> set[bytes]:
 
 def _shingle_hashes_fast(text: str, n: int) -> np.ndarray:
     """Vectorized shingle hashing: crc32 per token (C speed), then a numpy
-    sliding-window polynomial combine — equivalent dedup power to hashing
-    shingle strings, ~5× faster. Distinct hash family from the sha1 path
-    (used by the jaccard verifier), deterministic across processes."""
+    sliding-window polynomial combine — deterministic across processes.
+    The exact verifiers (``jaccard``/``containment``) compare the shingle
+    strings themselves, so a hash collision here only adds a candidate."""
     import zlib
 
     toks = _WORD_RE.findall(text)
@@ -74,23 +84,106 @@ def _minhash_params(num_hashes: int, seed: int = 42) -> tuple[np.ndarray, np.nda
     return a, b
 
 
-def _shingle_hashes(shingles: set[bytes]) -> np.ndarray:
-    return np.fromiter(
-        (int.from_bytes(hashlib.sha1(s).digest()[:8], "big") for s in shingles),
-        dtype=np.uint64, count=len(shingles),
-    )
-
-
-def minhash_signature(text: str, a: np.ndarray, b: np.ndarray, n: int = 3,
-                      fast: bool = True) -> np.ndarray:
-    sh = (_shingle_hashes_fast(text, n) if fast
-          else _shingle_hashes(_token_ngrams(text, n)))
+def minhash_signature(text: str, a: np.ndarray, b: np.ndarray,
+                      n: int = 3) -> np.ndarray:
+    sh = _shingle_hashes_fast(text, n)
     if len(sh) == 0:
         return np.zeros(len(a), dtype=np.uint64)
     # (a*x + b) mod p for every (hash, perm) pair — vectorized outer product
     with np.errstate(over="ignore"):
         vals = (sh[None, :] * a[:, None] + b[:, None]) % _MERSENNE
     return vals.min(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# placement: one rule for every wide step
+# ---------------------------------------------------------------------------
+
+# Keyed-table bytes at or below which a wide step runs as ONE kernel call
+# on the driver. Measured on 4 vCPUs with Ray 2.49: the largest sf0.1
+# keyed table (containment grams) is 6.6 MB and a sort shuffle costs a
+# few seconds of fixed overhead there; the full-size scale probes build
+# ~90 MB and more, where the coarse-partition shuffle pays.
+_DRIVER_BYTES = 32 << 20
+_PART_BYTES = 2 << 20  # keyed-table bytes per coarse partition
+_MAX_PARTS = 4096
+_BLOCK_ROWS = 16_384  # rows per block of a driver-placed output
+
+_PLACEMENT_LOGS: "list[list[dict]]" = []
+
+
+@contextlib.contextmanager
+def placement_log():
+    """Yields a list that collects one record per wide step run inside
+    the block: the kernel, the placement taken, the measured keyed-table
+    bytes and the partition count (0 on the driver)."""
+    log: "list[dict]" = []
+    _PLACEMENT_LOGS.append(log)
+    try:
+        yield log
+    finally:
+        _PLACEMENT_LOGS.remove(log)
+
+
+def _frame(table) -> pd.DataFrame:
+    """All rows of a materialized table as one DataFrame; an empty table
+    keeps its typed columns (``to_pandas`` drops them)."""
+    df = table.to_pandas()
+    schema = table.schema()
+    if len(df.columns) or schema is None:
+        return df
+    return pd.DataFrame({
+        n: pd.Series([], dtype=t.to_pandas_dtype()
+                     if isinstance(t, pa.DataType) else t)
+        for n, t in zip(schema.names, schema.types)})
+
+
+def _place(table, keys, kernel):
+    """Run ``kernel`` over every key group of ``table`` and return the
+    concatenated outputs as a Dataset.
+
+    ``kernel``: DataFrame → DataFrame over rows that hold EVERY row of
+    each of their keys (several keys per call, handled vectorized). The
+    table is materialized (it is the shuffle input in any case), which
+    makes its size free to read: at or below ``_DRIVER_BYTES`` the
+    kernel runs once on the driver over all rows; above it, once per
+    coarse hash partition of ``keys``, one partition per ``_PART_BYTES``
+    (never a Ray group per key: ~0.2 ms/group)."""
+    import ray.data as rd
+
+    from .agg import partitioned_map_partitions
+
+    table = table.materialize()
+    nbytes = table.size_bytes()
+    if nbytes <= _DRIVER_BYTES:
+        n_parts = 0
+        df = kernel(_frame(table))
+        # a large output keeps the input's parallelism for the per-row
+        # work downstream (verification scores every pair); a small one
+        # stays one block, as tiny blocks cost more than they spread
+        n = max(1, min(table.num_blocks(), -(-len(df) // _BLOCK_ROWS)))
+        cuts = np.linspace(0, len(df), n + 1).astype(int)
+        out = rd.from_pandas([df.iloc[a:b] for a, b in zip(cuts, cuts[1:])])
+    else:
+        n_parts = min(_MAX_PARTS, -(-nbytes // _PART_BYTES))
+        out = partitioned_map_partitions(table, keys, kernel,
+                                         n_parts=n_parts)
+    for log in _PLACEMENT_LOGS:
+        log.append({"kernel": kernel.__name__,
+                    "placement": "shuffle" if n_parts else "driver",
+                    "keyed_bytes": int(nbytes), "parts": int(n_parts)})
+    return out
+
+
+def _distinct_pairs(pairs, keys=("id_a", "id_b")):
+    """One row per ``keys`` pair: the same pair emitted by several blocks
+    (LSH bands, prefix grams, deletion variants) survives once."""
+    keys = list(keys)
+
+    def distinct(g: pd.DataFrame) -> pd.DataFrame:
+        return g.drop_duplicates(keys)
+
+    return _place(pairs, keys, distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -104,54 +197,21 @@ def add_text_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return batch.append_column("text_hash", pa.array(hashes, pa.string()))
 
 
-_EXACT_DEDUP_SHUFFLE_ROWS = 2_000_000
-
-
-def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
-                reduce: str = "shuffle",
-                cardinality_hint: "int | None" = None):
-    """Survivor ids of exact (by-content-hash) dedup: hash-partition +
-    per-group min id. Shuffle payload = (hash, id) partials only.
-
-    The content-hash key is UNBOUNDED (≈ one per distinct document), so
-    the scale-safe distributed ``groupby(hash)`` shuffle is the DEFAULT.
-    Callers that know the input is small (``cardinality_hint`` — e.g. a
-    parquet metadata row count — at or below ``_EXACT_DEDUP_SHUFFLE_ROWS``)
-    may pass reduce='auto' to merge the per-batch partials on the driver
-    instead, where Ray's all-to-all fixed cost would dominate the work.
-    (No ``ds.count()`` here: counting a transformed dataset would execute
-    its whole upstream pipeline an extra time.)"""
-    hashed = ds.map_batches(lambda b: add_text_hash(b, text_col),
-                            batch_format="pyarrow").select_columns(
-        ["text_hash", id_col])
-    # per-batch partial min collapses duplicate keys before the shuffle
+def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
+    """Survivor ids of exact (by-content-hash) dedup: the min id per
+    content hash. A per-batch partial min collapses duplicate keys before
+    ``_place``, so the keyed table is (hash, id) partials, never texts."""
     def partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas().groupby("text_hash", as_index=False)[id_col].min()
+        df = add_text_hash(b, text_col).select(["text_hash", id_col]) \
+            .to_pandas().groupby("text_hash", as_index=False)[id_col].min()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    partials = hashed.map_batches(partial, batch_format="pyarrow")
-    if reduce == "auto":
-        reduce = "driver" if (cardinality_hint is not None and
-                              cardinality_hint <= _EXACT_DEDUP_SHUFFLE_ROWS) \
-            else "shuffle"
-    if reduce == "driver":
-        import ray.data as rd
+    def min_id(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("text_hash", as_index=False)[id_col].min() \
+            .astype({id_col: "int64"})
 
-        frames = [b for b in partials.iter_batches(
-            batch_format="pandas", batch_size=None)]
-        allp = pd.concat(frames, ignore_index=True) if frames else \
-            pd.DataFrame({"text_hash": [], id_col: []})
-        out = allp.groupby("text_hash", as_index=False)[id_col].min()
-        return rd.from_pandas(out[[id_col]].astype({id_col: "int64"}))
-    # coarse partitions, not one Ray aggregate group per content hash
-    # (hash keys are unbounded — see agg.partitioned_map_groups)
-    from .agg import partitioned_map_partitions
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("text_hash", as_index=False)[id_col].min()
-
-    return partitioned_map_partitions(
-        partials, "text_hash", combine).select_columns([id_col])
+    return _place(ds.map_batches(partial, batch_format="pyarrow"),
+                  "text_hash", min_id).select_columns([id_col])
 
 
 def exact_dedup_against_corpus(new_ds, corpus_ds, id_col: str = "doc_id",
@@ -232,115 +292,36 @@ class MinHashStage:
         })
 
 
-_MINHASH_SHUFFLE_THRESHOLD = 100_000  # docs; above this the exploded band
-# table (32 rows/doc) is too big for a driver concat and the distributed
-# groupby's fixed cost amortizes
-
-
 def minhash_candidates(ds, num_hashes: int = 128, bands: int = 32,
                        ngram: int = 3, id_col: str = "doc_id",
-                       text_col: str = "text", concurrency: int = 4,
-                       reduce: str = "auto",
-                       cardinality_hint: "int | None" = None):
+                       text_col: str = "text", concurrency: int = 4):
     """Candidate pairs (id_a < id_b) sharing ≥1 LSH band bucket.
 
-    Signature computation (the heavy part) is always distributed. The
-    bucket reduce defaults to 'auto': a distributed COARSE-partition
-    shuffle when the corpus exceeds ``_MINHASH_SHUFFLE_THRESHOLD`` docs
-    (the scale-safe path — only (band, key, id) triples move, never
-    texts; buckets hash into O(P) partitions and all per-bucket logic is
-    vectorized pandas inside each, never a Ray group per bucket), else a
-    driver-side pandas merge (Ray's all-to-all has tens of seconds of
-    fixed overhead that only amortizes at that size). Both paths generate
-    within-bucket pairs with vectorized merges — no Python pair loops."""
+    Signature computation (the heavy part) is always distributed; only
+    (band, band_hash, id) triples reach ``_place``, keyed by the bucket,
+    and the pairs several bands emit are made distinct. Skew note: a
+    bucket of K near-identical docs makes K² merge rows — run exact_dedup
+    first (as pipeline_quality_dedup does) so exact duplicates never
+    reach the LSH stage."""
     exploded = ds.map_batches(
         MinHashStage, batch_format="pyarrow", concurrency=concurrency,
         fn_constructor_kwargs=dict(num_hashes=num_hashes, bands=bands,
                                    ngram=ngram, id_col=id_col, text_col=text_col))
-    if reduce == "auto":
-        # prefer the caller-provided hint: ds.count() is metadata-cheap
-        # ONLY for raw parquet-backed datasets — on a transformed dataset
-        # it executes the whole upstream pipeline an extra time
-        n = cardinality_hint if cardinality_hint is not None else ds.count()
-        reduce = "shuffle" if (n or 0) > _MINHASH_SHUFFLE_THRESHOLD else "driver"
+    a, b = f"{id_col}_a", f"{id_col}_b"
 
-    if reduce == "shuffle":
-        # COARSE partitions, not per-bucket groups (r3 probe finding:
-        # Ray's per-key groupby costs ~0.2 ms/group — ~1M distinct
-        # (band, band_hash) buckets at 150k docs turned the 'scale path'
-        # into minutes of per-group Python; the 30k-doc stage profile
-        # measured 179 s in the count aggregate alone). Instead the
-        # exploded rows hash-partition into O(P) groups sized for ~4M
-        # rows each, and ALL bucket logic inside a partition is
-        # vectorized pandas: duplicated-mask singleton drop + one
-        # self-merge builds within-bucket pairs (a bucket's (band,
-        # band_hash) rows always share a partition). Same-pair emissions
-        # from different bands dedup in a second coarse partition stage
-        # keyed by the pair. Skew note: a bucket of K near-identical
-        # docs makes K² merge rows — run exact_dedup first (as
-        # pipeline_quality_dedup does) so exact duplicates never reach
-        # the LSH stage.
-        n_parts = int(max(32, min(
-            4096, ((cardinality_hint or 1_000_000) * bands) // 4_000_000)))
+    def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        # only buckets with ≥2 members can produce pairs — the duplicated
+        # mask drops the singleton majority, then one self-merge builds
+        # all within-bucket pairs vectorized
+        dup = g[g.duplicated(["band", "band_hash"], keep=False)]
+        m = dup.merge(dup, on=["band", "band_hash"], suffixes=("_a", "_b"))
+        m = m[m[a] < m[b]]
+        return (pd.DataFrame({"id_a": m[a].astype("int64"),
+                              "id_b": m[b].astype("int64")})
+                .drop_duplicates())
 
-        def add_part(b: pd.DataFrame) -> pd.DataFrame:
-            h = b["band_hash"].to_numpy().astype(np.int64).view(np.uint64)
-            with np.errstate(over="ignore"):
-                h = h * np.uint64(0x9E3779B97F4A7C15)
-            part = ((h >> np.uint64(33)).astype(np.int64)
-                    ^ b["band"].to_numpy().astype(np.int64)) % n_parts
-            return b.assign(part=part.astype("int32"))
-
-        def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-            dup = g[g.duplicated(["band", "band_hash"], keep=False)]
-            if len(dup) == 0:
-                return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                     "id_b": pd.Series(dtype="int64")})
-            m = dup.merge(dup, on=["band", "band_hash"],
-                          suffixes=("_a", "_b"))
-            m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-            return (m[[f"{id_col}_a", f"{id_col}_b"]]
-                    .rename(columns={f"{id_col}_a": "id_a",
-                                     f"{id_col}_b": "id_b"})
-                    .drop_duplicates())
-
-        cand = (exploded.map_batches(add_part, batch_format="pandas")
-                .groupby("part").map_groups(pairs_part,
-                                            batch_format="pandas"))
-
-        def add_pair_part(b: pd.DataFrame) -> pd.DataFrame:
-            pp = (b["id_a"].to_numpy() * 1_000_003
-                  + b["id_b"].to_numpy()) % 1024
-            return b.assign(pp=pp.astype("int32"))
-
-        def drop_dup(g: pd.DataFrame) -> pd.DataFrame:
-            return g.drop_duplicates(["id_a", "id_b"])[["id_a", "id_b"]]
-
-        return (cand.map_batches(add_pair_part, batch_format="pandas")
-                .groupby("pp").map_groups(drop_dup, batch_format="pandas")
-                .select_columns(["id_a", "id_b"]))
-
-    import ray.data as rd
-
-    frames = [b for b in exploded.iter_batches(batch_size=65536,
-                                               batch_format="pandas")]
-    allp = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
-        {"band": [], "band_hash": [], id_col: []})
-    # only buckets with ≥2 members can produce pairs — the duplicated mask
-    # drops the singleton majority, then one self-merge builds all
-    # within-bucket pairs vectorized
-    dup = allp[allp.duplicated(["band", "band_hash"], keep=False)]
-    if len(dup) == 0:
-        return rd.from_pandas(pd.DataFrame(
-            {"id_a": pd.Series(dtype="int64"),
-             "id_b": pd.Series(dtype="int64")}))
-    m = dup.merge(dup, on=["band", "band_hash"], suffixes=("_a", "_b"))
-    m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-    out = (m[[f"{id_col}_a", f"{id_col}_b"]]
-           .rename(columns={f"{id_col}_a": "id_a", f"{id_col}_b": "id_b"})
-           .drop_duplicates().sort_values(["id_a", "id_b"])
-           .reset_index(drop=True))
-    return rd.from_pandas(out)
+    return _distinct_pairs(_place(exploded, ["band", "band_hash"],
+                                  band_pairs))
 
 
 def jaccard(text_a: str, text_b: str, n: int = 3) -> float:
@@ -364,76 +345,62 @@ def containment(text_a: str, text_b: str, n: int = 3) -> float:
     return len(sa & sb) / m if m else 0.0
 
 
-_VERIFY_BROADCAST_LIMIT = 20_000  # candidate docs; above this a dict of
-# full texts no longer belongs in one object — switch to the bucket join
+_VERIFY_BROADCAST_LIMIT = 20_000  # candidate pairs; above this a dict of
+# the candidates' full texts no longer belongs in one object — bucket join
 
 
 def minhash_dedup_pairs(ds, threshold: float = 0.8, ngram: int = 3,
                         id_col: str = "doc_id", text_col: str = "text",
-                        concurrency: int = 4, verify: str = "auto",
-                        cardinality_hint: "int | None" = None):
+                        concurrency: int = 4):
     """Verified near-dup pairs: LSH candidates → exact n-gram Jaccard ≥
-    threshold.
-
-    Verification strategies (``verify``):
-    - 'broadcast' — one dict of the candidate docs' texts is ``ray.put``
-      and read per batch; optimal while the candidate set is small.
-    - 'join' — the scale path: candidate pairs are bucket-hash-joined
-      (ops/join.py) against the docs table twice (id_a side, id_b side),
-      so each verify task reads only its bucket's texts — no O(candidates)
-      driver dict, no unbounded broadcast. On a duplicate-heavy corpus the
-      candidate set is O(corpus), which is why this is the default above
-      ``_VERIFY_BROADCAST_LIMIT``.
-    - 'auto' — pick by candidate-doc count.
-    """
-    # materialize keeps the candidate pairs IN THE OBJECT STORE (they can
-    # be O(corpus) on duplicate-heavy data — never a driver table on the
-    # scale path) while making count() and downstream reads free
+    threshold (``verify_jaccard_pairs``)."""
     cand = minhash_candidates(ds, ngram=ngram, id_col=id_col,
-                              text_col=text_col, concurrency=concurrency,
-                              cardinality_hint=cardinality_hint).materialize()
+                              text_col=text_col, concurrency=concurrency)
     return verify_jaccard_pairs(ds, cand, threshold=threshold, ngram=ngram,
-                                id_col=id_col, text_col=text_col,
-                                verify=verify)
+                                id_col=id_col, text_col=text_col)
 
 
 def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
                          id_col: str = "doc_id", text_col: str = "text",
-                         verify: str = "auto", metric: str = "jaccard"):
+                         metric: str = "jaccard"):
     """Exact set-similarity verification of candidate pairs, shared by
-    the MinHash-LSH, AllPairs and containment front ends. ``cand`` must
-    be a MATERIALIZED dataset of (id_a, id_b) rows; returns (id_a, id_b,
+    the MinHash-LSH, AllPairs, containment and index-probe front ends.
+    ``cand``: a dataset of (id_a, id_b) rows; returns (id_a, id_b,
     <metric column>) rows with similarity ≥ threshold. ``metric``:
     'jaccard' (column jaccard_sim) or 'containment' (column containment,
-    = |A∩B| / min(|A|, |B|))."""
+    = |A∩B| / min(|A|, |B|)).
+
+    The candidates are materialized (kept in the object store — they can
+    be O(corpus) on duplicate-heavy data) and counted. Up to
+    ``_VERIFY_BROADCAST_LIMIT`` pairs, one dict of the candidate docs'
+    texts is ``ray.put`` and read per batch. Above it, the pairs are
+    bucket-hash-joined (ops/join.py) against the docs table twice (id_a
+    side, id_b side), so each verify task reads only its bucket's texts —
+    no O(candidates) driver dict, no unbounded broadcast."""
     import ray
     import ray.data as rd
 
     sim_fn = {"jaccard": jaccard, "containment": containment}[metric]
     sim_col = {"jaccard": "jaccard_sim",
                "containment": "containment"}[metric]
+    cand = cand.materialize()
     n_pairs = cand.count()
     empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
                           "id_b": pd.Series([], dtype="int64"),
                           sim_col: pd.Series([], dtype="float64")})
     if n_pairs == 0:
         return rd.from_pandas(empty)
-    if verify == "auto":
-        # pairs ≥ candidate docs / 2, so the pair count is the cheap proxy
-        verify = "broadcast" if n_pairs <= _VERIFY_BROADCAST_LIMIT else "join"
 
-    if verify == "join":
+    if n_pairs > _VERIFY_BROADCAST_LIMIT:
         from .join import bucket_hash_join
 
-        pairs_ds = cand
         docs_a = ds.select_columns([id_col, text_col]).map_batches(
             lambda b: b.rename_columns(["__ja", "__ta"]),
             batch_format="pyarrow")
         docs_b = ds.select_columns([id_col, text_col]).map_batches(
             lambda b: b.rename_columns(["__jb", "__tb"]),
             batch_format="pyarrow")
-        j1 = bucket_hash_join(pairs_ds, docs_a, left_on="id_a",
-                              right_on="__ja")
+        j1 = bucket_hash_join(cand, docs_a, left_on="id_a", right_on="__ja")
         j2 = bucket_hash_join(j1, docs_b, left_on="id_b", right_on="__jb")
 
         def score(batch: pd.DataFrame) -> pd.DataFrame:
@@ -446,7 +413,7 @@ def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
 
         return j2.map_batches(score, batch_format="pandas")
 
-    cand_tbl = cand.to_pandas()  # small by the auto threshold
+    cand_tbl = cand.to_pandas()  # ≤ _VERIFY_BROADCAST_LIMIT rows
     need_ids = sorted(set(cand_tbl["id_a"]) | set(cand_tbl["id_b"]))
     texts_tbl = (
         ds.map_batches(
@@ -474,7 +441,7 @@ def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
 
 
 def segment_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
-                  words_per_seg: int = 20, n_parts: int = 256):
+                  words_per_seg: int = 20):
     """Corpus-wide SEGMENT-level exact dedup: every document is split into
     segments, each distinct segment survives only at its FIRST occurrence
     (min (doc_id, seg_idx) lexicographic), and documents are reassembled
@@ -488,16 +455,13 @@ def segment_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     repo-wide ``\\S+`` convention).
 
     Scale shape: docs explode to (md5(segment), doc_id, seg_idx, segment)
-    rows; the winner-per-segment decision runs inside COARSE hash
-    partitions keyed by the digest (all copies of a segment co-locate;
-    never a Ray group per segment — the 0.2 ms/key cliff), and reassembly
-    is a second coarse-partition stage keyed by doc. The only all-to-all
+    rows; the winner-per-segment decision is a ``_place`` keyed by the
+    digest (all copies of a segment meet in one kernel call), and
+    reassembly is a second ``_place`` keyed by doc. The only wide-step
     payloads are segment rows — no doc ever holds another doc's text.
     Returns (doc_id, text, n_segments, n_kept) — ``text`` is the
     whitespace-normalized surviving text ('' when every segment was a
     repeat or the doc was empty)."""
-    from .agg import partitioned_map_partitions
-
     def explode(batch: pa.Table) -> pd.DataFrame:
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         texts = batch.column(text_col).to_pylist()
@@ -548,23 +512,16 @@ def segment_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
         out["n_kept"] = (out["doc_id"].map(kept).fillna(0).astype("int64"))
         return out
 
-    exploded = ds.map_batches(explode, batch_format="pyarrow")
-    kept = partitioned_map_partitions(exploded, "key", keep_first,
-                                      n_parts=n_parts)
+    kept = _place(ds.map_batches(explode, batch_format="pyarrow"), "key",
+                  keep_first)
     # reassembly needs EVERY emitted row of a doc (kept segs + sentinel);
     # sentinels always survive keep_first (their key is unique per doc)
-    return partitioned_map_partitions(kept, "doc_id", reassemble,
-                                      n_parts=n_parts)
+    return _place(kept, "doc_id", reassemble)
 
 
 # ---------------------------------------------------------------------------
 # AllPairs exact n-gram Jaccard self-join (prefix filtering)
 # ---------------------------------------------------------------------------
-
-_ALLPAIRS_SHUFFLE_THRESHOLD = 100_000  # docs; same rationale as MinHash —
-# below this the exploded prefix table fits a driver merge cheaper than
-# Ray's all-to-all fixed overhead
-
 
 class PrefixStage:
     """Actor stage: doc rows → exploded (gram, doc_id, size) PREFIX rows
@@ -588,7 +545,7 @@ class PrefixStage:
     raw hash. Correctness needs only a consistent total order (any
     order works); pushing template phrases to suffix positions is what
     keeps hot grams out of most prefixes, so no gram bucket explodes on
-    boilerplate-heavy web text. The hot table is tiny (≤ ``hot_grams``
+    boilerplate-heavy web text. The hot table is tiny (≤ ``_HOT_GRAMS``
     entries) and broadcast via ``ray.put`` once."""
 
     def __init__(self, threshold: float, ngram: int = 3,
@@ -656,18 +613,22 @@ class PrefixStage:
         })
 
 
-def _sample_hot_grams(ds, text_col: str, ngram: int, sample_docs: int,
-                      hot_grams: int) -> "dict[int, int] | None":
+_HOT_SAMPLE_DOCS = 2000  # corpus prefix the hot-gram DF table samples
+_HOT_GRAMS = 4096  # cap on the hot table's size
+
+
+def _sample_hot_grams(ds, text_col: str,
+                      ngram: int) -> "dict[int, int] | None":
     """Driver-side sampled document-frequency table: grams appearing in
-    ≥2 sampled docs, capped at ``hot_grams``, ranked ascending by DF
-    (most frequent gets the highest rank → latest in the global order).
-    A sample miss only costs candidate-generation work, never
-    correctness, so a tiny deterministic prefix of the corpus
-    (``ds.limit``) is enough. ``sample_docs=0`` disables the DF pass
-    (pure hash order)."""
-    if sample_docs <= 0:
+    ≥2 of the first ``_HOT_SAMPLE_DOCS`` docs, capped at ``_HOT_GRAMS``,
+    ranked ascending by DF (most frequent gets the highest rank → latest
+    in the global order). A sample miss only costs candidate-generation
+    work, never correctness, so a tiny deterministic prefix of the corpus
+    (``ds.limit``) is enough; ``_HOT_SAMPLE_DOCS = 0`` gives pure hash
+    order."""
+    if _HOT_SAMPLE_DOCS <= 0:
         return None
-    sample = ds.limit(sample_docs).select_columns([text_col]).to_pandas()
+    sample = ds.limit(_HOT_SAMPLE_DOCS).select_columns([text_col]).to_pandas()
     if len(sample) == 0:
         return None
     allg = [_shingle_hashes_fast(t or "", ngram) for t in sample[text_col]]
@@ -679,130 +640,71 @@ def _sample_hot_grams(ds, text_col: str, ngram: int, sample_docs: int,
     hcnt = counts[counts >= 2]
     if len(hot) == 0:
         return None
-    if len(hot) > hot_grams:
-        keep = np.argsort(hcnt)[-hot_grams:]
+    if len(hot) > _HOT_GRAMS:
+        keep = np.argsort(hcnt)[-_HOT_GRAMS:]
         hot, hcnt = hot[keep], hcnt[keep]
     rank = np.argsort(np.argsort(hcnt, kind="stable"), kind="stable")
     return {int(g): int(r) for g, r in zip(hot, rank)}
 
 
+def _prefix_grams(ds, stage, threshold: float, ngram: int, id_col: str,
+                  text_col: str, concurrency: int):
+    """``ds`` exploded to (gram, doc_id, size[, role]) rows by ``stage``
+    (``PrefixStage`` or ``ContainmentExplodeStage``) under the sampled
+    hot-gram order."""
+    import ray
+
+    hot = _sample_hot_grams(ds, text_col, ngram)
+    return ds.map_batches(
+        stage, batch_format="pyarrow", concurrency=concurrency,
+        fn_constructor_kwargs=dict(threshold=threshold, ngram=ngram,
+                                   id_col=id_col, text_col=text_col,
+                                   hot_ref=ray.put(hot) if hot else None))
+
+
 def allpairs_jaccard_candidates(ds, threshold: float = 0.5, ngram: int = 3,
                                 id_col: str = "doc_id",
                                 text_col: str = "text",
-                                concurrency: int = 4,
-                                reduce: str = "auto",
-                                cardinality_hint: "int | None" = None,
-                                hot_grams: int = 4096,
-                                sample_docs: int = 2000):
+                                concurrency: int = 4):
     """EXACT candidate pairs (id_a < id_b) for n-gram Jaccard ≥ threshold
     via AllPairs prefix filtering — no recall argument needed: every
     qualifying pair is guaranteed to share a prefix gram (see
     ``PrefixStage``). Complements MinHash-LSH: the LSH front end is
     probabilistic with tunable cost; this one is exact at any threshold.
 
-    Shuffle shape mirrors ``minhash_candidates``: prefix rows are 16-byte
-    (gram, id, size) triples — never texts — grouped in COARSE hash
-    partitions (never a Ray group per gram: the 0.2 ms/group cliff), and
-    within-partition pair generation is one vectorized pandas self-merge
-    with the Jaccard length filter (|small| ≥ t·|large|) applied before
-    emission. The same-pair dedup is a second coarse stage keyed by the
-    pair. ``reduce='auto'`` picks a driver merge below
-    ``_ALLPAIRS_SHUFFLE_THRESHOLD`` docs (all-to-all fixed cost), the
-    distributed path above."""
-    import ray
-    import ray.data as rd
-
-    hot = _sample_hot_grams(ds, text_col, ngram, sample_docs, hot_grams)
-    hot_ref = ray.put(hot) if hot else None
-    exploded = ds.map_batches(
-        PrefixStage, batch_format="pyarrow", concurrency=concurrency,
-        fn_constructor_kwargs=dict(threshold=threshold, ngram=ngram,
-                                   id_col=id_col, text_col=text_col,
-                                   hot_ref=hot_ref))
-
-    def pairs_from(dup: pd.DataFrame) -> pd.DataFrame:
+    Shape mirrors ``minhash_candidates``: 16-byte (gram, id, size) prefix
+    rows — never texts — go through ``_place`` keyed by gram; the kernel
+    is one vectorized self-merge with the Jaccard length filter
+    (|small| ≥ t·|large|) applied before emission, and the pairs several
+    grams emit are made distinct."""
+    def gram_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        dup = g[g.duplicated("gram", keep=False)]
         m = dup.merge(dup, on="gram", suffixes=("_a", "_b"))
         m = m[m["doc_id_a"] < m["doc_id_b"]]
-        if len(m) == 0:
-            return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                 "id_b": pd.Series(dtype="int64")})
         lo = np.minimum(m["size_a"].to_numpy(), m["size_b"].to_numpy())
         hi = np.maximum(m["size_a"].to_numpy(), m["size_b"].to_numpy())
         m = m[lo >= threshold * hi - 1e-9]
-        return (m[["doc_id_a", "doc_id_b"]]
-                .rename(columns={"doc_id_a": "id_a", "doc_id_b": "id_b"})
+        return (pd.DataFrame({"id_a": m["doc_id_a"].astype("int64"),
+                              "id_b": m["doc_id_b"].astype("int64")})
                 .drop_duplicates())
 
-    if reduce == "auto":
-        n = cardinality_hint if cardinality_hint is not None else ds.count()
-        reduce = ("shuffle" if (n or 0) > _ALLPAIRS_SHUFFLE_THRESHOLD
-                  else "driver")
-
-    if reduce == "shuffle":
-        n_parts = int(max(32, min(
-            4096, (cardinality_hint or 1_000_000) * 16 // 4_000_000)))
-
-        def add_part(b: pd.DataFrame) -> pd.DataFrame:
-            h = b["gram"].to_numpy().astype(np.int64).view(np.uint64)
-            with np.errstate(over="ignore"):
-                h = h * np.uint64(0x9E3779B97F4A7C15)
-            return b.assign(part=((h >> np.uint64(33)).astype(np.int64)
-                                  % n_parts).astype("int32"))
-
-        def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-            dup = g[g.duplicated("gram", keep=False)]
-            if len(dup) == 0:
-                return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                     "id_b": pd.Series(dtype="int64")})
-            return pairs_from(dup)
-
-        cand = (exploded.map_batches(add_part, batch_format="pandas")
-                .groupby("part").map_groups(pairs_part,
-                                            batch_format="pandas"))
-
-        def add_pair_part(b: pd.DataFrame) -> pd.DataFrame:
-            pp = (b["id_a"].to_numpy() * 1_000_003
-                  + b["id_b"].to_numpy()) % 1024
-            return b.assign(pp=pp.astype("int32"))
-
-        def drop_dup(g: pd.DataFrame) -> pd.DataFrame:
-            return g.drop_duplicates(["id_a", "id_b"])[["id_a", "id_b"]]
-
-        return (cand.map_batches(add_pair_part, batch_format="pandas")
-                .groupby("pp").map_groups(drop_dup, batch_format="pandas")
-                .select_columns(["id_a", "id_b"]))
-
-    frames = list(exploded.iter_batches(batch_size=65536,
-                                        batch_format="pandas"))
-    allp = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
-        {"gram": [], "doc_id": [], "size": []})
-    dup = allp[allp.duplicated("gram", keep=False)]
-    if len(dup) == 0:
-        return rd.from_pandas(pd.DataFrame(
-            {"id_a": pd.Series(dtype="int64"),
-             "id_b": pd.Series(dtype="int64")}))
-    out = (pairs_from(dup).drop_duplicates()
-           .sort_values(["id_a", "id_b"]).reset_index(drop=True))
-    return rd.from_pandas(out)
+    exploded = _prefix_grams(ds, PrefixStage, threshold, ngram, id_col,
+                             text_col, concurrency)
+    return _distinct_pairs(_place(exploded, "gram", gram_pairs))
 
 
 def allpairs_jaccard_pairs(ds, threshold: float = 0.5, ngram: int = 3,
                            id_col: str = "doc_id", text_col: str = "text",
-                           concurrency: int = 4, verify: str = "auto",
-                           cardinality_hint: "int | None" = None,
-                           sample_docs: int = 2000):
+                           concurrency: int = 4):
     """EXACT verified n-gram-Jaccard pairs ≥ threshold: AllPairs prefix
     filtering (guaranteed-complete candidates) → exact Jaccard verify —
     the deterministic sibling of ``minhash_dedup_pairs`` with identical
     output columns (id_a, id_b, jaccard_sim)."""
     cand = allpairs_jaccard_candidates(
         ds, threshold=threshold, ngram=ngram, id_col=id_col,
-        text_col=text_col, concurrency=concurrency,
-        cardinality_hint=cardinality_hint,
-        sample_docs=sample_docs).materialize()
+        text_col=text_col, concurrency=concurrency)
     return verify_jaccard_pairs(ds, cand, threshold=threshold, ngram=ngram,
-                                id_col=id_col, text_col=text_col,
-                                verify=verify)
+                                id_col=id_col, text_col=text_col)
 
 
 # ---------------------------------------------------------------------------
@@ -910,48 +812,37 @@ def simhash_near_pairs(ds, max_hamming: int = 3, id_col: str = "doc_id",
                          "band_key": pa.array(keys.view(np.int64)),
                          "simhash": pa.array(np.repeat(sh, n_bands))})
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g[id_col].to_numpy())
-        ids = g[id_col].to_numpy()[order].astype(np.int64)
-        sh = g["simhash"].to_numpy()[order].astype(np.int64).view(np.uint64)
-        ia, ib = np.triu_indices(len(ids), k=1)
-        x = sh[ia] ^ sh[ib]
-        ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
-        keep = ham <= max_hamming
-        return pd.DataFrame({"id_a": ids[ia[keep]],
-                             "id_b": ids[ib[keep]],
-                             "hamming": ham[keep].astype("int64")})
+    def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        g = g[g.duplicated(["band", "band_key"], keep=False)]
+        frames = [pd.DataFrame({c: pd.Series([], dtype="int64")
+                                for c in ("id_a", "id_b", "hamming")})]
+        for _, grp in g.groupby(["band", "band_key"], sort=False):
+            order = np.argsort(grp[id_col].to_numpy())
+            ids = grp[id_col].to_numpy()[order].astype(np.int64)
+            sh = grp["simhash"].to_numpy()[order].astype(np.int64) \
+                .view(np.uint64)
+            ia, ib = np.triu_indices(len(ids), k=1)
+            x = sh[ia] ^ sh[ib]
+            ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8),
+                                axis=1).sum(axis=1)
+            keep = ham <= max_hamming
+            frames.append(pd.DataFrame({"id_a": ids[ia[keep]],
+                                        "id_b": ids[ib[keep]],
+                                        "hamming": ham[keep].astype("int64")}))
+        return pd.concat(frames, ignore_index=True)
 
-    from .agg import partitioned_map_groups, partitioned_map_partitions
-
-    # coarse partitions, not one Ray group per LSH bucket (see
-    # minhash_candidates' shuffle branch for the measured per-group cost)
-    cand = partitioned_map_groups(
+    # a pair sharing several bands is emitted once per band; its hamming
+    # distance is the same every time
+    return _distinct_pairs(_place(
         fps.map_batches(explode, batch_format="pyarrow"),
-        ["band", "band_key"], pairs)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["id_a", "id_b"], as_index=False)["hamming"].min()
-
-    return partitioned_map_partitions(cand, ["id_a", "id_b"], combine)
+        ["band", "band_key"], band_pairs))
 
 
 # ---------------------------------------------------------------------------
 # embedding-cosine near-dup
 # ---------------------------------------------------------------------------
 
-_EMBEDDING_EXACT_ROWS = 100_000
-
-
-def _select_embedding_method(method: str,
-                             cardinality_hint: "int | None") -> str:
-    """The sibling ``reduce='auto'`` convention (exact_dedup): without an
-    explicit small-cardinality hint, 'auto' picks the scale-safe bucketed
-    path; the exact all-pairs broadcast requires a known-small input."""
-    if method != "auto":
-        return method
-    return ("exact" if cardinality_hint is not None
-            and cardinality_hint <= _EMBEDDING_EXACT_ROWS else "bucketed")
+_EMBEDDING_EXACT_ROWS = 100_000  # exact cost grows with rows²
 
 
 def _matrix(series) -> np.ndarray:
@@ -960,61 +851,24 @@ def _matrix(series) -> np.ndarray:
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
 
 
-def _kmeans(mat: np.ndarray, nlist: int, iters: int = 10,
-            seed: int = 42) -> np.ndarray:
-    """Seed-fixed spherical Lloyd on the driver: the coarse centroids the
-    bucketed embedding dedup assigns vectors to."""
-    rng = np.random.RandomState(seed)
-    centroids = mat[rng.choice(len(mat), size=min(nlist, len(mat)),
-                               replace=False)]
-    for _ in range(iters):
-        sims = mat @ centroids.T
-        assign = sims.argmax(axis=1)
-        for c in range(len(centroids)):
-            members = mat[assign == c]
-            if len(members):
-                v = members.mean(axis=0)
-                centroids[c] = v / max(np.linalg.norm(v), 1e-12)
-    return centroids
-
-
 def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
-                        vec_col: str = "embedding", method: str = "exact",
-                        cardinality_hint: "int | None" = None,
-                        nlist: int = 16, nassign: int = 2,
-                        sample_size: int = 4096):
-    """Pairs with cosine similarity ≥ threshold.
+                        vec_col: str = "embedding"):
+    """Pairs (id_a < id_b, cosine_sim) with cosine similarity ≥ threshold.
 
-    method='exact': broadcast-matrix design — the normalized matrix is
-    ``ray.put`` once and every batch does one numpy matmul against it.
-    Valid ONLY while the matrix fits a worker (it is materialized on the
-    driver first); a scale-killer on a real corpus.
-
-    method='bucketed': delegates to ``embedding_dup_pairs_bucketed``
-    (multi-assign centroid buckets, pairs only within buckets) —
-    approximate with a tested recall contract, nothing driver-side but the
-    tiny centroid matrix.
-
-    method='lsh': delegates to ``embedding_dup_pairs_lsh`` (random-
-    hyperplane band signatures + exact within-band verification) — the
-    sample-free scale path; right when no representative sample exists
-    to train centroids on (fresh corpora, drifting distributions).
-
-    method='auto' (VERDICT r2 item 2): picks 'exact' only when
-    ``cardinality_hint`` (e.g. a parquet metadata row count — never a
-    ``ds.count()`` of a transformed pipeline) is at most
-    ``_EMBEDDING_EXACT_ROWS``; otherwise the bucketed scale path."""
-    if method == "lsh":
-        return embedding_dup_pairs_lsh(
-            ds, threshold=threshold, id_col=id_col, vec_col=vec_col)
-    method = _select_embedding_method(method, cardinality_hint)
-    if method == "bucketed":
-        return embedding_dup_pairs_bucketed(
-            ds, threshold=threshold, nlist=nlist, nassign=nassign,
-            sample_size=sample_size, id_col=id_col, vec_col=vec_col)
+    The (id, vector) table is materialized and counted. Up to
+    ``_EMBEDDING_EXACT_ROWS`` rows the result is exact: the normalized
+    matrix is ``ray.put`` once and every batch does one numpy matmul
+    against it. Above that, all-pairs work grows with rows², so
+    ``embedding_dup_pairs_lsh`` (random-hyperplane bands + exact
+    within-band verification, recall contract in its docstring) runs
+    instead."""
     import ray
 
-    all_tbl = ds.select_columns([id_col, vec_col]).to_pandas()
+    table = ds.select_columns([id_col, vec_col]).materialize()
+    if table.count() > _EMBEDDING_EXACT_ROWS:
+        return embedding_dup_pairs_lsh(table, threshold=threshold,
+                                       id_col=id_col, vec_col=vec_col)
+    all_tbl = table.to_pandas()
     ids = all_tbl[id_col].to_numpy()
     ref = ray.put((ids, _matrix(all_tbl[vec_col])))
 
@@ -1030,64 +884,7 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
                              "cosine_sim": pd.Series(sims[r, c],
                                                      dtype="float64")})
 
-    return ds.map_batches(scan, batch_format="pandas", batch_size=256)
-
-
-def embedding_dup_pairs_bucketed(ds, threshold: float = 0.95,
-                                 nlist: int = 16, nassign: int = 2,
-                                 sample_size: int = 4096,
-                                 id_col: str = "vec_id",
-                                 vec_col: str = "embedding"):
-    """Scale path for embedding near-dup: every vector is assigned to its
-    ``nassign`` nearest coarse centroids (multi-assignment raises recall
-    for pairs straddling a bucket boundary), pairs are generated ONLY
-    within each bucket via ``groupby(bucket).map_groups`` — no worker ever
-    holds more than one bucket's matrix, nothing is broadcast except the
-    tiny centroid matrix — and a final ``groupby(id_a, id_b)`` dedups the
-    multi-assigned pairs. Approximate (recall vs the exact op asserted in
-    tests); within-bucket similarities are exact, so no false pairs."""
-    import ray
-    import ray.data as rd
-
-    sample = ds.limit(sample_size).select_columns([vec_col]).to_pandas()
-    centroids = _kmeans(_matrix(sample[vec_col]), nlist)
-    cref = ray.put(centroids)
-
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        cents = ray.get(cref)
-        mat = _matrix(batch[vec_col])
-        top = np.argsort(-(mat @ cents.T), axis=1)[:, :nassign]
-        frames = []
-        for j in range(top.shape[1]):
-            f = batch[[id_col, vec_col]].copy()
-            f["bucket"] = top[:, j].astype("int32")
-            frames.append(f)
-        return pd.concat(frames, ignore_index=True)
-
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        ids = g[id_col].to_numpy()
-        mat = _matrix(g[vec_col])
-        sims = mat @ mat.T
-        ia, ib = np.triu_indices(len(ids), k=1)
-        keep = sims[ia, ib] >= threshold
-        a, b = ids[ia[keep]], ids[ib[keep]]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        out = pd.DataFrame({"id_a": lo.astype("int64"),
-                            "id_b": hi.astype("int64"),
-                            "cosine_sim": sims[ia[keep], ib[keep]]})
-        return out[out["id_a"] != out["id_b"]]
-
-    assigned = ds.map_batches(assign, batch_format="pandas")
-    cand = assigned.groupby("bucket").map_groups(pairs_in_bucket,
-                                                batch_format="pandas")
-    # multi-assignment can emit a pair from up to nassign shared buckets;
-    # pair keys are unbounded → coarse-partition merge, not per-key groups
-    from .agg import partitioned_map_partitions as _pmp
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["id_a", "id_b"], as_index=False)["cosine_sim"].max()
-
-    return _pmp(cand, ["id_a", "id_b"], combine)
+    return table.map_batches(scan, batch_format="pandas", batch_size=256)
 
 
 def _hyperplanes(seed: int, num_bits: int, dim: int) -> np.ndarray:
@@ -1099,15 +896,14 @@ def _hyperplanes(seed: int, num_bits: int, dim: int) -> np.ndarray:
 
 def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
                             num_bits: int = 128, bands: int = 16,
-                            seed: int = 0x5EED, n_parts: int = 256,
+                            seed: int = 0x5EED,
                             id_col: str = "vec_id",
                             vec_col: str = "embedding"):
-    """Second scale path for embedding near-dup (VERDICT r4 item 8):
+    """Scale path for embedding near-dup (VERDICT r4 item 8):
     random-hyperplane (SimHash-for-cosine, Charikar STOC'02) signatures →
-    the same band-partition machinery as the MinHash family → exact
-    cosine verification within band groups. Unlike the centroid-bucket
-    path this needs NO representative sample — the planes are a pure
-    function of (seed, dim), regenerated in every worker.
+    band keys → exact cosine verification within each band bucket. It
+    needs NO representative sample — the planes are a pure function of
+    (seed, dim), regenerated in every worker.
 
     Recall contract: a pair at cosine s collides per bit with
     p = 1 - arccos(s)/π, per band with p^rows (rows = num_bits // bands),
@@ -1117,11 +913,9 @@ def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
     op is pinned by tests/test_ops.py). Within-band similarities are
     exact, so precision is always 1.0.
 
-    Shuffle cost: each vector is shipped ``bands`` times (the standard
-    LSH banding trade, same as the MinHash index); groups are coarse
-    hash partitions (never one Ray group per band key)."""
-    from .agg import partitioned_map_partitions as _pmp
-
+    Keyed table: each vector is shipped ``bands`` times (the standard LSH
+    banding trade, same as the MinHash index) into ``_place`` keyed by
+    band key; a pair colliding in several bands is made distinct."""
     rows = num_bits // bands
     if rows * bands != num_bits:
         raise ValueError("num_bits must be divisible by bands")
@@ -1151,41 +945,32 @@ def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
             frames.append(f)
         return pd.concat(frames, ignore_index=True)
 
-    def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
+    def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        outs = [pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
+                              "id_b": pd.Series([], dtype="int64"),
+                              "cosine_sim": pd.Series([], dtype="float64")})]
+        g = g[g.duplicated("band_key", keep=False)]
         for _, grp in g.groupby("band_key", sort=False):
-            if len(grp) < 2:
-                continue
             ids = grp[id_col].to_numpy()
             mat = np.vstack([np.frombuffer(b, dtype=np.float64)
                              for b in grp["vec_bytes"]])
             mat = mat / np.maximum(
                 np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-            sims = mat @ mat.T
             ia, ib = np.triu_indices(len(ids), k=1)
-            keep = sims[ia, ib] >= threshold
-            a, b = ids[ia[keep]], ids[ib[keep]]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            out = pd.DataFrame({"id_a": lo.astype("int64"),
-                                "id_b": hi.astype("int64"),
-                                "cosine_sim": sims[ia[keep], ib[keep]]})
+            keep = (mat @ mat.T)[ia, ib] >= threshold
+            ia, ib = ia[keep], ib[keep]
+            a, b = ids[ia], ids[ib]
+            # per-pair dot: the same value whichever band emits the pair
+            out = pd.DataFrame({
+                "id_a": np.minimum(a, b).astype("int64"),
+                "id_b": np.maximum(a, b).astype("int64"),
+                "cosine_sim": np.einsum("ij,ij->i", mat[ia], mat[ib])})
             outs.append(out[out["id_a"] != out["id_b"]])
-        if not outs:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64"),
-                                 "cosine_sim": pd.Series([], dtype="float64")})
         return pd.concat(outs, ignore_index=True)
 
     sigd = ds.select_columns([id_col, vec_col]).map_batches(
         sig, batch_format="pandas")
-    cand = _pmp(sigd, ["band_key"], pairs_in_partition, n_parts=n_parts)
-
-    # a pair can collide in several bands — dedup with a second coarse
-    # partition pass (pair keys are unbounded, never per-key Ray groups)
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["id_a", "id_b"], as_index=False)["cosine_sim"].max()
-
-    return _pmp(cand, ["id_a", "id_b"], combine)
+    return _distinct_pairs(_place(sigd, "band_key", band_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -1196,34 +981,24 @@ _SURVIVORS_DRIVER_MAX_PAIRS = 5_000_000  # ≈ a few hundred MB of dict churn
 
 
 def dedup_survivors(all_ids: "pd.Series | list[int]",
-                    pairs, method: str = "auto") -> pd.DataFrame:
+                    pairs) -> pd.DataFrame:
     """Collapse verified near-dup pairs into clusters and keep the min id of
     each connected component. Returns (doc_id, canonical_id) for every
     input id — survivors are rows where doc_id == canonical_id.
 
-    ``method='driver'``: union-find over a pandas pair table — right while
-    verified pairs ≪ corpus (the common case). ``'distributed'``: hash-min
-    label propagation over a pair Dataset (ops/graph.py
-    connected_components — per-round edge passes, nothing driver-side).
-    ``'auto'``: driver below _SURVIVORS_DRIVER_MAX_PAIRS pandas rows;
-    a Dataset ``pairs`` takes the distributed path (``method='driver'``
-    with a Dataset raises — collect to pandas first if the pair set is
-    known-small; silently ignoring the explicit request was ADVICE r3).
-    Both produce the identical min-label convention (equivalence-tested)."""
-    if hasattr(pairs, "map_batches") and method == "driver":
-        raise ValueError(
-            "dedup_survivors(method='driver') requires a pandas pair "
-            "table; got a Dataset — .to_pandas() it first (only if the "
-            "pair set is small) or use method='distributed'/'auto'")
-    if hasattr(pairs, "map_batches") or (
-            method == "auto" and len(pairs) > _SURVIVORS_DRIVER_MAX_PAIRS
-    ) or method == "distributed":
+    A pandas pair table of at most ``_SURVIVORS_DRIVER_MAX_PAIRS`` rows
+    (the common case: verified pairs ≪ corpus) takes union-find on the
+    driver. A larger table, or a pair Dataset (whose size is unbounded),
+    takes hash-min label propagation (ops/graph.py connected_components —
+    per-round edge passes, nothing driver-side). Both produce the
+    identical min-label convention (equivalence-tested)."""
+    is_ds = hasattr(pairs, "map_batches")
+    if is_ds or len(pairs) > _SURVIVORS_DRIVER_MAX_PAIRS:
         import ray.data as rd
 
         from .graph import connected_components
 
-        edges = (pairs if hasattr(pairs, "map_batches")
-                 else rd.from_pandas(pairs))
+        edges = pairs if is_ds else rd.from_pandas(pairs)
         edges = edges.map_batches(
             lambda b: b.rename(columns={"id_a": "src", "id_b": "dst"}),
             batch_format="pandas")
@@ -1286,8 +1061,7 @@ def _span_grams(toks: "list[str]", L: int) -> "list[int]":
 
 
 def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
-              text_col: str = "text", reduce: str = "shuffle",
-              cardinality_hint: "int | None" = None, n_parts: int = 256):
+              text_col: str = "text"):
     """Substring-level duplicate-span detection (the fixed-gram variant of
     exact substring dedup, Lee et al. 2022 "Deduplicating Training Data
     Makes Language Models Better" — public): a token position is
@@ -1296,87 +1070,14 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
 
     Returns (id, n_tokens, n_dup_starts, n_dup_tokens).
 
-    ``reduce`` picks how the corpus-global gram counts are realized
-    (``exact_dedup``'s convention):
-
-    - ``'shuffle'`` (default — the scale-safe path): gram rows
-      (hash, doc, start) are coarse-hash-partitioned by gram hash, so each
-      partition sees EVERY occurrence of its grams and marks duplicates
-      with one vectorized ``duplicated()`` — no corpus-sized driver state,
-      no broadcast. The surviving (doc, start) rows (plus one n_tokens
-      marker row per doc) are then coarse-partitioned by doc and the
-      merged-interval coverage is computed segment-vectorized across all
-      docs of a partition. Two bounded all-to-alls of narrow int rows.
-    - ``'driver'``: per-batch gram Counters merged into one driver dict and
-      broadcast — cheaper below Ray's all-to-all fixed cost, but driver
-      memory is O(distinct grams) ≈ O(corpus tokens); small inputs only.
-    - ``'auto'``: ``'driver'`` when ``cardinality_hint`` (row count) says
-      the corpus is small (≤ 100k docs), else ``'shuffle'``."""
-    if reduce == "auto":
-        reduce = ("driver" if cardinality_hint is not None
-                  and cardinality_hint <= 100_000 else "shuffle")
-    if reduce == "driver":
-        return _dup_spans_driver(ds, gram_len, id_col, text_col)
-    if reduce != "shuffle":
-        raise ValueError(f"unknown reduce mode: {reduce!r}")
-    return _dup_spans_shuffle(ds, gram_len, id_col, text_col, n_parts)
-
-
-def _dup_spans_driver(ds, L: int, id_col: str, text_col: str):
-    import ray
-
-    from collections import Counter
-
-    def count_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for t in batch[text_col].fillna(""):
-            t = t.strip()
-            if t:
-                c.update(_span_grams(t.split(), L))
-        return pd.DataFrame({"h": pd.Series(list(c.keys()), dtype="uint64"),
-                             "cnt": pd.Series(list(c.values()),
-                                              dtype="int64")})
-
-    partials = ds.map_batches(count_batch, batch_format="pandas",
-                              batch_size=65536).to_pandas()
-    if len(partials):
-        totals = partials.groupby("h")["cnt"].sum()
-        dup_set = frozenset(totals[totals >= 2].index.tolist())
-    else:
-        dup_set = frozenset()
-    dref = ray.put(dup_set)
-
-    def cover(batch: pd.DataFrame) -> pd.DataFrame:
-        dups = ray.get(dref)
-        n_toks, n_starts, n_cov = [], [], []
-        for t in batch[text_col].fillna(""):
-            t = t.strip()
-            toks = t.split() if t else []
-            hs = _span_grams(toks, L)
-            starts = np.flatnonzero(
-                np.fromiter((h in dups for h in hs), dtype=bool,
-                            count=len(hs)))
-            n_toks.append(len(toks))
-            n_starts.append(len(starts))
-            if len(starts) == 0:
-                n_cov.append(0)
-                continue
-            # union of [s, s+L) intervals over sorted starts: each new
-            # start adds min(L, gap-from-previous-start) positions
-            gaps = np.diff(starts)
-            n_cov.append(int(L + np.minimum(gaps, L).sum()))
-        return pd.DataFrame({
-            id_col: batch[id_col],
-            "n_tokens": pd.Series(n_toks, dtype="int64"),
-            "n_dup_starts": pd.Series(n_starts, dtype="int64"),
-            "n_dup_tokens": pd.Series(n_cov, dtype="int64")})
-
-    return ds.map_batches(cover, batch_format="pandas")
-
-
-def _dup_spans_shuffle(ds, L: int, id_col: str, text_col: str,
-                       n_parts: int):
-    from .agg import partitioned_map_partitions
+    Two ``_place`` steps of narrow int rows, no corpus-sized state: gram
+    rows (hash, doc, start) keyed by gram hash, so each kernel call sees
+    EVERY occurrence of its grams and marks duplicates with one
+    vectorized ``duplicated()``; then the surviving (doc, start) rows
+    plus one n_tokens marker row per doc, keyed by doc, where the
+    merged-interval coverage is computed segment-vectorized across all
+    docs of the call."""
+    L = gram_len
 
     def emit_grams(batch: pd.DataFrame) -> pd.DataFrame:
         hs: "list[int]" = []
@@ -1395,15 +1096,14 @@ def _dup_spans_shuffle(ds, L: int, id_col: str, text_col: str,
 
     grams = ds.map_batches(emit_grams, batch_format="pandas")
 
-    # every occurrence of a gram lands in the same partition, so a plain
+    # every occurrence of a gram meets in one kernel call, so a plain
     # duplicated(keep=False) IS the global count>=2 test — no join needed
     def mark_dups(g: pd.DataFrame) -> pd.DataFrame:
         d = g.loc[g["h"].duplicated(keep=False), [id_col, "s"]].copy()
         d["n_tokens"] = pd.Series(0, index=d.index, dtype="int64")
         return d[[id_col, "s", "n_tokens"]]
 
-    dup_rows = partitioned_map_partitions(grams, "h", mark_dups,
-                                          n_parts=n_parts)
+    dup_rows = _place(grams, "h", mark_dups)
 
     def emit_markers(batch: pd.DataFrame) -> pd.DataFrame:
         nt = [len(t.strip().split()) if t.strip() else 0
@@ -1459,9 +1159,7 @@ def _dup_spans_shuffle(ds, L: int, id_col: str, text_col: str,
             "n_dup_starts": pd.Series(out_starts, dtype="int64"),
             "n_dup_tokens": pd.Series(out_cov, dtype="int64")})
 
-    unioned = dup_rows.union(markers)
-    return partitioned_map_partitions(unioned, id_col, coverage,
-                                      n_parts=n_parts)
+    return _place(dup_rows.union(markers), id_col, coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -1533,10 +1231,12 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
                         text_col: str = "text"):
     """New-shard near-dup probe against a staged corpus index: band keys
     for the new docs → read ONLY the index buckets those keys occupy
-    (hive-partition pruning) → key join → distinct (id_a=new, id_b=corpus)
-    candidates → exact n-gram-Jaccard verify over the union (ids must be
-    disjoint across the two sides). MinHash parameters MUST match the
-    build's. Returns (id_a, id_b, jaccard_sim ≥ threshold).
+    (hive-partition pruning), keeping only rows whose key the probe has →
+    the probe's (key, new id) rows and those (key, corpus id) rows meet
+    in one ``_place`` keyed by band key → distinct (id_a=new,
+    id_b=corpus) candidates → exact n-gram-Jaccard verify over the union
+    (ids must be disjoint across the two sides). MinHash parameters MUST
+    match the build's. Returns (id_a, id_b, jaccard_sim ≥ threshold).
 
     Recall contract (probabilistic, like every LSH probe): a pair at true
     Jaccard s is surfaced with P = 1 - (1 - s^(rows))^bands, rows =
@@ -1549,20 +1249,14 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
     import glob
     import os
 
+    import ray
     import ray.data as rd
-
-    from .agg import partitioned_map_partitions
-    from .join import bucket_hash_join
-
-    B = num_buckets
 
     def keyize(b: pd.DataFrame) -> pd.DataFrame:
         key = _band_join_key(b["band"].to_numpy(),
                              b["band_hash"].to_numpy())
-        b = b.rename(columns={id_col: "new_id"})
-        b["key"] = key
-        b["bucket"] = (key.view(np.uint64) % np.uint64(B)).astype("int32")
-        return b[["bucket", "key", "new_id"]]
+        return pd.DataFrame({"key": key, "id": b[id_col].astype("int64"),
+                             "side": np.zeros(len(b), dtype=np.int8)})
 
     probe = new_ds.map_batches(
         MinHashStage, batch_format="pyarrow",
@@ -1572,32 +1266,43 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
         concurrency=2).map_batches(keyize, batch_format="pandas") \
         .materialize()
 
-    needed: set[int] = set()
-    for b in probe.select_columns(["bucket"]).iter_batches(
-            batch_size=None, batch_format="pandas"):
-        needed.update(int(x) for x in b["bucket"].unique())
-    files = [f for k in sorted(needed) for f in sorted(
+    # the probe's keys are O(shard): their buckets prune the index files
+    # read, and the sorted key set (ray.put once) keeps only the index
+    # rows that can match — the keyed table grows with the matches, not
+    # with the corpus
+    keys = np.unique(np.concatenate([np.empty(0, np.int64)] + [
+        b["key"].to_numpy() for b in probe.select_columns(["key"])
+        .iter_batches(batch_size=None, batch_format="pandas")]))
+    needed = np.unique(keys.view(np.uint64) % np.uint64(num_buckets))
+    files = [f for k in needed for f in sorted(
         glob.glob(os.path.join(index_dir, f"bucket={k}", "*.parquet")))]
-    empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                          "id_b": pd.Series([], dtype="int64"),
-                          "jaccard_sim": pd.Series([], dtype="float64")})
     if not files:
-        return rd.from_pandas(empty)
-    idx = rd.read_parquet(files, columns=["key", "corpus_id"])
+        return rd.from_pandas(pd.DataFrame({
+            "id_a": pd.Series([], dtype="int64"),
+            "id_b": pd.Series([], dtype="int64"),
+            "jaccard_sim": pd.Series([], dtype="float64")}))
+    keys_ref = ray.put(keys)
 
-    def pair_post(m: pd.DataFrame) -> pd.DataFrame:
-        return (m[["new_id", "corpus_id"]].drop_duplicates()
-                .rename(columns={"new_id": "id_a", "corpus_id": "id_b"}))
+    def corpus_side(b: pa.Table) -> pa.Table:
+        k = b.column("key").to_numpy()
+        want = ray.get(keys_ref)
+        pos = np.searchsorted(want, k).clip(0, len(want) - 1)
+        hit = b.filter(pa.array(want[pos] == k))
+        return pa.table({"key": hit.column("key"),
+                         "id": hit.column("corpus_id"),
+                         "side": pa.array(np.ones(len(hit), np.int8))})
 
-    cand = bucket_hash_join(probe.select_columns(["key", "new_id"]), idx,
-                            left_on="key", right_on="key",
-                            num_buckets=16, post=pair_post)
+    idx = rd.read_parquet(files, columns=["key", "corpus_id"]).map_batches(
+        corpus_side, batch_format="pyarrow", batch_size=None)
 
-    def drop_dup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates()
+    def key_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        m = g[g["side"] == 0].merge(g[g["side"] == 1], on="key",
+                                    suffixes=("_a", "_b"))
+        return (pd.DataFrame({"id_a": m["id_a"].astype("int64"),
+                              "id_b": m["id_b"].astype("int64")})
+                .drop_duplicates())
 
-    cand = partitioned_map_partitions(cand, ["id_a", "id_b"], drop_dup,
-                                      n_parts=16).materialize()
+    cand = _distinct_pairs(_place(probe.union(idx), "key", key_pairs))
     union = corpus_ds.select_columns([id_col, text_col]).union(
         new_ds.select_columns([id_col, text_col]))
     return verify_jaccard_pairs(union, cand, threshold, ngram=ngram,
@@ -1685,18 +1390,15 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
     not fixture luck.
 
     Scale shape: variants explode each doc into ≤ O(key_len^k) short
-    strings (k=1 → key_len+1); candidates group on the variant string
-    via coarse hash partitions (never one Ray group per variant), and
-    the within-partition kernel is a vectorized sorted-run scan — rows
+    strings (k=1 → key_len+1) that go through ``_place`` keyed by the
+    variant string; the kernel is a vectorized sorted-run scan — rows
     whose variant is unshared (almost all of them) are dropped by one
     bincount mask, so cost is O(rows) + O(actual candidate pairs), not
-    O(distinct variants) pandas group dispatches; the pair-combine +
-    verify is a second coarse shuffle of (doc_a, doc_b, key_a, key_b)
-    rows only — document bodies never move. Exact-equal keys pair
+    O(distinct variants) pandas group dispatches. The pair-combine +
+    verify is a second ``_place`` of (doc_a, doc_b, key_a, key_b) rows
+    keyed by the pair — document bodies never move. Exact-equal keys pair
     quadratically (they are all true d=0 results); corpora with huge
     exact-dup groups should run :func:`exact_dedup` first."""
-    from .agg import partitioned_map_partitions
-
     def keyed(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col).to_pylist()
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
@@ -1745,7 +1447,7 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
         return (pd.concat(frames, ignore_index=True)
                 .drop_duplicates(["doc_a", "doc_b"]))
 
-    cand = partitioned_map_partitions(variants, ["v"], pairs_part)
+    cand = _place(variants, "v", pairs_part)
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["doc_a", "doc_b"])
@@ -1757,7 +1459,7 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
             "doc_b": g["doc_b"].to_numpy(np.int64)[keep],
             "dist": dist[keep]})
 
-    return partitioned_map_partitions(cand, ["doc_a", "doc_b"], verify)
+    return _place(cand, ["doc_a", "doc_b"], verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1814,9 +1516,7 @@ class ContainmentExplodeStage(PrefixStage):
 
 def containment_pairs(ds, threshold: float = 0.8, ngram: int = 3,
                       id_col: str = "doc_id", text_col: str = "text",
-                      concurrency: int = 4, verify: str = "auto",
-                      hot_grams: int = 4096, sample_docs: int = 2000,
-                      n_parts: int = 256):
+                      concurrency: int = 4):
     """EXACT verified containment pairs — (id_a, id_b, containment)
     with |A∩B| / min(|A|, |B|) ≥ threshold: the asymmetric duplicate
     relation (a page quoting most of another, a superset rewrite) that
@@ -1828,79 +1528,35 @@ def containment_pairs(ds, threshold: float = 0.8, ngram: int = 3,
     shared shingles, more than fit in its suffix once its prefix of
     ``s − ⌈t·s⌉ + 1`` rarest-ordered shingles is removed — so the
     smaller doc's PREFIX must intersect the larger doc's FULL shingle
-    list. Both roles reuse ``PrefixStage`` (threshold=0 emits the full
-    list); grouping (prefix-row × full-row, size_prefix ≤ size_full)
+    list. Grouping (prefix-row × full-row, size_prefix ≤ size_full)
     per gram yields a guaranteed-complete candidate superset, exactly
     verified afterward — no recall contract, same as the AllPairs path.
 
-    Shuffle shape: 16-byte (gram, id, size, role) rows in coarse hash
-    partitions, a vectorized per-partition merge, a pair-keyed dedup
-    stage, then :func:`verify_jaccard_pairs` with metric='containment'.
-    Both roles come out of ONE actor-pool pass (shingle once, emit full
-    list + prefix flag) — a second pool would both re-shingle the corpus
-    and, at small CPU counts, hold enough reserved actor CPUs to starve
-    the downstream shuffle. Full-role rows of boilerplate grams meet few
+    Shape: 16-byte (gram, id, size, role) rows through ``_place`` keyed
+    by gram, a vectorized per-call merge, distinct pairs, then
+    :func:`verify_jaccard_pairs` with metric='containment'. Both roles
+    come out of ONE actor-pool pass (shingle once, emit full list +
+    prefix flag) — a second pool would both re-shingle the corpus and,
+    at small CPU counts, hold enough reserved actor CPUs to starve the
+    downstream shuffle. Full-role rows of boilerplate grams meet few
     prefix rows (hot grams order to the END of every prefix), so
     candidate volume stays near the true-pair count on template-heavy
     web text."""
-    import ray
-    import ray.data as rd
-
-    hot = _sample_hot_grams(ds, text_col, ngram, sample_docs, hot_grams)
-    hot_ref = ray.put(hot) if hot else None
-
-    exploded = ds.map_batches(
-        ContainmentExplodeStage, batch_format="pyarrow",
-        concurrency=concurrency,
-        fn_constructor_kwargs=dict(threshold=threshold, ngram=ngram,
-                                   id_col=id_col, text_col=text_col,
-                                   hot_ref=hot_ref))
-
-    def add_part(b: pd.DataFrame) -> pd.DataFrame:
-        h = b["gram"].to_numpy().astype(np.int64).view(np.uint64)
-        with np.errstate(over="ignore"):
-            h = h * np.uint64(0x9E3779B97F4A7C15)
-        return b.assign(part=((h >> np.uint64(33)).astype(np.int64)
-                              % n_parts).astype("int32"))
-
-    def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
+    def gram_pairs(g: pd.DataFrame) -> pd.DataFrame:
         dup = g[g.duplicated("gram", keep=False)]
-        out_empty = pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                  "id_b": pd.Series(dtype="int64")})
-        if len(dup) == 0:
-            return out_empty
-        q = dup[dup["role"] == 1]
-        x = dup[dup["role"] == 0]
-        if len(q) == 0 or len(x) == 0:
-            return out_empty
-        m = q.merge(x, on="gram", suffixes=("_q", "_x"))
-        keep = ((m["size_q"] <= m["size_x"])
-                & (m["doc_id_q"] != m["doc_id_x"]))
-        m = m[keep]
-        if len(m) == 0:
-            return out_empty
+        m = dup[dup["role"] == 1].merge(dup[dup["role"] == 0], on="gram",
+                                        suffixes=("_q", "_x"))
+        m = m[(m["size_q"] <= m["size_x"])
+              & (m["doc_id_q"] != m["doc_id_x"])]
         a = m["doc_id_q"].to_numpy(np.int64)
-        b_ = m["doc_id_x"].to_numpy(np.int64)
-        return (pd.DataFrame({"id_a": np.minimum(a, b_),
-                              "id_b": np.maximum(a, b_)})
+        b = m["doc_id_x"].to_numpy(np.int64)
+        return (pd.DataFrame({"id_a": np.minimum(a, b),
+                              "id_b": np.maximum(a, b)})
                 .drop_duplicates())
 
-    cand = (exploded.map_batches(add_part, batch_format="pandas")
-            .groupby("part").map_groups(pairs_part,
-                                        batch_format="pandas"))
-
-    def add_pair_part(b: pd.DataFrame) -> pd.DataFrame:
-        pp = (b["id_a"].to_numpy() * 1_000_003
-              + b["id_b"].to_numpy()) % 1024
-        return b.assign(pp=pp.astype("int32"))
-
-    def drop_dup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["id_a", "id_b"])[["id_a", "id_b"]]
-
-    cand = (cand.map_batches(add_pair_part, batch_format="pandas")
-            .groupby("pp").map_groups(drop_dup, batch_format="pandas")
-            .select_columns(["id_a", "id_b"])).materialize()
+    exploded = _prefix_grams(ds, ContainmentExplodeStage, threshold, ngram,
+                             id_col, text_col, concurrency)
+    cand = _distinct_pairs(_place(exploded, "gram", gram_pairs))
     return verify_jaccard_pairs(ds, cand, threshold=threshold,
                                 ngram=ngram, id_col=id_col,
-                                text_col=text_col, verify=verify,
-                                metric="containment")
+                                text_col=text_col, metric="containment")

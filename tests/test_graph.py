@@ -171,8 +171,9 @@ def test_cc_chain_needs_diameter_rounds():
 
 
 def test_survivors_distributed_equals_driver():
-    """dedup_survivors: union-find (driver) and hash-min CC (distributed)
-    must produce the identical min-label canonical ids."""
+    """dedup_survivors: union-find (a pandas pair table) and hash-min CC
+    (the same pairs as a Dataset) must produce the identical min-label
+    canonical ids."""
     from raycrawl.ops.dedup import dedup_survivors
 
     rng = np.random.default_rng(23)
@@ -181,8 +182,8 @@ def test_survivors_distributed_equals_driver():
         "id_a": rng.integers(0, 400, size=150),
         "id_b": rng.integers(0, 400, size=150)})
     pairs = pairs[pairs.id_a != pairs.id_b].reset_index(drop=True)
-    drv = dedup_survivors(ids, pairs, method="driver")
-    dist = dedup_survivors(ids, pairs, method="distributed")
+    drv = dedup_survivors(ids, pairs)
+    dist = dedup_survivors(ids, rd.from_pandas(pairs))
     pd.testing.assert_frame_equal(
         drv.sort_values("doc_id").reset_index(drop=True),
         dist.sort_values("doc_id").reset_index(drop=True),
@@ -274,16 +275,6 @@ def test_shuffle_pagerank_exact_above_2_53(monkeypatch):
 def test_broadcast_pagerank_exact_above_2_53(monkeypatch):
     _place(monkeypatch, "broadcast", buckets=1)
     _check_pagerank_exact_above_2_53()
-
-
-def test_survivors_driver_with_dataset_raises():
-    """ADVICE r3: an explicit method='driver' with a Dataset pair set used
-    to be silently rerouted to the distributed path."""
-    from raycrawl.ops.dedup import dedup_survivors
-
-    pairs = rd.from_pandas(pd.DataFrame({"id_a": [1], "id_b": [2]}))
-    with pytest.raises(ValueError, match="driver"):
-        dedup_survivors([1, 2, 3], pairs, method="driver")
 
 
 def _serial_bfs(edges, nodes, seeds, max_depth):

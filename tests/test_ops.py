@@ -25,6 +25,41 @@ def _docs(texts):
         {"doc_id": np.arange(len(texts), dtype="int64"), "text": texts}))
 
 
+def _levenshtein(a, b):
+    prev = list(range(len(b) + 1))
+    for i in range(1, len(a) + 1):
+        cur = [i] + [0] * len(b)
+        for j in range(1, len(b) + 1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1,
+                         prev[j - 1] + (a[i - 1] != b[j - 1]))
+        prev = cur
+    return prev[len(b)]
+
+
+def _serial_segment_dedup(texts, W):
+    """segment_dedup's contract, serially: a W-word segment survives only
+    at its first (doc_id, seg_idx)."""
+    import re
+
+    word = re.compile(r"\S+")
+    win = {}
+    for did, t in enumerate(texts):
+        toks = word.findall(t)
+        for idx, s in enumerate(range(0, len(toks), W)):
+            win.setdefault(" ".join(toks[s : s + W]), (did, idx))
+    rows = []
+    for did, t in enumerate(texts):
+        toks = word.findall(t)
+        keeps = [" ".join(toks[s : s + W])
+                 for idx, s in enumerate(range(0, len(toks), W))
+                 if win[" ".join(toks[s : s + W])] == (did, idx)]
+        rows.append((did, " ".join(keeps), (len(toks) + W - 1) // W,
+                     len(keeps)))
+    return pd.DataFrame(rows, columns=["doc_id", "text", "n_segments",
+                                       "n_kept"]).astype(
+        {"doc_id": "int64", "n_segments": "int64", "n_kept": "int64"})
+
+
 def test_exact_dedup_keeps_min_id():
     ds = _docs(["aaa", "bbb", "aaa", "ccc", "bbb", "aaa"])
     out = exact_dedup(ds).to_pandas()
@@ -156,63 +191,222 @@ def test_bpe_ish_tokens():
     assert bpe_ish_tokens("") == []
 
 
-def test_minhash_scale_paths_match_default():
-    """reduce='shuffle' and verify='join' (the scale-safe paths) must
-    produce exactly the pairs the small-scale paths produce. Small
-    synthetic corpus — the point is path equivalence, not volume (the
-    shuffle/join fixed costs dominate at any test size)."""
-    from raycrawl.ops.dedup import minhash_candidates, minhash_dedup_pairs
+def _dup_fixture():
+    """40 docs with every kind of duplicate the placed ops look for:
+    exact copies, one-token near-dups, an excerpt, a stitched doc,
+    prefix typos, a shared boilerplate head (hot grams) and empty docs."""
+    rng = np.random.RandomState(11)
+    vocab = [f"w{i}" for i in range(60)]
+    boiler = "the quick brown fox jumps over the lazy dog once more "
+    texts = [" ".join(rng.choice(vocab, rng.randint(15, 45)))
+             for _ in range(36)]
+    for i in range(20, 30):
+        texts[i] = boiler + texts[i]
+    texts[5] = texts[1]                                   # exact copy
+    texts[9] = " ".join(texts[2].split()[:4] + ["zz"]
+                        + texts[2].split()[5:])           # near-dup
+    texts[12] = " ".join(texts[3].split()[:30])           # excerpt
+    texts[14] = texts[4] + " " + texts[6]                 # stitched
+    texts[17] = "q" + texts[7][1:]                        # prefix typo
+    texts[33] = texts[21]                                 # boilerplate copy
+    return texts + ["", "  ", "a b", "a b"]
 
-    base = "alpha beta gamma delta epsilon zeta eta theta iota kappa " * 6
-    texts = []
-    for i in range(30):
-        if i % 5 == 0:
-            texts.append(base)                      # exact-dup cluster
-        elif i % 5 == 1:
-            texts.append(base.replace("eta theta", f"eta theta{i//5}"))
-        else:
-            texts.append(f"unique document {i} " + " ".join(
-                f"w{i}x{j}" for j in range(60)))
+
+def _pairs(df, *cols):
+    df = df.to_pandas() if hasattr(df, "to_pandas") else df
+    if len(df) == 0:
+        return pd.DataFrame(columns=list(cols))
+    return (df[list(cols)].sort_values(list(cols[:2]))
+            .reset_index(drop=True))
+
+
+def _serial_pairs(texts, value, keep, cols=("id_a", "id_b", "sim")):
+    """Every (a < b) pair whose ``value`` passes ``keep``, brute force."""
+    import itertools
+
+    rows = [(a, b, value(texts[a], texts[b]))
+            for a, b in itertools.combinations(range(len(texts)), 2)]
+    return pd.DataFrame([r for r in rows if keep(r[2])], columns=list(cols))
+
+
+def _serial_lsh_pairs(texts):
+    """Every (a < b) pair sharing a MinHash (band, band_hash) bucket."""
+    import itertools
+
+    import pyarrow as pa
+
+    from raycrawl.ops.dedup import MinHashStage
+
+    rows = MinHashStage()(pa.table({
+        "doc_id": np.arange(len(texts)), "text": texts})).to_pandas()
+    return sorted({p for ids in rows.groupby(["band", "band_hash"])
+                   ["doc_id"].agg(sorted)
+                   for p in itertools.combinations(ids, 2)})
+
+
+def _serial_dup_spans(texts, L):
+    import collections
+
+    toks = [t.split() for t in texts]
+    grams = [[tuple(ts[s:s + L]) for s in range(len(ts) - L + 1)]
+             for ts in toks]
+    count = collections.Counter(g for gs in grams for g in gs)
+    rows = []
+    for did, (ts, gs) in enumerate(zip(toks, grams)):
+        starts = [s for s, g in enumerate(gs) if count[g] >= 2]
+        covered = {p for s in starts for p in range(s, s + L)}
+        rows.append((did, len(ts), len(starts), len(covered)))
+    return pd.DataFrame(rows, columns=["doc_id", "n_tokens", "n_dup_starts",
+                                       "n_dup_tokens"])
+
+
+def _embedding_fixture():
+    rng = np.random.RandomState(5)
+    base = rng.standard_normal((120, 16))
+    dups = base[::6] + 0.02 * rng.standard_normal((20, 16))
+    vecs = np.vstack([base, dups])
+    ids = np.concatenate([np.arange(120), 1000 + np.arange(20)])
+    return ids.astype("int64"), vecs
+
+
+def _placed_case(op, tmp_path):
+    """(got, want) for one placed dedup op on the duplicate fixture."""
+    import itertools
+
+    from raycrawl.ops import dedup as dd
+
+    texts = _dup_fixture()
     docs = _docs(texts)
-    drv = minhash_candidates(docs, reduce="driver").to_pandas()
-    shf = minhash_candidates(docs, reduce="shuffle").to_pandas()
-    key = lambda df: sorted(map(tuple, df[["id_a", "id_b"]].to_numpy()))
-    assert key(drv) == key(shf)
-    assert len(drv) > 0
+    if op == "exact":
+        first = {}
+        for i, t in enumerate(texts):
+            first.setdefault(t, i)
+        got = sorted(dd.exact_dedup(docs).to_pandas()["doc_id"])
+        return got, sorted(first.values())
+    if op == "minhash_candidates":
+        got = _pairs(dd.minhash_candidates(docs), "id_a", "id_b")
+        return sorted(map(tuple, got.to_numpy())), _serial_lsh_pairs(texts)
+    if op == "minhash_pairs":
+        got = _pairs(dd.minhash_dedup_pairs(docs, threshold=0.5),
+                     "id_a", "id_b", "jaccard_sim")
+        sims = [(a, b, dd.jaccard(texts[a], texts[b]))
+                for a, b in _serial_lsh_pairs(texts)]
+        return got, pd.DataFrame([r for r in sims if r[2] >= 0.5],
+                                 columns=["id_a", "id_b", "jaccard_sim"])
+    if op in ("allpairs", "allpairs_hash_order"):
+        got = _pairs(dd.allpairs_jaccard_pairs(docs, threshold=0.5),
+                     "id_a", "id_b", "jaccard_sim")
+        return got, _serial_pairs(texts, dd.jaccard, lambda v: v >= 0.5,
+                                  ("id_a", "id_b", "jaccard_sim"))
+    if op == "containment":
+        got = _pairs(dd.containment_pairs(docs, threshold=0.8),
+                     "id_a", "id_b", "containment")
+        return got, _serial_pairs(texts, dd.containment, lambda v: v >= 0.8,
+                                  ("id_a", "id_b", "containment"))
+    if op == "simhash":
+        got = _pairs(dd.simhash_near_pairs(docs, max_hamming=6),
+                     "id_a", "id_b", "hamming")
+        return got, _serial_pairs(
+            texts, lambda a, b: bin(dd.simhash64(a) ^ dd.simhash64(b))
+            .count("1"), lambda v: v <= 6, ("id_a", "id_b", "hamming"))
+    if op == "edit":
+        got = _pairs(dd.edit_prefix_pairs(docs, k=1, key_len=24),
+                     "doc_a", "doc_b", "dist")
+        return got, _serial_pairs(
+            texts, lambda a, b: _levenshtein(a[:24], b[:24]),
+            lambda v: v <= 1, ("doc_a", "doc_b", "dist"))
+    if op == "dup_spans":
+        got = (dd.dup_spans(docs, gram_len=3).to_pandas()
+               .sort_values("doc_id").reset_index(drop=True))
+        return got, _serial_dup_spans(texts, 3)
+    if op == "segment":
+        got = (dd.segment_dedup(docs, words_per_seg=10).to_pandas()
+               .sort_values("doc_id").reset_index(drop=True))
+        return got[["doc_id", "text", "n_segments", "n_kept"]], \
+            _serial_segment_dedup(texts, 10)
+    if op == "embedding_lsh":
+        ids, vecs = _embedding_fixture()
+        emb = rd.from_pandas(pd.DataFrame({
+            "vec_id": ids, "embedding": [list(v) for v in vecs]}))
+        unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        sims = unit @ unit.T
+        want = pd.DataFrame(
+            [(ids[a], ids[b], sims[a, b])
+             for a, b in itertools.combinations(range(len(ids)), 2)
+             if sims[a, b] >= 0.95], columns=["id_a", "id_b", "cosine_sim"])
+        got = _pairs(dd.embedding_dup_pairs(emb, threshold=0.95),
+                     "id_a", "id_b", "cosine_sim")
+        return got, want
+    assert op == "minhash_index"
+    corpus = docs
+    new_texts = [t + " znew" for t in texts[:12]]
+    new = rd.from_pandas(pd.DataFrame({
+        "doc_id": np.arange(100, 112, dtype="int64"), "text": new_texts}))
+    idx = str(tmp_path / "mhidx")
+    dd.build_minhash_index(corpus, idx)
+    got = _pairs(dd.minhash_probe_index(new, idx, corpus, threshold=0.8),
+                 "id_a", "id_b", "jaccard_sim")
+    want = pd.DataFrame(
+        [(100 + i, j, dd.jaccard(nt, t)) for i, nt in enumerate(new_texts)
+         for j, t in enumerate(texts) if dd.jaccard(nt, t) >= 0.8],
+        columns=["id_a", "id_b", "jaccard_sim"])
+    return got, want
 
-    bc = minhash_dedup_pairs(docs, threshold=0.5, verify="broadcast").to_pandas()
-    jn = minhash_dedup_pairs(docs, threshold=0.5, verify="join").to_pandas()
-    assert key(bc) == key(jn)
-    sim_b = dict(zip(map(tuple, bc[["id_a", "id_b"]].to_numpy()), bc["jaccard_sim"]))
-    sim_j = dict(zip(map(tuple, jn[["id_a", "id_b"]].to_numpy()), jn["jaccard_sim"]))
-    assert sim_b == sim_j
+
+_PLACED_OPS = ["exact", "minhash_candidates", "minhash_pairs", "allpairs",
+               "allpairs_hash_order", "containment", "simhash", "edit",
+               "dup_spans", "segment", "embedding_lsh", "minhash_index"]
 
 
-def test_embedding_dup_pairs_bucketed_recall(tmp_path):
-    """The bucketed scale path must find the (high-cosine) near-dup pairs
-    the exact broadcast op finds — recall >= 0.9 at 0.9 threshold on the
-    real embeddings table — and never emit a below-threshold pair."""
-    import ray.data as rd2
+@pytest.mark.parametrize("placement", ["driver", "shuffle"])
+@pytest.mark.parametrize("op", _PLACED_OPS)
+def test_dedup_placement_matrix(op, placement, monkeypatch, tmp_path):
+    """Every placed dedup op equals its serial reference under both
+    placements, forced through ``_DRIVER_BYTES`` (a 1 KB
+    ``_PART_BYTES`` splits the shuffle into several partitions). The
+    shuffle run also forces the verify join through
+    ``_VERIFY_BROADCAST_LIMIT`` and the driver run the broadcast;
+    ``allpairs_hash_order`` turns the hot-gram sample off, and
+    ``embedding_lsh`` forces LSH through ``_EMBEDDING_EXACT_ROWS``."""
+    from raycrawl.ops import dedup as dd
 
-    from raycrawl.ops.dedup import (
-        embedding_dup_pairs,
-        embedding_dup_pairs_bucketed,
-    )
+    monkeypatch.setattr(dd, "_DRIVER_BYTES",
+                        1 << 62 if placement == "driver" else -1)
+    monkeypatch.setattr(dd, "_PART_BYTES", 1024)
+    monkeypatch.setattr(dd, "_VERIFY_BROADCAST_LIMIT",
+                        1 << 62 if placement == "driver" else 0)
+    monkeypatch.setattr(dd, "_EMBEDDING_EXACT_ROWS", 0)
+    if op == "allpairs_hash_order":
+        monkeypatch.setattr(dd, "_HOT_SAMPLE_DOCS", 0)
+    with dd.placement_log() as log:
+        got, want = _placed_case(op, tmp_path)
+    assert len(want) > 0  # the fixture has duplicates for this op
+    assert {r["placement"] for r in log} == {placement}
+    if placement == "shuffle":
+        assert max(r["parts"] for r in log) > 1
+    if isinstance(want, list):
+        assert got == want
+    else:
+        pd.testing.assert_frame_equal(got.reset_index(drop=True), want,
+                                      check_dtype=False)
 
-    emb = rd2.read_parquet("/root/testdata/sf0.01/embeddings.parquet")
-    exact = embedding_dup_pairs(emb, threshold=0.4).to_pandas()
-    # moderate-cosine pairs straddle coarse buckets; nassign=3 of nlist=8
-    # multi-assignment measured 0.98 recall (0.32 single-assign)
-    approx = embedding_dup_pairs_bucketed(
-        emb, threshold=0.4, nlist=8, nassign=3).to_pandas()
 
-    def pairset(df):
-        return set(zip(df["id_a"], df["id_b"])) if len(df) else set()
+def test_dedup_ops_without_duplicates():
+    """A corpus with nothing to pair gives empty keyed and pair tables:
+    every pair op returns zero rows instead of failing on a table that
+    lost its columns."""
+    from raycrawl.ops import dedup as dd
 
-    e, a = pairset(exact), pairset(approx)
-    assert len(e) > 0  # the sf0.01 table has planted near-dup pairs
-    assert a <= e  # no false pairs (within-bucket sims are exact)
-    assert len(a & e) / len(e) >= 0.9, f"recall {len(a & e)}/{len(e)}"
+    docs = _docs(["alpha beta gamma delta", "one two three four five",
+                  "red green blue"])
+    for out in (dd.minhash_dedup_pairs(docs, threshold=0.5),
+                dd.allpairs_jaccard_pairs(docs, threshold=0.5),
+                dd.containment_pairs(docs, threshold=0.8),
+                dd.simhash_near_pairs(docs, max_hamming=0),
+                dd.edit_prefix_pairs(docs, k=1),
+                dd.dup_spans(docs, gram_len=8)):
+        df = out.to_pandas()
+        assert len(df) == 0 or df.filter(like="dup").sum().sum() == 0
 
 
 def test_encode_image_kb_budget_arithmetic():
@@ -251,42 +445,6 @@ def test_encode_image_kb_budget_arithmetic():
     # jpeg mime + smaller size model
     uri3 = encode_image(payload_small, 64, 64, format="JPEG")
     assert uri3.startswith("data:image/jpeg;base64,")
-
-
-def test_embedding_dup_pairs_auto_flip():
-    """VERDICT r2 item 2: method='auto' picks the exact broadcast path only
-    with a known-small cardinality hint; otherwise (or with no hint) the
-    bucketed scale path — and the auto-bucketed result matches exact when
-    every vector is assigned to every bucket (nassign == nlist)."""
-    from raycrawl.ops.dedup import (
-        _EMBEDDING_EXACT_ROWS,
-        _select_embedding_method,
-        embedding_dup_pairs,
-    )
-
-    assert _select_embedding_method("auto", 10_000) == "exact"
-    assert _select_embedding_method("auto", _EMBEDDING_EXACT_ROWS) == "exact"
-    assert _select_embedding_method("auto",
-                                    _EMBEDDING_EXACT_ROWS + 1) == "bucketed"
-    assert _select_embedding_method("auto", None) == "bucketed"
-    assert _select_embedding_method("exact", None) == "exact"
-
-    rng = np.random.RandomState(7)
-    mat = rng.randn(60, 8)
-    mat[30:] = mat[:30] + rng.randn(30, 8) * 0.01  # planted near-dups
-    ds = rd.from_pandas(pd.DataFrame({
-        "vec_id": np.arange(60, dtype="int64"),
-        "embedding": pd.Series(list(mat))}))
-    exact = embedding_dup_pairs(ds, threshold=0.95).to_pandas()
-    auto = embedding_dup_pairs(ds, threshold=0.95, method="auto",
-                               cardinality_hint=10**9, nlist=4,
-                               nassign=4).to_pandas()
-
-    def pairset(df):
-        return set(zip(df["id_a"], df["id_b"])) if len(df) else set()
-
-    assert len(pairset(exact)) >= 30
-    assert pairset(auto) == pairset(exact)
 
 
 def test_simhash_batch_paths_equivalent(monkeypatch):
@@ -489,45 +647,10 @@ def test_allpairs_jaccard_exact_vs_bruteforce():
     assert (0, 24) not in exp or True  # sanity: exp non-trivially shaped
 
 
-def test_allpairs_scale_paths_and_hot_order_match():
-    """The coarse-partition shuffle reduce and the hot-gram (sampled-DF)
-    token order must both produce exactly the driver/hash-order pairs —
-    the order and reduce strategy are performance knobs, never results."""
-    from raycrawl.ops.dedup import (allpairs_jaccard_candidates,
-                                    allpairs_jaccard_pairs)
-
-    boiler = "the quick brown fox jumps over the lazy dog again and " * 3
-    texts = []
-    for i in range(40):
-        if i % 4 == 0:
-            texts.append(boiler + f"tail variant {i % 8}")
-        else:
-            texts.append(boiler + " ".join(f"u{i}x{j}" for j in range(20)))
-    docs = _docs(texts)
-    key = lambda df: sorted(map(tuple, df[["id_a", "id_b"]].to_numpy()))
-
-    drv = allpairs_jaccard_candidates(docs, threshold=0.7,
-                                      reduce="driver").to_pandas()
-    shf = allpairs_jaccard_candidates(docs, threshold=0.7,
-                                      reduce="shuffle").to_pandas()
-    assert key(drv) == key(shf)
-    assert len(drv) > 0
-
-    # hot sampling ON (boilerplate repeats in every doc → hot grams exist)
-    # vs OFF (sample_docs=0 → pure hash order) — same verified output
-    hot = allpairs_jaccard_pairs(docs, threshold=0.7).to_pandas()
-    cold = allpairs_jaccard_pairs(docs, threshold=0.7,
-                                  sample_docs=0).to_pandas()
-    assert key(hot) == key(cold)
-    assert len(hot) > 0
-
-
 def test_segment_dedup_first_occurrence_wins():
     """Corpus-wide segment dedup: each distinct segment survives only at
     its lexicographically-first (doc_id, seg_idx); docs reassemble from
     survivors in order; totals count ALL segments, kept only survivors."""
-    import re
-
     from raycrawl.ops.dedup import segment_dedup
 
     rng = np.random.RandomState(3)
@@ -540,26 +663,7 @@ def test_segment_dedup_first_occurrence_wins():
     ds = _docs(texts)
     got = (segment_dedup(ds, words_per_seg=10).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
-
-    W, word = 10, re.compile(r"\S+")
-    win = {}
-    for did, t in enumerate(texts):
-        toks = word.findall(t)
-        for idx, s in enumerate(range(0, len(toks), W)):
-            seg = " ".join(toks[s : s + W])
-            if seg not in win or (did, idx) < win[seg]:
-                win[seg] = (did, idx)
-    rows = []
-    for did, t in enumerate(texts):
-        toks = word.findall(t)
-        keeps = [" ".join(toks[s : s + W])
-                 for idx, s in enumerate(range(0, len(toks), W))
-                 if win[" ".join(toks[s : s + W])] == (did, idx)]
-        rows.append((did, " ".join(keeps), (len(toks) + W - 1) // W,
-                     len(keeps)))
-    exp = pd.DataFrame(rows, columns=["doc_id", "text", "n_segments",
-                                      "n_kept"]).astype(
-        {"doc_id": "int64", "n_segments": "int64", "n_kept": "int64"})
+    exp = _serial_segment_dedup(texts, 10)
     assert got[["doc_id", "text", "n_segments", "n_kept"]].equals(exp)
     assert (exp["n_kept"] < exp["n_segments"]).any()  # something dropped
 
@@ -683,22 +787,6 @@ def test_normalize_unicode_chain():
     out = normalize_text(_docs(["  A\t\tB  ", "ñ"])).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert out["text_norm"].tolist() == ["a b", "n"]
-
-
-def test_dup_spans_shuffle_matches_driver():
-    from raycrawl.ops.dedup import dup_spans
-
-    texts = (["p q r unique0 tail0", "head1 p q r tail1", "x y z x y z x",
-              "totally fresh words only here", "a b", "",
-              "p q r p q r overlap city"] * 3)
-    texts = [t + f" salt{i % 5}" if t else t for i, t in enumerate(texts)]
-    ds = _docs(texts)
-    a = dup_spans(ds, gram_len=3, reduce="driver").to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    b = dup_spans(ds, gram_len=3, reduce="shuffle", n_parts=16) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert a.equals(b)
-    assert a["n_dup_tokens"].sum() > 0  # the fixture actually has dups
 
 
 def test_bucket_hash_join_post_pushdown(tmp_path):
@@ -991,7 +1079,7 @@ def test_embedding_dup_pairs_lsh_recall():
     import pandas as pd2
     import ray.data as rd2
 
-    from raycrawl.ops.dedup import embedding_dup_pairs
+    from raycrawl.ops.dedup import embedding_dup_pairs, embedding_dup_pairs_lsh
 
     rng = np2.random.RandomState(7)
     base = rng.standard_normal((400, 64))
@@ -1007,9 +1095,8 @@ def test_embedding_dup_pairs_lsh_recall():
         "vec_id": pd2.Series(ids, dtype="int64"),
         "embedding": [list(map(float, v)) for v in vecs]}))
 
-    exact = embedding_dup_pairs(emb, threshold=0.95,
-                                method="exact").to_pandas()
-    lsh = embedding_dup_pairs(emb, threshold=0.95, method="lsh").to_pandas()
+    exact = embedding_dup_pairs(emb, threshold=0.95).to_pandas()
+    lsh = embedding_dup_pairs_lsh(emb, threshold=0.95).to_pandas()
 
     e = set(zip(exact["id_a"], exact["id_b"]))
     a = set(zip(lsh["id_a"], lsh["id_b"]))
@@ -1187,16 +1274,7 @@ def test_edit_prefix_pairs_matches_bruteforce(tmp_path):
 
     from raycrawl.ops.dedup import edit_prefix_pairs
 
-    def ed(a, b):
-        prev = list(range(len(b) + 1))
-        for i in range(1, len(a) + 1):
-            cur = [i] + [0] * len(b)
-            for j in range(1, len(b) + 1):
-                cur[j] = min(prev[j] + 1, cur[j - 1] + 1,
-                             prev[j - 1] + (a[i - 1] != b[j - 1]))
-            prev = cur
-        return prev[len(b)]
-
+    ed = _levenshtein
     keys = [t[:24] for t in texts]
     for k in (1, 2):
         got = (edit_prefix_pairs(rd.from_pandas(df), k=k, key_len=24)

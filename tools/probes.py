@@ -111,6 +111,16 @@ def _placement(name: str):
         G._AUTO_BROADCAST_NODES = saved
 
 
+def _wide_steps(log: list) -> dict:
+    """A probe's dedup placement records (`placement_log`): every wide
+    step, plus the placement and measured bytes of its largest keyed
+    table (None and 0 when no step ran, e.g. exact embedding dedup)."""
+    top = max(log, key=lambda r: r["keyed_bytes"],
+              default={"placement": None, "keyed_bytes": 0})
+    return {"placement": top["placement"],
+            "keyed_bytes": top["keyed_bytes"], "wide_steps": log}
+
+
 # --- probes -----------------------------------------------------------------
 
 
@@ -337,7 +347,8 @@ def containment(docs=100_000):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import containment, containment_pairs
+    from raycrawl.ops.dedup import (containment, containment_pairs,
+                                    placement_log)
 
     n, threshold = docs, 0.8
     rng = np.random.RandomState(7)
@@ -356,9 +367,10 @@ def containment(docs=100_000):
         {"doc_id": np.arange(n, dtype="int64"), "text": texts}))
 
     t0 = time.time()
-    pairs = containment_pairs(ds, threshold=threshold,
-                              concurrency=max(4, _cpus() // 2),
-                              ).to_pandas()
+    with placement_log() as log:
+        pairs = containment_pairs(ds, threshold=threshold,
+                                  concurrency=max(4, _cpus() // 2),
+                                  ).to_pandas()
     sec = time.time() - t0
     got = set(zip(pairs["id_a"].astype(int), pairs["id_b"].astype(int)))
     recall = len(got & planted) / len(planted)
@@ -375,6 +387,7 @@ def containment(docs=100_000):
         "planted": len(planted), "found_pairs": len(got),
         "planted_recall": round(recall, 4),
         "verify_violations_in_sample": bad,
+        **_wide_steps(log),
     }
 
 
@@ -553,24 +566,20 @@ def cuckoo_sizing(keys=20_000_000, load=0.95, fp_probes=2_000_000,
 
 @probe
 def dedup(docs=150_000):
-    """MinHash-LSH dedup at its shuffle-path regime (>100k docs).
+    """MinHash-LSH dedup at its shuffle placement (default 150k docs).
 
-    The `minhash_candidates` auto-reduce switches to the distributed
-    `groupby(band, band_hash)` shuffle above `_MINHASH_SHUFFLE_THRESHOLD`
-    (100k docs); the sf benches run below it, so this probe drives 150k
-    synthetic docs (40-token texts from a 40k vocabulary, 1,500 planted
-    near-dup pairs at Jaccard ≈ 0.85) through the full shuffle + bucketed
-    verify path and reports wall time + planted-pair recall + precision.
+    The sf benches build band tables of a few MB, which run on the
+    driver; 150k synthetic docs (40-token texts from a 40k vocabulary,
+    1,500 planted near-dup pairs at Jaccard ≈ 0.85) build a ~100 MB band
+    table, past `_DRIVER_BYTES`, so the band step runs on coarse
+    partitions. Reports wall time, planted-pair recall, precision and
+    the placement each wide step took.
     """
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import (
-        _MINHASH_SHUFFLE_THRESHOLD,
-        jaccard,
-        minhash_dedup_pairs,
-    )
+    from raycrawl.ops.dedup import jaccard, minhash_dedup_pairs, placement_log
 
     n, threshold = docs, 0.5
     rng = np.random.RandomState(42)
@@ -589,9 +598,10 @@ def dedup(docs=150_000):
         {"doc_id": np.arange(n, dtype="int64"), "text": texts}))
 
     t0 = time.time()
-    pairs = minhash_dedup_pairs(ds, threshold=threshold,
-                                concurrency=max(4, _cpus() // 2),
-                                cardinality_hint=n).to_pandas()
+    with placement_log() as log:
+        pairs = minhash_dedup_pairs(ds, threshold=threshold,
+                                    concurrency=max(4, _cpus() // 2),
+                                    ).to_pandas()
     sec = time.time() - t0
     got = set(zip(pairs["id_a"].astype(int), pairs["id_b"].astype(int)))
     recall = len(got & planted) / len(planted)
@@ -606,8 +616,7 @@ def dedup(docs=150_000):
         "planted": len(planted), "found_pairs": len(got),
         "planted_recall": round(recall, 4),
         "threshold_violations_in_sample": bad,
-        "reduce_path": "shuffle" if n > _MINHASH_SHUFFLE_THRESHOLD
-        else "driver",
+        **_wide_steps(log),
     }
 
 
@@ -758,7 +767,7 @@ def edit_pairs(docs=200_000):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import edit_prefix_pairs
+    from raycrawl.ops.dedup import edit_prefix_pairs, placement_log
 
     # short texts (≤ 20 chars < key_len) so the key IS the whole text:
     # with a prefix window, deletions/insertions on longer texts shift
@@ -787,7 +796,8 @@ def edit_pairs(docs=200_000):
         {"doc_id": np.arange(n, dtype="int64"), "text": texts}))
 
     t0 = time.time()
-    pairs = edit_prefix_pairs(ds, k=1, key_len=24).to_pandas()
+    with placement_log() as log:
+        pairs = edit_prefix_pairs(ds, k=1, key_len=24).to_pandas()
     sec = time.time() - t0
     got = set(zip(pairs["doc_a"].astype(int), pairs["doc_b"].astype(int)))
     recall = len(got & planted) / len(planted)
@@ -804,6 +814,7 @@ def edit_pairs(docs=200_000):
         "planted": len(planted), "found_pairs": len(got),
         "planted_recall": round(recall, 4),
         "verify_violations_in_sample": bad,
+        **_wide_steps(log),
     }
 
 
@@ -811,12 +822,13 @@ def edit_pairs(docs=200_000):
 def embedding_lsh(vecs=150_000, dim=64, planted=1_500):
     """Hyperplane-LSH embedding near-dup at scale (150k vectors).
 
-    `embedding_dup_pairs(method='lsh')` is the sample-free scale path
-    (random-plane band signatures -> coarse-partitioned exact within-band
-    verification; nothing broadcast, nothing driver-side). The sf benches
-    run at 2k vectors, so this probe drives 150k synthetic 64-dim vectors
-    with 1,500 planted near-dup pairs (cosine ~0.99) through the full
-    band-shuffle path and reports wall time + planted-pair recall +
+    Above `_EMBEDDING_EXACT_ROWS` (100k) rows `embedding_dup_pairs` runs
+    its sample-free scale path (random-plane band signatures -> exact
+    within-band verification, placed by the keyed table's size; nothing
+    broadcast). The sf benches run at 2k vectors, so this probe drives
+    150k synthetic 64-dim vectors with 1,500 planted near-dup pairs
+    (cosine ~0.99) through the LSH path and reports wall time, the
+    placement each wide step took, planted-pair recall and
     precision (within-band verification is exact, so precision must be 1.0
     against the exact threshold by construction — checked on the planted
     truth and on a brute-force check of a sample).
@@ -825,7 +837,7 @@ def embedding_lsh(vecs=150_000, dim=64, planted=1_500):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import embedding_dup_pairs
+    from raycrawl.ops.dedup import embedding_dup_pairs, placement_log
 
     n, d, k, threshold = vecs, dim, planted, 0.95
     rng = np.random.RandomState(42)
@@ -844,8 +856,8 @@ def embedding_lsh(vecs=150_000, dim=64, planted=1_500):
     emb = rd.from_pandas(df).repartition(64)
 
     t0 = time.time()
-    got = embedding_dup_pairs(emb, threshold=threshold,
-                              method="lsh").to_pandas()
+    with placement_log() as log:
+        got = embedding_dup_pairs(emb, threshold=threshold).to_pandas()
     wall = time.time() - t0
 
     pairs = {(int(a), int(b)) for a, b in zip(got["id_a"], got["id_b"])}
@@ -869,6 +881,7 @@ def embedding_lsh(vecs=150_000, dim=64, planted=1_500):
         "sec": round(wall, 2),
         "pairs_per_sec_in": round((n + k) / wall, 1),
         "num_cpus": _cpus(),
+        **_wide_steps(log),
     }
 
 
@@ -1114,7 +1127,8 @@ def minhash_index(docs=200_000, shard=5_000, planted=1_000):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import build_minhash_index, minhash_probe_index
+    from raycrawl.ops.dedup import (build_minhash_index, minhash_probe_index,
+                                    placement_log)
 
     n, ns, npl = docs, shard, planted
     rng = np.random.RandomState(0)
@@ -1145,8 +1159,9 @@ def minhash_index(docs=200_000, shard=5_000, planted=1_000):
         t_build = time.time() - t0
 
         t0 = time.time()
-        out = minhash_probe_index(new, idx, corpus(),
-                                  threshold=0.5).to_pandas()
+        with placement_log() as log:
+            out = minhash_probe_index(new, idx, corpus(),
+                                      threshold=0.5).to_pandas()
         t_probe = time.time() - t0
     got = {(a, b) for a, b in zip(out["id_a"], out["id_b"])}
     recall = sum(1 for (nid, _, src) in rows[:npl] if (nid, src) in got)
@@ -1157,7 +1172,7 @@ def minhash_index(docs=200_000, shard=5_000, planted=1_000):
     return {
         "corpus_docs": n, "shard_docs": ns, "planted": npl,
         "build_sec": round(t_build, 1), "probe_sec": round(t_probe, 1),
-        "pairs": len(out), "planted_recall": recall}
+        "pairs": len(out), "planted_recall": recall, **_wide_steps(log)}
 
 
 def _spill_pass(corpus: str, store_mb: int, num_cpus: int) -> dict:
