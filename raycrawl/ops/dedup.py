@@ -9,20 +9,21 @@ Every op has the same shape: a distributed ``map_batches`` explodes the
 documents into a narrow KEYED table (content hashes, LSH band keys,
 prefix grams, deletion variants, segment digests — never document
 bodies), and one kernel turns the rows of each key into pairs or
-survivors. ``_place`` is the only placement rule: it materializes the
+survivors. Every wide step is one ``agg.exchange``: it materializes the
 keyed table, reads its measured size, and runs the kernel once on the
-driver at or below ``_DRIVER_BYTES``, else over coarse hash partitions
-(``agg.partitioned_map_partitions``, one partition per ``_PART_BYTES``).
-The kernel is the same function under both placements. Pairs that
-several blocks emit (a pair sharing many LSH bands, prefix grams or
-deletion variants) are made distinct by ``_distinct_pairs``, the same
-rule over the pair table. Verification and survivor selection keep two
-algorithms each (broadcast/join, union-find/label propagation), chosen
-from the size they measure.
+driver at or below ``agg._DRIVER_BYTES``, else once per coarse hash
+partition (one per ``agg._PART_BYTES``). The kernel is the same function
+under both placements. Pairs that several blocks emit (a pair sharing
+many LSH bands, prefix grams or deletion variants) are made distinct by
+``_distinct_pairs``, the same rule over the pair table. Joins against
+the documents (the incremental semi-join, the verify join, the index
+probe) are two-input exchanges. Verification and survivor selection
+keep two algorithms each (broadcast/join, union-find/label
+propagation), chosen from the size they measure.
 
-- exact dedup = content hash + per-batch min partial → ``_place`` by hash;
+- exact dedup = content hash + per-batch min partial → ``exchange`` by hash;
 - MinHash-LSH = vectorized per-batch signatures → (band, band_hash,
-  doc_id) rows → ``_place`` by (band, band_hash) → verify only candidate
+  doc_id) rows → ``exchange`` by (band, band_hash) → verify only candidate
   texts;
 - SimHash emits one 64-bit fingerprint per doc; banding the 64 bits into k
   chunks gives the same LSH-shaped grouping for hamming-distance near-dups;
@@ -32,13 +33,14 @@ from the size they measure.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .agg import exchange
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -95,86 +97,6 @@ def minhash_signature(text: str, a: np.ndarray, b: np.ndarray,
     return vals.min(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# placement: one rule for every wide step
-# ---------------------------------------------------------------------------
-
-# Keyed-table bytes at or below which a wide step runs as ONE kernel call
-# on the driver. Measured on 4 vCPUs with Ray 2.49: the largest sf0.1
-# keyed table (containment grams) is 6.6 MB and a sort shuffle costs a
-# few seconds of fixed overhead there; the full-size scale probes build
-# ~90 MB and more, where the coarse-partition shuffle pays.
-_DRIVER_BYTES = 32 << 20
-_PART_BYTES = 2 << 20  # keyed-table bytes per coarse partition
-_MAX_PARTS = 4096
-_BLOCK_ROWS = 16_384  # rows per block of a driver-placed output
-
-_PLACEMENT_LOGS: "list[list[dict]]" = []
-
-
-@contextlib.contextmanager
-def placement_log():
-    """Yields a list that collects one record per wide step run inside
-    the block: the kernel, the placement taken, the measured keyed-table
-    bytes and the partition count (0 on the driver)."""
-    log: "list[dict]" = []
-    _PLACEMENT_LOGS.append(log)
-    try:
-        yield log
-    finally:
-        _PLACEMENT_LOGS.remove(log)
-
-
-def _frame(table) -> pd.DataFrame:
-    """All rows of a materialized table as one DataFrame; an empty table
-    keeps its typed columns (``to_pandas`` drops them)."""
-    df = table.to_pandas()
-    schema = table.schema()
-    if len(df.columns) or schema is None:
-        return df
-    return pd.DataFrame({
-        n: pd.Series([], dtype=t.to_pandas_dtype()
-                     if isinstance(t, pa.DataType) else t)
-        for n, t in zip(schema.names, schema.types)})
-
-
-def _place(table, keys, kernel):
-    """Run ``kernel`` over every key group of ``table`` and return the
-    concatenated outputs as a Dataset.
-
-    ``kernel``: DataFrame → DataFrame over rows that hold EVERY row of
-    each of their keys (several keys per call, handled vectorized). The
-    table is materialized (it is the shuffle input in any case), which
-    makes its size free to read: at or below ``_DRIVER_BYTES`` the
-    kernel runs once on the driver over all rows; above it, once per
-    coarse hash partition of ``keys``, one partition per ``_PART_BYTES``
-    (never a Ray group per key: ~0.2 ms/group)."""
-    import ray.data as rd
-
-    from .agg import partitioned_map_partitions
-
-    table = table.materialize()
-    nbytes = table.size_bytes()
-    if nbytes <= _DRIVER_BYTES:
-        n_parts = 0
-        df = kernel(_frame(table))
-        # a large output keeps the input's parallelism for the per-row
-        # work downstream (verification scores every pair); a small one
-        # stays one block, as tiny blocks cost more than they spread
-        n = max(1, min(table.num_blocks(), -(-len(df) // _BLOCK_ROWS)))
-        cuts = np.linspace(0, len(df), n + 1).astype(int)
-        out = rd.from_pandas([df.iloc[a:b] for a, b in zip(cuts, cuts[1:])])
-    else:
-        n_parts = min(_MAX_PARTS, -(-nbytes // _PART_BYTES))
-        out = partitioned_map_partitions(table, keys, kernel,
-                                         n_parts=n_parts)
-    for log in _PLACEMENT_LOGS:
-        log.append({"kernel": kernel.__name__,
-                    "placement": "shuffle" if n_parts else "driver",
-                    "keyed_bytes": int(nbytes), "parts": int(n_parts)})
-    return out
-
-
 def _distinct_pairs(pairs, keys=("id_a", "id_b")):
     """One row per ``keys`` pair: the same pair emitted by several blocks
     (LSH bands, prefix grams, deletion variants) survives once."""
@@ -183,7 +105,7 @@ def _distinct_pairs(pairs, keys=("id_a", "id_b")):
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(keys)
 
-    return _place(pairs, keys, distinct)
+    return exchange([pairs], [keys], distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +122,7 @@ def add_text_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Survivor ids of exact (by-content-hash) dedup: the min id per
     content hash. A per-batch partial min collapses duplicate keys before
-    ``_place``, so the keyed table is (hash, id) partials, never texts."""
+    ``exchange``, so the keyed table is (hash, id) partials, never texts."""
     def partial(b: pa.Table) -> pa.Table:
         df = add_text_hash(b, text_col).select(["text_hash", id_col]) \
             .to_pandas().groupby("text_hash", as_index=False)[id_col].min()
@@ -210,24 +132,17 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
         return g.groupby("text_hash", as_index=False)[id_col].min() \
             .astype({id_col: "int64"})
 
-    return _place(ds.map_batches(partial, batch_format="pyarrow"),
-                  "text_hash", min_id).select_columns([id_col])
+    return exchange([ds.map_batches(partial, batch_format="pyarrow")],
+                    ["text_hash"], min_id).select_columns([id_col])
 
 
 def exact_dedup_against_corpus(new_ds, corpus_ds, id_col: str = "doc_id",
-                               text_col: str = "text",
-                               num_buckets: int = 32,
-                               stage_dir: "str | None" = None):
+                               text_col: str = "text"):
     """Incremental-ingestion dedup: which NEW documents already exist (by
-    content hash) in a reference corpus — a hash SEMI-join. Both sides are
-    large, so this is a ``bucket_hash_join`` on the md5 content hash: the
-    corpus side moves once to bucketed Parquet staging (pass ``stage_dir``
-    to reuse it across ingestion batches — the production shape: stage the
-    historical corpus once, stream every new crawl shard against it), the
-    new side shuffles (hash, id) pairs only. Returns the distinct new ids
-    found in the corpus."""
-    from .join import bucket_hash_join
-
+    content hash) in a reference corpus — a hash SEMI-join, one
+    two-input ``exchange`` on the md5 content hash: the new side moves
+    (hash, id) pairs, the corpus side its per-batch distinct hashes
+    only. Returns the distinct new ids found in the corpus."""
     new_h = new_ds.map_batches(
         lambda b: add_text_hash(b, text_col), batch_format="pyarrow"
     ).select_columns([id_col, "text_hash"])
@@ -236,12 +151,15 @@ def exact_dedup_against_corpus(new_ds, corpus_ds, id_col: str = "doc_id",
         t = add_text_hash(b, text_col).select(["text_hash"])
         return t.group_by("text_hash").aggregate([])  # per-batch distinct
 
+    def found(new: pd.DataFrame, corp: pd.DataFrame) -> pd.DataFrame:
+        return new.loc[new["text_hash"].isin(corp["text_hash"]), [id_col]]
+
     corp_h = corpus_ds.map_batches(corpus_hashes, batch_format="pyarrow")
-    joined = bucket_hash_join(new_h, corp_h, left_on="text_hash",
-                              right_on="text_hash", num_buckets=num_buckets,
-                              stage_dir=stage_dir)
-    out = joined.select_columns([id_col]).to_pandas()
-    return (out.drop_duplicates().astype({id_col: "int64"})
+    out = exchange([new_h, corp_h], ["text_hash", "text_hash"], found)
+    ids = pd.concat([pd.DataFrame({id_col: pd.Series([], dtype="int64")})]
+                    + list(out.iter_batches(batch_size=None,
+                                            batch_format="pandas")))
+    return (ids.drop_duplicates().astype({id_col: "int64"})
             .sort_values(id_col).reset_index(drop=True))
 
 
@@ -294,11 +212,11 @@ class MinHashStage:
 
 def minhash_candidates(ds, num_hashes: int = 128, bands: int = 32,
                        ngram: int = 3, id_col: str = "doc_id",
-                       text_col: str = "text", concurrency: int = 4):
+                       text_col: str = "text", concurrency=(1, 4)):
     """Candidate pairs (id_a < id_b) sharing ≥1 LSH band bucket.
 
     Signature computation (the heavy part) is always distributed; only
-    (band, band_hash, id) triples reach ``_place``, keyed by the bucket,
+    (band, band_hash, id) triples reach ``exchange``, keyed by the bucket,
     and the pairs several bands emit are made distinct. Skew note: a
     bucket of K near-identical docs makes K² merge rows — run exact_dedup
     first (as pipeline_quality_dedup does) so exact duplicates never
@@ -320,8 +238,8 @@ def minhash_candidates(ds, num_hashes: int = 128, bands: int = 32,
                               "id_b": m[b].astype("int64")})
                 .drop_duplicates())
 
-    return _distinct_pairs(_place(exploded, ["band", "band_hash"],
-                                  band_pairs))
+    return _distinct_pairs(exchange([exploded], [["band", "band_hash"]],
+                                    band_pairs))
 
 
 def jaccard(text_a: str, text_b: str, n: int = 3) -> float:
@@ -346,12 +264,12 @@ def containment(text_a: str, text_b: str, n: int = 3) -> float:
 
 
 _VERIFY_BROADCAST_LIMIT = 20_000  # candidate pairs; above this a dict of
-# the candidates' full texts no longer belongs in one object — bucket join
+# the candidates' full texts no longer belongs in one object — id join
 
 
 def minhash_dedup_pairs(ds, threshold: float = 0.8, ngram: int = 3,
                         id_col: str = "doc_id", text_col: str = "text",
-                        concurrency: int = 4):
+                        concurrency=(1, 4)):
     """Verified near-dup pairs: LSH candidates → exact n-gram Jaccard ≥
     threshold (``verify_jaccard_pairs``)."""
     cand = minhash_candidates(ds, ngram=ngram, id_col=id_col,
@@ -373,10 +291,10 @@ def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
     The candidates are materialized (kept in the object store — they can
     be O(corpus) on duplicate-heavy data) and counted. Up to
     ``_VERIFY_BROADCAST_LIMIT`` pairs, one dict of the candidate docs'
-    texts is ``ray.put`` and read per batch. Above it, the pairs are
-    bucket-hash-joined (ops/join.py) against the docs table twice (id_a
-    side, id_b side), so each verify task reads only its bucket's texts —
-    no O(candidates) driver dict, no unbounded broadcast."""
+    texts is ``ray.put`` and read per batch. Above it, the pairs meet the
+    docs table in two two-input exchanges (id_a side, id_b side), so
+    each kernel call reads only its partition's texts — no
+    O(candidates) driver dict, no unbounded broadcast."""
     import ray
     import ray.data as rd
 
@@ -392,16 +310,18 @@ def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
         return rd.from_pandas(empty)
 
     if n_pairs > _VERIFY_BROADCAST_LIMIT:
-        from .join import bucket_hash_join
+        docs = ds.select_columns([id_col, text_col]).materialize()
 
-        docs_a = ds.select_columns([id_col, text_col]).map_batches(
-            lambda b: b.rename_columns(["__ja", "__ta"]),
-            batch_format="pyarrow")
-        docs_b = ds.select_columns([id_col, text_col]).map_batches(
-            lambda b: b.rename_columns(["__jb", "__tb"]),
-            batch_format="pyarrow")
-        j1 = bucket_hash_join(cand, docs_a, left_on="id_a", right_on="__ja")
-        j2 = bucket_hash_join(j1, docs_b, left_on="id_b", right_on="__jb")
+        def texts_of(side: str):
+            def attach(c: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
+                return c.merge(d.rename(columns={id_col: f"id_{side}",
+                                                 text_col: f"__t{side}"}),
+                               on=f"id_{side}")
+            attach.__name__ = f"texts_{side}"
+            return attach
+
+        j = exchange([cand, docs], ["id_a", id_col], texts_of("a"))
+        j = exchange([j, docs], ["id_b", id_col], texts_of("b"))
 
         def score(batch: pd.DataFrame) -> pd.DataFrame:
             if len(batch) == 0:
@@ -411,7 +331,7 @@ def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
             out = batch[["id_a", "id_b"]].assign(**{sim_col: sims})
             return out[out[sim_col] >= threshold]
 
-        return j2.map_batches(score, batch_format="pandas")
+        return j.map_batches(score, batch_format="pandas")
 
     cand_tbl = cand.to_pandas()  # ≤ _VERIFY_BROADCAST_LIMIT rows
     need_ids = sorted(set(cand_tbl["id_a"]) | set(cand_tbl["id_b"]))
@@ -455,9 +375,9 @@ def segment_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     repo-wide ``\\S+`` convention).
 
     Scale shape: docs explode to (md5(segment), doc_id, seg_idx, segment)
-    rows; the winner-per-segment decision is a ``_place`` keyed by the
+    rows; the winner-per-segment decision is an ``exchange`` keyed by the
     digest (all copies of a segment meet in one kernel call), and
-    reassembly is a second ``_place`` keyed by doc. The only wide-step
+    reassembly is a second ``exchange`` keyed by doc. The only wide-step
     payloads are segment rows — no doc ever holds another doc's text.
     Returns (doc_id, text, n_segments, n_kept) — ``text`` is the
     whitespace-normalized surviving text ('' when every segment was a
@@ -512,11 +432,11 @@ def segment_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
         out["n_kept"] = (out["doc_id"].map(kept).fillna(0).astype("int64"))
         return out
 
-    kept = _place(ds.map_batches(explode, batch_format="pyarrow"), "key",
-                  keep_first)
+    kept = exchange([ds.map_batches(explode, batch_format="pyarrow")],
+                    ["key"], keep_first)
     # reassembly needs EVERY emitted row of a doc (kept segs + sentinel);
     # sentinels always survive keep_first (their key is unique per doc)
-    return _place(kept, "doc_id", reassemble)
+    return exchange([kept], ["doc_id"], reassemble)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +568,7 @@ def _sample_hot_grams(ds, text_col: str,
 
 
 def _prefix_grams(ds, stage, threshold: float, ngram: int, id_col: str,
-                  text_col: str, concurrency: int):
+                  text_col: str, concurrency):
     """``ds`` exploded to (gram, doc_id, size[, role]) rows by ``stage``
     (``PrefixStage`` or ``ContainmentExplodeStage``) under the sampled
     hot-gram order."""
@@ -665,7 +585,7 @@ def _prefix_grams(ds, stage, threshold: float, ngram: int, id_col: str,
 def allpairs_jaccard_candidates(ds, threshold: float = 0.5, ngram: int = 3,
                                 id_col: str = "doc_id",
                                 text_col: str = "text",
-                                concurrency: int = 4):
+                                concurrency=(1, 4)):
     """EXACT candidate pairs (id_a < id_b) for n-gram Jaccard ≥ threshold
     via AllPairs prefix filtering — no recall argument needed: every
     qualifying pair is guaranteed to share a prefix gram (see
@@ -673,7 +593,7 @@ def allpairs_jaccard_candidates(ds, threshold: float = 0.5, ngram: int = 3,
     probabilistic with tunable cost; this one is exact at any threshold.
 
     Shape mirrors ``minhash_candidates``: 16-byte (gram, id, size) prefix
-    rows — never texts — go through ``_place`` keyed by gram; the kernel
+    rows — never texts — go through ``exchange`` keyed by gram; the kernel
     is one vectorized self-merge with the Jaccard length filter
     (|small| ≥ t·|large|) applied before emission, and the pairs several
     grams emit are made distinct."""
@@ -690,12 +610,12 @@ def allpairs_jaccard_candidates(ds, threshold: float = 0.5, ngram: int = 3,
 
     exploded = _prefix_grams(ds, PrefixStage, threshold, ngram, id_col,
                              text_col, concurrency)
-    return _distinct_pairs(_place(exploded, "gram", gram_pairs))
+    return _distinct_pairs(exchange([exploded], ["gram"], gram_pairs))
 
 
 def allpairs_jaccard_pairs(ds, threshold: float = 0.5, ngram: int = 3,
                            id_col: str = "doc_id", text_col: str = "text",
-                           concurrency: int = 4):
+                           concurrency=(1, 4)):
     """EXACT verified n-gram-Jaccard pairs ≥ threshold: AllPairs prefix
     filtering (guaranteed-complete candidates) → exact Jaccard verify —
     the deterministic sibling of ``minhash_dedup_pairs`` with identical
@@ -833,9 +753,9 @@ def simhash_near_pairs(ds, max_hamming: int = 3, id_col: str = "doc_id",
 
     # a pair sharing several bands is emitted once per band; its hamming
     # distance is the same every time
-    return _distinct_pairs(_place(
-        fps.map_batches(explode, batch_format="pyarrow"),
-        ["band", "band_key"], band_pairs))
+    return _distinct_pairs(exchange(
+        [fps.map_batches(explode, batch_format="pyarrow")],
+        [["band", "band_key"]], band_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +834,7 @@ def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
     exact, so precision is always 1.0.
 
     Keyed table: each vector is shipped ``bands`` times (the standard LSH
-    banding trade, same as the MinHash index) into ``_place`` keyed by
+    banding trade, same as the MinHash index) into ``exchange`` keyed by
     band key; a pair colliding in several bands is made distinct."""
     rows = num_bits // bands
     if rows * bands != num_bits:
@@ -970,7 +890,7 @@ def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
 
     sigd = ds.select_columns([id_col, vec_col]).map_batches(
         sig, batch_format="pandas")
-    return _distinct_pairs(_place(sigd, "band_key", band_pairs))
+    return _distinct_pairs(exchange([sigd], ["band_key"], band_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +990,7 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
 
     Returns (id, n_tokens, n_dup_starts, n_dup_tokens).
 
-    Two ``_place`` steps of narrow int rows, no corpus-sized state: gram
+    Two ``exchange`` steps of narrow int rows, no corpus-sized state: gram
     rows (hash, doc, start) keyed by gram hash, so each kernel call sees
     EVERY occurrence of its grams and marks duplicates with one
     vectorized ``duplicated()``; then the surviving (doc, start) rows
@@ -1099,11 +1019,9 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
     # every occurrence of a gram meets in one kernel call, so a plain
     # duplicated(keep=False) IS the global count>=2 test — no join needed
     def mark_dups(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.loc[g["h"].duplicated(keep=False), [id_col, "s"]].copy()
-        d["n_tokens"] = pd.Series(0, index=d.index, dtype="int64")
-        return d[[id_col, "s", "n_tokens"]]
+        return g.loc[g["h"].duplicated(keep=False), [id_col, "s"]]
 
-    dup_rows = _place(grams, "h", mark_dups)
+    dup_rows = exchange([grams], ["h"], mark_dups)
 
     def emit_markers(batch: pd.DataFrame) -> pd.DataFrame:
         nt = [len(t.strip().split()) if t.strip() else 0
@@ -1115,7 +1033,8 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
 
     markers = ds.map_batches(emit_markers, batch_format="pandas")
 
-    def coverage(g: pd.DataFrame) -> pd.DataFrame:
+    def coverage(dups: pd.DataFrame, marks: pd.DataFrame) -> pd.DataFrame:
+        g = pd.concat([marks, dups.assign(n_tokens=0)], ignore_index=True)
         if len(g) == 0:
             return pd.DataFrame({
                 id_col: pd.Series(dtype="int64"),
@@ -1159,7 +1078,7 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
             "n_dup_starts": pd.Series(out_starts, dtype="int64"),
             "n_dup_tokens": pd.Series(out_cov, dtype="int64")})
 
-    return _place(dup_rows.union(markers), id_col, coverage)
+    return exchange([dup_rows, markers], [id_col, id_col], coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -1167,6 +1086,10 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
 # ---------------------------------------------------------------------------
 
 _BAND_KEY_MIX = 0x9E3779B97F4A7C15
+# the staged index is hive-partitioned by band key % this; build and
+# probe read the same constant, so a probe always prunes to the files
+# its keys were written to
+_INDEX_BUCKETS = 64
 
 
 def _band_join_key(band: np.ndarray, band_hash: np.ndarray) -> np.ndarray:
@@ -1184,8 +1107,7 @@ def _band_join_key(band: np.ndarray, band_hash: np.ndarray) -> np.ndarray:
 
 def build_minhash_index(corpus_ds, index_dir: str, *,
                         num_hashes: int = 128, bands: int = 32,
-                        ngram: int = 3, num_buckets: int = 64,
-                        id_col: str = "doc_id",
+                        ngram: int = 3, id_col: str = "doc_id",
                         text_col: str = "text") -> None:
     """Stage the corpus's LSH band table as bucket-partitioned Parquet —
     the INCREMENTAL near-dup shape: at recrawl scale a new shard must not
@@ -1200,14 +1122,14 @@ def build_minhash_index(corpus_ds, index_dir: str, *,
 
     if is_complete(index_dir):
         return
-    B = num_buckets
 
     def bucketize(b: pd.DataFrame) -> pd.DataFrame:
         key = _band_join_key(b["band"].to_numpy(),
                              b["band_hash"].to_numpy())
         b = b.rename(columns={id_col: "corpus_id"})
         b["key"] = key
-        b["bucket"] = (key.view(np.uint64) % np.uint64(B)).astype("int32")
+        b["bucket"] = (key.view(np.uint64)
+                       % np.uint64(_INDEX_BUCKETS)).astype("int32")
         return b[["bucket", "key", "corpus_id"]]
 
     rows = corpus_ds.map_batches(
@@ -1227,13 +1149,12 @@ def build_minhash_index(corpus_ds, index_dir: str, *,
 def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
                         threshold: float = 0.5, num_hashes: int = 128,
                         bands: int = 32, ngram: int = 3,
-                        num_buckets: int = 64, id_col: str = "doc_id",
-                        text_col: str = "text"):
+                        id_col: str = "doc_id", text_col: str = "text"):
     """New-shard near-dup probe against a staged corpus index: band keys
     for the new docs → read ONLY the index buckets those keys occupy
     (hive-partition pruning), keeping only rows whose key the probe has →
     the probe's (key, new id) rows and those (key, corpus id) rows meet
-    in one ``_place`` keyed by band key → distinct (id_a=new,
+    in one ``exchange`` keyed by band key → distinct (id_a=new,
     id_b=corpus) candidates → exact n-gram-Jaccard verify over the union
     (ids must be disjoint across the two sides). MinHash parameters MUST
     match the build's. Returns (id_a, id_b, jaccard_sim ≥ threshold).
@@ -1255,8 +1176,7 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
     def keyize(b: pd.DataFrame) -> pd.DataFrame:
         key = _band_join_key(b["band"].to_numpy(),
                              b["band_hash"].to_numpy())
-        return pd.DataFrame({"key": key, "id": b[id_col].astype("int64"),
-                             "side": np.zeros(len(b), dtype=np.int8)})
+        return pd.DataFrame({"key": key, "id": b[id_col].astype("int64")})
 
     probe = new_ds.map_batches(
         MinHashStage, batch_format="pyarrow",
@@ -1273,7 +1193,7 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
     keys = np.unique(np.concatenate([np.empty(0, np.int64)] + [
         b["key"].to_numpy() for b in probe.select_columns(["key"])
         .iter_batches(batch_size=None, batch_format="pandas")]))
-    needed = np.unique(keys.view(np.uint64) % np.uint64(num_buckets))
+    needed = np.unique(keys.view(np.uint64) % np.uint64(_INDEX_BUCKETS))
     files = [f for k in needed for f in sorted(
         glob.glob(os.path.join(index_dir, f"bucket={k}", "*.parquet")))]
     if not files:
@@ -1289,20 +1209,18 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
         pos = np.searchsorted(want, k).clip(0, len(want) - 1)
         hit = b.filter(pa.array(want[pos] == k))
         return pa.table({"key": hit.column("key"),
-                         "id": hit.column("corpus_id"),
-                         "side": pa.array(np.ones(len(hit), np.int8))})
+                         "id": hit.column("corpus_id")})
 
     idx = rd.read_parquet(files, columns=["key", "corpus_id"]).map_batches(
         corpus_side, batch_format="pyarrow", batch_size=None)
 
-    def key_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        m = g[g["side"] == 0].merge(g[g["side"] == 1], on="key",
-                                    suffixes=("_a", "_b"))
+    def key_pairs(new: pd.DataFrame, old: pd.DataFrame) -> pd.DataFrame:
+        m = new.merge(old, on="key", suffixes=("_a", "_b"))
         return (pd.DataFrame({"id_a": m["id_a"].astype("int64"),
                               "id_b": m["id_b"].astype("int64")})
                 .drop_duplicates())
 
-    cand = _distinct_pairs(_place(probe.union(idx), "key", key_pairs))
+    cand = _distinct_pairs(exchange([probe, idx], ["key", "key"], key_pairs))
     union = corpus_ds.select_columns([id_col, text_col]).union(
         new_ds.select_columns([id_col, text_col]))
     return verify_jaccard_pairs(union, cand, threshold, ngram=ngram,
@@ -1390,12 +1308,12 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
     not fixture luck.
 
     Scale shape: variants explode each doc into ≤ O(key_len^k) short
-    strings (k=1 → key_len+1) that go through ``_place`` keyed by the
+    strings (k=1 → key_len+1) that go through ``exchange`` keyed by the
     variant string; the kernel is a vectorized sorted-run scan — rows
     whose variant is unshared (almost all of them) are dropped by one
     bincount mask, so cost is O(rows) + O(actual candidate pairs), not
     O(distinct variants) pandas group dispatches. The pair-combine +
-    verify is a second ``_place`` of (doc_a, doc_b, key_a, key_b) rows
+    verify is a second ``exchange`` of (doc_a, doc_b, key_a, key_b) rows
     keyed by the pair — document bodies never move. Exact-equal keys pair
     quadratically (they are all true d=0 results); corpora with huge
     exact-dup groups should run :func:`exact_dedup` first."""
@@ -1447,7 +1365,7 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
         return (pd.concat(frames, ignore_index=True)
                 .drop_duplicates(["doc_a", "doc_b"]))
 
-    cand = _place(variants, "v", pairs_part)
+    cand = exchange([variants], ["v"], pairs_part)
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["doc_a", "doc_b"])
@@ -1459,7 +1377,7 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
             "doc_b": g["doc_b"].to_numpy(np.int64)[keep],
             "dist": dist[keep]})
 
-    return _place(cand, ["doc_a", "doc_b"], verify)
+    return exchange([cand], [["doc_a", "doc_b"]], verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1516,7 +1434,7 @@ class ContainmentExplodeStage(PrefixStage):
 
 def containment_pairs(ds, threshold: float = 0.8, ngram: int = 3,
                       id_col: str = "doc_id", text_col: str = "text",
-                      concurrency: int = 4):
+                      concurrency=(1, 4)):
     """EXACT verified containment pairs — (id_a, id_b, containment)
     with |A∩B| / min(|A|, |B|) ≥ threshold: the asymmetric duplicate
     relation (a page quoting most of another, a superset rewrite) that
@@ -1532,7 +1450,7 @@ def containment_pairs(ds, threshold: float = 0.8, ngram: int = 3,
     per gram yields a guaranteed-complete candidate superset, exactly
     verified afterward — no recall contract, same as the AllPairs path.
 
-    Shape: 16-byte (gram, id, size, role) rows through ``_place`` keyed
+    Shape: 16-byte (gram, id, size, role) rows through ``exchange`` keyed
     by gram, a vectorized per-call merge, distinct pairs, then
     :func:`verify_jaccard_pairs` with metric='containment'. Both roles
     come out of ONE actor-pool pass (shingle once, emit full list +
@@ -1556,7 +1474,7 @@ def containment_pairs(ds, threshold: float = 0.8, ngram: int = 3,
 
     exploded = _prefix_grams(ds, ContainmentExplodeStage, threshold, ngram,
                              id_col, text_col, concurrency)
-    cand = _distinct_pairs(_place(exploded, "gram", gram_pairs))
+    cand = _distinct_pairs(exchange([exploded], ["gram"], gram_pairs))
     return verify_jaccard_pairs(ds, cand, threshold=threshold,
                                 ngram=ngram, id_col=id_col,
                                 text_col=text_col, metric="containment")

@@ -31,11 +31,11 @@ it:
   positions once. A superstep ``ray.put``s the message vector, streams
   the edges through ``map_batches`` (an exact per-batch segment combine
   by receiver) and folds the partials on the driver.
-- shuffle (cluster scale): the state is a Dataset. A superstep is one
-  ``bucket_hash_join`` of the edges with the active messages only
-  (combined per receiver inside each edge bucket) and one left join of
-  the state with those partials, which combines each receiver's partials
-  into its inbox. Only ``total``'s scalars reach the driver.
+- shuffle (cluster scale): the state is a Dataset. A superstep is two
+  ``agg.exchange`` calls: the edges meet the active messages only, keyed
+  by sender, and each call combines its messages per receiver; the state
+  then meets those partials, keyed by node, and each node's partials
+  become its inbox. Only ``total``'s scalars reach the driver.
 
 All arithmetic is integer fixed point (floor divisions of nonnegative
 int64s; Python ``//`` == DuckDB ``//``), so every program gives the same
@@ -57,9 +57,6 @@ _AUTO_BROADCAST_NODES = 2_000_000  # ≈32 MB of id+state vectors
 _EDGE_BATCH = 262_144  # edges per task: vectorized kernels want big
 # batches (default 1024-row batches cost ~30x in per-task overhead,
 # measured by the `graph` probe in tools/probes.py)
-_NUM_BUCKETS = 16  # bucket_hash_join buckets of a shuffle superstep
-_N_PARTS = 64  # coarse hash partitions of the universe check and the
-# anchor-text index
 _BACKLINK_BUCKETS = 64  # the backlink index is partitioned by dst % this
 
 _INF = np.iinfo(np.int64).max
@@ -81,7 +78,10 @@ class _Graph:
         n_hint = node_ids.count() if is_ds else len(node_ids)
         self.broadcast = n_hint <= _AUTO_BROADCAST_NODES
         if not self.broadcast:
-            self.edges = edges_ds.select_columns(["src", "dst"]).materialize()
+            self.edges = edges_ds.map_batches(
+                lambda b: pd.DataFrame({"src": b["src"].to_numpy(np.int64),
+                                        "dst": b["dst"].to_numpy(np.int64)}),
+                batch_format="pandas").materialize()
             self.nodes, self.n = _prepare_universe_ds(self.edges, node_ids)
             return
         ids = np.unique(node_ids.to_pandas()["node"].to_numpy(np.int64)
@@ -156,37 +156,38 @@ def _raise_bad(problems) -> None:
 
 
 def _prepare_universe_ds(edges, node_ids):
-    """Shuffle placement's node universe: one coarse-partition pass
-    checks that every edge endpoint is a node and that a Dataset
-    universe has no duplicate rows (raising on the driver, the same
-    contract as the broadcast placement) and returns (distinct-node
-    Dataset, N)."""
+    """Shuffle placement's node universe: one exchange of the edge
+    endpoints with the node ids checks that every endpoint is a node and
+    that a Dataset universe has no duplicate rows (raising on the
+    driver, the same contract as the broadcast placement) and returns
+    (distinct-node Dataset, N)."""
     import ray.data as rd
 
-    from .agg import partitioned_map_partitions
+    from .agg import exchange
 
     if not hasattr(node_ids, "map_batches"):
         node_ids = rd.from_pandas(pd.DataFrame(
             {"node": np.unique(np.asarray(node_ids, dtype=np.int64))}))
 
     def endpoints(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": _endpoints(b), "is_node": 0})
+        return pd.DataFrame({"node": _endpoints(b)})
 
-    def tag_nodes(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": b["node"].to_numpy(np.int64),
-                             "is_node": 1})
+    def nodes(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"node": b["node"].to_numpy(np.int64)})
 
-    def check(p: pd.DataFrame) -> pd.DataFrame:
-        st = p.groupby("node")["is_node"].agg(["max", "sum"])
+    def check(ends: pd.DataFrame, ids: pd.DataFrame) -> pd.DataFrame:
+        node, n = np.unique(ids["node"].to_numpy(np.int64),
+                            return_counts=True)
+        ends = np.unique(ends["node"].to_numpy(np.int64))
+        missing = ends[~np.isin(ends, node)]
         return pd.DataFrame({
-            "node": st.index.to_numpy(np.int64),
-            "bad": np.where(st["max"] == 0, 1,
-                            np.where(st["sum"] > 1, 2, 0))})
+            "node": np.r_[node, missing],
+            "bad": np.r_[np.where(n > 1, 2, 0),
+                         np.ones(len(missing), dtype=np.int64)]})
 
-    both = edges.map_batches(endpoints, batch_format="pandas").union(
-        node_ids.map_batches(tag_nodes, batch_format="pandas"))
-    out = partitioned_map_partitions(both, "node", check,
-                                     n_parts=_N_PARTS).materialize()
+    out = exchange([edges.map_batches(endpoints, batch_format="pandas"),
+                    node_ids.map_batches(nodes, batch_format="pandas")],
+                   ["node", "node"], check)
     _raise_bad(out.map_batches(lambda b: b[b["bad"] != 0],
                                batch_format="pandas"))
     return out.select_columns(["node"]), out.count()
@@ -242,7 +243,7 @@ def superstep(g: _Graph, state, msg_col: str, along: str, combine: str):
                                b["__m"].to_numpy(np.int64))
         return state.assign(inbox=inbox)
 
-    from .join import bucket_hash_join
+    from .agg import exchange
 
     def active(s: pd.DataFrame) -> pd.DataFrame:
         m = s[msg_col].to_numpy(np.int64)
@@ -253,27 +254,28 @@ def superstep(g: _Graph, state, msg_col: str, along: str, combine: str):
     edges, send, recv = ((g.undirected, "src", "dst") if along == "both"
                          else (g.edges, "src", "dst") if along == "out"
                          else (g.edges, "dst", "src"))
-    # one partial per (edge bucket, receiver): combined per receiver below
-    sent = bucket_hash_join(
-        edges, state.map_batches(active, batch_format="pandas"), send, "node",
-        num_buckets=_NUM_BUCKETS,
-        post=lambda m: _combine(m[recv], m["__m"], combine)).materialize()
+
+    def deliver(e: pd.DataFrame, m: pd.DataFrame) -> pd.DataFrame:
+        """One partial per (call, receiver)."""
+        # an empty edge side arrives with its key column only
+        j = e.reindex(columns=["src", "dst"]).merge(m, left_on=send,
+                                                    right_on="node")
+        return _combine(j[recv], j["__m"], combine)
+
+    sent = exchange([edges, state.map_batches(active, batch_format="pandas")],
+                    [send, "node"], deliver)
     if sent.count() == 0:  # nothing was sent
         return update(g, state, lambda s: s.assign(inbox=ident))
 
-    def attach(m: pd.DataFrame) -> pd.DataFrame:
-        """A state row per partial it received (one row, NA, if none):
-        combine each node's run of partials into its inbox."""
-        m = m.sort_values("node", kind="stable")
-        node = m["node"].to_numpy(np.int64)
-        first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
-        inbox = _UFUNC[combine].reduceat(
-            m["__m"].fillna(ident).to_numpy(np.int64), first)
-        return m.iloc[first].drop(columns="__m").assign(inbox=inbox)
+    def attach(s: pd.DataFrame, p: pd.DataFrame) -> pd.DataFrame:
+        """Each node's partials combined into its inbox (position -1,
+        no partial, reads the appended identity)."""
+        got = _combine(p["node"], p["__m"], combine)
+        pos = _pos(got["node"].to_numpy(), s["node"])
+        return s.assign(inbox=np.r_[got["__m"].to_numpy(np.int64),
+                                    ident][pos])
 
-    return bucket_hash_join(state, sent, "node", "node",
-                            num_buckets=_NUM_BUCKETS, how="left",
-                            post=attach).materialize()
+    return exchange([state, sent], ["node", "node"], attach)
 
 
 def _hi_lo(v) -> pd.DataFrame:
@@ -558,14 +560,14 @@ def anchor_text_index(pages_ds):
     search stack materializes this table).
 
     Shape: stateless ``map_batches`` parse (one DOM pass per page, href
-    normalized against the page url) → ``_N_PARTS`` coarse hash
-    partitions on dst_url (never one Ray group per target — targets are
-    unbounded) → per-target aggregate: ``n_anchors`` = number of
+    normalized against the page url) → ``agg.exchange`` keyed by
+    dst_url (never one Ray group per target — targets are unbounded) →
+    per-target aggregate: ``n_anchors`` = number of
     in-anchors, ``anchor_texts`` = ' | '-joined sorted DISTINCT labels
     (deterministic under any partitioning / arrival order)."""
     from ..html.dom import parse_html
     from ..urlnorm import normalize_url
-    from .agg import partitioned_map_groups
+    from .agg import exchange
 
     def anchors(batch: pd.DataFrame) -> pd.DataFrame:
         dsts: list[str] = []
@@ -590,11 +592,10 @@ def anchor_text_index(pages_ds):
         return pd.DataFrame({"dst_url": pd.Series(dsts, dtype="string"),
                              "anchor_text": pd.Series(texts, dtype="string")})
 
-    def agg(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "dst_url": [g["dst_url"].iloc[0]],
-            "n_anchors": pd.Series([len(g)], dtype="int64"),
-            "anchor_texts": [" | ".join(sorted(set(g["anchor_text"])))]})
+    def per_target(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("dst_url")["anchor_text"].agg(
+            n_anchors="size",
+            anchor_texts=lambda t: " | ".join(sorted(set(t)))).reset_index()
 
     rows = pages_ds.map_batches(anchors, batch_format="pandas")
-    return partitioned_map_groups(rows, ["dst_url"], agg, n_parts=_N_PARTS)
+    return exchange([rows], ["dst_url"], per_target)

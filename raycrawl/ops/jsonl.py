@@ -57,7 +57,7 @@ def write_gzip_shards(ds, out_dir: str, id_col: str, n_shards: int,
     existing archive is kept only when it already holds those bytes, and
     shard archives this export has no rows for are deleted, so the
     manifest always describes the files."""
-    from .agg import partitioned_map_partitions
+    from .agg import _frame, exchange
 
     os.makedirs(out_dir, exist_ok=True)
 
@@ -89,9 +89,10 @@ def write_gzip_shards(ds, out_dir: str, id_col: str, n_shards: int,
         return pd.DataFrame(out, columns=["shard", "n_rows", "n_bytes",
                                           "sum_id"]).astype("int64")
 
-    manifest = partitioned_map_partitions(
-        ds.map_batches(tag, batch_format="pandas"), "__shard",
-        write_part, n_parts=min(n_shards, 64)).to_pandas()
+    manifest = _frame(
+        exchange([ds.map_batches(tag, batch_format="pandas")], ["__shard"],
+                 write_part),
+        pd.DataFrame(columns=["shard", "n_rows", "n_bytes", "sum_id"]))
     keep = {f"shard-{s:05d}{suffix}" for s in manifest["shard"]}
     for path in glob.glob(os.path.join(out_dir, f"shard-*{suffix}")):
         if os.path.basename(path) not in keep:

@@ -138,28 +138,27 @@ def repetition_stats(ds, id_col: str = "doc_id", text_col: str = "text"):
     return ds.map_batches(f, batch_format="pandas")
 
 
-def _bounded_topk_vocab(ds, count_batch, key_col: str, top_k: int,
-                        n_parts: int = 32) -> dict:
+def _bounded_topk_vocab(ds, count_batch, key_col: str, top_k: int) -> dict:
     """Pass-1 gram vocabulary with BOUNDED driver memory (the round-3
     verdict's last unbounded driver materialization): per-batch Counter
-    partials → coarse hash-partition shuffle (after the per-partition
-    combine, each gram's TOTAL corpus count lives in exactly one
-    partition) → per-partition exact sum + deterministic top-K truncation
-    (cnt desc, gram asc — 'mergesort' for stable ties) → driver merge of
-    at most ``n_parts × top_k`` candidate rows → global top-K.
+    partials → ``agg.exchange`` keyed by gram (inside one kernel call,
+    each gram's TOTAL corpus count is complete) → per-call exact sum +
+    deterministic top-K truncation (cnt desc, gram asc — 'mergesort' for
+    stable ties) → a driver fold of the call outputs, block by block,
+    through the same truncation → global top-K.
 
-    Because every gram's total is confined to one partition, the global
-    top-K is a subset of the union of per-partition top-Ks, so the
+    Because every gram's total is confined to one call, the global
+    top-K is a subset of the union of per-call top-Ks, so the
     retained counts are EXACT — this is exact distributed top-K, not a
     sketch. When the corpus has ≤ top_k distinct grams nothing is
     truncated and the result equals the full vocabulary (the case at
     every sf benchmark scale, keeping the SQL oracles exact). At web
-    scale driver RSS is O(n_parts × top_k) and the broadcast dict is
+    scale driver RSS is O(top_k) and the broadcast dict is
     O(top_k), independent of corpus size; evicted tail grams score with
     default count 0 — the production KenLM-style capped-vocab semantics
     (the `commonness` probe in tools/probes.py drives ≥10M distinct
     grams)."""
-    from .agg import partitioned_map_partitions
+    from .agg import exchange
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         t = g.groupby(key_col, as_index=False)["cnt"].sum()
@@ -170,18 +169,18 @@ def _bounded_topk_vocab(ds, count_batch, key_col: str, top_k: int,
 
     partials = ds.map_batches(count_batch, batch_format="pandas",
                               batch_size=65536)
-    merged = partitioned_map_partitions(partials, [key_col], combine,
-                                        n_parts=n_parts)
-    frames = list(merged.iter_batches(batch_size=None,
-                                      batch_format="pandas"))
-    if not frames:
-        return {}
-    allp = pd.concat(frames, ignore_index=True)
-    if len(allp) > top_k:
-        allp = allp.sort_values(["cnt", key_col],
-                                ascending=[False, True],
-                                kind="mergesort").head(top_k)
-    return dict(zip(allp[key_col], allp["cnt"]))
+    # each gram sits in one call's output, so truncating every output
+    # block in place, then folding the blocks through the same
+    # truncation keeps the driver at O(top_k) however many partitions
+    # the exchange cut
+    top = None
+    for b in exchange([partials], [key_col], combine).map_batches(
+            combine, batch_format="pandas", batch_size=None).iter_batches(
+            batch_size=None, batch_format="pandas"):
+        if len(b):
+            top = combine(b if top is None
+                          else pd.concat([top, b], ignore_index=True))
+    return {} if top is None else dict(zip(top[key_col], top["cnt"]))
 
 
 def unigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -339,8 +338,8 @@ def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
     Distributed shape: pass 1 computes df through the SAME bounded exact
     top-K machinery as the commonness scorers
     (``_bounded_topk_vocab`` — per-batch distinct-term partials →
-    coarse-partition exact sums → capped broadcast dict, driver RSS
-    O(n_parts × top_k) regardless of corpus size); N is a two-integer
+    exchange exact sums → capped broadcast dict, driver RSS
+    O(top_k) regardless of corpus size); N is a two-integer
     scalar aggregate. Pass 2 re-streams the corpus once, scoring each
     doc against the broadcast df table. Terms evicted past
     ``vocab_top_k`` score with df = 0 (maximum idf — the rare-term
@@ -691,23 +690,26 @@ def quality_gate(ds, q: "tuple[int, int]" = (9, 10),
     return scored.map_batches(keep, batch_format="pandas")
 
 
-def vocab_stats(ds, id_col: str = "doc_id", text_col: str = "text",
-                n_parts: int = 64) -> pd.DataFrame:
+def vocab_stats(ds, id_col: str = "doc_id",
+                text_col: str = "text") -> pd.DataFrame:
     """Corpus vocabulary statistics: total whitespace tokens + EXACT
     distinct-token count, scale-safe — per-batch ``pd.unique`` shrinks
-    each batch to its unique tokens before any shuffle, then coarse hash
-    partitions (``agg.partitioned_map_partitions``) count distinct per
-    partition; the driver folds ≤ n_parts rows. No per-token Ray group,
+    each batch to its unique tokens before any shuffle, then
+    ``agg.exchange`` keyed by token counts distinct per kernel call; the
+    driver folds one row per call. No per-token Ray group,
     no driver-side token set (SURVEY.md §7.5 shuffle rules)."""
-    from .agg import partitioned_map_partitions
+    from .agg import exchange
+
+    def col_sum(d) -> int:
+        return sum(int(b["n"].sum()) for b in d.iter_batches(
+            batch_size=None, batch_format="pandas") if len(b))
 
     def totals(b: pd.DataFrame) -> pd.DataFrame:
         texts = b[text_col].fillna("").str.strip()
         n = sum(len(_WS_SPLIT_RE.split(t)) if t else 1 for t in texts)
         return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
 
-    n_tokens = int(ds.map_batches(
-        totals, batch_format="pandas").to_pandas()["n"].sum())
+    n_tokens = col_sum(ds.map_batches(totals, batch_format="pandas"))
 
     def uniq_batch(b: pd.DataFrame) -> pd.DataFrame:
         texts = b[text_col].fillna("").str.strip()
@@ -719,27 +721,31 @@ def vocab_stats(ds, id_col: str = "doc_id", text_col: str = "text",
             u = np.array([], dtype=object)
         return pd.DataFrame({"token": pd.Series(u, dtype=object)})
 
-    parts = partitioned_map_partitions(
-        ds.map_batches(uniq_batch, batch_format="pandas"), "token",
-        lambda g: pd.DataFrame(
-            {"n": pd.Series([g["token"].nunique()], dtype="int64")}),
-        n_parts=n_parts).to_pandas()
+    def distinct(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": pd.Series([g["token"].nunique()],
+                                            dtype="int64")})
+
+    n_distinct = col_sum(exchange(
+        [ds.map_batches(uniq_batch, batch_format="pandas")], ["token"],
+        distinct))
     return pd.DataFrame({
         "n_tokens": pd.Series([n_tokens], dtype="int64"),
-        "n_distinct_tokens": pd.Series([int(parts["n"].sum())],
-                                       dtype="int64")})
+        "n_distinct_tokens": pd.Series([n_distinct], dtype="int64")})
 
 
-def collocations(ds, k: int = 50, text_col: str = "text",
-                 n_parts: int = 64) -> pd.DataFrame:
+def collocations(ds, k: int = 50, text_col: str = "text") -> pd.DataFrame:
     """Corpus-wide top-k adjacent-bigram collocations, integer-exact:
     per-batch bigram value_counts (the combiner — each batch shrinks to
-    its distinct bigrams before any shuffle) → coarse hash partitions
-    sum per bigram and keep their local top-k (safe: a bigram lives
-    wholly in one hash partition) → driver merges ≤ n_parts·k rows.
+    its distinct bigrams before any shuffle) → ``agg.exchange`` keyed by
+    bigram sums per bigram and keeps each call's top-k (safe: a bigram
+    lives wholly in one call) → driver merges ≤ calls·k rows.
     Ties broken by (w1, w2) so the result is deterministic and matches
     the SQL oracle ORDER BY."""
-    from .agg import partitioned_map_partitions
+    from .agg import _frame, exchange
+
+    empty = pd.DataFrame({"w1": pd.Series(dtype=object),
+                          "w2": pd.Series(dtype=object),
+                          "cnt": pd.Series(dtype="int64")})
 
     def big_batch(b: pd.DataFrame) -> pd.DataFrame:
         texts = b[text_col].fillna("").str.strip()
@@ -761,25 +767,22 @@ def collocations(ds, k: int = 50, text_col: str = "text",
         agg = (g.groupby("bg", sort=False)["cnt"].sum().reset_index())
         parts = agg["bg"].str.split("\x01", n=1, expand=True)
         if len(parts.columns) < 2:  # empty partition
-            return pd.DataFrame({"w1": pd.Series(dtype=object),
-                                 "w2": pd.Series(dtype=object),
-                                 "cnt": pd.Series(dtype="int64")})
+            return empty
         out = pd.DataFrame({"w1": parts[0], "w2": parts[1],
                             "cnt": agg["cnt"].astype("int64")})
         return out.sort_values(["cnt", "w1", "w2"],
                                ascending=[False, True, True]).head(k)
 
-    cand = partitioned_map_partitions(
-        ds.map_batches(big_batch, batch_format="pandas"), "bg",
-        part_topk, n_parts=n_parts).to_pandas()
+    cand = _frame(exchange([ds.map_batches(big_batch,
+                                           batch_format="pandas")],
+                           ["bg"], part_topk), empty)
     return (cand.sort_values(["cnt", "w1", "w2"],
                              ascending=[False, True, True])
             .head(k).reset_index(drop=True))
 
 
 def pack_sequences(ds, id_col: str = "doc_id", text_col: str = "text",
-                   max_tokens: int = 256, shard_size: int = 512,
-                   n_parts: int = 32):
+                   max_tokens: int = 256, shard_size: int = 512):
     """Training-sequence packing — the step between a cleaned corpus and
     a token-budgeted training shard (every LLM data pipeline ends here):
     greedy first-fit of documents into sequences of ≤ ``max_tokens``
@@ -795,11 +798,10 @@ def pack_sequences(ds, id_col: str = "doc_id", text_col: str = "text",
     callers decide whether to split or drop. Empty docs count 1 token
     (the token_count convention, shared with the SQL oracle).
 
-    Scale shape: shards hash-route through coarse partitions
-    (``partitioned_map_partitions``); the per-shard greedy fold is a
-    trivial O(shard_size) loop over integers — no shuffle beyond the one
-    partition exchange, no driver state."""
-    from .agg import partitioned_map_partitions
+    Scale shape: shards hash-route through ``agg.exchange``; the
+    per-shard greedy fold is a trivial O(shard_size) loop over integers —
+    no shuffle beyond the one exchange, no driver state."""
+    from .agg import exchange
 
     def tok(batch: pd.DataFrame) -> pd.DataFrame:
         t = batch[text_col].fillna("").str.strip()
@@ -810,7 +812,8 @@ def pack_sequences(ds, id_col: str = "doc_id", text_col: str = "text",
             "n_tokens": n.astype("int64")})
 
     def pack(part: pd.DataFrame) -> pd.DataFrame:
-        outs = []
+        outs = [pd.DataFrame({c: pd.Series([], dtype="int64") for c in (
+            id_col, "shard", "seq_local", "offset", "n_tokens")})]
         for shard, g in part.groupby("shard", sort=False):
             g = g.sort_values(id_col)
             ids = g[id_col].to_numpy()
@@ -837,8 +840,7 @@ def pack_sequences(ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.concat(outs, ignore_index=True)
 
     tokens = ds.map_batches(tok, batch_format="pandas")
-    return partitioned_map_partitions(tokens, ["shard"], pack,
-                                      n_parts=n_parts)
+    return exchange([tokens], ["shard"], pack)
 
 
 def commonness_buckets(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -910,8 +912,8 @@ def split_overlong(ds, id_col: str = "doc_id", text_col: str = "text",
     return ds.map_batches(f, batch_format="pandas")
 
 
-def dup_ngram_stats(ds, ngram: int = 5, n_parts: int = 256,
-                    id_col: str = "doc_id", text_col: str = "text"):
+def dup_ngram_stats(ds, ngram: int = 5, id_col: str = "doc_id",
+                    text_col: str = "text"):
     """Cross-document duplicated-n-gram fraction per doc — the RefinedWeb
     / MassiveText corpus-quality metric (Penedo et al. 2023 §"duplicated
     n-grams"; Rae et al. 2021 appendix A): for each document, the
@@ -920,20 +922,18 @@ def dup_ngram_stats(ds, ngram: int = 5, n_parts: int = 256,
     this measures corpus-level boilerplate — high values flag template
     farms that survive exact/near dedup.
 
-    Distributed shape (all coarse hash partitions, never per-key Ray
+    Distributed shape (two ``agg.exchange`` calls, never per-key Ray
     groups; grams ride as STRINGS so the answer is hash-free exact):
       1. one map pass → (gram, doc_id, mult) rows, mult = occurrences of
          that gram in that doc (one row per distinct (gram, doc)), plus a
          tiny (doc_id, n_ngrams) denominator table;
-      2. partition by gram → document frequency per gram IS the group
+      2. exchange by gram → document frequency per gram IS the group
          size; per-doc partial numerators = Σ mult over df≥2 grams;
-      3. partition by doc_id → fold partials + the denominator row.
+      3. exchange the partials and the denominators by doc_id → fold.
 
     Returns (doc_id, n_dup_ngrams, n_ngrams, dup_ngram_frac) for EVERY
     input doc (docs shorter than n grams report 0/0/0.0)."""
-    import ray.data as rd  # noqa: F401  (documents the dependency)
-
-    from .agg import partitioned_map_partitions
+    from .agg import exchange
 
     def occurrences(batch: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
@@ -961,27 +961,19 @@ def dup_ngram_stats(ds, ngram: int = 5, n_parts: int = 256,
              for t in batch[text_col]]
         return pd.DataFrame({
             id_col: batch[id_col].astype("int64"),
-            "n_dup_partial": pd.Series([0] * len(batch), dtype="int64"),
             "n_ngrams": pd.Series(n, dtype="int64")})
 
     def per_gram(part: pd.DataFrame) -> pd.DataFrame:
         # rows are unique per (gram, doc) → df(gram) is the group size
         df = part.groupby("gram")[id_col].transform("size")
-        dup = part[df >= 2]
-        if len(dup) == 0:
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype="int64"),
-                "n_dup_partial": pd.Series([], dtype="int64"),
-                "n_ngrams": pd.Series([], dtype="int64")})
-        out = dup.groupby(id_col, as_index=False)["mult"].sum() \
-            .rename(columns={"mult": "n_dup_partial"})
-        out["n_ngrams"] = pd.Series([0] * len(out), dtype="int64")
-        return out[[id_col, "n_dup_partial", "n_ngrams"]]
+        return (part[df >= 2].groupby(id_col, as_index=False)["mult"].sum()
+                .astype("int64").rename(columns={"mult": "n_dup"}))
 
-    def fold(part: pd.DataFrame) -> pd.DataFrame:
-        g = part.groupby(id_col, as_index=False).agg(
-            n_dup_ngrams=("n_dup_partial", "sum"),
-            n_ngrams=("n_ngrams", "sum"))
+    def fold(part: pd.DataFrame, dens: pd.DataFrame) -> pd.DataFrame:
+        num = part.groupby(id_col)["n_dup"].sum()
+        g = dens.groupby(id_col, as_index=False)["n_ngrams"].sum()
+        g.insert(1, "n_dup_ngrams",
+                 g[id_col].map(num).fillna(0).astype("int64"))
         denom = g["n_ngrams"].to_numpy()
         num = g["n_dup_ngrams"].to_numpy()
         frac = np.where(denom > 0, num / np.maximum(denom, 1), 0.0)
@@ -989,11 +981,9 @@ def dup_ngram_stats(ds, ngram: int = 5, n_parts: int = 256,
         return g
 
     occ = ds.map_batches(occurrences, batch_format="pandas")
-    partials = partitioned_map_partitions(occ, ["gram"], per_gram,
-                                          n_parts=n_parts)
+    partials = exchange([occ], ["gram"], per_gram)
     dens = ds.map_batches(denominators, batch_format="pandas")
-    return partitioned_map_partitions(partials.union(dens), [id_col],
-                                      fold, n_parts=n_parts)
+    return exchange([partials, dens], [id_col, id_col], fold)
 
 
 def top_tokens_per_lang(sf_dir: str, k: int = 5) -> pd.DataFrame:
@@ -1013,7 +1003,7 @@ def top_tokens_per_lang(sf_dir: str, k: int = 5) -> pd.DataFrame:
 
     import ray.data as rd
 
-    from .agg import partitioned_map_partitions
+    from .agg import _frame, exchange
 
     docs = rd.read_parquet(_os.path.join(sf_dir, "documents.parquet"),
                            columns=["lang", "text"])
@@ -1038,8 +1028,10 @@ def top_tokens_per_lang(sf_dir: str, k: int = 5) -> pd.DataFrame:
                               kind="mergesort")
         return tot.groupby("lang", sort=False).head(k)
 
-    cand = partitioned_map_partitions(counts, ["lang", "tok"],
-                                      local_topk).to_pandas()
+    cand = _frame(exchange([counts], [["lang", "tok"]], local_topk),
+                  pd.DataFrame({"lang": pd.Series(dtype=object),
+                                "tok": pd.Series(dtype=object),
+                                "n": pd.Series(dtype="int64")}))
     cand = cand.sort_values(["lang", "n", "tok"],
                             ascending=[True, False, True],
                             kind="mergesort")

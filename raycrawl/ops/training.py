@@ -66,13 +66,13 @@ def encode_ids(ds, merges, vocab_ids, id_col: str = "doc_id",
 
 
 def pack_id_sequences(encoded, max_tokens: int = 1024,
-                      id_col: str = "doc_id", n_parts: int = 32):
+                      id_col: str = "doc_id"):
     """Greedy first-fit of encoded docs into sequences within their
     shard (same fold as textstats.pack_sequences, here carrying the
     actual ids): one row per SEQUENCE — (shard, seq_local, n_docs,
     n_tokens, token_ids) with the member docs' ids concatenated in
     doc_id order."""
-    from .agg import partitioned_map_partitions
+    from .agg import exchange
 
     def pack(part: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -104,16 +104,16 @@ def pack_id_sequences(encoded, max_tokens: int = 1024,
             if not first:
                 emit()
         return pd.DataFrame(rows, columns=["shard", "seq_local", "n_docs",
-                                           "n_tokens", "token_ids"])
+                                           "n_tokens", "token_ids"]).astype(
+            {"shard": "int64", "seq_local": "int64", "n_docs": "int64",
+             "n_tokens": "int64"})
 
-    return partitioned_map_partitions(encoded, ["shard"], pack,
-                                      n_parts=n_parts)
+    return exchange([encoded], ["shard"], pack)
 
 
 def build_training_shards(ds, out_dir: str, num_merges: int = 200,
                           max_tokens: int = 1024, shard_size: int = 512,
-                          vocab_top_k: int = 1_000_000,
-                          n_parts: int = 32) -> dict:
+                          vocab_top_k: int = 1_000_000) -> dict:
     """The full product: train → encode → pack → shard-partitioned
     parquet under ``out_dir`` (one ``shard=N`` directory each — the
     resumable-output convention). Returns the run manifest
@@ -122,8 +122,7 @@ def build_training_shards(ds, out_dir: str, num_merges: int = 200,
     merges = bpe_train_incremental(wc, num_merges)
     vids = build_vocab_ids(wc, merges)
     enc = encode_ids(ds, merges, vids, shard_size=shard_size)
-    packed = pack_id_sequences(enc, max_tokens=max_tokens,
-                               n_parts=n_parts).materialize()
+    packed = pack_id_sequences(enc, max_tokens=max_tokens).materialize()
     n_seq = packed.count()
     tot = sum(int(b["n_tokens"].sum()) for b in
               packed.iter_batches(batch_size=None, batch_format="pandas"))
@@ -181,7 +180,7 @@ def _hash_rank(ds, salt: str, id_col: str, stratum_col, finish):
 
     import ray
 
-    from .agg import partitioned_map_partitions
+    from .agg import exchange
 
     strat = [] if stratum_col is None else [stratum_col]
     keys = strat + ["__bucket"]
@@ -233,8 +232,7 @@ def _hash_rank(ds, salt: str, id_col: str, stratum_col, finish):
         n = np.fromiter((tots[s] for s in ss), dtype=np.int64, count=len(g))
         return finish(g, off + local, n)
 
-    return partitioned_map_partitions(hds, keys, rank_part,
-                                      n_parts=min(64, _SPLIT_BUCKETS))
+    return exchange([hds], [keys], rank_part)
 
 
 def deterministic_shuffle_rank(ds, key_col: str = "doc_id",
@@ -280,6 +278,9 @@ def stratified_split_assign(ds, fractions=(0.8, 0.1, 0.1),
                              stratum_col: g[stratum_col].to_numpy(),
                              "split": split})
 
-    out = _hash_rank(ds, salt, id_col, stratum_col, finish).to_pandas()
+    from .agg import _frame
+
+    out = _frame(_hash_rank(ds, salt, id_col, stratum_col, finish),
+                 pd.DataFrame(columns=[id_col, stratum_col, "split"]))
     out[id_col] = out[id_col].astype("int64")
     return out.sort_values(id_col).reset_index(drop=True)

@@ -1,5 +1,5 @@
 """Link-graph programs over the superstep engine (raycrawl/ops/graph.py)
-and the join / backlink pieces under them."""
+and the backlink index."""
 
 import numpy as np
 import pandas as pd
@@ -40,14 +40,18 @@ def _random_graph(n=200, m=800, seed=7, isolated=5):
     return edges, list(range(n))
 
 
-def _place(monkeypatch, placement, buckets=G._NUM_BUCKETS):
-    """Force the engine's placement through its N threshold, and the
-    shuffle placement's bucket count (4 coarse partitions keep the
-    tiny test graphs fast)."""
+def _place(monkeypatch, placement, parts=4):
+    """Force the engine's placement through its N threshold; under
+    shuffle, every ``agg.exchange`` runs on exactly ``parts`` coarse
+    partitions (1-byte partitions capped at ``parts``), however tiny
+    the test graph."""
+    from raycrawl.ops import agg
+
     monkeypatch.setattr(G, "_AUTO_BROADCAST_NODES",
                         10**12 if placement == "broadcast" else 0)
-    monkeypatch.setattr(G, "_NUM_BUCKETS", buckets)
-    monkeypatch.setattr(G, "_N_PARTS", 4)
+    monkeypatch.setattr(agg, "_DRIVER_BYTES", -1)
+    monkeypatch.setattr(agg, "_PART_BYTES", 1)
+    monkeypatch.setattr(agg, "_MAX_PARTS", parts)
 
 
 def _edges_ds(edges):
@@ -101,29 +105,6 @@ def test_placement_follows_n(monkeypatch):
         assert G._Graph(_edges_ds(edges), universe).broadcast
         monkeypatch.setattr(G, "_AUTO_BROADCAST_NODES", len(nodes) - 1)
         assert not G._Graph(_edges_ds(edges), universe).broadcast
-
-
-def test_left_join_empty_bucket_keeps_rows():
-    """Regression: bucket_hash_join(how='left') must not drop left rows
-    whose bucket has no right-side rows (graph.py relies on this), and
-    those rows still carry every right column, so a ``post`` reading the
-    right column works in every bucket."""
-    from raycrawl.ops.join import bucket_hash_join
-
-    left = rd.from_pandas(pd.DataFrame({"k": list(range(64))}))
-    right = rd.from_pandas(pd.DataFrame({"k": [0], "v": [7]}))
-    out = bucket_hash_join(left, right, "k", "k", num_buckets=16,
-                           how="left").to_pandas()
-    assert len(out) == 64
-    assert out.loc[out["k"] == 0, "v"].iloc[0] == 7
-
-    def post(m):
-        return m.assign(v=m["v"].fillna(-1).astype("int64"))
-
-    out = bucket_hash_join(left, right, "k", "k", num_buckets=16,
-                           how="left", post=post).to_pandas()
-    assert sorted(out["v"]) == [-1] * 63 + [7]
-    assert out["v"].dtype == np.int64
 
 
 def reference_components(edges, nodes):
@@ -218,8 +199,8 @@ def test_backlink_index_lookup(tmp_path):
 def _check_cc_exact_above_2_53():
     """ADVICE r3: the shuffle placement's left joins used to round-trip
     int64 through float64 (NaN upcast), silently corrupting node ids above
-    2^53. bucket_hash_join now keeps right-side integers as nullable
-    Int64, so hash-min label propagation stays bit-exact on huge ids."""
+    2^53. The superstep kernels never let a missing value into an int64
+    column, so hash-min label propagation stays bit-exact on huge ids."""
     from raycrawl.ops.graph import connected_components
 
     big = 1 << 60  # far past float64's 2^53 integer ceiling
@@ -241,12 +222,12 @@ def _check_cc_exact_above_2_53():
 
 
 def test_shuffle_cc_exact_above_2_53(monkeypatch):
-    _place(monkeypatch, "shuffle", buckets=1)
+    _place(monkeypatch, "shuffle", parts=1)
     _check_cc_exact_above_2_53()
 
 
 def test_broadcast_cc_exact_above_2_53(monkeypatch):
-    _place(monkeypatch, "broadcast", buckets=1)
+    _place(monkeypatch, "broadcast", parts=1)
     _check_cc_exact_above_2_53()
 
 
@@ -268,12 +249,12 @@ def _check_pagerank_exact_above_2_53():
 
 
 def test_shuffle_pagerank_exact_above_2_53(monkeypatch):
-    _place(monkeypatch, "shuffle", buckets=1)
+    _place(monkeypatch, "shuffle", parts=1)
     _check_pagerank_exact_above_2_53()
 
 
 def test_broadcast_pagerank_exact_above_2_53(monkeypatch):
-    _place(monkeypatch, "broadcast", buckets=1)
+    _place(monkeypatch, "broadcast", parts=1)
     _check_pagerank_exact_above_2_53()
 
 
@@ -361,16 +342,21 @@ def _program(name, edges, nodes):
             _serial_bfs(edges, nodes, seeds, max_depth=8))
 
 
-@pytest.mark.parametrize("buckets", [1, 8])
+@pytest.mark.parametrize("parts", [1, 8])
 @pytest.mark.parametrize("placement", ["broadcast", "shuffle"])
 @pytest.mark.parametrize("program",
                          ["pagerank", "components", "hits", "bfs"])
-def test_placement_matrix(program, placement, buckets, monkeypatch):
-    """Every program under either placement, with one or several join
-    buckets, equals its serial reference bit for bit (values and int64
-    dtypes). The graph has isolated nodes, dangling nodes, several
-    components and nodes BFS never reaches."""
-    _place(monkeypatch, placement, buckets)
+def test_placement_matrix(program, placement, parts, monkeypatch):
+    """Every program under either placement, the shuffle's exchanges on
+    one or eight coarse partitions, equals its serial reference bit for
+    bit (values and int64 dtypes). The graph has isolated nodes,
+    dangling nodes, several components and nodes BFS never reaches."""
+    from raycrawl.ops.agg import placement_log
+
+    _place(monkeypatch, placement, parts)
     edges, nodes = _random_graph(n=60, m=90, seed=5, isolated=4)
-    got, want = _program(program, edges, nodes)
+    with placement_log() as log:
+        got, want = _program(program, edges, nodes)
     pd.testing.assert_frame_equal(got, want, check_exact=True)
+    assert {r["parts"] for r in log} == (
+        {parts} if placement == "shuffle" else set())

@@ -16,7 +16,6 @@ from raycrawl.ops.dedup import (
     simhash64,
     simhash_near_pairs,
 )
-from raycrawl.ops.join import broadcast_join, bucket_hash_join
 from raycrawl.ops.textstats import rolling_fingerprint
 
 
@@ -119,26 +118,6 @@ def test_rolling_fingerprint_properties():
     assert rolling_fingerprint(t1) == rolling_fingerprint(t1)
     assert rolling_fingerprint(t1) != rolling_fingerprint(t1 + " extra trailing words here")
     assert rolling_fingerprint("") == 0
-
-
-def test_broadcast_join():
-    large = rd.from_pandas(pd.DataFrame({"k": [1, 2, 3, 2], "v": "a b c d".split()}))
-    small = pd.DataFrame({"k": [1, 2], "name": ["one", "two"]})
-    out = broadcast_join(large, small, left_on="k").to_pandas()
-    assert len(out) == 3
-    assert set(out["name"]) == {"one", "two"}
-
-
-def test_bucket_hash_join(tmp_path):
-    left = rd.from_pandas(pd.DataFrame({
-        "k": np.arange(100, dtype="int64"), "lv": np.arange(100) * 2}))
-    right = rd.from_pandas(pd.DataFrame({
-        "rk": np.arange(50, 150, dtype="int64"), "rv": np.arange(100) * 3}))
-    out = bucket_hash_join(left, right, left_on="k", right_on="rk",
-                           num_buckets=8, stage_dir=str(tmp_path)).to_pandas()
-    assert len(out) == 50  # keys 50..99
-    row = out[out["k"] == 60].iloc[0]
-    assert row["lv"] == 120 and row["rv"] == (60 - 50) * 3
 
 
 def test_multimodal_image_features():
@@ -360,25 +339,25 @@ _PLACED_OPS = ["exact", "minhash_candidates", "minhash_pairs", "allpairs",
 
 @pytest.mark.parametrize("placement", ["driver", "shuffle"])
 @pytest.mark.parametrize("op", _PLACED_OPS)
-def test_dedup_placement_matrix(op, placement, monkeypatch, tmp_path):
+def test_dedup_placement_matrix(op, placement, monkeypatch, tmp_path,
+                                exchange_placement):
     """Every placed dedup op equals its serial reference under both
-    placements, forced through ``_DRIVER_BYTES`` (a 1 KB
-    ``_PART_BYTES`` splits the shuffle into several partitions). The
-    shuffle run also forces the verify join through
+    exchange placements, forced through ``agg._DRIVER_BYTES`` (a 1 KB
+    ``agg._PART_BYTES`` splits the shuffle into several partitions).
+    The shuffle run also forces the verify join through
     ``_VERIFY_BROADCAST_LIMIT`` and the driver run the broadcast;
     ``allpairs_hash_order`` turns the hot-gram sample off, and
     ``embedding_lsh`` forces LSH through ``_EMBEDDING_EXACT_ROWS``."""
     from raycrawl.ops import dedup as dd
+    from raycrawl.ops.agg import placement_log
 
-    monkeypatch.setattr(dd, "_DRIVER_BYTES",
-                        1 << 62 if placement == "driver" else -1)
-    monkeypatch.setattr(dd, "_PART_BYTES", 1024)
+    exchange_placement(placement)
     monkeypatch.setattr(dd, "_VERIFY_BROADCAST_LIMIT",
                         1 << 62 if placement == "driver" else 0)
     monkeypatch.setattr(dd, "_EMBEDDING_EXACT_ROWS", 0)
     if op == "allpairs_hash_order":
         monkeypatch.setattr(dd, "_HOT_SAMPLE_DOCS", 0)
-    with dd.placement_log() as log:
+    with placement_log() as log:
         got, want = _placed_case(op, tmp_path)
     assert len(want) > 0  # the fixture has duplicates for this op
     assert {r["placement"] for r in log} == {placement}
@@ -407,6 +386,325 @@ def test_dedup_ops_without_duplicates():
                 dd.dup_spans(docs, gram_len=8)):
         df = out.to_pandas()
         assert len(df) == 0 or df.filter(like="dup").sum().sum() == 0
+
+
+def _join_sides():
+    """Left (k, payload) over keys 0..19 and a right side with
+    duplicate keys, keys outside the left range and a wide column."""
+    left = pd.DataFrame({"k": np.arange(20, dtype=np.int64),
+                         "payload": np.arange(20, dtype=np.int64) * 10})
+    right = pd.DataFrame({
+        "rk": np.array([0, 0, 3, 3, 3, 7, 11, 15, 99], dtype=np.int64),
+        "wide": ["x" * 100] * 9})
+    return left, right
+
+
+def _exchange_case(case):
+    """(inputs, keys, kernel, check(out DataFrame)) for one matrix case."""
+    left, right = _join_sides()
+    hits = [0, 3, 7, 11, 15]
+    if case == "one_input":
+        rng = np.random.RandomState(2)
+        df = pd.DataFrame({"k1": rng.randint(0, 50, 500).astype("int64"),
+                           "k2": rng.randint(0, 3, 500).astype("int64"),
+                           "v": rng.randint(0, 1000, 500).astype("int64")})
+        want = (df.groupby(["k1", "k2"], as_index=False)["v"].sum()
+                .sort_values(["k1", "k2"]).reset_index(drop=True))
+
+        def check(out):
+            pd.testing.assert_frame_equal(
+                out.sort_values(["k1", "k2"]).reset_index(drop=True), want)
+        return ([df], [["k1", "k2"]],
+                lambda g: g.groupby(["k1", "k2"], as_index=False)["v"].sum(),
+                check)
+    if case == "inner":
+        def check(out):
+            want = left.merge(right, left_on="k", right_on="rk")
+            cols = ["k", "rk", "payload"]
+            pd.testing.assert_frame_equal(
+                out[list(want.columns)].sort_values(cols)
+                .reset_index(drop=True),
+                want.sort_values(cols).reset_index(drop=True))
+        return ([left, right], ["k", "rk"],
+                lambda a, b: a.merge(b, left_on="k", right_on="rk"), check)
+    if case == "pushdown":
+        # a key's rows all meet in one call, so a per-key aggregate in
+        # the kernel is global (no second exchange after the join)
+        lv = pd.DataFrame({"k": pd.Series([1, 1, 2, 2, 2, 3] * 20,
+                                          dtype="int64"),
+                           "v": pd.Series([10, 5, 1, 2, 3, 7] * 20,
+                                          dtype="int64")})
+        rv = pd.DataFrame({"rk": pd.Series([1, 2, 3], dtype="int64"),
+                           "tag": ["a", "b", "c"]})
+
+        def joined_sum(a, b):
+            return (a.merge(b, left_on="k", right_on="rk")
+                    .groupby(["k", "tag"], as_index=False)["v"].sum())
+
+        def check(out):
+            got = {(r.k, r.tag): r.v for r in out.itertuples()}
+            assert got == {(1, "a"): 300, (2, "b"): 120, (3, "c"): 140}
+        return [lv, rv], ["k", "rk"], joined_sum, check
+    if case in ("semi", "anti"):
+        keep = case == "semi"
+
+        def check(out):
+            out = out.sort_values("k").reset_index(drop=True)
+            assert out["k"].tolist() == [
+                k for k in range(20) if (k in hits) == keep]
+            assert list(out.columns) == ["k", "payload"]
+            assert (out["payload"] == out["k"] * 10).all()
+        return ([left, right], ["k", "rk"],
+                lambda a, b: a[a["k"].isin(b["rk"]) == keep], check)
+    if case == "left_sparse_right":
+        # one right row: most calls see an empty, still typed, right side
+        lv = pd.DataFrame({"k": np.arange(256, dtype=np.int64)})
+        rv = pd.DataFrame({"k": np.array([0], dtype=np.int64),
+                           "v": np.array([7], dtype=np.int64)})
+
+        def left_v(a, b):
+            m = a.merge(b.astype({"v": "Int64"}), on="k", how="left")
+            return m.assign(v=m["v"].fillna(-1).astype("int64"))
+
+        def check(out):
+            assert sorted(out["v"]) == [-1] * 255 + [7]
+            assert out["v"].dtype == np.int64
+        return [lv, rv], ["k", "k"], left_v, check
+    if case == "empty_side":
+        empty = right.iloc[0:0]
+        left = pd.DataFrame({"k": np.arange(200, dtype=np.int64),
+                             "payload": np.arange(200, dtype=np.int64)})
+
+        def kernel(a, b):
+            m = a.merge(b, left_on="k", right_on="rk", how="left")
+            return m.assign(semi=a["k"].isin(b["rk"]).to_numpy())
+
+        def check(out):
+            assert len(out) == 200 and not out["semi"].any()
+            assert list(out.columns) == ["k", "payload", "rk", "wide", "semi"]
+        return [left, empty], ["k", "rk"], kernel, check
+    if case == "left_above_2_53":
+        big = 1 << 60
+        lv = pd.DataFrame({"id": np.arange(big, big + 400, dtype=np.int64)})
+        rv = pd.DataFrame({"id": np.arange(big, big + 400, 3, dtype=np.int64),
+                           "val": np.arange(big + 1, big + 401, 3,
+                                            dtype=np.int64)})
+
+        def left_val(a, b):
+            return a.merge(b.astype({"val": "Int64"}), on="id", how="left")
+
+        def check(out):
+            out = out.sort_values("id").reset_index(drop=True)
+            want = dict(zip(rv["id"].tolist(), rv["val"].tolist()))
+            got = out["val"].fillna(0).astype("int64").tolist()
+            assert got == [want.get(i, 0) for i in out["id"].tolist()]
+            assert out["id"].tolist() == lv["id"].tolist()
+        return [lv, rv], ["id", "id"], left_val, check
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("placement", ["driver", "shuffle"])
+@pytest.mark.parametrize("case", [
+    "one_input", "inner", "pushdown", "semi", "anti", "left_sparse_right",
+    "empty_side", "left_above_2_53", "key_dtype_mismatch"])
+def test_exchange_matrix(case, placement, exchange_placement):
+    """``agg.exchange`` under both placements (the partition side cut
+    into several 1 KB partitions): one and two inputs, inner / left /
+    semi / anti kernels against their pandas results, an empty but typed
+    side, int64 ids past 2^53 through a left merge, and key columns of
+    different dtypes refused."""
+    from raycrawl.ops.agg import exchange, placement_log
+
+    exchange_placement(placement)
+    if case == "key_dtype_mismatch":
+        left, right = _join_sides()
+        with pytest.raises(ValueError, match="key dtypes"):
+            exchange([rd.from_pandas(left),
+                      rd.from_pandas(right.astype({"rk": "int32"}))],
+                     ["k", "rk"], lambda a, b: a)
+        return
+    frames, keys, kernel, check = _exchange_case(case)
+    with placement_log() as log:
+        out = exchange([rd.from_pandas(f) for f in frames], keys, kernel)
+    check(out.to_pandas())
+    assert [r["placement"] for r in log] == [placement]
+    if placement == "shuffle":
+        assert log[0]["parts"] >= 2
+
+
+_POOL_CHILD = """
+import os, tempfile
+import numpy as np, pyarrow as pa, pyarrow.parquet as pq
+import ray, ray.data as rd
+from raycrawl.ops.dedup import containment_pairs
+
+ray.init(address="local", num_cpus=4, include_dashboard=False,
+         logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+rng = np.random.RandomState(3)
+texts = [" ".join(f"w{t}" for t in rng.randint(0, 2000, rng.randint(10, 100)))
+         for _ in range(5000)]
+with tempfile.TemporaryDirectory() as d:
+    path = os.path.join(d, "documents.parquet")
+    pq.write_table(pa.table({"doc_id": np.arange(5000, dtype=np.int64),
+                             "text": texts}), path)
+    docs = rd.read_parquet(path)
+    print("pairs", containment_pairs(docs, threshold=0.8).count())
+ray.shutdown()
+"""
+
+
+def test_containment_pairs_default_pool_finishes_on_4_cpus():
+    """The prefix-gram actor pool must not take every CPU of a 4-CPU
+    session: over a ``read_parquet`` input a fixed pool of 4 left the
+    read tasks no CPU and the op hung. Runs in its own process (own Ray
+    session) under a timeout, so a hang fails here instead of stalling
+    the suite."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", _POOL_CHILD], cwd=repo,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("containment_pairs hung on a 4-CPU session")
+    assert proc.returncode == 0, err[-2000:]
+    assert out.strip().startswith("pairs ")
+
+
+def _wide_op_runs(tmp_path):
+    """Every op whose wide step is an ``agg.exchange``, run on an empty
+    input: name → (call, expected DataFrame columns or None for a
+    Dataset output)."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from raycrawl.ops import dedup as dd
+    from raycrawl.ops import delta, graph, jsonl, textstats, training
+
+    def docs():
+        return rd.from_pandas(pd.DataFrame({
+            "doc_id": pd.Series([], dtype="int64"),
+            "text": pd.Series([], dtype=object),
+            "lang": pd.Series([], dtype=object)}))
+
+    def embeddings():
+        return rd.from_pandas(pd.DataFrame({
+            "vec_id": pd.Series([], dtype="int64"),
+            "embedding": pd.Series([], dtype=object)}))
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    pq.write_table(pa.table({"lang": pa.array([], pa.string()),
+                             "text": pa.array([], pa.string())}),
+                   str(sf / "documents.parquet"))
+    idx = str(tmp_path / "mh_index")
+    dd.build_minhash_index(_docs(["some corpus text here"]), idx)
+    encoded = rd.from_pandas(pd.DataFrame({
+        "doc_id": pd.Series([], dtype="int64"),
+        "shard": pd.Series([], dtype="int64"),
+        "n_tokens": pd.Series([], dtype="int64"),
+        "token_ids": pd.Series([], dtype=object)}))
+    pages = rd.from_pandas(pd.DataFrame({"url": pd.Series([], dtype=object),
+                                         "html": pd.Series([], dtype=object)}))
+    return {
+        "snapshot_delta": (lambda: delta.snapshot_delta(
+            docs(), docs(), key="doc_id", payload="text"), None),
+        "vocab_stats": (lambda: textstats.vocab_stats(docs()),
+                        ["n_tokens", "n_distinct_tokens"]),
+        "collocations": (lambda: textstats.collocations(docs()),
+                         ["w1", "w2", "cnt"]),
+        "pack_sequences": (lambda: textstats.pack_sequences(docs()), None),
+        "dup_ngram_stats": (lambda: textstats.dup_ngram_stats(docs()), None),
+        "bigram_commonness": (lambda: textstats.bigram_commonness(docs()),
+                              None),
+        "top_tokens_per_lang": (
+            lambda: textstats.top_tokens_per_lang(str(sf)),
+            ["lang", "tok", "n", "rnk"]),
+        "pack_id_sequences": (lambda: training.pack_id_sequences(encoded),
+                              None),
+        "deterministic_shuffle_rank": (
+            lambda: training.deterministic_shuffle_rank(docs()), None),
+        "stratified_split_assign": (
+            lambda: training.stratified_split_assign(docs()),
+            ["doc_id", "lang", "split"]),
+        "write_jsonl_shards": (
+            lambda: jsonl.write_jsonl_shards(docs(), str(tmp_path / "j")),
+            ["shard", "n_rows", "n_bytes", "sum_id"]),
+        "anchor_text_index": (lambda: graph.anchor_text_index(pages), None),
+        "exact_dedup": (lambda: dd.exact_dedup(docs()), None),
+        "exact_dedup_against_corpus": (
+            lambda: dd.exact_dedup_against_corpus(docs(), docs()),
+            ["doc_id"]),
+        "minhash_dedup_pairs": (lambda: dd.minhash_dedup_pairs(docs()),
+                                None),
+        "allpairs_jaccard_pairs": (
+            lambda: dd.allpairs_jaccard_pairs(docs()), None),
+        "containment_pairs": (lambda: dd.containment_pairs(docs()), None),
+        "simhash_near_pairs": (lambda: dd.simhash_near_pairs(docs()), None),
+        "edit_prefix_pairs": (lambda: dd.edit_prefix_pairs(docs()), None),
+        "dup_spans": (lambda: dd.dup_spans(docs()), None),
+        "segment_dedup": (lambda: dd.segment_dedup(docs()), None),
+        "embedding_dup_pairs_lsh": (
+            lambda: dd.embedding_dup_pairs_lsh(embeddings()), None),
+        "minhash_probe_index": (
+            lambda: dd.minhash_probe_index(docs(), idx, docs()), None),
+        "connected_components": (
+            lambda: graph.connected_components(
+                rd.from_pandas(pd.DataFrame({
+                    "src": pd.Series([], dtype="int64"),
+                    "dst": pd.Series([], dtype="int64")})), [3, 1, 2]),
+            ["node", "component"]),
+    }
+
+
+_WIDE_OPS = [
+    "snapshot_delta", "vocab_stats", "collocations", "pack_sequences",
+    "dup_ngram_stats", "bigram_commonness", "top_tokens_per_lang",
+    "pack_id_sequences", "deterministic_shuffle_rank",
+    "stratified_split_assign", "write_jsonl_shards", "anchor_text_index",
+    "exact_dedup", "exact_dedup_against_corpus", "minhash_dedup_pairs",
+    "allpairs_jaccard_pairs", "containment_pairs", "simhash_near_pairs",
+    "edit_prefix_pairs", "dup_spans", "segment_dedup",
+    "embedding_dup_pairs_lsh", "minhash_probe_index",
+    "connected_components"]
+
+
+@pytest.mark.parametrize("placement", ["driver", "shuffle"])
+@pytest.mark.parametrize("op", _WIDE_OPS)
+def test_wide_ops_on_empty_input(op, placement, tmp_path, monkeypatch,
+                                 exchange_placement):
+    """Every op whose wide step runs through ``agg.exchange`` returns an
+    empty result on an empty input under both placements: no rows (a
+    zero count for ``vocab_stats``, every node its own component for
+    the edgeless graph, forced onto the graph's shuffle placement) and,
+    for a DataFrame result, its typed columns."""
+    from raycrawl.ops import graph
+
+    exchange_placement(placement)
+    monkeypatch.setattr(graph, "_AUTO_BROADCAST_NODES", 0)
+    call, columns = _wide_op_runs(tmp_path)[op]
+    out = call()
+    df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+    if op == "vocab_stats":
+        assert df.to_dict("records") == [{"n_tokens": 0,
+                                          "n_distinct_tokens": 0}]
+    elif op == "connected_components":
+        assert df.to_dict("list") == {"node": [1, 2, 3],
+                                      "component": [1, 2, 3]}
+    else:
+        assert len(df) == 0
+    if columns is not None:
+        assert list(df.columns) == columns
 
 
 def test_encode_image_kb_budget_arithmetic():
@@ -470,29 +768,6 @@ def test_simhash_batch_paths_equivalent(monkeypatch):
     assert int(fast[5]) == dd.simhash64(texts[5])
 
 
-def test_join_stage_dirs_capped(monkeypatch):
-    """ADVICE r2: auto-created join staging is FIFO-capped, not
-    accumulated for the life of the process."""
-    import os
-
-    import raycrawl.ops.join as rj
-
-    monkeypatch.setattr(rj, "_MAX_STAGE_DIRS", 2)
-    left = rd.from_pandas(pd.DataFrame({"k": np.arange(10, dtype="int64"),
-                                        "lv": np.arange(10)}))
-    right = rd.from_pandas(pd.DataFrame({"rk": np.arange(10, dtype="int64"),
-                                         "rv": np.arange(10)}))
-    made = []
-    for _ in range(5):
-        out = rj.bucket_hash_join(left, right, left_on="k", right_on="rk",
-                                  num_buckets=2).to_pandas()
-        assert len(out) == 10
-        made.append(rj._STAGE_DIRS[-1])
-    live = [d for d in made if os.path.isdir(d)]
-    assert len(live) <= 2
-    assert len(rj._STAGE_DIRS) <= 2
-
-
 def test_gopher_quality_rules():
     from raycrawl.ops.textstats import gopher_quality
 
@@ -531,22 +806,21 @@ def test_unigram_commonness_scores():
     assert out.loc[2, "sum_freq"] == 1 and out.loc[2, "min_freq"] == 1
 
 
-def test_exact_dedup_against_corpus_semi_join(tmp_path):
+def test_exact_dedup_against_corpus_semi_join(exchange_placement):
     from raycrawl.ops.dedup import exact_dedup_against_corpus
 
     corpus = _docs(["alpha text", "beta text", "gamma text"])
     new = rd.from_pandas(pd.DataFrame({
         "doc_id": np.array([10, 11, 12, 13], dtype="int64"),
         "text": ["beta text", "novel one", "alpha text", "novel two"]}))
-    out = exact_dedup_against_corpus(new, corpus,
-                                     stage_dir=str(tmp_path))
-    assert out["doc_id"].tolist() == [10, 12]
-    # corpus staging is reusable across ingestion batches
     new2 = rd.from_pandas(pd.DataFrame(
         {"doc_id": np.array([20], dtype="int64"), "text": ["gamma text"]}))
-    from raycrawl.ops.join import bucket_hash_join  # noqa: F401
-    out2 = exact_dedup_against_corpus(new2, corpus)
-    assert out2["doc_id"].tolist() == [20]
+    for placement in ("driver", "shuffle"):
+        exchange_placement(placement)
+        out = exact_dedup_against_corpus(new, corpus)
+        assert out["doc_id"].tolist() == [10, 12]
+        out2 = exact_dedup_against_corpus(new2, corpus)
+        assert out2["doc_id"].tolist() == [20]
 
 
 def test_dedup_survivors_by_score_picks_best():
@@ -578,13 +852,11 @@ def test_audio_features_real_pcm_decode():
     assert out.loc[i, "peak"] == int(np.abs(s).max())
 
 
-def test_partitioned_map_groups_matches_per_key(tmp_path):
-    """The coarse-partition helper must equal a per-key groupby exactly,
-    including multi-column keys and keys colliding into one partition."""
-    from raycrawl.ops.agg import (
-        partitioned_map_groups,
-        partitioned_map_partitions,
-    )
+def test_partitioned_map_groups_matches_per_key(exchange_placement):
+    """A one-input exchange with a per-key groupby in its kernel must
+    equal a per-key groupby exactly, including multi-column keys and
+    keys colliding into one partition."""
+    from raycrawl.ops.agg import exchange
 
     rng = np.random.RandomState(2)
     df = pd.DataFrame({
@@ -598,24 +870,24 @@ def test_partitioned_map_groups_matches_per_key(tmp_path):
                              "s": [int(g["v"].sum())],
                              "m": [int(g["v"].max())]})
 
-    got = (partitioned_map_groups(rd.from_pandas(df), ["k1", "k2"], fn,
-                                  n_parts=7).to_pandas()
-           .sort_values(["k1", "k2"]).reset_index(drop=True)
-           .astype("int64"))
-    exp = (df.groupby(["k1", "k2"], as_index=False)
-           .agg(s=("v", "sum"), m=("v", "max"))
-           .sort_values(["k1", "k2"]).reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, exp)
+    def per_key(p):
+        return pd.concat([pd.DataFrame(columns=["k1", "k2", "s", "m"])]
+                         + [fn(g) for _, g in p.groupby(["k1", "k2"])])
 
     def whole(g):
         return g.groupby(["k1", "k2"], as_index=False).agg(
             s=("v", "sum"), m=("v", "max"))
 
-    got2 = (partitioned_map_partitions(rd.from_pandas(df), ["k1", "k2"],
-                                       whole, n_parts=7).to_pandas()
-            .sort_values(["k1", "k2"]).reset_index(drop=True)
-            .astype("int64"))
-    pd.testing.assert_frame_equal(got2, exp)
+    exp = (df.groupby(["k1", "k2"], as_index=False)
+           .agg(s=("v", "sum"), m=("v", "max"))
+           .sort_values(["k1", "k2"]).reset_index(drop=True))
+    for placement in ("driver", "shuffle"):
+        exchange_placement(placement, max_parts=7)
+        for kernel in (per_key, whole):
+            got = (exchange([rd.from_pandas(df)], [["k1", "k2"]], kernel)
+                   .to_pandas().sort_values(["k1", "k2"])
+                   .reset_index(drop=True).astype("int64"))
+            pd.testing.assert_frame_equal(got, exp)
 
 
 def test_allpairs_jaccard_exact_vs_bruteforce():
@@ -789,30 +1061,6 @@ def test_normalize_unicode_chain():
     assert out["text_norm"].tolist() == ["a b", "n"]
 
 
-def test_bucket_hash_join_post_pushdown(tmp_path):
-    from raycrawl.ops.join import bucket_hash_join
-
-    left = rd.from_pandas(pd.DataFrame({
-        "k": pd.Series([1, 1, 2, 2, 2, 3], dtype="int64"),
-        "v": pd.Series([10, 5, 1, 2, 3, 7], dtype="int64")}))
-    right = rd.from_pandas(pd.DataFrame({
-        "rk": pd.Series([1, 2, 3], dtype="int64"),
-        "tag": ["a", "b", "c"]}))
-
-    def agg(m: pd.DataFrame) -> pd.DataFrame:
-        if len(m) == 0:
-            return pd.DataFrame({"k": pd.Series(dtype="int64"),
-                                 "tag": pd.Series(dtype="object"),
-                                 "v": pd.Series(dtype="int64")})
-        return m.groupby(["k", "tag"], as_index=False)["v"].sum()
-
-    out = bucket_hash_join(left, right, "k", "rk", num_buckets=4,
-                           stage_dir=str(tmp_path), post=agg).to_pandas()
-    got = {(r.k, r.tag): r.v for r in out.itertuples()}
-    # a key's rows all land in one bucket, so the pushed aggregate is global
-    assert got == {(1, "a"): 15, (2, "b"): 6, (3, "c"): 7}
-
-
 def test_exact_quantile_selection_unbounded_domain():
     from raycrawl.ops.textstats import exact_quantile_selection
 
@@ -849,7 +1097,7 @@ def test_quality_gate_exact_threshold():
             == [counts[i] for i in exp]).all()
 
 
-def test_vocab_stats_exact():
+def test_vocab_stats_exact(exchange_placement):
     import ray.data as rd
 
     from raycrawl.ops.textstats import vocab_stats
@@ -857,14 +1105,16 @@ def test_vocab_stats_exact():
     texts = ["a b c", "b c d d", "", "  e  a "]
     ds = rd.from_items([{"doc_id": i, "text": t}
                         for i, t in enumerate(texts)])
-    out = vocab_stats(ds, n_parts=8)
-    # '' counts as the single token of the empty doc (SQL convention)
-    assert int(out["n_tokens"].iloc[0]) == 3 + 4 + 1 + 2
-    assert int(out["n_distinct_tokens"].iloc[0]) == len(
-        {"a", "b", "c", "d", "e", ""})
+    for placement in ("driver", "shuffle"):
+        exchange_placement(placement)
+        out = vocab_stats(ds)
+        # '' counts as the single token of the empty doc (SQL convention)
+        assert int(out["n_tokens"].iloc[0]) == 3 + 4 + 1 + 2
+        assert int(out["n_distinct_tokens"].iloc[0]) == len(
+            {"a", "b", "c", "d", "e", ""})
 
 
-def test_collocations_topk_exact():
+def test_collocations_topk_exact(exchange_placement):
     import collections
 
     import ray.data as rd
@@ -874,14 +1124,16 @@ def test_collocations_topk_exact():
     texts = ["a b a b c", "b c b c", "a b", ""]
     ds = rd.from_items([{"doc_id": i, "text": t}
                         for i, t in enumerate(texts)])
-    got = collocations(ds, k=3, n_parts=4)
     cnt = collections.Counter()
     for t in texts:
         ws = t.split()
         cnt.update(zip(ws, ws[1:]))
     exp = sorted(cnt.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
-    assert list(zip(got["w1"], got["w2"])) == [p for p, _ in exp]
-    assert list(got["cnt"]) == [c for _, c in exp]
+    for placement in ("driver", "shuffle"):
+        exchange_placement(placement)
+        got = collocations(ds, k=3)
+        assert list(zip(got["w1"], got["w2"])) == [p for p, _ in exp]
+        assert list(got["cnt"]) == [c for _, c in exp]
 
 
 def test_bigram_commonness_edge_docs():
@@ -1108,7 +1360,7 @@ def test_embedding_dup_pairs_lsh_recall():
         assert abs(esim[(r.id_a, r.id_b)] - r.cosine_sim) < 1e-12
 
 
-def test_dup_ngram_stats_cross_document():
+def test_dup_ngram_stats_cross_document(exchange_placement):
     """RefinedWeb-style duplicated-n-gram fraction: a 5-gram shared by
     two docs counts toward BOTH docs' numerators (with per-doc
     multiplicity); unique-gram docs and sub-n docs report 0."""
@@ -1126,22 +1378,24 @@ def test_dup_ngram_stats_cross_document():
             "u1 u2 u3 u4 u5 u6",           # 2 grams, 0 dup
             "tiny doc",                    # < 5 tokens -> 0/0
         ]})
-    out = dup_ngram_stats(rd2.from_pandas(docs), n_parts=8).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert out["n_ngrams"].tolist() == [2, 2, 2, 0]
-    assert out["n_dup_ngrams"].tolist() == [1, 1, 0, 0]
-    assert out["dup_ngram_frac"].tolist() == [0.5, 0.5, 0.0, 0.0]
-
     # multiplicity: a doc repeating the shared gram twice counts both
     docs2 = pd2.DataFrame({
         "doc_id": pd2.Series([1, 2], dtype="int64"),
         "text": [shared + " " + shared, shared]})
-    out2 = dup_ngram_stats(rd2.from_pandas(docs2), n_parts=4).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    # doc 1 has 10 tokens -> 6 grams; the shared gram occurs at
-    # positions 0 and 5 -> 2 duplicated occurrences
-    row = out2.iloc[0]
-    assert row["n_ngrams"] == 6 and row["n_dup_ngrams"] == 2
+    for placement in ("driver", "shuffle"):
+        exchange_placement(placement)
+        out = dup_ngram_stats(rd2.from_pandas(docs)).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        assert out["n_ngrams"].tolist() == [2, 2, 2, 0]
+        assert out["n_dup_ngrams"].tolist() == [1, 1, 0, 0]
+        assert out["dup_ngram_frac"].tolist() == [0.5, 0.5, 0.0, 0.0]
+
+        out2 = dup_ngram_stats(rd2.from_pandas(docs2)).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        # doc 1 has 10 tokens -> 6 grams; the shared gram occurs at
+        # positions 0 and 5 -> 2 duplicated occurrences
+        row = out2.iloc[0]
+        assert row["n_ngrams"] == 6 and row["n_dup_ngrams"] == 2
 
 
 def test_tfidf_top_terms_matches_bruteforce():
@@ -1177,43 +1431,6 @@ def test_tfidf_top_terms_matches_bruteforce():
     want = want.sort_values(["doc_id", "rank"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
     assert 3 not in set(got["doc_id"])  # empty doc emits nothing
-
-
-def test_bucket_hash_join_semi_anti():
-    left = rd.from_pandas(pd.DataFrame({
-        "k": np.arange(20, dtype=np.int64),
-        "payload": np.arange(20, dtype=np.int64) * 10}))
-    # right has dup keys + keys outside the left range + a wide column
-    # that must NOT ship (semi/anti stage keys only)
-    right = rd.from_pandas(pd.DataFrame({
-        "rk": np.array([0, 0, 3, 3, 3, 7, 11, 15, 99], dtype=np.int64),
-        "wide": ["x" * 100] * 9}))
-    semi = (bucket_hash_join(left, right, "k", "rk", num_buckets=4,
-                             how="semi").to_pandas()
-            .sort_values("k").reset_index(drop=True))
-    anti = (bucket_hash_join(left, right, "k", "rk", num_buckets=4,
-                             how="anti").to_pandas()
-            .sort_values("k").reset_index(drop=True))
-    # no duplication despite dup right keys; left columns only
-    assert semi["k"].tolist() == [0, 3, 7, 11, 15]
-    assert anti["k"].tolist() == [
-        k for k in range(20) if k not in (0, 3, 7, 11, 15)]
-    for out in (semi, anti):
-        assert list(out.columns) == ["k", "payload"]
-        assert (out["payload"] == out["k"] * 10).all()
-    # disjoint exact partition of the left row set
-    assert len(semi) + len(anti) == 20
-
-
-def test_bucket_hash_join_anti_empty_right():
-    left = rd.from_pandas(pd.DataFrame({"k": np.arange(5, dtype=np.int64)}))
-    empty = rd.from_pandas(pd.DataFrame({"rk": pd.Series([], dtype="int64")}))
-    anti = bucket_hash_join(left, empty, "k", "rk", num_buckets=2,
-                            how="anti").to_pandas()
-    assert sorted(anti["k"].tolist()) == [0, 1, 2, 3, 4]
-    semi = bucket_hash_join(left, empty, "k", "rk", num_buckets=2,
-                            how="semi").to_pandas()
-    assert len(semi) == 0
 
 
 def test_jsonl_shards_roundtrip_and_determinism(tmp_path):

@@ -112,9 +112,10 @@ def _placement(name: str):
 
 
 def _wide_steps(log: list) -> dict:
-    """A probe's dedup placement records (`placement_log`): every wide
-    step, plus the placement and measured bytes of its largest keyed
-    table (None and 0 when no step ran, e.g. exact embedding dedup)."""
+    """A probe's exchange records (`agg.placement_log`): every wide step
+    with its placement, keyed bytes and partitions, plus the placement
+    and measured bytes of its largest keyed table (None and 0 when no
+    step ran, e.g. exact embedding dedup or a broadcast-placed graph)."""
     top = max(log, key=lambda r: r["keyed_bytes"],
               default={"placement": None, "keyed_bytes": 0})
     return {"placement": top["placement"],
@@ -138,6 +139,7 @@ def bfs(nodes=500_000, edges=3_000_000, max_depth=8):
     import pandas as pd
     import ray.data as rd
 
+    from raycrawl.ops.agg import placement_log
     from raycrawl.ops.graph import bfs_distance
 
     n, m = nodes, edges
@@ -171,7 +173,7 @@ def bfs(nodes=500_000, edges=3_000_000, max_depth=8):
               "serial_sec": round(serial_sec, 1)}
     for placement in ("broadcast", "shuffle"):
         t0 = time.time()
-        with _placement(placement):
+        with _placement(placement), placement_log() as log:
             got = bfs_distance(edges_ds, node_ids, seeds,
                                max_depth=max_depth)
         sec = time.time() - t0
@@ -179,7 +181,7 @@ def bfs(nodes=500_000, edges=3_000_000, max_depth=8):
         check(got.equals(want), f"{placement} mismatch")
         report[f"{placement}_sec"] = round(sec, 1)
         report[f"{placement}_edges_per_sec"] = round(m / sec)
-    return report
+    return {**report, **_wide_steps(log)}
 
 
 @probe
@@ -250,10 +252,10 @@ def commonness(docs=500_000, toks_per_doc=22, top_k=100_000):
     `unigram_commonness` / `bigram_commonness` pass-1 used to pull the FULL
     corpus vocabulary to the driver (`.to_pandas()` → dict → `ray.put`) — at
     web scale the bigram table is ~O(corpus tokens), a driver OOM. The fix
-    (`textstats._bounded_topk_vocab`) routes the partials through a coarse
-    hash-partition shuffle with per-partition exact top-K truncation, so the
-    driver only ever sees ≤ n_parts × top_k candidate rows and broadcasts a
-    dict of ≤ top_k entries.
+    (`textstats._bounded_topk_vocab`) routes the partials through
+    `agg.exchange` with per-partition exact top-K truncation, truncates
+    every output block and folds the blocks through the same truncation,
+    so the driver holds O(top_k) rows and broadcasts ≤ top_k entries.
 
     This probe drives a corpus with ≥10M DISTINCT bigrams (every bigram
     unique: each doc is a run of globally-unique tokens) through
@@ -262,8 +264,8 @@ def commonness(docs=500_000, toks_per_doc=22, top_k=100_000):
          n_bigrams (which is cap-independent — it counts doc bigrams, not
          vocab hits),
       2. driver RSS growth over the run stays bounded by the
-         O(n_parts × top_k) candidate merge (measured: ~620 MB at
-         32 parts × 100k, vs the multi-GB 10.5M-entry dict + full-vocab
+         O(top_k) candidate fold (measured: ~620 MB for a
+         32 × 100k merge, vs the multi-GB 10.5M-entry dict + full-vocab
          pandas concat of the unbounded path — and crucially the bound is
          independent of corpus size),
       3. capped semantics hold: evicted bigrams score 0 (sum_bg_freq counts
@@ -272,6 +274,7 @@ def commonness(docs=500_000, toks_per_doc=22, top_k=100_000):
     import pandas as pd
     import ray.data as rd
 
+    from raycrawl.ops.agg import placement_log
     from raycrawl.ops.textstats import bigram_commonness
 
     def rss_mb() -> float:
@@ -298,7 +301,8 @@ def commonness(docs=500_000, toks_per_doc=22, top_k=100_000):
 
     rss0 = rss_mb()
     t0 = time.time()
-    out = bigram_commonness(docs_ds, vocab_top_k=top_k)
+    with placement_log() as log:
+        out = bigram_commonness(docs_ds, vocab_top_k=top_k)
     # driver fold: counts only — no full materialization
     rows = 0
     sum_nbg = 0
@@ -329,7 +333,7 @@ def commonness(docs=500_000, toks_per_doc=22, top_k=100_000):
         "driver_rss_before_mb": round(rss0, 1),
         "driver_rss_after_mb": round(rss1, 1),
         "driver_rss_growth_mb": round(grew, 1),
-        "wall_sec": round(wall, 2)}
+        "wall_sec": round(wall, 2), **_wide_steps(log)}
 
 
 @probe
@@ -347,8 +351,8 @@ def containment(docs=100_000):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import (containment, containment_pairs,
-                                    placement_log)
+    from raycrawl.ops.agg import placement_log
+    from raycrawl.ops.dedup import containment, containment_pairs
 
     n, threshold = docs, 0.8
     rng = np.random.RandomState(7)
@@ -579,7 +583,8 @@ def dedup(docs=150_000):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import jaccard, minhash_dedup_pairs, placement_log
+    from raycrawl.ops.agg import placement_log
+    from raycrawl.ops.dedup import jaccard, minhash_dedup_pairs
 
     n, threshold = docs, 0.5
     rng = np.random.RandomState(42)
@@ -630,6 +635,7 @@ def delta(urls=5_000_000):
     import pandas as pd
     import ray.data as rd
 
+    from raycrawl.ops.agg import placement_log
     from raycrawl.ops.delta import snapshot_delta
 
     def make_old(batch: pd.DataFrame) -> pd.DataFrame:
@@ -655,8 +661,8 @@ def delta(urls=5_000_000):
         mutate, batch_format="pandas")
 
     t0 = time.time()
-    out = snapshot_delta(old, new, key="doc_id", payload="text",
-                         n_parts=128)
+    with placement_log() as log:
+        out = snapshot_delta(old, new, key="doc_id", payload="text")
     counts = {r["status"]: r["count()"] for r in
               out.groupby("status").count().take_all()}
     sec = time.time() - t0
@@ -670,7 +676,7 @@ def delta(urls=5_000_000):
     check(counts == exp, f"delta counts {counts} != closed form {exp}")
     return {"urls": urls, "sec": round(sec, 1),
             "urls_per_sec": round(urls / sec),
-            "delta_counts": counts, "num_cpus": _cpus()}
+            "delta_counts": counts, "num_cpus": _cpus(), **_wide_steps(log)}
 
 
 @probe
@@ -678,7 +684,7 @@ def dup_ngram(docs=100_000):
     """Cross-document duplicated-n-gram fraction at scale (100k docs).
 
     `dup_ngram_stats` ships one (gram, doc, mult) row per distinct
-    (doc, 5-gram) through coarse hash partitions — the same shuffle regime
+    (doc, 5-gram) through `agg.exchange` — the same shuffle regime
     as the minhash/span dedup family. The sf benches run at ≤5k docs, so
     this probe drives 100k synthetic 40-token docs (40k vocabulary) with a
     10-token boilerplate block planted in every 20th doc, and checks:
@@ -696,6 +702,7 @@ def dup_ngram(docs=100_000):
     import pandas as pd
     import ray.data as rd
 
+    from raycrawl.ops.agg import placement_log
     from raycrawl.ops.textstats import dup_ngram_stats
 
     n = docs
@@ -713,7 +720,8 @@ def dup_ngram(docs=100_000):
         .repartition(64)
 
     t0 = time.time()
-    out = dup_ngram_stats(docs_ds).to_pandas()
+    with placement_log() as log:
+        out = dup_ngram_stats(docs_ds).to_pandas()
     wall = time.time() - t0
 
     out = out.set_index("doc_id")
@@ -733,7 +741,7 @@ def dup_ngram(docs=100_000):
         "docs": n, "planted": n // 20,
         "sec": round(wall, 2),
         "docs_per_sec": round(n / wall, 1),
-        "num_cpus": _cpus(),
+        "num_cpus": _cpus(), **_wide_steps(log),
     }
 
 
@@ -767,7 +775,8 @@ def edit_pairs(docs=200_000):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import edit_prefix_pairs, placement_log
+    from raycrawl.ops.agg import placement_log
+    from raycrawl.ops.dedup import edit_prefix_pairs
 
     # short texts (≤ 20 chars < key_len) so the key IS the whole text:
     # with a prefix window, deletions/insertions on longer texts shift
@@ -837,7 +846,8 @@ def embedding_lsh(vecs=150_000, dim=64, planted=1_500):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import embedding_dup_pairs, placement_log
+    from raycrawl.ops.agg import placement_log
+    from raycrawl.ops.dedup import embedding_dup_pairs
 
     n, d, k, threshold = vecs, dim, planted, 0.95
     rng = np.random.RandomState(42)
@@ -920,6 +930,7 @@ def graph(nodes=500_000, edges=3_000_000, stars=100_000):
     import pyarrow as pa
     import ray.data as rd
 
+    from raycrawl.ops.agg import placement_log
     from raycrawl.ops.graph import connected_components, pagerank
 
     out = {"num_cpus": _cpus()}
@@ -934,7 +945,7 @@ def graph(nodes=500_000, edges=3_000_000, stars=100_000):
     eds = rd.from_arrow(
         pa.table({"src": src, "dst": dst})).repartition(64)
     t0 = time.time()
-    with _placement("broadcast"):
+    with _placement("broadcast"), placement_log() as log:
         got = pagerank(eds, np.arange(n), num_iters=iters)
     pr_sec = time.time() - t0
     want = _numpy_pagerank(src, dst, n, iters)
@@ -954,7 +965,7 @@ def graph(nodes=500_000, edges=3_000_000, stars=100_000):
     eds2 = rd.from_arrow(
         pa.table({"src": roots, "dst": leaves})).repartition(64)
     t0 = time.time()
-    with _placement("broadcast"):
+    with _placement("broadcast"), placement_log() as log2:
         cc = connected_components(eds2, np.arange(n2))
     cc_sec = time.time() - t0
     expect = (np.arange(n2) // size) * size
@@ -963,7 +974,7 @@ def graph(nodes=500_000, edges=3_000_000, stars=100_000):
     out["components"] = {"nodes": n2, "edges": int(len(roots)),
                          "sec": round(cc_sec, 2),
                          "nodes_per_sec": round(n2 / cc_sec)}
-    return out
+    return {**out, **_wide_steps(log + log2)}
 
 
 def _numpy_hits(src, dst, n, num_iters, scale=10**6):
@@ -1005,6 +1016,7 @@ def hits(nodes=500_000, edges=3_000_000, shuffle_nodes=100_000,
     import pyarrow as pa
     import ray.data as rd
 
+    from raycrawl.ops.agg import placement_log
     from raycrawl.ops.graph import hits as hits_op
 
     out = {"num_cpus": _cpus()}
@@ -1044,7 +1056,7 @@ def hits(nodes=500_000, edges=3_000_000, shuffle_nodes=100_000,
         b = hits_op(rd.from_arrow(tbl).repartition(32), np.arange(n2),
                     num_iters=iters2)
     t0 = time.time()
-    with _placement("shuffle"):
+    with _placement("shuffle"), placement_log() as log:
         s = hits_op(rd.from_arrow(tbl).repartition(32), np.arange(n2),
                     num_iters=iters2)
     sh_sec = time.time() - t0
@@ -1053,7 +1065,7 @@ def hits(nodes=500_000, edges=3_000_000, shuffle_nodes=100_000,
                 "HITS shuffle placement differs from broadcast")
     out["shuffle"] = {"nodes": n2, "edges": int(len(src2)),
                       "iters": iters2, "sec": round(sh_sec, 2)}
-    return out
+    return {**out, **_wide_steps(log)}
 
 
 @probe
@@ -1071,6 +1083,7 @@ def jsonl(docs=100_000):
     import pandas as pd
     import ray.data as rd
 
+    from raycrawl.ops.agg import placement_log
     from raycrawl.ops.jsonl import read_jsonl_shards, write_jsonl_shards
 
     n = docs
@@ -1085,7 +1098,8 @@ def jsonl(docs=100_000):
     ds = rd.from_pandas(frame).repartition(64)
     with tempfile.TemporaryDirectory(prefix="raycrawl_jsonl_") as tmp:
         t0 = time.time()
-        manifest = write_jsonl_shards(ds, tmp, n_shards=64)
+        with placement_log() as log:
+            manifest = write_jsonl_shards(ds, tmp, n_shards=64)
         w_sec = time.time() - t0
         check(manifest["n_rows"].sum() == n and len(manifest) == 64,
               f"manifest: {manifest['n_rows'].sum()} rows in "
@@ -1106,7 +1120,7 @@ def jsonl(docs=100_000):
         "write_mb_per_sec": round(payload_mb / w_sec, 1),
         "read_sec": round(r_sec, 2),
         "read_mb_per_sec": round(payload_mb / r_sec, 1),
-        "num_cpus": _cpus(),
+        "num_cpus": _cpus(), **_wide_steps(log),
     }
 
 
@@ -1127,8 +1141,8 @@ def minhash_index(docs=200_000, shard=5_000, planted=1_000):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.dedup import (build_minhash_index, minhash_probe_index,
-                                    placement_log)
+    from raycrawl.ops.agg import placement_log
+    from raycrawl.ops.dedup import build_minhash_index, minhash_probe_index
 
     n, ns, npl = docs, shard, planted
     rng = np.random.RandomState(0)
