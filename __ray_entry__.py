@@ -1249,9 +1249,11 @@ _BPE_MERGES = 40
 
 def _bpe_oracle_dir() -> str:
     """Materialize the INDEPENDENT serial BPE reference
-    (raycrawl/ops/bpe.py::bpe_tokenize_reference_serial — full-text
+    (raycrawl/ops/bpe.py::bpe_encode_reference_serial — full-text
     character training with in-order merge replay; shares no code path
-    with the engine's bounded word-table trainer) over every sf
+    with the engine's bounded word-table trainer or its encoder: its
+    per-doc counts and ids back ``text_bpe_tokens`` and
+    ``text_bpe_encode``) over every sf
     documents table, so the driver's DuckDB oracle can value-compare the
     distributed pipeline exactly — the same materialized-serial-oracle
     pattern as _crawl_oracle_dir. Output is one parquet per sf keyed by
@@ -1275,9 +1277,6 @@ def _bpe_oracle_dir() -> str:
 
     if is_complete(out_dir):
         return out_dir
-    import re as _re
-
-    ws = _re.compile(r"\s+")
 
     def _build(tmp: str) -> None:
         for sf in ("0.001", "0.01", "0.1"):
@@ -1287,12 +1286,9 @@ def _bpe_oracle_dir() -> str:
             t = pq.read_table(path, columns=["doc_id", "text"])
             texts = [x if x is not None else "" for x in
                      t.column("text").to_pylist()]
-            _, counts = bpemod.bpe_tokenize_reference_serial(texts,
-                                                             _BPE_MERGES)
-            _, counts2, ids_csv = bpemod.bpe_encode_reference_serial(
+            _, counts, ids_csv = bpemod.bpe_encode_reference_serial(
                 texts, _BPE_MERGES)
-            assert counts == counts2
-            nw = [len(ws.split(x.strip())) if x.strip() else 0 for x in texts]
+            nw = [len(x.split()) for x in texts]
             total_chars = sum(len(x) for x in texts)
             pq.write_table(
                 pa.table({
@@ -1310,12 +1306,13 @@ def _bpe_oracle_dir() -> str:
 
 def _q_bpe_tokens(sf_dir: str):
     """BPE tokenizer end-to-end (the LLM-data tokenization op): ONE
-    distributed corpus pass → exact bounded word table
-    (textstats._bounded_topk_vocab machinery) → driver training over the
-    compressed types (the standard Sennrich/HF trainer shape) → merges
-    broadcast → distributed per-doc subword counts with a per-batch
-    type memo. Value-compared against the independent serial reference
-    via _bpe_oracle_dir."""
+    distributed corpus pass → exact bounded word table (the text ops'
+    one corpus counter, textstats._bounded_topk_vocab) → driver training
+    over the compressed types (the standard Sennrich/HF trainer shape) →
+    merges broadcast → distributed per-doc subword counts from the one
+    encode stage (bpe._encode, per-batch type memo). Value-compared
+    against the independent serial reference
+    (bpe.bpe_encode_reference_serial) via _bpe_oracle_dir."""
     import ray.data as rd
 
     from raycrawl.ops.bpe import bpe_token_count, bpe_train
@@ -1635,9 +1632,12 @@ def _q_text_top_tokens_per_lang(sf_dir: str):
     tok)-keyed shuffle makes every token's total complete inside one
     partition, per-partition per-lang top-k bounds the driver merge at
     partitions × k rows (raycrawl/ops/textstats.py)."""
+    import ray.data as rd
+
     from raycrawl.ops.textstats import top_tokens_per_lang
 
-    return top_tokens_per_lang(sf_dir)
+    return top_tokens_per_lang(rd.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"), columns=["lang", "text"]))
 
 
 def _q_link_degree_hist(sf_dir: str):
@@ -1674,14 +1674,12 @@ def _q_corpus_report(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from raycrawl.ops.textstats import _WS_SPLIT_RE
-
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id", "text", "lang"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         texts = b["text"].fillna("").str.strip()
-        toks = texts.apply(lambda t: len(_WS_SPLIT_RE.split(t)) if t else 0)
+        toks = texts.apply(lambda t: len(t.split()))
         return pd.DataFrame({
             "n_docs": [len(b)],
             "n_tokens": [int(toks.sum())],

@@ -5,39 +5,38 @@ train a BPE merge table on the corpus, then count/emit subword tokens per
 document. Public algorithm (Sennrich, Haddow & Birch, ACL'16 — the
 reference implementation pattern every modern trainer follows):
 
-1. **Word counts** — ONE distributed pass over the corpus
-   (``map_batches`` Counter partials → coarse hash-partition exact
-   top-K, the same bounded machinery as textstats._bounded_topk_vocab:
-   driver memory O(parts × top_k) no matter the corpus size; at web
-   scale the type table IS capped, exactly as production trainers cap
-   their alphabet/word tables).
+1. **Word counts** — ONE distributed pass over the corpus through the
+   text ops' one corpus counter (``textstats._bounded_topk_vocab``:
+   exact top-K with driver memory O(top_k) no matter the corpus size;
+   at web scale the type table IS capped at
+   ``textstats._VOCAB_TOP_K``, exactly as production trainers cap their
+   alphabet/word tables).
 2. **Training** — iterate on the COMPRESSED (word → count) table on the
    driver: pair frequencies are weighted by word count, the argmax pair
    is merged everywhere, repeat for ``num_merges``. This is the standard
    trainer shape (HF tokenizers trains GPT-2's 50k merges from a word
    table the same way) — the corpus is touched once, not per merge.
    Deterministic: ties broken by (count desc, pair lexicographic asc).
-3. **Tokenize** — ``map_batches`` stage with the merge-rank dict
-   broadcast via ``ray.put``; each batch tokenizes its UNIQUE words once
-   (per-batch memo) and aggregates per document.
+3. **Tokenize** — one encode stage (``_encode``) under every output:
+   the merge-rank dict broadcast via ``ray.put``; each batch tokenizes
+   its UNIQUE words once (per-batch memo). ``bpe_token_count`` emits
+   per-doc counts, ``bpe_encode`` comma-joined ids and
+   ``training.encode_ids`` id lists.
 
 End-of-word marker: ``</w>`` appended to each word's symbol sequence
 (the original paper's convention), so merges distinguish suffix from
 prefix contexts.
 
 Verification: tests/test_bpe.py cross-checks the whole pipeline against
-an INDEPENDENT serial implementation that works on raw full texts
-character-by-character (no word table, no top-K) — two algorithms, one
-answer — plus the paper's worked 'low/lower/newest/widest' example.
+an INDEPENDENT serial implementation (``bpe_encode_reference_serial``)
+that works on raw full texts character-by-character (no word table, no
+top-K, merges replayed in training order) — two algorithms, one answer
+— plus the paper's worked 'low/lower/newest/widest' example.
 """
 
 from __future__ import annotations
 
-import re
-
 import pandas as pd
-
-_WS_SPLIT_RE = re.compile(r"\s+")
 
 _EOW = "</w>"
 
@@ -183,32 +182,21 @@ def bpe_train_incremental(word_counts: "dict[str, int]",
     return merges
 
 
-def distributed_word_counts(ds, text_col: str = "text",
-                            top_k: int = 1_000_000) -> "dict[str, int]":
+def distributed_word_counts(ds, text_col: str = "text") -> "dict[str, int]":
     """One corpus pass → exact bounded (word → count) table (see module
-    header; same shape as textstats._bounded_topk_vocab)."""
-    from collections import Counter
+    header)."""
+    from . import textstats
 
-    from .textstats import _bounded_topk_vocab
-
-    def count_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for t in batch[text_col].fillna(""):
-            t = t.strip()
-            if t:
-                c.update(_WS_SPLIT_RE.split(t))
-        return pd.DataFrame({"w": list(c.keys()),
-                             "cnt": pd.Series(list(c.values()),
-                                              dtype="int64")})
-
-    return _bounded_topk_vocab(ds, count_batch, "w", top_k)
+    top = textstats._bounded_topk_vocab(ds, text_col, str.split, ["w"],
+                                        textstats._VOCAB_TOP_K)
+    return dict(zip(top["w"], top["cnt"]))
 
 
-def bpe_train(ds, text_col: str = "text", num_merges: int = 100,
-              top_k: int = 1_000_000) -> "list[tuple[str, str]]":
+def bpe_train(ds, text_col: str = "text",
+              num_merges: int = 100) -> "list[tuple[str, str]]":
     """Distributed pass 1 + incremental driver training → merge list."""
-    return bpe_train_incremental(
-        distributed_word_counts(ds, text_col, top_k), num_merges)
+    return bpe_train_incremental(distributed_word_counts(ds, text_col),
+                                 num_merges)
 
 
 # ---------------------------------------------------------------------------
@@ -234,102 +222,69 @@ def _apply_merges(word: str, ranks: "dict[tuple[str, str], int]") -> "list[str]"
     return syms
 
 
-def bpe_token_count(ds, merges: "list[tuple[str, str]]",
-                    id_col: str = "doc_id", text_col: str = "text"):
-    """(doc_id, n_bpe_tokens, n_words): subword token count per document
-    under the trained merge table. The rank dict is broadcast once
-    (``ray.put``); each batch tokenizes its unique words once (memo) —
-    web text repeats words heavily, so the memo turns O(tokens) work
-    into O(types) per batch."""
+def _encode(ds, merges: "list[tuple[str, str]]", vocab_ids, text_col: str,
+            finish):
+    """The one BPE encode stage: the merge ranks (and the token-id table
+    ``vocab_ids``, when not None) broadcast once via ``ray.put``; each
+    batch encodes its unique words once (memo — web text repeats words
+    heavily, so the memo turns O(tokens) work into O(types) per batch)
+    and returns ``finish(batch, docs)``, where ``docs`` holds one list
+    per document: its symbols, or their ids (-1 for a symbol outside
+    the table — the documented UNK convention)."""
     import ray
 
-    ranks = {p: i for i, p in enumerate(merges)}
-    rref = ray.put(ranks)
+    ref = ray.put(({p: i for i, p in enumerate(merges)}, vocab_ids))
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        r = ray.get(rref)
-        memo: dict[str, int] = {}
-        n_tok, n_words = [], []
+        ranks, vids = ray.get(ref)
+        memo: dict[str, list] = {}
+        docs = []
         for t in batch[text_col].fillna(""):
-            t = t.strip()
-            ws = _WS_SPLIT_RE.split(t) if t else []
-            total = 0
-            for w in ws:
-                k = memo.get(w)
-                if k is None:
-                    k = len(_apply_merges(w, r))
-                    memo[w] = k
-                total += k
-            n_tok.append(total)
-            n_words.append(len(ws))
-        return pd.DataFrame({id_col: batch[id_col],
-                             "n_bpe_tokens": pd.Series(n_tok, dtype="int64"),
-                             "n_words": pd.Series(n_words, dtype="int64")})
+            toks: list = []
+            for w in t.split():
+                got = memo.get(w)
+                if got is None:
+                    got = _apply_merges(w, ranks)
+                    if vids is not None:
+                        got = [vids.get(s, -1) for s in got]
+                    memo[w] = got
+                toks.extend(got)
+            docs.append(toks)
+        return finish(batch, docs)
 
     return ds.map_batches(f, batch_format="pandas")
 
 
-def bpe_tokenize_reference_serial(texts: "list[str]",
-                                  num_merges: int) -> "tuple[list[tuple[str, str]], list[int]]":
-    """INDEPENDENT serial implementation for equivalence testing: trains
-    on the full raw texts by splitting every occurrence (no word-count
-    table, no top-K) and tokenizes by replaying merges IN TRAINING ORDER
-    over each word's symbols (not the rank-argmax application) — a
-    different algorithm whose agreement with the engine is the test."""
-    from collections import Counter
+def bpe_token_count(ds, merges: "list[tuple[str, str]]",
+                    id_col: str = "doc_id", text_col: str = "text"):
+    """(doc_id, n_bpe_tokens, n_words): subword token count per document
+    under the trained merge table (``_encode``)."""
 
-    words: Counter = Counter()
-    for t in texts:
-        t = (t or "").strip()
-        if t:
-            words.update(_WS_SPLIT_RE.split(t))
-    type_seqs = {w: list(w) + [_EOW] for w in words}
-    merges: list[tuple[str, str]] = []
-    for _ in range(num_merges):
-        pc: Counter = Counter()
-        for w, syms in type_seqs.items():
-            c = words[w]
-            for a, b in zip(syms, syms[1:]):
-                pc[(a, b)] += c
-        if not pc:
-            break
-        best = min(pc.items(), key=lambda kv: (-kv[1], kv[0]))
-        if best[1] < 2:
-            break
-        (a, b) = best[0]
-        merges.append((a, b))
-        for w, syms in type_seqs.items():
-            i = 0
-            out: list[str] = []
-            while i < len(syms):
-                if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
-                    out.append(a + b)
-                    i += 2
-                else:
-                    out.append(syms[i])
-                    i += 1
-            type_seqs[w] = out
-    counts = []
-    for t in texts:
-        t = (t or "").strip()
-        ws = _WS_SPLIT_RE.split(t) if t else []
-        counts.append(sum(len(type_seqs[w]) for w in ws))
-    return merges, counts
+    def finish(batch: pd.DataFrame, docs: list) -> pd.DataFrame:
+        return pd.DataFrame({
+            id_col: batch[id_col],
+            "n_bpe_tokens": pd.Series([len(d) for d in docs], dtype="int64"),
+            "n_words": pd.Series([len(t.split()) for t in
+                                  batch[text_col].fillna("")],
+                                 dtype="int64")})
+
+    return _encode(ds, merges, None, text_col, finish)
 
 
 def bpe_encode_reference_serial(texts: "list[str]",
                                 num_merges: int) -> "tuple[list, list, list]":
-    """Serial reference for the id-emission path: same independent
-    training as ``bpe_tokenize_reference_serial`` (reimplemented here so
-    its type sequences are available), ids via the shared
-    ``build_vocab_ids`` convention. Returns (merges, counts, ids_csv)."""
+    """INDEPENDENT serial reference for equivalence testing: trains on
+    the full raw texts by splitting every occurrence (no word-count
+    table, no top-K) and tokenizes by replaying merges IN TRAINING ORDER
+    over each word's symbols (not the rank-argmax application) — a
+    different algorithm whose agreement with the engine is the test.
+    Ids via the shared ``build_vocab_ids`` convention. Returns (merges,
+    per-doc token counts, per-doc comma-joined ids)."""
     from collections import Counter
 
     words: Counter = Counter()
     for t in texts:
-        t = (t or "").strip()
-        if t:
-            words.update(_WS_SPLIT_RE.split(t))
+        words.update((t or "").split())
     type_seqs = {w: list(w) + [_EOW] for w in words}
     merges: list[tuple[str, str]] = []
     for _ in range(num_merges):
@@ -359,10 +314,8 @@ def bpe_encode_reference_serial(texts: "list[str]",
     vids = build_vocab_ids(dict(words), merges)
     counts, csv = [], []
     for t in texts:
-        t = (t or "").strip()
-        ws = _WS_SPLIT_RE.split(t) if t else []
         ids: list[int] = []
-        for w in ws:
+        for w in (t or "").split():
             ids.extend(vids.get(s, -1) for s in type_seqs[w])
         counts.append(len(ids))
         csv.append(",".join(map(str, ids)))
@@ -393,33 +346,14 @@ def bpe_encode(ds, merges: "list[tuple[str, str]]",
                id_col: str = "doc_id", text_col: str = "text"):
     """(doc_id, n_bpe_tokens, ids_csv): the actual training-token
     product — every document's subword-id sequence (comma-joined for an
-    exact string compare; a production sink would emit list<int32> and
-    feed ``pack_sequences``). Merge ranks + id table broadcast once;
-    per-batch word memo as in bpe_token_count. Symbols outside the
-    training alphabet encode as -1 (the documented UNK convention)."""
-    import ray
+    exact string compare; ``training.encode_ids`` emits list<int64> for
+    ``training.pack_id_sequences``), from the one encode stage
+    (``_encode``)."""
 
-    ranks = {p: i for i, p in enumerate(merges)}
-    ref = ray.put((ranks, vocab_ids))
+    def finish(batch: pd.DataFrame, docs: list) -> pd.DataFrame:
+        return pd.DataFrame({
+            id_col: batch[id_col],
+            "n_bpe_tokens": pd.Series([len(d) for d in docs], dtype="int64"),
+            "ids_csv": [",".join(map(str, d)) for d in docs]})
 
-    def f(batch: pd.DataFrame) -> pd.DataFrame:
-        r, vids = ray.get(ref)
-        memo: dict[str, list[int]] = {}
-        n_tok, csv = [], []
-        for t in batch[text_col].fillna(""):
-            t = t.strip()
-            ws = _WS_SPLIT_RE.split(t) if t else []
-            ids: list[int] = []
-            for w in ws:
-                got = memo.get(w)
-                if got is None:
-                    got = [vids.get(s, -1) for s in _apply_merges(w, r)]
-                    memo[w] = got
-                ids.extend(got)
-            n_tok.append(len(ids))
-            csv.append(",".join(map(str, ids)))
-        return pd.DataFrame({id_col: batch[id_col],
-                             "n_bpe_tokens": pd.Series(n_tok, dtype="int64"),
-                             "ids_csv": csv})
-
-    return ds.map_batches(f, batch_format="pandas")
+    return _encode(ds, merges, vocab_ids, text_col, finish)

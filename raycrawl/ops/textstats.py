@@ -18,7 +18,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-_WS_SPLIT_RE = re.compile(r"\s+")
 _SENT_RE = re.compile(r"[.!?]")
 
 STOPWORDS_EN = ("the", "a", "an", "and", "of", "to", "in", "is", "it", "that")
@@ -36,8 +35,7 @@ def token_count(ds, id_col: str = "doc_id", text_col: str = "text"):
     ``length(regexp_split_to_array(trim(text), '\\s+'))``."""
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch[text_col].fillna("").str.strip().apply(
-            lambda t: len(_WS_SPLIT_RE.split(t)) if t else 1)
+        toks = batch[text_col].fillna("").apply(lambda t: len(t.split()) or 1)
         return pd.DataFrame({id_col: batch[id_col], "n_tokens": toks.astype("int64")})
 
     return ds.map_batches(f, batch_format="pandas")
@@ -52,7 +50,7 @@ def quality_score(ds, id_col: str = "doc_id", text_col: str = "text"):
     def f(batch: pd.DataFrame) -> pd.DataFrame:
         texts = batch[text_col].fillna("")
         n_chars = texts.str.len().astype("int64")
-        words = texts.apply(lambda t: _WS_SPLIT_RE.split(t.strip()) if t.strip() else [])
+        words = texts.apply(str.split)
         n_words = words.apply(len).astype("int64")
         n_sent = texts.apply(lambda t: len(_SENT_RE.findall(t))).astype("int64")
         n_stop = words.apply(lambda ws: sum(1 for w in ws if w in stop)).astype("int64")
@@ -88,8 +86,7 @@ def gopher_quality(ds, id_col: str = "doc_id", text_col: str = "text"):
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
         texts = batch[text_col].fillna("")
-        words = texts.apply(
-            lambda t: _WS_SPLIT_RE.split(t.strip()) if t.strip() else [])
+        words = texts.apply(str.split)
         n_words = words.apply(len).astype("int64")
         twc = words.apply(lambda ws: sum(len(w) for w in ws)).astype("int64")
         alpha = words.apply(
@@ -123,8 +120,7 @@ def repetition_stats(ds, id_col: str = "doc_id", text_col: str = "text"):
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
         texts = batch[text_col].fillna("")
-        words = texts.apply(
-            lambda t: _WS_SPLIT_RE.split(t.strip()) if t.strip() else [])
+        words = texts.apply(str.split)
         n_words = words.apply(len).astype("int64")
         n_distinct = words.apply(lambda ws: len(set(ws))).astype("int64")
         top_bg = words.apply(
@@ -138,33 +134,85 @@ def repetition_stats(ds, id_col: str = "doc_id", text_col: str = "text"):
     return ds.map_batches(f, batch_format="pandas")
 
 
-def _bounded_topk_vocab(ds, count_batch, key_col: str, top_k: int) -> dict:
-    """Pass-1 gram vocabulary with BOUNDED driver memory (the round-3
-    verdict's last unbounded driver materialization): per-batch Counter
-    partials → ``agg.exchange`` keyed by gram (inside one kernel call,
-    each gram's TOTAL corpus count is complete) → per-call exact sum +
-    deterministic top-K truncation (cnt desc, gram asc — 'mergesort' for
-    stable ties) → a driver fold of the call outputs, block by block,
-    through the same truncation → global top-K.
+# Distinct grams a corpus vocabulary keeps (exact top-K, see
+# _bounded_topk_vocab). Read on the driver each time an op is called.
+_VOCAB_TOP_K = 1_000_000
 
-    Because every gram's total is confined to one call, the global
-    top-K is a subset of the union of per-call top-Ks, so the
-    retained counts are EXACT — this is exact distributed top-K, not a
-    sketch. When the corpus has ≤ top_k distinct grams nothing is
-    truncated and the result equals the full vocabulary (the case at
-    every sf benchmark scale, keeping the SQL oracles exact). At web
-    scale driver RSS is O(top_k) and the broadcast dict is
-    O(top_k), independent of corpus size; evicted tail grams score with
-    default count 0 — the production KenLM-style capped-vocab semantics
-    (the `commonness` probe in tools/probes.py drives ≥10M distinct
-    grams)."""
+
+def _bigrams(t: str):
+    """Adjacent whitespace-token pairs of one text."""
+    ws = t.split()
+    return zip(ws, ws[1:])
+
+
+def _bounded_topk_vocab(ds, text_col: str, grams, keys: "list[str]",
+                        top_k: int, group: "str | None" = None
+                        ) -> pd.DataFrame:
+    """The corpus gram counter, with BOUNDED driver memory: every text's
+    ``grams(text)`` counted corpus-wide into an EXACT top-``top_k``
+    table of (``group``, *``keys``, cnt) rows, ordered (group asc, cnt
+    desc, keys asc). A gram is one value per key column (a tuple when
+    there are several); with a ``group`` column (one key column), the
+    top-``top_k`` is kept per group value.
+
+    Shape: per-batch Counter partials → ``agg.exchange`` keyed by the
+    gram (inside one kernel call, each gram's TOTAL corpus count is
+    complete) → per-call exact sum + deterministic top-K truncation →
+    every output block truncated in place → a driver fold of the blocks
+    through the same truncation. Because every gram's total is confined
+    to one call, the global top-K is a subset of the union of per-call
+    top-Ks, so the retained counts are EXACT — exact distributed top-K,
+    not a sketch. When the corpus has ≤ top_k distinct grams nothing is
+    truncated (the case at every sf benchmark scale, keeping the SQL
+    oracles exact). At web scale driver RSS is O(top_k) whatever the
+    corpus size (the `commonness` probe in tools/probes.py drives ≥10M
+    distinct grams)."""
+    from collections import Counter
+    from operator import itemgetter
+
+    import pyarrow.compute as pc
+
     from .agg import exchange
 
+    by = ([group] if group else []) + keys
+    order = ([group] if group else []) + ["cnt"] + keys
+    sort_keys = [(c, "descending" if c == "cnt" else "ascending")
+                 for c in order]
+
+    def table(c) -> pa.Table:
+        # Arrow, not pandas: the exchange is sized by the measured bytes,
+        # and a pandas block counts every string's Python object header.
+        # itemgetter, not zip(*c): for the 1.4M bigrams of a 65,536-doc
+        # batch, unpacking the keys as arguments took 1.9 s, itemgetter
+        # 0.14 s (one core of a 4-vCPU VM)
+        cols = ([list(c)] if len(by) == 1 else
+                [list(map(itemgetter(i), c)) for i in range(len(by))])
+        return pa.table({**{k: pa.array(v, pa.string())
+                            for k, v in zip(by, cols)},
+                         "cnt": pa.array(list(c.values()), pa.int64())})
+
+    def count_batch(batch: pd.DataFrame) -> pa.Table:
+        c: Counter = Counter()
+        texts = batch[text_col].fillna("")
+        if group is None:
+            for t in texts:
+                c.update(grams(t))
+        else:
+            for g, t in zip(batch[group], texts):
+                c.update((g, w) for w in grams(t))
+        return table(c)
+
+    def ranked(t: pd.DataFrame) -> pd.DataFrame:
+        # Arrow ranks string keys far faster than a pandas multi-column
+        # sort: 1.0 s against 13.9 s for 1.3M bigrams (same core)
+        return t.iloc[pc.sort_indices(pa.Table.from_pandas(
+            t[order], preserve_index=False), sort_keys=sort_keys).to_numpy()]
+
     def combine(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.groupby(key_col, as_index=False)["cnt"].sum()
+        t = g.groupby(by, as_index=False, sort=False)["cnt"].sum()
         if len(t) > top_k:
-            t = t.sort_values(["cnt", key_col], ascending=[False, True],
-                              kind="mergesort").head(top_k)
+            t = ranked(t)
+            t = (t.groupby(group, sort=False) if group else t).head(top_k)
         return t
 
     partials = ds.map_batches(count_batch, batch_format="pandas",
@@ -173,59 +221,39 @@ def _bounded_topk_vocab(ds, count_batch, key_col: str, top_k: int) -> dict:
     # block in place, then folding the blocks through the same
     # truncation keeps the driver at O(top_k) however many partitions
     # the exchange cut
-    top = None
-    for b in exchange([partials], [key_col], combine).map_batches(
+    top = table({}).to_pandas()
+    for b in exchange([partials], [by], combine).map_batches(
             combine, batch_format="pandas", batch_size=None).iter_batches(
             batch_size=None, batch_format="pandas"):
         if len(b):
-            top = combine(b if top is None
-                          else pd.concat([top, b], ignore_index=True))
-    return {} if top is None else dict(zip(top[key_col], top["cnt"]))
+            top = combine(pd.concat([top, b], ignore_index=True))
+    return ranked(top).reset_index(drop=True)
 
 
-def unigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text",
-                       vocab_top_k: int = 1_000_000):
+def unigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Corpus-statistics document scoring — the LM-quality-filter pipeline
     SHAPE with an exact integer surrogate: pass 1 computes corpus-wide
-    unigram counts via a coarse-partition shuffle capped to an exact
-    top-K table (``_bounded_topk_vocab`` — bounded driver memory), which
-    is broadcast via ``ray.put``; pass 2 scores each document by the sum
+    unigram counts through the exact top-K corpus counter
+    (``_bounded_topk_vocab`` — bounded driver memory), which is
+    broadcast via ``ray.put``; pass 2 scores each document by the sum
     and min of its tokens' corpus frequencies (a rare-token document has
     a low min_freq — the analogue of high LM surprisal). Integer counts
     on both sides; exact against the SQL oracle whenever distinct
-    unigrams ≤ ``vocab_top_k`` (true at every sf scale — the synthetic
+    unigrams ≤ ``_VOCAB_TOP_K`` (true at every sf scale — the synthetic
     corpus has 31 distinct words); beyond the cap, tail tokens score 0,
     the capped-vocab LM convention."""
     import ray
 
-    from collections import Counter
-
-    def count_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for t in batch[text_col].fillna(""):
-            t = t.strip()
-            if t:
-                c.update(_WS_SPLIT_RE.split(t))
-        return pd.DataFrame({"w": list(c.keys()),
-                             "cnt": pd.Series(list(c.values()),
-                                              dtype="int64")})
-
-    vocab = _bounded_topk_vocab(ds, count_batch, "w", vocab_top_k)
-    vref = ray.put(vocab)
+    top = _bounded_topk_vocab(ds, text_col, str.split, ["w"], _VOCAB_TOP_K)
+    vref = ray.put(dict(zip(top["w"], top["cnt"])))
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         v = ray.get(vref)
         sums, mins = [], []
         for t in batch[text_col].fillna(""):
-            t = t.strip()
-            toks = _WS_SPLIT_RE.split(t) if t else []
-            if toks:
-                freqs = [v.get(w, 0) for w in toks]
-                sums.append(sum(freqs))
-                mins.append(min(freqs))
-            else:
-                sums.append(0)
-                mins.append(0)
+            freqs = [v.get(w, 0) for w in t.split()]
+            sums.append(sum(freqs))
+            mins.append(min(freqs, default=0))
         return pd.DataFrame({id_col: batch[id_col],
                              "sum_freq": pd.Series(sums, dtype="int64"),
                              "min_freq": pd.Series(mins, dtype="int64")})
@@ -233,48 +261,33 @@ def unigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text",
     return ds.map_batches(score, batch_format="pandas")
 
 
-def bigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text",
-                      vocab_top_k: int = 1_000_000):
+def bigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Conditional (bigram) corpus-statistics scoring — the KenLM-style
     LM-filter shape one order up from ``unigram_commonness``: pass 1
-    aggregates corpus-wide ADJACENT-BIGRAM counts through the same
-    bounded exact-top-K shuffle (``_bounded_topk_vocab`` — driver memory
-    O(parts × top_k) regardless of corpus size, the web-scale fix for
-    the bigram table that grows ~O(corpus tokens)); pass 2 scores each
-    document by its bigram count, the sum of its bigrams' corpus
-    frequencies, and how many of its bigrams are corpus-novel (count 1 —
-    the exact-integer analogue of high conditional surprisal, and a
+    counts corpus-wide ADJACENT-BIGRAM (w1, w2) keys through the same
+    exact top-K corpus counter (``_bounded_topk_vocab`` — driver memory
+    O(top_k) regardless of corpus size, the web-scale fix for the bigram
+    table that grows ~O(corpus tokens)); pass 2 scores each document by
+    its bigram count, the sum of its bigrams' corpus frequencies, and
+    how many of its bigrams are corpus-novel (count 1 — the
+    exact-integer analogue of high conditional surprisal, and a
     boilerplate/template detector when near 0). Exact against the SQL
-    oracle whenever distinct bigrams ≤ ``vocab_top_k``; beyond the cap,
+    oracle whenever distinct bigrams ≤ ``_VOCAB_TOP_K``; beyond the cap,
     evicted tail bigrams score 0 (and are NOT counted novel — novelty
     means corpus count exactly 1)."""
-    from collections import Counter
-
     import ray
 
-    def count_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for t in batch[text_col].fillna(""):
-            t = t.strip()
-            if t:
-                ws = _WS_SPLIT_RE.split(t)
-                c.update("\x01".join(p) for p in zip(ws, ws[1:]))
-        return pd.DataFrame({"b": list(c.keys()),
-                             "cnt": pd.Series(list(c.values()),
-                                              dtype="int64")})
-
-    counts = _bounded_topk_vocab(ds, count_batch, "b", vocab_top_k)
-    cref = ray.put(counts)
+    top = _bounded_topk_vocab(ds, text_col, _bigrams, ["w1", "w2"],
+                              _VOCAB_TOP_K)
+    cref = ray.put(dict(zip(zip(top["w1"], top["w2"]), top["cnt"])))
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         v = ray.get(cref)
         n_bg, sums, novel = [], [], []
         for t in batch[text_col].fillna(""):
-            t = t.strip()
-            ws = _WS_SPLIT_RE.split(t) if t else []
-            # .get like unigram_commonness: a top-K-capped broadcast
-            # table must score unseen bigrams as frequency 0, not raise
-            freqs = [v.get("\x01".join(p), 0) for p in zip(ws, ws[1:])]
+            # .get: a top-K-capped broadcast table must score unseen
+            # bigrams as frequency 0, not raise
+            freqs = [v.get(p, 0) for p in _bigrams(t)]
             n_bg.append(len(freqs))
             sums.append(sum(freqs))
             novel.append(sum(1 for f in freqs if f == 1))
@@ -295,7 +308,7 @@ class LangIdStage:
         self.order = list(LANG_PROFILES.keys())
 
     def classify(self, text: str) -> str:
-        toks = [t.lower() for t in _WS_SPLIT_RE.split(text.strip()) if t]
+        toks = [t.lower() for t in text.split()]
         if not toks:
             return "und"
         best_lang, best_score = "und", 0
@@ -316,7 +329,7 @@ SCORE_SCALE = 10**6
 
 
 def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
-                    text_col: str = "text", vocab_top_k: int = 1_000_000,
+                    text_col: str = "text",
                     scale: int = SCORE_SCALE) -> "object":
     """Per-document TF-IDF top-k terms — the classic keyword/topic-label
     signal a training-data pipeline attaches before sampling or routing
@@ -335,32 +348,22 @@ def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
     log; dividing by dl is the standard length normalization. Python-int
     exact on this side, HUGEINT-exact in ANSI SQL.
 
-    Distributed shape: pass 1 computes df through the SAME bounded exact
-    top-K machinery as the commonness scorers
-    (``_bounded_topk_vocab`` — per-batch distinct-term partials →
-    exchange exact sums → capped broadcast dict, driver RSS
+    Distributed shape: pass 1 counts df (each doc's distinct terms)
+    through the SAME exact top-K corpus counter as the commonness
+    scorers (``_bounded_topk_vocab`` — capped broadcast dict, driver RSS
     O(top_k) regardless of corpus size); N is a two-integer
     scalar aggregate. Pass 2 re-streams the corpus once, scoring each
     doc against the broadcast df table. Terms evicted past
-    ``vocab_top_k`` score with df = 0 (maximum idf — the rare-term
+    ``_VOCAB_TOP_K`` score with df = 0 (maximum idf — the rare-term
     convention); below the cap — every benchmark scale — results are
-    EXACT. Tokenization matches the module's other scorers (whitespace split
-    of the stripped text, case-preserving)."""
+    EXACT. Tokenization matches the module's other scorers (whitespace
+    split, case-preserving)."""
     from collections import Counter
 
     import ray
 
-    def df_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        c: Counter = Counter()
-        for t in batch[text_col].fillna(""):
-            t = t.strip()
-            if t:
-                c.update(set(_WS_SPLIT_RE.split(t)))
-        return pd.DataFrame({"w": list(c.keys()),
-                             "cnt": pd.Series(list(c.values()),
-                                              dtype="int64")})
-
-    df_vocab = _bounded_topk_vocab(ds, df_batch, "w", vocab_top_k)
+    top = _bounded_topk_vocab(ds, text_col, lambda t: set(t.split()), ["w"],
+                              _VOCAB_TOP_K)
 
     def n_batch(batch: pd.DataFrame) -> pd.DataFrame:
         nn = int((batch[text_col].fillna("").str.strip() != "").sum())
@@ -370,7 +373,7 @@ def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
         int(b["n"].sum()) for b in
         ds.map_batches(n_batch, batch_format="pandas")
           .iter_batches(batch_format="pandas", batch_size=None))
-    dref = ray.put(df_vocab)
+    dref = ray.put(dict(zip(top["w"], top["cnt"])))
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         v = ray.get(dref)
@@ -379,10 +382,9 @@ def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
         terms: list[str] = []
         scores: list[int] = []
         for did, t in zip(batch[id_col], batch[text_col].fillna("")):
-            t = t.strip()
-            if not t:
+            toks = t.split()
+            if not toks:
                 continue
-            toks = _WS_SPLIT_RE.split(t)
             dl = len(toks)
             scored = sorted(
                 (-((scale * tf * (2 * n_docs - 2 * v.get(w, 0) + 1))
@@ -414,7 +416,7 @@ def rolling_fingerprint(text: str, window: int = 5) -> int:
     whitespace-tokenized; token hash = md5 first-8-bytes big-endian so a
     SQL engine reproduces the fingerprint exactly (window min via a ROWS
     window frame + bit_xor of DISTINCT minima)."""
-    toks = _WS_SPLIT_RE.split(text.strip()) if text.strip() else []
+    toks = text.split()
     if not toks:
         return 0
     hs = [int.from_bytes(hashlib.md5(t.encode()).digest()[:8], "big")
@@ -471,7 +473,7 @@ def decontaminate(ds, benchmark_texts, n: int = 8, id_col: str = "doc_id",
 
     bench: set[str] = set()
     for t in benchmark_texts:
-        toks = _WS_SPLIT_RE.split(t.strip()) if t and t.strip() else []
+        toks = (t or "").split()
         for i in range(max(0, len(toks) - n + 1)):
             bench.add(" ".join(toks[i : i + n]))
     bref = ray.put(frozenset(bench))
@@ -480,7 +482,7 @@ def decontaminate(ds, benchmark_texts, n: int = 8, id_col: str = "doc_id",
         bset = ray.get(bref)
 
         def overlap(t: str) -> int:
-            toks = _WS_SPLIT_RE.split(t.strip()) if t and t.strip() else []
+            toks = t.split()
             grams = {" ".join(toks[i : i + n])
                      for i in range(max(0, len(toks) - n + 1))}
             return len(grams & bset)
@@ -705,15 +707,13 @@ def vocab_stats(ds, id_col: str = "doc_id",
             batch_size=None, batch_format="pandas") if len(b))
 
     def totals(b: pd.DataFrame) -> pd.DataFrame:
-        texts = b[text_col].fillna("").str.strip()
-        n = sum(len(_WS_SPLIT_RE.split(t)) if t else 1 for t in texts)
+        n = sum(len(t.split()) or 1 for t in b[text_col].fillna(""))
         return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
 
     n_tokens = col_sum(ds.map_batches(totals, batch_format="pandas"))
 
     def uniq_batch(b: pd.DataFrame) -> pd.DataFrame:
-        texts = b[text_col].fillna("").str.strip()
-        toks = [_WS_SPLIT_RE.split(t) if t else [""] for t in texts]
+        toks = [t.split() or [""] for t in b[text_col].fillna("")]
         if toks:
             u = pd.unique(np.concatenate(
                 [np.asarray(x, dtype=object) for x in toks]))
@@ -734,51 +734,34 @@ def vocab_stats(ds, id_col: str = "doc_id",
 
 
 def collocations(ds, k: int = 50, text_col: str = "text") -> pd.DataFrame:
-    """Corpus-wide top-k adjacent-bigram collocations, integer-exact:
-    per-batch bigram value_counts (the combiner — each batch shrinks to
-    its distinct bigrams before any shuffle) → ``agg.exchange`` keyed by
-    bigram sums per bigram and keeps each call's top-k (safe: a bigram
-    lives wholly in one call) → driver merges ≤ calls·k rows.
-    Ties broken by (w1, w2) so the result is deterministic and matches
-    the SQL oracle ORDER BY."""
-    from .agg import _frame, exchange
+    """Corpus-wide top-k adjacent-bigram collocations (w1, w2, cnt),
+    integer-exact: the corpus counter (``_bounded_topk_vocab``) over
+    (w1, w2) keys with cap ``k``. Ties broken by (w1, w2) so the result
+    is deterministic and matches the SQL oracle ORDER BY."""
+    return _bounded_topk_vocab(ds, text_col, _bigrams, ["w1", "w2"], k)
 
-    empty = pd.DataFrame({"w1": pd.Series(dtype=object),
-                          "w2": pd.Series(dtype=object),
-                          "cnt": pd.Series(dtype="int64")})
 
-    def big_batch(b: pd.DataFrame) -> pd.DataFrame:
-        texts = b[text_col].fillna("").str.strip()
-        bgs = []
-        for t in texts:
-            ws = _WS_SPLIT_RE.split(t) if t else []
-            if len(ws) > 1:
-                bgs.append(np.asarray(
-                    [a + "\x01" + c for a, c in zip(ws, ws[1:])],
-                    dtype=object))
-        if not bgs:
-            return pd.DataFrame({"bg": pd.Series(dtype=object),
-                                 "cnt": pd.Series(dtype="int64")})
-        vc = pd.Series(np.concatenate(bgs)).value_counts()
-        return pd.DataFrame({"bg": vc.index.to_numpy(object),
-                             "cnt": vc.to_numpy("int64")})
-
-    def part_topk(g: pd.DataFrame) -> pd.DataFrame:
-        agg = (g.groupby("bg", sort=False)["cnt"].sum().reset_index())
-        parts = agg["bg"].str.split("\x01", n=1, expand=True)
-        if len(parts.columns) < 2:  # empty partition
-            return empty
-        out = pd.DataFrame({"w1": parts[0], "w2": parts[1],
-                            "cnt": agg["cnt"].astype("int64")})
-        return out.sort_values(["cnt", "w1", "w2"],
-                               ascending=[False, True, True]).head(k)
-
-    cand = _frame(exchange([ds.map_batches(big_batch,
-                                           batch_format="pandas")],
-                           ["bg"], part_topk), empty)
-    return (cand.sort_values(["cnt", "w1", "w2"],
-                             ascending=[False, True, True])
-            .head(k).reset_index(drop=True))
+def _pack(part: pd.DataFrame, id_col: str, max_tokens: int) -> pd.DataFrame:
+    """The greedy first-fit packing fold: ``part``'s rows (shard,
+    ``id_col``, n_tokens) in (shard, id) order, each given its sequence
+    ordinal within its shard (``seq_local``) and its token offset inside
+    that sequence (``offset``). A doc that does not fit the running
+    sequence's ``max_tokens`` budget opens the next one, so a doc longer
+    than the budget sits alone in its own (overlong) sequence."""
+    part = part.sort_values(["shard", id_col],
+                            kind="mergesort").reset_index(drop=True)
+    seq = np.empty(len(part), dtype=np.int64)
+    off = np.empty(len(part), dtype=np.int64)
+    prev, cur, fill = None, 0, 0
+    for i, (s, n) in enumerate(zip(part["shard"].tolist(),
+                                   part["n_tokens"].tolist())):
+        if s != prev:
+            prev, cur, fill = s, 0, 0
+        elif fill + n > max_tokens:
+            cur, fill = cur + 1, 0
+        seq[i], off[i] = cur, fill
+        fill += n
+    return part.assign(seq_local=seq, offset=off)
 
 
 def pack_sequences(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -799,52 +782,27 @@ def pack_sequences(ds, id_col: str = "doc_id", text_col: str = "text",
     (the token_count convention, shared with the SQL oracle).
 
     Scale shape: shards hash-route through ``agg.exchange``; the
-    per-shard greedy fold is a trivial O(shard_size) loop over integers —
-    no shuffle beyond the one exchange, no driver state."""
+    per-shard greedy fold (``_pack``) is a trivial O(shard_size) loop
+    over integers — no shuffle beyond the one exchange, no driver
+    state."""
     from .agg import exchange
 
     def tok(batch: pd.DataFrame) -> pd.DataFrame:
-        t = batch[text_col].fillna("").str.strip()
-        n = t.apply(lambda s: len(_WS_SPLIT_RE.split(s)) if s else 1)
+        n = batch[text_col].fillna("").apply(lambda t: len(t.split()) or 1)
         return pd.DataFrame({
             id_col: batch[id_col].astype("int64"),
             "shard": (batch[id_col].astype("int64") // shard_size),
             "n_tokens": n.astype("int64")})
 
     def pack(part: pd.DataFrame) -> pd.DataFrame:
-        outs = [pd.DataFrame({c: pd.Series([], dtype="int64") for c in (
-            id_col, "shard", "seq_local", "offset", "n_tokens")})]
-        for shard, g in part.groupby("shard", sort=False):
-            g = g.sort_values(id_col)
-            ids = g[id_col].to_numpy()
-            ns = g["n_tokens"].to_numpy()
-            seq = np.empty(len(g), dtype=np.int64)
-            off = np.empty(len(g), dtype=np.int64)
-            cur_seq, fill = 0, 0
-            first = True
-            for i, n in enumerate(ns):
-                if first:
-                    cur_seq, fill = 0, int(n)
-                    seq[i], off[i] = 0, 0
-                    first = False
-                elif fill + n <= max_tokens:
-                    seq[i], off[i] = cur_seq, fill
-                    fill += int(n)
-                else:
-                    cur_seq += 1
-                    seq[i], off[i] = cur_seq, 0
-                    fill = int(n)
-            outs.append(pd.DataFrame({
-                id_col: ids, "shard": np.full(len(g), shard, dtype=np.int64),
-                "seq_local": seq, "offset": off, "n_tokens": ns}))
-        return pd.concat(outs, ignore_index=True)
+        return _pack(part, id_col, max_tokens)[
+            [id_col, "shard", "seq_local", "offset", "n_tokens"]]
 
     tokens = ds.map_batches(tok, batch_format="pandas")
     return exchange([tokens], ["shard"], pack)
 
 
-def commonness_buckets(ds, id_col: str = "doc_id", text_col: str = "text",
-                       vocab_top_k: int = 1_000_000):
+def commonness_buckets(ds, id_col: str = "doc_id", text_col: str = "text"):
     """CCNet-style corpus partitioning (Wenzek et al. 2020 §4.3 — public
     paper): score every document by LM-commonness (here the exact
     integer unigram surrogate, ``unigram_commonness``), take exact
@@ -860,8 +818,8 @@ def commonness_buckets(ds, id_col: str = "doc_id", text_col: str = "text",
     the threshold pass and the labeling pass don't recompute scoring —
     at web scale it is O(docs) fixed-width rows in the object store,
     spillable."""
-    scored = unigram_commonness(ds, id_col=id_col, text_col=text_col,
-                                vocab_top_k=vocab_top_k).materialize()
+    scored = unigram_commonness(ds, id_col=id_col,
+                                text_col=text_col).materialize()
     qs = exact_quantile_selection(scored, "sum_freq", [(1, 3), (2, 3)])
     t = {(int(r.q_num), int(r.q_den)): int(r.quantile_value)
          for r in qs.itertuples()}
@@ -891,8 +849,7 @@ def split_overlong(ds, id_col: str = "doc_id", text_col: str = "text",
     def f(batch: pd.DataFrame) -> pd.DataFrame:
         ids, pidx, ntok, piece = [], [], [], []
         for i, t in zip(batch[id_col], batch[text_col].fillna("")):
-            t = t.strip()
-            ws = _WS_SPLIT_RE.split(t) if t else []
+            ws = t.split()
             if not ws:
                 ids.append(i); pidx.append(0); ntok.append(0)
                 piece.append("")
@@ -986,58 +943,21 @@ def dup_ngram_stats(ds, ngram: int = 5, id_col: str = "doc_id",
     return exchange([partials, dens], [id_col, id_col], fold)
 
 
-def top_tokens_per_lang(sf_dir: str, k: int = 5) -> pd.DataFrame:
-    """Per-language top-k tokens by corpus frequency (ties break to the
-    lexicographically smaller token) — the grouped heavy-vocabulary
-    report (per-language stopword audit, tokenizer sanity check).
+def top_tokens_per_lang(ds, k: int = 5) -> pd.DataFrame:
+    """Per-language top-k tokens by corpus frequency over a Dataset with
+    ``lang`` and ``text`` columns (ties break to the lexicographically
+    smaller token; a blank doc counts one empty token) — the grouped
+    heavy-vocabulary report (per-language stopword audit, tokenizer
+    sanity check). Returns (lang, tok, n, rnk).
 
     Exact WITHOUT materializing any language's vocabulary in one place:
-    per-batch (lang, tok) count partials shuffle on the (lang, tok) key
-    — so each token's total lands complete inside ONE coarse partition
-    — where a per-partition per-lang top-k keeps ≤ |langs|·k candidate
-    rows; the driver's final top-k over (partitions × k) candidates is
-    then provably the global answer (a token outside every partition
-    top-k cannot be in the global top-k). Same bounded-driver shape as
-    the commonness vocab machinery."""
-    import os as _os
-
-    import ray.data as rd
-
-    from .agg import _frame, exchange
-
-    docs = rd.read_parquet(_os.path.join(sf_dir, "documents.parquet"),
-                           columns=["lang", "text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        langs, toks = [], []
-        for lang, text in zip(b["lang"], b["text"]):
-            t = (text or "").strip()
-            parts = re.split(r"\s+", t) if t else [""]
-            langs.extend([lang] * len(parts))
-            toks.extend(parts)
-        return (pd.DataFrame({"lang": langs, "tok": toks})
-                .groupby(["lang", "tok"], as_index=False).size()
-                .rename(columns={"size": "n"}))
-
-    counts = docs.map_batches(partial, batch_format="pandas")
-
-    def local_topk(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby(["lang", "tok"], as_index=False)["n"].sum()
-        tot = tot.sort_values(["lang", "n", "tok"],
-                              ascending=[True, False, True],
-                              kind="mergesort")
-        return tot.groupby("lang", sort=False).head(k)
-
-    cand = _frame(exchange([counts], [["lang", "tok"]], local_topk),
-                  pd.DataFrame({"lang": pd.Series(dtype=object),
-                                "tok": pd.Series(dtype=object),
-                                "n": pd.Series(dtype="int64")}))
-    cand = cand.sort_values(["lang", "n", "tok"],
-                            ascending=[True, False, True],
-                            kind="mergesort")
-    top = cand.groupby("lang", sort=False).head(k).copy()
-    top["rnk"] = top.groupby("lang", sort=False).cumcount() + 1
-    top["n"] = top["n"].astype("int64")
-    top["rnk"] = top["rnk"].astype("int64")
-    return (top[["lang", "tok", "n", "rnk"]]
-            .sort_values(["lang", "rnk"]).reset_index(drop=True))
+    the corpus counter (``_bounded_topk_vocab``) keyed by (lang, tok)
+    with the top-k kept per language — each token's total lands
+    complete inside one exchange call, so a token outside every call's
+    per-language top-k cannot be in the global top-k."""
+    top = _bounded_topk_vocab(ds, "text", lambda t: t.split() or [""],
+                              ["tok"], k, group="lang")
+    top = top.rename(columns={"cnt": "n"})
+    top["rnk"] = (top.groupby("lang", sort=False).cumcount() + 1
+                  ).astype("int64")
+    return top[["lang", "tok", "n", "rnk"]]

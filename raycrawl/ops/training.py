@@ -26,99 +26,57 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .bpe import (_WS_SPLIT_RE, _apply_merges, bpe_train_incremental,
-                  build_vocab_ids, distributed_word_counts)
+from .bpe import (_encode, bpe_train_incremental, build_vocab_ids,
+                  distributed_word_counts)
+from .textstats import _pack
 
 
 def encode_ids(ds, merges, vocab_ids, id_col: str = "doc_id",
                text_col: str = "text", shard_size: int = 512):
     """(doc_id, shard, n_tokens, token_ids: list<int64>) — the id-list
-    sibling of bpe.bpe_encode (which emits csv for the SQL compare)."""
-    import ray
+    sibling of bpe.bpe_encode (which emits csv for the SQL compare),
+    from the same encode stage (``bpe._encode``)."""
 
-    ranks = {p: i for i, p in enumerate(merges)}
-    ref = ray.put((ranks, vocab_ids))
-
-    def f(batch: pd.DataFrame) -> pd.DataFrame:
-        r, vids = ray.get(ref)
-        memo: dict[str, list[int]] = {}
-        out_ids = []
-        n_tok = []
-        for t in batch[text_col].fillna(""):
-            t = t.strip()
-            ws = _WS_SPLIT_RE.split(t) if t else []
-            ids: list[int] = []
-            for w in ws:
-                got = memo.get(w)
-                if got is None:
-                    got = [vids.get(s, -1) for s in _apply_merges(w, r)]
-                    memo[w] = got
-                ids.extend(got)
-            out_ids.append(np.asarray(ids, dtype=np.int64))
-            n_tok.append(len(ids))
+    def finish(batch: pd.DataFrame, docs: list) -> pd.DataFrame:
         d = batch[id_col].astype("int64")
         return pd.DataFrame({
             id_col: d, "shard": d // shard_size,
-            "n_tokens": pd.Series(n_tok, dtype="int64"),
-            "token_ids": out_ids})
+            "n_tokens": pd.Series([len(x) for x in docs], dtype="int64"),
+            "token_ids": [np.asarray(x, dtype=np.int64) for x in docs]})
 
-    return ds.map_batches(f, batch_format="pandas")
+    return _encode(ds, merges, vocab_ids, text_col, finish)
 
 
 def pack_id_sequences(encoded, max_tokens: int = 1024,
                       id_col: str = "doc_id"):
     """Greedy first-fit of encoded docs into sequences within their
-    shard (same fold as textstats.pack_sequences, here carrying the
-    actual ids): one row per SEQUENCE — (shard, seq_local, n_docs,
-    n_tokens, token_ids) with the member docs' ids concatenated in
-    doc_id order."""
+    shard (the fold of textstats.pack_sequences, ``textstats._pack``,
+    here carrying the actual ids): one row per SEQUENCE — (shard,
+    seq_local, n_docs, n_tokens, token_ids) with the member docs' ids
+    concatenated in doc_id order."""
     from .agg import exchange
 
     def pack(part: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for shard, g in part.groupby("shard", sort=False):
-            g = g.sort_values(id_col)
-            cur_ids: list = []
-            cur_docs = 0
-            seq = 0
-            fill = 0
-            first = True
-
-            def emit():
-                rows.append((int(shard), seq, cur_docs, fill,
-                             np.concatenate(cur_ids) if cur_ids
-                             else np.empty(0, dtype=np.int64)))
-
-            for ids, n in zip(g["token_ids"], g["n_tokens"]):
-                n = int(n)
-                if first:
-                    cur_ids, cur_docs, fill, first = [ids], 1, n, False
-                elif fill + n <= max_tokens:
-                    cur_ids.append(ids)
-                    cur_docs += 1
-                    fill += n
-                else:
-                    emit()
-                    seq += 1
-                    cur_ids, cur_docs, fill = [ids], 1, n
-            if not first:
-                emit()
-        return pd.DataFrame(rows, columns=["shard", "seq_local", "n_docs",
-                                           "n_tokens", "token_ids"]).astype(
-            {"shard": "int64", "seq_local": "int64", "n_docs": "int64",
-             "n_tokens": "int64"})
+        seqs = _pack(part, id_col, max_tokens).groupby(
+            ["shard", "seq_local"], sort=False)
+        out = seqs.agg(n_docs=(id_col, "size"),
+                       n_tokens=("n_tokens", "sum")).reset_index()
+        out["token_ids"] = [np.concatenate([np.empty(0, np.int64), *ids])
+                            for _, ids in seqs["token_ids"]]
+        return out.astype({c: "int64" for c in (
+            "shard", "seq_local", "n_docs", "n_tokens")})
 
     return exchange([encoded], ["shard"], pack)
 
 
 def build_training_shards(ds, out_dir: str, num_merges: int = 200,
-                          max_tokens: int = 1024, shard_size: int = 512,
-                          vocab_top_k: int = 1_000_000) -> dict:
+                          max_tokens: int = 1024,
+                          shard_size: int = 512) -> dict:
     """The full product: train → encode → pack → shard-partitioned
     parquet under ``out_dir`` (one ``shard=N`` directory each — the
     resumable-output convention). Returns the run manifest
     {merges, vocab_size, shards, sequences, tokens}."""
-    wc = distributed_word_counts(ds, top_k=vocab_top_k)
+    wc = distributed_word_counts(ds)
     merges = bpe_train_incremental(wc, num_merges)
     vids = build_vocab_ids(wc, merges)
     enc = encode_ids(ds, merges, vids, shard_size=shard_size)

@@ -9,9 +9,8 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
-from raycrawl.ops.bpe import (bpe_token_count, bpe_train,
-                              bpe_train_from_word_counts,
-                              bpe_tokenize_reference_serial,
+from raycrawl.ops.bpe import (bpe_encode_reference_serial, bpe_token_count,
+                              bpe_train, bpe_train_from_word_counts,
                               distributed_word_counts, _apply_merges, _EOW)
 
 
@@ -42,7 +41,7 @@ def test_engine_matches_independent_serial_reference():
                        "text": texts})
     ds = rd.from_pandas(df)
 
-    ref_merges, ref_counts = bpe_tokenize_reference_serial(texts, 40)
+    ref_merges, ref_counts, _ = bpe_encode_reference_serial(texts, 40)
     merges = bpe_train(ds, num_merges=40)
     assert merges == ref_merges
 
@@ -79,15 +78,33 @@ def test_zero_merges_token_count_closed_form():
     assert got["n_words"].tolist() == [2, 1]
 
 
-def test_word_counts_bounded_and_exact():
+def test_word_counts_bounded_and_exact(exchange_placement, monkeypatch):
+    from raycrawl.ops import textstats
+    from raycrawl.ops.agg import placement_log
+
     texts = ["a a a b b c"] * 5
-    df = pd.DataFrame({"doc_id": np.arange(5, dtype="int64"),
+    small = pd.DataFrame({"doc_id": np.arange(5, dtype="int64"),
+                          "text": texts})
+    # the cap keeps the most frequent types, deterministically: 200
+    # types (word i occurs i + 1 times, plus a tie at the cut) in two
+    # blocks over 4 partitions, so every call and every output block
+    # holds more types than the cap and is truncated
+    words = [f"w{i:03d}" for i in range(200)]
+    texts = [" ".join(words[j:]) for j in range(200)] + ["w189"]
+    df = pd.DataFrame({"doc_id": np.arange(len(texts), dtype="int64"),
                        "text": texts})
-    wc = distributed_word_counts(rd.from_pandas(df))
-    assert wc == {"a": 15, "b": 10, "c": 5}
-    # top_k cap keeps the most frequent types, deterministically
-    capped = distributed_word_counts(rd.from_pandas(df), top_k=2)
-    assert capped == {"a": 15, "b": 10}
+    exp = {f"w{i:03d}": i + 1 for i in range(191, 200)}
+    exp["w189"] = 191  # ties w190 at the cut and sorts first by word
+    monkeypatch.setattr(textstats, "_VOCAB_TOP_K", 10)
+    for placement, parts in (("driver", 0), ("shuffle", 4)):
+        exchange_placement(placement, max_parts=4)
+        assert distributed_word_counts(rd.from_pandas(small)) == {
+            "a": 15, "b": 10, "c": 5}
+        with placement_log() as log:
+            capped = distributed_word_counts(
+                rd.from_pandas([df.iloc[:100], df.iloc[100:]]))
+        assert capped == exp
+        assert [r["parts"] for r in log] == [parts]
 
 
 def test_training_stops_on_singleton_pairs():

@@ -583,11 +583,6 @@ def _wide_op_runs(tmp_path):
     """Every op whose wide step is an ``agg.exchange``, run on an empty
     input: name → (call, expected DataFrame columns or None for a
     Dataset output)."""
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     from raycrawl.ops import dedup as dd
     from raycrawl.ops import delta, graph, jsonl, textstats, training
 
@@ -602,11 +597,6 @@ def _wide_op_runs(tmp_path):
             "vec_id": pd.Series([], dtype="int64"),
             "embedding": pd.Series([], dtype=object)}))
 
-    sf = tmp_path / "sf"
-    sf.mkdir()
-    pq.write_table(pa.table({"lang": pa.array([], pa.string()),
-                             "text": pa.array([], pa.string())}),
-                   str(sf / "documents.parquet"))
     idx = str(tmp_path / "mh_index")
     dd.build_minhash_index(_docs(["some corpus text here"]), idx)
     encoded = rd.from_pandas(pd.DataFrame({
@@ -628,7 +618,7 @@ def _wide_op_runs(tmp_path):
         "bigram_commonness": (lambda: textstats.bigram_commonness(docs()),
                               None),
         "top_tokens_per_lang": (
-            lambda: textstats.top_tokens_per_lang(str(sf)),
+            lambda: textstats.top_tokens_per_lang(docs()),
             ["lang", "tok", "n", "rnk"]),
         "pack_id_sequences": (lambda: training.pack_id_sequences(encoded),
                               None),
@@ -1121,19 +1111,26 @@ def test_collocations_topk_exact(exchange_placement):
 
     from raycrawl.ops.textstats import collocations
 
-    texts = ["a b a b c", "b c b c", "a b", ""]
-    ds = rd.from_items([{"doc_id": i, "text": t}
-                        for i, t in enumerate(texts)])
-    cnt = collections.Counter()
-    for t in texts:
-        ws = t.split()
-        cnt.update(zip(ws, ws[1:]))
-    exp = sorted(cnt.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
-    for placement in ("driver", "shuffle"):
-        exchange_placement(placement)
-        got = collocations(ds, k=3)
-        assert list(zip(got["w1"], got["w2"])) == [p for p, _ in exp]
-        assert list(got["cnt"]) == [c for _, c in exp]
+    cases = [
+        (["a b a b c", "b c b c", "a b", ""], 3),
+        # (x, y) and (z, x) tie at the k-th count: (x, y) sorts first
+        (["z x y", "x y z x", "y"], 1),
+        # a non-whitespace "\x01" inside words: two distinct bigrams
+        (["a\x01b c", "a b\x01c"], 3),
+    ]
+    for texts, k in cases:
+        ds = rd.from_items([{"doc_id": i, "text": t}
+                            for i, t in enumerate(texts)])
+        cnt = collections.Counter()
+        for t in texts:
+            ws = t.split()
+            cnt.update(zip(ws, ws[1:]))
+        exp = sorted(cnt.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        for placement in ("driver", "shuffle"):
+            exchange_placement(placement)
+            got = collocations(ds, k=k)
+            assert list(zip(got["w1"], got["w2"])) == [p for p, _ in exp]
+            assert list(got["cnt"]) == [c for _, c in exp]
 
 
 def test_bigram_commonness_edge_docs():
@@ -1155,6 +1152,13 @@ def test_bigram_commonness_edge_docs():
     assert out.loc[3].tolist() == [3, 5, 1]
     # doc 4: (x,y) occurs once in the corpus → novel
     assert out.loc[4].tolist() == [1, 1, 1]
+    # "\x01" is not whitespace: ("a\x01b", "c") and ("a", "b\x01c") are
+    # two distinct bigrams, each corpus-novel
+    df = pd.DataFrame({"doc_id": [1, 2], "text": ["a\x01b c", "a b\x01c"]})
+    out = bigram_commonness(rd.from_pandas(df)).to_pandas()
+    assert out.sort_values("doc_id")[
+        ["n_bigrams", "sum_bg_freq", "n_novel"]].values.tolist() == [
+        [1, 1, 1], [1, 1, 1]]
 
 
 def test_pack_sequences_properties():
@@ -1174,6 +1178,8 @@ def test_pack_sequences_properties():
              for _ in range(400)]
     texts[17] = " ".join("w" for _ in range(900))  # overlong doc
     texts[33] = ""  # empty doc counts 1 token
+    texts[0] = " ".join("w" for _ in range(150))  # docs 0 and 1 fill
+    texts[1] = " ".join("w" for _ in range(50))  # the budget exactly
     df = pd.DataFrame({"doc_id": np.arange(400, dtype="int64"),
                        "text": texts})
     L = 200
@@ -1196,6 +1202,25 @@ def test_pack_sequences_properties():
         first_of_seq = g.drop_duplicates("seq_local").set_index("seq_local")
         for s in range(1, int(g["seq_local"].max()) + 1):
             assert seq_tot[s - 1] + first_of_seq.loc[s, "n_tokens"] > L
+    # pack_id_sequences runs the same fold: on the same docs and budget
+    # its sequences hold exactly those docs, their ids concatenated in
+    # doc_id order
+    from raycrawl.ops.training import pack_id_sequences
+
+    enc = out[["doc_id", "shard", "n_tokens"]].copy()
+    enc["token_ids"] = [np.full(n, i, dtype=np.int64)
+                        for i, n in zip(enc["doc_id"], enc["n_tokens"])]
+    seqs = (pack_id_sequences(rd.from_pandas(enc), max_tokens=L)
+            .to_pandas().sort_values(["shard", "seq_local"])
+            .reset_index(drop=True))
+    exp = out.groupby(["shard", "seq_local"])
+    assert seqs[["shard", "seq_local"]].values.tolist() == \
+        [list(k) for k in exp.groups]
+    for row, (_, g) in zip(seqs.itertuples(), exp):
+        assert row.n_docs == len(g)
+        assert row.n_tokens == int(g["n_tokens"].sum())
+        assert row.token_ids.tolist() == np.repeat(
+            g["doc_id"], g["n_tokens"]).tolist()
 
 
 def test_minhash_index_probe_incremental(tmp_path):
@@ -1679,17 +1704,16 @@ def test_containment_asymmetric_vs_jaccard():
     assert containment("", big, 3) == 0.0
 
 
-def test_top_tokens_per_lang_exact_topk(tmp_path):
+def test_top_tokens_per_lang_exact_topk():
     docs = pd.DataFrame({
         "doc_id": np.arange(4, dtype=np.int64),
         "lang": ["en", "en", "fr", "fr"],
         "text": ["a a a b b c", "b b a", "x y y", "y z"],
         "source": "s", "n_chars": np.int64(1)})
-    docs.to_parquet(tmp_path / "documents.parquet")
 
     from raycrawl.ops.textstats import top_tokens_per_lang
 
-    got = top_tokens_per_lang(str(tmp_path), k=2)
+    got = top_tokens_per_lang(rd.from_pandas(docs), k=2)
     en = got[got["lang"] == "en"]
     # en counts: a=4, b=4, c=1 -> tie a/b breaks lexicographically
     assert en["tok"].tolist() == ["a", "b"]

@@ -291,3 +291,20 @@ def test_weighted_sample_threshold_monotone_in_weight(key, data):
         assert keep(w + 1)
     else:
         assert not keep(w - 1)
+
+
+_WHITESPACE = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+
+
+@given(st.text(alphabet=st.sampled_from(_WHITESPACE + "abZ\x01é"),
+               max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_str_split_equals_whitespace_regex_split(text):
+    """The text ops split words with ``str.split()``: on any mix of every
+    ``isspace`` character and letters it equals the regex form
+    ``re.split(r"\\s+", t.strip()) if t.strip() else []``."""
+    import re
+
+    t = text.strip()
+    assert text.split() == (re.split(r"\s+", t) if t else [])
+

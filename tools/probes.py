@@ -252,14 +252,16 @@ def commonness(docs=500_000, toks_per_doc=22, top_k=100_000):
     `unigram_commonness` / `bigram_commonness` pass-1 used to pull the FULL
     corpus vocabulary to the driver (`.to_pandas()` → dict → `ray.put`) — at
     web scale the bigram table is ~O(corpus tokens), a driver OOM. The fix
-    (`textstats._bounded_topk_vocab`) routes the partials through
+    (`textstats._bounded_topk_vocab`, the text ops' one corpus counter,
+    capped at `textstats._VOCAB_TOP_K`) routes the partials through
     `agg.exchange` with per-partition exact top-K truncation, truncates
     every output block and folds the blocks through the same truncation,
     so the driver holds O(top_k) rows and broadcasts ≤ top_k entries.
 
     This probe drives a corpus with ≥10M DISTINCT bigrams (every bigram
     unique: each doc is a run of globally-unique tokens) through
-    `bigram_commonness` with a small cap (top_k=100k) and checks:
+    `bigram_commonness` with a small cap (`_VOCAB_TOP_K` patched to top_k
+    for the run, 100k by default) and checks:
       1. the run completes with correct per-doc row counts and exact
          n_bigrams (which is cap-independent — it counts doc bigrams, not
          vocab hits),
@@ -271,11 +273,13 @@ def commonness(docs=500_000, toks_per_doc=22, top_k=100_000):
       3. capped semantics hold: evicted bigrams score 0 (sum_bg_freq counts
          only retained grams).
     """
+    from unittest import mock
+
     import pandas as pd
     import ray.data as rd
 
+    from raycrawl.ops import textstats
     from raycrawl.ops.agg import placement_log
-    from raycrawl.ops.textstats import bigram_commonness
 
     def rss_mb() -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -301,8 +305,9 @@ def commonness(docs=500_000, toks_per_doc=22, top_k=100_000):
 
     rss0 = rss_mb()
     t0 = time.time()
-    with placement_log() as log:
-        out = bigram_commonness(docs_ds, vocab_top_k=top_k)
+    with placement_log() as log, \
+            mock.patch.object(textstats, "_VOCAB_TOP_K", top_k):
+        out = textstats.bigram_commonness(docs_ds)
     # driver fold: counts only — no full materialization
     rows = 0
     sum_nbg = 0
