@@ -31,7 +31,7 @@ from .html.clean import clean_tree, find_main_content
 from .html.dom import Node, parse_html
 from .html.markdown import post_process_markdown, to_markdown_tree
 from .html.metadata import PageIndex, extract_metadata, extract_structured
-from .links import extract_links_from_anchors, extract_links_from_tree
+from .links import HrefMemo, links_from_anchors
 from .schema import EXTRACTED
 
 
@@ -42,16 +42,18 @@ def extract_page(url: str, html: str, only_main: bool = True) -> dict[str, Any]:
     idx = PageIndex(root)  # one traversal serves all metadata probes
     metadata = extract_metadata(idx)
     structured = extract_structured(idx)
-    links = extract_links_from_anchors(idx.anchors, url, link_filter=None)
+    # one normalization per distinct href serves both link lists
+    normalized = HrefMemo(url)
+    links = links_from_anchors(idx.anchors, normalized)
 
+    # the main subtree is cleaned and rendered in place: nothing reads
+    # ``root`` after this point, so the output equals the reference's
+    # str(content) round-trip (scraper.py:678-685)
     content_root: Node = root
     if only_main:
         main = find_main_content(root)
         if main is not None:
-            # detached deep copy — semantically the reference's str(content)
-            # round-trip (scraper.py:678-685) without paying two extra
-            # parses per page
-            content_root = main.copy()
+            content_root = main
     clean_tree(content_root)
     html_clean = content_root.to_html()
     markdown = post_process_markdown(to_markdown_tree(content_root))
@@ -65,7 +67,8 @@ def extract_page(url: str, html: str, only_main: bool = True) -> dict[str, Any]:
         # crawl expansion uses links of the *cleaned* html — the reference
         # passes scrape_result["data"]["html"] (the cleaned, main-only html)
         # to extract_links (crawler_service.py:61-65)
-        "crawl_links": extract_links_from_tree(content_root, url, link_filter=None),
+        "crawl_links": links_from_anchors(
+            content_root.find_all("a", href=True), normalized),
     }
 
 

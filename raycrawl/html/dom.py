@@ -1,8 +1,11 @@
-"""DOM-lite HTML tree built on stdlib ``html.parser``.
+"""DOM-lite HTML tree built by a regex tokenizer.
 
 The sealed sandbox has no bs4/lxml, so this module provides the minimal
 document-object model the extraction chain needs: parse, pre-order search by
 tag/attribute, text extraction, node removal, and HTML re-serialization.
+``parse_html`` builds the tree with a single master-regex tokenizer
+(``_fast_parse``); the stdlib ``html.parser`` builder (``_TreeBuilder``) is
+kept only as the cross-check it is verified against.
 
 Semantics modeled on the reference's BeautifulSoup usage
 (/root/reference/services/scraper/scraper.py:311-352, 485-505 and
@@ -310,71 +313,84 @@ _ATTR_RE = re.compile(
 _RAWTEXT = frozenset({"script", "style"})
 _RAWTEXT_CLOSE = {t: re.compile(rf"</{t}\s*>", re.IGNORECASE) for t in _RAWTEXT}
 
+# the start tags that can close an open element by implication
+_CLOSERS = frozenset().union(*_IMPLICIT_CLOSE.values())
+
 
 def _fast_parse(html: str) -> Node:
-    root = Node("#document")
+    # Nodes are built with __new__ and direct slot stores: Node.__init__'s
+    # attribute-list comprehension is a per-node function call, and this
+    # loop builds every node of every page.
+    new = Node.__new__
+    root = new(Node)
+    root.tag, root.attrs, root.children, root.parent, root.text = (
+        "#document", [], [], None, "")
     stack = [root]
-    append_text = None
+    top = root
+    search = _TOKEN_RE.search
     pos = 0
     n = len(html)
     while pos < n:
-        m = _TOKEN_RE.search(html, pos)
+        m = search(html, pos)
+        start = m.start() if m is not None else n
+        if start > pos:
+            text = html[pos:start]
+            node = new(Node)
+            node.tag, node.attrs, node.children, node.parent = TEXT, [], [], top
+            node.text = unescape(text) if "&" in text else text
+            top.children.append(node)
         if m is None:
-            text = html[pos:]
-            if text:
-                stack[-1].append(
-                    Node(TEXT, text=unescape(text) if "&" in text else text))
             break
-        if m.start() > pos:
-            text = html[pos : m.start()]
-            stack[-1].append(
-                Node(TEXT, text=unescape(text) if "&" in text else text))
         pos = m.end()
-        if m.group("comment") is not None:
-            stack[-1].append(Node(COMMENT, text=m.group("comment")))
-            continue
-        if m.group("decl") is not None or m.group("pi") is not None:
-            continue
-        end = m.group("end")
-        if end is not None:
-            tag = end.lower()
+        kind = m.lastgroup
+        if kind == "selfclose":  # a start tag: selfclose always participates
+            name, attrs_s, selfclose = m.group(5, 6, 7)
+            tag = name.lower()
+            attrs: list[tuple[str, str]] = []
+            if attrs_s:
+                # unmatched alternatives are '' in findall, and at most one
+                # value alternative matches, so `or` picks it (or '')
+                for k, v1, v2, v3 in _ATTR_RE.findall(attrs_s):
+                    val = v1 or v2 or v3
+                    attrs.append((k.lower(), unescape(val) if "&" in val else val))
+            if tag in _CLOSERS:
+                while len(stack) > 1:
+                    closes = _IMPLICIT_CLOSE.get(top.tag)
+                    if closes is None or tag not in closes:
+                        break
+                    stack.pop()
+                    top = stack[-1]
+            node = new(Node)
+            node.tag, node.attrs, node.children, node.parent, node.text = (
+                tag, attrs, [], top, "")
+            top.children.append(node)
+            if selfclose or tag in VOID_TAGS:
+                continue
+            if tag in _RAWTEXT:
+                cm = _RAWTEXT_CLOSE[tag].search(html, pos)
+                raw_end = cm.start() if cm else n
+                if raw_end > pos:
+                    raw = new(Node)
+                    raw.tag, raw.attrs, raw.children, raw.parent = (
+                        TEXT, [], [], node)
+                    raw.text = html[pos:raw_end]
+                    node.children.append(raw)
+                pos = cm.end() if cm else n
+                continue
+            stack.append(node)
+            top = node
+        elif kind == "end":
+            tag = m.group(4).lower()
             for i in range(len(stack) - 1, 0, -1):
                 if stack[i].tag == tag:
                     del stack[i:]
+                    top = stack[-1]
                     break
-            continue
-        tag = m.group("start").lower()
-        attrs_s = m.group("attrs") or ""
-        attrs: list[tuple[str, str]] = []
-        if attrs_s.strip():
-            for am in _ATTR_RE.finditer(attrs_s):
-                val = am.group(2)
-                if val is None:
-                    val = am.group(3)
-                if val is None:
-                    val = am.group(4)
-                if val is None:
-                    val = ""
-                attrs.append((am.group(1).lower(),
-                              unescape(val) if "&" in val else val))
-        while len(stack) > 1:
-            open_tag = stack[-1].tag
-            if open_tag in _IMPLICIT_CLOSE and tag in _IMPLICIT_CLOSE[open_tag]:
-                stack.pop()
-            else:
-                break
-        node = Node(tag, None)
-        node.attrs = attrs
-        stack[-1].append(node)
-        if m.group("selfclose") == "/" or tag in VOID_TAGS:
-            continue
-        if tag in _RAWTEXT:
-            cm = _RAWTEXT_CLOSE[tag].search(html, pos)
-            raw_end = cm.start() if cm else n
-            raw = html[pos:raw_end]
-            if raw:
-                node.append(Node(TEXT, text=raw))
-            pos = cm.end() if cm else n
-            continue
-        stack.append(node)
+        elif kind == "comment":
+            node = new(Node)
+            node.tag, node.attrs, node.children, node.parent = (
+                COMMENT, [], [], top)
+            node.text = m.group(1)
+            top.children.append(node)
+        # declarations and processing instructions are dropped
     return root

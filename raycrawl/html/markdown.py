@@ -68,16 +68,24 @@ def _collapse_spaces(s: str) -> str:
     return _MULTISPACE_RE.sub(" ", s) if "  " in s else s
 
 
-def enhance_images(root: Node) -> None:
+def _collapse_ws(s: str) -> str:
+    # the sub is the identity on a run with no \t\r\n\f and no double
+    # space (every whitespace run is then one space already); the guard's
+    # substring scans are far cheaper than a regex call per text node
+    if ("  " in s or "\n" in s or "\t" in s or "\r" in s or "\f" in s):
+        return _WS_RE.sub(" ", s)
+    return s
+
+
+def _enhance_image(img: Node) -> None:
     """Reference scraper.py:517-528: ensure alt text ('Image' default) and a
     title derived from the src filename (query params stripped)."""
-    for img in root.find_all("img"):
-        if not img.get("alt"):
-            img.set("alt", "Image")
-        src = img.get("src") or ""
-        if src and not img.get("title"):
-            filename = src.split("/")[-1].split("?")[0]
-            img.set("title", filename)
+    if not img.get("alt"):
+        img.set("alt", "Image")
+    src = img.get("src") or ""
+    if src and not img.get("title"):
+        filename = src.split("/")[-1].split("?")[0]
+        img.set("title", filename)
 
 
 class _Renderer:
@@ -87,7 +95,7 @@ class _Renderer:
     # -- inline rendering --------------------------------------------------
     def inline(self, node: Node) -> str:
         if node.tag == TEXT:
-            return _WS_RE.sub(" ", node.text)
+            return _collapse_ws(node.text)
         if node.tag == COMMENT or node.tag in _SKIP_TAGS:
             return ""
         tag = node.tag
@@ -130,7 +138,7 @@ class _Renderer:
     def block(self, node: Node) -> None:
         tag = node.tag
         if tag in (TEXT,):
-            text = _WS_RE.sub(" ", node.text).strip()
+            text = _collapse_ws(node.text).strip()
             if text:
                 self.blocks.append(text)
             return
@@ -301,12 +309,24 @@ def to_markdown(html: str) -> str:
 
 
 def to_markdown_tree(root: Node) -> str:
-    """Tree-based render (no re-parse); mutates the tree via
-    enhance_images — pass a copy if the tree is reused."""
-    enhance_images(root)
-    body = root.find("body") or root
+    """Tree-based render (no re-parse). Enhances the images under ``root``
+    in place, so the tree's own html is changed too: serialize it first,
+    as ``extract_page`` does. One walk enhances the images and finds the
+    first ``<body>``; the render starts there, else at ``root``."""
+    body = None
+    stack = root.children[::-1]
+    while stack:
+        node = stack.pop()
+        tag = node.tag
+        if tag == "img":
+            _enhance_image(node)
+        elif tag == "body" and body is None:
+            body = node
+        children = node.children
+        if children:
+            stack.extend(children[::-1])
     r = _Renderer()
-    r.children_as_blocks(body)
+    r.children_as_blocks(body or root)
     return "\n\n".join(b for b in r.blocks if b) + "\n"
 
 

@@ -74,16 +74,42 @@ def extract_links_from_anchors(
     base_url: str,
     link_filter: Optional[Callable[[str], bool]] = None,
 ) -> list[str]:
+    return links_from_anchors(anchors, HrefMemo(base_url), link_filter)
+
+
+class HrefMemo(dict):
+    """href → ``normalize_url(href, base_url)``, computed on first lookup.
+    One per page lets every link list of the page share one normalization
+    per distinct href."""
+
+    __slots__ = ("base_url",)
+
+    def __init__(self, base_url: str) -> None:
+        super().__init__()
+        self.base_url = base_url
+
+    def __missing__(self, href: str) -> Optional[str]:
+        normalized = self[href] = normalize_url(href, self.base_url)
+        return normalized
+
+
+def links_from_anchors(
+    anchors: list[Node],
+    normalized: HrefMemo,
+    link_filter: Optional[Callable[[str], bool]] = None,
+) -> list[str]:
+    """The admissible links of ``anchors`` (document order, first wins),
+    normalized through ``normalized``."""
     seen: set[str] = set()
     out: list[str] = []
     for a in anchors:
         href = a.get("href")
         if href is None:
             continue
-        normalized = normalize_url(href, base_url)
-        if not normalized or normalized in seen:
+        url = normalized[href]
+        if not url or url in seen:
             continue
-        seen.add(normalized)
-        if link_filter is None or link_filter(normalized):
-            out.append(normalized)
+        seen.add(url)
+        if link_filter is None or link_filter(url):
+            out.append(url)
     return out
