@@ -25,6 +25,12 @@ probe — then assigns global seqs to the accepted ranks and confirms with
 ``insert_batch``. Dedup of duplicate candidates *within* a batch is
 first-rank-wins, matching the serialized reference admission
 (queue_manager.py:46-57).
+
+In ``crawl()`` a non-empty wave costs each shard two calls: ``check_batch``
+(only shards that got candidates) and ``advance``, which inserts the
+admitted items, captures the wave-boundary snapshot and stats, and pops
+the next wave in that order. ``push_back`` follows only when the merged
+pops overflow the wave budget.
 """
 
 from __future__ import annotations
@@ -207,6 +213,23 @@ class FrontierShardLocal:
                 self.tokens[host] = min(max(1.0, self.burst if self.burst != math.inf else 1.0),
                                         self.tokens.get(host, 0.0) + 1.0)
         self.n_popped -= len(items)
+
+    @ray.method(num_returns=3)
+    def advance(
+        self, items: list[tuple[int, int, str, str, Optional[str], bytes]],
+        full: bool, wave: int, budget: int,
+    ) -> tuple[list[tuple[int, int, int, str, Optional[str]]], bytes, dict]:
+        """One wave boundary in one call: ``insert_batch(items)``, then
+        ``snapshot()`` when ``full`` else ``snapshot_delta()``, then
+        ``stats()``, then ``pop_batch(wave, budget)``. Returns (pops,
+        snapshot blob, stats) as three object refs, so the driver can wait
+        on the pops alone and hand the checkpoint parts to its IO thread.
+        An insert-contract violation raises before anything else runs, and
+        all three refs carry the error."""
+        self.insert_batch(items)
+        blob = self.snapshot() if full else self.snapshot_delta()
+        stats = self.stats()
+        return self.pop_batch(wave, budget), blob, stats
 
     def queue_size(self) -> int:
         return len(self.heap)

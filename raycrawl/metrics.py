@@ -4,11 +4,12 @@ The reference exposes module-global Prometheus counters/histograms
 (/root/reference/services/scraper/scraper.py:34-57 and the /metrics ASGI
 app, main.py:20-21). In the Ray engine, counters live where the state
 lives — on the frontier shards (offered/admitted/dup_hits/robots_blocked/
-popped, frontier.py stats()) and in the wave manifests — and the driver
-harvests them per wave. This module renders those harvested dicts in
-Prometheus text exposition format (a public, stable format) and computes
-the derived gauges the north_star names: pages/sec, frontier depth, dedup
-hit-rate.
+popped, frontier.py stats()), on the fetch workers (row groups decoded and
+reused, rows decoded, pages fetched; summed into the crawl stats' ``fetch``
+block) and in the wave manifests — and the driver harvests them. This
+module renders those harvested dicts in Prometheus text exposition format
+(a public, stable format) and computes the derived gauges the north_star
+names: pages/sec, frontier depth, dedup hit-rate.
 """
 
 from __future__ import annotations
@@ -59,6 +60,14 @@ def render_prometheus(crawl_stats: dict[str, Any],
              "links admitted by a shard", {"shard": sid})
         emit("shard_dup_hits_total", shard.get("dup_hits", 0),
              "duplicate links rejected by a shard", {"shard": sid})
+    fetch = crawl_stats.get("fetch", {})
+    for key, help_ in (
+            ("row_groups_decoded", "corpus row groups decoded by the fetch"),
+            ("row_groups_reused", "corpus row groups served from the "
+                                  "previous fetch call's decode"),
+            ("rows_decoded", "corpus rows decoded by the fetch"),
+            ("pages_fetched", "corpus rows the fetch returned")):
+        emit(f"fetch_{key}_total", fetch.get(key, 0), help_)
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,13 @@
-"""Unit tests for the frontier shard logic (actor-free FrontierShardLocal)."""
+"""Unit tests for the frontier shard logic (actor-free FrontierShardLocal),
+plus crawl()-level checks that the insert contract still surfaces."""
 
+import pickle
+
+import pytest
+import ray
+
+from raycrawl import pipeline
+from raycrawl.fixtures import cached_corpus
 from raycrawl.frontier import FrontierShardLocal
 from raycrawl.urlnorm import url_key
 
@@ -135,3 +143,78 @@ def test_insert_batch_rejects_double_admission():
     with pytest.raises(RuntimeError, match="admission contract"):
         s.insert_batch([(1, 0, u, "h.example", None, _k(u))])
     assert s.stats()["insert_dups"] == 1
+
+
+def _shard_with_queue(**kw):
+    s = FrontierShardLocal(0, respect_robots=False, **kw)
+    s.insert_batch([(i, i % 2, f"https://h{i % 3}.example/p{i}",
+                     f"h{i % 3}.example", None,
+                     _k(f"https://h{i % 3}.example/p{i}")) for i in range(12)])
+    return s
+
+
+def test_advance_equals_insert_snapshot_stats_pop():
+    """``advance`` = insert_batch, then snapshot (full) or snapshot_delta,
+    then stats, then pop_batch: same pops, blobs and stats, wave after
+    wave, budget 0 and throttled hosts included."""
+    kw = dict(politeness_rate=2.0, politeness_burst=2.0)
+    calls, one = _shard_with_queue(**kw), _shard_with_queue(**kw)
+    seq = 100
+    for wave, (full, budget, n_new) in enumerate(
+            [(True, 5, 3), (False, 0, 2), (False, 4, 0), (True, 0, 0),
+             (False, 3, 4), (False, 100, 1)]):
+        items = []
+        for _ in range(n_new):
+            u = f"https://h{seq % 3}.example/n{seq}"
+            items.append((seq, 1, u, f"h{seq % 3}.example", None, _k(u)))
+            seq += 1
+        calls.insert_batch(items)
+        blob = calls.snapshot() if full else calls.snapshot_delta()
+        stats = calls.stats()
+        pops = calls.pop_batch(wave, budget)
+        assert one.advance(items, full, wave, budget) == (pops, blob, stats)
+        assert len(pickle.loads(blob)["heap"]) == len(pops) + calls.queue_size()
+    assert one.stats() == calls.stats()
+    assert one.snapshot() == calls.snapshot()
+
+
+def test_advance_raises_on_double_admission():
+    s = FrontierShardLocal(0, respect_robots=False)
+    u = "https://h.example/dup"
+    item = (0, 0, u, "h.example", None, _k(u))
+    pops, _, _ = s.advance([item], True, 0, 5)
+    assert [p[3] for p in pops] == [u]
+    with pytest.raises(RuntimeError, match="admission contract"):
+        s.advance([item], False, 1, 5)
+
+
+def _crawl_with_admit_all_shards(monkeypatch, tmp_path, **cfg_kw):
+    """A crawl whose shards admit every candidate, so a page linking to an
+    already seen url is inserted twice: a planted driver-side double
+    admission."""
+    class AdmitAll(FrontierShardLocal):
+        def check_batch(self, cands):
+            return [(rank, True) for rank, *_ in cands]
+
+    monkeypatch.setattr(pipeline, "FrontierShard", ray.remote(AdmitAll))
+    monkeypatch.setattr(pipeline, "_SHARD_POOL", [])
+    corpus = cached_corpus("feature", n_hosts=2, pages_per_host=24)
+    cfg = pipeline.CrawlConfig(
+        seed_url="https://h0.example/d0/p0.html", max_depth=3, max_pages=50,
+        exclude_patterns=[r"/skip/", r"\.(jpg|png)$"], num_shards=2,
+        out_dir=str(tmp_path / "out"), **cfg_kw)
+    return pipeline.crawl(corpus, cfg)
+
+
+def test_crawl_surfaces_double_admission(monkeypatch, tmp_path):
+    """Wave 1's pages link back to the seed; the next wave's pops carry
+    the insert error to the driver."""
+    with pytest.raises(RuntimeError, match="admission contract"):
+        _crawl_with_admit_all_shards(monkeypatch, tmp_path)
+
+
+def test_crawl_surfaces_double_admission_on_last_wave(monkeypatch, tmp_path):
+    """With two waves allowed, no pops follow wave 1: only the IO thread
+    reads that wave's refs, and the error still leaves crawl()."""
+    with pytest.raises(RuntimeError, match="admission contract"):
+        _crawl_with_admit_all_shards(monkeypatch, tmp_path, max_waves=2)
