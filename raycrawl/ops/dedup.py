@@ -13,18 +13,21 @@ survivors. Every wide step is one ``agg.exchange``: it materializes the
 keyed table, reads its measured size, and runs the kernel once on the
 driver at or below ``agg._DRIVER_BYTES``, else once per coarse hash
 partition (one per ``agg._PART_BYTES``). The kernel is the same function
-under both placements. Pairs that several blocks emit (a pair sharing
-many LSH bands, prefix grams or deletion variants) are made distinct by
-``_distinct_pairs``, the same rule over the pair table. Joins against
-the documents (the incremental semi-join, the verify join, the index
-probe) are two-input exchanges. Verification and survivor selection
-keep two algorithms each (broadcast/join, union-find/label
-propagation), chosen from the size they measure.
+under both placements. The candidate generators that pair the rows of
+a block (MinHash bands, AllPairs and containment prefix grams, the index
+probe, SimHash bands, deletion variants) share one kernel,
+``_block_pairs``, with a vectorized ``keep`` per method. Pairs that
+several blocks emit (a pair sharing many LSH bands, prefix grams or
+deletion variants) are made distinct by ``_distinct_pairs``, the same
+rule over the pair table. Joins against the documents (the incremental
+semi-join, the verify join) are two-input exchanges. Verification and
+survivor selection keep two algorithms each (broadcast/join,
+union-find/label propagation), chosen from the size they measure.
 
 - exact dedup = content hash + per-batch min partial → ``exchange`` by hash;
 - MinHash-LSH = vectorized per-batch signatures → (band, band_hash,
-  doc_id) rows → ``exchange`` by (band, band_hash) → verify only candidate
-  texts;
+  doc_id) rows → ``_block_pairs`` by (band, band_hash) → verify only
+  candidate texts;
 - SimHash emits one 64-bit fingerprint per doc; banding the 64 bits into k
   chunks gives the same LSH-shaped grouping for hamming-distance near-dups;
 - embedding near-dup broadcasts a normalized matrix up to
@@ -108,6 +111,82 @@ def _distinct_pairs(pairs, keys=("id_a", "id_b")):
     return exchange([pairs], [keys], distinct)
 
 
+# pairs built per step of the pair kernel, so the gathered payload arrays
+# stay near this size (a block with more pairs still goes in one step)
+_PAIR_CHUNK = 1 << 20
+
+
+def _block_pairs(inputs, block_keys, id_col, payload=(), keep=None):
+    """Every pair of rows sharing ``block_keys``, as one ``exchange``:
+    the only place where a block of K rows becomes its K² pairs. One
+    input (self mode) gives the pairs i < j of each block in id order,
+    so id_a < id_b; two inputs with the same columns (cross mode) give
+    each row of the first × each row of the second, id_a from the first.
+
+    The kernel drops blocks that cannot pair, sorts the rest by (block,
+    side, id) and builds the index pairs from the block offsets with one
+    ``np.repeat`` / ``cumsum`` pass, whole blocks of about
+    ``_PAIR_CHUNK`` pairs at a time. ``keep(a, b)`` gets the paired
+    ``id_col`` and ``payload`` columns as two dicts of arrays and returns
+    ``(mask or True, extra columns)``; an extra ``id_a`` / ``id_b``
+    replaces those ids. Returns (id_a, id_b, *extra) rows, distinct on
+    (id_a, id_b) within a kernel call; across calls that is left to the
+    caller's ``_distinct_pairs`` or pair-keyed verify."""
+    block_keys, cols = list(block_keys), [id_col, *payload]
+    cross = len(inputs) == 2
+
+    def block_pairs(*frames: pd.DataFrame) -> pd.DataFrame:
+        g = pd.concat([f[block_keys + cols] for f in frames],
+                      ignore_index=True) if cross else frames[0]
+        side = np.repeat(np.arange(len(frames)), [len(f) for f in frames])
+        grp = g.groupby(block_keys, sort=False, dropna=False)
+        code = grp.ngroup().to_numpy(np.int64)
+        # rows per (block, side), and the pairs each block makes
+        per = np.bincount(code * len(frames) + side, minlength=grp.ngroups
+                          * len(frames)).reshape(-1, len(frames))
+        npairs = per[:, 0] * per[:, 1] if cross \
+            else per[:, 0] * (per[:, 0] - 1) // 2
+        ids = g[id_col].to_numpy().astype(np.int64, copy=False)
+        sel = np.flatnonzero(npairs[code] > 0)
+        order = sel[np.lexsort((ids[sel], side[sel], code[sel]))]
+        code, m = code[order], len(order)
+        starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+        lens = np.diff(np.r_[starts, m])
+        row = np.arange(m)
+        at = row - np.repeat(starts, lens)  # position within the block
+        # row i pairs with the cnt[i] rows from first[i] on
+        if cross:  # side a rows come first in their block
+            ka, kb = per[code, 0], per[code, 1]
+            cnt, first = np.where(at < ka, kb, 0), row - at + ka
+        else:
+            cnt, first = np.repeat(lens, lens) - 1 - at, row + 1
+        cum = np.r_[0, np.cumsum(cnt)]  # pairs before each row
+        chunk = cum[starts] // _PAIR_CHUNK
+        cuts = np.r_[starts[np.r_[True, chunk[1:] != chunk[:-1]]], m]
+        srt = {c: (ids if c == id_col else g[c].to_numpy())[order]
+               for c in cols}
+        outs = []
+        for r0, r1 in zip(cuts[:-1], cuts[1:]):
+            a = np.repeat(row[r0:r1], cnt[r0:r1])
+            b = np.repeat(first[r0:r1] - cum[r0:r1], cnt[r0:r1]) \
+                + np.arange(cum[r0], cum[r1])
+            sa = {c: v[a] for c, v in srt.items()}
+            sb = {c: v[b] for c, v in srt.items()}
+            out = {"id_a": sa[id_col], "id_b": sb[id_col]}
+            mask = np.ones(len(a), bool) if cross \
+                else out["id_a"] != out["id_b"]
+            if keep is not None:
+                kept, extra = keep(sa, sb)
+                mask &= kept
+                out.update(extra)
+            outs.append(pd.DataFrame({c: v[mask] for c, v in out.items()})
+                        .drop_duplicates(["id_a", "id_b"]))
+        return outs[0] if len(outs) == 1 else pd.concat(
+            outs, ignore_index=True).drop_duplicates(["id_a", "id_b"])
+
+    return exchange(list(inputs), [block_keys] * len(inputs), block_pairs)
+
+
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
@@ -124,9 +203,12 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
     content hash. A per-batch partial min collapses duplicate keys before
     ``exchange``, so the keyed table is (hash, id) partials, never texts."""
     def partial(b: pa.Table) -> pa.Table:
-        df = add_text_hash(b, text_col).select(["text_hash", id_col]) \
-            .to_pandas().groupby("text_hash", as_index=False)[id_col].min()
-        return pa.Table.from_pandas(df, preserve_index=False)
+        # an Arrow group-by keeps no pandas schema metadata, which
+        # pyarrow cannot hash when Ray unifies block schemas
+        t = add_text_hash(b, text_col).group_by("text_hash").aggregate(
+            [(id_col, "min")])
+        return pa.table({"text_hash": t.column("text_hash"),
+                         id_col: t.column(f"{id_col}_min")})
 
     def min_id(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("text_hash", as_index=False)[id_col].min() \
@@ -216,30 +298,19 @@ def minhash_candidates(ds, num_hashes: int = 128, bands: int = 32,
     """Candidate pairs (id_a < id_b) sharing ≥1 LSH band bucket.
 
     Signature computation (the heavy part) is always distributed; only
-    (band, band_hash, id) triples reach ``exchange``, keyed by the bucket,
-    and the pairs several bands emit are made distinct. Skew note: a
-    bucket of K near-identical docs makes K² merge rows — run exact_dedup
-    first (as pipeline_quality_dedup does) so exact duplicates never
-    reach the LSH stage."""
+    (band, band_hash, id) triples reach ``_block_pairs``, keyed by the
+    bucket, and the pairs several bands emit are made distinct. Skew
+    note: K near-identical docs share every band, so they make K²/2 pair
+    rows per band, K²·bands/2 before the distinct step (63,968,000 rows
+    for 2,000 identical docs at 32 bands) — run exact_dedup first (as
+    pipeline_quality_dedup does) so exact duplicates never reach the LSH
+    stage. Splitting such hot blocks is not done yet."""
     exploded = ds.map_batches(
         MinHashStage, batch_format="pyarrow", concurrency=concurrency,
         fn_constructor_kwargs=dict(num_hashes=num_hashes, bands=bands,
                                    ngram=ngram, id_col=id_col, text_col=text_col))
-    a, b = f"{id_col}_a", f"{id_col}_b"
-
-    def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # only buckets with ≥2 members can produce pairs — the duplicated
-        # mask drops the singleton majority, then one self-merge builds
-        # all within-bucket pairs vectorized
-        dup = g[g.duplicated(["band", "band_hash"], keep=False)]
-        m = dup.merge(dup, on=["band", "band_hash"], suffixes=("_a", "_b"))
-        m = m[m[a] < m[b]]
-        return (pd.DataFrame({"id_a": m[a].astype("int64"),
-                              "id_b": m[b].astype("int64")})
-                .drop_duplicates())
-
-    return _distinct_pairs(exchange([exploded], [["band", "band_hash"]],
-                                    band_pairs))
+    return _distinct_pairs(_block_pairs([exploded], ["band", "band_hash"],
+                                        id_col))
 
 
 def jaccard(text_a: str, text_b: str, n: int = 3) -> float:
@@ -499,38 +570,43 @@ class PrefixStage:
                 + self.hot_ranks[idx[mask]]
         return order
 
+    roles = False  # ContainmentExplodeStage: also the full list, by role
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
         texts = batch.column(self.text_col).to_pylist()
-        out_grams, out_ids, out_sizes = [], [], []
+        out: "list[tuple[np.ndarray, int, int, int]]" = []
         t = self.threshold
         for doc_id, text in zip(ids, texts):
             grams = _shingle_hashes_fast(text or "", self.ngram)
             s = len(grams)
             if s == 0:
-                # empty sets are mutual duplicates (jaccard()=1.0) — a
-                # sentinel gram makes them each other's candidates
-                out_grams.append(np.zeros(1, dtype=np.uint64))
-                out_ids.append(np.full(1, doc_id, dtype=np.int64))
-                out_sizes.append(np.zeros(1, dtype=np.int32))
-                continue
-            # eps slack only ever LENGTHENS the prefix (safe direction)
-            p = min(s, s - int(np.ceil(t * s - 1e-9)) + 1)
-            order = self._order_keys(grams)
-            pref = grams[np.argpartition(order, p - 1)[:p]] if p < s \
-                else grams
-            out_grams.append(pref)
-            out_ids.append(np.full(p, doc_id, dtype=np.int64))
-            out_sizes.append(np.full(p, s, dtype=np.int32))
-        if not out_grams:
-            return pa.table({"gram": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "size": pa.array([], pa.int32())})
-        return pa.table({
-            "gram": pa.array(np.concatenate(out_grams).view(np.int64)),
-            "doc_id": pa.array(np.concatenate(out_ids)),
-            "size": pa.array(np.concatenate(out_sizes)),
-        })
+                # empty sets are mutual duplicates (jaccard() and
+                # containment() = 1.0): a sentinel gram makes them each
+                # other's candidates
+                pref = grams = np.zeros(1, dtype=np.uint64)
+            else:
+                # eps slack only ever LENGTHENS the prefix (safe direction)
+                p = min(s, s - int(np.ceil(t * s - 1e-9)) + 1)
+                pref = grams[np.argpartition(self._order_keys(grams),
+                                             p - 1)[:p]] if p < s else grams
+            if self.roles:
+                out.append((grams, doc_id, s, 0))
+            out.append((pref, doc_id, s, 1))
+        lens = np.array([len(g) for g, *_ in out], dtype=np.int64)
+        cols = {
+            "gram": pa.array(np.concatenate(
+                [g for g, *_ in out] or [np.empty(0, np.uint64)])
+                .view(np.int64)),
+            "doc_id": pa.array(np.repeat(np.array(
+                [r[1] for r in out], dtype=np.int64), lens)),
+            "size": pa.array(np.repeat(np.array(
+                [r[2] for r in out], dtype=np.int32), lens)),
+        }
+        if self.roles:
+            cols["role"] = pa.array(np.repeat(np.array(
+                [r[3] for r in out], dtype=np.int8), lens))
+        return pa.table(cols)
 
 
 _HOT_SAMPLE_DOCS = 2000  # corpus prefix the hot-gram DF table samples
@@ -593,24 +669,18 @@ def allpairs_jaccard_candidates(ds, threshold: float = 0.5, ngram: int = 3,
     probabilistic with tunable cost; this one is exact at any threshold.
 
     Shape mirrors ``minhash_candidates``: 16-byte (gram, id, size) prefix
-    rows — never texts — go through ``exchange`` keyed by gram; the kernel
-    is one vectorized self-merge with the Jaccard length filter
-    (|small| ≥ t·|large|) applied before emission, and the pairs several
-    grams emit are made distinct."""
-    def gram_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        dup = g[g.duplicated("gram", keep=False)]
-        m = dup.merge(dup, on="gram", suffixes=("_a", "_b"))
-        m = m[m["doc_id_a"] < m["doc_id_b"]]
-        lo = np.minimum(m["size_a"].to_numpy(), m["size_b"].to_numpy())
-        hi = np.maximum(m["size_a"].to_numpy(), m["size_b"].to_numpy())
-        m = m[lo >= threshold * hi - 1e-9]
-        return (pd.DataFrame({"id_a": m["doc_id_a"].astype("int64"),
-                              "id_b": m["doc_id_b"].astype("int64")})
-                .drop_duplicates())
+    rows — never texts — go through ``_block_pairs`` keyed by gram with
+    the Jaccard length filter (|small| ≥ t·|large|) as its ``keep``, and
+    the pairs several grams emit are made distinct."""
+    def length_filter(a: dict, b: dict):
+        lo = np.minimum(a["size"], b["size"])
+        hi = np.maximum(a["size"], b["size"])
+        return lo >= threshold * hi - 1e-9, {}
 
     exploded = _prefix_grams(ds, PrefixStage, threshold, ngram, id_col,
                              text_col, concurrency)
-    return _distinct_pairs(exchange([exploded], ["gram"], gram_pairs))
+    return _distinct_pairs(_block_pairs([exploded], ["gram"], "doc_id",
+                                        ["size"], length_filter))
 
 
 def allpairs_jaccard_pairs(ds, threshold: float = 0.5, ngram: int = 3,
@@ -711,11 +781,16 @@ def simhash_fingerprints(ds, id_col: str = "doc_id", text_col: str = "text"):
 def simhash_near_pairs(ds, max_hamming: int = 3, id_col: str = "doc_id",
                        text_col: str = "text"):
     """Near-dup pairs by SimHash banding: the 64 bits split into
-    ``max_hamming + 1`` bands (≤16), so by pigeonhole any pair within the
-    hamming budget shares ≥1 exact band and is generated as a candidate by
-    the groupby; exact hamming verifies candidates."""
+    ``max_hamming + 1`` disjoint bands, so by pigeonhole any pair within
+    the hamming budget agrees on ≥1 whole band and is paired by
+    ``_block_pairs`` on (band, band key); the exact XOR popcount keeps
+    the pairs within the budget. ``max_hamming`` must be in 0..15 (at
+    most 16 bands of ≥4 bits; ``ValueError`` otherwise, raised before
+    any work): a wider budget would need bands too narrow to block."""
+    if not 0 <= max_hamming <= 15:
+        raise ValueError(f"max_hamming must be in 0..15, got {max_hamming}")
     fps = simhash_fingerprints(ds, id_col, text_col)
-    n_bands = min(16, max_hamming + 1)
+    n_bands = max_hamming + 1
     width = 64 // n_bands
     mask = np.uint64((1 << width) - 1)
 
@@ -732,30 +807,17 @@ def simhash_near_pairs(ds, max_hamming: int = 3, id_col: str = "doc_id",
                          "band_key": pa.array(keys.view(np.int64)),
                          "simhash": pa.array(np.repeat(sh, n_bands))})
 
-    def band_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g.duplicated(["band", "band_key"], keep=False)]
-        frames = [pd.DataFrame({c: pd.Series([], dtype="int64")
-                                for c in ("id_a", "id_b", "hamming")})]
-        for _, grp in g.groupby(["band", "band_key"], sort=False):
-            order = np.argsort(grp[id_col].to_numpy())
-            ids = grp[id_col].to_numpy()[order].astype(np.int64)
-            sh = grp["simhash"].to_numpy()[order].astype(np.int64) \
-                .view(np.uint64)
-            ia, ib = np.triu_indices(len(ids), k=1)
-            x = sh[ia] ^ sh[ib]
-            ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8),
-                                axis=1).sum(axis=1)
-            keep = ham <= max_hamming
-            frames.append(pd.DataFrame({"id_a": ids[ia[keep]],
-                                        "id_b": ids[ib[keep]],
-                                        "hamming": ham[keep].astype("int64")}))
-        return pd.concat(frames, ignore_index=True)
+    def within_budget(a: dict, b: dict):
+        x = a["simhash"].view(np.uint64) ^ b["simhash"].view(np.uint64)
+        ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1) \
+            .sum(axis=1, dtype=np.int64)
+        return ham <= max_hamming, {"hamming": ham}
 
     # a pair sharing several bands is emitted once per band; its hamming
     # distance is the same every time
-    return _distinct_pairs(exchange(
+    return _distinct_pairs(_block_pairs(
         [fps.map_batches(explode, batch_format="pyarrow")],
-        [["band", "band_key"]], band_pairs))
+        ["band", "band_key"], id_col, ["simhash"], within_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +846,11 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     instead."""
     import ray
 
-    table = ds.select_columns([id_col, vec_col]).materialize()
+    # no pandas schema metadata (a parquet written from pandas has it):
+    # pyarrow cannot hash it when Ray joins blocks into scan's batches
+    table = ds.select_columns([id_col, vec_col]).map_batches(
+        pa.Table.replace_schema_metadata, batch_format="pyarrow",
+        batch_size=None).materialize()
     if table.count() > _EMBEDDING_EXACT_ROWS:
         return embedding_dup_pairs_lsh(table, threshold=threshold,
                                        id_col=id_col, vec_col=vec_col)
@@ -792,19 +858,19 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     ids = all_tbl[id_col].to_numpy()
     ref = ray.put((ids, _matrix(all_tbl[vec_col])))
 
-    def scan(batch: pd.DataFrame) -> pd.DataFrame:
+    def scan(batch: pa.Table) -> pa.Table:
         all_ids, all_mat = ray.get(ref)
-        sims = _matrix(batch[vec_col]) @ all_mat.T
-        qids = batch[id_col].to_numpy()
+        sims = _matrix(batch.column(vec_col).to_numpy(
+            zero_copy_only=False)) @ all_mat.T
+        qids = batch.column(id_col).to_numpy()
         # emit each pair once (a < b): one boolean mask, no row loop
         mask = (sims >= threshold) & (all_ids[None, :] > qids[:, None])
         r, c = np.nonzero(mask)
-        return pd.DataFrame({"id_a": pd.Series(qids[r], dtype="int64"),
-                             "id_b": pd.Series(all_ids[c], dtype="int64"),
-                             "cosine_sim": pd.Series(sims[r, c],
-                                                     dtype="float64")})
+        return pa.table({"id_a": pa.array(qids[r], pa.int64()),
+                         "id_b": pa.array(all_ids[c], pa.int64()),
+                         "cosine_sim": pa.array(sims[r, c], pa.float64())})
 
-    return table.map_batches(scan, batch_format="pandas", batch_size=256)
+    return table.map_batches(scan, batch_format="pyarrow", batch_size=256)
 
 
 def _hyperplanes(seed: int, num_bits: int, dim: int) -> np.ndarray:
@@ -835,7 +901,14 @@ def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
 
     Keyed table: each vector is shipped ``bands`` times (the standard LSH
     banding trade, same as the MinHash index) into ``exchange`` keyed by
-    band key; a pair colliding in several bands is made distinct."""
+    band key; a pair colliding in several bands is made distinct.
+
+    Unlike the other pair generators this one does not use
+    ``_block_pairs``: it scores each bucket with one ``mat @ mat.T``. At
+    the embedding_lsh probe's shape (151.5k 64-dim vectors, 16 bands ×
+    8-bit keys) the buckets hold 868,683,796 within-bucket pairs and the
+    largest one 1,965 vectors — BLAS handles that a bucket at a time,
+    where gathering both vectors per pair would move ~1 KB per pair."""
     rows = num_bits // bands
     if rows * bands != num_bits:
         raise ValueError("num_bits must be divisible by bands")
@@ -1153,8 +1226,8 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
     """New-shard near-dup probe against a staged corpus index: band keys
     for the new docs → read ONLY the index buckets those keys occupy
     (hive-partition pruning), keeping only rows whose key the probe has →
-    the probe's (key, new id) rows and those (key, corpus id) rows meet
-    in one ``exchange`` keyed by band key → distinct (id_a=new,
+    the probe's (key, new id) rows × those (key, corpus id) rows in one
+    cross-mode ``_block_pairs`` keyed by band key → distinct (id_a=new,
     id_b=corpus) candidates → exact n-gram-Jaccard verify over the union
     (ids must be disjoint across the two sides). MinHash parameters MUST
     match the build's. Returns (id_a, id_b, jaccard_sim ≥ threshold).
@@ -1183,7 +1256,7 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
         fn_constructor_kwargs=dict(num_hashes=num_hashes, bands=bands,
                                    ngram=ngram, id_col=id_col,
                                    text_col=text_col),
-        concurrency=2).map_batches(keyize, batch_format="pandas") \
+        concurrency=(1, 4)).map_batches(keyize, batch_format="pandas") \
         .materialize()
 
     # the probe's keys are O(shard): their buckets prune the index files
@@ -1214,13 +1287,7 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
     idx = rd.read_parquet(files, columns=["key", "corpus_id"]).map_batches(
         corpus_side, batch_format="pyarrow", batch_size=None)
 
-    def key_pairs(new: pd.DataFrame, old: pd.DataFrame) -> pd.DataFrame:
-        m = new.merge(old, on="key", suffixes=("_a", "_b"))
-        return (pd.DataFrame({"id_a": m["id_a"].astype("int64"),
-                              "id_b": m["id_b"].astype("int64")})
-                .drop_duplicates())
-
-    cand = _distinct_pairs(exchange([probe, idx], ["key", "key"], key_pairs))
+    cand = _distinct_pairs(_block_pairs([probe, idx], ["key"], "id"))
     union = corpus_ds.select_columns([id_col, text_col]).union(
         new_ds.select_columns([id_col, text_col]))
     return verify_jaccard_pairs(union, cand, threshold, ngram=ngram,
@@ -1308,13 +1375,12 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
     not fixture luck.
 
     Scale shape: variants explode each doc into ≤ O(key_len^k) short
-    strings (k=1 → key_len+1) that go through ``exchange`` keyed by the
-    variant string; the kernel is a vectorized sorted-run scan — rows
-    whose variant is unshared (almost all of them) are dropped by one
-    bincount mask, so cost is O(rows) + O(actual candidate pairs), not
-    O(distinct variants) pandas group dispatches. The pair-combine +
-    verify is a second ``exchange`` of (doc_a, doc_b, key_a, key_b) rows
-    keyed by the pair — document bodies never move. Exact-equal keys pair
+    strings (k=1 → key_len+1) that go through ``_block_pairs`` keyed by
+    the variant string — rows whose variant is unshared (almost all of
+    them) are dropped before any pair is built, so cost is O(rows) +
+    O(actual candidate pairs). The pair-combine + verify is a second
+    ``exchange`` of (id_a, id_b, key_a, key_b) rows keyed by the pair —
+    document bodies never move. Exact-equal keys pair
     quadratically (they are all true d=0 results); corpora with huge
     exact-dup groups should run :func:`exact_dedup` first."""
     def keyed(batch: pa.Table) -> pa.Table:
@@ -1332,52 +1398,21 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
                          "v": pa.array(out_v, type=pa.string())})
 
     variants = ds.map_batches(keyed, batch_format="pyarrow")
-
-    _empty_cand = pd.DataFrame({
-        "doc_a": pd.Series(dtype="int64"),
-        "doc_b": pd.Series(dtype="int64"),
-        "key_a": pd.Series(dtype="object"),
-        "key_b": pd.Series(dtype="object")})
-
-    def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["v", id_col], kind="mergesort")
-        v = g["v"].to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        if len(g) > 1:
-            new[1:] = v[1:] != v[:-1]
-        run_id = np.cumsum(new) - 1
-        counts = np.bincount(run_id)
-        shared = counts[run_id] >= 2
-        if not shared.any():
-            return _empty_cand
-        ids = g[id_col].to_numpy(np.int64)[shared]
-        keys = g["key"].to_numpy()[shared]
-        rid = run_id[shared]
-        starts = np.flatnonzero(
-            np.concatenate(([True], rid[1:] != rid[:-1])))
-        ends = np.append(starts[1:], len(rid))
-        frames = []
-        for s, e in zip(starts, ends):
-            ia, ib = np.triu_indices(e - s, k=1)
-            frames.append(pd.DataFrame({
-                "doc_a": ids[s + ia], "doc_b": ids[s + ib],
-                "key_a": keys[s + ia], "key_b": keys[s + ib]}))
-        return (pd.concat(frames, ignore_index=True)
-                .drop_duplicates(["doc_a", "doc_b"]))
-
-    cand = exchange([variants], ["v"], pairs_part)
+    cand = _block_pairs([variants], ["v"], id_col, ["key"],
+                        lambda a, b: (True, {"key_a": a["key"],
+                                             "key_b": b["key"]}))
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["doc_a", "doc_b"])
+        g = g.drop_duplicates(["id_a", "id_b"])
         dist = _batch_edit_distance(list(g["key_a"]), list(g["key_b"]),
                                     key_len)
         keep = dist <= k
         return pd.DataFrame({
-            "doc_a": g["doc_a"].to_numpy(np.int64)[keep],
-            "doc_b": g["doc_b"].to_numpy(np.int64)[keep],
+            "doc_a": g["id_a"].to_numpy(np.int64)[keep],
+            "doc_b": g["id_b"].to_numpy(np.int64)[keep],
             "dist": dist[keep]})
 
-    return exchange([cand], [["doc_a", "doc_b"]], verify)
+    return exchange([cand], [["id_a", "id_b"]], verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1391,45 +1426,7 @@ class ContainmentExplodeStage(PrefixStage):
     role 1 (the query side). Reuses ``PrefixStage``'s hot-gram total
     order; shingles each text exactly once."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:  # noqa: D102
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        texts = batch.column(self.text_col).to_pylist()
-        out_grams, out_ids, out_sizes, out_roles = [], [], [], []
-        t = self.threshold
-        for doc_id, text in zip(ids, texts):
-            grams = _shingle_hashes_fast(text or "", self.ngram)
-            s = len(grams)
-            if s == 0:
-                # empty docs: sentinel gram in both roles (mutual
-                # containment 1.0 — jaccard()/containment() convention)
-                for role in (0, 1):
-                    out_grams.append(np.zeros(1, dtype=np.uint64))
-                    out_ids.append(np.full(1, doc_id, dtype=np.int64))
-                    out_sizes.append(np.zeros(1, dtype=np.int32))
-                    out_roles.append(np.full(1, role, dtype=np.int8))
-                continue
-            p = min(s, s - int(np.ceil(t * s - 1e-9)) + 1)
-            order = self._order_keys(grams)
-            pref = grams[np.argpartition(order, p - 1)[:p]] if p < s \
-                else grams
-            out_grams.extend([grams, pref])
-            out_ids.extend([np.full(s, doc_id, dtype=np.int64),
-                            np.full(p, doc_id, dtype=np.int64)])
-            out_sizes.extend([np.full(s, s, dtype=np.int32),
-                              np.full(p, s, dtype=np.int32)])
-            out_roles.extend([np.zeros(s, dtype=np.int8),
-                              np.ones(p, dtype=np.int8)])
-        if not out_grams:
-            return pa.table({"gram": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.int64()),
-                             "size": pa.array([], pa.int32()),
-                             "role": pa.array([], pa.int8())})
-        return pa.table({
-            "gram": pa.array(np.concatenate(out_grams).view(np.int64)),
-            "doc_id": pa.array(np.concatenate(out_ids)),
-            "size": pa.array(np.concatenate(out_sizes)),
-            "role": pa.array(np.concatenate(out_roles)),
-        })
+    roles = True
 
 
 def containment_pairs(ds, threshold: float = 0.8, ngram: int = 3,
@@ -1450,31 +1447,31 @@ def containment_pairs(ds, threshold: float = 0.8, ngram: int = 3,
     per gram yields a guaranteed-complete candidate superset, exactly
     verified afterward — no recall contract, same as the AllPairs path.
 
-    Shape: 16-byte (gram, id, size, role) rows through ``exchange`` keyed
-    by gram, a vectorized per-call merge, distinct pairs, then
-    :func:`verify_jaccard_pairs` with metric='containment'. Both roles
-    come out of ONE actor-pool pass (shingle once, emit full list +
-    prefix flag) — a second pool would both re-shingle the corpus and,
-    at small CPU counts, hold enough reserved actor CPUs to starve the
-    downstream shuffle. Full-role rows of boilerplate grams meet few
-    prefix rows (hot grams order to the END of every prefix), so
-    candidate volume stays near the true-pair count on template-heavy
-    web text."""
-    def gram_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        dup = g[g.duplicated("gram", keep=False)]
-        m = dup[dup["role"] == 1].merge(dup[dup["role"] == 0], on="gram",
-                                        suffixes=("_q", "_x"))
-        m = m[(m["size_q"] <= m["size_x"])
-              & (m["doc_id_q"] != m["doc_id_x"])]
-        a = m["doc_id_q"].to_numpy(np.int64)
-        b = m["doc_id_x"].to_numpy(np.int64)
-        return (pd.DataFrame({"id_a": np.minimum(a, b),
-                              "id_b": np.maximum(a, b)})
-                .drop_duplicates())
+    Shape: 16-byte (gram, id, size, role) rows, split by role into the
+    prefix (query) and full sides of a cross-mode ``_block_pairs`` keyed
+    by gram, distinct pairs, then :func:`verify_jaccard_pairs` with
+    metric='containment'. Both roles come out of ONE actor-pool pass
+    (shingle once, emit full list + prefix rows), materialized before the
+    split — a second pool would both re-shingle the corpus and, at small
+    CPU counts, hold enough reserved actor CPUs to starve the downstream
+    shuffle. Full-role rows of boilerplate grams meet few prefix rows
+    (hot grams order to the END of every prefix), so candidate volume
+    stays near the true-pair count on template-heavy web text."""
+    def role_rows(b: pa.Table, role: int) -> pa.Table:
+        return b.filter(pc.equal(b.column("role"), role)).drop_columns("role")
+
+    def size_filter(q: dict, x: dict):
+        a, b = q["doc_id"], x["doc_id"]
+        return ((q["size"] <= x["size"]) & (a != b),
+                {"id_a": np.minimum(a, b), "id_b": np.maximum(a, b)})
 
     exploded = _prefix_grams(ds, ContainmentExplodeStage, threshold, ngram,
-                             id_col, text_col, concurrency)
-    cand = _distinct_pairs(exchange([exploded], ["gram"], gram_pairs))
+                             id_col, text_col, concurrency).materialize()
+    sides = [exploded.map_batches(role_rows, fn_args=(role,),
+                                  batch_format="pyarrow", batch_size=None)
+             for role in (1, 0)]
+    cand = _distinct_pairs(_block_pairs(sides, ["gram"], "doc_id", ["size"],
+                                        size_filter))
     return verify_jaccard_pairs(ds, cand, threshold=threshold,
                                 ngram=ngram, id_col=id_col,
                                 text_col=text_col, metric="containment")

@@ -388,6 +388,149 @@ def test_dedup_ops_without_duplicates():
         assert len(df) == 0 or df.filter(like="dup").sum().sum() == 0
 
 
+@pytest.mark.parametrize("placement", ["driver", "shuffle"])
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_block_pairs_matches_bruteforce(chunk, placement, monkeypatch,
+                                        exchange_placement):
+    """``_block_pairs`` in self and cross mode equals the brute-force
+    pairs of each block, with a ``keep`` that filters and adds a column,
+    whether the blocks are paired in one step or a few pairs at a time
+    (``_PAIR_CHUNK``), under both exchange placements."""
+    import itertools
+
+    from raycrawl.ops import dedup as dd
+
+    exchange_placement(placement)
+    if chunk is not None:
+        monkeypatch.setattr(dd, "_PAIR_CHUNK", chunk)
+    # every doc has a row in band 0 and in band 1, so a pair that
+    # shares both blocks is emitted twice and must come out once
+    rng = np.random.RandomState(4)
+    n = 60
+    ids = np.tile(rng.permutation(n), 2).astype("int64")
+    left = pd.DataFrame({"b": np.repeat([0, 1], n).astype("int32"),
+                         "k": [f"k{v}" for v in rng.randint(0, 3, 2 * n)],
+                         "id": ids, "w": ids * 7 % 50})
+    right = left.assign(id=ids + 1000, w=(ids + 1000) * 7 % 50)[::2]
+    # a doc listed twice in one block never pairs with itself
+    left = pd.concat([left, left[:1]], ignore_index=True)
+
+    def heavy(a, b):
+        s = a["w"] + b["w"]
+        return s >= 40, {"s": s}
+
+    def brute(rows_a, rows_b, pairs_of):
+        out = set()
+        for key, ga in rows_a.groupby(["b", "k"]):
+            gb = rows_b[(rows_b["b"] == key[0]) & (rows_b["k"] == key[1])]
+            for x, y in pairs_of(ga, gb):
+                if x.w + y.w >= 40:
+                    out.add((x.id, y.id, x.w + y.w))
+        return out
+
+    def self_pairs(ga, gb):
+        rows = sorted(ga.itertuples(), key=lambda r: r.id)
+        return [(x, y) for x, y in itertools.combinations(rows, 2)
+                if x.id != y.id]
+
+    def cross_pairs(ga, gb):
+        return itertools.product(ga.itertuples(), gb.itertuples())
+
+    for inputs, pairs_of in (([left], self_pairs),
+                             ([left, right], cross_pairs)):
+        got = dd._block_pairs([rd.from_pandas(f) for f in inputs],
+                              ["b", "k"], "id", ["w"], heavy).to_pandas()
+        want = brute(inputs[0], inputs[-1], pairs_of)
+        assert list(got.columns) == ["id_a", "id_b", "s"]
+        assert len(want) > 0
+        rows = sorted(map(tuple, got.to_numpy()))
+        # pairs are distinct within a kernel call: on the driver (one
+        # call) that is every pair once, on partitions the blocks of a
+        # pair may fall in several calls
+        assert (rows if placement == "driver" else sorted(set(rows))) \
+            == sorted(want)
+
+
+_SKEW_CHILD = """
+import resource, sys
+import numpy as np, pandas as pd
+import ray, ray.data as rd
+from raycrawl.ops import agg
+from raycrawl.ops.dedup import _block_pairs
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR", object_store_memory=300 << 20)
+rd.DataContext.get_current().enable_progress_bars = False
+hot, singles = 2_000, 20_000
+rows = pd.DataFrame({
+    "band": np.zeros(hot + singles, np.int32),
+    "band_hash": np.r_[np.zeros(hot, np.int64), 1 + np.arange(singles)],
+    "doc_id": np.arange(hot + singles, dtype=np.int64)})
+# the exchange_placement fixture's two settings, at most 8 partitions
+agg._DRIVER_BYTES = 1 << 62 if sys.argv[1] == "driver" else -1
+agg._PART_BYTES, agg._MAX_PARTS = 1024, 8
+with agg.placement_log() as log:
+    out = _block_pairs([rd.from_pandas(rows)], ["band", "band_hash"],
+                       "doc_id").to_pandas()
+assert [r["placement"] for r in log] == [sys.argv[1]], log
+a, b = out["id_a"].to_numpy(), out["id_b"].to_numpy()
+assert (a < b).all() and (b < hot).all()
+print("pairs", len(out), len(np.unique(a * hot + b)))
+print("maxrss_kb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("placement", ["driver", "shuffle"])
+def test_block_pairs_hot_block_bounded(placement):
+    """One block of 2,000 rows among 20,000 singleton blocks yields
+    exactly its 1,999,000 distinct pairs under both placements, in a
+    child process (own Ray session) that finishes within the timeout
+    with a peak RSS of at most 1 GB."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SKEW_CHILD, placement], cwd=repo,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"_block_pairs on a hot block timed out ({placement})")
+    assert proc.returncode == 0, err[-2000:]
+    lines = dict(line.split(" ", 1) for line in out.strip().splitlines())
+    assert lines["pairs"] == "1999000 1999000"
+    assert int(lines["maxrss_kb"]) <= 1 << 20
+
+
+def test_simhash_near_pairs_budget_ends():
+    """``max_hamming`` 0 and 15 (16 bands of 4 bits) are exact against
+    brute force; -1 and 16 raise ``ValueError`` before any work. 16
+    bands cannot block a budget of 16: fingerprints 0 and
+    0x1111111111111111 are at distance 16 and differ in every band."""
+    from raycrawl.ops import dedup as dd
+
+    texts = _dup_fixture()
+    docs = _docs(texts)
+    for mh in (0, 15):
+        got = _pairs(dd.simhash_near_pairs(docs, max_hamming=mh),
+                     "id_a", "id_b", "hamming")
+        want = _serial_pairs(
+            texts, lambda a, b: bin(dd.simhash64(a) ^ dd.simhash64(b))
+            .count("1"), lambda v: v <= mh, ("id_a", "id_b", "hamming"))
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    for mh in (-1, 16):
+        with pytest.raises(ValueError, match="max_hamming"):
+            dd.simhash_near_pairs(None, max_hamming=mh)
+
+
 def _join_sides():
     """Left (k, payload) over keys 0..19 and a right side with
     duplicate keys, keys outside the left range and a wide column."""
@@ -536,7 +679,8 @@ _POOL_CHILD = """
 import os, tempfile
 import numpy as np, pyarrow as pa, pyarrow.parquet as pq
 import ray, ray.data as rd
-from raycrawl.ops.dedup import containment_pairs
+from raycrawl.ops.dedup import (build_minhash_index, containment_pairs,
+                                minhash_probe_index)
 
 ray.init(address="local", num_cpus=4, include_dashboard=False,
          logging_level="ERROR")
@@ -550,16 +694,25 @@ with tempfile.TemporaryDirectory() as d:
                              "text": texts}), path)
     docs = rd.read_parquet(path)
     print("pairs", containment_pairs(docs, threshold=0.8).count())
+    new_path = os.path.join(d, "new.parquet")
+    pq.write_table(pa.table({"doc_id": np.arange(10_000, 11_000,
+                                                 dtype=np.int64),
+                             "text": [t + " znew" for t in texts[:1000]]}),
+                   new_path)
+    idx = os.path.join(d, "index")
+    build_minhash_index(rd.read_parquet(path), idx)
+    print("probe", minhash_probe_index(rd.read_parquet(new_path), idx,
+                                       rd.read_parquet(path)).count())
 ray.shutdown()
 """
 
 
 def test_containment_pairs_default_pool_finishes_on_4_cpus():
-    """The prefix-gram actor pool must not take every CPU of a 4-CPU
-    session: over a ``read_parquet`` input a fixed pool of 4 left the
-    read tasks no CPU and the op hung. Runs in its own process (own Ray
-    session) under a timeout, so a hang fails here instead of stalling
-    the suite."""
+    """The prefix-gram actor pool, and the MinHash pools of the index
+    build and probe, must not take every CPU of a 4-CPU session: over a
+    ``read_parquet`` input a fixed pool of 4 left the read tasks no CPU
+    and the op hung. Runs in its own process (own Ray session) under a
+    timeout, so a hang fails here instead of stalling the suite."""
     import os
     import signal
     import subprocess
@@ -574,9 +727,13 @@ def test_containment_pairs_default_pool_finishes_on_4_cpus():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("containment_pairs hung on a 4-CPU session")
+        pytest.fail("containment_pairs or the MinHash index hung on a "
+                    "4-CPU session")
     assert proc.returncode == 0, err[-2000:]
-    assert out.strip().startswith("pairs ")
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("pairs ")
+    # every new doc is its corpus twin plus one token
+    assert lines[1].startswith("probe ") and int(lines[1].split()[1]) >= 1000
 
 
 def _wide_op_runs(tmp_path):
