@@ -61,7 +61,6 @@ def clean_tree(root: Node) -> Node:
                 tag = c.tag
                 if tag in _DROPPED or (tag in _CHROME_TAGS
                                        and id(c) not in with_content):
-                    c.parent = None
                     continue
                 if tag in _KEEP_CHROME or id(c) in with_content:
                     has_content = True

@@ -2,7 +2,7 @@
 
 The sealed sandbox has no bs4/lxml, so this module provides the minimal
 document-object model the extraction chain needs: parse, pre-order search by
-tag/attribute, text extraction, node removal, and HTML re-serialization.
+tag/attribute, text extraction, deep copy, and HTML re-serialization.
 ``parse_html`` builds the tree with a single master-regex tokenizer
 (``_fast_parse``); the stdlib ``html.parser`` builder (``_TreeBuilder``) is
 kept only as the cross-check it is verified against.
@@ -33,9 +33,13 @@ COMMENT = "#comment"
 
 
 class Node:
-    """One element, text run, or comment in the parsed tree."""
+    """One element, text run, or comment in the parsed tree.
 
-    __slots__ = ("tag", "attrs", "children", "parent", "text")
+    A node holds its children and no link back to its parent, so a tree
+    has no reference cycle and is freed by refcount as soon as the last
+    reference to its root goes."""
+
+    __slots__ = ("tag", "attrs", "children", "text")
 
     def __init__(
         self,
@@ -50,7 +54,6 @@ class Node:
             (k, v if v is not None else "") for k, v in (attrs or [])
         ]
         self.children: list[Node] = []
-        self.parent: Optional[Node] = None
         self.text = text  # only for #text / #comment nodes
 
     # -- attribute access -------------------------------------------------
@@ -72,14 +75,7 @@ class Node:
 
     # -- tree ops ---------------------------------------------------------
     def append(self, child: "Node") -> None:
-        child.parent = self
         self.children.append(child)
-
-    def decompose(self) -> None:
-        """Detach this node (and its subtree) from the tree."""
-        if self.parent is not None:
-            self.parent.children = [c for c in self.parent.children if c is not self]
-            self.parent = None
 
     def iter(self) -> Iterator["Node"]:
         """Pre-order traversal including self (document order)."""
@@ -183,12 +179,7 @@ class Node:
         n.tag = self.tag
         n.attrs = list(self.attrs)
         n.text = self.text
-        n.parent = None
-        n.children = []
-        for c in self.children:
-            cc = c.copy()
-            cc.parent = n
-            n.children.append(cc)
+        n.children = [c.copy() for c in self.children]
         return n
 
     # -- serialization ----------------------------------------------------
@@ -323,8 +314,7 @@ def _fast_parse(html: str) -> Node:
     # loop builds every node of every page.
     new = Node.__new__
     root = new(Node)
-    root.tag, root.attrs, root.children, root.parent, root.text = (
-        "#document", [], [], None, "")
+    root.tag, root.attrs, root.children, root.text = "#document", [], [], ""
     stack = [root]
     top = root
     search = _TOKEN_RE.search
@@ -336,7 +326,7 @@ def _fast_parse(html: str) -> Node:
         if start > pos:
             text = html[pos:start]
             node = new(Node)
-            node.tag, node.attrs, node.children, node.parent = TEXT, [], [], top
+            node.tag, node.attrs, node.children = TEXT, [], []
             node.text = unescape(text) if "&" in text else text
             top.children.append(node)
         if m is None:
@@ -361,8 +351,7 @@ def _fast_parse(html: str) -> Node:
                     stack.pop()
                     top = stack[-1]
             node = new(Node)
-            node.tag, node.attrs, node.children, node.parent, node.text = (
-                tag, attrs, [], top, "")
+            node.tag, node.attrs, node.children, node.text = tag, attrs, [], ""
             top.children.append(node)
             if selfclose or tag in VOID_TAGS:
                 continue
@@ -371,8 +360,7 @@ def _fast_parse(html: str) -> Node:
                 raw_end = cm.start() if cm else n
                 if raw_end > pos:
                     raw = new(Node)
-                    raw.tag, raw.attrs, raw.children, raw.parent = (
-                        TEXT, [], [], node)
+                    raw.tag, raw.attrs, raw.children = TEXT, [], []
                     raw.text = html[pos:raw_end]
                     node.children.append(raw)
                 pos = cm.end() if cm else n
@@ -388,8 +376,7 @@ def _fast_parse(html: str) -> Node:
                     break
         elif kind == "comment":
             node = new(Node)
-            node.tag, node.attrs, node.children, node.parent = (
-                COMMENT, [], [], top)
+            node.tag, node.attrs, node.children = COMMENT, [], []
             node.text = m.group(1)
             top.children.append(node)
         # declarations and processing instructions are dropped

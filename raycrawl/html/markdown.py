@@ -47,6 +47,12 @@ _BLOCK_TAGS = frozenset(
 )
 _SKIP_TAGS = frozenset({"script", "style", "iframe", "noscript", "head",
                         "title", "meta", "link", "base", "template"})
+# children that children_as_blocks merges into one paragraph run
+_INLINE_RUN_TAGS = frozenset(
+    {TEXT, "a", "em", "i", "strong", "b", "code", "span", "img", "br",
+     "small", "sub", "sup", "u", "del", "s", "strike", "abbr", "time",
+     "label", "mark", "q", "cite", "kbd", "samp"}
+)
 _WS_RE = re.compile(r"[ \t\r\n\f]+")
 _MULTISPACE_RE = re.compile(r" {2,}")
 # Full \s semantics for table cells: html2text maps &nbsp; to a plain
@@ -208,13 +214,8 @@ class _Renderer:
                     self.blocks.append(text)
                 run.clear()
 
-        inline_ok = frozenset(
-            {TEXT, "a", "em", "i", "strong", "b", "code", "span", "img", "br",
-             "small", "sub", "sup", "u", "del", "s", "strike", "abbr", "time",
-             "label", "mark", "q", "cite", "kbd", "samp"}
-        )
         for child in node.children:
-            if child.tag in inline_ok:
+            if child.tag in _INLINE_RUN_TAGS:
                 run.append(self.inline(child))
             else:
                 flush()

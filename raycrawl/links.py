@@ -18,6 +18,22 @@ from urllib.parse import urlparse
 from .html.dom import Node, parse_html
 from .urlnorm import normalize_url
 
+# an http(s) url's netloc: the text between '//' and the first '/', '?' or
+# '#'. urlsplit removes '\t\r\n' before it splits and checks '[...]' hosts,
+# so a netloc holding any of those does not match and takes urlparse
+_HTTP_NETLOC = re.compile(r"https?://([^/?#\[\]\t\r\n]*)(?=[/?#]|\Z)")
+
+
+def _netloc(url: str) -> str:
+    """``urlparse(url).netloc``, read off the string for an http(s) url.
+    A non-ASCII netloc takes urlparse too: its NFKC check may raise."""
+    m = _HTTP_NETLOC.match(url)
+    if m is not None:
+        netloc = m.group(1)
+        if netloc.isascii():
+            return netloc
+    return urlparse(url).netloc
+
 
 class LinkFilter:
     """Compiled predicate matching link_extractor.py:69-92 (minus robots,
@@ -39,7 +55,7 @@ class LinkFilter:
         self.include = [re.compile(p) for p in (include_patterns or [])]
 
     def __call__(self, url: str) -> bool:
-        if urlparse(url).netloc not in self.domains:
+        if _netloc(url) not in self.domains:
             return False
         for pat in self.exclude:
             if pat.search(url):

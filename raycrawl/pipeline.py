@@ -43,7 +43,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-from .extract import decode_html, error_row, extract_page, page_row, rows_table
+from .extract import (_collector_paused, decode_html, error_row, extract_page,
+                      page_row, rows_table)
 from .frontier import FrontierShard
 from .links import LinkFilter
 from .schema import CRAWL_RESULT, EXTRACTED, SEEN
@@ -98,6 +99,15 @@ WAVE_COLUMNS = pa.schema(
        pa.field("link_hosts", pa.list_(pa.string()))])
 
 
+def wave_table(buf: bytes) -> pa.Table:
+    """A ``WaveWorker.process`` result, one Arrow IPC stream, as a table.
+    The table's columns point into ``buf``: nothing is copied. On one vCPU
+    an actor took a median 3.9 ms to return a 32-row ``WAVE_COLUMNS``
+    table through Ray's own Arrow table reducer, 1.4 ms as a ``pa.Buffer``
+    of the stream and 1.1 ms as its ``bytes``, decode included."""
+    return pa.ipc.open_stream(buf).read_all()
+
+
 class WaveExtractor:
     """Crawl batch kernel: fetched wave rows → ``WAVE_COLUMNS``. The page
     columns come from the same row code as the bulk ``PageExtractor``;
@@ -116,25 +126,29 @@ class WaveExtractor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # ``links`` is replaced by the filtered ``crawl_links``, so the
-        # full-page ``links`` list extract_page builds is thrown away here
-        # (8.5% of the crawl's normalize_url calls on the skewed benchmark
-        # corpus). It stays: extract_page's whole return dict is one
+        # full-page ``links`` list extract_page builds is thrown away here.
+        # Its hrefs outside the main content are 8.5% of the normalize_url
+        # calls on the skewed benchmark corpus (740 of 8,698), but with
+        # the plain-href fast paths they cost ~0.6 ms of a ~1 s kernel
+        # pass. It stays: extract_page's whole return dict is one
         # contract, compared as a whole by the benchmark's traced replay,
         # and a crawl-only variant would fork the kernel.
         rows: list[dict] = []
-        for url, html in zip(batch.column("url").to_pylist(),
-                             batch.column("html").to_pylist()):
-            try:
-                res = extract_page(url, decode_html(html),
-                                   only_main=self.only_main)
-                links = [u for u in res["crawl_links"] if self.link_filter(u)]
-                canons = [canonicalize(u) for u in links]
-                row = {**page_row(res), "links": links,
-                       "link_keys": [url_key(c) for c in canons],
-                       "link_hosts": [host_of(c) for c in canons]}
-            except Exception as exc:
-                row = error_row(exc, link_keys=[], link_hosts=[])
-            rows.append(row)
+        with _collector_paused():
+            for url, html in zip(batch.column("url").to_pylist(),
+                                 batch.column("html").to_pylist()):
+                try:
+                    res = extract_page(url, decode_html(html),
+                                       only_main=self.only_main)
+                    links = [u for u in res["crawl_links"]
+                             if self.link_filter(u)]
+                    canons = [canonicalize(u) for u in links]
+                    row = {**page_row(res), "links": links,
+                           "link_keys": [url_key(c) for c in canons],
+                           "link_hosts": [host_of(c) for c in canons]}
+                except Exception as exc:
+                    row = error_row(exc, link_keys=[], link_hosts=[])
+                rows.append(row)
         return rows_table(rows, WAVE_COLUMNS,
                           url=batch.column("url").cast(pa.string()))
 
@@ -175,7 +189,7 @@ class WaveWorker:
         return fetch
 
     def process(self, groups: list[tuple[list[str], list[str]]], token: str,
-                warc_out: Optional[str] = None) -> Optional[pa.Table]:
+                warc_out: Optional[str] = None) -> Optional[bytes]:
         """groups: [(bucket_paths, urls), ...] — one task may span several
         corpus buckets so the driver can pack a wave into exactly
         pool-size equal tasks (per-bucket chunking quantized waves into
@@ -188,7 +202,10 @@ class WaveWorker:
 
         ``warc_out``: archive this task's fetched rows as one
         Common-Crawl-layout .warc.gz (crawl sink='warc') — written here in
-        the worker so the sink parallelizes with extraction."""
+        the worker so the sink parallelizes with extraction.
+
+        Returns the task's ``WAVE_COLUMNS`` rows as one Arrow IPC stream
+        (read it with ``wave_table``), or None when no url was found."""
         if self._fetch is None or self._fetch[0] != token:
             self._drop_fetch()
             self._fetch = (token, CorpusReader())
@@ -200,7 +217,11 @@ class WaveWorker:
             from .warc import write_warc_pages
 
             write_warc_pages(fetched, warc_out)
-        return self.extractor(fetched.select(["url", "html"]))
+        table = self.extractor(fetched.select(["url", "html"]))
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, table.schema) as writer:
+            writer.write_table(table)
+        return sink.getvalue().to_pybytes()
 
     def end_crawl(self, token: str) -> dict[str, int]:
         """Crawl ``token``'s fetch counters (zeros if this worker holds none
@@ -570,17 +591,18 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
 
     def _merge_pops(pops: list[list], budget: int) -> list:
         """The first ``budget`` of the shards' pops in global (priority,
-        seq) order; the surplus of over-popped shards goes back to them."""
-        merged = sorted([it for sub in pops for it in sub],
-                        key=lambda x: (x[0], x[1]))
-        wave_items, surplus = merged[:budget], merged[budget:]
-        if surplus:  # return over-popped items to their shards
+        seq) order; the surplus of over-popped shards goes back to the
+        shard that popped it (``pops[sid]`` came from ``shards[sid]``)."""
+        merged = sorted([(it, sid) for sid, sub in enumerate(pops)
+                         for it in sub],
+                        key=lambda x: (x[0][0], x[0][1]))
+        if len(merged) > budget:  # return over-popped items to their shards
             back: dict[int, list] = {}
-            for item in surplus:  # (prio, seq, depth, url, parent)
-                back.setdefault(host_shard(host_of(item[3]), S), []).append(item)
+            for item, sid in merged[budget:]:  # (prio, seq, depth, url, parent)
+                back.setdefault(sid, []).append(item)
             ray.get([shards[sid].push_back.remote(items)
                      for sid, items in back.items()])
-        return wave_items
+        return [item for item, _ in merged[:budget]]
 
     def _pop_wave(wv: int, budget: int) -> list:
         return _merge_pops(
@@ -727,7 +749,8 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
             continue
 
         _tf = time.monotonic()
-        batches = [t for t in ray.get(futures) if t is not None and t.num_rows]
+        batches = [t for t in map(wave_table, filter(None, ray.get(futures)))
+                   if t.num_rows]
         phase_sec["fetch_extract"] += time.monotonic() - _tf
         _ta = time.monotonic()
         wave_tbl = pa.concat_tables(batches) if batches else None
@@ -779,15 +802,16 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
         _tm = time.monotonic()
         if cfg.priority_fn is None:
             links_by_seq.sort(key=lambda x: x[0])
-        cands: list[tuple[int, bytes, str, str, int, str]] = []
+        # each candidate carries its shard, so its host is hashed once
+        cands: list[tuple[int, bytes, str, str, int, str, int]] = []
         rank = 0
         for seq, depth, links, keys, hosts, parent_url in links_by_seq:
             for link, key, host in zip(links, keys, hosts):
-                cands.append((rank, key, link, host, depth + 1, parent_url))
+                cands.append((rank, key, link, host, depth + 1, parent_url,
+                              host_shard(host, S)))
                 rank += 1
         by_shard: dict[int, list[tuple[int, bytes, str, str]]] = {}
-        for rank_, key, url, host, depth_, parent in cands:
-            sid = host_shard(host, S)
+        for rank_, key, url, host, depth_, parent, sid in cands:
             by_shard.setdefault(sid, []).append((rank_, key, url, host))
         checks = ray.get([
             shards[sid].check_batch.remote(items)
@@ -799,14 +823,13 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
         # (queue_manager.py:47-49: depth ≤ max_depth ∧ |seen| < max_pages)
         inserts: dict[int, list] = {}
         seen_rows = []
-        for rank_, key, url, host, depth_, parent in cands:
+        for rank_, key, url, host, depth_, parent, sid in cands:
             if rank_ not in admissible:
                 continue
             if depth_ > cfg.max_depth:
                 continue
             if next_seq >= cfg.max_pages:  # |seen| cap
                 break
-            sid = host_shard(host, S)
             inserts.setdefault(sid, []).append(
                 (next_seq, depth_, url, host, parent, key))
             seen_rows.append((key, url, host, depth_, next_seq, parent))

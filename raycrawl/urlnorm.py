@@ -22,12 +22,15 @@ from urllib.parse import quote, urljoin, urlparse
 _DEFAULT_PORTS = {"http": 80, "https": 443, "ftp": 21, "ws": 80, "wss": 443}
 _HOSTPORT_RE = re.compile(r"^(?P<host>\[[^\]]*\]|[^:]*)(?::(?P<port>\d+))?$")
 
-# normalize_url's fast path. A root-relative href whose segments hold only
+# normalize_url's fast paths. A root-relative href whose segments hold only
 # unreserved, sub-delim (but ';'), ':' and '@' characters, with no '.' or
 # '..' segment and no leading '//', resolves against an http(s) origin to
 # origin + href: urljoin has no dot segment to remove and the href has no
 # params, query or fragment to strip. The origin must be a lower-case
-# scheme and a plain host[:port], which urljoin passes through unchanged
+# scheme and a plain host[:port], which urljoin passes through unchanged.
+# An absolute href that is such an origin followed by nothing or by such a
+# path is its own normalized form, as long as the base parses (urljoin
+# parses the base first, and a base like 'http://[x' raises)
 _PLAIN_ROOT_PATH = re.compile(r"(?!//)(?:/(?!\.\.?(?:/|\Z))[A-Za-z0-9\-._~!$&'()*+,=:@]*)+")
 _HTTP_ORIGIN = re.compile(r"https?://[A-Za-z0-9.-]+(?::[0-9]+)?(?=[/?#]|\Z)")
 
@@ -61,10 +64,14 @@ def _normalize_pct(path: str) -> str:
 
 def normalize_url(url: str, base_url: str) -> Optional[str]:
     """Reference link_extractor.py:48-67: absolute form, no fragment/params/query."""
-    if _PLAIN_ROOT_PATH.fullmatch(url):
-        origin = _HTTP_ORIGIN.match(base_url)
-        if origin:
+    origin = _HTTP_ORIGIN.match(base_url)
+    if origin:
+        if _PLAIN_ROOT_PATH.fullmatch(url):
             return origin.group() + url
+        own = _HTTP_ORIGIN.match(url)
+        if own and (own.end() == len(url)
+                    or _PLAIN_ROOT_PATH.fullmatch(url, own.end())):
+            return url
     try:
         absolute = urljoin(base_url, url)
         parsed = urlparse(absolute)

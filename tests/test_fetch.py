@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from raycrawl.fixtures import feature_corpus, write_corpus
 from raycrawl.metrics import render_prometheus
 from raycrawl.pipeline import (CorpusReader, CrawlConfig, WaveWorker,
-                               _by_bucket, _corpus_files, crawl)
+                               _by_bucket, _corpus_files, crawl, wave_table)
 
 WARC_COLUMNS = ["url", "warc_ts", "html"]
 
@@ -188,7 +188,7 @@ def test_worker_fetch_state_is_per_token(tmp_path):
 
     def title(token):
         out = ray.get(worker.process.remote([([path], [url])], token=token))
-        return out.column("title").to_pylist()
+        return wave_table(out).column("title").to_pylist()
 
     worker = WaveWorker.remote(frozenset({"h.example"}), None, None, True)
     write("one")

@@ -13,6 +13,7 @@ corpus shapes.
 
 from __future__ import annotations
 
+import gc
 import re
 from html import unescape
 
@@ -30,6 +31,7 @@ from raycrawl.html.dom import COMMENT, TEXT, VOID_TAGS, Node, _fast_parse
 from raycrawl.html.markdown import post_process_markdown
 from raycrawl.html.metadata import (PageIndex, extract_metadata,
                                     extract_structured)
+from raycrawl.pipeline import WaveExtractor
 from raycrawl.schema import PAGES
 from raycrawl.urlnorm import normalize_url
 
@@ -169,24 +171,40 @@ def _ref_copy(node: Node) -> Node:
     n.tag = node.tag
     n.attrs = list(node.attrs)
     n.text = node.text
-    n.parent = None
     n.children = []
     for c in node.children:
-        cc = _ref_copy(c)
-        cc.parent = n
-        n.children.append(cc)
+        n.children.append(_ref_copy(c))
     return n
 
 
+def _ref_parents(root: Node) -> dict[int, Node]:
+    """id(node) → its parent, for every node under ``root``."""
+    parents = {}
+    for node in root.iter():
+        for c in node.children:
+            parents[id(c)] = node
+    return parents
+
+
+def _ref_decompose(node: Node, parents: dict[int, Node]) -> None:
+    """The frozen kernel's ``decompose``: detach ``node`` (and its
+    subtree) from its parent, found in ``parents`` since nodes hold no
+    parent link."""
+    parent = parents.pop(id(node), None)
+    if parent is not None:
+        parent.children = [c for c in parent.children if c is not node]
+
+
 def _ref_clean_tree(root: Node) -> Node:
+    parents = _ref_parents(root)
     for node in root.find_all(("script", "style", "iframe", "noscript")):
-        node.decompose()
+        _ref_decompose(node, parents)
     for node in list(root.iter()):
         if node.tag == COMMENT:
-            node.decompose()
+            _ref_decompose(node, parents)
     for node in root.find_all(("nav", "footer", "header")):
         if node.find(("main", "article", "section")) is None:
-            node.decompose()
+            _ref_decompose(node, parents)
     for node in root.iter_elements():
         if node.attrs:
             node.attrs = [
@@ -413,10 +431,10 @@ def test_tokenizer_matches_frozen_tokenizer_on_raw_text(html):
     assert _shape(got) == _shape(want)
 
 
-def _shape(node: Node, parent=None):
-    """Tag, text, attrs, children, and whether the parent link is right."""
-    return (node.tag, node.text, node.attrs, node.parent is parent,
-            [_shape(c, node) for c in node.children])
+def _shape(node: Node):
+    """Tag, text, attrs and children."""
+    return (node.tag, node.text, node.attrs,
+            [_shape(c) for c in node.children])
 
 
 @given(st.text(alphabet=" \t\r\n\f\v\xa0ab", max_size=30))
@@ -436,20 +454,28 @@ def test_largest_text_fallback_takes_the_first_of_equals_on_deep_nesting():
     assert find_main_content(root) is root.children[0]
 
 
-def test_deeply_nested_page_is_one_error_row_in_its_batch():
-    """A page nested 600 deep overflows the recursive markdown renderer;
-    it becomes one error row and its batch neighbours are untouched."""
-    pages = feature_corpus(n_hosts=1, pages_per_host=3, with_private=False)
-    deep = "<html><body>" + "<div>" * 600 + "deep" + "</div>" * 600 + \
-        "</body></html>"
+_DEEP = ("<html><body>" + "<div>" * 600 + "deep" + "</div>" * 600
+         + "</body></html>")
+
+
+def _with_deep_page(pages: pa.Table) -> tuple[list[str], list[str], pa.Table]:
+    """``pages`` with the 600-deep page second: its urls, htmls and batch."""
     urls = pages.column("url").to_pylist()
     htmls = [h.decode() for h in pages.column("html").to_pylist()]
     urls.insert(1, "https://h0.example/deep.html")
-    htmls.insert(1, deep)
+    htmls.insert(1, _DEEP)
     batch = pa.Table.from_pydict(
         {"url": urls, "warc_ts": pa.nulls(len(urls), pa.timestamp("us")),
          "html": [h.encode() for h in htmls], "text": [""] * len(urls),
          "lang": [""] * len(urls)}, schema=PAGES)
+    return urls, htmls, batch
+
+
+def test_deeply_nested_page_is_one_error_row_in_its_batch():
+    """A page nested 600 deep overflows the recursive markdown renderer;
+    it becomes one error row and its batch neighbours are untouched."""
+    pages = feature_corpus(n_hosts=1, pages_per_host=3, with_private=False)
+    urls, htmls, batch = _with_deep_page(pages)
     rows = PageExtractor()(batch).to_pylist()
     errors = [i for i, r in enumerate(rows) if r["status_code"] != 200]
     assert errors == [1]
@@ -458,3 +484,40 @@ def test_deeply_nested_page_is_one_error_row_in_its_batch():
     for i in (0, 2, 3):
         want = page_row(extract_page(urls[i], htmls[i]))
         assert {k: rows[i][k] for k in want} == want
+
+
+# ---------------------------------------------------------------------------
+# garbage collection
+# ---------------------------------------------------------------------------
+
+def test_kernels_leave_no_cyclic_garbage_and_restore_the_collector():
+    """The batch kernels pause the cyclic collector around their page loop,
+    which is sound only because a page leaves no reference cycle behind:
+    with the collector off, extracting every page (the raising 600-deep
+    one included) and running both kernels over a batch leaves nothing for
+    ``gc.collect()`` to free. Each kernel restores the collector's prior
+    state, whether or not a page raised."""
+    urls, htmls, batch = _with_deep_page(feature_corpus(n_hosts=4))
+    wave_kernel = WaveExtractor(frozenset({"h0.example"}), None, None, True)
+    gc.collect()
+    gc.disable()
+    try:
+        for url, html in zip(urls, htmls):
+            try:
+                extract_page(url, html)
+            except RecursionError:
+                assert html is _DEEP
+        PageExtractor()(batch)
+        wave_kernel(batch.select(["url", "html"]))
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    for kernel, pages in [(PageExtractor(), batch),
+                          (wave_kernel, batch.select(["url", "html"]))]:
+        out = kernel(pages)
+        assert out.column("status_code").to_pylist().count(500) == 1
+        assert gc.isenabled()
+        out = kernel(pages.slice(2))
+        assert set(out.column("status_code").to_pylist()) == {200}
+        assert gc.isenabled()

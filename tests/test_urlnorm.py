@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raycrawl import urlnorm
+from raycrawl import links, urlnorm
+from raycrawl.links import LinkFilter
 from raycrawl.urlnorm import canonicalize, host_shard, normalize_url, url_key
 
 
@@ -130,3 +131,79 @@ def test_normalize_fast_path_skips_urljoin(monkeypatch):
                        ("/a", "ftp://h.example/")]:
         with pytest.raises(AssertionError, match="urljoin called"):
             urlnorm.normalize_url(href, base)
+
+
+# --- normalize_url's absolute-href fast path ---------------------------------
+
+_SCHEMES = ["https://", "http://", "HTTPS://", "Http://", "ftp://", "https:",
+            "https:///", ""]
+_HOSTS = ["h.example", "H.Example", "h3.example", "a-b.c", "h", "",
+          "[::1]", "u@h.example", "u:p@h.example", "héllo.example", "h_x.example",
+          "h.ex\tample", "h.example\n"]
+_PORTS = ["", ":8080", ":80", ":443", ":", ":0", ":x", "::1"]
+
+
+@given(st.sampled_from(_SCHEMES), st.sampled_from(_HOSTS),
+       st.sampled_from(_PORTS),
+       st.lists(st.sampled_from(_HREF_PARTS), max_size=8),
+       st.one_of(st.sampled_from(_BASES),
+                 st.builds(lambda scheme, rest: scheme + rest,
+                           st.sampled_from(["https://", "http://", "HTTP://"]),
+                           st.text(alphabet="aZ9.-:@[]/?#;\t ", max_size=8))))
+@settings(max_examples=3000, deadline=None)
+def test_normalize_absolute_fast_path_equals_urljoin(scheme, host, port,
+                                                     parts, base):
+    """Absolute hrefs with upper-case schemes and hosts, ports, empty paths,
+    dot segments and '?' / '#' / ';' give what urljoin gives."""
+    href = scheme + host + port + "".join(parts)
+    assert urlnorm.normalize_url(href, base) == _normalize_by_urljoin(href, base)
+
+
+def test_normalize_absolute_fast_path_skips_urljoin(monkeypatch):
+    """A plain absolute href, same origin or not, is returned as it is
+    without urljoin; one that needs resolving or stripping still takes it."""
+    def boom(*_):
+        raise AssertionError("urljoin called")
+
+    monkeypatch.setattr(urlnorm, "urljoin", boom)
+    for href, base in [
+            ("https://h.example/d1/p3.html", "https://h.example/d0/p0.html"),
+            ("https://h.example", "https://h.example/d0/p0.html"),
+            ("https://h.example/", "https://h.example"),
+            ("http://H.Example:8080/a//b:c@d/~x", "https://h.example/"),
+            ("https://other.example/x", "https://h.example/")]:
+        assert urlnorm.normalize_url(href, base) == href
+    for href, base in [("https://h.example/a/../b", "https://h.example/"),
+                       ("https://h.example/a?q", "https://h.example/"),
+                       ("https://h.example/a#f", "https://h.example/"),
+                       ("https://h.example/a;p", "https://h.example/"),
+                       ("https://h.example//a", "https://h.example/"),
+                       ("HTTPS://h.example/a", "https://h.example/"),
+                       ("https://u@h.example/a", "https://h.example/"),
+                       ("https://h.example/a", "https://[::1]/"),
+                       ("https://h.example/a", "http://[x")]:
+        with pytest.raises(AssertionError, match="urljoin called"):
+            urlnorm.normalize_url(href, base)
+
+
+# --- LinkFilter's netloc ------------------------------------------------------
+
+@given(st.sampled_from(["http://", "https://", "HTTP://", "https:/", "ftp://",
+                        " https://", ""]),
+       st.one_of(st.text(max_size=24),
+                 st.text(alphabet="aZ9.-_:@/?#;[]%\t\r\n é℀ⅽ＃",
+                         max_size=24)))
+@settings(max_examples=3000, deadline=None)
+def test_link_filter_netloc_equals_urlparse(prefix, rest):
+    url = prefix + rest
+    try:
+        want = urlparse(url).netloc
+    except ValueError:
+        with pytest.raises(ValueError):
+            links._netloc(url)
+        with pytest.raises(ValueError):
+            LinkFilter("h.example")(url)
+        return
+    assert links._netloc(url) == want
+    assert LinkFilter(want)(url)
+    assert not LinkFilter(want + "x")(url)
