@@ -140,7 +140,9 @@ def crawl_bench(num_cpus: int) -> dict:
             "pages_per_sec": round(out.stats["pages_success"] / sec, 1),
             "waves": out.stats["waves"],
             "dedup_hit_rate": round(out.stats["dedup_hit_rate"], 3),
-            "phase_sec": out.stats["phase_sec"]}
+            "phase_sec": out.stats["phase_sec"],
+            "speculation": out.stats["speculation"],
+            "fetch": out.stats["fetch"]}
 
 
 def run_queries(sf_dir: str) -> dict[str, float]:

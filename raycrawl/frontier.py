@@ -28,9 +28,18 @@ first-rank-wins, matching the serialized reference admission
 
 In ``crawl()`` a non-empty wave costs each shard two calls: ``check_batch``
 (only shards that got candidates) and ``advance``, which inserts the
-admitted items, captures the wave-boundary snapshot and stats, and pops
-the next wave in that order. ``push_back`` follows only when the merged
-pops overflow the wave budget.
+admitted items, captures the wave-boundary snapshot and stats, pops the
+next wave and then peeks the wave after it, in that order. ``push_back``
+follows only when the merged pops overflow the wave budget.
+
+The peek (``peek_batch``) is ``pop_batch`` run on copies of the queue and
+the politeness buckets: what the wave after next would pop if the next
+wave admitted nothing. In BFS order a wave's children mostly sort after
+the urls already queued, so on most waves the peek is exactly the start
+of the true pops, and the driver fetches and extracts those pages while
+it admits the current wave. The peek never changes the frontier: pops, seqs, admissions
+and snapshots come from ``advance`` alone, and a wrong peek only costs
+the extraction of pages that are then not popped.
 """
 
 from __future__ import annotations
@@ -201,6 +210,20 @@ class FrontierShardLocal:
         self.n_popped += len(popped)
         return popped
 
+    def peek_batch(
+        self, wave: int, budget: int
+    ) -> list[tuple[int, int, int, str, Optional[str]]]:
+        """What ``pop_batch(wave, budget)`` would return now, leaving the
+        shard as it was: the pop runs on shallow copies of the queue and
+        the politeness buckets, and the pop counter is restored."""
+        saved = self.heap, self.tokens, self.last_wave, self.n_popped
+        self.heap, self.tokens, self.last_wave = (
+            list(self.heap), dict(self.tokens), dict(self.last_wave))
+        try:
+            return self.pop_batch(wave, budget)
+        finally:
+            self.heap, self.tokens, self.last_wave, self.n_popped = saved
+
     def push_back(self, items: list[tuple[int, int, int, str, Optional[str]]]) -> None:
         """Return surplus pops (truncated by the global wave budget) to the
         queue, refunding their politeness tokens."""
@@ -214,22 +237,25 @@ class FrontierShardLocal:
                                         self.tokens.get(host, 0.0) + 1.0)
         self.n_popped -= len(items)
 
-    @ray.method(num_returns=3)
+    @ray.method(num_returns=4)
     def advance(
         self, items: list[tuple[int, int, str, str, Optional[str], bytes]],
-        full: bool, wave: int, budget: int,
-    ) -> tuple[list[tuple[int, int, int, str, Optional[str]]], bytes, dict]:
+        full: bool, wave: int, budget: int, ahead: int = 0,
+    ) -> tuple[list[tuple[int, int, int, str, Optional[str]]], bytes, dict,
+               list[tuple[int, int, int, str, Optional[str]]]]:
         """One wave boundary in one call: ``insert_batch(items)``, then
         ``snapshot()`` when ``full`` else ``snapshot_delta()``, then
-        ``stats()``, then ``pop_batch(wave, budget)``. Returns (pops,
-        snapshot blob, stats) as three object refs, so the driver can wait
-        on the pops alone and hand the checkpoint parts to its IO thread.
-        An insert-contract violation raises before anything else runs, and
-        all three refs carry the error."""
+        ``stats()``, then ``pop_batch(wave, budget)``, then
+        ``peek_batch(wave + 1, ahead)``. Returns (pops, snapshot blob,
+        stats, peek) as four object refs, so the driver can wait on the
+        pops and the peek alone and hand the checkpoint parts to its IO
+        thread. An insert-contract violation raises before anything else
+        runs, and all four refs carry the error."""
         self.insert_batch(items)
         blob = self.snapshot() if full else self.snapshot_delta()
         stats = self.stats()
-        return self.pop_batch(wave, budget), blob, stats
+        pops = self.pop_batch(wave, budget)
+        return pops, blob, stats, self.peek_batch(wave + 1, ahead)
 
     def queue_size(self) -> int:
         return len(self.heap)

@@ -6,10 +6,12 @@ app, main.py:20-21). In the Ray engine, counters live where the state
 lives — on the frontier shards (offered/admitted/dup_hits/robots_blocked/
 popped, frontier.py stats()), on the fetch workers (row groups decoded and
 reused, rows decoded, pages fetched; summed into the crawl stats' ``fetch``
-block) and in the wave manifests — and the driver harvests them. This
-module renders those harvested dicts in Prometheus text exposition format
-(a public, stable format) and computes the derived gauges the north_star
-names: pages/sec, frontier depth, dedup hit-rate.
+block), on the driver (pages extracted ahead of their pop: ``speculation``;
+per-phase wall time: ``phase_sec``) and in the wave manifests — and the
+driver harvests them. This module renders those harvested dicts in
+Prometheus text exposition format (a public, stable format) and computes
+the derived gauges the north_star names: pages/sec, frontier depth, dedup
+hit-rate.
 """
 
 from __future__ import annotations
@@ -68,6 +70,16 @@ def render_prometheus(crawl_stats: dict[str, Any],
             ("rows_decoded", "corpus rows decoded by the fetch"),
             ("pages_fetched", "corpus rows the fetch returned")):
         emit(f"fetch_{key}_total", fetch.get(key, 0), help_)
+    spec = crawl_stats.get("speculation", {})
+    for key, help_ in (
+            ("hit_pages", "popped pages extracted ahead of their pop"),
+            ("extra_pages", "popped pages fetched once their pop arrived"),
+            ("wasted_pages", "pages extracted ahead but never popped")):
+        emit(f"speculation_{key}_total", spec.get(key, 0), help_)
+    for phase, sec in crawl_stats.get("phase_sec", {}).items():
+        emit("crawl_phase_seconds", sec,
+             "driver wall time of one crawl phase, summed over waves",
+             {"phase": phase}, "gauge")
     return "\n".join(lines) + "\n"
 
 

@@ -176,6 +176,29 @@ def test_multi_seed_crawl_matches_oracle():
     assert hosts == {"h0.example", "h2.example"}
 
 
+def test_multi_seed_crawl_predicts_the_merge_surplus():
+    """Two seed hosts on different shards and a wave budget of 4: every
+    shard pops 4, and the merge pushes the surplus back after the shards
+    peeked. The next wave pops that surplus, so the prediction includes
+    it: no page is extracted in vain, and the crawl still matches the
+    oracle."""
+    corpus_dir = cached_corpus("feature", **T2)
+    seeds = ["https://h0.example/d0/p0.html", "https://h2.example/d0/p0.html"]
+    kw = dict(max_depth=2, max_pages=40,
+              exclude_patterns=[r"/skip/", r"\.(jpg|png)$"])
+    cfg = CrawlConfig(seed_url=seeds, num_shards=4, wave_budget=4,
+                      out_dir="/tmp/raycrawl_test_multiseed_surplus", **kw)
+    shutil.rmtree(cfg.out_dir, ignore_errors=True)
+    out = crawl(corpus_dir, cfg)
+    oracle = crawl_oracle(feature_corpus(**T2), seeds, wave_budget=4, **kw)
+    got = out.results().select(["seq", "depth", "url"]).to_pylist()
+    assert got == [{"seq": p.seq, "depth": p.depth, "url": p.url}
+                   for p in oracle.pages]
+    spec = out.stats["speculation"]
+    assert spec["wasted_pages"] == 0 and spec["hit_pages"] > 0
+    assert spec["hit_pages"] + spec["extra_pages"] == len(got)
+
+
 def test_skewed_host_politeness_surfaces_frontier_depth():
     """Skew (one host owns most URLs) + per-host politeness: the hot host's
     backlog shows up as frontier depth over many waves — never a deadlock —
@@ -364,6 +387,24 @@ def test_crawl_warc_sink_digest_verified_roundtrip(tmp_path):
     the crawl lands in a Common-Crawl-layout wave archive; reading the
     archives back with digest verification ON yields byte-identical html
     for exactly the crawled url set."""
+    _check_warc_roundtrip(tmp_path)
+
+
+def test_crawl_warc_sink_with_wrong_peeks(monkeypatch, tmp_path):
+    """A fetch task archives every page it reads, so the warc sink must
+    not extract pages ahead: with wrong peeks planted, the archives still
+    hold exactly the crawled url set."""
+    from tests.test_frontier import plant_wrong_peeks
+
+    plant_wrong_peeks(monkeypatch)
+    outcome = _check_warc_roundtrip(tmp_path)
+    assert outcome.stats["speculation"] == {
+        "hit_pages": 0, "wasted_pages": 0,
+        "extra_pages": outcome.stats["pages_success"]
+        + outcome.stats["pages_failed"]}
+
+
+def _check_warc_roundtrip(tmp_path):
     import glob
 
     from raycrawl.warc import read_warc
@@ -401,6 +442,7 @@ def test_crawl_warc_sink_digest_verified_roundtrip(tmp_path):
     crawl(corpus_dir, cfg)
     for f, blob in bytes_a.items():
         assert open(f, "rb").read() == blob, f
+    return outcome
 
 
 def test_crawl_survives_ray_restart_in_one_process(tmp_path):

@@ -109,10 +109,14 @@ def test_reader_counters_and_reuse(tmp_path):
     assert read(2, 4) == 3  # group 0 reused, groups 1 and 3 decoded
     assert reader.counters == {"row_groups_decoded": 3, "row_groups_reused": 1,
                                "rows_decoded": 7, "pages_fetched": 5}
-    assert read(7) == 1     # group 2: the earlier groups are dropped
-    assert read(0) == 1     # so group 0 is decoded again
-    assert reader.counters == {"row_groups_decoded": 5, "row_groups_reused": 1,
-                               "rows_decoded": 13, "pages_fetched": 7}
+    assert read(7) == 1     # group 2 decoded
+    assert read(0) == 1     # group 0 reused from two reads back
+    assert read(6) == 1     # group 2 reused
+    assert reader.counters == {"row_groups_decoded": 4, "row_groups_reused": 3,
+                               "rows_decoded": 10, "pages_fetched": 8}
+    assert read(3) == 1     # group 1 was last used three reads back
+    assert reader.counters == {"row_groups_decoded": 5, "row_groups_reused": 3,
+                               "rows_decoded": 13, "pages_fetched": 9}
 
 
 def test_reader_on_unpartitioned_single_file_corpus(tmp_path):
@@ -154,6 +158,9 @@ def test_rewritten_corpus_is_read_again_by_pooled_worker(tmp_path):
         first.stats["pages_failed"]
     assert fetch["row_groups_decoded"] > 0 and fetch["row_groups_reused"] > 0
     assert fetch["rows_decoded"] >= fetch["row_groups_decoded"]
+    spec = first.stats["speculation"]
+    assert spec["hit_pages"] > 0 and spec["wasted_pages"] == 0
+    assert spec["hit_pages"] + spec["extra_pages"] == fetch["pages_fetched"]
     text = render_prometheus(first.stats)
     for key, value in fetch.items():
         assert f"raycrawl_fetch_{key}_total {value}\n" in text
@@ -173,6 +180,19 @@ def test_rewritten_corpus_is_read_again_by_pooled_worker(tmp_path):
     assert third.column("url").to_pylist() == [seed]
     assert third.column("title").to_pylist() == ["Rewritten"]
     assert first.results().column("title").to_pylist()[0] != "Rewritten"
+
+
+def test_prometheus_exports_speculation_and_phases():
+    stats = {"speculation": {"hit_pages": 7, "extra_pages": 3,
+                             "wasted_pages": 1},
+             "phase_sec": {"pop": 0.25, "fetch_extract": 1.5}}
+    text = render_prometheus(stats)
+    for key, value in stats["speculation"].items():
+        assert f"raycrawl_speculation_{key}_total {value}\n" in text
+    assert "# TYPE raycrawl_crawl_phase_seconds gauge\n" in text
+    assert 'raycrawl_crawl_phase_seconds{phase="pop"} 0.25\n' in text
+    assert 'raycrawl_crawl_phase_seconds{phase="fetch_extract"} 1.5\n' in text
+    assert text.count("# HELP raycrawl_crawl_phase_seconds ") == 1
 
 
 def test_worker_fetch_state_is_per_token(tmp_path):

@@ -1,14 +1,17 @@
 """Unit tests for the frontier shard logic (actor-free FrontierShardLocal),
 plus crawl()-level checks that the insert contract still surfaces."""
 
+import copy
+import json
 import pickle
 
 import pytest
 import ray
 
 from raycrawl import pipeline
-from raycrawl.fixtures import cached_corpus
+from raycrawl.fixtures import cached_corpus, feature_corpus
 from raycrawl.frontier import FrontierShardLocal
+from raycrawl.oracle import crawl_oracle
 from raycrawl.urlnorm import url_key
 
 
@@ -153,16 +156,51 @@ def _shard_with_queue(**kw):
     return s
 
 
+def _shard_for_peeks():
+    """Three hosts at 2 pops per wave and a Crawl-delay host (one pop
+    every other wave), queued at two depths, after one partial pop."""
+    s = FrontierShardLocal(0, respect_robots=True, politeness_rate=2.0,
+                           politeness_burst=2.0)
+    s.load_robots({"slow.example": "User-agent: *\nCrawl-delay: 2\n"})
+    hosts = ["h0.example", "h1.example", "h2.example", "slow.example"]
+    s.insert_batch([(i, i % 2, f"https://{hosts[i % 4]}/p{i}", hosts[i % 4],
+                     None, _k(f"https://{hosts[i % 4]}/p{i}"))
+                    for i in range(20)])
+    s.pop_batch(wave=0, budget=3)
+    return s
+
+
+@pytest.mark.parametrize("peeks", [
+    [(0, 5)], [(1, 3)], [(1, 100)], [(2, 0)],
+    [(1, 100), (3, 4), (2, 2), (6, 100)]])
+def test_peek_batch_is_pop_batch_without_state_change(peeks):
+    """``peek_batch(w, b)`` returns what ``pop_batch(w, b)`` on a deep
+    copy returns, and leaves the queue order, the politeness buckets, the
+    counters, ``stats()`` and the next snapshot's bytes as they were, so
+    a later pop is unchanged too."""
+    s = _shard_for_peeks()
+    heap, tokens, last_wave = list(s.heap), dict(s.tokens), dict(s.last_wave)
+    before = copy.deepcopy(s)
+    for wave, budget in peeks:
+        assert s.peek_batch(wave, budget) == \
+            copy.deepcopy(s).pop_batch(wave, budget)
+    assert (s.heap, s.tokens, s.last_wave) == (heap, tokens, last_wave)
+    assert s.stats() == before.stats()
+    assert s.snapshot() == before.snapshot()
+    assert s.pop_batch(4, 100) == before.pop_batch(4, 100)
+
+
 def test_advance_equals_insert_snapshot_stats_pop():
     """``advance`` = insert_batch, then snapshot (full) or snapshot_delta,
-    then stats, then pop_batch: same pops, blobs and stats, wave after
-    wave, budget 0 and throttled hosts included."""
+    then stats, then pop_batch, then peek_batch of the wave after: same
+    pops, blobs, stats and peeks, wave after wave, budget 0, ahead 0 and
+    throttled hosts included."""
     kw = dict(politeness_rate=2.0, politeness_burst=2.0)
     calls, one = _shard_with_queue(**kw), _shard_with_queue(**kw)
     seq = 100
-    for wave, (full, budget, n_new) in enumerate(
-            [(True, 5, 3), (False, 0, 2), (False, 4, 0), (True, 0, 0),
-             (False, 3, 4), (False, 100, 1)]):
+    for wave, (full, budget, ahead, n_new) in enumerate(
+            [(True, 5, 4, 3), (False, 0, 0, 2), (False, 4, 100, 0),
+             (True, 0, 3, 0), (False, 3, 0, 4), (False, 100, 100, 1)]):
         items = []
         for _ in range(n_new):
             u = f"https://h{seq % 3}.example/n{seq}"
@@ -172,7 +210,9 @@ def test_advance_equals_insert_snapshot_stats_pop():
         blob = calls.snapshot() if full else calls.snapshot_delta()
         stats = calls.stats()
         pops = calls.pop_batch(wave, budget)
-        assert one.advance(items, full, wave, budget) == (pops, blob, stats)
+        peek = calls.peek_batch(wave + 1, ahead)
+        assert one.advance(items, full, wave, budget, ahead) == \
+            (pops, blob, stats, peek)
         assert len(pickle.loads(blob)["heap"]) == len(pops) + calls.queue_size()
     assert one.stats() == calls.stats()
     assert one.snapshot() == calls.snapshot()
@@ -182,7 +222,7 @@ def test_advance_raises_on_double_admission():
     s = FrontierShardLocal(0, respect_robots=False)
     u = "https://h.example/dup"
     item = (0, 0, u, "h.example", None, _k(u))
-    pops, _, _ = s.advance([item], True, 0, 5)
+    pops, *_ = s.advance([item], True, 0, 5)
     assert [p[3] for p in pops] == [u]
     with pytest.raises(RuntimeError, match="admission contract"):
         s.advance([item], False, 1, 5)
@@ -218,3 +258,58 @@ def test_crawl_surfaces_double_admission_on_last_wave(monkeypatch, tmp_path):
     reads that wave's refs, and the error still leaves crawl()."""
     with pytest.raises(RuntimeError, match="admission contract"):
         _crawl_with_admit_all_shards(monkeypatch, tmp_path, max_waves=2)
+
+
+def plant_wrong_peeks(monkeypatch):
+    """Make crawl() use shards whose peek is wrong on purpose: it drops
+    every other url of the true peek and adds the latest-queued urls,
+    which only later waves pop."""
+    class WrongPeeks(FrontierShardLocal):
+        def peek_batch(self, wave, budget):
+            true = super().peek_batch(wave, budget)
+            later = [(prio, seq, depth, url, parent) for
+                     prio, seq, depth, url, _host, parent in
+                     sorted(self.heap)[-(budget // 2 + 1):]]
+            return true[::2] + [it for it in later if it not in true]
+
+    monkeypatch.setattr(pipeline, "FrontierShard", ray.remote(WrongPeeks))
+    monkeypatch.setattr(pipeline, "_SHARD_POOL", [])
+
+
+def test_crawl_with_wrong_peeks_is_exact(monkeypatch, tmp_path):
+    """A peek only picks the pages the pool extracts early. With wrong
+    peeks the results, seen set and manifest waves equal those of a crawl
+    with true peeks and the serial oracle's order; the mispredicted pages
+    are extracted, counted as wasted and never written."""
+    sizes = dict(n_hosts=4, host_sizes=[60, 10, 10, 10], with_private=False)
+    corpus = cached_corpus("feature", **sizes)
+    seeds = [f"https://h{i}.example/d0/p0.html" for i in range(4)]
+    kw = dict(max_depth=10, max_pages=500, wave_budget=16,
+              exclude_patterns=[r"/skip/", r"\.(jpg|png)$"],
+              politeness_rate=4.0, politeness_burst=4.0)
+
+    def run(name):
+        out_dir = str(tmp_path / name)
+        out = pipeline.crawl(corpus, pipeline.CrawlConfig(
+            seed_url=seeds, num_shards=2, extract_concurrency=2,
+            batch_size=4, out_dir=out_dir, **kw))
+        with open(f"{out_dir}/checkpoint/manifest.json") as f:
+            return out, json.load(f)["waves"]
+
+    true, true_waves = run("true")
+    plant_wrong_peeks(monkeypatch)
+    wrong, wrong_waves = run("wrong")
+    assert wrong.results().equals(true.results())
+    assert wrong.seen().equals(true.seen())
+    assert wrong_waves == true_waves
+    res = sorted(wrong.results().select(["wave", "seq", "depth", "url"])
+                 .to_pylist(), key=lambda r: (r["wave"], r["seq"]))
+    oracle = crawl_oracle(feature_corpus(**sizes), seeds, **kw)
+    assert [(r["seq"], r["depth"], r["url"]) for r in res] == oracle.order()
+    for out in (true, wrong):
+        spec = out.stats["speculation"]
+        assert spec["hit_pages"] + spec["extra_pages"] == \
+            out.stats["pages_success"] + out.stats["pages_failed"]
+    assert true.stats["speculation"]["hit_pages"] > 0
+    assert true.stats["speculation"]["wasted_pages"] == 0
+    assert wrong.stats["speculation"]["wasted_pages"] > 0
