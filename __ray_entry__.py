@@ -1047,37 +1047,41 @@ def _q_repetition(sf_dir: str):
 
 def _q_audio_features(sf_dir: str):
     """REAL multimodal decode path: raw int16 PCM binary column →
-    actor-pool decode + integer features (energy / zero-crossings /
+    task-stage decode + integer features (energy / zero-crossings /
     peak), exactly reproduced by the closed-form SQL oracle. Row count
     scales with the sf documents table."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from raycrawl.ops.multimodal import audio_features, synth_audio_table
+    from raycrawl.media_fixtures import synth_audio_table
+    from raycrawl.ops.multimodal import PcmDecoder, media_features
 
     n = pq.ParquetFile(
         os.path.join(sf_dir, "documents.parquet")).metadata.num_rows
     ds = rd.from_arrow(synth_audio_table(n))
-    return audio_features(ds).to_pandas().sort_values(
-        "audio_id").reset_index(drop=True)
+    return media_features(ds, PcmDecoder(), PcmDecoder.stats, "audio_id") \
+        .to_pandas().sort_values("audio_id").reset_index(drop=True)
 
 
 def _q_image_png_features(sf_dir: str):
     """REAL multimodal image decode path: genuine PNG payloads (stdlib
     zlib + numpy codec, raycrawl/ops/png.py — all five scanline filters
     plus the adaptive MSAD heuristic are exercised across the corpus)
-    decoded in an actor pool → integer channel statistics, exactly
+    decoded on Ray tasks → integer channel statistics, exactly
     reproduced by the closed-form SQL oracle. The image analogue of
     `audio_features`: no codec stub on this path."""
     import pyarrow.parquet as pq
 
-    from raycrawl.ops.png import png_features, synth_png_dataset
+    from raycrawl.media_fixtures import synth_media_dataset, synth_png_batch
+    from raycrawl.ops.multimodal import media_features
+    from raycrawl.ops.png import PngDecoder
 
     n = pq.ParquetFile(
         os.path.join(sf_dir, "documents.parquet")).metadata.num_rows
-    ds = synth_png_dataset(n, n_blocks=2 * _pool(1.0))  # distributed encode
-    return png_features(ds, batch_size=64).to_pandas() \
-        .sort_values("image_id").reset_index(drop=True)
+    # distributed encode
+    ds = synth_media_dataset(synth_png_batch, n, n_blocks=2 * _pool(1.0))
+    return media_features(ds, PngDecoder(), PngDecoder.stats, "image_id") \
+        .to_pandas().sort_values("image_id").reset_index(drop=True)
 
 
 def _q_bpe_encode(sf_dir: str):
@@ -1330,7 +1334,7 @@ def _q_image_jpeg_features(sf_dir: str):
     """REAL baseline JPEG decode path (VERDICT r3 item 6 — the last codec
     stand-in made real): genuine JFIF payloads (stdlib DCT entropy codec,
     raycrawl/ops/jpeg.py — Annex K tables, Huffman scan, byte stuffing)
-    encoded distributed, decoded in a task pool → integer pixel
+    encoded distributed, decoded on Ray tasks → integer pixel
     statistics. The fixture images are piecewise-constant per 8×8 block,
     so the LOSSY round-trip is exactly computable: only the
     integer-quantized DC survives, and the oracle replicates
@@ -1339,13 +1343,15 @@ def _q_image_jpeg_features(sf_dir: str):
     file_utils.py:38-75 encode_image."""
     import pyarrow.parquet as pq
 
-    from raycrawl.ops.jpeg import jpeg_features, synth_jpeg_dataset
+    from raycrawl.media_fixtures import synth_jpeg_batch, synth_media_dataset
+    from raycrawl.ops.jpeg import JpegDecoder
+    from raycrawl.ops.multimodal import media_features
 
     n = pq.ParquetFile(
         os.path.join(sf_dir, "documents.parquet")).metadata.num_rows
-    ds = synth_jpeg_dataset(n, n_blocks=2 * _pool(1.0))
-    return jpeg_features(ds, batch_size=64).to_pandas() \
-        .sort_values("image_id").reset_index(drop=True)
+    ds = synth_media_dataset(synth_jpeg_batch, n, n_blocks=2 * _pool(1.0))
+    return media_features(ds, JpegDecoder(), JpegDecoder.stats, "image_id") \
+        .to_pandas().sort_values("image_id").reset_index(drop=True)
 
 
 def _q_quality_gate(sf_dir: str):

@@ -652,7 +652,7 @@ def jpeg_decode(data: bytes, return_coeffs: bool = False):
 
 
 # --------------------------------------------------------------------------
-# codec hooks (multimodal.encode_image drop-ins) + fixture/feature stages
+# codec hooks: multimodal.encode_image and media_features drop-ins
 # --------------------------------------------------------------------------
 
 class JpegCodec:
@@ -676,7 +676,8 @@ class JpegCodec:
 
 class JpegDecoder:
     """Real-decoder drop-in for multimodal.FakeImageDecoder (JPEG is
-    self-describing; hints validated when provided)."""
+    self-describing; hints validated when provided). ``stats`` gives the
+    integer features of ``image_jpeg_features``."""
 
     def __call__(self, payload: bytes, width: "int | None" = None,
                  height: "int | None" = None) -> np.ndarray:
@@ -687,93 +688,11 @@ class JpegDecoder:
             raise ValueError(f"height hint {height} != decoded {img.shape[0]}")
         return img
 
-
-def _synth_block_gray(i: int, bw: int, bh: int) -> np.ndarray:
-    """Piecewise-constant grayscale pixels, one color per 8×8 block:
-    c(i,bx,by) = (i*7 + bx*31 + by*57) % 256 — the closed form the SQL
-    oracle regenerates (constant blocks make the lossy DCT round-trip
-    EXACTLY computable: only the integer-quantized DC survives)."""
-    by = np.arange(bh, dtype=np.int64)[:, None]
-    bx = np.arange(bw, dtype=np.int64)[None, :]
-    c = ((i * 7 + bx * 31 + by * 57) % 256).astype(np.uint8)
-    return np.repeat(np.repeat(c, 8, axis=0), 8, axis=1)
-
-
-def synth_jpeg_batch(ids) -> "object":
-    """REAL JPEG payload rows: per image id, block grid
-    bw = 2 + (i*3) % 6, bh = 2 + (i*5) % 5 (so w = 8·bw, h = 8·bh),
-    constant-color blocks per ``_synth_block_gray``, encoded at
-    quality=50 (identity IJG scaling → Annex K tables verbatim,
-    Q00 = 16). Batch form so fixture ENCODE distributes as a
-    map_batches stage."""
-    import pyarrow as pa
-
-    out_ids, payloads, ws, hs = [], [], [], []
-    for i in ids:
-        i = int(i)
-        bw = 2 + (i * 3) % 6
-        bh = 2 + (i * 5) % 5
-        payloads.append(jpeg_encode(_synth_block_gray(i, bw, bh),
-                                    quality=50))
-        out_ids.append(i)
-        ws.append(bw * 8)
-        hs.append(bh * 8)
-    return pa.Table.from_arrays(
-        [pa.array(out_ids, pa.int64()), pa.array(payloads, pa.binary()),
-         pa.array(["jpeg"] * len(out_ids), pa.string()),
-         pa.array(ws, pa.int32()), pa.array(hs, pa.int32())],
-        names=["image_id", "payload", "format", "width", "height"])
-
-
-def synth_jpeg_dataset(n: int, n_blocks: int = 16):
-    """Distributed fixture build: id range → per-batch REAL JPEG encode."""
-    import ray.data as rd
-
-    return rd.range(n, override_num_blocks=n_blocks).map_batches(
-        lambda b: synth_jpeg_batch(b["id"]), batch_format="numpy")
-
-
-class JpegFeatureStage:
-    """REAL JPEG decode → integer statistics with an exact SQL oracle:
-    width/height from the bitstream (cross-checked against metadata),
-    pixel sum, min, max. Binary payloads stay pyarrow end to end."""
-
-    def __init__(self) -> None:
-        self.decoder = JpegDecoder()
-
-    def __call__(self, batch) -> "object":
-        import pyarrow as pa
-
-        ids = batch.column("image_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        ws = batch.column("width").to_pylist()
-        hs = batch.column("height").to_pylist()
-        width, height, sums, mn, mx = [], [], [], [], []
-        for p, w_hint, h_hint in zip(payloads, ws, hs):
-            img = self.decoder(p, w_hint, h_hint).astype(np.int64)
-            height.append(img.shape[0])
-            width.append(img.shape[1])
-            sums.append(int(img.sum()))
-            mn.append(int(img.min()))
-            mx.append(int(img.max()))
-        return pa.table({
-            "image_id": pa.array(ids, pa.int64()),
-            "width": pa.array(width, pa.int64()),
-            "height": pa.array(height, pa.int64()),
-            "sum_px": pa.array(sums, pa.int64()),
-            "min_px": pa.array(mn, pa.int64()),
-            "max_px": pa.array(mx, pa.int64()),
-        })
-
-
-def jpeg_features(ds, concurrency: "int | None" = None,
-                  batch_size: int = 32):
-    """JPEG decode + features — task pool by default (the decoder is
-    stateless), actor pool when ``concurrency`` is pinned (the shape a
-    GPU codec would take), same convention as png.png_features."""
-    if concurrency is None:
-        return ds.map_batches(lambda b: JpegFeatureStage()(b),
-                              batch_format="pyarrow",
-                              batch_size=batch_size)
-    return ds.map_batches(JpegFeatureStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+    @staticmethod
+    def stats(images: list) -> dict:
+        """width/height as decoded, pixel sum, min and max."""
+        return {"width": [im.shape[1] for im in images],
+                "height": [im.shape[0] for im in images],
+                "sum_px": [int(im.sum(dtype=np.int64)) for im in images],
+                "min_px": [int(im.min()) for im in images],
+                "max_px": [int(im.max()) for im in images]}

@@ -1,55 +1,37 @@
-"""Multimodal column plumbing: opaque binary payloads + typed metadata.
+"""Media decode → features: one task stage over binary payload columns.
 
-PIL/ffmpeg/torchaudio are not in this container, but the image and audio
-paths are REAL anyway: PNG (ops/png.py, stdlib zlib codec), baseline JPEG
-(ops/jpeg.py, stdlib DCT entropy codec) and raw int16 PCM audio need no
-external library. The deterministic fakes below remain only as (a) the
-hook contract documentation and (b) the stand-in for formats whose codecs
-are genuinely impossible offline (WEBP, MP3). The
-Ray-side plumbing is sized for 100 TB either way: binary columns stay in
-``batch_format="pyarrow"`` (zero-copy; never round-trip binary through
-pandas object dtype), stages are actor pools with small ``batch_size``
-(large payloads × concurrency must fit worker heaps, SURVEY.md R5), and
-outputs are fixed-width feature columns.
+``media_features(ds, decode, stats, id_col)`` is the one decode+features
+stage. Each format brings a ``decode(payload, *hints)`` and a
+``stats(decoded)`` function that maps a batch's decoded arrays to named
+int64 columns; the stage runs the payload loop. Payloads are REAL: PNG
+(``png.PngDecoder``, stdlib zlib codec), baseline JPEG
+(``jpeg.JpegDecoder``, stdlib DCT entropy codec) and raw int16 PCM audio
+(``PcmDecoder`` below), none of which needs an external library.
 
-Swap ``FakeImageDecoder`` for ``png.PngDecoder`` / ``jpeg.JpegDecoder``
-(or PIL in production) in ``__init__`` of the same actor class and
-nothing else changes.
+Binary columns stay in ``batch_format="pyarrow"`` (never round-trip
+binary through pandas object dtype), batches are small (payloads can be
+MBs, and the batch bounds a worker's heap), and the decoders are
+stateless, so the stage runs on reused Ray tasks, not an actor pool.
+
+``encode_image`` is the reference's KB-budget re-encode hook (M26). Its
+deterministic fakes stand in where PIL is absent and for formats whose
+codecs are impossible offline (WEBP, MP3); the PNG/JPEG codecs are
+drop-ins for them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pyarrow as pa
 
-IMAGE_META = pa.schema([
-    ("image_id", pa.int64()),
-    ("payload", pa.binary()),
-    ("format", pa.string()),
-    ("width", pa.int32()),
-    ("height", pa.int32()),
-])
-
-
-def synth_image_table(n: int, seed: int = 42) -> pa.Table:
-    """Deterministic fake 'image' rows: payload = seeded bytes; metadata
-    columns as a real corpus would carry them."""
-    rng = np.random.RandomState(seed)
-    payloads, fmts, ws, hs = [], [], [], []
-    for i in range(n):
-        w = int(rng.randint(16, 257))
-        h = int(rng.randint(16, 257))
-        payloads.append(hashlib.sha256(f"img{i}".encode()).digest() * (1 + i % 7))
-        fmts.append(("png", "jpeg", "webp")[i % 3])
-        ws.append(w)
-        hs.append(h)
-    return pa.Table.from_arrays(
-        [pa.array(range(n), pa.int64()), pa.array(payloads, pa.binary()),
-         pa.array(fmts), pa.array(ws, pa.int32()), pa.array(hs, pa.int32())],
-        schema=IMAGE_META)
+# rows per decode batch: payloads can be MBs, and a batch bounds the heap
+# of the worker that decodes it
+_BATCH_SIZE = 64
+# metadata columns passed to ``decode`` after the payload, when present
+_HINTS = ("width", "height")
 
 
 class FakeImageDecoder:
@@ -121,104 +103,46 @@ def encode_image(image_data: bytes, width: int, height: int,
         return None
 
 
-class ImageFeatureStage:
-    """Actor-pool stage: decode → resize (nearest-neighbor, pure numpy) →
-    per-channel mean/std features. batch_size MUST stay small (payloads are
-    MBs; batch × concurrency bounds worker heap)."""
-
-    def __init__(self, target: int = 32,
-                 decoder: Optional[object] = None) -> None:
-        self.target = target
-        self.decoder = decoder or FakeImageDecoder()
-
-    def _resize(self, img: np.ndarray) -> np.ndarray:
-        h, w = img.shape[:2]
-        yi = (np.arange(self.target) * h // self.target).clip(0, h - 1)
-        xi = (np.arange(self.target) * w // self.target).clip(0, w - 1)
-        return img[yi][:, xi]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("image_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        ws = batch.column("width").to_pylist()
-        hs = batch.column("height").to_pylist()
-        means, stds, thumbs = [], [], []
-        for p, w, h in zip(payloads, ws, hs):
-            img = self.decoder(p, w, h)
-            small = self._resize(img)
-            means.append([float(small[..., c].mean()) for c in range(3)])
-            stds.append([float(small[..., c].std()) for c in range(3)])
-            thumbs.append(small.tobytes())
-        return pa.table({
-            "image_id": pa.array(ids, pa.int64()),
-            "channel_mean": pa.array(means, pa.list_(pa.float32())),
-            "channel_std": pa.array(stds, pa.list_(pa.float32())),
-            "thumbnail": pa.array(thumbs, pa.binary()),
-        })
 
 
-def image_features(ds, target: int = 32, concurrency: int = 4,
-                   batch_size: int = 16):
-    """The multimodal pipeline shape: small batches, pyarrow format,
-    actor pool (decoder state loaded once per actor)."""
-    return ds.map_batches(ImageFeatureStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency,
-                          fn_constructor_kwargs={"target": target})
+class PcmDecoder:
+    """Raw little-endian int16 mono PCM → int64 samples (a real decode:
+    PCM needs no codec). ``stats`` gives n_samples, energy Σ s², strict
+    sign-change zero crossings and peak |s|."""
+
+    def __call__(self, payload: bytes) -> np.ndarray:
+        return np.frombuffer(payload, dtype="<i2").astype(np.int64)
+
+    @staticmethod
+    def stats(clips: list) -> dict:
+        return {
+            "n_samples": [len(s) for s in clips],
+            "energy": [int((s * s).sum()) for s in clips],
+            "zero_crossings": [int((s[:-1] * s[1:] < 0).sum())
+                               for s in clips],
+            "peak": [int(np.abs(s).max()) if len(s) else 0 for s in clips],
+        }
 
 
-AUDIO_META = pa.schema([
-    ("audio_id", pa.int64()),
-    ("pcm", pa.binary()),          # raw little-endian int16 mono PCM
-    ("sample_rate", pa.int32()),
-])
+def _media_batch(batch: pa.Table, decode: Callable, stats: Callable,
+                 id_col: str) -> pa.Table:
+    """Decode every ``payload`` of ``batch`` (with its ``_HINTS``
+    columns) and return ``id_col`` plus ``stats``' columns as int64."""
+    hints = [batch.column(c).to_pylist() for c in _HINTS
+             if c in batch.column_names]
+    decoded = [decode(p, *h) for p, *h in
+               zip(batch.column("payload").to_pylist(), *hints)]
+    cols = {id_col: batch.column(id_col).cast(pa.int64())}
+    for name, values in stats(decoded).items():
+        cols[name] = pa.array(values, pa.int64())
+    return pa.table(cols)
 
 
-def synth_audio_table(n: int) -> pa.Table:
-    """Deterministic raw-PCM 'audio' rows: sample k of clip i is
-    ((i*31 + k*17) % 65536) - 32768, clip length 1000 + i % 500 — a
-    closed form a SQL engine can regenerate, so the decode+feature path
-    is EXACTLY oracle-checkable (unlike the compressed-codec stages,
-    raw PCM needs no external library: this decode is real)."""
-    ids, blobs = [], []
-    for i in range(n):
-        n_samples = 1000 + i % 500
-        k = np.arange(n_samples, dtype=np.int64)
-        s = ((i * 31 + k * 17) % 65536 - 32768).astype(np.int16)
-        ids.append(i)
-        blobs.append(s.tobytes())
-    return pa.Table.from_arrays(
-        [pa.array(ids, pa.int64()), pa.array(blobs, pa.binary()),
-         pa.array([16000] * n, pa.int32())], schema=AUDIO_META)
-
-
-class AudioFeatureStage:
-    """REAL audio decode + vectorized feature extraction over raw int16
-    PCM binary columns (the audio analogue of ImageFeatureStage, with no
-    codec stub): n_samples, integer energy Σ s², zero-crossing count
-    (strict sign change), peak |s|. Integer outputs → exact SQL oracle.
-    For compressed formats swap the frombuffer decode for an ffmpeg/
-    soundfile call in __init__-configured form; batch sizing rules are
-    the same as images (payload × concurrency bounds worker heaps)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("audio_id").to_pylist()
-        blobs = batch.column("pcm").to_pylist()
-        ns, energy, zc, peak = [], [], [], []
-        for blob in blobs:
-            s = np.frombuffer(blob, dtype="<i2").astype(np.int64)
-            ns.append(len(s))
-            energy.append(int((s * s).sum()))
-            zc.append(int(((s[:-1] * s[1:]) < 0).sum()) if len(s) > 1 else 0)
-            peak.append(int(np.abs(s).max()) if len(s) else 0)
-        return pa.table({
-            "audio_id": pa.array(ids, pa.int64()),
-            "n_samples": pa.array(ns, pa.int64()),
-            "energy": pa.array(energy, pa.int64()),
-            "zero_crossings": pa.array(zc, pa.int64()),
-            "peak": pa.array(peak, pa.int64()),
-        })
-
-
-def audio_features(ds, concurrency: int = 4, batch_size: int = 64):
-    return ds.map_batches(AudioFeatureStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+def media_features(ds, decode: Callable, stats: Callable, id_col: str):
+    """Decode each row's ``payload`` with ``decode(payload, *hints)`` and
+    return ``id_col`` plus the int64 columns of ``stats(decoded)``, on
+    reused Ray tasks in batches of ``_BATCH_SIZE`` rows."""
+    return ds.map_batches(_media_batch, batch_format="pyarrow",
+                          batch_size=_BATCH_SIZE,
+                          fn_kwargs={"decode": decode, "stats": stats,
+                                     "id_col": id_col})

@@ -219,7 +219,8 @@ class PngCodec:
 class PngDecoder:
     """Real-decoder drop-in for multimodal.FakeImageDecoder (same call
     signature; the width/height hints are ignored — PNG is
-    self-describing — but validated when provided)."""
+    self-describing — but validated when provided). ``stats`` gives the
+    integer features of ``image_png_features``."""
 
     def __call__(self, payload: bytes, width: "int | None" = None,
                  height: "int | None" = None) -> np.ndarray:
@@ -229,6 +230,16 @@ class PngDecoder:
         if height is not None and img.shape[0] != height:
             raise ValueError(f"height hint {height} != decoded {img.shape[0]}")
         return img
+
+    @staticmethod
+    def stats(images: list) -> dict:
+        """width/height as decoded, per-channel RGB pixel sums, max."""
+        sums = np.array([im.sum(axis=(0, 1), dtype=np.int64)
+                         for im in images], np.int64).reshape(-1, 3)
+        return {"width": [im.shape[1] for im in images],
+                "height": [im.shape[0] for im in images],
+                "sum_r": sums[:, 0], "sum_g": sums[:, 1], "sum_b": sums[:, 2],
+                "max_px": [int(im.max()) for im in images]}
 
 
 class RawPixelDecoder:
@@ -246,104 +257,3 @@ class RawPixelDecoder:
                         else a.reshape(height, width))
         raise ValueError(
             f"payload size {n} does not match {width}x{height} pixels")
-
-
-def _synth_pixels(i: int, w: int, h: int) -> np.ndarray:
-    """Closed-form RGB pixels a SQL engine can regenerate:
-    value(i,y,x,c) = (i*7 + y*13 + x*17 + c*29) % 256."""
-    y = np.arange(h, dtype=np.int64)[:, None, None]
-    x = np.arange(w, dtype=np.int64)[None, :, None]
-    c = np.arange(3, dtype=np.int64)[None, None, :]
-    return ((i * 7 + y * 13 + x * 17 + c * 29) % 256).astype(np.uint8)
-
-
-def synth_png_batch(ids) -> "object":
-    """REAL PNG payload rows for the given image ids, with closed-form
-    pixel values and dimensions (w = 16 + (i*5) % 48, h = 16 + (i*3) %
-    40) so the decode + feature pipeline is exactly SQL-oracle-checkable.
-    The scanline filter cycles i % 5 then adaptive every 6th, so every
-    decode path (None/Sub/Up/Average/Paeth + MSAD) is exercised. Batch
-    form so fixture ENCODE distributes across the cluster as a
-    map_batches stage rather than serializing on the driver."""
-    import pyarrow as pa
-
-    out_ids, payloads, ws, hs = [], [], [], []
-    for i in ids:
-        i = int(i)
-        w = 16 + (i * 5) % 48
-        h = 16 + (i * 3) % 40
-        ft: "int | str" = "adaptive" if i % 6 == 5 else i % 5
-        payloads.append(png_encode(_synth_pixels(i, w, h), filter_type=ft))
-        out_ids.append(i)
-        ws.append(w)
-        hs.append(h)
-    return pa.Table.from_arrays(
-        [pa.array(out_ids, pa.int64()), pa.array(payloads, pa.binary()),
-         pa.array(["png"] * len(out_ids), pa.string()),
-         pa.array(ws, pa.int32()), pa.array(hs, pa.int32())],
-        names=["image_id", "payload", "format", "width", "height"])
-
-
-def synth_png_table(n: int):
-    """Driver-side convenience wrapper over ``synth_png_batch`` for
-    tests / small fixtures."""
-    return synth_png_batch(range(n))
-
-
-def synth_png_dataset(n: int, n_blocks: int = 16):
-    """Distributed fixture build: id range → per-batch REAL PNG encode
-    (the scale path — nothing is encoded on the driver)."""
-    import ray.data as rd
-
-    return rd.range(n, override_num_blocks=n_blocks).map_batches(
-        lambda b: synth_png_batch(b["id"]), batch_format="numpy")
-
-
-class PngFeatureStage:
-    """Actor-pool stage: REAL PNG decode → integer channel statistics
-    (exact SQL oracle). Output: width/height read from the PNG itself
-    (cross-checked against the metadata columns), per-channel pixel sums
-    and global max. Same batch-sizing rules as ImageFeatureStage: binary
-    payloads stay pyarrow, batch × concurrency bounds worker heaps."""
-
-    def __init__(self) -> None:
-        self.decoder = PngDecoder()
-
-    def __call__(self, batch) -> "object":
-        import pyarrow as pa
-
-        ids = batch.column("image_id").to_pylist()
-        payloads = batch.column("payload").to_pylist()
-        ws = batch.column("width").to_pylist()
-        hs = batch.column("height").to_pylist()
-        width, height, sums, mx = [], [], [], []
-        for p, w_hint, h_hint in zip(payloads, ws, hs):
-            img = self.decoder(p, w_hint, h_hint).astype(np.int64)
-            height.append(img.shape[0])
-            width.append(img.shape[1])
-            sums.append(img.sum(axis=(0, 1)))
-            mx.append(int(img.max()))
-        s = np.array(sums, dtype=np.int64).reshape(len(ids), 3)
-        return pa.table({
-            "image_id": pa.array(ids, pa.int64()),
-            "width": pa.array(width, pa.int64()),
-            "height": pa.array(height, pa.int64()),
-            "sum_r": pa.array(s[:, 0], pa.int64()),
-            "sum_g": pa.array(s[:, 1], pa.int64()),
-            "sum_b": pa.array(s[:, 2], pa.int64()),
-            "max_px": pa.array(mx, pa.int64()),
-        })
-
-
-def png_features(ds, concurrency: "int | None" = None,
-                 batch_size: int = 32):
-    """PNG decode + features. The decoder is STATELESS (no model/table
-    load), so the default is a task pool — fully elastic, no actor
-    startup cost; pass ``concurrency`` to pin an actor pool instead
-    (the shape a stateful decoder — e.g. a GPU codec — would use)."""
-    if concurrency is None:
-        return ds.map_batches(lambda b: PngFeatureStage()(b),
-                              batch_format="pyarrow",
-                              batch_size=batch_size)
-    return ds.map_batches(PngFeatureStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)

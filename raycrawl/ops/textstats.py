@@ -299,32 +299,6 @@ def bigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text"):
     return ds.map_batches(score, batch_format="pandas")
 
 
-class LangIdStage:
-    """Stopword-profile language ID (n-gram heuristic). Profiles compiled
-    once per actor; deterministic tie-break by profile order then 'und'."""
-
-    def __init__(self) -> None:
-        self.profiles = {k: frozenset(v) for k, v in LANG_PROFILES.items()}
-        self.order = list(LANG_PROFILES.keys())
-
-    def classify(self, text: str) -> str:
-        toks = [t.lower() for t in text.split()]
-        if not toks:
-            return "und"
-        best_lang, best_score = "und", 0
-        for lang in self.order:
-            score = sum(1 for t in toks if t in self.profiles[lang])
-            if score > best_score:
-                best_lang, best_score = lang, score
-        return best_lang
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        preds = batch["text"].fillna("").apply(self.classify)
-        out = batch[["doc_id"]].copy()
-        out["lang_pred"] = preds
-        return out
-
-
 SCORE_SCALE = 10**6
 
 
@@ -404,9 +378,29 @@ def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
     return ds.map_batches(score, batch_format="pandas")
 
 
-def lang_id(ds, concurrency: int = 4):
-    return ds.map_batches(LangIdStage, batch_format="pandas",
-                          concurrency=concurrency)
+_LANG_SETS = {k: frozenset(v) for k, v in LANG_PROFILES.items()}
+
+
+def _classify_lang(text: str) -> str:
+    """The profile with the most stop-word hits; ties go to the earlier
+    profile, no hit (or no token) to 'und'."""
+    toks = [t.lower() for t in text.split()]
+    best_lang, best_score = "und", 0
+    for lang, words in _LANG_SETS.items():
+        score = sum(1 for t in toks if t in words)
+        if score > best_score:
+            best_lang, best_score = lang, score
+    return best_lang
+
+
+def lang_id(ds):
+    """Stop-word-profile language ID per document: (doc_id, lang_pred)."""
+    def classify(batch: pd.DataFrame) -> pd.DataFrame:
+        out = batch[["doc_id"]].copy()
+        out["lang_pred"] = batch["text"].fillna("").apply(_classify_lang)
+        return out
+
+    return ds.map_batches(classify, batch_format="pandas")
 
 
 def rolling_fingerprint(text: str, window: int = 5) -> int:

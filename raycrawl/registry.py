@@ -23,7 +23,9 @@ class StageSpec:
     fn: Union[Callable, type]
     batch_format: str = "pyarrow"
     batch_size: Optional[int] = 64
-    # None: a function stage runs unbounded, an actor stage on 4 actors
+    # None: a function stage runs unbounded, an actor stage on an
+    # autoscaling pool of 1-4 actors (a fixed pool of 4 on a 4-CPU session
+    # leaves its read tasks no CPU and hangs)
     default_concurrency: Optional[int] = None
     num_cpus: float = 1.0
     description: str = ""
@@ -61,7 +63,7 @@ def apply_stage(ds, name: str, concurrency: Optional[int] = None,
     if bs:
         kwargs["batch_size"] = bs
     conc = (concurrency or spec.default_concurrency
-            or (4 if spec.is_actor else None))
+            or ((1, 4) if spec.is_actor else None))
     if conc:
         kwargs["concurrency"] = conc
     if spec.num_cpus != 1.0:
@@ -76,16 +78,13 @@ def _register_builtins() -> None:
     from .chunker import ChunkStage
     from .convert import ConvertStage
     from .extract import extract_batch
-    from .ops.multimodal import ImageFeatureStage
 
     register_stage(StageSpec("extract", extract_batch, "pyarrow", 32, 4,
                              description="pages → ScrapeData columns (M1-M18)"))
-    register_stage(StageSpec("chunk", ChunkStage, "pyarrow", 64, 4,
+    register_stage(StageSpec("chunk", ChunkStage, "pyarrow", 64,
                              description="markdown → chunk rows (C1-C3)"))
-    register_stage(StageSpec("convert", ConvertStage, "pyarrow", 16, 4,
+    register_stage(StageSpec("convert", ConvertStage, "pyarrow", 16,
                              description="binary files → markdown (S7, M20-M25)"))
-    register_stage(StageSpec("image_features", ImageFeatureStage, "pyarrow",
-                             16, 4, description="image decode/resize/features"))
 
 
 _register_builtins()

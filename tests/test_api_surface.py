@@ -9,7 +9,7 @@ import os
 
 _OPS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "raycrawl", "ops")
-_MAX_PARAMS = 354
+_MAX_PARAMS = 334
 
 
 def _public_params() -> int:

@@ -18,10 +18,14 @@ Validation strategy (no PIL, no third-party JPEGs offline):
 import numpy as np
 import pytest
 
-from raycrawl.ops.jpeg import (JpegCodec, JpegDecoder, JpegFeatureStage,
-                               _quantize_block, _synth_block_gray,
-                               jpeg_decode, jpeg_encode, jpeg_features,
-                               quality_quant_tables, synth_jpeg_batch)
+from raycrawl.media_fixtures import _synth_block_gray, synth_jpeg_batch
+from raycrawl.ops.jpeg import (JpegCodec, JpegDecoder, _quantize_block,
+                               jpeg_decode, jpeg_encode, quality_quant_tables)
+from raycrawl.ops.multimodal import _media_batch, media_features
+
+
+def _features(t):
+    return _media_batch(t, JpegDecoder(), JpegDecoder.stats, "image_id")
 
 
 def _coeff_identity(img: np.ndarray, quality: int, **enc_kw) -> None:
@@ -147,7 +151,7 @@ def test_odd_sizes_and_edge_shapes():
 
 def test_synth_batch_and_feature_stage_exact():
     t = synth_jpeg_batch(range(9))
-    out = JpegFeatureStage()(t).to_pandas().set_index("image_id")
+    out = _features(t).to_pandas().set_index("image_id")
     for i in range(9):
         bw = 2 + (i * 3) % 6
         bh = 2 + (i * 5) % 5
@@ -174,10 +178,10 @@ def test_jpeg_features_ray_pipeline():
     import ray.data as rd
 
     t = synth_jpeg_batch(range(30))
-    got = (jpeg_features(rd.from_arrow(t), concurrency=2, batch_size=8)
+    ds = rd.from_arrow(t).repartition(3)
+    got = (media_features(ds, JpegDecoder(), JpegDecoder.stats, "image_id")
            .to_pandas().sort_values("image_id").reset_index(drop=True))
-    exp = JpegFeatureStage()(t).to_pandas().sort_values(
-        "image_id").reset_index(drop=True)
+    exp = _features(t).to_pandas()
     assert got.equals(exp)
 
 

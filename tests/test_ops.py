@@ -120,22 +120,6 @@ def test_rolling_fingerprint_properties():
     assert rolling_fingerprint("") == 0
 
 
-def test_multimodal_image_features():
-    from raycrawl.ops.multimodal import image_features, synth_image_table
-
-    tbl = synth_image_table(24)
-    ds = rd.from_arrow(tbl)
-    out = image_features(ds, target=16, concurrency=2, batch_size=8).to_pandas()
-    assert len(out) == 24
-    assert all(len(m) == 3 for m in out["channel_mean"])
-    # deterministic: re-run gives identical features
-    out2 = image_features(rd.from_arrow(tbl), target=16, concurrency=2,
-                          batch_size=8).to_pandas()
-    m1 = sorted(map(tuple, out["channel_mean"].map(list)))
-    m2 = sorted(map(tuple, out2["channel_mean"].map(list)))
-    assert m1 == m2
-
-
 def test_metrics_prometheus_render():
     from raycrawl.metrics import render_prometheus
 
@@ -981,13 +965,16 @@ def test_dedup_survivors_by_score_picks_best():
     assert canon == {0: 0, 1: 2, 2: 2, 3: 2, 7: 7}
 
 
-def test_audio_features_real_pcm_decode():
-    from raycrawl.ops.multimodal import audio_features, synth_audio_table
+def _audio_features(tbl):
+    from raycrawl.ops.multimodal import PcmDecoder, _media_batch
 
-    tbl = synth_audio_table(8)
-    out = audio_features(rd.from_arrow(tbl), concurrency=2,
-                         batch_size=4).to_pandas()
-    out = out.sort_values("audio_id").reset_index(drop=True)
+    return _media_batch(tbl, PcmDecoder(), PcmDecoder.stats, "audio_id")
+
+
+def test_audio_features_real_pcm_decode():
+    from raycrawl.media_fixtures import synth_audio_table
+
+    out = _audio_features(synth_audio_table(8)).to_pandas()
     assert len(out) == 8
     # numpy oracle for clip 3
     i = 3
@@ -997,6 +984,30 @@ def test_audio_features_real_pcm_decode():
     assert out.loc[i, "energy"] == int((s * s).sum())
     assert out.loc[i, "zero_crossings"] == int(((s[:-1] * s[1:]) < 0).sum())
     assert out.loc[i, "peak"] == int(np.abs(s).max())
+
+
+@pytest.mark.parametrize("fmt", ["audio", "png", "jpeg"])
+def test_media_features_empty_batch_keeps_schema(fmt):
+    """A zero-row batch yields the id column plus every stats column,
+    all int64, for each format."""
+    import pyarrow as pa
+
+    from raycrawl import media_fixtures as mf
+    from raycrawl.ops.jpeg import JpegDecoder
+    from raycrawl.ops.multimodal import PcmDecoder, _media_batch
+    from raycrawl.ops.png import PngDecoder
+
+    table, dec, id_col, cols = {
+        "audio": (mf.synth_audio_table(2), PcmDecoder, "audio_id",
+                  ["n_samples", "energy", "zero_crossings", "peak"]),
+        "png": (mf.synth_png_batch(range(2)), PngDecoder, "image_id",
+                ["width", "height", "sum_r", "sum_g", "sum_b", "max_px"]),
+        "jpeg": (mf.synth_jpeg_batch(range(2)), JpegDecoder, "image_id",
+                 ["width", "height", "sum_px", "min_px", "max_px"]),
+    }[fmt]
+    out = _media_batch(table.slice(0, 0), dec(), dec.stats, id_col)
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([(c, pa.int64()) for c in [id_col] + cols])
 
 
 def test_partitioned_map_groups_matches_per_key(exchange_placement):

@@ -1,15 +1,19 @@
 """Tests for the REAL stdlib PNG codec (raycrawl/ops/png.py): round-trip
 across every scanline filter and channel count, closed-form synth-table
-equality, the Ray actor-pool feature pipeline, and the encode_image
+equality, the ``media_features`` task stage, and the encode_image
 integration (real PNG leg of the reference's KB-budget re-encode,
 reference services/converters/file_utils.py:38-75)."""
 
 import numpy as np
 import pytest
 
-from raycrawl.ops.png import (PngCodec, PngDecoder, PngFeatureStage,
-                              _synth_pixels, png_decode, png_encode,
-                              png_features, synth_png_table)
+from raycrawl.media_fixtures import _synth_pixels, synth_png_batch
+from raycrawl.ops.multimodal import _media_batch, media_features
+from raycrawl.ops.png import PngCodec, PngDecoder, png_decode, png_encode
+
+
+def _features(t):
+    return _media_batch(t, PngDecoder(), PngDecoder.stats, "image_id")
 
 
 @pytest.mark.parametrize("channels", [1, 3, 4])
@@ -47,7 +51,7 @@ def test_decode_rejects_garbage():
 
 
 def test_synth_table_matches_closed_form():
-    t = synth_png_table(13)
+    t = synth_png_batch(range(13))
     dec = PngDecoder()
     for i in range(13):
         w = t.column("width")[i].as_py()
@@ -57,15 +61,15 @@ def test_synth_table_matches_closed_form():
 
 
 def test_decoder_validates_dimension_hints():
-    t = synth_png_table(1)
+    t = synth_png_batch(range(1))
     payload = t.column("payload")[0].as_py()
     with pytest.raises(ValueError):
         PngDecoder()(payload, width=9999)
 
 
 def test_feature_stage_exact():
-    t = synth_png_table(7)
-    out = PngFeatureStage()(t).to_pandas().set_index("image_id")
+    t = synth_png_batch(range(7))
+    out = _features(t).to_pandas().set_index("image_id")
     for i in range(7):
         w = 16 + (i * 5) % 48
         h = 16 + (i * 3) % 40
@@ -81,13 +85,23 @@ def test_feature_stage_exact():
 def test_png_features_ray_pipeline():
     import ray.data as rd
 
-    t = synth_png_table(40)
-    got = (png_features(rd.from_arrow(t), concurrency=2, batch_size=8)
+    t = synth_png_batch(range(40))
+    ds = rd.from_arrow(t).repartition(4)
+    got = (media_features(ds, PngDecoder(), PngDecoder.stats, "image_id")
            .to_pandas().sort_values("image_id").reset_index(drop=True))
     assert len(got) == 40
-    exp = PngFeatureStage()(t).to_pandas().sort_values(
-        "image_id").reset_index(drop=True)
+    exp = _features(t).to_pandas()
     assert got.equals(exp)
+
+
+def test_width_hint_mismatch_raises_through_stage():
+    import pyarrow as pa
+
+    t = synth_png_batch(range(3))
+    bad = t.set_column(t.schema.get_field_index("width"), "width",
+                       pa.array([9999, 9999, 9999], pa.int32()))
+    with pytest.raises(ValueError, match="width hint 9999"):
+        _features(bad)
 
 
 def test_encode_image_real_png_codec():

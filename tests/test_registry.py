@@ -66,6 +66,8 @@ def test_function_stage_gets_concurrency_and_num_cpus():
     assert fn is extract_batch
     assert kwargs["concurrency"] == 4
     assert kwargs["fn_kwargs"] == {"only_main": False}
+    # an actor stage autoscales from one actor
+    assert apply_stage(Recorder(), "chunk").call[1]["concurrency"] == (1, 4)
 
 
 def test_extract_full_page_mode():
@@ -91,3 +93,57 @@ def test_queries_and_oracles_in_sync():
     q = set(entry.queries().keys())
     o = set(entry.oracle_sql().keys())
     assert q == o, (q - o, o - q)
+
+
+_STAGE_CHILD = """
+import os, sys, tempfile
+import pyarrow as pa, pyarrow.parquet as pq
+import ray, ray.data as rd
+from raycrawl.registry import apply_stage
+
+ray.init(address="local", num_cpus=4, include_dashboard=False,
+         logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+with tempfile.TemporaryDirectory() as d:
+    if sys.argv[1] == "chunk":
+        for f in range(8):
+            md = [f"# Doc {f}-{i}\\n\\n" + "word " * 400 for i in range(50)]
+            pq.write_table(pa.table({"url": [f"u{f}-{i}" for i in range(50)],
+                                     "markdown": md}),
+                           os.path.join(d, f"part-{f}.parquet"))
+        ds = rd.read_parquet(d)
+    else:
+        for f in range(40):
+            with open(os.path.join(d, f"f{f}.txt"), "w") as fh:
+                fh.write(f"file {f}\\n" * 200)
+        ds = rd.read_binary_files(d, include_paths=True)
+    print("rows", apply_stage(ds, sys.argv[1]).count())
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("stage,rows", [("chunk", 400), ("convert", 40)])
+def test_actor_stage_default_pool_finishes_on_4_cpus(stage, rows):
+    """The registry's actor stages at their default pool, over a
+    multi-file ``read_parquet`` / ``read_binary_files`` input, finish on a
+    4-CPU session: a fixed pool of 4 actors took every CPU and the read
+    tasks never ran. Runs in its own process (own Ray session) under a
+    timeout, so a hang fails here instead of stalling the suite."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", _STAGE_CHILD, stage],
+                            cwd=repo, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"apply_stage(ds, {stage!r}) hung on a 4-CPU session")
+    assert proc.returncode == 0, err[-2000:]
+    assert out.strip().splitlines()[-1] == f"rows {rows}"
