@@ -1528,27 +1528,24 @@ def _q_pipeline_quality_dedup(sf_dir: str):
     return token_count(kept).to_pandas()
 
 
-def _q_docs_jsonl_roundtrip(sf_dir: str):
-    """JSONL sink/source e2e: documents → hash-sharded gzip JSONL
-    archives (byte-deterministic, resumable at file granularity) → read
-    back file-granularly → per-shard aggregate. The oracle aggregates
-    the ORIGINAL table with the same shard hash (doc_id % 16), so an
-    exact match certifies lossless serialization of every row
-    (raycrawl/ops/jsonl.py)."""
+def _shard_roundtrip(sf_dir: str, write, read):
+    """Documents → ``write(docs, dir, n_shards=16)`` → ``read(dir)`` →
+    per-shard (doc_id % 16) rows, text chars and doc_id sum: the fold
+    the shard-roundtrip oracles run on the ORIGINAL table, so an exact
+    match certifies lossless serialization of every row."""
     import shutil
     import tempfile
 
     import ray.data as rd
 
     from raycrawl.ops.agg import aggregate_partials
-    from raycrawl.ops.jsonl import read_jsonl_shards, write_jsonl_shards
 
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id", "text", "lang"])
-    tmp = tempfile.mkdtemp(prefix="raycrawl_jsonl_rt_", dir="/tmp")
+    tmp = tempfile.mkdtemp(prefix="raycrawl_shard_rt_", dir="/tmp")
     try:
-        write_jsonl_shards(docs, tmp, n_shards=16)
-        back = read_jsonl_shards(tmp)
+        write(docs, tmp, n_shards=16)
+        back = read(tmp)
 
         def partial(b):
             import numpy as np
@@ -1570,6 +1567,16 @@ def _q_docs_jsonl_roundtrip(sf_dir: str):
         return out.sort_values("shard").reset_index(drop=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _q_docs_jsonl_roundtrip(sf_dir: str):
+    """JSONL sink/source e2e: documents → hash-sharded gzip JSONL
+    archives (byte-deterministic, resumable at file granularity) → read
+    back file-granularly → per-shard aggregate (``_shard_roundtrip``;
+    raycrawl/ops/jsonl.py)."""
+    from raycrawl.ops.jsonl import read_jsonl_shards, write_jsonl_shards
+
+    return _shard_roundtrip(sf_dir, write_jsonl_shards, read_jsonl_shards)
 
 
 def _q_docs_split_assign(sf_dir: str):
@@ -1592,45 +1599,15 @@ def _q_docs_csv_roundtrip(sf_dir: str):
     """CSV sink/source e2e: documents → hash-sharded gzip CSV archives
     (RFC-4180, byte-deterministic, resumable at file granularity) →
     read back file-granularly → per-shard aggregate. The oracle
-    aggregates the ORIGINAL table with the same shard hash, so an exact
-    match certifies lossless serialization of every row (null → ''
-    equivalence via COALESCE on both sides)
-    (raycrawl/ops/csvio.py)."""
-    import shutil
-    import tempfile
-
-    import ray.data as rd
-
-    from raycrawl.ops.agg import aggregate_partials
+    aggregates the ORIGINAL table with the same shard hash
+    (``_shard_roundtrip``), so an exact match certifies lossless
+    serialization of every row (null → '' equivalence via COALESCE on
+    both sides) (raycrawl/ops/csvio.py)."""
     from raycrawl.ops.csvio import read_csv_shards, write_csv_shards
 
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text", "lang"])
-    tmp = tempfile.mkdtemp(prefix="raycrawl_csv_rt_", dir="/tmp")
-    try:
-        write_csv_shards(docs, tmp, n_shards=16)
-        back = read_csv_shards(tmp, dtypes={"doc_id": "int64"})
-
-        def partial(b):
-            import numpy as np
-            import pandas as pd
-
-            g = pd.DataFrame({
-                "shard": b["doc_id"].to_numpy("int64") % 16,
-                "n_docs": np.int64(1),
-                "sum_len_chars": b["text"].fillna("").str.len()
-                .astype("int64"),
-                "sum_doc_id": b["doc_id"].astype("int64")})
-            return g.groupby("shard", as_index=False).sum()
-
-        out = aggregate_partials(
-            back, partial, keys=["shard"],
-            agg_spec={"n_docs": "sum", "sum_len_chars": "sum",
-                      "sum_doc_id": "sum"})
-        out = out.astype({c: "int64" for c in out.columns})
-        return out.sort_values("shard").reset_index(drop=True)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    return _shard_roundtrip(
+        sf_dir, write_csv_shards,
+        lambda d: read_csv_shards(d, dtypes={"doc_id": "int64"}))
 
 
 def _q_text_top_tokens_per_lang(sf_dir: str):

@@ -333,9 +333,10 @@ def scrape_to_parquet(
     resume: bool = True,
 ) -> dict:
     """Resumable bulk extraction: one output directory per input host
-    bucket, written atomically (tmp dir + rename) with a _SUCCESS marker —
-    a rerun skips finished buckets (the batch-pipeline equivalent of the
-    reference's result cache, SURVEY.md S9).
+    bucket, each built by ``staging.atomic_build_dir`` (staged dir,
+    ``_DONE`` marker, rename) — a rerun skips finished buckets (the
+    batch-pipeline equivalent of the reference's result cache, SURVEY.md
+    S9); ``resume=False`` rebuilds every bucket.
 
     Returns {"buckets_done": n, "buckets_skipped": m, "rows": total}.
     """
@@ -343,9 +344,11 @@ def scrape_to_parquet(
     import os as _os
     import shutil as _shutil
 
+    import pyarrow.parquet as pq
     import ray.data as _rd
 
     from .pipeline import _corpus_files
+    from .staging import atomic_build_dir, is_complete
 
     files_by_bucket, _ = _corpus_files(corpus_path)
     done = skipped = rows = 0
@@ -355,25 +358,17 @@ def scrape_to_parquet(
             continue
         name = f"bucket={bucket if bucket is not None else 'all'}"
         final = _os.path.join(out_dir, name)
-        if resume and _os.path.exists(_os.path.join(final, "_SUCCESS")):
+        if not resume:
+            _shutil.rmtree(final, ignore_errors=True)
+        if is_complete(final):
             skipped += 1
-            rows += sum(
-                __import__("pyarrow.parquet", fromlist=["x"]).read_metadata(f).num_rows
-                for f in _glob.glob(_os.path.join(final, "*.parquet")))
-            continue
-        tmp = final + ".tmp"
-        _shutil.rmtree(tmp, ignore_errors=True)
-        _shutil.rmtree(final, ignore_errors=True)
-        ds = _rd.read_parquet(files, columns=["url", "warc_ts", "html"])
-        extracted = scrape_dataset(ds, only_main=only_main,
-                                   concurrency=concurrency,
-                                   batch_size=batch_size)
-        extracted.write_parquet(tmp)
-        with open(_os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("ok")
-        _os.rename(tmp, final)
-        done += 1
-        rows += sum(
-            __import__("pyarrow.parquet", fromlist=["x"]).read_metadata(f).num_rows
-            for f in _glob.glob(_os.path.join(final, "*.parquet")))
+        else:
+            ds = _rd.read_parquet(files, columns=["url", "warc_ts", "html"])
+            extracted = scrape_dataset(ds, only_main=only_main,
+                                       concurrency=concurrency,
+                                       batch_size=batch_size)
+            atomic_build_dir(final, extracted.write_parquet)
+            done += 1
+        rows += sum(pq.read_metadata(f).num_rows
+                    for f in _glob.glob(_os.path.join(final, "*.parquet")))
     return {"buckets_done": done, "buckets_skipped": skipped, "rows": rows}

@@ -16,7 +16,7 @@ hit-rate.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 
 def render_prometheus(crawl_stats: dict[str, Any],
@@ -81,14 +81,3 @@ def render_prometheus(crawl_stats: dict[str, Any],
              "driver wall time of one crawl phase, summed over waves",
              {"phase": phase}, "gauge")
     return "\n".join(lines) + "\n"
-
-
-def wave_timeseries(manifest_waves: Iterable[dict[str, Any]]) -> list[dict]:
-    """Per-wave lineage series (wave, popped, cumulative success/failed,
-    frontier depth) from the checkpoint manifest — the audit trail for
-    resumability claims."""
-    return [
-        {"wave": w["wave"], "popped": w["popped"], "success": w["success"],
-         "failed": w["failed"], "frontier_depth": w["frontier_depth"]}
-        for w in manifest_waves
-    ]

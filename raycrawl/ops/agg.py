@@ -32,19 +32,21 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+_PARTIAL_BATCH = 65536  # rows per aggregate_partials batch
+
 
 def aggregate_partials(
     ds,
     partial_fn: Callable[[pd.DataFrame], pd.DataFrame],
     keys: list[str],
     agg_spec: dict[str, str],
-    batch_size: int = 65536,
 ) -> pd.DataFrame:
-    """``partial_fn`` per batch, then one driver groupby merging each
-    column with its ``agg_spec`` function; returns one row per key."""
+    """``partial_fn`` per batch of ``_PARTIAL_BATCH`` rows, then one
+    driver groupby merging each column with its ``agg_spec`` function;
+    returns one row per key."""
     partials = ds.map_batches(partial_fn, batch_format="pandas",
-                              batch_size=batch_size)
-    frames = [b for b in partials.iter_batches(batch_size=batch_size,
+                              batch_size=_PARTIAL_BATCH)
+    frames = [b for b in partials.iter_batches(batch_size=_PARTIAL_BATCH,
                                                batch_format="pandas")]
     if not frames:
         return pd.DataFrame(columns=keys + list(agg_spec))

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import pandas as pd
 
+from ..schema import DOC_ID, TEXT
+
 _EOW = "</w>"
 
 
@@ -182,21 +184,19 @@ def bpe_train_incremental(word_counts: "dict[str, int]",
     return merges
 
 
-def distributed_word_counts(ds, text_col: str = "text") -> "dict[str, int]":
+def distributed_word_counts(ds) -> "dict[str, int]":
     """One corpus pass → exact bounded (word → count) table (see module
     header)."""
     from . import textstats
 
-    top = textstats._bounded_topk_vocab(ds, text_col, str.split, ["w"],
+    top = textstats._bounded_topk_vocab(ds, str.split, ["w"],
                                         textstats._VOCAB_TOP_K)
     return dict(zip(top["w"], top["cnt"]))
 
 
-def bpe_train(ds, text_col: str = "text",
-              num_merges: int = 100) -> "list[tuple[str, str]]":
+def bpe_train(ds, num_merges: int = 100) -> "list[tuple[str, str]]":
     """Distributed pass 1 + incremental driver training → merge list."""
-    return bpe_train_incremental(distributed_word_counts(ds, text_col),
-                                 num_merges)
+    return bpe_train_incremental(distributed_word_counts(ds), num_merges)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,7 @@ def _apply_merges(word: str, ranks: "dict[tuple[str, str], int]") -> "list[str]"
     return syms
 
 
-def _encode(ds, merges: "list[tuple[str, str]]", vocab_ids, text_col: str,
-            finish):
+def _encode(ds, merges: "list[tuple[str, str]]", vocab_ids, finish):
     """The one BPE encode stage: the merge ranks (and the token-id table
     ``vocab_ids``, when not None) broadcast once via ``ray.put``; each
     batch encodes its unique words once (memo — web text repeats words
@@ -239,7 +238,7 @@ def _encode(ds, merges: "list[tuple[str, str]]", vocab_ids, text_col: str,
         ranks, vids = ray.get(ref)
         memo: dict[str, list] = {}
         docs = []
-        for t in batch[text_col].fillna(""):
+        for t in batch[TEXT].fillna(""):
             toks: list = []
             for w in t.split():
                 got = memo.get(w)
@@ -255,20 +254,19 @@ def _encode(ds, merges: "list[tuple[str, str]]", vocab_ids, text_col: str,
     return ds.map_batches(f, batch_format="pandas")
 
 
-def bpe_token_count(ds, merges: "list[tuple[str, str]]",
-                    id_col: str = "doc_id", text_col: str = "text"):
+def bpe_token_count(ds, merges: "list[tuple[str, str]]"):
     """(doc_id, n_bpe_tokens, n_words): subword token count per document
     under the trained merge table (``_encode``)."""
 
     def finish(batch: pd.DataFrame, docs: list) -> pd.DataFrame:
         return pd.DataFrame({
-            id_col: batch[id_col],
+            DOC_ID: batch[DOC_ID],
             "n_bpe_tokens": pd.Series([len(d) for d in docs], dtype="int64"),
             "n_words": pd.Series([len(t.split()) for t in
-                                  batch[text_col].fillna("")],
+                                  batch[TEXT].fillna("")],
                                  dtype="int64")})
 
-    return _encode(ds, merges, None, text_col, finish)
+    return _encode(ds, merges, None, finish)
 
 
 def bpe_encode_reference_serial(texts: "list[str]",
@@ -342,8 +340,7 @@ def build_vocab_ids(word_counts: "dict[str, int]",
 
 
 def bpe_encode(ds, merges: "list[tuple[str, str]]",
-               vocab_ids: "dict[str, int]",
-               id_col: str = "doc_id", text_col: str = "text"):
+               vocab_ids: "dict[str, int]"):
     """(doc_id, n_bpe_tokens, ids_csv): the actual training-token
     product — every document's subword-id sequence (comma-joined for an
     exact string compare; ``training.encode_ids`` emits list<int64> for
@@ -352,8 +349,8 @@ def bpe_encode(ds, merges: "list[tuple[str, str]]",
 
     def finish(batch: pd.DataFrame, docs: list) -> pd.DataFrame:
         return pd.DataFrame({
-            id_col: batch[id_col],
+            DOC_ID: batch[DOC_ID],
             "n_bpe_tokens": pd.Series([len(d) for d in docs], dtype="int64"),
             "ids_csv": [",".join(map(str, d)) for d in docs]})
 
-    return _encode(ds, merges, vocab_ids, text_col, finish)
+    return _encode(ds, merges, vocab_ids, finish)

@@ -13,20 +13,21 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..schema import EMBEDDING, VEC_ID
+
 QUANT_SCALE = 1 << 20  # power of two: float32→(f64*2^20) scaling is exact
 
 
-def quantize_vecs(series, scale: int = QUANT_SCALE) -> np.ndarray:
+def quantize_vecs(series) -> np.ndarray:
     """Fixed-point quantization round-half-up: floor(x * 2^20 + 0.5) as
     int64. Scaling a float32 value by a power of two is exact in float64,
     so DuckDB's ``floor(CAST(x AS DOUBLE) * 1048576 + 0.5)`` produces the
     bit-identical integer — the basis for the exact cluster-assign oracle."""
     m = np.asarray([np.asarray(v, dtype=np.float64) for v in series])
-    return np.floor(m * scale + 0.5).astype(np.int64)
+    return np.floor(m * QUANT_SCALE + 0.5).astype(np.int64)
 
 
-def _fetch_centroids(ds, centroid_ids: list[int], id_col: str,
-                     vec_col: str) -> np.ndarray:
+def _fetch_centroids(ds, centroid_ids: list[int]) -> np.ndarray:
     """The quantized vectors of ``centroid_ids`` in id order, (k, d) int64,
     fetched with one filtered pass."""
     import pyarrow as pa
@@ -34,12 +35,12 @@ def _fetch_centroids(ds, centroid_ids: list[int], id_col: str,
 
     cset = pa.array(sorted(centroid_ids), pa.int64())
     c_tbl = (
-        ds.map_batches(lambda b: b.filter(pc.is_in(b.column(id_col), cset)),
+        ds.map_batches(lambda b: b.filter(pc.is_in(b.column(VEC_ID), cset)),
                        batch_format="pyarrow")
-        .select_columns([id_col, vec_col]).to_pandas()
-        .sort_values(id_col).reset_index(drop=True)
+        .select_columns([VEC_ID, EMBEDDING]).to_pandas()
+        .sort_values(VEC_ID).reset_index(drop=True)
     )
-    return quantize_vecs(c_tbl[vec_col])
+    return quantize_vecs(c_tbl[EMBEDDING])
 
 
 def _nearest(cm: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +54,7 @@ def _nearest(cm: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, d2[np.arange(len(q)), best]
 
 
-def _assign(ds, centroids: np.ndarray, id_col: str, vec_col: str):
+def _assign(ds, centroids: np.ndarray):
     """(id, cluster_id, dist_sq) for every row: the centroids are broadcast
     once via ``ray.put`` and each batch runs ``_nearest``. Streams —
     per-batch work is O(B·k·d), nothing materializes."""
@@ -62,28 +63,25 @@ def _assign(ds, centroids: np.ndarray, id_col: str, vec_col: str):
     ref = ray.put(centroids)
 
     def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        best, dist = _nearest(ray.get(ref), quantize_vecs(batch[vec_col]))
+        best, dist = _nearest(ray.get(ref), quantize_vecs(batch[EMBEDDING]))
         return pd.DataFrame({
-            id_col: batch[id_col].to_numpy(),
+            VEC_ID: batch[VEC_ID].to_numpy(),
             "cluster_id": pd.Series(best, dtype="int64"),
             "dist_sq": pd.Series(dist, dtype="int64")})
 
     return ds.map_batches(assign, batch_format="pandas", batch_size=2048)
 
 
-def cluster_assign(ds, centroid_ids: list[int], id_col: str = "vec_id",
-                   vec_col: str = "embedding"):
+def cluster_assign(ds, centroid_ids: list[int]):
     """Nearest-centroid assignment (the E-step of k-means) over
     integer-quantized vectors, with the rows ``centroid_ids`` as the
     centroids (cluster_id = position in sorted ``centroid_ids``).
 
     Returns a Dataset with columns (vec_id, cluster_id, dist_sq)."""
-    return _assign(ds, _fetch_centroids(ds, centroid_ids, id_col, vec_col),
-                   id_col, vec_col)
+    return _assign(ds, _fetch_centroids(ds, centroid_ids))
 
 
-def kmeans_fit(ds, centroid_ids: list[int], iters: int = 2,
-               id_col: str = "vec_id", vec_col: str = "embedding"):
+def kmeans_fit(ds, centroid_ids: list[int], iters: int = 2):
     """Distributed Lloyd's k-means over 2^20-quantized int64 vectors.
 
     Exact-integer variant: assignment is ``cluster_assign``'s int64 argmin;
@@ -112,9 +110,9 @@ def kmeans_fit(ds, centroid_ids: list[int], iters: int = 2,
     # one place mid-pipeline materialization is the scale-CORRECT choice;
     # the r4 bench showed per-iteration plan re-execution dominating the
     # fit at small k)
-    ds = ds.select_columns([id_col, vec_col]).materialize()
+    ds = ds.select_columns([VEC_ID, EMBEDDING]).materialize()
 
-    centroids = _fetch_centroids(ds, centroid_ids, id_col, vec_col)
+    centroids = _fetch_centroids(ds, centroid_ids)
     k, d = centroids.shape
 
     for _ in range(iters):
@@ -122,7 +120,7 @@ def kmeans_fit(ds, centroid_ids: list[int], iters: int = 2,
 
         def partial(batch: pd.DataFrame) -> pd.DataFrame:
             cm = ray.get(ref)
-            q = quantize_vecs(batch[vec_col])
+            q = quantize_vecs(batch[EMBEDDING])
             best, _ = _nearest(cm, q)
             counts = np.bincount(best, minlength=len(cm)).astype(np.int64)
             sums = np.zeros_like(cm)
@@ -149,4 +147,4 @@ def kmeans_fit(ds, centroid_ids: list[int], iters: int = 2,
         centroids[nonempty] = (
             sums[nonempty] // counts[nonempty, None])  # floor mean, exact
 
-    return _assign(ds, centroids, id_col, vec_col), centroids
+    return _assign(ds, centroids), centroids

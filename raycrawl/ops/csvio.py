@@ -30,9 +30,8 @@ import pandas as pd
 from .jsonl import write_gzip_shards
 
 
-def write_csv_shards(ds, out_dir: str, id_col: str = "doc_id",
-                     n_shards: int = 16):
-    """Dataset → ``out_dir/shard-<k>.csv.gz`` (shard = id % n_shards —
+def write_csv_shards(ds, out_dir: str, n_shards: int = 16):
+    """Dataset → ``out_dir/shard-<k>.csv.gz`` (shard = doc_id % n_shards —
     deliberately SQL-mirrorable) + a manifest DataFrame
     (shard, n_rows, n_bytes, sum_id). Each archive carries a header
     line; rows are id-sorted and RFC-4180 quoted, so bytes are
@@ -48,11 +47,10 @@ def write_csv_shards(ds, out_dir: str, id_col: str = "doc_id",
             w.writerow(["" if pd.isna(v) else v for v in row])
         return text.getvalue().encode("utf-8")
 
-    return write_gzip_shards(ds, out_dir, id_col, n_shards, ".csv.gz",
-                             encode)
+    return write_gzip_shards(ds, out_dir, n_shards, ".csv.gz", encode)
 
 
-def read_csv_shards(out_dir: str, columns=None, dtypes=None):
+def read_csv_shards(out_dir: str, dtypes=None):
     """``shard-*.csv.gz`` → Dataset. One decode task per archive (gzip
     + stdlib csv.reader inside the task — handles quoted embedded
     newlines/commas); all fields arrive as strings, pass ``dtypes``
@@ -75,9 +73,7 @@ def read_csv_shards(out_dir: str, columns=None, dtypes=None):
             header, body = rows[0], rows[1:]
             frames.append(pd.DataFrame(body, columns=header))
         df = pd.concat(frames, ignore_index=True)
-        if dtypes:
-            df = df.astype(dtypes)
-        return df[columns] if columns else df
+        return df.astype(dtypes) if dtypes else df
 
     return (rd.read_binary_files(files, include_paths=True)
             .map_batches(decode, batch_format="pandas", batch_size=1))

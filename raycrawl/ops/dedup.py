@@ -43,11 +43,22 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..schema import DOC_ID, EMBEDDING, TEXT, VEC_ID
 from .agg import exchange
 
 _WORD_RE = re.compile(r"\S+")
 
 _MERSENNE = (1 << 61) - 1
+
+# word n-gram shingle size of every set-similarity op: MinHash, AllPairs,
+# containment, the staged index and their exact verification
+_NGRAM = 3
+# MinHash signature length and LSH bands (4 rows per band): one pair for
+# ``minhash_candidates`` and the staged index, so a probe's band keys are
+# always those of the build
+_NUM_HASHES = 128
+_BANDS = 32
+_ROWS_PER_BAND = _NUM_HASHES // _BANDS
 
 
 def _token_ngrams(text: str, n: int) -> set[bytes]:
@@ -191,58 +202,56 @@ def _block_pairs(inputs, block_keys, id_col, payload=(), keep=None):
 # exact dedup
 # ---------------------------------------------------------------------------
 
-def add_text_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
+def add_text_hash(batch: pa.Table) -> pa.Table:
     """Vectorized-ish content hash column (md5 hex, matching DuckDB md5())."""
     hashes = [hashlib.md5((t or "").encode("utf-8")).hexdigest()
-              for t in batch.column(text_col).to_pylist()]
+              for t in batch.column(TEXT).to_pylist()]
     return batch.append_column("text_hash", pa.array(hashes, pa.string()))
 
 
-def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text"):
+def exact_dedup(ds):
     """Survivor ids of exact (by-content-hash) dedup: the min id per
     content hash. A per-batch partial min collapses duplicate keys before
     ``exchange``, so the keyed table is (hash, id) partials, never texts."""
     def partial(b: pa.Table) -> pa.Table:
         # an Arrow group-by keeps no pandas schema metadata, which
         # pyarrow cannot hash when Ray unifies block schemas
-        t = add_text_hash(b, text_col).group_by("text_hash").aggregate(
-            [(id_col, "min")])
+        t = add_text_hash(b).group_by("text_hash").aggregate(
+            [(DOC_ID, "min")])
         return pa.table({"text_hash": t.column("text_hash"),
-                         id_col: t.column(f"{id_col}_min")})
+                         DOC_ID: t.column(f"{DOC_ID}_min")})
 
     def min_id(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("text_hash", as_index=False)[id_col].min() \
-            .astype({id_col: "int64"})
+        return g.groupby("text_hash", as_index=False)[DOC_ID].min() \
+            .astype({DOC_ID: "int64"})
 
     return exchange([ds.map_batches(partial, batch_format="pyarrow")],
-                    ["text_hash"], min_id).select_columns([id_col])
+                    ["text_hash"], min_id).select_columns([DOC_ID])
 
 
-def exact_dedup_against_corpus(new_ds, corpus_ds, id_col: str = "doc_id",
-                               text_col: str = "text"):
+def exact_dedup_against_corpus(new_ds, corpus_ds):
     """Incremental-ingestion dedup: which NEW documents already exist (by
     content hash) in a reference corpus — a hash SEMI-join, one
     two-input ``exchange`` on the md5 content hash: the new side moves
     (hash, id) pairs, the corpus side its per-batch distinct hashes
     only. Returns the distinct new ids found in the corpus."""
-    new_h = new_ds.map_batches(
-        lambda b: add_text_hash(b, text_col), batch_format="pyarrow"
-    ).select_columns([id_col, "text_hash"])
+    new_h = new_ds.map_batches(add_text_hash, batch_format="pyarrow"
+                               ).select_columns([DOC_ID, "text_hash"])
 
     def corpus_hashes(b: pa.Table) -> pa.Table:
-        t = add_text_hash(b, text_col).select(["text_hash"])
+        t = add_text_hash(b).select(["text_hash"])
         return t.group_by("text_hash").aggregate([])  # per-batch distinct
 
     def found(new: pd.DataFrame, corp: pd.DataFrame) -> pd.DataFrame:
-        return new.loc[new["text_hash"].isin(corp["text_hash"]), [id_col]]
+        return new.loc[new["text_hash"].isin(corp["text_hash"]), [DOC_ID]]
 
     corp_h = corpus_ds.map_batches(corpus_hashes, batch_format="pyarrow")
     out = exchange([new_h, corp_h], ["text_hash", "text_hash"], found)
-    ids = pd.concat([pd.DataFrame({id_col: pd.Series([], dtype="int64")})]
+    ids = pd.concat([pd.DataFrame({DOC_ID: pd.Series([], dtype="int64")})]
                     + list(out.iter_batches(batch_size=None,
                                             batch_format="pandas")))
-    return (ids.drop_duplicates().astype({id_col: "int64"})
-            .sort_values(id_col).reset_index(drop=True))
+    return (ids.drop_duplicates().astype({DOC_ID: "int64"})
+            .sort_values(DOC_ID).reset_index(drop=True))
 
 
 # ---------------------------------------------------------------------------
@@ -257,44 +266,30 @@ class MinHashStage:
     (no per-band hashlib calls, and an 8-byte shuffle payload instead of a
     16-char hex string)."""
 
-    def __init__(self, num_hashes: int = 128, bands: int = 32, ngram: int = 3,
-                 id_col: str = "doc_id", text_col: str = "text") -> None:
-        self.a, self.b = _minhash_params(num_hashes)
-        self.rows_per_band = num_hashes // bands
-        if self.rows_per_band < 1:
-            raise ValueError(f"bands ({bands}) > num_hashes ({num_hashes})")
-        # hashes beyond bands*rows_per_band are ignored (the pre-vectorized
-        # per-band slicing behaved the same way for non-divisible configs)
-        self.num_hashes = bands * self.rows_per_band
-        self.bands = bands
-        self.ngram = ngram
-        self.id_col = id_col
-        self.text_col = text_col
+    def __init__(self) -> None:
+        self.a, self.b = _minhash_params(_NUM_HASHES)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        texts = batch.column(self.text_col).to_pylist()
+        ids = batch.column(DOC_ID).to_numpy(zero_copy_only=False)
+        texts = batch.column(TEXT).to_pylist()
         n = len(texts)
-        sigs = np.empty((n, len(self.a)), dtype=np.uint64)
+        sigs = np.empty((n, _NUM_HASHES), dtype=np.uint64)
         for r, text in enumerate(texts):
-            sigs[r] = minhash_signature(text or "", self.a, self.b, self.ngram)
-        rb = sigs[:, : self.num_hashes].reshape(n, self.bands,
-                                                self.rows_per_band)
-        key = np.zeros((n, self.bands), dtype=np.uint64)
+            sigs[r] = minhash_signature(text or "", self.a, self.b, _NGRAM)
+        rb = sigs.reshape(n, _BANDS, _ROWS_PER_BAND)
+        key = np.zeros((n, _BANDS), dtype=np.uint64)
         with np.errstate(over="ignore"):
-            for c in range(self.rows_per_band):
+            for c in range(_ROWS_PER_BAND):
                 key = (key ^ rb[:, :, c]) * np.uint64(0x9E3779B97F4A7C15)
                 key ^= key >> np.uint64(29)
         return pa.table({
-            "band": pa.array(np.tile(np.arange(self.bands, dtype=np.int32), n)),
+            "band": pa.array(np.tile(np.arange(_BANDS, dtype=np.int32), n)),
             "band_hash": pa.array(key.reshape(-1).view(np.int64)),
-            self.id_col: pa.array(np.repeat(ids.astype(np.int64), self.bands)),
+            DOC_ID: pa.array(np.repeat(ids.astype(np.int64), _BANDS)),
         })
 
 
-def minhash_candidates(ds, num_hashes: int = 128, bands: int = 32,
-                       ngram: int = 3, id_col: str = "doc_id",
-                       text_col: str = "text", concurrency=(1, 4)):
+def minhash_candidates(ds, concurrency=(1, 4)):
     """Candidate pairs (id_a < id_b) sharing ≥1 LSH band bucket.
 
     Signature computation (the heavy part) is always distributed; only
@@ -305,12 +300,10 @@ def minhash_candidates(ds, num_hashes: int = 128, bands: int = 32,
     for 2,000 identical docs at 32 bands) — run exact_dedup first (as
     pipeline_quality_dedup does) so exact duplicates never reach the LSH
     stage. Splitting such hot blocks is not done yet."""
-    exploded = ds.map_batches(
-        MinHashStage, batch_format="pyarrow", concurrency=concurrency,
-        fn_constructor_kwargs=dict(num_hashes=num_hashes, bands=bands,
-                                   ngram=ngram, id_col=id_col, text_col=text_col))
+    exploded = ds.map_batches(MinHashStage, batch_format="pyarrow",
+                              concurrency=concurrency)
     return _distinct_pairs(_block_pairs([exploded], ["band", "band_hash"],
-                                        id_col))
+                                        DOC_ID))
 
 
 def jaccard(text_a: str, text_b: str, n: int = 3) -> float:
@@ -338,19 +331,14 @@ _VERIFY_BROADCAST_LIMIT = 20_000  # candidate pairs; above this a dict of
 # the candidates' full texts no longer belongs in one object — id join
 
 
-def minhash_dedup_pairs(ds, threshold: float = 0.8, ngram: int = 3,
-                        id_col: str = "doc_id", text_col: str = "text",
-                        concurrency=(1, 4)):
+def minhash_dedup_pairs(ds, threshold: float = 0.8, concurrency=(1, 4)):
     """Verified near-dup pairs: LSH candidates → exact n-gram Jaccard ≥
     threshold (``verify_jaccard_pairs``)."""
-    cand = minhash_candidates(ds, ngram=ngram, id_col=id_col,
-                              text_col=text_col, concurrency=concurrency)
-    return verify_jaccard_pairs(ds, cand, threshold=threshold, ngram=ngram,
-                                id_col=id_col, text_col=text_col)
+    cand = minhash_candidates(ds, concurrency=concurrency)
+    return verify_jaccard_pairs(ds, cand, threshold=threshold)
 
 
-def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
-                         id_col: str = "doc_id", text_col: str = "text",
+def verify_jaccard_pairs(ds, cand, threshold: float,
                          metric: str = "jaccard"):
     """Exact set-similarity verification of candidate pairs, shared by
     the MinHash-LSH, AllPairs, containment and index-probe front ends.
@@ -381,23 +369,23 @@ def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
         return rd.from_pandas(empty)
 
     if n_pairs > _VERIFY_BROADCAST_LIMIT:
-        docs = ds.select_columns([id_col, text_col]).materialize()
+        docs = ds.select_columns([DOC_ID, TEXT]).materialize()
 
         def texts_of(side: str):
             def attach(c: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
-                return c.merge(d.rename(columns={id_col: f"id_{side}",
-                                                 text_col: f"__t{side}"}),
+                return c.merge(d.rename(columns={DOC_ID: f"id_{side}",
+                                                 TEXT: f"__t{side}"}),
                                on=f"id_{side}")
             attach.__name__ = f"texts_{side}"
             return attach
 
-        j = exchange([cand, docs], ["id_a", id_col], texts_of("a"))
-        j = exchange([j, docs], ["id_b", id_col], texts_of("b"))
+        j = exchange([cand, docs], ["id_a", DOC_ID], texts_of("a"))
+        j = exchange([j, docs], ["id_b", DOC_ID], texts_of("b"))
 
         def score(batch: pd.DataFrame) -> pd.DataFrame:
             if len(batch) == 0:
                 return empty
-            sims = [sim_fn(a or "", b or "", ngram)
+            sims = [sim_fn(a or "", b or "", _NGRAM)
                     for a, b in zip(batch["__ta"], batch["__tb"])]
             out = batch[["id_a", "id_b"]].assign(**{sim_col: sims})
             return out[out[sim_col] >= threshold]
@@ -408,17 +396,17 @@ def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
     need_ids = sorted(set(cand_tbl["id_a"]) | set(cand_tbl["id_b"]))
     texts_tbl = (
         ds.map_batches(
-            lambda b: b.filter(pc.is_in(b.column(id_col),
+            lambda b: b.filter(pc.is_in(b.column(DOC_ID),
                                         pa.array(need_ids, pa.int64()))),
             batch_format="pyarrow")
-        .select_columns([id_col, text_col]).to_pandas()
+        .select_columns([DOC_ID, TEXT]).to_pandas()
     )
-    texts = dict(zip(texts_tbl[id_col], texts_tbl[text_col]))
+    texts = dict(zip(texts_tbl[DOC_ID], texts_tbl[TEXT]))
     texts_ref = ray.put(texts)
 
     def bverify(batch: pd.DataFrame) -> pd.DataFrame:
         tx = ray.get(texts_ref)
-        sims = [sim_fn(tx.get(a, ""), tx.get(b, ""), ngram)
+        sims = [sim_fn(tx.get(a, ""), tx.get(b, ""), _NGRAM)
                 for a, b in zip(batch["id_a"], batch["id_b"])]
         batch = batch.assign(**{sim_col: sims})
         return batch[batch[sim_col] >= threshold]
@@ -431,8 +419,7 @@ def verify_jaccard_pairs(ds, cand, threshold: float, ngram: int = 3,
 # ---------------------------------------------------------------------------
 
 
-def segment_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
-                  words_per_seg: int = 20):
+def segment_dedup(ds, words_per_seg: int = 20):
     """Corpus-wide SEGMENT-level exact dedup: every document is split into
     segments, each distinct segment survives only at its FIRST occurrence
     (min (doc_id, seg_idx) lexicographic), and documents are reassembled
@@ -454,8 +441,8 @@ def segment_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     whitespace-normalized surviving text ('' when every segment was a
     repeat or the doc was empty)."""
     def explode(batch: pa.Table) -> pd.DataFrame:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        texts = batch.column(text_col).to_pylist()
+        ids = batch.column(DOC_ID).to_numpy(zero_copy_only=False)
+        texts = batch.column(TEXT).to_pylist()
         out_key, out_id, out_idx, out_seg, out_tot = [], [], [], [], []
         for doc_id, text in zip(ids, texts):
             toks = _WORD_RE.findall(text or "")
@@ -519,7 +506,7 @@ class PrefixStage:
     for the AllPairs exact set-similarity self-join (Bayardo, Ma &
     Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007).
 
-    Shingle sets are the crc-combined 64-bit hashes of word ``ngram``
+    Shingle sets are the crc-combined 64-bit hashes of word ``_NGRAM``
     shingles (``_shingle_hashes_fast`` — the same family the MinHash
     stage uses). Under a FIXED global token order, a doc whose set has
     size s only emits its first ``p = s - ceil(t*s) + 1`` tokens: any
@@ -539,13 +526,8 @@ class PrefixStage:
     boilerplate-heavy web text. The hot table is tiny (≤ ``_HOT_GRAMS``
     entries) and broadcast via ``ray.put`` once."""
 
-    def __init__(self, threshold: float, ngram: int = 3,
-                 id_col: str = "doc_id", text_col: str = "text",
-                 hot_ref=None) -> None:
+    def __init__(self, threshold: float, hot_ref=None) -> None:
         self.threshold = threshold
-        self.ngram = ngram
-        self.id_col = id_col
-        self.text_col = text_col
         if hot_ref is not None:
             import ray
 
@@ -573,12 +555,12 @@ class PrefixStage:
     roles = False  # ContainmentExplodeStage: also the full list, by role
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        texts = batch.column(self.text_col).to_pylist()
+        ids = batch.column(DOC_ID).to_numpy(zero_copy_only=False)
+        texts = batch.column(TEXT).to_pylist()
         out: "list[tuple[np.ndarray, int, int, int]]" = []
         t = self.threshold
         for doc_id, text in zip(ids, texts):
-            grams = _shingle_hashes_fast(text or "", self.ngram)
+            grams = _shingle_hashes_fast(text or "", _NGRAM)
             s = len(grams)
             if s == 0:
                 # empty sets are mutual duplicates (jaccard() and
@@ -598,7 +580,7 @@ class PrefixStage:
             "gram": pa.array(np.concatenate(
                 [g for g, *_ in out] or [np.empty(0, np.uint64)])
                 .view(np.int64)),
-            "doc_id": pa.array(np.repeat(np.array(
+            DOC_ID: pa.array(np.repeat(np.array(
                 [r[1] for r in out], dtype=np.int64), lens)),
             "size": pa.array(np.repeat(np.array(
                 [r[2] for r in out], dtype=np.int32), lens)),
@@ -613,8 +595,7 @@ _HOT_SAMPLE_DOCS = 2000  # corpus prefix the hot-gram DF table samples
 _HOT_GRAMS = 4096  # cap on the hot table's size
 
 
-def _sample_hot_grams(ds, text_col: str,
-                      ngram: int) -> "dict[int, int] | None":
+def _sample_hot_grams(ds) -> "dict[int, int] | None":
     """Driver-side sampled document-frequency table: grams appearing in
     ≥2 of the first ``_HOT_SAMPLE_DOCS`` docs, capped at ``_HOT_GRAMS``,
     ranked ascending by DF (most frequent gets the highest rank → latest
@@ -624,10 +605,10 @@ def _sample_hot_grams(ds, text_col: str,
     order."""
     if _HOT_SAMPLE_DOCS <= 0:
         return None
-    sample = ds.limit(_HOT_SAMPLE_DOCS).select_columns([text_col]).to_pandas()
+    sample = ds.limit(_HOT_SAMPLE_DOCS).select_columns([TEXT]).to_pandas()
     if len(sample) == 0:
         return None
-    allg = [_shingle_hashes_fast(t or "", ngram) for t in sample[text_col]]
+    allg = [_shingle_hashes_fast(t or "", _NGRAM) for t in sample[TEXT]]
     allg = [g for g in allg if len(g)]
     if not allg:
         return None
@@ -643,30 +624,25 @@ def _sample_hot_grams(ds, text_col: str,
     return {int(g): int(r) for g, r in zip(hot, rank)}
 
 
-def _prefix_grams(ds, stage, threshold: float, ngram: int, id_col: str,
-                  text_col: str, concurrency):
+def _prefix_grams(ds, stage, threshold: float, concurrency=(1, 4)):
     """``ds`` exploded to (gram, doc_id, size[, role]) rows by ``stage``
     (``PrefixStage`` or ``ContainmentExplodeStage``) under the sampled
     hot-gram order."""
     import ray
 
-    hot = _sample_hot_grams(ds, text_col, ngram)
+    hot = _sample_hot_grams(ds)
     return ds.map_batches(
         stage, batch_format="pyarrow", concurrency=concurrency,
-        fn_constructor_kwargs=dict(threshold=threshold, ngram=ngram,
-                                   id_col=id_col, text_col=text_col,
+        fn_constructor_kwargs=dict(threshold=threshold,
                                    hot_ref=ray.put(hot) if hot else None))
 
 
-def allpairs_jaccard_candidates(ds, threshold: float = 0.5, ngram: int = 3,
-                                id_col: str = "doc_id",
-                                text_col: str = "text",
-                                concurrency=(1, 4)):
+def allpairs_jaccard_candidates(ds, threshold: float = 0.5):
     """EXACT candidate pairs (id_a < id_b) for n-gram Jaccard ≥ threshold
     via AllPairs prefix filtering — no recall argument needed: every
     qualifying pair is guaranteed to share a prefix gram (see
     ``PrefixStage``). Complements MinHash-LSH: the LSH front end is
-    probabilistic with tunable cost; this one is exact at any threshold.
+    probabilistic; this one is exact at any threshold.
 
     Shape mirrors ``minhash_candidates``: 16-byte (gram, id, size) prefix
     rows — never texts — go through ``_block_pairs`` keyed by gram with
@@ -677,24 +653,18 @@ def allpairs_jaccard_candidates(ds, threshold: float = 0.5, ngram: int = 3,
         hi = np.maximum(a["size"], b["size"])
         return lo >= threshold * hi - 1e-9, {}
 
-    exploded = _prefix_grams(ds, PrefixStage, threshold, ngram, id_col,
-                             text_col, concurrency)
-    return _distinct_pairs(_block_pairs([exploded], ["gram"], "doc_id",
+    exploded = _prefix_grams(ds, PrefixStage, threshold)
+    return _distinct_pairs(_block_pairs([exploded], ["gram"], DOC_ID,
                                         ["size"], length_filter))
 
 
-def allpairs_jaccard_pairs(ds, threshold: float = 0.5, ngram: int = 3,
-                           id_col: str = "doc_id", text_col: str = "text",
-                           concurrency=(1, 4)):
+def allpairs_jaccard_pairs(ds, threshold: float = 0.5):
     """EXACT verified n-gram-Jaccard pairs ≥ threshold: AllPairs prefix
     filtering (guaranteed-complete candidates) → exact Jaccard verify —
     the deterministic sibling of ``minhash_dedup_pairs`` with identical
     output columns (id_a, id_b, jaccard_sim)."""
-    cand = allpairs_jaccard_candidates(
-        ds, threshold=threshold, ngram=ngram, id_col=id_col,
-        text_col=text_col, concurrency=concurrency)
-    return verify_jaccard_pairs(ds, cand, threshold=threshold, ngram=ngram,
-                                id_col=id_col, text_col=text_col)
+    cand = allpairs_jaccard_candidates(ds, threshold=threshold)
+    return verify_jaccard_pairs(ds, cand, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -767,19 +737,18 @@ def simhash64(text: str) -> int:
     return int(_simhash_batch([text])[0])
 
 
-def simhash_fingerprints(ds, id_col: str = "doc_id", text_col: str = "text"):
+def simhash_fingerprints(ds):
     def fp(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col)
-        u = _simhash_batch(batch.column(text_col).to_pylist())
+        ids = batch.column(DOC_ID)
+        u = _simhash_batch(batch.column(TEXT).to_pylist())
         # store as int64 (two's-complement view of the uint64 fingerprint)
-        return pa.table({id_col: ids,
+        return pa.table({DOC_ID: ids,
                          "simhash": pa.array(u.view(np.int64), pa.int64())})
 
     return ds.map_batches(fp, batch_format="pyarrow")
 
 
-def simhash_near_pairs(ds, max_hamming: int = 3, id_col: str = "doc_id",
-                       text_col: str = "text"):
+def simhash_near_pairs(ds, max_hamming: int = 3):
     """Near-dup pairs by SimHash banding: the 64 bits split into
     ``max_hamming + 1`` disjoint bands, so by pigeonhole any pair within
     the hamming budget agrees on ≥1 whole band and is paired by
@@ -789,19 +758,19 @@ def simhash_near_pairs(ds, max_hamming: int = 3, id_col: str = "doc_id",
     any work): a wider budget would need bands too narrow to block."""
     if not 0 <= max_hamming <= 15:
         raise ValueError(f"max_hamming must be in 0..15, got {max_hamming}")
-    fps = simhash_fingerprints(ds, id_col, text_col)
+    fps = simhash_fingerprints(ds)
     n_bands = max_hamming + 1
     width = 64 // n_bands
     mask = np.uint64((1 << width) - 1)
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = batch.column(DOC_ID).to_numpy(zero_copy_only=False).astype(np.int64)
         sh = batch.column("simhash").to_numpy(zero_copy_only=False)
         u = sh.astype(np.int64).view(np.uint64)
         n = len(ids)
         shifts = (np.arange(n_bands, dtype=np.uint64) * np.uint64(width))
         keys = ((u[:, None] >> shifts[None, :]) & mask).reshape(-1)
-        return pa.table({id_col: pa.array(np.repeat(ids, n_bands)),
+        return pa.table({DOC_ID: pa.array(np.repeat(ids, n_bands)),
                          "band": pa.array(np.tile(
                              np.arange(n_bands, dtype=np.int32), n)),
                          "band_key": pa.array(keys.view(np.int64)),
@@ -817,7 +786,7 @@ def simhash_near_pairs(ds, max_hamming: int = 3, id_col: str = "doc_id",
     # distance is the same every time
     return _distinct_pairs(_block_pairs(
         [fps.map_batches(explode, batch_format="pyarrow")],
-        ["band", "band_key"], id_col, ["simhash"], within_budget))
+        ["band", "band_key"], DOC_ID, ["simhash"], within_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +802,7 @@ def _matrix(series) -> np.ndarray:
     return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
 
 
-def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
-                        vec_col: str = "embedding"):
+def embedding_dup_pairs(ds, threshold: float = 0.95):
     """Pairs (id_a < id_b, cosine_sim) with cosine similarity ≥ threshold.
 
     The (id, vector) table is materialized and counted. Up to
@@ -848,21 +816,20 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
 
     # no pandas schema metadata (a parquet written from pandas has it):
     # pyarrow cannot hash it when Ray joins blocks into scan's batches
-    table = ds.select_columns([id_col, vec_col]).map_batches(
+    table = ds.select_columns([VEC_ID, EMBEDDING]).map_batches(
         pa.Table.replace_schema_metadata, batch_format="pyarrow",
         batch_size=None).materialize()
     if table.count() > _EMBEDDING_EXACT_ROWS:
-        return embedding_dup_pairs_lsh(table, threshold=threshold,
-                                       id_col=id_col, vec_col=vec_col)
+        return embedding_dup_pairs_lsh(table, threshold=threshold)
     all_tbl = table.to_pandas()
-    ids = all_tbl[id_col].to_numpy()
-    ref = ray.put((ids, _matrix(all_tbl[vec_col])))
+    ids = all_tbl[VEC_ID].to_numpy()
+    ref = ray.put((ids, _matrix(all_tbl[EMBEDDING])))
 
     def scan(batch: pa.Table) -> pa.Table:
         all_ids, all_mat = ray.get(ref)
-        sims = _matrix(batch.column(vec_col).to_numpy(
+        sims = _matrix(batch.column(EMBEDDING).to_numpy(
             zero_copy_only=False)) @ all_mat.T
-        qids = batch.column(id_col).to_numpy()
+        qids = batch.column(VEC_ID).to_numpy()
         # emit each pair once (a < b): one boolean mask, no row loop
         mask = (sims >= threshold) & (all_ids[None, :] > qids[:, None])
         r, c = np.nonzero(mask)
@@ -873,31 +840,33 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     return table.map_batches(scan, batch_format="pyarrow", batch_size=256)
 
 
-def _hyperplanes(seed: int, num_bits: int, dim: int) -> np.ndarray:
-    """Deterministic random-hyperplane matrix (num_bits, dim); generated
+# random-hyperplane LSH of embedding_dup_pairs_lsh: signature bits, bands
+# (8 bits each) and the seed of the planes
+_LSH_BITS = 128
+_LSH_BANDS = 16
+_LSH_ROWS = _LSH_BITS // _LSH_BANDS
+_LSH_SEED = 0x5EED
+
+
+def _hyperplanes(dim: int) -> np.ndarray:
+    """Deterministic random-hyperplane matrix (_LSH_BITS, dim); generated
     from the seed per process, so no broadcast is needed at all."""
-    return np.random.RandomState(seed & 0x7FFFFFFF).standard_normal(
-        (num_bits, dim))
+    return np.random.RandomState(_LSH_SEED).standard_normal((_LSH_BITS, dim))
 
 
-def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
-                            num_bits: int = 128, bands: int = 16,
-                            seed: int = 0x5EED,
-                            id_col: str = "vec_id",
-                            vec_col: str = "embedding"):
+def embedding_dup_pairs_lsh(ds, threshold: float = 0.95):
     """Scale path for embedding near-dup (VERDICT r4 item 8):
     random-hyperplane (SimHash-for-cosine, Charikar STOC'02) signatures →
     band keys → exact cosine verification within each band bucket. It
     needs NO representative sample — the planes are a pure function of
-    (seed, dim), regenerated in every worker.
+    (``_LSH_SEED``, dim), regenerated in every worker.
 
     Recall contract: a pair at cosine s collides per bit with
-    p = 1 - arccos(s)/π, per band with p^rows (rows = num_bits // bands),
-    overall 1 - (1 - p^rows)^bands. At the defaults (16 bands × 8 rows):
-    ≥ 0.9998 at s = 0.95, ~0.92 at s = 0.90, falling fast below — size
-    bands/rows to the threshold you must not miss (recall vs the exact
-    op is pinned by tests/test_ops.py). Within-band similarities are
-    exact, so precision is always 1.0.
+    p = 1 - arccos(s)/π, per band with p^rows, overall
+    1 - (1 - p^rows)^bands. With 16 bands × 8 rows (``_LSH_BANDS``,
+    ``_LSH_ROWS``): ≥ 0.9998 at s = 0.95, ~0.92 at s = 0.90, falling fast
+    below (recall vs the exact op is pinned by tests/test_ops.py).
+    Within-band similarities are exact, so precision is always 1.0.
 
     Keyed table: each vector is shipped ``bands`` times (the standard LSH
     banding trade, same as the MinHash index) into ``exchange`` keyed by
@@ -909,32 +878,29 @@ def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
     8-bit keys) the buckets hold 868,683,796 within-bucket pairs and the
     largest one 1,965 vectors — BLAS handles that a bucket at a time,
     where gathering both vectors per pair would move ~1 KB per pair."""
-    rows = num_bits // bands
-    if rows * bands != num_bits:
-        raise ValueError("num_bits must be divisible by bands")
-    weights = (1 << np.arange(rows, dtype=np.int64))
+    weights = (1 << np.arange(_LSH_ROWS, dtype=np.int64))
 
     def sig(batch: pd.DataFrame) -> pd.DataFrame:
         mat = np.asarray([np.asarray(v, dtype=np.float64)
-                          for v in batch[vec_col]])
+                          for v in batch[EMBEDDING]])
         if mat.size == 0:
-            return pd.DataFrame({id_col: pd.Series([], dtype="int64"),
+            return pd.DataFrame({VEC_ID: pd.Series([], dtype="int64"),
                                  "vec_bytes": pd.Series([], dtype="object"),
                                  "band_key": pd.Series([], dtype="int64")})
-        planes = _hyperplanes(seed, num_bits, mat.shape[1])
-        bits = (mat @ planes.T) > 0  # (n, num_bits)
+        bits = (mat @ _hyperplanes(mat.shape[1]).T) > 0  # (n, _LSH_BITS)
         # the vector rides the band shuffle as PACKED float64 bytes — a
         # flat binary column hashes/ships ~10× cheaper than a Python list
         # column duplicated `bands` times (150k-vec probe: 147 s → see
         # BASELINE.md for the packed number)
         packed = [row.tobytes() for row in mat]
         frames = []
-        for b in range(bands):
-            val = bits[:, b * rows:(b + 1) * rows].astype(np.int64) @ weights
+        for b in range(_LSH_BANDS):
+            val = (bits[:, b * _LSH_ROWS:(b + 1) * _LSH_ROWS]
+                   .astype(np.int64) @ weights)
             f = pd.DataFrame({
-                id_col: batch[id_col].to_numpy(),
+                VEC_ID: batch[VEC_ID].to_numpy(),
                 "vec_bytes": packed,
-                "band_key": (np.int64(b) << np.int64(rows)) | val})
+                "band_key": (np.int64(b) << np.int64(_LSH_ROWS)) | val})
             frames.append(f)
         return pd.concat(frames, ignore_index=True)
 
@@ -944,7 +910,7 @@ def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
                               "cosine_sim": pd.Series([], dtype="float64")})]
         g = g[g.duplicated("band_key", keep=False)]
         for _, grp in g.groupby("band_key", sort=False):
-            ids = grp[id_col].to_numpy()
+            ids = grp[VEC_ID].to_numpy()
             mat = np.vstack([np.frombuffer(b, dtype=np.float64)
                              for b in grp["vec_bytes"]])
             mat = mat / np.maximum(
@@ -961,7 +927,7 @@ def embedding_dup_pairs_lsh(ds, threshold: float = 0.95,
             outs.append(out[out["id_a"] != out["id_b"]])
         return pd.concat(outs, ignore_index=True)
 
-    sigd = ds.select_columns([id_col, vec_col]).map_batches(
+    sigd = ds.select_columns([VEC_ID, EMBEDDING]).map_batches(
         sig, batch_format="pandas")
     return _distinct_pairs(exchange([sigd], ["band_key"], band_pairs))
 
@@ -1053,8 +1019,7 @@ def _span_grams(toks: "list[str]", L: int) -> "list[int]":
     ]
 
 
-def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
-              text_col: str = "text"):
+def dup_spans(ds, gram_len: int = 8):
     """Substring-level duplicate-span detection (the fixed-gram variant of
     exact substring dedup, Lee et al. 2022 "Deduplicating Training Data
     Makes Language Models Better" — public): a token position is
@@ -1076,7 +1041,7 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
         hs: "list[int]" = []
         ids: "list[int]" = []
         ss: "list[int]" = []
-        for did, t in zip(batch[id_col], batch[text_col].fillna("")):
+        for did, t in zip(batch[DOC_ID], batch[TEXT].fillna("")):
             t = t.strip()
             g = _span_grams(t.split(), L) if t else []
             hs.extend(g)
@@ -1084,7 +1049,7 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
             ss.extend(range(len(g)))
         return pd.DataFrame({
             "h": pd.Series(hs, dtype="uint64"),
-            id_col: pd.Series(ids, dtype="int64"),
+            DOC_ID: pd.Series(ids, dtype="int64"),
             "s": pd.Series(ss, dtype="int64")})
 
     grams = ds.map_batches(emit_grams, batch_format="pandas")
@@ -1092,15 +1057,15 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
     # every occurrence of a gram meets in one kernel call, so a plain
     # duplicated(keep=False) IS the global count>=2 test — no join needed
     def mark_dups(g: pd.DataFrame) -> pd.DataFrame:
-        return g.loc[g["h"].duplicated(keep=False), [id_col, "s"]]
+        return g.loc[g["h"].duplicated(keep=False), [DOC_ID, "s"]]
 
     dup_rows = exchange([grams], ["h"], mark_dups)
 
     def emit_markers(batch: pd.DataFrame) -> pd.DataFrame:
         nt = [len(t.strip().split()) if t.strip() else 0
-              for t in batch[text_col].fillna("")]
+              for t in batch[TEXT].fillna("")]
         return pd.DataFrame({
-            id_col: batch[id_col].astype("int64"),
+            DOC_ID: batch[DOC_ID].astype("int64"),
             "s": pd.Series(-1, index=batch.index, dtype="int64"),
             "n_tokens": pd.Series(nt, dtype="int64")})
 
@@ -1110,11 +1075,11 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
         g = pd.concat([marks, dups.assign(n_tokens=0)], ignore_index=True)
         if len(g) == 0:
             return pd.DataFrame({
-                id_col: pd.Series(dtype="int64"),
+                DOC_ID: pd.Series(dtype="int64"),
                 "n_tokens": pd.Series(dtype="int64"),
                 "n_dup_starts": pd.Series(dtype="int64"),
                 "n_dup_tokens": pd.Series(dtype="int64")})
-        ids = g[id_col].to_numpy()
+        ids = g[DOC_ID].to_numpy()
         s = g["s"].to_numpy()
         nt = g["n_tokens"].to_numpy()
         order = np.lexsort((s, ids))
@@ -1146,12 +1111,12 @@ def dup_spans(ds, gram_len: int = 8, id_col: str = "doc_id",
         out_cov = np.bincount(doc_idx, weights=contrib,
                               minlength=n_docs).astype(np.int64)
         return pd.DataFrame({
-            id_col: pd.Series(out_ids, dtype="int64"),
+            DOC_ID: pd.Series(out_ids, dtype="int64"),
             "n_tokens": pd.Series(out_nt, dtype="int64"),
             "n_dup_starts": pd.Series(out_starts, dtype="int64"),
             "n_dup_tokens": pd.Series(out_cov, dtype="int64")})
 
-    return exchange([dup_rows, markers], [id_col, id_col], coverage)
+    return exchange([dup_rows, markers], [DOC_ID, DOC_ID], coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -1178,10 +1143,7 @@ def _band_join_key(band: np.ndarray, band_hash: np.ndarray) -> np.ndarray:
     return k.view(np.int64)
 
 
-def build_minhash_index(corpus_ds, index_dir: str, *,
-                        num_hashes: int = 128, bands: int = 32,
-                        ngram: int = 3, id_col: str = "doc_id",
-                        text_col: str = "text") -> None:
+def build_minhash_index(corpus_ds, index_dir: str) -> None:
     """Stage the corpus's LSH band table as bucket-partitioned Parquet —
     the INCREMENTAL near-dup shape: at recrawl scale a new shard must not
     re-shuffle the whole historical corpus per ingestion batch (the
@@ -1199,7 +1161,7 @@ def build_minhash_index(corpus_ds, index_dir: str, *,
     def bucketize(b: pd.DataFrame) -> pd.DataFrame:
         key = _band_join_key(b["band"].to_numpy(),
                              b["band_hash"].to_numpy())
-        b = b.rename(columns={id_col: "corpus_id"})
+        b = b.rename(columns={DOC_ID: "corpus_id"})
         b["key"] = key
         b["bucket"] = (key.view(np.uint64)
                        % np.uint64(_INDEX_BUCKETS)).astype("int32")
@@ -1207,9 +1169,6 @@ def build_minhash_index(corpus_ds, index_dir: str, *,
 
     rows = corpus_ds.map_batches(
         MinHashStage, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(num_hashes=num_hashes, bands=bands,
-                                   ngram=ngram, id_col=id_col,
-                                   text_col=text_col),
         # autoscaling, not a fixed 4: a fixed pool as large as a 4-CPU
         # session leaves the downstream write no CPU and deadlocks
         concurrency=(1, 4))
@@ -1220,26 +1179,24 @@ def build_minhash_index(corpus_ds, index_dir: str, *,
 
 
 def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
-                        threshold: float = 0.5, num_hashes: int = 128,
-                        bands: int = 32, ngram: int = 3,
-                        id_col: str = "doc_id", text_col: str = "text"):
+                        threshold: float = 0.5):
     """New-shard near-dup probe against a staged corpus index: band keys
     for the new docs → read ONLY the index buckets those keys occupy
     (hive-partition pruning), keeping only rows whose key the probe has →
     the probe's (key, new id) rows × those (key, corpus id) rows in one
     cross-mode ``_block_pairs`` keyed by band key → distinct (id_a=new,
     id_b=corpus) candidates → exact n-gram-Jaccard verify over the union
-    (ids must be disjoint across the two sides). MinHash parameters MUST
-    match the build's. Returns (id_a, id_b, jaccard_sim ≥ threshold).
+    (ids must be disjoint across the two sides). Build and probe share
+    ``MinHashStage`` and its constants, so their band keys always agree.
+    Returns (id_a, id_b, jaccard_sim ≥ threshold).
 
     Recall contract (probabilistic, like every LSH probe): a pair at true
-    Jaccard s is surfaced with P = 1 - (1 - s^(rows))^bands, rows =
-    num_hashes // bands. At the defaults (32 bands × 4 rows): ~0.873 at
-    s = 0.5, ~0.9999 at s = 0.7, ≥ 1 - 5e-8 at s ≥ 0.8. Verification is
-    exact, so precision is always 1.0; choose `threshold` (and band/row
-    counts) so the pairs you must not miss sit above the s-curve knee —
-    exact-oracle comparisons should test at threshold ≥ 0.8 with the
-    default shape (ADVICE r4)."""
+    Jaccard s is surfaced with P = 1 - (1 - s^(rows))^bands. With 32
+    bands × 4 rows (``_BANDS``, ``_ROWS_PER_BAND``): ~0.873 at s = 0.5,
+    ~0.9999 at s = 0.7, ≥ 1 - 5e-8 at s ≥ 0.8. Verification is exact, so
+    precision is always 1.0; pairs below the s-curve knee can be missed,
+    so exact-oracle comparisons should test at threshold ≥ 0.8 (ADVICE
+    r4)."""
     import glob
     import os
 
@@ -1249,13 +1206,10 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
     def keyize(b: pd.DataFrame) -> pd.DataFrame:
         key = _band_join_key(b["band"].to_numpy(),
                              b["band_hash"].to_numpy())
-        return pd.DataFrame({"key": key, "id": b[id_col].astype("int64")})
+        return pd.DataFrame({"key": key, "id": b[DOC_ID].astype("int64")})
 
     probe = new_ds.map_batches(
         MinHashStage, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(num_hashes=num_hashes, bands=bands,
-                                   ngram=ngram, id_col=id_col,
-                                   text_col=text_col),
         concurrency=(1, 4)).map_batches(keyize, batch_format="pandas") \
         .materialize()
 
@@ -1288,10 +1242,9 @@ def minhash_probe_index(new_ds, index_dir: str, corpus_ds, *,
         corpus_side, batch_format="pyarrow", batch_size=None)
 
     cand = _distinct_pairs(_block_pairs([probe, idx], ["key"], "id"))
-    union = corpus_ds.select_columns([id_col, text_col]).union(
-        new_ds.select_columns([id_col, text_col]))
-    return verify_jaccard_pairs(union, cand, threshold, ngram=ngram,
-                                id_col=id_col, text_col=text_col)
+    union = corpus_ds.select_columns([DOC_ID, TEXT]).union(
+        new_ds.select_columns([DOC_ID, TEXT]))
+    return verify_jaccard_pairs(union, cand, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -1359,8 +1312,7 @@ def _batch_edit_distance(a_keys: "list[str]", b_keys: "list[str]",
     return res
 
 
-def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
-                      id_col: str = "doc_id", text_col: str = "text"):
+def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24):
     """Near-dup pairs by Levenshtein distance ≤ ``k`` on each document's
     first ``key_len`` characters — the typo/near-identical-title join.
 
@@ -1384,8 +1336,8 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
     quadratically (they are all true d=0 results); corpora with huge
     exact-dup groups should run :func:`exact_dedup` first."""
     def keyed(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        texts = batch.column(TEXT).to_pylist()
+        ids = batch.column(DOC_ID).to_numpy(zero_copy_only=False)
         out_id, out_key, out_v = [], [], []
         for d, t in zip(ids, texts):
             key = (t or "")[:key_len]
@@ -1393,12 +1345,12 @@ def edit_prefix_pairs(ds, k: int = 1, key_len: int = 24,
                 out_id.append(int(d))
                 out_key.append(key)
                 out_v.append(v)
-        return pa.table({id_col: pa.array(out_id, type=pa.int64()),
+        return pa.table({DOC_ID: pa.array(out_id, type=pa.int64()),
                          "key": pa.array(out_key, type=pa.string()),
                          "v": pa.array(out_v, type=pa.string())})
 
     variants = ds.map_batches(keyed, batch_format="pyarrow")
-    cand = _block_pairs([variants], ["v"], id_col, ["key"],
+    cand = _block_pairs([variants], ["v"], DOC_ID, ["key"],
                         lambda a, b: (True, {"key_a": a["key"],
                                              "key_b": b["key"]}))
 
@@ -1429,9 +1381,7 @@ class ContainmentExplodeStage(PrefixStage):
     roles = True
 
 
-def containment_pairs(ds, threshold: float = 0.8, ngram: int = 3,
-                      id_col: str = "doc_id", text_col: str = "text",
-                      concurrency=(1, 4)):
+def containment_pairs(ds, threshold: float = 0.8, concurrency=(1, 4)):
     """EXACT verified containment pairs — (id_a, id_b, containment)
     with |A∩B| / min(|A|, |B|) ≥ threshold: the asymmetric duplicate
     relation (a page quoting most of another, a superset rewrite) that
@@ -1461,17 +1411,16 @@ def containment_pairs(ds, threshold: float = 0.8, ngram: int = 3,
         return b.filter(pc.equal(b.column("role"), role)).drop_columns("role")
 
     def size_filter(q: dict, x: dict):
-        a, b = q["doc_id"], x["doc_id"]
+        a, b = q[DOC_ID], x[DOC_ID]
         return ((q["size"] <= x["size"]) & (a != b),
                 {"id_a": np.minimum(a, b), "id_b": np.maximum(a, b)})
 
-    exploded = _prefix_grams(ds, ContainmentExplodeStage, threshold, ngram,
-                             id_col, text_col, concurrency).materialize()
+    exploded = _prefix_grams(ds, ContainmentExplodeStage, threshold,
+                             concurrency).materialize()
     sides = [exploded.map_batches(role_rows, fn_args=(role,),
                                   batch_format="pyarrow", batch_size=None)
              for role in (1, 0)]
-    cand = _distinct_pairs(_block_pairs(sides, ["gram"], "doc_id", ["size"],
+    cand = _distinct_pairs(_block_pairs(sides, ["gram"], DOC_ID, ["size"],
                                         size_filter))
     return verify_jaccard_pairs(ds, cand, threshold=threshold,
-                                ngram=ngram, id_col=id_col,
-                                text_col=text_col, metric="containment")
+                                metric="containment")

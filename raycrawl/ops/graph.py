@@ -360,8 +360,12 @@ def pagerank(edges_ds, node_ids, *, num_iters: int = 5,
     return _frame(g, s, ["node", "r"]).rename(columns={"r": "rank_fp"})
 
 
-def connected_components(edges_ds, node_ids, *,
-                         max_iters: int = 50) -> pd.DataFrame:
+# rounds connected_components runs before it gives up: a bound on the
+# largest component's diameter
+_CC_MAX_ITERS = 50
+
+
+def connected_components(edges_ds, node_ids) -> pd.DataFrame:
     """Undirected connected components → DataFrame(node, component), where
     ``component`` is the minimum node id of the component (the same
     min-label convention as dedup.py's union-find survivors).
@@ -374,8 +378,8 @@ def connected_components(edges_ds, node_ids, *,
     diameter. This is the distributed scale path for near-dup
     clustering: dedup.py's driver union-find is right while verified
     pairs ≪ corpus, and a pair set that no longer fits the driver
-    propagates here. Raises ``RuntimeError`` if ``max_iters`` rounds do
-    not converge."""
+    propagates here. Raises ``RuntimeError`` if ``_CC_MAX_ITERS`` rounds
+    do not converge."""
     g = _Graph(edges_ds, node_ids)
 
     def adopt(s: pd.DataFrame) -> pd.DataFrame:
@@ -385,15 +389,15 @@ def connected_components(edges_ds, node_ids, *,
                                   msg=np.where(new < label, new, _INF))
 
     s = update(g, g.nodes, lambda s: s.assign(label=s["node"], msg=s["node"]))
-    for _ in range(max_iters):
+    for _ in range(_CC_MAX_ITERS):
         s = update(g, superstep(g, s, "msg", "both", "min"), adopt)
         if total(g, s, lambda s: s["msg"] != _INF) == 0:
             return (_frame(g, s, ["node", "label"])
                     .rename(columns={"label": "component"}))
     raise RuntimeError(
-        f"connected_components did not converge within max_iters="
-        f"{max_iters} rounds (a component's diameter exceeds it) — raise "
-        f"max_iters; returning partial labels would be silently wrong")
+        f"connected_components did not converge within {_CC_MAX_ITERS} "
+        f"rounds (a component's diameter exceeds it); returning partial "
+        f"labels would be silently wrong")
 
 
 def _hits_normalize(raw: np.ndarray, tot: int, scale: int) -> np.ndarray:

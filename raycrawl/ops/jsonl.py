@@ -28,6 +28,8 @@ import os
 import numpy as np
 import pandas as pd
 
+from ..schema import DOC_ID
+
 
 def _json_default(o):
     if isinstance(o, np.integer):
@@ -49,9 +51,9 @@ def _holds(path: str, data: bytes) -> bool:
         return False
 
 
-def write_gzip_shards(ds, out_dir: str, id_col: str, n_shards: int,
-                      suffix: str, encode):
-    """Dataset → ``out_dir/shard-<k><suffix>`` (shard = id % n_shards),
+def write_gzip_shards(ds, out_dir: str, n_shards: int, suffix: str,
+                      encode):
+    """Dataset → ``out_dir/shard-<k><suffix>`` (shard = doc_id % n_shards),
     each archive the gzip of ``encode(rows)`` over the shard's id-sorted
     rows, + a manifest DataFrame (shard, n_rows, n_bytes, sum_id). An
     existing archive is kept only when it already holds those bytes, and
@@ -63,13 +65,13 @@ def write_gzip_shards(ds, out_dir: str, id_col: str, n_shards: int,
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         return b.assign(
-            __shard=(b[id_col].to_numpy(np.int64) % n_shards))
+            __shard=(b[DOC_ID].to_numpy(np.int64) % n_shards))
 
     def write_part(g: pd.DataFrame) -> pd.DataFrame:
         out = []
         for shard, sub in g.groupby("__shard", sort=True):
             shard = int(shard)
-            sub = (sub.sort_values(id_col, kind="mergesort")
+            sub = (sub.sort_values(DOC_ID, kind="mergesort")
                    .drop(columns="__shard"))
             path = os.path.join(out_dir, f"shard-{shard:05d}{suffix}")
             data = encode(sub)
@@ -85,7 +87,7 @@ def write_gzip_shards(ds, out_dir: str, id_col: str, n_shards: int,
                     f.write(buf.getvalue())
                 os.replace(tmp, path)
             out.append((shard, len(sub), os.path.getsize(path),
-                        int(sub[id_col].sum())))
+                        int(sub[DOC_ID].sum())))
         return pd.DataFrame(out, columns=["shard", "n_rows", "n_bytes",
                                           "sum_id"]).astype("int64")
 
@@ -101,9 +103,8 @@ def write_gzip_shards(ds, out_dir: str, id_col: str, n_shards: int,
             .reset_index(drop=True))
 
 
-def write_jsonl_shards(ds, out_dir: str, id_col: str = "doc_id",
-                       n_shards: int = 16):
-    """Dataset → ``out_dir/shard-<k>.jsonl.gz`` (shard = id % n_shards —
+def write_jsonl_shards(ds, out_dir: str, n_shards: int = 16):
+    """Dataset → ``out_dir/shard-<k>.jsonl.gz`` (shard = doc_id % n_shards —
     deliberately SQL-mirrorable) + a manifest DataFrame
     (shard, n_rows, n_bytes, sum_id). NaN/None fields serialize as JSON
     null; bytes are deterministic (id-sorted rows, sorted keys,
@@ -117,11 +118,10 @@ def write_jsonl_shards(ds, out_dir: str, id_col: str = "doc_id",
                                     default=_json_default) + "\n")
         return "".join(lines).encode("utf-8")
 
-    return write_gzip_shards(ds, out_dir, id_col, n_shards, ".jsonl.gz",
-                             encode)
+    return write_gzip_shards(ds, out_dir, n_shards, ".jsonl.gz", encode)
 
 
-def read_jsonl_shards(out_dir: str, columns=None):
+def read_jsonl_shards(out_dir: str):
     """``shard-*.jsonl.gz`` → Dataset. One decode task per archive
     (gzip + line-split + json.loads inside the task — the per-file unit
     matches the sink's write unit, so source parallelism equals shard
@@ -144,8 +144,7 @@ def read_jsonl_shards(out_dir: str, columns=None):
             text = raw.decode("utf-8")
             recs.extend(json.loads(line) for line in text.splitlines()
                         if line)
-        df = pd.DataFrame(recs)
-        return df[columns] if columns else df
+        return pd.DataFrame(recs)
 
     return (rd.read_binary_files(files)
             .map_batches(decode, batch_format="pandas", batch_size=1))

@@ -18,6 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..schema import DOC_ID, LANG, TEXT
+
 _SENT_RE = re.compile(r"[.!?]")
 
 STOPWORDS_EN = ("the", "a", "an", "and", "of", "to", "in", "is", "it", "that")
@@ -30,25 +32,25 @@ LANG_PROFILES = {
 }
 
 
-def token_count(ds, id_col: str = "doc_id", text_col: str = "text"):
+def token_count(ds):
     """(doc_id, n_tokens): whitespace tokenization, matching DuckDB
     ``length(regexp_split_to_array(trim(text), '\\s+'))``."""
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch[text_col].fillna("").apply(lambda t: len(t.split()) or 1)
-        return pd.DataFrame({id_col: batch[id_col], "n_tokens": toks.astype("int64")})
+        toks = batch[TEXT].fillna("").apply(lambda t: len(t.split()) or 1)
+        return pd.DataFrame({DOC_ID: batch[DOC_ID], "n_tokens": toks.astype("int64")})
 
     return ds.map_batches(f, batch_format="pandas")
 
 
-def quality_score(ds, id_col: str = "doc_id", text_col: str = "text"):
+def quality_score(ds):
     """(doc_id, n_chars, n_words, n_sentences, n_stopwords, stop_ratio,
     mean_word_len) — boilerplate/quality heuristics with exact SQL
     equivalents (counts + one integer division each)."""
     stop = set(STOPWORDS_EN)
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        texts = batch[text_col].fillna("")
+        texts = batch[TEXT].fillna("")
         n_chars = texts.str.len().astype("int64")
         words = texts.apply(str.split)
         n_words = words.apply(len).astype("int64")
@@ -59,7 +61,7 @@ def quality_score(ds, id_col: str = "doc_id", text_col: str = "text"):
         mean_word_len = np.where(n_words > 0,
                                  total_word_chars / n_words.clip(lower=1), 0.0)
         return pd.DataFrame({
-            id_col: batch[id_col],
+            DOC_ID: batch[DOC_ID],
             "n_chars": n_chars,
             "n_words": n_words,
             "n_sentences": n_sent,
@@ -71,7 +73,7 @@ def quality_score(ds, id_col: str = "doc_id", text_col: str = "text"):
     return ds.map_batches(f, batch_format="pandas")
 
 
-def gopher_quality(ds, id_col: str = "doc_id", text_col: str = "text"):
+def gopher_quality(ds):
     """Gopher-style document quality rules (Rae et al. 2021, Appendix A —
     public heuristics), restricted to the word-level subset whose values a
     SQL engine reproduces exactly (the sf documents are single-line, so
@@ -85,7 +87,7 @@ def gopher_quality(ds, id_col: str = "doc_id", text_col: str = "text"):
     alpha_re = re.compile(r"[A-Za-z]")
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        texts = batch[text_col].fillna("")
+        texts = batch[TEXT].fillna("")
         words = texts.apply(str.split)
         n_words = words.apply(len).astype("int64")
         twc = words.apply(lambda ws: sum(len(w) for w in ws)).astype("int64")
@@ -103,7 +105,7 @@ def gopher_quality(ds, id_col: str = "doc_id", text_col: str = "text"):
                 & (5 * alpha >= 4 * n_words)
                 & (stops >= 2))
         return pd.DataFrame({
-            id_col: batch[id_col], "n_words": n_words,
+            DOC_ID: batch[DOC_ID], "n_words": n_words,
             "total_word_chars": twc, "n_alpha_words": alpha,
             "n_symbols": sym, "n_stop_distinct": stops,
             "keep": keep.astype(bool)})
@@ -111,7 +113,7 @@ def gopher_quality(ds, id_col: str = "doc_id", text_col: str = "text"):
     return ds.map_batches(f, batch_format="pandas")
 
 
-def repetition_stats(ds, id_col: str = "doc_id", text_col: str = "text"):
+def repetition_stats(ds):
     """Repetition signals in the Gopher family (Rae et al. 2021 §A1.1):
     distinct-word count (duplicate-word fraction = 1 − distinct/total) and
     the occurrence count of the most frequent adjacent word bigram. All
@@ -119,7 +121,7 @@ def repetition_stats(ds, id_col: str = "doc_id", text_col: str = "text"):
     from collections import Counter
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        texts = batch[text_col].fillna("")
+        texts = batch[TEXT].fillna("")
         words = texts.apply(str.split)
         n_words = words.apply(len).astype("int64")
         n_distinct = words.apply(lambda ws: len(set(ws))).astype("int64")
@@ -127,7 +129,7 @@ def repetition_stats(ds, id_col: str = "doc_id", text_col: str = "text"):
             lambda ws: max(Counter(zip(ws, ws[1:])).values())
             if len(ws) >= 2 else 0).astype("int64")
         return pd.DataFrame({
-            id_col: batch[id_col], "n_words": n_words,
+            DOC_ID: batch[DOC_ID], "n_words": n_words,
             "n_distinct_words": n_distinct,
             "top_bigram_count": top_bg})
 
@@ -145,7 +147,7 @@ def _bigrams(t: str):
     return zip(ws, ws[1:])
 
 
-def _bounded_topk_vocab(ds, text_col: str, grams, keys: "list[str]",
+def _bounded_topk_vocab(ds, grams, keys: "list[str]",
                         top_k: int, group: "str | None" = None
                         ) -> pd.DataFrame:
     """The corpus gram counter, with BOUNDED driver memory: every text's
@@ -193,7 +195,7 @@ def _bounded_topk_vocab(ds, text_col: str, grams, keys: "list[str]",
 
     def count_batch(batch: pd.DataFrame) -> pa.Table:
         c: Counter = Counter()
-        texts = batch[text_col].fillna("")
+        texts = batch[TEXT].fillna("")
         if group is None:
             for t in texts:
                 c.update(grams(t))
@@ -230,7 +232,7 @@ def _bounded_topk_vocab(ds, text_col: str, grams, keys: "list[str]",
     return ranked(top).reset_index(drop=True)
 
 
-def unigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text"):
+def unigram_commonness(ds):
     """Corpus-statistics document scoring — the LM-quality-filter pipeline
     SHAPE with an exact integer surrogate: pass 1 computes corpus-wide
     unigram counts through the exact top-K corpus counter
@@ -244,24 +246,24 @@ def unigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text"):
     the capped-vocab LM convention."""
     import ray
 
-    top = _bounded_topk_vocab(ds, text_col, str.split, ["w"], _VOCAB_TOP_K)
+    top = _bounded_topk_vocab(ds, str.split, ["w"], _VOCAB_TOP_K)
     vref = ray.put(dict(zip(top["w"], top["cnt"])))
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         v = ray.get(vref)
         sums, mins = [], []
-        for t in batch[text_col].fillna(""):
+        for t in batch[TEXT].fillna(""):
             freqs = [v.get(w, 0) for w in t.split()]
             sums.append(sum(freqs))
             mins.append(min(freqs, default=0))
-        return pd.DataFrame({id_col: batch[id_col],
+        return pd.DataFrame({DOC_ID: batch[DOC_ID],
                              "sum_freq": pd.Series(sums, dtype="int64"),
                              "min_freq": pd.Series(mins, dtype="int64")})
 
     return ds.map_batches(score, batch_format="pandas")
 
 
-def bigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text"):
+def bigram_commonness(ds):
     """Conditional (bigram) corpus-statistics scoring — the KenLM-style
     LM-filter shape one order up from ``unigram_commonness``: pass 1
     counts corpus-wide ADJACENT-BIGRAM (w1, w2) keys through the same
@@ -277,21 +279,21 @@ def bigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text"):
     means corpus count exactly 1)."""
     import ray
 
-    top = _bounded_topk_vocab(ds, text_col, _bigrams, ["w1", "w2"],
+    top = _bounded_topk_vocab(ds, _bigrams, ["w1", "w2"],
                               _VOCAB_TOP_K)
     cref = ray.put(dict(zip(zip(top["w1"], top["w2"]), top["cnt"])))
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:
         v = ray.get(cref)
         n_bg, sums, novel = [], [], []
-        for t in batch[text_col].fillna(""):
+        for t in batch[TEXT].fillna(""):
             # .get: a top-K-capped broadcast table must score unseen
             # bigrams as frequency 0, not raise
             freqs = [v.get(p, 0) for p in _bigrams(t)]
             n_bg.append(len(freqs))
             sums.append(sum(freqs))
             novel.append(sum(1 for f in freqs if f == 1))
-        return pd.DataFrame({id_col: batch[id_col],
+        return pd.DataFrame({DOC_ID: batch[DOC_ID],
                              "n_bigrams": pd.Series(n_bg, dtype="int64"),
                              "sum_bg_freq": pd.Series(sums, dtype="int64"),
                              "n_novel": pd.Series(novel, dtype="int64")})
@@ -302,9 +304,7 @@ def bigram_commonness(ds, id_col: str = "doc_id", text_col: str = "text"):
 SCORE_SCALE = 10**6
 
 
-def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
-                    text_col: str = "text",
-                    scale: int = SCORE_SCALE) -> "object":
+def tfidf_top_terms(ds, *, k: int = 3) -> "object":
     """Per-document TF-IDF top-k terms — the classic keyword/topic-label
     signal a training-data pipeline attaches before sampling or routing
     (Salton & Buckley, 1988). Returns a Dataset of
@@ -314,7 +314,8 @@ def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
     Exact fixed-point integer scoring (log-free rational idf surrogate,
     no libm on either side):
 
-        score_fp(term) = (scale · tf · (2N − 2df + 1)) // (dl · (2df + 1))
+        score_fp(term) = (SCORE_SCALE · tf · (2N − 2df + 1))
+                         // (dl · (2df + 1))
 
     where tf = term count in the doc, dl = doc token count, df = number
     of docs containing the term, N = number of docs with ≥1 token.
@@ -336,11 +337,11 @@ def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
 
     import ray
 
-    top = _bounded_topk_vocab(ds, text_col, lambda t: set(t.split()), ["w"],
+    top = _bounded_topk_vocab(ds, lambda t: set(t.split()), ["w"],
                               _VOCAB_TOP_K)
 
     def n_batch(batch: pd.DataFrame) -> pd.DataFrame:
-        nn = int((batch[text_col].fillna("").str.strip() != "").sum())
+        nn = int((batch[TEXT].fillna("").str.strip() != "").sum())
         return pd.DataFrame({"n": pd.Series([nn], dtype="int64")})
 
     n_docs = sum(
@@ -355,13 +356,13 @@ def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
         ranks: list[int] = []
         terms: list[str] = []
         scores: list[int] = []
-        for did, t in zip(batch[id_col], batch[text_col].fillna("")):
+        for did, t in zip(batch[DOC_ID], batch[TEXT].fillna("")):
             toks = t.split()
             if not toks:
                 continue
             dl = len(toks)
             scored = sorted(
-                (-((scale * tf * (2 * n_docs - 2 * v.get(w, 0) + 1))
+                (-((SCORE_SCALE * tf * (2 * n_docs - 2 * v.get(w, 0) + 1))
                    // (dl * (2 * v.get(w, 0) + 1))), w)
                 for w, tf in Counter(toks).items())
             for r, (neg, w) in enumerate(scored[:k], 1):
@@ -370,7 +371,7 @@ def tfidf_top_terms(ds, *, k: int = 3, id_col: str = "doc_id",
                 terms.append(w)
                 scores.append(-neg)
         return pd.DataFrame({
-            id_col: pd.Series(ids, dtype="int64"),
+            DOC_ID: pd.Series(ids, dtype="int64"),
             "rank": pd.Series(ranks, dtype="int64"),
             "term": pd.Series(terms, dtype="string"),
             "score_fp": pd.Series(scores, dtype="int64")})
@@ -396,14 +397,18 @@ def _classify_lang(text: str) -> str:
 def lang_id(ds):
     """Stop-word-profile language ID per document: (doc_id, lang_pred)."""
     def classify(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[["doc_id"]].copy()
-        out["lang_pred"] = batch["text"].fillna("").apply(_classify_lang)
+        out = batch[[DOC_ID]].copy()
+        out["lang_pred"] = batch[TEXT].fillna("").apply(_classify_lang)
         return out
 
     return ds.map_batches(classify, batch_format="pandas")
 
 
-def rolling_fingerprint(text: str, window: int = 5) -> int:
+# tokens per winnowing window of rolling_fingerprint
+_FP_WINDOW = 5
+
+
+def rolling_fingerprint(text: str) -> int:
     """Winnowing-style document fingerprint (Schleimer et al. 2003, public
     alg): hash per word token, sliding-window min selection, XOR-fold of
     the distinct window minima to one 63-bit value. Deterministic,
@@ -415,24 +420,24 @@ def rolling_fingerprint(text: str, window: int = 5) -> int:
         return 0
     hs = [int.from_bytes(hashlib.md5(t.encode()).digest()[:8], "big")
           for t in toks]
-    if len(hs) < window:
+    if len(hs) < _FP_WINDOW:
         acc = 0
         for h in hs:
             acc ^= h
         return acc & ((1 << 63) - 1)
     mins = []
-    for i in range(len(hs) - window + 1):
-        mins.append(min(hs[i : i + window]))
+    for i in range(len(hs) - _FP_WINDOW + 1):
+        mins.append(min(hs[i : i + _FP_WINDOW]))
     acc = 0
     for m in set(mins):
         acc ^= m
     return acc & ((1 << 63) - 1)
 
 
-def fingerprints(ds, id_col: str = "doc_id", text_col: str = "text"):
+def fingerprints(ds):
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        fps = batch[text_col].fillna("").apply(rolling_fingerprint)
-        return pd.DataFrame({id_col: batch[id_col],
+        fps = batch[TEXT].fillna("").apply(rolling_fingerprint)
+        return pd.DataFrame({DOC_ID: batch[DOC_ID],
                              "fingerprint": fps.astype("int64")})
 
     return ds.map_batches(f, batch_format="pandas")
@@ -455,8 +460,7 @@ def bpe_ish_tokens(text: str) -> list[str]:
     return _BPE_SPLIT_RE.findall(text)
 
 
-def decontaminate(ds, benchmark_texts, n: int = 8, id_col: str = "doc_id",
-                  text_col: str = "text"):
+def decontaminate(ds, benchmark_texts, n: int = 8):
     """Benchmark decontamination (standard pretraining-data step, e.g.
     GPT-3 appendix C / Dodge et al. 2021): flag documents sharing any
     word n-gram with a benchmark/eval set. The benchmark's n-gram set is
@@ -481,20 +485,20 @@ def decontaminate(ds, benchmark_texts, n: int = 8, id_col: str = "doc_id",
                      for i in range(max(0, len(toks) - n + 1))}
             return len(grams & bset)
 
-        counts = batch[text_col].fillna("").apply(overlap).astype("int64")
-        return pd.DataFrame({id_col: batch[id_col],
+        counts = batch[TEXT].fillna("").apply(overlap).astype("int64")
+        return pd.DataFrame({DOC_ID: batch[DOC_ID],
                              "n_overlap": counts,
                              "contaminated": (counts > 0)})
 
     return ds.map_batches(f, batch_format="pandas")
 
 
-def token_count_bpe(ds, id_col: str = "doc_id", text_col: str = "text"):
+def token_count_bpe(ds):
     """(doc_id, n_bpe_tokens): BPE-ish pre-token counts per document."""
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        counts = batch[text_col].fillna("").apply(lambda t: len(bpe_ish_tokens(t)))
-        return pd.DataFrame({id_col: batch[id_col],
+        counts = batch[TEXT].fillna("").apply(lambda t: len(bpe_ish_tokens(t)))
+        return pd.DataFrame({DOC_ID: batch[DOC_ID],
                              "n_bpe_tokens": counts.astype("int64")})
 
     return ds.map_batches(f, batch_format="pandas")
@@ -509,7 +513,7 @@ PII_PHONE_RE = r"(\+1[- ])?\d{3}-\d{3}-\d{4}"
 PII_IPV4_RE = r"\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b"
 
 
-def pii_scrub(ds, id_col: str = "doc_id", text_col: str = "text"):
+def pii_scrub(ds):
     """PII redaction (standard pretraining-data hygiene pass — e.g. the
     email/phone/IP scrubbing described for public corpora like The Pile /
     ROOTS): replaces emails, North-American phone numbers and IPv4
@@ -523,7 +527,7 @@ def pii_scrub(ds, id_col: str = "doc_id", text_col: str = "text"):
     import pyarrow.compute as pc
 
     def f(batch: pa.Table) -> pa.Table:
-        t = pc.cast(batch.column(text_col), pa.string())
+        t = pc.cast(batch.column(TEXT), pa.string())
         t = pc.coalesce(t, "")
         n_email = pc.count_substring_regex(t, PII_EMAIL_RE)
         t = pc.replace_substring_regex(t, PII_EMAIL_RE, "<EMAIL>")
@@ -532,7 +536,7 @@ def pii_scrub(ds, id_col: str = "doc_id", text_col: str = "text"):
         n_ip = pc.count_substring_regex(t, PII_IPV4_RE)
         t = pc.replace_substring_regex(t, PII_IPV4_RE, "<IP>")
         return pa.table({
-            id_col: batch.column(id_col),
+            DOC_ID: batch.column(DOC_ID),
             "n_emails": pc.cast(n_email, pa.int64()),
             "n_phones": pc.cast(n_phone, pa.int64()),
             "n_ips": pc.cast(n_ip, pa.int64()),
@@ -569,7 +573,7 @@ def normalize_unicode(text: str) -> str:
     return _WS_COLLAPSE_RE.sub(" ", t).strip(" ")
 
 
-def normalize_text(ds, id_col: str = "doc_id", text_col: str = "text"):
+def normalize_text(ds):
     """(id, text_norm): Unicode normalization pass (the standard corpus
     cleanup before tokenization/dedup). Per-row ``unicodedata`` — the
     vectorized Arrow chain is blocked by the Hangul-recomposition quirk
@@ -577,15 +581,18 @@ def normalize_text(ds, id_col: str = "doc_id", text_col: str = "text"):
     string and the stage streams like every other textstats op."""
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[text_col].fillna("").apply(normalize_unicode)
-        return pd.DataFrame({id_col: batch[id_col], "text_norm": out})
+        out = batch[TEXT].fillna("").apply(normalize_unicode)
+        return pd.DataFrame({DOC_ID: batch[DOC_ID], "text_norm": out})
 
     return ds.map_batches(f, batch_format="pandas")
 
 
+# rows per batch of exact_quantile_selection's three passes
+_QUANTILE_BATCH = 65536
+
+
 def exact_quantile_selection(ds, value_col: str, qs: "list[tuple]",
-                             n_bins: int = 4096,
-                             batch_size: int = 65536) -> pd.DataFrame:
+                             n_bins: int = 4096) -> pd.DataFrame:
     """Exact order statistics over an UNBOUNDED integer value domain via
     two-pass distributed selection:
 
@@ -608,7 +615,7 @@ def exact_quantile_selection(ds, value_col: str, qs: "list[tuple]",
                              "n": [len(v)]}).astype("int64")
 
     stats = ds.map_batches(hist_partial, batch_format="pandas",
-                           batch_size=batch_size).to_pandas()
+                           batch_size=_QUANTILE_BATCH).to_pandas()
     stats = stats[stats["n"] > 0]
     if not len(stats):
         return pd.DataFrame({"q_num": pd.Series(dtype="int64"),
@@ -627,7 +634,7 @@ def exact_quantile_selection(ds, value_col: str, qs: "list[tuple]",
                              "cnt": pd.Series(cnt[nz], dtype="int64")})
 
     parts = ds.map_batches(bin_partial, batch_format="pandas",
-                           batch_size=batch_size).to_pandas()
+                           batch_size=_QUANTILE_BATCH).to_pandas()
     hist = parts.groupby("bin")["cnt"].sum().sort_index()
     cum = hist.cumsum()
 
@@ -649,7 +656,7 @@ def exact_quantile_selection(ds, value_col: str, qs: "list[tuple]",
                              "bin": pd.Series(bins[keep], dtype="int64")})
 
     picked = ds.map_batches(collect, batch_format="pandas",
-                            batch_size=batch_size).to_pandas()
+                            batch_size=_QUANTILE_BATCH).to_pandas()
     out = {"q_num": [], "q_den": [], "quantile_value": []}
     for q_num, q_den, b, off in targets:
         vals = np.sort(picked.loc[picked["bin"] == b, value_col].to_numpy())
@@ -660,8 +667,11 @@ def exact_quantile_selection(ds, value_col: str, qs: "list[tuple]",
                          for k, v in out.items()})
 
 
-def quality_gate(ds, q: "tuple[int, int]" = (9, 10),
-                 id_col: str = "doc_id", text_col: str = "text"):
+# the order statistic quality_gate keeps docs at or above: the 9/10 one
+_GATE_Q = (9, 10)
+
+
+def quality_gate(ds):
     """Corpus-percentile quality gate — the canonical LLM-data filter
     shape, composed from existing scale-safe pieces:
 
@@ -674,11 +684,12 @@ def quality_gate(ds, q: "tuple[int, int]" = (9, 10),
        second pass reads only the target bins);
     3. the scalar threshold broadcast into a streaming filter.
 
-    Returns (id_col, n_tokens) of docs with score >= threshold. Exact
-    SQL oracle: order statistic at idx = (q_num·(n−1))//q_den."""
-    scored = token_count(ds, id_col=id_col, text_col=text_col).materialize()
+    Returns (doc_id, n_tokens) of docs with score >= threshold, the
+    score at ``_GATE_Q``. Exact SQL oracle: order statistic at
+    idx = (q_num·(n−1))//q_den."""
+    scored = token_count(ds).materialize()
     thr = int(exact_quantile_selection(
-        scored, "n_tokens", qs=[q])["quantile_value"].iloc[0])
+        scored, "n_tokens", qs=[_GATE_Q])["quantile_value"].iloc[0])
 
     def keep(b: pd.DataFrame) -> pd.DataFrame:
         return b[b["n_tokens"] >= thr]
@@ -686,8 +697,7 @@ def quality_gate(ds, q: "tuple[int, int]" = (9, 10),
     return scored.map_batches(keep, batch_format="pandas")
 
 
-def vocab_stats(ds, id_col: str = "doc_id",
-                text_col: str = "text") -> pd.DataFrame:
+def vocab_stats(ds) -> pd.DataFrame:
     """Corpus vocabulary statistics: total whitespace tokens + EXACT
     distinct-token count, scale-safe — per-batch ``pd.unique`` shrinks
     each batch to its unique tokens before any shuffle, then
@@ -701,13 +711,13 @@ def vocab_stats(ds, id_col: str = "doc_id",
             batch_size=None, batch_format="pandas") if len(b))
 
     def totals(b: pd.DataFrame) -> pd.DataFrame:
-        n = sum(len(t.split()) or 1 for t in b[text_col].fillna(""))
+        n = sum(len(t.split()) or 1 for t in b[TEXT].fillna(""))
         return pd.DataFrame({"n": pd.Series([n], dtype="int64")})
 
     n_tokens = col_sum(ds.map_batches(totals, batch_format="pandas"))
 
     def uniq_batch(b: pd.DataFrame) -> pd.DataFrame:
-        toks = [t.split() or [""] for t in b[text_col].fillna("")]
+        toks = [t.split() or [""] for t in b[TEXT].fillna("")]
         if toks:
             u = pd.unique(np.concatenate(
                 [np.asarray(x, dtype=object) for x in toks]))
@@ -727,22 +737,22 @@ def vocab_stats(ds, id_col: str = "doc_id",
         "n_distinct_tokens": pd.Series([n_distinct], dtype="int64")})
 
 
-def collocations(ds, k: int = 50, text_col: str = "text") -> pd.DataFrame:
+def collocations(ds, k: int = 50) -> pd.DataFrame:
     """Corpus-wide top-k adjacent-bigram collocations (w1, w2, cnt),
     integer-exact: the corpus counter (``_bounded_topk_vocab``) over
     (w1, w2) keys with cap ``k``. Ties broken by (w1, w2) so the result
     is deterministic and matches the SQL oracle ORDER BY."""
-    return _bounded_topk_vocab(ds, text_col, _bigrams, ["w1", "w2"], k)
+    return _bounded_topk_vocab(ds, _bigrams, ["w1", "w2"], k)
 
 
-def _pack(part: pd.DataFrame, id_col: str, max_tokens: int) -> pd.DataFrame:
+def _pack(part: pd.DataFrame, max_tokens: int) -> pd.DataFrame:
     """The greedy first-fit packing fold: ``part``'s rows (shard,
-    ``id_col``, n_tokens) in (shard, id) order, each given its sequence
+    doc_id, n_tokens) in (shard, doc_id) order, each given its sequence
     ordinal within its shard (``seq_local``) and its token offset inside
     that sequence (``offset``). A doc that does not fit the running
     sequence's ``max_tokens`` budget opens the next one, so a doc longer
     than the budget sits alone in its own (overlong) sequence."""
-    part = part.sort_values(["shard", id_col],
+    part = part.sort_values(["shard", DOC_ID],
                             kind="mergesort").reset_index(drop=True)
     seq = np.empty(len(part), dtype=np.int64)
     off = np.empty(len(part), dtype=np.int64)
@@ -758,8 +768,7 @@ def _pack(part: pd.DataFrame, id_col: str, max_tokens: int) -> pd.DataFrame:
     return part.assign(seq_local=seq, offset=off)
 
 
-def pack_sequences(ds, id_col: str = "doc_id", text_col: str = "text",
-                   max_tokens: int = 256, shard_size: int = 512):
+def pack_sequences(ds, max_tokens: int = 256, shard_size: int = 512):
     """Training-sequence packing — the step between a cleaned corpus and
     a token-budgeted training shard (every LLM data pipeline ends here):
     greedy first-fit of documents into sequences of ≤ ``max_tokens``
@@ -782,21 +791,21 @@ def pack_sequences(ds, id_col: str = "doc_id", text_col: str = "text",
     from .agg import exchange
 
     def tok(batch: pd.DataFrame) -> pd.DataFrame:
-        n = batch[text_col].fillna("").apply(lambda t: len(t.split()) or 1)
+        n = batch[TEXT].fillna("").apply(lambda t: len(t.split()) or 1)
         return pd.DataFrame({
-            id_col: batch[id_col].astype("int64"),
-            "shard": (batch[id_col].astype("int64") // shard_size),
+            DOC_ID: batch[DOC_ID].astype("int64"),
+            "shard": (batch[DOC_ID].astype("int64") // shard_size),
             "n_tokens": n.astype("int64")})
 
     def pack(part: pd.DataFrame) -> pd.DataFrame:
-        return _pack(part, id_col, max_tokens)[
-            [id_col, "shard", "seq_local", "offset", "n_tokens"]]
+        return _pack(part, max_tokens)[
+            [DOC_ID, "shard", "seq_local", "offset", "n_tokens"]]
 
     tokens = ds.map_batches(tok, batch_format="pandas")
     return exchange([tokens], ["shard"], pack)
 
 
-def commonness_buckets(ds, id_col: str = "doc_id", text_col: str = "text"):
+def commonness_buckets(ds):
     """CCNet-style corpus partitioning (Wenzek et al. 2020 §4.3 — public
     paper): score every document by LM-commonness (here the exact
     integer unigram surrogate, ``unigram_commonness``), take exact
@@ -812,8 +821,7 @@ def commonness_buckets(ds, id_col: str = "doc_id", text_col: str = "text"):
     the threshold pass and the labeling pass don't recompute scoring —
     at web scale it is O(docs) fixed-width rows in the object store,
     spillable."""
-    scored = unigram_commonness(ds, id_col=id_col,
-                                text_col=text_col).materialize()
+    scored = unigram_commonness(ds).materialize()
     qs = exact_quantile_selection(scored, "sum_freq", [(1, 3), (2, 3)])
     t = {(int(r.q_num), int(r.q_den)): int(r.quantile_value)
          for r in qs.itertuples()}
@@ -823,15 +831,14 @@ def commonness_buckets(ds, id_col: str = "doc_id", text_col: str = "text"):
         v = b["sum_freq"].to_numpy()
         bucket = np.where(v <= t33, "tail",
                           np.where(v <= t66, "middle", "head"))
-        return pd.DataFrame({id_col: b[id_col],
+        return pd.DataFrame({DOC_ID: b[DOC_ID],
                              "sum_freq": b["sum_freq"],
                              "bucket": bucket})
 
     return scored.map_batches(label, batch_format="pandas")
 
 
-def split_overlong(ds, id_col: str = "doc_id", text_col: str = "text",
-                   max_tokens: int = 256):
+def split_overlong(ds, max_tokens: int = 256):
     """Window overlong documents BEFORE packing: docs of more than
     ``max_tokens`` whitespace tokens split into consecutive
     ``max_tokens``-sized pieces (last piece short) — the companion to
@@ -842,7 +849,7 @@ def split_overlong(ds, id_col: str = "doc_id", text_col: str = "text",
 
     def f(batch: pd.DataFrame) -> pd.DataFrame:
         ids, pidx, ntok, piece = [], [], [], []
-        for i, t in zip(batch[id_col], batch[text_col].fillna("")):
+        for i, t in zip(batch[DOC_ID], batch[TEXT].fillna("")):
             ws = t.split()
             if not ws:
                 ids.append(i); pidx.append(0); ntok.append(0)
@@ -855,7 +862,7 @@ def split_overlong(ds, id_col: str = "doc_id", text_col: str = "text",
                 ntok.append(len(chunk))
                 piece.append(" ".join(chunk))
         return pd.DataFrame({
-            id_col: pd.Series(ids, dtype="int64"),
+            DOC_ID: pd.Series(ids, dtype="int64"),
             "piece_idx": pd.Series(pidx, dtype="int64"),
             "n_tokens": pd.Series(ntok, dtype="int64"),
             "piece": piece})
@@ -863,14 +870,17 @@ def split_overlong(ds, id_col: str = "doc_id", text_col: str = "text",
     return ds.map_batches(f, batch_format="pandas")
 
 
-def dup_ngram_stats(ds, ngram: int = 5, id_col: str = "doc_id",
-                    text_col: str = "text"):
+# n-gram length (whitespace tokens) of dup_ngram_stats
+_DUP_NGRAM = 5
+
+
+def dup_ngram_stats(ds):
     """Cross-document duplicated-n-gram fraction per doc — the RefinedWeb
     / MassiveText corpus-quality metric (Penedo et al. 2023 §"duplicated
     n-grams"; Rae et al. 2021 appendix A): for each document, the
-    fraction of its n-gram OCCURRENCES whose n-gram appears in ≥ 2
-    distinct documents corpus-wide. Unlike repetition_stats (intra-doc),
-    this measures corpus-level boilerplate — high values flag template
+    fraction of its n-gram OCCURRENCES (n = ``_DUP_NGRAM`` whitespace
+    tokens) whose n-gram appears in ≥ 2 distinct documents corpus-wide.
+    Unlike repetition_stats (intra-doc), this measures corpus-level boilerplate — high values flag template
     farms that survive exact/near dedup.
 
     Distributed shape (two ``agg.exchange`` calls, never per-key Ray
@@ -892,39 +902,39 @@ def dup_ngram_stats(ds, ngram: int = 5, id_col: str = "doc_id",
         grams: list[str] = []
         ids: list[int] = []
         mults: list[int] = []
-        for did, text in zip(batch[id_col], batch[text_col]):
+        for did, text in zip(batch[DOC_ID], batch[TEXT]):
             toks = (text or "").split()
-            if len(toks) < ngram:
+            if len(toks) < _DUP_NGRAM:
                 continue
-            c = Counter(" ".join(toks[i:i + ngram])
-                        for i in range(len(toks) - ngram + 1))
+            c = Counter(" ".join(toks[i:i + _DUP_NGRAM])
+                        for i in range(len(toks) - _DUP_NGRAM + 1))
             for g, m in c.items():
                 grams.append(g)
                 ids.append(int(did))
                 mults.append(m)
         return pd.DataFrame({
             "gram": pd.Series(grams, dtype="string"),
-            id_col: pd.Series(ids, dtype="int64"),
+            DOC_ID: pd.Series(ids, dtype="int64"),
             "mult": pd.Series(mults, dtype="int64")})
 
     def denominators(batch: pd.DataFrame) -> pd.DataFrame:
-        n = [max(len((t or "").split()) - ngram + 1, 0)
-             for t in batch[text_col]]
+        n = [max(len((t or "").split()) - _DUP_NGRAM + 1, 0)
+             for t in batch[TEXT]]
         return pd.DataFrame({
-            id_col: batch[id_col].astype("int64"),
+            DOC_ID: batch[DOC_ID].astype("int64"),
             "n_ngrams": pd.Series(n, dtype="int64")})
 
     def per_gram(part: pd.DataFrame) -> pd.DataFrame:
         # rows are unique per (gram, doc) → df(gram) is the group size
-        df = part.groupby("gram")[id_col].transform("size")
-        return (part[df >= 2].groupby(id_col, as_index=False)["mult"].sum()
+        df = part.groupby("gram")[DOC_ID].transform("size")
+        return (part[df >= 2].groupby(DOC_ID, as_index=False)["mult"].sum()
                 .astype("int64").rename(columns={"mult": "n_dup"}))
 
     def fold(part: pd.DataFrame, dens: pd.DataFrame) -> pd.DataFrame:
-        num = part.groupby(id_col)["n_dup"].sum()
-        g = dens.groupby(id_col, as_index=False)["n_ngrams"].sum()
+        num = part.groupby(DOC_ID)["n_dup"].sum()
+        g = dens.groupby(DOC_ID, as_index=False)["n_ngrams"].sum()
         g.insert(1, "n_dup_ngrams",
-                 g[id_col].map(num).fillna(0).astype("int64"))
+                 g[DOC_ID].map(num).fillna(0).astype("int64"))
         denom = g["n_ngrams"].to_numpy()
         num = g["n_dup_ngrams"].to_numpy()
         frac = np.where(denom > 0, num / np.maximum(denom, 1), 0.0)
@@ -934,7 +944,7 @@ def dup_ngram_stats(ds, ngram: int = 5, id_col: str = "doc_id",
     occ = ds.map_batches(occurrences, batch_format="pandas")
     partials = exchange([occ], ["gram"], per_gram)
     dens = ds.map_batches(denominators, batch_format="pandas")
-    return exchange([partials, dens], [id_col, id_col], fold)
+    return exchange([partials, dens], [DOC_ID, DOC_ID], fold)
 
 
 def top_tokens_per_lang(ds, k: int = 5) -> pd.DataFrame:
@@ -949,9 +959,9 @@ def top_tokens_per_lang(ds, k: int = 5) -> pd.DataFrame:
     with the top-k kept per language — each token's total lands
     complete inside one exchange call, so a token outside every call's
     per-language top-k cannot be in the global top-k."""
-    top = _bounded_topk_vocab(ds, "text", lambda t: t.split() or [""],
-                              ["tok"], k, group="lang")
+    top = _bounded_topk_vocab(ds, lambda t: t.split() or [""],
+                              ["tok"], k, group=LANG)
     top = top.rename(columns={"cnt": "n"})
-    top["rnk"] = (top.groupby("lang", sort=False).cumcount() + 1
+    top["rnk"] = (top.groupby(LANG, sort=False).cumcount() + 1
                   ).astype("int64")
-    return top[["lang", "tok", "n", "rnk"]]
+    return top[[LANG, "tok", "n", "rnk"]]

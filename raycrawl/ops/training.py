@@ -26,29 +26,28 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..schema import DOC_ID, LANG, SOURCE
 from .bpe import (_encode, bpe_train_incremental, build_vocab_ids,
                   distributed_word_counts)
 from .textstats import _pack
 
 
-def encode_ids(ds, merges, vocab_ids, id_col: str = "doc_id",
-               text_col: str = "text", shard_size: int = 512):
+def encode_ids(ds, merges, vocab_ids, shard_size: int = 512):
     """(doc_id, shard, n_tokens, token_ids: list<int64>) — the id-list
     sibling of bpe.bpe_encode (which emits csv for the SQL compare),
     from the same encode stage (``bpe._encode``)."""
 
     def finish(batch: pd.DataFrame, docs: list) -> pd.DataFrame:
-        d = batch[id_col].astype("int64")
+        d = batch[DOC_ID].astype("int64")
         return pd.DataFrame({
-            id_col: d, "shard": d // shard_size,
+            DOC_ID: d, "shard": d // shard_size,
             "n_tokens": pd.Series([len(x) for x in docs], dtype="int64"),
             "token_ids": [np.asarray(x, dtype=np.int64) for x in docs]})
 
-    return _encode(ds, merges, vocab_ids, text_col, finish)
+    return _encode(ds, merges, vocab_ids, finish)
 
 
-def pack_id_sequences(encoded, max_tokens: int = 1024,
-                      id_col: str = "doc_id"):
+def pack_id_sequences(encoded, max_tokens: int = 1024):
     """Greedy first-fit of encoded docs into sequences within their
     shard (the fold of textstats.pack_sequences, ``textstats._pack``,
     here carrying the actual ids): one row per SEQUENCE — (shard,
@@ -57,9 +56,9 @@ def pack_id_sequences(encoded, max_tokens: int = 1024,
     from .agg import exchange
 
     def pack(part: pd.DataFrame) -> pd.DataFrame:
-        seqs = _pack(part, id_col, max_tokens).groupby(
+        seqs = _pack(part, max_tokens).groupby(
             ["shard", "seq_local"], sort=False)
-        out = seqs.agg(n_docs=(id_col, "size"),
+        out = seqs.agg(n_docs=(DOC_ID, "size"),
                        n_tokens=("n_tokens", "sum")).reset_index()
         out["token_ids"] = [np.concatenate([np.empty(0, np.int64), *ids])
                             for _, ids in seqs["token_ids"]]
@@ -92,12 +91,16 @@ def build_training_shards(ds, out_dir: str, num_merges: int = 200,
             "shards": shards, "sequences": n_seq, "tokens": tot}
 
 
-def mix_sources(ds, weights: "dict[str, int]", weight_scale: int,
-                source_col: str = "source", key_col: str = "doc_id",
-                salt: str = "mix0", batch_size: int = 65536):
+# md5 salts of the recipe steps: one fixed mix and one fixed split
+_MIX_SALT = "mix0"
+_SPLIT_SALT = "split0"
+_SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, val, test
+
+
+def mix_sources(ds, weights: "dict[str, int]", weight_scale: int):
     """Deterministic source-weighted corpus MIXING — the RedPajama/Pile
     'data recipe' step: every source keeps its rows with probability
-    weights[source]/weight_scale, decided by ``md5(salt||key)``
+    weights[source]/weight_scale, decided by ``md5(_MIX_SALT||doc_id)``
     (reproducible across runs, partitionings and cluster sizes;
     consistent between tables sharing the key). Rows of a source absent
     from ``weights`` are dropped — an explicit recipe is the contract.
@@ -107,24 +110,24 @@ def mix_sources(ds, weights: "dict[str, int]", weight_scale: int,
 
     def f(b: pd.DataFrame) -> pd.DataFrame:
         keep = []
-        for k, s in zip(b[key_col], b[source_col]):
+        for k, s in zip(b[DOC_ID], b[SOURCE]):
             w = weights.get(s)
             keep.append(
                 w is not None and
-                int(_hl.md5(f"{salt}{k}".encode()).hexdigest()[:15], 16)
+                int(_hl.md5(f"{_MIX_SALT}{k}".encode()).hexdigest()[:15], 16)
                 * weight_scale < int(w) * (1 << 60))
         return b[pd.Series(keep, index=b.index)]
 
-    return ds.map_batches(f, batch_format="pandas", batch_size=batch_size)
+    return ds.map_batches(f, batch_format="pandas", batch_size=65536)
 
 
 # range buckets per stratum in _hash_rank: hv's top byte
 _SPLIT_BUCKETS = 256
 
 
-def _hash_rank(ds, salt: str, id_col: str, stratum_col, finish):
+def _hash_rank(ds, salt: str, stratum_col, finish):
     """Exact rank of every row within its stratum in ascending (hv, id)
-    order, hv = first 64 bits of md5(salt‖id), without a global sort or
+    order, hv = first 64 bits of md5(salt‖doc_id), without a global sort or
     co-locating any whole stratum on one worker: hv's top byte
     range-buckets each stratum, a driver table of (stratum, bucket)
     counts — bounded by |strata|·256, never corpus size — gives prefix
@@ -146,9 +149,9 @@ def _hash_rank(ds, salt: str, id_col: str, stratum_col, finish):
     def hashed(b: pd.DataFrame) -> pd.DataFrame:
         hv = np.fromiter(
             (int(_hl.md5(f"{salt}{k}".encode()).hexdigest()[:16], 16)
-             for k in b[id_col]), dtype=np.uint64, count=len(b))
+             for k in b[DOC_ID]), dtype=np.uint64, count=len(b))
         return pd.DataFrame({
-            id_col: b[id_col].astype("int64"),
+            DOC_ID: b[DOC_ID].astype("int64"),
             **{c: b[c] for c in strat},
             "__h": hv.view(np.int64),
             "__bucket": (hv // np.uint64((1 << 64) // _SPLIT_BUCKETS)
@@ -181,7 +184,7 @@ def _hash_rank(ds, salt: str, id_col: str, stratum_col, finish):
         # orders every (stratum, bucket) group internally, and the
         # per-group cumcount below is interleaving-safe
         hu = g["__h"].to_numpy().view(np.uint64)
-        g = g.iloc[np.lexsort((g[id_col].to_numpy(), hu))]
+        g = g.iloc[np.lexsort((g[DOC_ID].to_numpy(), hu))]
         local = g.groupby(keys, sort=False).cumcount().to_numpy(np.int64)
         ss = g[stratum_col].tolist() if strat else [None] * len(g)
         off = np.fromiter(
@@ -193,31 +196,29 @@ def _hash_rank(ds, salt: str, id_col: str, stratum_col, finish):
     return exchange([hds], [keys], rank_part)
 
 
-def deterministic_shuffle_rank(ds, key_col: str = "doc_id",
-                               salt: str = "sh0"):
+def deterministic_shuffle_rank(ds, salt: str = "sh0"):
     """Deterministic GLOBAL shuffle order — reproducible training-epoch
     shuffling: every row's ``shuffle_rank`` is its position in ascending
-    ``md5(salt||key)`` order (ties — practically impossible at 64 bits —
-    break by key). Unlike ``Dataset.random_shuffle`` the permutation is
+    ``md5(salt||doc_id)`` order (ties — practically impossible at 64
+    bits — break by doc_id). Unlike ``Dataset.random_shuffle`` the permutation is
     identical across runs, partitionings and cluster sizes, and a new
     epoch is just a new salt. The single-stratum case of
     :func:`_hash_rank`, so no node ever materializes a global sort."""
     return _hash_rank(
-        ds, salt, key_col, None,
-        lambda g, rank, n: pd.DataFrame({key_col: g[key_col].to_numpy(),
+        ds, salt, None,
+        lambda g, rank, n: pd.DataFrame({DOC_ID: g[DOC_ID].to_numpy(),
                                          "shuffle_rank": rank}))
 
 
-def stratified_split_assign(ds, fractions=(0.8, 0.1, 0.1),
-                            salt: str = "split0", id_col: str = "doc_id",
-                            stratum_col: str = "lang") -> pd.DataFrame:
+def stratified_split_assign(ds) -> pd.DataFrame:
     """Deterministic stratified train/val/test assignment with EXACT
     per-stratum cut points — the split every training pipeline needs:
-    within each stratum (language, source, quality tier) the docs whose
-    stratum-rank r satisfies ``r·1000 < n·⌊f_train·1000⌋`` go to train
-    (= ⌈f_train·n⌉ docs), the next band to val, the rest to test — an
-    integer predicate both sides replay verbatim — and membership is a
-    pure function of (salt, id) so re-runs,
+    within each language stratum the docs whose stratum-rank r
+    satisfies ``r·1000 < n·⌊f_train·1000⌋`` go to train (= ⌈f_train·n⌉
+    docs), the next band to val, the rest to test, with fractions
+    ``_SPLIT_FRACTIONS`` — an integer predicate both sides replay
+    verbatim — and membership is a pure function of (``_SPLIT_SALT``,
+    doc_id) so re-runs,
     re-partitions and incremental corpus versions agree on every doc
     they share a stratum-rank for.
 
@@ -225,20 +226,20 @@ def stratified_split_assign(ds, fractions=(0.8, 0.1, 0.1),
     keyed per stratum (strata are few; a stratum is usually most of the
     corpus, so none may co-locate on one worker). Thresholds replay in
     integer floor arithmetic on both sides."""
-    f_train, f_val, _ = fractions
+    f_train, f_val, _ = _SPLIT_FRACTIONS
     tr_num = int(round(f_train * 1000))
     va_num = int(round((f_train + f_val) * 1000))
 
     def finish(g: pd.DataFrame, r0, n) -> pd.DataFrame:
         split = np.where(r0 * 1000 < n * tr_num, "train",
                          np.where(r0 * 1000 < n * va_num, "val", "test"))
-        return pd.DataFrame({id_col: g[id_col].to_numpy(np.int64),
-                             stratum_col: g[stratum_col].to_numpy(),
+        return pd.DataFrame({DOC_ID: g[DOC_ID].to_numpy(np.int64),
+                             LANG: g[LANG].to_numpy(),
                              "split": split})
 
     from .agg import _frame
 
-    out = _frame(_hash_rank(ds, salt, id_col, stratum_col, finish),
-                 pd.DataFrame(columns=[id_col, stratum_col, "split"]))
-    out[id_col] = out[id_col].astype("int64")
-    return out.sort_values(id_col).reset_index(drop=True)
+    out = _frame(_hash_rank(ds, _SPLIT_SALT, LANG, finish),
+                 pd.DataFrame(columns=[DOC_ID, LANG, "split"]))
+    out[DOC_ID] = out[DOC_ID].astype("int64")
+    return out.sort_values(DOC_ID).reset_index(drop=True)

@@ -411,9 +411,6 @@ class CrawlOutcome:
         t = pa.concat_tables([pq.read_table(f) for f in files])
         return t.sort_by([("seq", "ascending")])
 
-    def results_dataset(self):
-        return ray.data.read_parquet(self.results_dir)
-
     def seen(self) -> pa.Table:
         files = sorted(glob.glob(os.path.join(self.seen_dir, "wave=*", "*.parquet")))
         if not files:

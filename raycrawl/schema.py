@@ -106,3 +106,14 @@ LINKS = pa.schema(
         ("position", pa.int32()),  # document order within the source page
     ]
 )
+
+# Column names of the two LLM-data corpus tables the ``raycrawl.ops``
+# operators read: documents (doc_id, text, lang, source, ...) and
+# embeddings (vec_id, embedding). An op reads these names; a table that
+# uses other names is renamed before it reaches the op.
+DOC_ID = "doc_id"
+TEXT = "text"
+LANG = "lang"
+SOURCE = "source"
+VEC_ID = "vec_id"
+EMBEDDING = "embedding"
