@@ -8,10 +8,10 @@ reused worker has already imported ``ray.data`` and ``raycrawl``, so a
 long-lived the same way, scraper.py:283-309 / ST2 in SURVEY.md);
 ``__call__`` handles one Arrow batch. Per-row failures degrade to the
 reference's error shape (status_code=500 + error message,
-scraper.py:1272-1293) and never poison the batch. The per-row code
-(``decode_html``, ``page_row``, ``error_row``, ``rows_table``) is shared
-with the crawl's kernel, ``pipeline.WaveExtractor``, so both modes emit
-the same bytes per url.
+scraper.py:1272-1293) and never poison the batch. The crawl's kernel,
+``pipeline.WaveExtractor``, shares ``extract_page``, ``decode_html``,
+``json_cell`` and ``error_row``'s values, so both modes emit the same
+bytes per url.
 
 Pipeline per row (reference extract_content, scraper.py:664-700 +
 _process_page_data 1300-1355):
@@ -31,7 +31,7 @@ import pyarrow as pa
 
 from .html.clean import clean_tree, find_main_content
 from .html.dom import Node, parse_html
-from .html.markdown import post_process_markdown, to_markdown_tree
+from .html.markdown import post_process_markdown, render_markdown
 from .html.metadata import PageIndex, extract_metadata, extract_structured
 from .links import HrefMemo, links_from_anchors
 from .schema import EXTRACTED
@@ -40,6 +40,13 @@ from .schema import EXTRACTED
 # json.dumps(obj, sort_keys=True) builds a new encoder per call; this is
 # the same encoder, built once
 _json_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
+def json_cell(obj: Any, empty: str) -> str:
+    """``_json_sorted(obj)``, with ``empty`` (its encoding) for an empty
+    ``obj``: most pages carry no JSON-LD, Open Graph or Twitter card, and
+    the constant costs nothing to encode."""
+    return _json_sorted(obj) if obj else empty
 
 
 @contextlib.contextmanager
@@ -81,7 +88,9 @@ def extract_page(url: str, html: str, only_main: bool = True) -> dict[str, Any]:
             content_root = main
     clean_tree(content_root)
     html_clean = content_root.to_html()
-    markdown = post_process_markdown(to_markdown_tree(content_root))
+    # the render's image walk also collects the cleaned page's anchors
+    anchors: list[Node] = []
+    markdown = post_process_markdown(render_markdown(content_root, anchors))
 
     return {
         "markdown": markdown,
@@ -92,8 +101,7 @@ def extract_page(url: str, html: str, only_main: bool = True) -> dict[str, Any]:
         # crawl expansion uses links of the *cleaned* html — the reference
         # passes scrape_result["data"]["html"] (the cleaned, main-only html)
         # to extract_links (crawler_service.py:61-65)
-        "crawl_links": links_from_anchors(
-            content_root.find_all("a", href=True), normalized),
+        "crawl_links": links_from_anchors(anchors, normalized),
     }
 
 
@@ -117,11 +125,11 @@ def page_row(res: dict[str, Any]) -> dict[str, Any]:
         "status_code": 200,
         "error": None,
         "links": res["links"],
-        "json_ld": _json_sorted(st["jsonLd"]),
-        "open_graph": _json_sorted(st["openGraph"]),
-        "twitter_card": _json_sorted(st["twitterCard"]),
+        "json_ld": json_cell(st["jsonLd"], "[]"),
+        "open_graph": json_cell(st["openGraph"], "{}"),
+        "twitter_card": json_cell(st["twitterCard"], "{}"),
         "meta_data": _json_sorted(st["metaData"]),
-        "metadata_json": _json_sorted(md),
+        "metadata_json": json_cell(md, "{}"),
     }
 
 

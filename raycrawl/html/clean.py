@@ -26,6 +26,8 @@ _ALLOWED_ATTRS = frozenset(
 )
 _ALLOWED_PREFIXES = ("data-", "aria-")
 _CONTENT_RE = re.compile(r"content|main|article", re.I)
+# the tags find_main_content looks at
+_MAIN_TAGS = frozenset({"main", "article", "div", "section"})
 # children dropped outright, and never descended into
 _DROPPED = frozenset(_UNWANTED_TAGS) | {COMMENT}
 _LEAVES = _DROPPED | {TEXT}
@@ -51,7 +53,7 @@ def clean_tree(root: Node) -> Node:
         for c in node.children:
             if c.tag not in _LEAVES:
                 stack.append(c)
-    with_content: set[int] = set()  # ids of nodes with a kept content tag below
+    with_content: set[Node] = set()  # nodes with a kept content tag below
     for node in reversed(order):
         children = node.children
         if children:
@@ -59,16 +61,17 @@ def clean_tree(root: Node) -> Node:
             has_content = False
             for c in children:
                 tag = c.tag
-                if tag in _DROPPED or (tag in _CHROME_TAGS
-                                       and id(c) not in with_content):
-                    continue
-                if tag in _KEEP_CHROME or id(c) in with_content:
-                    has_content = True
+                if tag != TEXT:
+                    if tag in _DROPPED or (tag in _CHROME_TAGS
+                                           and c not in with_content):
+                        continue
+                    if tag in _KEEP_CHROME or c in with_content:
+                        has_content = True
                 kept.append(c)
             if len(kept) != len(children):
                 node.children = kept
             if has_content:
-                with_content.add(id(node))
+                with_content.add(node)
         if node.attrs:
             node.attrs = [
                 (k, v)
@@ -97,48 +100,57 @@ def find_main_content(root: Node) -> Optional[Node]:
     while stack:
         node = stack.pop()
         tag = node.tag
-        if tag == "main":
-            return node
-        if article is None:
-            if tag == "article":
-                article = node
-            elif tag == "div":
-                containers.append(node)
-                if by_id is None:
-                    v = node.get("id")
-                    if v is not None and _CONTENT_RE.search(v):
-                        by_id = node
-                if by_class is None:
-                    v = node.get("class")
-                    if v is not None and _CONTENT_RE.search(v):
-                        by_class = node
-                if by_role is None and node.get("role") == "main":
-                    by_role = node
-            elif tag == "section":
-                containers.append(node)
+        if tag in _MAIN_TAGS:
+            if tag == "main":
+                return node
+            if article is None:
+                if tag == "article":
+                    article = node
+                elif tag == "div":
+                    containers.append(node)
+                    if by_id is None:
+                        v = node.get("id")
+                        if v is not None and _CONTENT_RE.search(v):
+                            by_id = node
+                    if by_class is None:
+                        v = node.get("class")
+                        if v is not None and _CONTENT_RE.search(v):
+                            by_class = node
+                    if by_role is None and node.get("role") == "main":
+                        by_role = node
+                else:
+                    containers.append(node)
         children = node.children
         if children:
             stack.extend(children[::-1])
     hit = article or by_id or by_class or by_role
     if hit is not None or not containers:
         return hit
-    size = _text_lengths(root)
-    return max(containers, key=lambda n: size[id(n)])
+    # no article was found, so the walk ran to the end: ``containers`` is
+    # every div and section under ``root``
+    return max(containers, key=_container_text_lengths(root).__getitem__)
 
 
-def _text_lengths(root: Node) -> dict[int, int]:
-    """``len(n.get_text())`` for every node under ``root``, keyed by id, in
-    one bottom-up pass (linear in the tree, whatever its depth)."""
-    order = []
-    stack = [root]
+def _container_text_lengths(root: Node) -> dict[Node, int]:
+    """``len(n.get_text())`` for every div and section under ``root``, in
+    one document-order walk (linear in the tree, whatever its depth): a
+    container's length is the text seen between entering and leaving it,
+    and leaving is a ``(container, length at entry)`` pair on the stack."""
+    size: dict[Node, int] = {}
+    seen = 0
+    stack: list = root.children[::-1]
     while stack:
         node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    size: dict[int, int] = {}
-    for node in reversed(order):
-        if node.tag == TEXT:
-            size[id(node)] = len(node.text)
-        else:
-            size[id(node)] = sum(size[id(c)] for c in node.children)
+        if type(node) is tuple:
+            size[node[0]] = seen - node[1]
+            continue
+        tag = node.tag
+        if tag == TEXT:
+            seen += len(node.text)
+            continue
+        if tag == "div" or tag == "section":
+            stack.append((node, seen))
+        children = node.children
+        if children:
+            stack.extend(children[::-1])
     return size

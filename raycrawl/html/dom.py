@@ -184,29 +184,45 @@ class Node:
 
     # -- serialization ----------------------------------------------------
     def to_html(self) -> str:
+        """This subtree as html: text escaped as by ``html.escape(text,
+        quote=False)`` and attribute values as by ``html.escape(value)``.
+        ``escape`` runs only on a string that holds a character it
+        replaces (``&<>`` in text, those or a quote in a value): most
+        strings hold none, and the substring checks cost far less than
+        the call. One recursion frame per element level."""
         parts: list[str] = []
         self._serialize(parts)
         return "".join(parts)
 
     def _serialize(self, out: list[str]) -> None:
-        if self.tag == TEXT:
-            out.append(escape(self.text, quote=False))
+        tag = self.tag
+        if tag == TEXT:
+            text = self.text
+            if "&" in text or "<" in text or ">" in text:
+                text = escape(text, quote=False)
+            out.append(text)
             return
-        if self.tag == COMMENT:
+        if tag == COMMENT:
             out.append(f"<!--{self.text}-->")
             return
-        if self.tag == "#document":
+        if tag == "#document":
             for c in self.children:
                 c._serialize(out)
             return
-        attr_s = "".join(f' {k}="{escape(v)}"' for k, v in self.attrs)
-        if self.tag in VOID_TAGS:
-            out.append(f"<{self.tag}{attr_s}/>")
+        if self.attrs:
+            attr_s = "".join([
+                f' {k}="{escape(v)}"' if ("&" in v or "<" in v or ">" in v
+                                           or '"' in v or "'" in v)
+                else f' {k}="{v}"' for k, v in self.attrs])
+        else:
+            attr_s = ""
+        if tag in VOID_TAGS:
+            out.append(f"<{tag}{attr_s}/>")
             return
-        out.append(f"<{self.tag}{attr_s}>")
+        out.append(f"<{tag}{attr_s}>")
         for c in self.children:
             c._serialize(out)
-        out.append(f"</{self.tag}>")
+        out.append(f"</{tag}>")
 
 
 # Elements whose raw text must not be treated as markup children when searching

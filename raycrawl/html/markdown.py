@@ -31,6 +31,7 @@ reference pipeline's observable output.
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 from .dom import COMMENT, TEXT, Node, parse_html
 
@@ -81,6 +82,16 @@ def _collapse_ws(s: str) -> str:
     if ("  " in s or "\n" in s or "\t" in s or "\r" in s or "\f" in s):
         return _WS_RE.sub(" ", s)
     return s
+
+
+def _tidy_lines(text: str) -> str:
+    """Each line of ``text`` space-collapsed and stripped, the whole
+    stripped: explicit ``<br>`` newlines are kept. Most inline runs are
+    one line, which needs no split."""
+    if "\n" not in text:
+        return _collapse_spaces(text).strip()
+    return "\n".join([_collapse_spaces(ln).strip()
+                      for ln in text.split("\n")]).strip()
 
 
 def _enhance_image(img: Node) -> None:
@@ -136,9 +147,7 @@ class _Renderer:
     def inline_block(self, node: Node) -> str:
         """Inline content of a block element, whitespace-normalized."""
         text = "".join(self.inline(c) for c in node.children)
-        # collapse spaces but keep explicit <br> newlines
-        lines = [_collapse_spaces(ln).strip() for ln in text.split("\n")]
-        return "\n".join(lines).strip()
+        return _tidy_lines(text)
 
     # -- block rendering ---------------------------------------------------
     def block(self, node: Node) -> None:
@@ -195,8 +204,7 @@ class _Renderer:
             self.children_as_blocks(node)
             return
         # inline element floating at block level (span, a, img, text runs…):
-        text = self.inline(node)
-        text = "\n".join(_collapse_spaces(ln).strip() for ln in text.split("\n")).strip()
+        text = _tidy_lines(self.inline(node))
         if text:
             self.blocks.append(text)
 
@@ -206,10 +214,7 @@ class _Renderer:
 
         def flush() -> None:
             if run:
-                text = "".join(run)
-                text = "\n".join(
-                    _collapse_spaces(ln).strip() for ln in text.split("\n")
-                ).strip()
+                text = _tidy_lines("".join(run))
                 if text:
                     self.blocks.append(text)
                 run.clear()
@@ -314,6 +319,13 @@ def to_markdown_tree(root: Node) -> str:
     in place, so the tree's own html is changed too: serialize it first,
     as ``extract_page`` does. One walk enhances the images and finds the
     first ``<body>``; the render starts there, else at ``root``."""
+    return render_markdown(root)
+
+
+def render_markdown(root: Node, anchors: Optional[list[Node]] = None) -> str:
+    """``to_markdown_tree(root)``. With an ``anchors`` list, its walk also
+    appends every ``<a>`` under ``root`` to it in document order, the
+    nodes ``root.find_all("a")`` returns, for the caller's link lists."""
     body = None
     stack = root.children[::-1]
     while stack:
@@ -321,6 +333,9 @@ def to_markdown_tree(root: Node) -> str:
         tag = node.tag
         if tag == "img":
             _enhance_image(node)
+        elif tag == "a":
+            if anchors is not None:
+                anchors.append(node)
         elif tag == "body" and body is None:
             body = node
         children = node.children
@@ -336,14 +351,24 @@ def to_markdown_tree(root: Node) -> str:
 # ---------------------------------------------------------------------------
 
 _HTML_COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
-_HEADER_FIX_RE = re.compile(r"(#{1,6})([^#\s])")
+# the reference's header fix is (#{1,6})([^#\s]); the same pattern led by a
+# literal '#' lets ``re`` skip to each '#' instead of trying every character
+_HEADER_FIX_RE = re.compile(r"(##{0,5})([^#\s])")
 _LIST_FIX_RE = re.compile(r"(\n\s*)-([^\s])")
 _EXCESSIVE_NEWLINES_RE = re.compile(r"\n{3,}")
 _ORDERED_ITEM_RE = re.compile(r"^\s*\d+\.")
 _LONELY_PUNCT_RE = re.compile(r"^\s*[\*\.\-]\s*$", re.MULTILINE)
 _LONELY_STAR_RE = re.compile(r"^\s*\*\s*$", re.MULTILINE)
-_CODE_SPACING_RE = re.compile(r"(\n*)(```[\w]*\n.*?\n```)(\n*)", re.DOTALL)
-_IMG_SPACING_RE = re.compile(r"(\n*)(!\[.*?\]\(.*?\))(\n*)")
+# The reference's spacing rules are (\n*)(core)(\n*) → \n\n\2\n\n for a
+# code fence and for an image. Led by an optional newline run, they are
+# tried at every character; these cores start with a literal. Spacing a
+# core without taking the newlines around it leaves a run of two or more
+# newlines on each side, and _collapse_newlines, which runs next, makes
+# each such run two: the output is the reference's.
+_CODE_CORE_RE = re.compile(r"```[\w]*\n.*?\n```", re.DOTALL)
+_IMG_CORE_RE = re.compile(r"!\[.*?\]\(.*?\)")
+_SPACED = r"\n\n\g<0>\n\n"
+_LONELY_LINES = frozenset({"*", ".", "-"})
 
 
 def _collapse_newlines(markdown: str) -> str:
@@ -355,62 +380,87 @@ def _collapse_newlines(markdown: str) -> str:
 def post_process_markdown(markdown: str) -> str:
     """Operation-for-operation reimplementation of
     ``ContentExtractor._post_process_markdown`` (scraper.py:543-662), with
-    the same output. A regex pass is skipped when a substring check shows
-    it cannot match, and the reference's trailing-space strip is left to
-    the per-line ``rstrip``, which removes a superset of it."""
+    the same output. Guards that change no output:
+
+    - a regex pass is skipped when a substring check shows it cannot
+      match, and the reference's trailing-space strip is left to the
+      per-line ``rstrip``, which removes a superset of it;
+    - the header fix and the code and image spacing rules search from
+      their pattern's literal start (``_HEADER_FIX_RE``, ``_CODE_CORE_RE``,
+      ``_IMG_CORE_RE``);
+    - both lonely-punctuation passes run only when the line loop saw a
+      line that strips to ``*``, ``.`` or ``-``: a match spans such a line
+      (``\\s`` and ``str.strip`` share one whitespace set), and no later
+      step before those passes makes one."""
     if "<!--" in markdown:
         markdown = _HTML_COMMENT_RE.sub("", markdown)
 
     markdown = markdown.replace("&nbsp;", " ")
     markdown = markdown.replace("\xa0", " ")
 
-    markdown = _HEADER_FIX_RE.sub(r"\1 \2", markdown)
+    if "#" in markdown:
+        markdown = _HEADER_FIX_RE.sub(r"\1 \2", markdown)
     markdown = _LIST_FIX_RE.sub(r"\1- \2", markdown)
 
     lines = markdown.split("\n")
     processed: list[str] = []
+    append = processed.append
     in_code_block = False
     in_list = False
+    lonely = False
+    prev_blank = True  # processed[-1] is whitespace-only, or there is none
     for line in lines:
         line = line.rstrip()
         if line.startswith("```"):
             in_code_block = not in_code_block
-            processed.append(line)
+            append(line)
+            prev_blank = False
             continue
+        stripped = line.lstrip()
         if in_code_block:
-            processed.append(line)
+            append(line)
+            if stripped in _LONELY_LINES:
+                lonely = True
+            prev_blank = not stripped
             continue
-        if not line.strip():
-            if processed and processed[-1].strip():
-                processed.append("")
+        if not stripped:
+            if not prev_blank:
+                append("")
+                prev_blank = True
             continue
-        if line.startswith("#"):
-            if processed and processed[-1].strip():
-                processed.append("")
-            processed.append(line)
-            processed.append("")
+        if stripped in _LONELY_LINES:
+            lonely = True
+        if line[0] == "#":
+            if not prev_blank:
+                append("")
+            append(line)
+            append("")
+            prev_blank = True
             in_list = False
             continue
-        if line.strip().startswith(("-", "*", "+")) or _ORDERED_ITEM_RE.match(line):
-            if not in_list and processed and processed[-1].strip():
-                processed.append("")
-            processed.append(line)
+        if stripped[0] in "-*+" or _ORDERED_ITEM_RE.match(line):
+            if not in_list and not prev_blank:
+                append("")
+            append(line)
+            prev_blank = False
             in_list = True
             continue
-        else:
-            in_list = False
-        if line.strip().startswith("!["):
-            if processed and processed[-1].strip():
-                processed.append("")
-            processed.append(line)
-            processed.append("")
+        in_list = False
+        if stripped.startswith("!["):
+            if not prev_blank:
+                append("")
+            append(line)
+            append("")
+            prev_blank = True
             continue
-        processed.append(line)
+        append(line)
+        prev_blank = False
     markdown = "\n".join(processed)
 
     markdown = _collapse_newlines(markdown)
-    markdown = _LONELY_PUNCT_RE.sub("", markdown)
-    markdown = _collapse_newlines(markdown)
+    if lonely:
+        markdown = _LONELY_PUNCT_RE.sub("", markdown)
+        markdown = _collapse_newlines(markdown)
 
     # literal patterns — plain str.replace, same semantics as the re.sub
     markdown = markdown.replace("**Copy\n[code]", "Copy\n\n```")
@@ -418,13 +468,14 @@ def post_process_markdown(markdown: str) -> str:
     markdown = markdown.replace("[code]", "```")
     markdown = markdown.replace("[/code]", "```")
 
-    markdown = _LONELY_PUNCT_RE.sub("", markdown)
+    if lonely:
+        markdown = _LONELY_PUNCT_RE.sub("", markdown)
     markdown = _collapse_newlines(markdown)
 
     if "```" in markdown:
-        markdown = _CODE_SPACING_RE.sub(r"\n\n\2\n\n", markdown)
+        markdown = _CODE_CORE_RE.sub(_SPACED, markdown)
     if "![" in markdown:
-        markdown = _IMG_SPACING_RE.sub(r"\n\n\2\n\n", markdown)
+        markdown = _IMG_CORE_RE.sub(_SPACED, markdown)
     markdown = _collapse_newlines(markdown)
 
     markdown = _LONELY_STAR_RE.sub("", markdown)

@@ -38,59 +38,61 @@ _OG_RENAMES = {
 }
 
 
+_INDEXED = frozenset({"a", "meta", "link", "img", "time", "title", "html",
+                      "script"})
+
+
 class PageIndex:
     """One-pass index of the nodes the metadata/structured-data extractors
     probe, in document order — replaces ~20 full-tree ``find`` scans per
     page with a single traversal (each list preserves document order, so
-    'first match' semantics are identical to repeated ``soup.find``)."""
+    'first match' semantics are identical to repeated ``soup.find``).
+    ``probes`` is the ``_MetaProbes`` of ``metas``, built on first use."""
 
     __slots__ = ("title", "html", "metas", "links", "times", "imgs",
-                 "anchors", "ldjson")
+                 "anchors", "ldjson", "probes")
 
     def __init__(self, root: Node) -> None:
-        self.title: Optional[Node] = None
-        self.html: Optional[Node] = None
-        self.metas: list[Node] = []
-        self.links: list[Node] = []
-        self.times: list[Node] = []
-        self.imgs: list[Node] = []
-        self.anchors: list[Node] = []
-        self.ldjson: list[Node] = []
-        for node in root.iter_elements():
+        title = html = None
+        metas: list[Node] = []
+        links: list[Node] = []
+        times: list[Node] = []
+        imgs: list[Node] = []
+        anchors: list[Node] = []
+        ldjson: list[Node] = []
+        # the pre-order walk of ``iter_elements``, inlined; one set lookup
+        # passes over the text and the untracked tags
+        stack = [root]
+        while stack:
+            node = stack.pop()
             tag = node.tag
-            if tag == "meta":
-                self.metas.append(node)
-            elif tag == "a":
-                self.anchors.append(node)
-            elif tag == "link":
-                self.links.append(node)
-            elif tag == "img":
-                self.imgs.append(node)
-            elif tag == "time":
-                self.times.append(node)
-            elif tag == "title":
-                if self.title is None:
-                    self.title = node
-            elif tag == "html":
-                if self.html is None:
-                    self.html = node
-            elif tag == "script" and node.get("type") == "application/ld+json":
-                self.ldjson.append(node)
-
-    def meta(self, **attrs) -> Optional[Node]:
-        for m in self.metas:
-            ok = True
-            for k, want in attrs.items():
-                got = m.get(k)
-                if want is True:
-                    ok = got is not None
-                elif got != want:
-                    ok = False
-                if not ok:
-                    break
-            if ok:
-                return m
-        return None
+            if tag in _INDEXED:
+                if tag == "a":
+                    anchors.append(node)
+                elif tag == "meta":
+                    metas.append(node)
+                elif tag == "link":
+                    links.append(node)
+                elif tag == "img":
+                    imgs.append(node)
+                elif tag == "time":
+                    times.append(node)
+                elif tag == "title":
+                    if title is None:
+                        title = node
+                elif tag == "html":
+                    if html is None:
+                        html = node
+                elif node.get("type") == "application/ld+json":
+                    ldjson.append(node)
+            children = node.children
+            if children:
+                stack.extend(children[::-1])
+        self.title: Optional[Node] = title
+        self.html: Optional[Node] = html
+        self.metas, self.links, self.times, self.imgs = metas, links, times, imgs
+        self.anchors, self.ldjson = anchors, ldjson
+        self.probes: Optional[_MetaProbes] = None
 
     def link(self, rel: str) -> Optional[Node]:
         for l in self.links:
@@ -99,37 +101,99 @@ class PageIndex:
         return None
 
 
+class _MetaProbes:
+    """Every ``<meta>`` lookup of the extractors, from one pass over a
+    page's metas in document order. A meta's attributes are read into a
+    dict that keeps each name's first value, as ``Node.get`` does.
+
+    - ``by_name``, ``by_property``, ``by_equiv``: attribute value → the
+      first meta whose ``name``, ``property`` or ``http-equiv`` is that
+      value (its attribute dict);
+    - ``charset``: the first meta with a ``charset`` attribute, or None;
+    - ``og`` / ``twitter``: (key after the prefix, raw content) of each
+      meta whose property starts ``og:`` / name starts ``twitter:``;
+    - ``other``: (name or property, content) of each meta with both, and
+      no ``og:`` or ``twitter:`` prefix."""
+
+    __slots__ = ("by_name", "by_property", "by_equiv", "charset", "og",
+                 "twitter", "other")
+
+    def __init__(self, metas: list[Node]) -> None:
+        by_name: dict[str, dict] = {}
+        by_property: dict[str, dict] = {}
+        by_equiv: dict[str, dict] = {}
+        charset = None
+        og: list[tuple[str, Optional[str]]] = []
+        twitter: list[tuple[str, Optional[str]]] = []
+        other: list[tuple[str, str]] = []
+        for m in metas:
+            if not m.attrs:
+                continue
+            a = dict(reversed(m.attrs))
+            name = a.get("name")
+            prop = a.get("property")
+            content = a.get("content")
+            if name is not None:
+                if name not in by_name:
+                    by_name[name] = a
+                if name.startswith("twitter:"):
+                    twitter.append((name.replace("twitter:", ""), content))
+            if prop is not None:
+                if prop not in by_property:
+                    by_property[prop] = a
+                if prop.startswith("og:"):
+                    og.append((prop.replace("og:", ""), content))
+            if "http-equiv" in a:
+                by_equiv.setdefault(a["http-equiv"], a)
+            if charset is None and "charset" in a:
+                charset = a
+            key = name or prop
+            if key and content and not key.startswith(("og:", "twitter:")):
+                other.append((key, content))
+        self.by_name, self.by_property, self.by_equiv = (
+            by_name, by_property, by_equiv)
+        self.charset, self.og, self.twitter, self.other = (
+            charset, og, twitter, other)
+
+
 def _index(root) -> PageIndex:
     return root if isinstance(root, PageIndex) else PageIndex(root)
+
+
+def _probes(idx: PageIndex) -> _MetaProbes:
+    if idx.probes is None:
+        idx.probes = _MetaProbes(idx.metas)
+    return idx.probes
+
+
+def _content(tag) -> str:
+    """A probed tag's stripped ``content`` ('' when absent)."""
+    return (tag.get("content") or "").strip()
 
 
 def extract_metadata(root) -> dict[str, str]:
     """Reference scraper.py:354-483 semantics (accepts Node or PageIndex)."""
     idx = _index(root)
+    pr = _probes(idx)
+    by_name, by_property = pr.by_name, pr.by_property
     md: dict[str, str] = {}
 
     if idx.title is not None:
         md["title"] = idx.title.get_text().strip()
 
-    desc = idx.meta(name="description")
+    desc = by_name.get("description")
     if desc is not None:
-        md["description"] = (desc.get("content") or "").strip()
+        md["description"] = _content(desc)
 
-    for tag in idx.metas:
-        prop = tag.get("property") or ""
-        if prop.startswith("og:"):
-            p = prop.replace("og:", "")
-            content = (tag.get("content") or "").strip()
-            if p and content:
-                md[_OG_RENAMES.get(p, f"og{p.capitalize()}")] = content
+    for p, content in pr.og:
+        content = (content or "").strip()
+        if p and content:
+            md[_OG_RENAMES.get(p, f"og{p.capitalize()}")] = content
 
-    for tag in idx.metas:
-        name = tag.get("name") or ""
-        if name.startswith("twitter:"):
-            n = name.replace("twitter:", "")
-            content = (tag.get("content") or "").strip()
-            if n and content:
-                md[f"twitter:{n}"] = content
+    for n, content in pr.twitter:
+        content = (content or "").strip()
+        if n and content:
+            md[f"twitter:{n}"] = content
 
     canonical = idx.link("canonical")
     if canonical is not None:
@@ -139,49 +203,47 @@ def extract_metadata(root) -> dict[str, str]:
     if favicon is not None:
         md["favicon"] = (favicon.get("href") or "").strip()
 
-    viewport = idx.meta(name="viewport")
+    viewport = by_name.get("viewport")
     if viewport is not None:
-        md["viewport"] = (viewport.get("content") or "").strip()
+        md["viewport"] = _content(viewport)
 
     if idx.html is not None and idx.html.get("lang"):
         md["language"] = idx.html.get("lang")  # full value, not primary subtag
 
-    charset = idx.meta(charset=True)
-    if charset is not None:
-        md["charset"] = (charset.get("charset") or "").strip()
+    if pr.charset is not None:
+        md["charset"] = (pr.charset.get("charset") or "").strip()
 
-    ctype = idx.meta(**{"http-equiv": "content-type"})
+    ctype = pr.by_equiv.get("content-type")
     if ctype is not None:
-        md["contentType"] = (ctype.get("content") or "").strip()
+        md["contentType"] = _content(ctype)
 
-    author = idx.meta(name="author")
+    author = by_name.get("author")
     if author is not None:
-        md["authors"] = (author.get("content") or "").strip()
+        md["authors"] = _content(author)
 
-    summary = idx.meta(name="summary")
+    summary = by_name.get("summary")
     if summary is not None:
-        md["summary"] = (summary.get("content") or "").strip()
+        md["summary"] = _content(summary)
 
-    pub = (idx.meta(property="article:published_time")
-           or idx.meta(name="article:published_time")
+    pub = (by_property.get("article:published_time")
+           or by_name.get("article:published_time")
            or next((t for t in idx.times if t.get("datetime") is not None), None))
     if pub is not None:
         if pub.get("content"):
-            md["published_at"] = (pub.get("content") or "").strip()
+            md["published_at"] = _content(pub)
         elif pub.get("datetime"):
             md["published_at"] = (pub.get("datetime") or "").strip()
 
-    category = (idx.meta(property="article:section")
-                or idx.meta(name="article:section")
-                or idx.meta(property="article:tag"))
+    category = (by_property.get("article:section")
+                or by_name.get("article:section")
+                or by_property.get("article:tag"))
     if category is not None:
-        md["categories"] = (category.get("content") or "").strip()
+        md["categories"] = _content(category)
 
-    for meta_name, key in (("site-id", "site-id"), ("app-version", "app-version"),
-                           ("docs-boost", "docs-boost")):
-        tag = idx.meta(name=meta_name)
+    for meta_name in ("site-id", "app-version", "docs-boost"):
+        tag = by_name.get(meta_name)
         if tag is not None:
-            md[key] = (tag.get("content") or "").strip()
+            md[meta_name] = _content(tag)
 
     author_img = next(
         (im for im in idx.imgs
@@ -190,9 +252,9 @@ def extract_metadata(root) -> dict[str, str]:
     if author_img is not None:
         md["author_images"] = (author_img.get("src") or "").strip()
 
-    fb = idx.meta(property="fb:app_id")
+    fb = by_property.get("fb:app_id")
     if fb is not None:
-        md["fb:app_id"] = (fb.get("content") or "").strip()
+        md["fb:app_id"] = _content(fb)
 
     return md
 
@@ -202,12 +264,10 @@ def extract_language(root) -> str:
     idx = _index(root)
     if idx.html is not None and idx.html.get("lang"):
         return (idx.html.get("lang") or "").split("-")[0]
-    for finder in (
-        lambda: idx.meta(**{"http-equiv": "content-language"}),
-        lambda: idx.meta(name="language"),
-        lambda: idx.meta(property="og:locale"),
-    ):
-        tag = finder()
+    pr = _probes(idx)
+    for tag in (pr.by_equiv.get("content-language"),
+                pr.by_name.get("language"),
+                pr.by_property.get("og:locale")):
         if tag is not None and tag.get("content"):
             lang = (tag.get("content") or "").split("_")[0]
             if lang:
@@ -230,42 +290,21 @@ def extract_json_ld(root) -> list[Any]:
 
 def extract_open_graph(root) -> dict[str, str]:
     """Reference structured_data.py:55-67 (no renaming; raw prop -> content)."""
-    idx = _index(root)
-    og: dict[str, str] = {}
-    for tag in idx.metas:
-        prop = tag.get("property") or ""
-        if prop.startswith("og:"):
-            p = prop.replace("og:", "")
-            content = tag.get("content")
-            if p and content:
-                og[p] = content
-    return og
+    return {p: content for p, content in _probes(_index(root)).og
+            if p and content}
 
 
 def extract_twitter_cards(root) -> dict[str, str]:
     """Reference structured_data.py:69-81."""
-    idx = _index(root)
-    tw: dict[str, str] = {}
-    for tag in idx.metas:
-        name = tag.get("name") or ""
-        if name.startswith("twitter:"):
-            n = name.replace("twitter:", "")
-            content = tag.get("content")
-            if n and content:
-                tw[n] = content
-    return tw
+    return {n: content for n, content in _probes(_index(root)).twitter
+            if n and content}
 
 
 def extract_meta_data(root) -> dict[str, str]:
     """Reference structured_data.py:83-101: all other <meta name/property>
     pairs plus the mandatory ``language`` key."""
     idx = _index(root)
-    md: dict[str, str] = {}
-    for tag in idx.metas:
-        name = tag.get("name") or tag.get("property")
-        content = tag.get("content")
-        if name and content and not name.startswith(("og:", "twitter:")):
-            md[name] = content
+    md = dict(_probes(idx).other)
     md["language"] = extract_language(idx) or ""
     return md
 

@@ -6,7 +6,8 @@ app, main.py:20-21). In the Ray engine, counters live where the state
 lives — on the frontier shards (offered/admitted/dup_hits/robots_blocked/
 popped, frontier.py stats()), on the fetch workers (row groups decoded and
 reused, rows decoded, pages fetched; summed into the crawl stats' ``fetch``
-block), on the driver (pages extracted ahead of their pop: ``speculation``;
+block; extractor calls, pages and CPU seconds: the ``extract`` block), on
+the driver (pages extracted ahead of their pop: ``speculation``;
 per-phase wall time: ``phase_sec``) and in the wave manifests — and the
 driver harvests them. This module renders those harvested dicts in
 Prometheus text exposition format (a public, stable format) and computes
@@ -70,6 +71,13 @@ def render_prometheus(crawl_stats: dict[str, Any],
             ("rows_decoded", "corpus rows decoded by the fetch"),
             ("pages_fetched", "corpus rows the fetch returned")):
         emit(f"fetch_{key}_total", fetch.get(key, 0), help_)
+    extract = crawl_stats.get("extract", {})
+    for key, name, help_ in (
+            ("tasks", "tasks_total", "wave extractor calls on the workers"),
+            ("pages", "pages_total", "pages the wave extractor returned"),
+            ("cpu_s", "cpu_seconds_total",
+             "worker thread CPU seconds spent in the wave extractor")):
+        emit(f"extract_{name}", extract.get(key, 0), help_)
     spec = crawl_stats.get("speculation", {})
     for key, help_ in (
             ("hit_pages", "popped pages extracted ahead of their pop"),

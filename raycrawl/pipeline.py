@@ -46,7 +46,7 @@ import pyarrow.parquet as pq
 import ray
 
 from .extract import (_collector_paused, decode_html, error_row, extract_page,
-                      page_row, rows_table)
+                      json_cell)
 from .frontier import FrontierShard
 from .links import LinkFilter
 from .schema import CRAWL_RESULT, EXTRACTED, SEEN
@@ -112,14 +112,15 @@ def wave_table(buf: bytes) -> pa.Table:
 
 class WaveExtractor:
     """Crawl batch kernel: fetched wave rows → ``WAVE_COLUMNS``. The page
-    columns come from the same row code as the bulk ``PageExtractor``;
-    ``links`` are the cleaned page's links that pass the crawl's filter
-    (compiled once per actor, ST7).
+    columns hold what the bulk ``PageExtractor``'s rows hold for the same
+    url; ``links`` are the cleaned page's links that pass the crawl's
+    filter (compiled once per actor, ST7).
 
     Each filtered link also carries its canonical SHA-1 key and host,
     computed here in the (parallel) worker pool so the driver's admission
     loop does no per-link URL parsing or hashing — only rank assignment
-    and shard routing."""
+    and shard routing. A batch filters, canonicalizes and keys each
+    distinct link once: a host's pages share most of their links."""
 
     def __init__(self, base_domain: str, exclude: Optional[list[str]],
                  include: Optional[list[str]], only_main: bool) -> None:
@@ -135,24 +136,52 @@ class WaveExtractor:
         # pass. It stays: extract_page's whole return dict is one
         # contract, compared as a whole by the benchmark's traced replay,
         # and a crawl-only variant would fork the kernel.
-        rows: list[dict] = []
+        link_filter = self.link_filter
+        # link → (SHA-1 key, host) of its canonical form, None if filtered
+        keyed: dict[str, Optional[tuple[bytes, str]]] = {}
+        rows: list[tuple] = []
         with _collector_paused():
             for url, html in zip(batch.column("url").to_pylist(),
                                  batch.column("html").to_pylist()):
                 try:
                     res = extract_page(url, decode_html(html),
                                        only_main=self.only_main)
-                    links = [u for u in res["crawl_links"]
-                             if self.link_filter(u)]
-                    canons = [canonicalize(u) for u in links]
-                    row = {**page_row(res), "links": links,
-                           "link_keys": [url_key(c) for c in canons],
-                           "link_hosts": [host_of(c) for c in canons]}
-                except Exception as exc:
-                    row = error_row(exc, link_keys=[], link_hosts=[])
+                    links, keys, hosts = [], [], []
+                    for u in res["crawl_links"]:
+                        if u in keyed:
+                            kh = keyed[u]
+                        else:
+                            kh = None
+                            if link_filter(u):
+                                c = canonicalize(u)
+                                kh = (url_key(c), host_of(c))
+                            keyed[u] = kh
+                        if kh is not None:
+                            links.append(u)
+                            keys.append(kh[0])
+                            hosts.append(kh[1])
+                    st = res["structured"]
+                    row = (res["markdown"], res["metadata"].get("title", ""),
+                           st["metaData"].get("language", ""), 200,
+                           json_cell(st["jsonLd"], "[]"),
+                           json_cell(st["openGraph"], "{}"),
+                           json_cell(st["twitterCard"], "{}"),
+                           json_cell(st["metaData"], "{}"), links, keys, hosts)
+                except Exception:
+                    row = _WAVE_ERROR_ROW
                 rows.append(row)
-        return rows_table(rows, WAVE_COLUMNS,
-                          url=batch.column("url").cast(pa.string()))
+        cols = list(zip(*rows)) if rows else [()] * len(_WAVE_FIELDS)
+        return pa.Table.from_arrays(
+            [batch.column("url").cast(pa.string())]
+            + [pa.array(c, f.type) for c, f in zip(cols, _WAVE_FIELDS)],
+            schema=WAVE_COLUMNS)
+
+
+# the WAVE_COLUMNS after ``url``, and a failed page's values of them (the
+# bulk kernel's ``error_row``, whose message the crawl drops)
+_WAVE_FIELDS = list(WAVE_COLUMNS)[1:]
+_WAVE_ERROR_ROW = tuple(error_row(Exception(), link_keys=[], link_hosts=[])[
+    f.name] for f in _WAVE_FIELDS)
 
 
 @ray.remote(max_restarts=2, max_task_retries=2)
@@ -169,26 +198,28 @@ class WaveWorker:
 
     Fault tolerance: the only state a worker keeps between calls is its
     current crawl's ``CorpusReader``, a cache that a restarted worker
-    rebuilds, so Ray restarts workers transparently
-    (max_restarts/max_task_retries); frontier shards are stateful — their
+    rebuilds, and that crawl's counters, so Ray restarts workers
+    transparently (max_restarts/max_task_retries; a restart loses the
+    counters, never the results); frontier shards are stateful — their
     recovery path is the per-wave checkpoint (resume=True).
     """
 
     def __init__(self, base_domain: str, exclude: Optional[list[str]],
                  include: Optional[list[str]], only_main: bool) -> None:
         self.extractor = WaveExtractor(base_domain, exclude, include, only_main)
-        # (crawl token, that crawl's reader); a pooled worker serves
-        # crawl after crawl, and the corpus may change in between
-        self._fetch: Optional[tuple[str, CorpusReader]] = None
+        # (crawl token, that crawl's reader, its EXTRACT_COUNTERS); a
+        # pooled worker serves crawl after crawl, and the corpus may
+        # change in between
+        self._crawl: Optional[tuple[str, CorpusReader, dict]] = None
 
     def ping(self) -> bool:
         return True
 
-    def _drop_fetch(self) -> Optional[tuple[str, "CorpusReader"]]:
-        fetch, self._fetch = self._fetch, None
-        if fetch is not None:
-            fetch[1].close()
-        return fetch
+    def _drop_crawl(self) -> Optional[tuple[str, "CorpusReader", dict]]:
+        state, self._crawl = self._crawl, None
+        if state is not None:
+            state[1].close()
+        return state
 
     def process(self, groups: list[tuple[list[str], list[str]]], token: str,
                 warc_out: Optional[str] = None) -> Optional[bytes]:
@@ -200,7 +231,8 @@ class WaveWorker:
 
         ``token`` names the crawl: calls with the same token share one
         ``CorpusReader`` (open files, url columns, the previous two calls'
-        decoded row groups); a new token drops the old crawl's.
+        decoded row groups) and one set of counters; a new token drops the
+        old crawl's.
 
         ``warc_out``: archive this task's fetched rows as one
         Common-Crawl-layout .warc.gz (crawl sink='warc') — written here in
@@ -208,10 +240,12 @@ class WaveWorker:
 
         Returns the task's ``WAVE_COLUMNS`` rows as one Arrow IPC stream
         (read it with ``wave_table``), or None when no url was found."""
-        if self._fetch is None or self._fetch[0] != token:
-            self._drop_fetch()
-            self._fetch = (token, CorpusReader())
-        fetched = self._fetch[1].read(
+        if self._crawl is None or self._crawl[0] != token:
+            self._drop_crawl()
+            self._crawl = (token, CorpusReader(),
+                           dict.fromkeys(EXTRACT_COUNTERS, 0))
+        _, reader, counters = self._crawl
+        fetched = reader.read(
             groups, ["url", "warc_ts", "html"] if warc_out else ["url", "html"])
         if fetched is None:
             return None
@@ -219,19 +253,26 @@ class WaveWorker:
             from .warc import write_warc_pages
 
             write_warc_pages(fetched, warc_out)
+        # this thread's CPU: the process's also counts Ray's own threads
+        cpu = time.thread_time()
         table = self.extractor(fetched.select(["url", "html"]))
+        counters["cpu_s"] += time.thread_time() - cpu
+        counters["tasks"] += 1
+        counters["pages"] += table.num_rows
         sink = pa.BufferOutputStream()
         with pa.ipc.new_stream(sink, table.schema) as writer:
             writer.write_table(table)
         return sink.getvalue().to_pybytes()
 
-    def end_crawl(self, token: str) -> dict[str, int]:
-        """Crawl ``token``'s fetch counters (zeros if this worker holds none
-        of its state); drops the fetch state either way."""
-        fetch = self._drop_fetch()
-        if fetch is None or fetch[0] != token:
-            return dict.fromkeys(FETCH_COUNTERS, 0)
-        return fetch[1].counters
+    def end_crawl(self, token: str) -> dict[str, dict]:
+        """Crawl ``token``'s counters, ``{"fetch": FETCH_COUNTERS,
+        "extract": EXTRACT_COUNTERS}`` (zeros if this worker holds none of
+        its state); drops the crawl's state either way."""
+        state = self._drop_crawl()
+        if state is None or state[0] != token:
+            return {"fetch": dict.fromkeys(FETCH_COUNTERS, 0),
+                    "extract": dict.fromkeys(EXTRACT_COUNTERS, 0)}
+        return {"fetch": state[1].counters, "extract": state[2]}
 
 
 def _corpus_files(corpus_path: str) -> tuple[dict[Optional[int], list[str]], Optional[int]]:
@@ -267,6 +308,9 @@ def _by_bucket(urls: list[str],
 
 FETCH_COUNTERS = ("row_groups_decoded", "row_groups_reused", "rows_decoded",
                   "pages_fetched")
+# a worker's WaveExtractor calls, the pages they returned and the CPU
+# seconds they took
+EXTRACT_COUNTERS = ("tasks", "pages", "cpu_s")
 
 
 class CorpusReader:
@@ -957,7 +1001,8 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
             raise ckpt_err[0]
     dur = time.time() - t0
     shard_stats = ray.get([s.stats.remote() for s in shards])
-    worker_fetch = ray.get([w.end_crawl.remote(fetch_token) for w in workers])
+    worker_counters = ray.get([w.end_crawl.remote(fetch_token)
+                               for w in workers])
     total_dup = sum(st["dup_hits"] for st in shard_stats)
     total_offered = sum(st["offered"] for st in shard_stats)
     stats = {
@@ -975,7 +1020,12 @@ def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
         "shards": shard_stats,
         # summed over the workers: row groups decoded and reused, rows
         # decoded, pages (rows) fetched
-        "fetch": {k: sum(f[k] for f in worker_fetch) for k in FETCH_COUNTERS},
+        "fetch": {k: sum(c["fetch"][k] for c in worker_counters)
+                  for k in FETCH_COUNTERS},
+        # summed over the workers: extractor calls, pages they returned,
+        # CPU seconds they took
+        "extract": {k: sum(c["extract"][k] for c in worker_counters)
+                    for k in EXTRACT_COUNTERS},
         "speculation": speculation,
     }
     if cfg.sink == "warc":

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from raycrawl.fixtures import feature_corpus, write_corpus
 from raycrawl.metrics import render_prometheus
-from raycrawl.pipeline import (CorpusReader, CrawlConfig, WaveWorker,
+from raycrawl.pipeline import (EXTRACT_COUNTERS, FETCH_COUNTERS,
+                               CorpusReader, CrawlConfig, WaveWorker,
                                _by_bucket, _corpus_files, crawl, wave_table)
 
 WARC_COLUMNS = ["url", "warc_ts", "html"]
@@ -139,7 +140,8 @@ def test_rewritten_corpus_is_read_again_by_pooled_worker(tmp_path):
     """Two crawls on the same pooled worker: the first crawl's open files,
     url columns and decoded row groups are not used by the second, so an
     unchanged corpus gives the same fetch counters and a rewritten file is
-    read afresh."""
+    read afresh. The worker's extract counters start from zero for each
+    crawl and count every page it fetched."""
     corpus = str(tmp_path / "corpus")
     write_corpus(feature_corpus(n_hosts=2, pages_per_host=24), corpus)
     seed = "https://h0.example/d0/p0.html"
@@ -164,6 +166,15 @@ def test_rewritten_corpus_is_read_again_by_pooled_worker(tmp_path):
     text = render_prometheus(first.stats)
     for key, value in fetch.items():
         assert f"raycrawl_fetch_{key}_total {value}\n" in text
+    extract = first.stats["extract"]
+    assert extract["pages"] == fetch["pages_fetched"]
+    assert 0 < extract["tasks"] <= extract["pages"]
+    assert extract["cpu_s"] > 0
+    assert second.stats["extract"]["pages"] == extract["pages"]
+    assert second.stats["extract"]["tasks"] == extract["tasks"]
+    assert f"raycrawl_extract_pages_total {extract['pages']}\n" in text
+    assert f"raycrawl_extract_tasks_total {extract['tasks']}\n" in text
+    assert "raycrawl_extract_cpu_seconds_total " in text
 
     # rewrite the seed's bucket file in place with a new seed page body
     seed_file = next(f for f in glob.glob(os.path.join(corpus, "*", "*.parquet"))
@@ -198,7 +209,7 @@ def test_prometheus_exports_speculation_and_phases():
 def test_worker_fetch_state_is_per_token(tmp_path):
     """Calls with one token share a reader; a new token starts a fresh one,
     so a file rewritten in between is read again; ``end_crawl`` returns the
-    token's counters once and drops the state."""
+    token's fetch and extract counters once and drops the state."""
     path = str(tmp_path / "one.parquet")
     url = "https://h.example/p.html"
 
@@ -215,10 +226,16 @@ def test_worker_fetch_state_is_per_token(tmp_path):
     assert title("a") == ["one"] and title("a") == ["one"]
     write("two")
     assert title("b") == ["two"]
-    assert ray.get(worker.end_crawl.remote("a"))["pages_fetched"] == 0
+    assert ray.get(worker.end_crawl.remote("a")) == {
+        "fetch": dict.fromkeys(FETCH_COUNTERS, 0),
+        "extract": dict.fromkeys(EXTRACT_COUNTERS, 0)}
     assert title("c") == ["two"]
-    assert ray.get(worker.end_crawl.remote("c")) == {
+    counters = ray.get(worker.end_crawl.remote("c"))
+    assert counters["fetch"] == {
         "row_groups_decoded": 1, "row_groups_reused": 0, "rows_decoded": 1,
         "pages_fetched": 1}
-    assert ray.get(worker.end_crawl.remote("c"))["pages_fetched"] == 0
+    assert counters["extract"]["tasks"] == 1
+    assert counters["extract"]["pages"] == 1
+    assert counters["extract"]["cpu_s"] > 0
+    assert ray.get(worker.end_crawl.remote("c"))["fetch"]["pages_fetched"] == 0
     ray.kill(worker)

@@ -6,16 +6,22 @@ the regex tokenizer, ``clean_tree`` as four passes of
 ``find_all``/``iter``/``decompose``, ``find_main_content`` as five ``find``
 calls plus a ``get_text`` per fallback container, a deep copy of the main
 subtree, image enhancement and ``<body>`` lookup as two more walks, and
-each link list normalized on its own. ``extract_page`` must give the same
-output on any page, and ``PageExtractor`` the same table on the benchmark's
+each link list normalized on its own. The metadata probes (``PageIndex``
+with one ``meta()`` scan per probe), the serializer (an ``escape`` call
+per text node and attribute value), the markdown post-process (every
+regex pass tried at every character) and the crawl's batch kernel (a row
+dict per page, five JSON encodes, a transpose) are frozen too.
+``extract_page`` must give the same output on any page, and
+``PageExtractor`` and ``WaveExtractor`` the same tables on the benchmark's
 corpus shapes.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import re
-from html import unescape
+from html import escape, unescape
 
 import pyarrow as pa
 import pytest
@@ -23,7 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raycrawl.extract
-from raycrawl.extract import PageExtractor, extract_page, page_row
+from raycrawl.extract import (PageExtractor, decode_html, error_row,
+                              extract_page, page_row, rows_table)
 from raycrawl.fixtures import feature_corpus
 from raycrawl.html import markdown
 from raycrawl.html.clean import find_main_content
@@ -31,9 +38,9 @@ from raycrawl.html.dom import COMMENT, TEXT, VOID_TAGS, Node, _fast_parse
 from raycrawl.html.markdown import post_process_markdown
 from raycrawl.html.metadata import (PageIndex, extract_metadata,
                                     extract_structured)
-from raycrawl.pipeline import WaveExtractor
+from raycrawl.pipeline import WAVE_COLUMNS, WaveExtractor
 from raycrawl.schema import PAGES
-from raycrawl.urlnorm import normalize_url
+from raycrawl.urlnorm import canonicalize, host_of, normalize_url, url_key
 
 # ---------------------------------------------------------------------------
 # frozen reference: the tokenizer
@@ -242,11 +249,315 @@ def _ref_links(anchors: list[Node], base_url: str) -> list[str]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# frozen reference: metadata probes, serializer, post-process
+# ---------------------------------------------------------------------------
+
+_REF_AUTHOR_IMG_RE = re.compile(r"author|writer", re.I)
+_REF_OG_RENAMES = {
+    "title": "ogTitle", "description": "ogDescription", "image": "ogImage",
+    "url": "ogUrl", "site_name": "ogSiteName", "type": "og:type",
+    "locale": "ogLocale",
+}
+
+
+class _RefPageIndex:
+    def __init__(self, root: Node) -> None:
+        self.title = None
+        self.html = None
+        self.metas: list[Node] = []
+        self.links: list[Node] = []
+        self.times: list[Node] = []
+        self.imgs: list[Node] = []
+        self.anchors: list[Node] = []
+        self.ldjson: list[Node] = []
+        for node in root.iter_elements():
+            tag = node.tag
+            if tag == "meta":
+                self.metas.append(node)
+            elif tag == "a":
+                self.anchors.append(node)
+            elif tag == "link":
+                self.links.append(node)
+            elif tag == "img":
+                self.imgs.append(node)
+            elif tag == "time":
+                self.times.append(node)
+            elif tag == "title":
+                if self.title is None:
+                    self.title = node
+            elif tag == "html":
+                if self.html is None:
+                    self.html = node
+            elif tag == "script" and node.get("type") == "application/ld+json":
+                self.ldjson.append(node)
+
+    def meta(self, **attrs):
+        for m in self.metas:
+            ok = True
+            for k, want in attrs.items():
+                got = m.get(k)
+                if want is True:
+                    ok = got is not None
+                elif got != want:
+                    ok = False
+                if not ok:
+                    break
+            if ok:
+                return m
+        return None
+
+    def link(self, rel: str):
+        for l in self.links:
+            if l.get("rel") == rel:
+                return l
+        return None
+
+
+def _ref_extract_metadata(idx: _RefPageIndex) -> dict:
+    md: dict[str, str] = {}
+    if idx.title is not None:
+        md["title"] = idx.title.get_text().strip()
+    desc = idx.meta(name="description")
+    if desc is not None:
+        md["description"] = (desc.get("content") or "").strip()
+    for tag in idx.metas:
+        prop = tag.get("property") or ""
+        if prop.startswith("og:"):
+            p = prop.replace("og:", "")
+            content = (tag.get("content") or "").strip()
+            if p and content:
+                md[_REF_OG_RENAMES.get(p, f"og{p.capitalize()}")] = content
+    for tag in idx.metas:
+        name = tag.get("name") or ""
+        if name.startswith("twitter:"):
+            n = name.replace("twitter:", "")
+            content = (tag.get("content") or "").strip()
+            if n and content:
+                md[f"twitter:{n}"] = content
+    canonical = idx.link("canonical")
+    if canonical is not None:
+        md["canonical_url"] = (canonical.get("href") or "").strip()
+    favicon = idx.link("icon") or idx.link("shortcut icon")
+    if favicon is not None:
+        md["favicon"] = (favicon.get("href") or "").strip()
+    viewport = idx.meta(name="viewport")
+    if viewport is not None:
+        md["viewport"] = (viewport.get("content") or "").strip()
+    if idx.html is not None and idx.html.get("lang"):
+        md["language"] = idx.html.get("lang")
+    charset = idx.meta(charset=True)
+    if charset is not None:
+        md["charset"] = (charset.get("charset") or "").strip()
+    ctype = idx.meta(**{"http-equiv": "content-type"})
+    if ctype is not None:
+        md["contentType"] = (ctype.get("content") or "").strip()
+    author = idx.meta(name="author")
+    if author is not None:
+        md["authors"] = (author.get("content") or "").strip()
+    summary = idx.meta(name="summary")
+    if summary is not None:
+        md["summary"] = (summary.get("content") or "").strip()
+    pub = (idx.meta(property="article:published_time")
+           or idx.meta(name="article:published_time")
+           or next((t for t in idx.times if t.get("datetime") is not None),
+                   None))
+    if pub is not None:
+        if pub.get("content"):
+            md["published_at"] = (pub.get("content") or "").strip()
+        elif pub.get("datetime"):
+            md["published_at"] = (pub.get("datetime") or "").strip()
+    category = (idx.meta(property="article:section")
+                or idx.meta(name="article:section")
+                or idx.meta(property="article:tag"))
+    if category is not None:
+        md["categories"] = (category.get("content") or "").strip()
+    for meta_name, key in (("site-id", "site-id"),
+                           ("app-version", "app-version"),
+                           ("docs-boost", "docs-boost")):
+        tag = idx.meta(name=meta_name)
+        if tag is not None:
+            md[key] = (tag.get("content") or "").strip()
+    author_img = next(
+        (im for im in idx.imgs
+         if im.get("alt") is not None
+         and _REF_AUTHOR_IMG_RE.search(im.get("alt"))),
+        None)
+    if author_img is not None:
+        md["author_images"] = (author_img.get("src") or "").strip()
+    fb = idx.meta(property="fb:app_id")
+    if fb is not None:
+        md["fb:app_id"] = (fb.get("content") or "").strip()
+    return md
+
+
+def _ref_extract_language(idx: _RefPageIndex) -> str:
+    if idx.html is not None and idx.html.get("lang"):
+        return (idx.html.get("lang") or "").split("-")[0]
+    for finder in (
+        lambda: idx.meta(**{"http-equiv": "content-language"}),
+        lambda: idx.meta(name="language"),
+        lambda: idx.meta(property="og:locale"),
+    ):
+        tag = finder()
+        if tag is not None and tag.get("content"):
+            lang = (tag.get("content") or "").split("_")[0]
+            if lang:
+                return lang
+    return ""
+
+
+def _ref_extract_structured(idx: _RefPageIndex) -> dict:
+    json_ld: list = []
+    for script in idx.ldjson:
+        try:
+            json_ld.append(json.loads(script.get_text()))
+        except (json.JSONDecodeError, TypeError):
+            continue
+    og: dict[str, str] = {}
+    for tag in idx.metas:
+        prop = tag.get("property") or ""
+        if prop.startswith("og:"):
+            p = prop.replace("og:", "")
+            content = tag.get("content")
+            if p and content:
+                og[p] = content
+    tw: dict[str, str] = {}
+    for tag in idx.metas:
+        name = tag.get("name") or ""
+        if name.startswith("twitter:"):
+            n = name.replace("twitter:", "")
+            content = tag.get("content")
+            if n and content:
+                tw[n] = content
+    md: dict[str, str] = {}
+    for tag in idx.metas:
+        name = tag.get("name") or tag.get("property")
+        content = tag.get("content")
+        if name and content and not name.startswith(("og:", "twitter:")):
+            md[name] = content
+    md["language"] = _ref_extract_language(idx) or ""
+    return {"jsonLd": json_ld, "openGraph": og, "twitterCard": tw,
+            "metaData": md}
+
+
+def _ref_serialize(node: Node, out: list[str]) -> None:
+    if node.tag == TEXT:
+        out.append(escape(node.text, quote=False))
+        return
+    if node.tag == COMMENT:
+        out.append(f"<!--{node.text}-->")
+        return
+    if node.tag == "#document":
+        for c in node.children:
+            _ref_serialize(c, out)
+        return
+    attr_s = "".join(f' {k}="{escape(v)}"' for k, v in node.attrs)
+    if node.tag in VOID_TAGS:
+        out.append(f"<{node.tag}{attr_s}/>")
+        return
+    out.append(f"<{node.tag}{attr_s}>")
+    for c in node.children:
+        _ref_serialize(c, out)
+    out.append(f"</{node.tag}>")
+
+
+def _ref_to_html(node: Node) -> str:
+    out: list[str] = []
+    _ref_serialize(node, out)
+    return "".join(out)
+
+
+_REF_HTML_COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
+_REF_HEADER_FIX_RE = re.compile(r"(#{1,6})([^#\s])")
+_REF_LIST_FIX_RE = re.compile(r"(\n\s*)-([^\s])")
+_REF_EXCESSIVE_NEWLINES_RE = re.compile(r"\n{3,}")
+_REF_ORDERED_ITEM_RE = re.compile(r"^\s*\d+\.")
+_REF_LONELY_PUNCT_RE = re.compile(r"^\s*[\*\.\-]\s*$", re.MULTILINE)
+_REF_LONELY_STAR_RE = re.compile(r"^\s*\*\s*$", re.MULTILINE)
+_REF_CODE_SPACING_RE = re.compile(r"(\n*)(```[\w]*\n.*?\n```)(\n*)",
+                                  re.DOTALL)
+_REF_IMG_SPACING_RE = re.compile(r"(\n*)(!\[.*?\]\(.*?\))(\n*)")
+
+
+def _ref_collapse_newlines(markdown: str) -> str:
+    if "\n\n\n" in markdown:
+        return _REF_EXCESSIVE_NEWLINES_RE.sub("\n\n", markdown)
+    return markdown
+
+
+def _ref_post_process(markdown: str) -> str:
+    if "<!--" in markdown:
+        markdown = _REF_HTML_COMMENT_RE.sub("", markdown)
+    markdown = markdown.replace("&nbsp;", " ")
+    markdown = markdown.replace("\xa0", " ")
+    markdown = _REF_HEADER_FIX_RE.sub(r"\1 \2", markdown)
+    markdown = _REF_LIST_FIX_RE.sub(r"\1- \2", markdown)
+    lines = markdown.split("\n")
+    processed: list[str] = []
+    in_code_block = False
+    in_list = False
+    for line in lines:
+        line = line.rstrip()
+        if line.startswith("```"):
+            in_code_block = not in_code_block
+            processed.append(line)
+            continue
+        if in_code_block:
+            processed.append(line)
+            continue
+        if not line.strip():
+            if processed and processed[-1].strip():
+                processed.append("")
+            continue
+        if line.startswith("#"):
+            if processed and processed[-1].strip():
+                processed.append("")
+            processed.append(line)
+            processed.append("")
+            in_list = False
+            continue
+        if (line.strip().startswith(("-", "*", "+"))
+                or _REF_ORDERED_ITEM_RE.match(line)):
+            if not in_list and processed and processed[-1].strip():
+                processed.append("")
+            processed.append(line)
+            in_list = True
+            continue
+        else:
+            in_list = False
+        if line.strip().startswith("!["):
+            if processed and processed[-1].strip():
+                processed.append("")
+            processed.append(line)
+            processed.append("")
+            continue
+        processed.append(line)
+    markdown = "\n".join(processed)
+    markdown = _ref_collapse_newlines(markdown)
+    markdown = _REF_LONELY_PUNCT_RE.sub("", markdown)
+    markdown = _ref_collapse_newlines(markdown)
+    markdown = markdown.replace("**Copy\n[code]", "Copy\n\n```")
+    markdown = markdown.replace("[/code]", "```")
+    markdown = markdown.replace("[code]", "```")
+    markdown = markdown.replace("[/code]", "```")
+    markdown = _REF_LONELY_PUNCT_RE.sub("", markdown)
+    markdown = _ref_collapse_newlines(markdown)
+    if "```" in markdown:
+        markdown = _REF_CODE_SPACING_RE.sub(r"\n\n\2\n\n", markdown)
+    if "![" in markdown:
+        markdown = _REF_IMG_SPACING_RE.sub(r"\n\n\2\n\n", markdown)
+    markdown = _ref_collapse_newlines(markdown)
+    markdown = _REF_LONELY_STAR_RE.sub("", markdown)
+    markdown = _ref_collapse_newlines(markdown)
+    return markdown.strip()
+
+
 def _ref_extract_page(url: str, html: str, only_main: bool = True) -> dict:
     root = _ref_fast_parse(html)
-    idx = PageIndex(root)
-    metadata = extract_metadata(idx)
-    structured = extract_structured(idx)
+    idx = _RefPageIndex(root)
+    metadata = _ref_extract_metadata(idx)
+    structured = _ref_extract_structured(idx)
     links = _ref_links(idx.anchors, url)
     content_root = root
     if only_main:
@@ -254,8 +565,8 @@ def _ref_extract_page(url: str, html: str, only_main: bool = True) -> dict:
         if main is not None:
             content_root = _ref_copy(main)
     _ref_clean_tree(content_root)
-    html_clean = content_root.to_html()
-    md = post_process_markdown(_ref_to_markdown_tree(content_root))
+    html_clean = _ref_to_html(content_root)
+    md = _ref_post_process(_ref_to_markdown_tree(content_root))
     return {
         "markdown": md, "html_clean": html_clean, "metadata": metadata,
         "structured": structured, "links": links,
@@ -521,3 +832,191 @@ def test_kernels_leave_no_cyclic_garbage_and_restore_the_collector():
         out = kernel(pages.slice(2))
         assert set(out.column("status_code").to_pylist()) == {200}
         assert gc.isenabled()
+
+
+# ---------------------------------------------------------------------------
+# post-process on its own
+# ---------------------------------------------------------------------------
+
+_PP_FRAGMENTS = [
+    # header runs of 1-8 '#'
+    "#", "##", "###", "####", "#####", "######", "#######", "########",
+    "a", "Z", "é", "_", "1", " ", "\t", "\n", "\n\n", "\n\n\n",
+    # images, brackets inside them, newline runs around them
+    "![a](b)", "![](u)", "![a]b](c)", "![a](b(c))", "![[x]](y)",
+    "![a](b \"t\")", "![", "](", "]", ")", "(", "[", "!",
+    # fences with and without a language
+    "```", "```py", "```py\n", "```\n", "```c++\n", "\n```", "code",
+    # lonely-line material
+    "*", ".", "-", "+", "1.", " * ", "\xa0", "　", "\x1c", "\x1f",
+    "\x85", "\v", "\f", "\r",
+    # the literal rewrites
+    "[code]", "[/code]", "**Copy\n[code]", "**Copy", "**",
+    "&nbsp;", "<!--", "-->", "<!-- c -->",
+]
+_LONELY = st.builds(
+    lambda pre, mark, post: f"\n{pre}{mark}{post}\n",
+    st.sampled_from(["", " ", "\t", "\xa0", "　", "\x1c", "\xa0 "]),
+    st.sampled_from(["*", ".", "-"]),
+    st.sampled_from(["", " ", "\t", "\xa0", "　", "\x1c", " \x1c"]))
+_IMG = st.builds(
+    lambda a, alt, src, b: f"{a}![{alt}]({src}){b}",
+    st.sampled_from(["", "\n", "\n\n", "\n\n\n\n", "x", "* "]),
+    st.sampled_from(["", "a", "a]b", "[x]", "a\nb"]),
+    st.sampled_from(["", "u", "u(v)", "u \"t\"", "u]"]),
+    st.sampled_from(["", "\n", "\n\n\n", "y", " *"]))
+_FENCE = st.builds(
+    lambda a, lang, body, b: f"{a}```{lang}\n{body}\n```{b}",
+    st.sampled_from(["", "\n", "\n\n\n", "text", "* "]),
+    st.sampled_from(["", "py", "c_1", "é", "c++"]),
+    st.sampled_from(["", "x = 1", "a\n\nb", "```", "*", "\n"]),
+    st.sampled_from(["", "\n", "\n\n\n\n", "z", "```"]))
+_HEADERS = st.builds(lambda n, c: "#" * n + c, st.integers(1, 8),
+                     st.sampled_from(["a", " ", "\n", "#", "é", "\t", ""]))
+
+
+@given(st.one_of(
+    st.lists(st.one_of(st.sampled_from(_PP_FRAGMENTS), _LONELY, _IMG,
+                       _FENCE, _HEADERS), max_size=40).map("".join),
+    st.text(alphabet="\n*-.#![]()`py \t\xa0　\x1c[/code]Copy",
+            max_size=200)))
+@settings(max_examples=1500, deadline=None)
+def test_post_process_matches_frozen_chain(text):
+    assert post_process_markdown(text) == _ref_post_process(text)
+
+
+# ---------------------------------------------------------------------------
+# serializer and metadata probes
+# ---------------------------------------------------------------------------
+
+_ESC = ["", "a", "&", "<", ">", '"', "'", "&amp;", "a<b>c", "x & y",
+        "\"q\"", "it's", "&<>\"'", "plain text"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["text", "comment", "el"]),
+                          st.sampled_from(_ESC),
+                          st.lists(st.tuples(
+                              st.sampled_from(["href", "title", "alt",
+                                               "data-x"]),
+                              st.sampled_from(_ESC)), max_size=3)),
+                max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_serializer_matches_frozen_escaping(parts):
+    """Text and attribute values holding ``&<>"'`` serialize as the
+    unguarded ``escape`` calls did."""
+    root = Node("#document")
+    top = root
+    for kind, text, attrs in parts:
+        if kind == "text":
+            top.append(Node(TEXT, text=text))
+        elif kind == "comment":
+            top.append(Node(COMMENT, text=text))
+        else:
+            el = Node("img" if not text else "span", attrs)
+            top.append(el)
+            if el.tag == "span":
+                el.append(Node(TEXT, text=text))
+                top = el
+    assert root.to_html() == _ref_to_html(root)
+    assert root.children == [] or (root.children[0].to_html()
+                                   == _ref_to_html(root.children[0]))
+
+
+_META_ATTRS = [
+    ("name", "description"), ("name", "viewport"), ("name", "author"),
+    ("name", "summary"), ("name", "language"), ("name", "site-id"),
+    ("name", "app-version"), ("name", "docs-boost"), ("name", ""),
+    ("name", "twitter:card"), ("name", "twitter:"), ("name", "og:title"),
+    ("name", "article:published_time"), ("name", "article:section"),
+    ("name", "keywords"), ("property", "og:title"), ("property", "og:"),
+    ("property", "og:og:x"), ("property", "og:locale"),
+    ("property", "og:site_name"), ("property", "og:weird"),
+    ("property", "article:published_time"), ("property", "article:section"),
+    ("property", "article:tag"), ("property", "fb:app_id"),
+    ("property", "twitter:site"), ("property", ""), ("property", "custom"),
+    ("http-equiv", "content-type"), ("http-equiv", "content-language"),
+    ("http-equiv", "Content-Type"), ("charset", "utf-8"), ("charset", ""),
+    ("content", ""), ("content", " "), ("content", "en_US"),
+    ("content", "  v  "), ("content", "x"), ("content", "_GB"),
+    ("datetime", "2020"), ("lang", "fr"),
+]
+
+
+@given(st.lists(st.lists(st.sampled_from(_META_ATTRS), max_size=4),
+                max_size=10),
+       st.sampled_from(["", " lang=en-GB", " lang=''"]),
+       st.sampled_from(["", "<time datetime=2021>t</time>", "<time>t</time>",
+                        "<link rel=icon href=' /f '>"]))
+@settings(max_examples=500, deadline=None)
+def test_metadata_probes_match_frozen_scans(metas, html_attrs, extra):
+    """Repeated, empty and attribute-less ``<meta>`` tags (and repeated
+    attributes within one tag): first-match and last-write semantics
+    stay those of one ``meta()`` scan per probe."""
+    tags = "".join("<meta" + _attr_s(attrs) + ">" for attrs in metas)
+    html = f"<html{html_attrs}><head>{tags}</head><body>{extra}</body></html>"
+    root = _fast_parse(html)
+    idx, ref = PageIndex(root), _RefPageIndex(root)
+    got_md, want_md = extract_metadata(idx), _ref_extract_metadata(ref)
+    got_st, want_st = extract_structured(idx), _ref_extract_structured(ref)
+    assert got_md == want_md and list(got_md) == list(want_md)
+    assert got_st == want_st
+    for k in got_st:
+        if isinstance(got_st[k], dict):
+            assert list(got_st[k]) == list(want_st[k])
+
+
+@pytest.mark.parametrize("html", [
+    "<head><meta><meta name=description><meta name=description "
+    "content=second><meta content=orphan></head>",
+    "<head><meta name=author content=a name=viewport content=b>"
+    "<meta name=author content=c></head>",
+    "<head><meta property=og:title content=' a '><meta property=og:title "
+    "content=b><meta property=og:title content=''></head>",
+    "<head><meta charset><meta charset=utf-8></head>",
+])
+def test_metadata_probes_match_frozen_scans_on_edge_pages(html):
+    root = _fast_parse(html)
+    assert extract_metadata(PageIndex(root)) == _ref_extract_metadata(
+        _RefPageIndex(root))
+    assert extract_structured(PageIndex(root)) == _ref_extract_structured(
+        _RefPageIndex(root))
+
+
+# ---------------------------------------------------------------------------
+# the crawl's batch kernel
+# ---------------------------------------------------------------------------
+
+def _ref_wave_kernel(link_filter, only_main: bool, batch: pa.Table) -> pa.Table:
+    """The crawl kernel before its columns were built directly: a row dict
+    per page through ``page_row``, then a transpose."""
+    rows = []
+    for url, html in zip(batch.column("url").to_pylist(),
+                         batch.column("html").to_pylist()):
+        try:
+            res = _ref_extract_page(url, decode_html(html), only_main)
+            links = [u for u in res["crawl_links"] if link_filter(u)]
+            canons = [canonicalize(u) for u in links]
+            row = {**page_row(res), "links": links,
+                   "link_keys": [url_key(c) for c in canons],
+                   "link_hosts": [host_of(c) for c in canons]}
+        except Exception as exc:
+            row = error_row(exc, link_keys=[], link_hosts=[])
+        rows.append(row)
+    return rows_table(rows, WAVE_COLUMNS,
+                      url=batch.column("url").cast(pa.string()))
+
+
+@pytest.mark.parametrize("corpus", [
+    dict(n_hosts=8, with_private=False, size_factor=25),
+    dict(n_hosts=16, with_private=True, size_factor=1),
+], ids=["bulk_shaped", "polite_skew_shaped"])
+def test_wave_extractor_matches_frozen_kernel_on_corpora(corpus):
+    pages = feature_corpus(**corpus).select(["url", "html"])
+    _, _, deep = _with_deep_page(feature_corpus(n_hosts=1, pages_per_host=3))
+    hosts = frozenset({"h0.example", "h1.example", "h3.example"})
+    kernel = WaveExtractor(hosts, [r"/skip/", r"\.(jpg|png)$"], None, True)
+    for batch in (pages.slice(0, 64), pages.slice(64, 200),
+                  deep.select(["url", "html"]), pages.slice(0, 0)):
+        got = kernel(batch)
+        want = _ref_wave_kernel(kernel.link_filter, True, batch)
+        assert got.equals(want)

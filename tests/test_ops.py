@@ -85,8 +85,7 @@ def test_minhash_dedup_finds_near_duplicates():
     texts = [base, base.replace("eta theta", "eta thetaX"),
              "unrelated totally different content " * 8,
              base]  # exact dup of 0
-    out = minhash_dedup_pairs(_docs(texts), threshold=0.4,
-                              concurrency=2).to_pandas()
+    out = minhash_dedup_pairs(_docs(texts), threshold=0.4).to_pandas()
     pairs = set(zip(out["id_a"], out["id_b"]))
     assert (0, 3) in pairs
     assert (0, 1) in pairs

@@ -378,7 +378,7 @@ def containment(docs=100_000):
     t0 = time.time()
     with placement_log() as log:
         pairs = containment_pairs(ds, threshold=threshold,
-                                  concurrency=max(4, _cpus() // 2),
+                                  concurrency=(1, max(4, _cpus() // 2)),
                                   ).to_pandas()
     sec = time.time() - t0
     got = set(zip(pairs["id_a"].astype(int), pairs["id_b"].astype(int)))
@@ -610,7 +610,7 @@ def dedup(docs=150_000):
     t0 = time.time()
     with placement_log() as log:
         pairs = minhash_dedup_pairs(ds, threshold=threshold,
-                                    concurrency=max(4, _cpus() // 2),
+                                    concurrency=(1, max(4, _cpus() // 2)),
                                     ).to_pandas()
     sec = time.time() - t0
     got = set(zip(pairs["id_a"].astype(int), pairs["id_b"].astype(int)))
