@@ -8,7 +8,7 @@ popped, frontier.py stats()), on the fetch workers (row groups decoded and
 reused, rows decoded, pages fetched; summed into the crawl stats' ``fetch``
 block; extractor calls, pages and CPU seconds: the ``extract`` block), on
 the driver (pages extracted ahead of their pop: ``speculation``;
-per-phase wall time: ``phase_sec``) and in the wave manifests — and the
+per-phase wall time: ``phase_sec``) and in the wave log — and the
 driver harvests them. This module renders those harvested dicts in
 Prometheus text exposition format (a public, stable format) and computes
 the derived gauges the north_star names: pages/sec, frontier depth, dedup

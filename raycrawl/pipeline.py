@@ -1,29 +1,28 @@
 """Wave-synchronous BFS crawl over a Parquet page corpus (SURVEY.md §3.2).
 
-Ray shape per wave:
+``crawl()`` sets up a ``_WaveLoop``, runs ``seed_or_resume``, then per wave
+the phase methods below, each timed into the stats' ``phase_sec``:
 
-    frontier shards --pop (depth,seq) order--> wave
-    wave -> persistent WaveWorker actor pool:
-              corpus fetch (CorpusReader: the wave's host-bucket files,
-                is_in on each file's cached url column, only the matching
-                row groups decoded, the previous two calls' reused; J4)
-              -> WaveExtractor  # extract + filter links
-         -> write wave Parquet (resume point)
-         -> small link projection to driver
-         -> two-phase admission: check_batch, then one advance per shard
-            (insert + wave-boundary snapshot + stats + next wave's pops
-            + a peek at the wave after, whose pages the pool extracts
-            while the driver admits the next wave)
-    checkpoint (frontier snapshots + manifest)
+    pop       frontier shards --(depth,seq) order--> wave; its pages go to
+              the persistent WaveWorker actor pool: corpus fetch
+              (CorpusReader: is_in on each bucket file's cached url column,
+              only the matching row groups decoded; J4) -> WaveExtractor
+    collect   wait for the wave's Arrow IPC results
+    assemble  success/failure counts + link projection, in pop order
+    admit     check_batch per shard, then dense global seqs
+    advance   one call per shard: insert + wave-boundary snapshot + stats
+              + the next wave's pops + a peek at the wave after; ``pop``
+              then submits the next wave's missing pages, then the peeked
+    persist   join the previous wave's IO thread; start this wave's:
+              result + seen parquet, snapshots, a checkpoint/waves.jsonl
+              line, the manifest rename (it counts the valid log lines)
 
 Determinism: pops are merged in (depth, seq) order; candidate links are
 enumerated (parent_seq, document-position)-major; global admission seqs are
 assigned in that order — the SURVEY.md Q1-Q5 resolutions. The admission
 sequence is invariant to wave size because pop order is seq order and waves
-concatenate in seq order.
-
-Driver work per wave is O(popped + candidate links) — bounded by
-``wave_budget`` × fan-out, never O(corpus).
+concatenate in seq order. Driver work per wave is O(popped + candidate
+links) — bounded by ``wave_budget`` × fan-out, never O(corpus).
 """
 
 from __future__ import annotations
@@ -31,13 +30,16 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import glob
+import hashlib
 import json
 import math
 import os
+import pathlib
+import shutil
 import threading
 import time
 import uuid
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -61,13 +63,13 @@ class CrawlConfig:
     exclude_patterns: Optional[list[str]] = None
     include_patterns: Optional[list[str]] = None
     respect_robots: bool = True
-    seed_host_only_robots: bool = True  # reference quirk (link_extractor.py:30-46)
+    seed_host_only_robots: ClassVar[bool] = True  # reference quirk (link_extractor.py:30-46)
     only_main: bool = True
     num_shards: int = 4
     wave_budget: int = 256          # max pops per wave across all shards
     politeness_rate: float = math.inf   # pops per host per wave
     politeness_burst: float = math.inf
-    politeness_wave_seconds: float = 1.0  # virtual seconds per wave (Crawl-delay mapping)
+    politeness_wave_seconds: ClassVar[float] = 1.0  # virtual seconds per wave (Crawl-delay mapping)
     extract_concurrency: int = 4
     batch_size: int = 32
     out_dir: Optional[str] = None   # results + checkpoints; tmp dir when None
@@ -86,9 +88,9 @@ class CrawlConfig:
     # BFS (depth, seq). None = BFS, exactly the reference semantics.
     priority_fn: "Optional[callable]" = None
     # incremental checkpointing: a FULL frontier snapshot (filter bytes,
-    # ∝ capacity) every K waves, per-wave DELTAS (∝ that wave's
+    # ∝ capacity) every 8th wave, per-wave DELTAS (∝ that wave's
     # admissions) in between; restore replays full + delta chain.
-    snapshot_full_every: int = 8
+    snapshot_full_every: ClassVar[int] = 8
 
 
 # WaveExtractor's output: the crawl result's page columns, then each page's
@@ -471,8 +473,6 @@ def _code_fingerprint(fn) -> str:
     would let a changed priority_fn silently resume the old fn's heap
     (ADVICE r4). Hashes co_code + co_consts + captured cell values
     (repr'd; unhashable/unreprable cells degrade to their type name)."""
-    import hashlib
-
     code = getattr(fn, "__code__", None)
     if code is None:  # e.g. a callable object — fall back to repr of type
         return hashlib.sha1(repr(type(fn)).encode()).hexdigest()[:8]
@@ -486,575 +486,574 @@ def _code_fingerprint(fn) -> str:
     return h.hexdigest()[:8]
 
 
-def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
-    import hashlib
-    import shutil
+@dataclasses.dataclass
+class _Wave:
+    """One wave's state, filled in phase by phase. ``persist`` hands it to
+    the IO thread, and the driver keeps no reference to it after that."""
+    num: int
+    items: list                      # pops: (prio, seq, depth, url, parent)
+    futures: Optional[list]          # fetch+extract tasks until ``collect``
+    table: Optional[pa.Table] = None  # the fetched pages' WAVE_COLUMNS
+    idx: Optional[pa.Array] = None   # table rows of the successful pops
+    meta_rows: list = dataclasses.field(default_factory=list)
+    links: list = dataclasses.field(default_factory=list)
+    inserts: dict = dataclasses.field(default_factory=dict)
+    seen_rows: list = dataclasses.field(default_factory=list)
+    refs: tuple = ()                 # ``advance``'s snapshot and stats refs
 
-    t0 = time.time()
-    # sha1 (not PYTHONHASHSEED-salted hash()) so resume=True with the default
-    # out_dir finds the previous run's checkpoint across processes. The
-    # priority mode is part of the identity (ADVICE r3): resuming a BFS
-    # checkpoint into a priority crawl would yield a hybrid pop order
-    # (heap entries keep priorities computed by the old fn) — a different
-    # priority_fn must land in a different default out_dir.
-    prio_tag = ("bfs" if cfg.priority_fn is None else
-                f"{cfg.priority_fn.__module__}.{cfg.priority_fn.__qualname__}"
-                f".{_code_fingerprint(cfg.priority_fn)}")
-    cfg_key = hashlib.sha1(
-        f"{corpus_path}|{cfg.seed_url}|{cfg.max_depth}|{cfg.max_pages}"
-        f"|{prio_tag}".encode()
-    ).hexdigest()[:16]
-    out_dir = cfg.out_dir or f"/tmp/raycrawl_run/{cfg_key}"
-    results_dir = os.path.join(out_dir, "results")
-    seen_dir = os.path.join(out_dir, "seen")
-    ckpt_dir = os.path.join(out_dir, "checkpoint")
-    warc_dir = os.path.join(out_dir, "warc")
-    if not cfg.resume:
-        # a fresh run must not concatenate stale wave dirs from a longer
-        # previous run into its results/seen output
-        for d in (results_dir, seen_dir, ckpt_dir, warc_dir):
-            shutil.rmtree(d, ignore_errors=True)
-    for d in (results_dir, seen_dir, ckpt_dir):
-        os.makedirs(d, exist_ok=True)
 
-    seed_urls = ([cfg.seed_url] if isinstance(cfg.seed_url, str)
-                 else list(cfg.seed_url))
-    seeds = [normalize_url(u, u) for u in seed_urls]
-    seed_hosts = [host_of(u) for u in seeds]
-    seed_host = seed_hosts[0]
-    # the reference's seed-host-only robots quirk only makes sense for one
-    # seed; multi-seed runs use proper per-host rules
-    seed_host_only = cfg.seed_host_only_robots and len(seeds) == 1
-    S = cfg.num_shards
-    shard_kwargs = dict(
-        capacity=cfg.filter_capacity,
-        exact_shadow=cfg.exact_shadow,
-        politeness_rate=cfg.politeness_rate,
-        politeness_burst=cfg.politeness_burst,
-        wave_seconds=cfg.politeness_wave_seconds,
-        seed_host_only=seed_host_only,
-        seed_host=seed_host,
-        respect_robots=cfg.respect_robots,
-        priority_fn=cfg.priority_fn,
-    )
-    shards = _get_shard_pool(S, shard_kwargs)
-    pool_key = (tuple(sorted(seed_hosts)), tuple(cfg.exclude_patterns or ()),
-                tuple(cfg.include_patterns or ()), cfg.only_main)
-    workers = _get_worker_pool(
-        pool_key, cfg.extract_concurrency,
-        (frozenset(seed_hosts), cfg.exclude_patterns, cfg.include_patterns,
-         cfg.only_main))
-    files_by_bucket, num_buckets = _corpus_files(corpus_path)
-    # names this crawl's fetch state on the workers (see WaveWorker.process)
-    fetch_token = uuid.uuid4().hex
+class _WaveLoop:
+    """``crawl()``'s driver: the crawl-wide state, one method per phase.
+    ``__init__`` is the setup; ``seed_or_resume`` admits the seeds or
+    restores the manifest's checkpoint; a wave then runs ``collect``,
+    ``assemble``, ``admit``, ``advance``, ``pop`` (of the next wave) and
+    ``persist``, each timed into ``phase_sec`` by ``timed``."""
 
-    # robots preload: one targeted read of https://host/robots.txt rows.
-    # seed-host-only quirk mode loads the seed's rules into every shard.
-    if cfg.respect_robots:
-        robots_urls = [f"https://{h}/robots.txt" for h in dict.fromkeys(seed_hosts)]
-        with contextlib.closing(CorpusReader()) as reader:
-            t = reader.read(
-                [(files_by_bucket.get(b, []), urls) for b, urls in
-                 _by_bucket(robots_urls, num_buckets).items()], ["url", "text"])
-        bodies = ({} if t is None else
-                  dict(zip(map(host_of, t.column("url").to_pylist()),
-                           t.column("text").to_pylist())))
-        if seed_host_only:
-            body = bodies.get(seed_host)
-            ray.get([s.load_robots.remote({seed_host: body}) for s in shards])
-        else:
-            per_shard: dict[int, dict] = {}
-            for h in dict.fromkeys(seed_hosts):
-                per_shard.setdefault(host_shard(h, S), {})[h] = bodies.get(h)
-            ray.get([shards[sid].load_robots.remote(b)
+    def __init__(self, corpus_path: str, cfg: CrawlConfig) -> None:
+        self.t0 = time.time()
+        self.cfg = cfg
+        # sha1 (not PYTHONHASHSEED-salted hash()) so resume=True with the
+        # default out_dir finds the previous run's checkpoint across
+        # processes. The priority mode is part of the identity (ADVICE
+        # r3): resuming a BFS checkpoint into a priority crawl would yield
+        # a hybrid pop order (heap entries keep priorities computed by the
+        # old fn) — a different priority_fn must land in a different
+        # default out_dir.
+        prio_tag = ("bfs" if cfg.priority_fn is None else
+                    f"{cfg.priority_fn.__module__}.{cfg.priority_fn.__qualname__}"
+                    f".{_code_fingerprint(cfg.priority_fn)}")
+        cfg_key = hashlib.sha1(
+            f"{corpus_path}|{cfg.seed_url}|{cfg.max_depth}|{cfg.max_pages}"
+            f"|{prio_tag}".encode()
+        ).hexdigest()[:16]
+        self.out_dir = cfg.out_dir or f"/tmp/raycrawl_run/{cfg_key}"
+        self.results_dir, self.seen_dir, self.ckpt_dir, warc_dir = (
+            os.path.join(self.out_dir, d)
+            for d in ("results", "seen", "checkpoint", "warc"))
+        if not cfg.resume:
+            # a fresh run must not concatenate stale wave dirs from a
+            # longer previous run into its results/seen output
+            for d in (self.results_dir, self.seen_dir, self.ckpt_dir,
+                      warc_dir):
+                shutil.rmtree(d, ignore_errors=True)
+        for d in (self.results_dir, self.seen_dir, self.ckpt_dir):
+            os.makedirs(d, exist_ok=True)
+        self.manifest_path = os.path.join(self.ckpt_dir, "manifest.json")
+        # one JSON line of stats per persisted wave; the manifest's
+        # ``waves_logged`` says how many of its lines are valid
+        self.log_path = os.path.join(self.ckpt_dir, "waves.jsonl")
+
+        seed_urls = ([cfg.seed_url] if isinstance(cfg.seed_url, str)
+                     else list(cfg.seed_url))
+        self.seeds = [normalize_url(u, u) for u in seed_urls]
+        self.seed_hosts = [host_of(u) for u in self.seeds]
+        seed_host = self.seed_hosts[0]
+        # the reference's seed-host-only robots quirk only makes sense for
+        # one seed; multi-seed runs use proper per-host rules
+        seed_host_only = cfg.seed_host_only_robots and len(self.seeds) == 1
+        self.shards = _get_shard_pool(cfg.num_shards, dict(
+            capacity=cfg.filter_capacity,
+            exact_shadow=cfg.exact_shadow,
+            politeness_rate=cfg.politeness_rate,
+            politeness_burst=cfg.politeness_burst,
+            wave_seconds=cfg.politeness_wave_seconds,
+            seed_host_only=seed_host_only,
+            seed_host=seed_host,
+            respect_robots=cfg.respect_robots,
+            priority_fn=cfg.priority_fn,
+        ))
+        pool_key = (tuple(sorted(self.seed_hosts)),
+                    tuple(cfg.exclude_patterns or ()),
+                    tuple(cfg.include_patterns or ()), cfg.only_main)
+        self.workers = _get_worker_pool(
+            pool_key, cfg.extract_concurrency,
+            (frozenset(self.seed_hosts), cfg.exclude_patterns,
+             cfg.include_patterns, cfg.only_main))
+        self.files_by_bucket, self.num_buckets = _corpus_files(corpus_path)
+        # names this crawl's fetch state on the workers (see WaveWorker.process)
+        self.fetch_token = uuid.uuid4().hex
+
+        # robots preload: one targeted read of https://host/robots.txt rows.
+        # seed-host-only quirk mode loads the seed's rules into every shard.
+        if cfg.respect_robots:
+            hosts = list(dict.fromkeys(self.seed_hosts))
+            with contextlib.closing(CorpusReader()) as reader:
+                t = reader.read(self._groups(
+                    [f"https://{h}/robots.txt" for h in hosts]), ["url", "text"])
+            bodies = ({} if t is None else
+                      dict(zip(map(host_of, t.column("url").to_pylist()),
+                               t.column("text").to_pylist())))
+            if seed_host_only:
+                per_shard = {sid: {seed_host: bodies.get(seed_host)}
+                             for sid in range(cfg.num_shards)}
+            else:
+                per_shard: dict[int, dict] = {}
+                for h in hosts:
+                    per_shard.setdefault(host_shard(h, cfg.num_shards),
+                                         {})[h] = bodies.get(h)
+            ray.get([self.shards[sid].load_robots.remote(b)
                      for sid, b in per_shard.items()])
 
-    # wave state (driver side): next seq + output manifests
-    wave = 0
-    next_seq = 0
-    pages_success = 0
-    pages_failed = 0
-    manifest_path = os.path.join(ckpt_dir, "manifest.json")
+        # the next wave to pop, the next admission seq, page counts, the
+        # waves this call ran and the wave-log lines on disk
+        self.wave = self.next_seq = self.pages_success = self.pages_failed = 0
+        self.waves_done = self.waves_logged = 0
+        # incremental-snapshot chain: the latest FULL generation plus the
+        # ordered delta generations since it (VERDICT r4 item 5)
+        self.full_gen: Optional[str] = None
+        self.delta_chain: list[str] = []
+        # driver-observed wall time per phase, cumulative: where a wave's
+        # critical path goes. ``fetch_extract`` is only the wait the driver
+        # could not overlap (the pool extracts predicted pages while the
+        # driver admits and pops). ``io_background`` is the IO thread's
+        # wall, off the critical path; ``io_join_stall`` how long the
+        # critical path waited for it.
+        self.phase_sec = dict.fromkeys(
+            ("pop", "fetch_extract", "assemble", "admission", "checkpoint",
+             "io_background", "io_join_stall"), 0.0)
+        # every popped page is a hit (extracted ahead) or an extra (fetched
+        # once its pop arrived); wasted = predicted but not popped
+        self.speculation = dict.fromkeys(
+            ("hit_pages", "extra_pages", "wasted_pages"), 0)
+        # fetch+extract tasks submitted ahead for the wave after next:
+        # (its predicted urls, the futures)
+        self.ahead: Optional[tuple[set[str], list]] = None
+        self.io: Optional[threading.Thread] = None
+        self.io_err: list[BaseException] = []
 
-    # incremental-snapshot chain bookkeeping: the latest FULL generation
-    # plus the ordered delta generations since it (VERDICT r4 item 5)
-    last_full_gen: Optional[str] = None
-    delta_chain: list[str] = []
+    @contextlib.contextmanager
+    def timed(self, phase: str):
+        t = time.monotonic()
+        try:
+            yield
+        finally:
+            self.phase_sec[phase] += time.monotonic() - t
 
-    if cfg.resume and os.path.exists(manifest_path):
-        with open(manifest_path) as f:
-            m = json.load(f)
-        wave = m["wave"] + 1
-        next_seq = m["next_seq"]
-        pages_success = m["pages_success"]
-        pages_failed = m["pages_failed"]
-        # the manifest names its snapshot generations, so a crash between
-        # snapshot write and manifest rename can never pair a stale manifest
-        # with newer snapshots (ADVICE crash-atomicity fix). Restore = the
-        # full base, then each delta generation in chain order.
-        last_full_gen = m.get("full_gen", m.get("gen", ""))
-        delta_chain = list(m.get("delta_gens", []))
-        full_dir = os.path.join(ckpt_dir, last_full_gen)
-        snaps = [open(os.path.join(full_dir, f"shard{i}.bin"), "rb").read()
-                 for i in range(S)]
-        ray.get([s.restore.remote(b) for s, b in zip(shards, snaps)])
-        for dgen in delta_chain:
-            dgen_dir = os.path.join(ckpt_dir, dgen)
-            blobs = [open(os.path.join(dgen_dir, f"shard{i}.bin"), "rb").read()
-                     for i in range(S)]
-            ray.get([s.apply_delta.remote(b)
-                     for s, b in zip(shards, blobs)])
-    else:
-        # admit the seeds in list order (seq 0..n-1, depth 0) —
-        # queue_manager.py:117 equivalent, generalized to a seed list
-        by_shard_seed: dict[int, list] = {}
-        seed_seen_rows = []
-        seen_seed_keys: set[bytes] = set()
-        for u, h in zip(seeds, seed_hosts):
-            key = url_key(u)
-            if key in seen_seed_keys:
-                continue
-            seen_seed_keys.add(key)
-            by_shard_seed.setdefault(host_shard(h, S), []).append(
-                (next_seq, 0, u, h, None, key))
-            seed_seen_rows.append((key, u, h, 0, next_seq, None))
-            next_seq += 1
-        ray.get([shards[sid].insert_batch.remote(items)
-                 for sid, items in by_shard_seed.items()])
-        _write_seen_wave(seen_dir, 0, seed_seen_rows)
+    def _groups(self, urls: list[str]) -> list[tuple[list[str], list[str]]]:
+        """``urls`` grouped by corpus bucket, each with its bucket's files."""
+        return [(self.files_by_bucket.get(b, []), us) for b, us in
+                sorted(_by_bucket(urls, self.num_buckets).items(),
+                       key=lambda kv: (kv[0] is None, kv[0]))]
 
-    wave_stats: list[dict] = []
-    waves_done = 0
-    # per-phase wall-time accounting (driver-observed, cumulative): where
-    # a wave's critical path actually goes — fetch+extract pool wait vs
-    # frontier RPCs vs driver-side admission vs checkpoint submission.
-    # ``fetch_extract`` is only the wait the driver could not overlap: the
-    # pool extracts predicted pages while the driver admits and pops.
-    # Result/seen/snapshot IO runs in the background thread and is NOT on
-    # the critical path (it overlaps the NEXT wave's fetch+extract).
-    phase_sec = {"pop": 0.0, "fetch_extract": 0.0, "assemble": 0.0,
-                 "admission": 0.0, "checkpoint": 0.0,
-                 # background thread's wall (results+seen+snapshots+manifest)
-                 # — OFF the critical path, reported for diagnosis; and how
-                 # long the critical path actually stalled waiting for it
-                 "io_background": 0.0, "io_join_stall": 0.0}
-    ckpt_thread: Optional[threading.Thread] = None
-    ckpt_err: list[BaseException] = []
+    def seed_or_resume(self) -> None:
+        """Restore the frontier, counters and wave log the manifest names,
+        or admit the seeds (seq 0..n-1, depth 0, in list order —
+        queue_manager.py:117 equivalent, generalized to a seed list)."""
+        S = self.cfg.num_shards
+        logged: list[str] = []
+        if self.cfg.resume and os.path.exists(self.manifest_path):
+            with open(self.manifest_path) as f:
+                m = json.load(f)
+            self.wave, self.next_seq = m["wave"] + 1, m["next_seq"]
+            self.pages_success, self.pages_failed = (m["pages_success"],
+                                                     m["pages_failed"])
+            # the manifest names its snapshot generations, so a crash
+            # between snapshot write and manifest rename can never pair a
+            # stale manifest with newer snapshots. Restore = the full base,
+            # then each delta generation in chain order.
+            self.full_gen = m.get("full_gen", m.get("gen", ""))
+            self.delta_chain = list(m.get("delta_gens", []))
+            for g, gen in enumerate([self.full_gen, *self.delta_chain]):
+                blobs = [pathlib.Path(self.ckpt_dir, gen, f"shard{i}.bin")
+                         .read_bytes() for i in range(S)]
+                ray.get([(s.apply_delta if g else s.restore).remote(b)
+                         for s, b in zip(self.shards, blobs)])
+            if "waves" in m:  # the old layout kept every wave's stats here
+                logged = [json.dumps(st) + "\n" for st in m["waves"]]
+            else:  # lines past the count: a wave whose manifest never landed
+                with open(self.log_path) as f:
+                    logged = f.readlines()[:m["waves_logged"]]
+        else:
+            by_shard: dict[int, list] = {}
+            seen_rows = []
+            keys: set[bytes] = set()
+            for u, h in zip(self.seeds, self.seed_hosts):
+                key = url_key(u)
+                if key in keys:
+                    continue
+                keys.add(key)
+                by_shard.setdefault(host_shard(h, S), []).append(
+                    (self.next_seq, 0, u, h, None, key))
+                seen_rows.append((key, u, h, 0, self.next_seq, None))
+                self.next_seq += 1
+            ray.get([self.shards[sid].insert_batch.remote(items)
+                     for sid, items in by_shard.items()])
+            _write_seen_wave(self.seen_dir, 0, seen_rows)
+        with open(self.log_path, "w") as f:
+            f.writelines(logged)
+        self.waves_logged = len(logged)
 
-    def _merge_pops(pops: list[list], budget: int) -> tuple[list, list]:
-        """The first ``budget`` of the shards' pops in global (priority,
-        seq) order, and the surplus: it goes back to the shard that popped
-        it (``pops[sid]`` came from ``shards[sid]``)."""
-        merged = sorted([(it, sid) for sid, sub in enumerate(pops)
-                         for it in sub],
-                        key=lambda x: (x[0][0], x[0][1]))
-        if len(merged) > budget:  # return over-popped items to their shards
-            back: dict[int, list] = {}
-            for item, sid in merged[budget:]:  # (prio, seq, depth, url, parent)
-                back.setdefault(sid, []).append(item)
-            ray.get([shards[sid].push_back.remote(items)
-                     for sid, items in back.items()])
-        return ([item for item, _ in merged[:budget]],
-                [item for item, _ in merged[budget:]])
+    def stopping(self) -> bool:
+        """No next wave: ``max_waves`` waves ran in this call (a simulated
+        preemption; resume picks up from the manifest) or the page cap is
+        reached (crawler_service.py:125-127)."""
+        cfg = self.cfg
+        return ((cfg.max_waves is not None
+                 and self.waves_done >= cfg.max_waves)
+                or self.pages_success >= cfg.max_pages)
 
-    def _pop_wave(wv: int, budget: int) -> list:
-        return _merge_pops(
-            ray.get([s.pop_batch.remote(wv, budget) for s in shards]),
-            budget)[0]
-
-    def _submit_fetch(wave_urls: list[str], wv: int) -> list:
-        """Fetch (J4) + extract on the persistent worker pool: URLs
-        grouped by corpus bucket (each bucket's files searched for only
-        ITS urls), then PACKED into equal-size tasks, one per pool worker
-        when the wave is large. Per-bucket ≤batch_size chunking (round 4)
-        left the pool ~45% idle: 4096-url waves became 32×128-url tasks
-        over 28 workers — two rounds, the second nearly empty. Packing (a
-        task may span buckets) gives every worker one near-equal task per
-        wave; small waves still split at ≥16 urls/task for stragglers.
-        Returns the (unblocked) futures."""
-        by_bucket = _by_bucket(wave_urls, num_buckets)
-        total = len(wave_urls)
-        W = len(workers)
+    def _submit(self, urls: list[str], num: int) -> list:
+        """Fetch (J4) + extract of ``urls`` for wave ``num`` on the
+        persistent worker pool: URLs grouped by corpus bucket (each
+        bucket's files searched for only ITS urls), then PACKED into
+        equal-size tasks, one per pool worker when the wave is large.
+        Per-bucket ≤batch_size chunking (round 4) left the pool ~45% idle:
+        4096-url waves became 32×128-url tasks over 28 workers — two
+        rounds, the second nearly empty. Packing (a task may span buckets)
+        gives every worker one near-equal task per wave; small waves still
+        split at ≥16 urls/task for stragglers. Returns the futures."""
+        total, W = len(urls), len(self.workers)
         # task count = a whole multiple of the pool size nearest
         # total/batch_size (even rounds, sizes near the batch_size knob),
         # floored so tiny waves keep ≥16 urls/task
-        k = max(1, round(total / max(1, W * cfg.batch_size)))
+        k = max(1, round(total / max(1, W * self.cfg.batch_size)))
         n_tasks = max(1, min(k * W, -(-total // 16)))
         per_task = -(-total // n_tasks)  # ceil
         tasks: list[list[tuple[list[str], list[str]]]] = [[] for _ in range(n_tasks)]
         sizes = [0] * n_tasks
         ti = 0
-        for b, urls_in_bucket in sorted(by_bucket.items(),
-                                        key=lambda kv: (kv[0] is None, kv[0])):
-            paths = files_by_bucket.get(b, [])
+        for paths, in_bucket in self._groups(urls):
             pos = 0
-            while pos < len(urls_in_bucket):
+            while pos < len(in_bucket):
                 if sizes[ti] >= per_task:
                     ti += 1
                     continue
-                chunk = urls_in_bucket[pos:pos + per_task - sizes[ti]]
+                chunk = in_bucket[pos:pos + per_task - sizes[ti]]
                 tasks[ti].append((paths, chunk))
                 sizes[ti] += len(chunk)
                 pos += len(chunk)
-        wave_warc_dir = None
-        if cfg.sink == "warc":
-            wave_warc_dir = os.path.join(out_dir, "warc", f"wave={wv:06d}")
-            os.makedirs(wave_warc_dir, exist_ok=True)
-        return [workers[i % len(workers)].process.remote(
-                    groups, fetch_token,
-                    warc_out=(os.path.join(wave_warc_dir,
-                                           f"part-{i:04d}.warc.gz")
-                              if wave_warc_dir else None))
+        warc_dir = None
+        if self.cfg.sink == "warc":
+            warc_dir = os.path.join(self.out_dir, "warc", f"wave={num:06d}")
+            os.makedirs(warc_dir, exist_ok=True)
+        return [self.workers[i % W].process.remote(
+                    groups, self.fetch_token,
+                    warc_out=(os.path.join(warc_dir, f"part-{i:04d}.warc.gz")
+                              if warc_dir else None))
                 for i, groups in enumerate(tasks) if groups]
 
-    # fetch+extract tasks submitted ahead for the wave after next:
-    # (its predicted urls, the futures)
-    ahead_tasks: Optional[tuple[set[str], list]] = None
-    # every popped page is a hit (extracted ahead) or an extra (fetched
-    # once its pop arrived); wasted = predicted but not popped
-    speculation = dict.fromkeys(("hit_pages", "extra_pages", "wasted_pages"),
-                                0)
-
-    def _wave_futures(wv: int, items: list) -> Optional[list]:
-        """The fetch+extract futures of wave ``wv``'s pops: the tasks
-        submitted ahead for ``wv``, plus new tasks for the pops they miss.
-        Rows of predicted urls that were not popped are never read."""
-        nonlocal ahead_tasks
-        predicted, futures = ahead_tasks or (set(), [])
-        ahead_tasks = None
+    def pop(self, pop_refs: Optional[list] = None, peek_refs: list = (),
+            ahead: int = 0) -> _Wave:
+        """Wave ``self.wave``: the first ``budget`` of the shards' pops in
+        global (priority, seq) order, the surplus pushed back to the shard
+        that popped it, and the wave's fetch+extract tasks — the ones
+        submitted ahead for it plus new ones for the pops they miss (rows
+        of predicted urls that were not popped are never read). Pops come
+        from ``pop_refs``, the previous wave's ``advance``, else from
+        ``pop_batch``. Then the wave after's ``ahead`` likeliest pages are
+        submitted: the surplus (the next pop takes it back) and the peeks."""
+        num, budget = self.wave, min(self.cfg.wave_budget,
+                                     self.cfg.max_pages - self.pages_success)
+        with self.timed("pop"):
+            if pop_refs is None:
+                pop_refs = [s.pop_batch.remote(num, budget)
+                            for s in self.shards]
+            merged = sorted([(it, sid) for sid, sub in
+                             enumerate(ray.get(pop_refs)) for it in sub],
+                            key=lambda x: (x[0][0], x[0][1]))
+            if len(merged) > budget:  # return over-popped items to their shards
+                back: dict[int, list] = {}
+                for item, sid in merged[budget:]:
+                    back.setdefault(sid, []).append(item)
+                ray.get([self.shards[sid].push_back.remote(items)
+                         for sid, items in back.items()])
+            peeks = ray.get(list(peek_refs)) if ahead else []
+        items = [item for item, _ in merged[:budget]]
+        predicted, futures = self.ahead or (set(), [])
+        self.ahead = None
         urls = [u for (_, _, _, u, _) in items]
         rest = [u for u in urls if u not in predicted]
-        hit = len(urls) - len(rest)
-        speculation["hit_pages"] += hit
-        speculation["extra_pages"] += len(rest)
-        speculation["wasted_pages"] += len(predicted) - hit
-        if rest:
-            futures = futures + _submit_fetch(rest, wv)
-        return futures or None
+        spec = self.speculation
+        spec["hit_pages"] += len(urls) - len(rest)
+        spec["extra_pages"] += len(rest)
+        spec["wasted_pages"] += len(predicted) - (len(urls) - len(rest))
+        if rest:  # the missing pages go out before the predicted ones
+            futures = futures + self._submit(rest, num)
+        w = _Wave(num, items, futures or None)
+        ahead_items = sorted(
+            [*(item for item, _ in merged[budget:]),
+             *(it for sub in peeks for it in sub)],
+            key=lambda it: (it[0], it[1]))[:ahead]
+        if ahead_items:
+            urls = [u for (_, _, _, u, _) in ahead_items]
+            self.ahead = (set(urls), self._submit(urls, num + 1))
+        return w
 
-    def _do_wave_io(w: int, nseq: int, succ: int, fail: int, popped: int,
-                    snap_refs: list, stat_refs: list, gen: str,
-                    full_gen: str, dchain: list[str], keep: set,
-                    wave_tbl: Optional[pa.Table], idx_arr: Optional[pa.Array],
-                    meta_rows: list, seen_rows: list) -> None:
-        """Per-wave durable IO, run on a background thread overlapped with
-        the NEXT wave's fetch+extract (VERDICT r4 item 1): result parquet,
-        seen parquet, frontier snapshots, then the manifest rename — in
-        that order, so the manifest only ever names state that is fully on
-        disk. Crash-atomic exactly as before: snapshots land in a fresh
-        generation dir, the manifest is temp-written and os.rename'd, THEN
-        generations outside the live full+delta chain are removed."""
-        _t0 = time.monotonic()
+    def collect(self, w: _Wave) -> list[pa.Table]:
+        """Wait for the wave's fetch+extract results."""
+        with self.timed("fetch_extract"):
+            batches = [t for t in map(wave_table, filter(None, ray.get(w.futures)))
+                       if t.num_rows]
+            w.futures = None  # the result buffers now live only in ``batches``
+        return batches
+
+    def assemble(self, w: _Wave, batches: list[pa.Table]) -> None:
+        """Success/failure accounting and the link projection, in pop
+        order. Only the LINK columns are taken here (admission needs them
+        now); the result columns are taken and written on the IO thread."""
+        with self.timed("assemble"):
+            w.table = pa.concat_tables(batches) if batches else None
+            rows = ({} if w.table is None else
+                    {u: i for i, u in
+                     enumerate(w.table.column("url").to_pylist())})
+            status = ([] if w.table is None else
+                      w.table.column("status_code").to_pylist())
+            take: list[int] = []
+            for _prio, seq, depth, url, parent in w.items:
+                i = rows.get(url)
+                if i is None or status[i] != 200:
+                    self.pages_failed += 1  # crawler_service.py:77-80 failure path
+                    continue
+                self.pages_success += 1
+                take.append(i)
+                w.meta_rows.append((seq, depth, url, parent))
+            if take:
+                w.idx = pa.array(take, pa.int64())
+                sub = w.table.select(
+                    ["links", "link_keys", "link_hosts"]).take(w.idx)
+                for (seq, depth, url, _parent), links, keys, hosts in zip(
+                        w.meta_rows, sub.column("links").to_pylist(),
+                        sub.column("link_keys").to_pylist(),
+                        sub.column("link_hosts").to_pylist()):
+                    if depth < self.cfg.max_depth:  # expansion gate crawler_service.py:61
+                        w.links.append((seq, depth, links, keys, hosts, url))
+
+    def admit(self, w: _Wave) -> None:
+        """Two-phase admission. Link canonicalization and SHA-1 are done in
+        the worker pool; this only assigns dense ranks in (parent pop
+        order, document position) order. Under BFS pop order within a
+        wave IS parent_seq order (the sort is a belt-and-braces no-op);
+        under a priority_fn the serial semantics admit children in parent
+        POP order, so the list stays as assembled from the pops."""
+        cfg, S = self.cfg, self.cfg.num_shards
+        with self.timed("admission"):
+            if cfg.priority_fn is None:
+                w.links.sort(key=lambda x: x[0])
+            # each candidate carries its shard, so its host is hashed once
+            cands: list[tuple[int, bytes, str, str, int, str, int]] = []
+            for _seq, depth, links, keys, hosts, parent_url in w.links:
+                for link, key, host in zip(links, keys, hosts):
+                    cands.append((len(cands), key, link, host, depth + 1,
+                                  parent_url, host_shard(host, S)))
+            by_shard: dict[int, list[tuple[int, bytes, str, str]]] = {}
+            for rank, key, url, host, _depth, _parent, sid in cands:
+                by_shard.setdefault(sid, []).append((rank, key, url, host))
+            checks = ray.get([self.shards[sid].check_batch.remote(items)
+                              for sid, items in by_shard.items()])
+            admissible = {r for sub in checks for (r, ok) in sub if ok}
+            # assign global seqs in rank order, capped by max_pages
+            # admissions (queue_manager.py:47-49: depth ≤ max_depth ∧
+            # |seen| < max_pages)
+            for rank, key, url, host, depth, parent, sid in cands:
+                if rank not in admissible or depth > cfg.max_depth:
+                    continue
+                if self.next_seq >= cfg.max_pages:  # |seen| cap
+                    break
+                w.inserts.setdefault(sid, []).append(
+                    (self.next_seq, depth, url, host, parent, key))
+                w.seen_rows.append((key, url, host, depth, self.next_seq,
+                                    parent))
+                self.next_seq += 1
+
+    def advance(self, w: _Wave) -> Optional[tuple[list, list, int]]:
+        """Checkpoint at the wave boundary (R3) and the next wave's pops.
+        One ``advance`` per shard inserts this wave's admissions, takes the
+        wave-boundary snapshot and stats (post-insert, pre-pop), then pops
+        the next wave — budget 0 when no next wave follows — and peeks the
+        wave after it (``ahead`` urls, 0 when that wave might not run:
+        past ``max_waves`` or the page cap, or under the warc sink, which
+        archives every page a task reads). Every ``snapshot_full_every``-th
+        wave takes a full snapshot (a new delta base); other waves ship
+        only the wave's admitted keys + live queue state. The snapshot and
+        stats refs go to the IO thread; the driver waits only on the pops,
+        which also surface an insert-contract error (on a last wave, the
+        IO thread's get does). Returns ``pop``'s arguments for the next
+        wave, None when there is none."""
+        cfg = self.cfg
+        with self.timed("checkpoint"):
+            gen = f"gen-{w.num}"
+            full = (self.full_gen is None
+                    or w.num % max(1, cfg.snapshot_full_every) == 0)
+            if full:
+                self.full_gen, self.delta_chain = gen, []
+            else:
+                self.delta_chain = self.delta_chain + [gen]
+            self.wave = w.num + 1
+            self.waves_done += 1
+            prefetch = not self.stopping()
+            budget = (min(cfg.wave_budget, cfg.max_pages - self.pages_success)
+                      if prefetch else 0)
+            ahead = 0
+            if prefetch and cfg.sink != "warc" and (
+                    cfg.max_waves is None or self.waves_done + 1 < cfg.max_waves):
+                ahead = max(0, min(cfg.wave_budget,
+                                   cfg.max_pages - self.pages_success - budget))
+            pop_refs, snap_refs, stat_refs, peek_refs = map(list, zip(*[
+                s.advance.remote(w.inserts.get(sid, []), full, self.wave,
+                                 budget, ahead)
+                for sid, s in enumerate(self.shards)]))
+            w.refs = (snap_refs, stat_refs)
+        return (pop_refs, peek_refs, ahead) if prefetch else None
+
+    def join_io(self) -> None:
+        """Wait for the IO thread, if one runs, and raise its error."""
+        io, self.io = self.io, None
+        if io is not None:
+            io.join()
+            if self.io_err:
+                raise self.io_err[0]
+
+    def persist(self, w: _Wave) -> None:
+        """Join the PREVIOUS wave's IO only now — it overlapped this whole
+        wave (fetch wait, admission, the next wave's pops) — then write
+        this wave's on a background thread overlapped with the next
+        wave's fetch+extract. One IO thread at a time keeps the
+        generations and the wave log in order."""
+        with self.timed("io_join_stall"):
+            self.join_io()
+        manifest = {"wave": w.num, "next_seq": self.next_seq,
+                    "gen": f"gen-{w.num}", "full_gen": self.full_gen,
+                    "delta_gens": list(self.delta_chain),
+                    "pages_success": self.pages_success,
+                    "pages_failed": self.pages_failed}
+        self.io = threading.Thread(target=self.write_wave, args=(w, manifest),
+                                   name=f"raycrawl-wave-io-{w.num}", daemon=True)
+        self.io.start()
+
+    def write_wave(self, w: _Wave, manifest: dict) -> None:
+        """Wave ``w``'s durable IO: result parquet, seen parquet, frontier
+        snapshots, its wave-log line, then the manifest rename — in that
+        order, so the manifest only ever names state that is fully on
+        disk. Crash-atomic: snapshots land in a fresh generation dir, the
+        manifest is temp-written and os.rename'd, THEN generations outside
+        the live full+delta chain are removed. An error is kept for the
+        next ``join_io``."""
         try:
-            if idx_arr is not None and meta_rows:
-                sub = wave_tbl.take(idx_arr)
-                res_tbl = pa.Table.from_arrays(
-                    [pa.array([m[0] for m in meta_rows], pa.int64()),
-                     pa.array([m[1] for m in meta_rows], pa.int32()),
-                     pa.array([m[2] for m in meta_rows], pa.string()),
-                     pa.array([m[3] for m in meta_rows], pa.string()),
-                     pa.array([w] * len(meta_rows), pa.int32()),
-                     sub.column("markdown"), sub.column("title"),
-                     sub.column("language"), sub.column("status_code"),
-                     sub.column("json_ld"), sub.column("open_graph"),
-                     sub.column("twitter_card"), sub.column("meta_data")],
-                    schema=CRAWL_RESULT)
-                _write_result_wave_table(results_dir, w, res_tbl)
-            if seen_rows:
-                _write_seen_wave(seen_dir, w + 1, seen_rows)
-            snaps = ray.get(snap_refs)
-            gen_dir = os.path.join(ckpt_dir, gen)
-            os.makedirs(gen_dir, exist_ok=True)
-            for i, blob in enumerate(snaps):
-                tmp = os.path.join(gen_dir, f"shard{i}.bin.tmp")
-                with open(tmp, "wb") as f:
-                    f.write(blob)
-                os.rename(tmp, os.path.join(gen_dir, f"shard{i}.bin"))
-            shard_stats = ray.get(stat_refs)
-            frontier_depth = sum(st["queued"] for st in shard_stats)
-            wave_stats.append({
-                "wave": w, "popped": popped,
-                "success": succ, "failed": fail,
-                "frontier_depth": frontier_depth,
-            })
-            tmp_manifest = manifest_path + ".tmp"
-            with open(tmp_manifest, "w") as f:
-                json.dump({"wave": w, "next_seq": nseq, "gen": gen,
-                           "full_gen": full_gen, "delta_gens": dchain,
-                           "pages_success": succ,
-                           "pages_failed": fail,
-                           "shard_stats": shard_stats,
-                           "waves": wave_stats}, f)
-            os.rename(tmp_manifest, manifest_path)
-            for old in glob.glob(os.path.join(ckpt_dir, "gen-*")):
-                if os.path.basename(old) not in keep:
-                    shutil.rmtree(old, ignore_errors=True)
+            with self.timed("io_background"):
+                if w.idx is not None:
+                    _write_result_wave(self.results_dir, w.num,
+                                       w.table.take(w.idx), w.meta_rows)
+                if w.seen_rows:
+                    _write_seen_wave(self.seen_dir, w.num + 1, w.seen_rows)
+                snaps, shard_stats = map(ray.get, w.refs)
+                gen_dir = os.path.join(self.ckpt_dir, manifest["gen"])
+                os.makedirs(gen_dir, exist_ok=True)
+                for i, blob in enumerate(snaps):
+                    tmp = os.path.join(gen_dir, f"shard{i}.bin.tmp")
+                    with open(tmp, "wb") as f:
+                        f.write(blob)
+                    os.rename(tmp, os.path.join(gen_dir, f"shard{i}.bin"))
+                with open(self.log_path, "a") as f:
+                    f.write(json.dumps({
+                        "wave": w.num, "popped": len(w.items),
+                        "success": manifest["pages_success"],
+                        "failed": manifest["pages_failed"],
+                        "frontier_depth": sum(st["queued"] for st in shard_stats),
+                    }) + "\n")
+                self.waves_logged += 1
+                tmp = self.manifest_path + ".tmp"
+                with open(tmp, "w") as f:
+                    json.dump({**manifest, "shard_stats": shard_stats,
+                               "waves_logged": self.waves_logged}, f)
+                os.rename(tmp, self.manifest_path)
+                keep = {manifest["full_gen"], *manifest["delta_gens"]}
+                for old in glob.glob(os.path.join(self.ckpt_dir, "gen-*")):
+                    if os.path.basename(old) not in keep:
+                        shutil.rmtree(old, ignore_errors=True)
         except BaseException as exc:  # surfaced at the next join
-            ckpt_err.append(exc)
-        finally:
-            phase_sec["io_background"] += time.monotonic() - _t0
+            self.io_err.append(exc)
 
-    # `pending` = (wave_no, wave_items, fetch futures) popped + submitted
-    # one wave AHEAD: while the worker pool fetches+extracts wave N+1, the
-    # background thread writes wave N's results/seen/checkpoint — the
-    # barrier the reference's batch-of-N BFS loop has
-    # (crawler_service.py:119-167) and VERDICT r4 asked to remove.
-    # Wave N+1's pops need wave N's admissions, but most of them are known
-    # earlier: the ``advance`` that pops wave N+1 also peeks wave N+2 as
-    # if wave N+1 admitted nothing, and the driver submits those pages'
-    # fetch+extract at once (``ahead_tasks``). The pool extracts them
-    # while the driver assembles, admits and checkpoints wave N+1; when
-    # wave N+2's true pops arrive, its predicted tasks are reused and only
-    # the pops they miss are fetched (``_wave_futures``). The peek changes
-    # no frontier state, so pops, seqs, admissions and checkpoints are
-    # exactly those of a crawl without it.
-    pending: Optional[tuple] = None
+    def outcome(self) -> CrawlOutcome:
+        """The crawl's outputs and stats; ends the workers' crawl state."""
+        dur = time.time() - self.t0
+        shard_stats = ray.get([s.stats.remote() for s in self.shards])
+        worker_counters = ray.get([w.end_crawl.remote(self.fetch_token)
+                                   for w in self.workers])
+        total_dup = sum(st["dup_hits"] for st in shard_stats)
+        total_offered = sum(st["offered"] for st in shard_stats)
+        done = self.pages_success + self.pages_failed
+        stats = {
+            "pages_success": self.pages_success,
+            "pages_failed": self.pages_failed,
+            "total_seen": self.next_seq,
+            "waves": self.wave,
+            "duration_sec": dur,
+            "pages_per_sec": done / dur if dur > 0 else 0.0,
+            "dedup_hit_rate": total_dup / total_offered if total_offered else 0.0,
+            "robots_blocked": sum(st["robots_blocked"] for st in shard_stats),
+            "filter_false_positives": sum(st["filter_false_positives"] or 0
+                                          for st in shard_stats),
+            "phase_sec": {k: round(v, 3) for k, v in self.phase_sec.items()},
+            "shards": shard_stats,
+            # summed over the workers: row groups decoded and reused, rows
+            # decoded, pages (rows) fetched
+            "fetch": {k: sum(c["fetch"][k] for c in worker_counters)
+                      for k in FETCH_COUNTERS},
+            # summed over the workers: extractor calls, pages they
+            # returned, CPU seconds they took
+            "extract": {k: sum(c["extract"][k] for c in worker_counters)
+                        for k in EXTRACT_COUNTERS},
+            "speculation": self.speculation,
+        }
+        if self.cfg.sink == "warc":
+            stats["warc_dir"] = os.path.join(self.out_dir, "warc")
+        return CrawlOutcome(results_dir=self.results_dir,
+                            seen_dir=self.seen_dir, stats=stats)
 
-    while True:
-        if pending is None:
-            if cfg.max_waves is not None and waves_done >= cfg.max_waves:
-                break  # simulated preemption (resume picks up from manifest)
-            if pages_success >= cfg.max_pages:
-                break  # crawler_service.py:125-127 page-side cap
-            budget = min(cfg.wave_budget, cfg.max_pages - pages_success)
-            _tp = time.monotonic()
-            wave_items = _pop_wave(wave, budget)
-            phase_sec["pop"] += time.monotonic() - _tp
-            pending = (wave, wave_items, _wave_futures(wave, wave_items))
 
-        wnum, wave_items, futures = pending
-        pending = None
-        if not wave_items:
-            held = sum(ray.get([s.queue_size.remote() for s in shards]))
-            if held == 0:
-                break  # frontier empty ∧ nothing in flight (Q3 resolution)
-            wave = wnum + 1  # politeness throttled this wave; advance time
-            continue
-
-        _tf = time.monotonic()
-        batches = [t for t in map(wave_table, filter(None, ray.get(futures)))
-                   if t.num_rows]
-        del futures  # the result buffers now live only in ``batches``
-        phase_sec["fetch_extract"] += time.monotonic() - _tf
-        _ta = time.monotonic()
-        wave_tbl = pa.concat_tables(batches) if batches else None
-        if wave_tbl is None or wave_tbl.num_rows == 0:
-            rows_by_url: dict[str, int] = {}
-        else:
-            rows_by_url = {u: i for i, u in
-                           enumerate(wave_tbl.column("url").to_pylist())}
-
-        # success/failure accounting + link projection in seq order. Only
-        # the LINK columns are taken here (admission needs them now); the
-        # result columns (markdown etc.) are taken + written on the
-        # background IO thread.
-        status = (wave_tbl.column("status_code").to_pylist()
-                  if wave_tbl is not None else [])
-        take_idx: list[int] = []
-        meta_rows: list[tuple[int, int, str, Optional[str]]] = []
-        for _prio, seq, depth, url, parent in wave_items:
-            i = rows_by_url.get(url)
-            if i is None or status[i] != 200:
-                pages_failed += 1  # crawler_service.py:77-80 failure path
+def crawl(corpus_path: str, cfg: CrawlConfig) -> CrawlOutcome:
+    """Crawl ``cfg.seed_url``'s pages out of the corpus at ``corpus_path``
+    until the frontier drains, ``max_pages`` pages ran or ``max_waves``
+    waves did. Waves are pipelined: while wave N's IO thread writes its
+    results and checkpoint, the worker pool already extracts wave N+1 —
+    whose pops ``advance`` returned with wave N's admissions — and the
+    pages predicted for wave N+2 (``_WaveLoop.pop``). The predictions
+    change no frontier state, so pops, seqs, admissions and checkpoints
+    are exactly those of a crawl without them. However the loop ends, the
+    IO thread is joined before ``crawl()`` returns or raises."""
+    loop = _WaveLoop(corpus_path, cfg)
+    try:
+        loop.seed_or_resume()
+        w = None if loop.stopping() else loop.pop()
+        while w is not None:
+            if not w.items:
+                if sum(ray.get([s.queue_size.remote() for s in loop.shards])) == 0:
+                    break  # frontier empty ∧ nothing in flight (Q3 resolution)
+                loop.wave += 1  # politeness throttled this wave; advance time
+                w = loop.pop()
                 continue
-            pages_success += 1
-            take_idx.append(i)
-            meta_rows.append((seq, depth, url, parent))
-
-        links_by_seq: list[tuple[int, int, list[str], str]] = []
-        idx_arr: Optional[pa.Array] = None
-        if take_idx:
-            idx_arr = pa.array(take_idx, pa.int64())
-            sub_links = wave_tbl.select(
-                ["links", "link_keys", "link_hosts"]).take(idx_arr)
-            links_lists = sub_links.column("links").to_pylist()
-            keys_lists = sub_links.column("link_keys").to_pylist()
-            hosts_lists = sub_links.column("link_hosts").to_pylist()
-            for (seq, depth, url, _parent), links, keys, hosts in zip(
-                    meta_rows, links_lists, keys_lists, hosts_lists):
-                if depth < cfg.max_depth:  # expansion gate crawler_service.py:61
-                    links_by_seq.append((seq, depth, links, keys, hosts, url))
-
-        phase_sec["assemble"] += time.monotonic() - _ta
-        # --- two-phase admission -----------------------------------------
-        # link canonicalization + SHA-1 already done in the worker pool;
-        # this loop only assigns dense ranks in (parent-pop-order, doc-pos)
-        # order. Under BFS pop order within a wave IS parent_seq order (the
-        # sort is a belt-and-braces no-op); under a priority_fn the serial
-        # semantics admit children in parent POP order, so the list must
-        # stay as assembled from wave_items.
-        _tm = time.monotonic()
-        if cfg.priority_fn is None:
-            links_by_seq.sort(key=lambda x: x[0])
-        # each candidate carries its shard, so its host is hashed once
-        cands: list[tuple[int, bytes, str, str, int, str, int]] = []
-        rank = 0
-        for seq, depth, links, keys, hosts, parent_url in links_by_seq:
-            for link, key, host in zip(links, keys, hosts):
-                cands.append((rank, key, link, host, depth + 1, parent_url,
-                              host_shard(host, S)))
-                rank += 1
-        by_shard: dict[int, list[tuple[int, bytes, str, str]]] = {}
-        for rank_, key, url, host, depth_, parent, sid in cands:
-            by_shard.setdefault(sid, []).append((rank_, key, url, host))
-        checks = ray.get([
-            shards[sid].check_batch.remote(items)
-            for sid, items in by_shard.items()
-        ])
-        admissible = {r for sub in checks for (r, ok) in sub if ok}
-
-        # assign global seqs in rank order, capped by max_pages admissions
-        # (queue_manager.py:47-49: depth ≤ max_depth ∧ |seen| < max_pages)
-        inserts: dict[int, list] = {}
-        seen_rows = []
-        for rank_, key, url, host, depth_, parent, sid in cands:
-            if rank_ not in admissible:
-                continue
-            if depth_ > cfg.max_depth:
-                continue
-            if next_seq >= cfg.max_pages:  # |seen| cap
-                break
-            inserts.setdefault(sid, []).append(
-                (next_seq, depth_, url, host, parent, key))
-            seen_rows.append((key, url, host, depth_, next_seq, parent))
-            next_seq += 1
-        phase_sec["admission"] += time.monotonic() - _tm
-        _tc = time.monotonic()
-
-        # --- checkpoint at the wave boundary (R3) + next wave's pops ------
-        # One ``advance`` per shard inserts this wave's admissions, takes
-        # the wave-boundary snapshot and stats (post-insert, pre-pop), then
-        # pops the next wave — budget 0 when no next wave follows — and
-        # peeks the wave after it (``ahead`` urls, 0 when that wave might
-        # not run: past ``max_waves`` or the page cap, or under the warc
-        # sink, which archives every page a task reads). Every
-        # cfg.snapshot_full_every-th wave takes a full snapshot (a new
-        # delta base); other waves ship only the wave's admitted keys +
-        # live queue state (VERDICT r4 item 5). The snapshot and stats refs
-        # go to the background IO thread; the driver waits only on the
-        # pops, which also surface an insert-contract error (on a last
-        # wave, the IO thread's get does).
-        full = (last_full_gen is None
-                or (wnum % max(1, cfg.snapshot_full_every)) == 0)
-        gen = f"gen-{wnum}"
-        if full:
-            last_full_gen, delta_chain = gen, []
-        else:
-            delta_chain = delta_chain + [gen]
-        keep_gens = {last_full_gen, *delta_chain}
-        wave = wnum + 1
-        waves_done += 1
-        prefetch = not (cfg.max_waves is not None
-                        and waves_done >= cfg.max_waves) \
-            and pages_success < cfg.max_pages
-        budget = (min(cfg.wave_budget, cfg.max_pages - pages_success)
-                  if prefetch else 0)
-        ahead = 0
-        if prefetch and cfg.sink != "warc" and (
-                cfg.max_waves is None or waves_done + 1 < cfg.max_waves):
-            ahead = max(0, min(cfg.wave_budget,
-                               cfg.max_pages - pages_success - budget))
-        pop_refs, snap_refs, stat_refs, peek_refs = map(list, zip(*[
-            s.advance.remote(inserts.get(sid, []), full, wave, budget, ahead)
-            for sid, s in enumerate(shards)]))
-        phase_sec["checkpoint"] += time.monotonic() - _tc
-
-        # --- prefetch the next wave, predict the one after ---------------
-        # The fetch+extract futures run on the worker pool while THIS
-        # wave's IO thread writes below. The next wave's missing pages are
-        # submitted before the predicted ones, so they come back first.
-        if prefetch:
-            _tp = time.monotonic()
-            nitems, surplus = _merge_pops(ray.get(pop_refs), budget)
-            peeks = ray.get(peek_refs) if ahead else []
-            phase_sec["pop"] += time.monotonic() - _tp
-            pending = (wave, nitems, _wave_futures(wave, nitems))
-            # the surplus went back to its shards after they peeked, so it
-            # joins the peeks here; the next wave pops it like any other url
-            predicted = sorted([*surplus, *(it for sub in peeks for it in sub)],
-                               key=lambda it: (it[0], it[1]))[:ahead]
-            if predicted:
-                urls = [u for (_, _, _, u, _) in predicted]
-                ahead_tasks = (set(urls), _submit_fetch(urls, wave + 1))
-
-        # join the PREVIOUS wave's IO only now — it overlapped this whole
-        # wave (fetch wait + admission + prefetch); one IO thread at a
-        # time keeps generations ordered and wave_stats single-writer
-        if ckpt_thread is not None:
-            _tj = time.monotonic()
-            ckpt_thread.join()
-            phase_sec["io_join_stall"] += time.monotonic() - _tj
-            if ckpt_err:
-                raise ckpt_err[0]
-        ckpt_thread = threading.Thread(
-            target=_do_wave_io,
-            args=(wnum, next_seq, pages_success, pages_failed,
-                  len(wave_items), snap_refs, stat_refs, gen,
-                  last_full_gen, list(delta_chain), keep_gens,
-                  wave_tbl, idx_arr, meta_rows, seen_rows),
-            daemon=True)
-        ckpt_thread.start()
-
-    if ckpt_thread is not None:
-        ckpt_thread.join()
-        if ckpt_err:
-            raise ckpt_err[0]
-    dur = time.time() - t0
-    shard_stats = ray.get([s.stats.remote() for s in shards])
-    worker_counters = ray.get([w.end_crawl.remote(fetch_token)
-                               for w in workers])
-    total_dup = sum(st["dup_hits"] for st in shard_stats)
-    total_offered = sum(st["offered"] for st in shard_stats)
-    stats = {
-        "pages_success": pages_success,
-        "pages_failed": pages_failed,
-        "total_seen": next_seq,
-        "waves": wave,
-        "duration_sec": dur,
-        "pages_per_sec": (pages_success + pages_failed) / dur if dur > 0 else 0.0,
-        "dedup_hit_rate": total_dup / total_offered if total_offered else 0.0,
-        "robots_blocked": sum(st["robots_blocked"] for st in shard_stats),
-        "filter_false_positives": sum(st["filter_false_positives"] or 0
-                                      for st in shard_stats),
-        "phase_sec": {k: round(v, 3) for k, v in phase_sec.items()},
-        "shards": shard_stats,
-        # summed over the workers: row groups decoded and reused, rows
-        # decoded, pages (rows) fetched
-        "fetch": {k: sum(c["fetch"][k] for c in worker_counters)
-                  for k in FETCH_COUNTERS},
-        # summed over the workers: extractor calls, pages they returned,
-        # CPU seconds they took
-        "extract": {k: sum(c["extract"][k] for c in worker_counters)
-                    for k in EXTRACT_COUNTERS},
-        "speculation": speculation,
-    }
-    if cfg.sink == "warc":
-        stats["warc_dir"] = warc_dir
-    return CrawlOutcome(results_dir=results_dir, seen_dir=seen_dir, stats=stats)
+            loop.assemble(w, loop.collect(w))
+            loop.admit(w)
+            refs = loop.advance(w)
+            nxt = loop.pop(*refs) if refs else None
+            loop.persist(w)
+            w = nxt
+    finally:
+        loop.join_io()
+    return loop.outcome()
 
 
-def _write_result_wave_table(results_dir: str, wave: int,
-                             table: pa.Table) -> None:
-    # zero-padded so lexicographic file order == wave order — readers
-    # reconstructing POP order (e.g. priority-crawl conformance) depend
-    # on it past wave 9 (review finding)
-    d = os.path.join(results_dir, f"wave={wave:06d}")
-    os.makedirs(d, exist_ok=True)
-    pq.write_table(table, os.path.join(d, "part-0.parquet"))
+def _write_result_wave(results_dir: str, wave: int, pages: pa.Table,
+                       meta_rows: list[tuple[int, int, str, Optional[str]]]) -> None:
+    """Wave ``wave``'s CRAWL_RESULT rows: its (seq, depth, url, parent)
+    ``meta_rows``, then the result columns of their ``pages``."""
+    _write_wave_file(results_dir, wave, pa.Table.from_arrays(
+        [pa.array(c, f.type) for c, f in zip(zip(*meta_rows), CRAWL_RESULT)]
+        + [pa.array([wave] * len(meta_rows), pa.int32())]
+        + [pages.column(f.name) for f in list(CRAWL_RESULT)[5:]],
+        schema=CRAWL_RESULT))
 
 
 def _write_seen_wave(seen_dir: str, wave: int,
                      rows: list[tuple[bytes, str, str, int, int, Optional[str]]]) -> None:
-    d = os.path.join(seen_dir, f"wave={wave:06d}")
+    _write_wave_file(seen_dir, wave, pa.Table.from_arrays(
+        [pa.array(c, f.type) for c, f in zip(zip(*rows), SEEN)], schema=SEEN))
+
+
+def _write_wave_file(root: str, wave: int, table: pa.Table) -> None:
+    # zero-padded so lexicographic file order == wave order — readers
+    # reconstructing POP order (e.g. priority-crawl conformance) depend
+    # on it past wave 9 (review finding)
+    d = os.path.join(root, f"wave={wave:06d}")
     os.makedirs(d, exist_ok=True)
-    cols = list(zip(*rows))
-    t = pa.Table.from_arrays(
-        [pa.array(list(cols[0]), pa.binary()),
-         pa.array(list(cols[1]), pa.string()),
-         pa.array(list(cols[2]), pa.string()),
-         pa.array(list(cols[3]), pa.int32()),
-         pa.array(list(cols[4]), pa.int64()),
-         pa.array(list(cols[5]), pa.string())],
-        schema=SEEN,
-    )
-    pq.write_table(t, os.path.join(d, "part-0.parquet"))
+    pq.write_table(table, os.path.join(d, "part-0.parquet"))

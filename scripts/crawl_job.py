@@ -8,7 +8,7 @@ cluster"):
 
 Prints final stats as JSON and writes Prometheus exposition text to
 ``<out>/metrics.prom``. Re-running with --resume continues from the last
-wave checkpoint (frontier snapshots + manifest).
+wave checkpoint (``<out>/checkpoint``: snapshots, waves.jsonl, manifest).
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 its public module-level functions, counted by AST (positional,
 keyword-only and positional-only), and that every one of them is given
 a value by some caller. A new knob must raise ``_MAX_PARAMS`` here and
-say why in CHANGES.md."""
+say why in CHANGES.md. Also the shape of the crawl loop: ``crawl()``
+stays a short sequence of ``_WaveLoop`` phases."""
 
 import ast
 import glob
@@ -102,3 +103,17 @@ def test_public_ops_parameter_count():
 
 def test_every_public_ops_parameter_is_set_by_a_caller():
     assert _unset_params() == []
+
+
+def test_crawl_stays_a_short_phase_loop():
+    """``crawl()`` is at most 80 lines with no nested function, and
+    ``raycrawl/pipeline.py`` has no ``nonlocal``: wave state lives on
+    ``_WaveLoop``, one method per phase, not in closures."""
+    with open(os.path.join(_ROOT, "raycrawl", "pipeline.py")) as f:
+        tree = ast.parse(f.read())
+    crawl = next(fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "crawl")
+    assert crawl.end_lineno - crawl.lineno + 1 <= 80
+    assert not [n for n in ast.walk(crawl) if n is not crawl and isinstance(
+        n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Nonlocal)]

@@ -18,8 +18,17 @@ import pytest
 from raycrawl.fixtures import cached_corpus, feature_corpus
 from raycrawl.gen_golden import CRAWL_KW, GOLDEN_DIR, SEED, T2
 from raycrawl.oracle import crawl_oracle
-from raycrawl.pipeline import CrawlConfig, crawl
+from raycrawl.pipeline import CrawlConfig, CrawlOutcome, crawl
 from raycrawl.urlnorm import canonicalize
+
+
+def wave_log(out_dir):
+    """A crawl's per-wave stats: the lines of its wave log that its
+    checkpoint manifest counts."""
+    with open(os.path.join(out_dir, "checkpoint", "manifest.json")) as f:
+        n = json.load(f)["waves_logged"]
+    with open(os.path.join(out_dir, "checkpoint", "waves.jsonl")) as f:
+        return [json.loads(line) for line in f.readlines()[:n]]
 
 
 @pytest.fixture(scope="module")
@@ -151,11 +160,47 @@ def test_resume_from_checkpoint():
                 **CRAWL_KW)
     partial = crawl(corpus_dir, CrawlConfig(max_waves=2, **base))
     assert partial.stats["pages_success"] < 51
+    assert [w["wave"] for w in wave_log(out_dir)] == [0, 1]
     resumed = crawl(corpus_dir, CrawlConfig(resume=True, **base))
     golden = pq.read_table(os.path.join(GOLDEN_DIR, "expected_crawl_order.parquet"))
     got = resumed.results()
     assert got.column("url").to_pylist() == golden.column("url").to_pylist()
     assert got.column("seq").to_pylist() == golden.column("seq").to_pylist()
+    # the resumed run keeps the waves logged before the preemption: its
+    # log equals an uninterrupted run's, wave for wave
+    whole_dir = out_dir + "_whole"
+    crawl(corpus_dir, CrawlConfig(**{**base, "out_dir": whole_dir}))
+    whole = wave_log(whole_dir)
+    assert [w["wave"] for w in whole] == list(range(len(whole)))
+    assert wave_log(out_dir) == whole
+    # the manifest only counts the log's lines: no per-wave list in it
+    with open(os.path.join(whole_dir, "checkpoint", "manifest.json")) as f:
+        m = json.load(f)
+    assert m["waves_logged"] == len(whole) and "waves" not in m
+
+
+def test_resume_reads_a_manifest_that_holds_the_wave_stats(tmp_path,
+                                                          uninterrupted):
+    """A checkpoint of the older layout kept every wave's stats in the
+    manifest's ``waves`` list and had no wave log. A resume from it
+    carries those stats into the log and ends as an uninterrupted run."""
+    corpus_dir = cached_corpus("feature", **T2)
+    cfg = _kill_config("bfs")
+    out_dir = str(tmp_path / "old")
+    crawl(corpus_dir, CrawlConfig(out_dir=out_dir, max_waves=3, **cfg))
+    ckpt = os.path.join(out_dir, "checkpoint")
+    with open(os.path.join(ckpt, "manifest.json")) as f:
+        m = json.load(f)
+    m["waves"] = wave_log(out_dir)
+    del m["waves_logged"]
+    with open(os.path.join(ckpt, "manifest.json"), "w") as f:
+        json.dump(m, f)
+    os.remove(os.path.join(ckpt, "waves.jsonl"))
+    resumed = crawl(corpus_dir, CrawlConfig(out_dir=out_dir, resume=True,
+                                            **cfg))
+    whole, whole_log = uninterrupted("bfs")
+    assert resumed.results().equals(whole.results())
+    assert wave_log(out_dir) == whole_log
 
 
 def test_multi_seed_crawl_matches_oracle():
@@ -203,8 +248,6 @@ def test_skewed_host_politeness_surfaces_frontier_depth():
     """Skew (one host owns most URLs) + per-host politeness: the hot host's
     backlog shows up as frontier depth over many waves — never a deadlock —
     while small hosts drain quickly (SURVEY.md R4)."""
-    import json
-
     corpus_dir = cached_corpus("feature", n_hosts=4, host_sizes=[120, 10, 10, 10],
                                with_private=False)
     seeds = [f"https://h{i}.example/d0/p0.html" for i in range(4)]
@@ -217,8 +260,7 @@ def test_skewed_host_politeness_surfaces_frontier_depth():
                       out_dir=out_dir)
     out = crawl(corpus_dir, cfg)
     assert out.stats["pages_success"] == 150  # 120 + 3×10, no deadlock
-    with open(f"{out_dir}/checkpoint/manifest.json") as f:
-        waves = json.load(f)["waves"]
+    waves = wave_log(out_dir)
     # hot-host backlog visible mid-crawl, fully drained at the end
     assert max(w["frontier_depth"] for w in waves) > 20
     assert waves[-1]["frontier_depth"] == 0
@@ -364,6 +406,178 @@ def test_priority_crawl_resumes_from_checkpoint():
     assert len(got) == 40
 
 
+class _Killed(Exception):
+    """Planted in a crawl to stop it mid-wave."""
+
+
+# _WaveLoop's per-wave phases, in the order a wave runs them
+_PHASES = ("collect", "assemble", "admit", "advance", "pop", "persist")
+
+
+def _kill_config(mode):
+    """A crawl of 7+ waves: BFS under the golden config, or best-first."""
+    from raycrawl.gen_golden import url_priority
+
+    if mode == "bfs":
+        return dict(seed_url=SEED, num_shards=4, wave_budget=8, **CRAWL_KW)
+    return dict(seed_url=SEED, num_shards=4, wave_budget=8, max_depth=3,
+                max_pages=40, exclude_patterns=[r"/skip/", r"\.(jpg|png)$"],
+                priority_fn=url_priority, respect_robots=False)
+
+
+def _pop_order(out):
+    """(seq, depth, url) in pop order: wave files in wave order, and each
+    file's rows as its wave popped them."""
+    import glob
+
+    rows = []
+    for f in sorted(glob.glob(os.path.join(out.results_dir, "wave=*",
+                                           "*.parquet"))):
+        t = pq.read_table(f, columns=["seq", "depth", "url"])
+        rows += [(r["seq"], r["depth"], r["url"]) for r in t.to_pylist()]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """``get(mode)``: the outcome and wave log of an uninterrupted crawl
+    under ``_kill_config(mode)``, run once per module."""
+    runs = {}
+
+    def get(mode):
+        if mode not in runs:
+            out_dir = str(tmp_path_factory.mktemp(f"whole_{mode}"))
+            out = crawl(cached_corpus("feature", **T2),
+                        CrawlConfig(out_dir=out_dir, **_kill_config(mode)))
+            runs[mode] = (out, wave_log(out_dir))
+        return runs[mode]
+    return get
+
+
+@pytest.mark.parametrize("phase", _PHASES)
+@pytest.mark.parametrize("mode", ["bfs", "priority"])
+def test_kill_at_phase_boundary_then_resume(monkeypatch, tmp_path,
+                                            uninterrupted, mode, phase):
+    """A crawl dies as ``phase`` starts on wave 2, a delta-snapshot wave
+    (``pop`` of wave 2 runs inside wave 1, after its ``advance``). A
+    resume in the same process ends exactly where an uninterrupted crawl
+    does: results, seen set, per-wave log and the oracle's pop order."""
+    from raycrawl import pipeline
+
+    corpus_dir = cached_corpus("feature", **T2)
+    cfg = _kill_config(mode)
+    out_dir = str(tmp_path / "killed")
+    real = getattr(pipeline._WaveLoop, phase)
+
+    def killed(self, *args):
+        wave = args[0] if args and isinstance(args[0], pipeline._Wave) else None
+        if (self.wave if wave is None else wave.num) == 2:
+            raise _Killed(phase)
+        return real(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline._WaveLoop, phase, killed)
+        with pytest.raises(_Killed):
+            crawl(corpus_dir, CrawlConfig(out_dir=out_dir, **cfg))
+    with open(os.path.join(out_dir, "checkpoint", "manifest.json")) as f:
+        assert json.load(f)["wave"] < 2
+    resumed = crawl(corpus_dir, CrawlConfig(out_dir=out_dir, resume=True,
+                                            **cfg))
+    whole, whole_log = uninterrupted(mode)
+    assert resumed.results().equals(whole.results())
+    assert resumed.seen().equals(whole.seen())
+    assert wave_log(out_dir) == whole_log
+    oracle = crawl_oracle(feature_corpus(**T2), cfg["seed_url"],
+                          **{k: v for k, v in cfg.items()
+                             if k not in ("seed_url", "num_shards")})
+    assert _pop_order(resumed) == oracle.order()
+    seen = resumed.seen()
+    assert ({(canonicalize(u), d, s) for u, d, s in zip(
+        seen.column("url").to_pylist(), seen.column("depth").to_pylist(),
+        seen.column("seq").to_pylist())}
+        == {(canonicalize(u), d, s) for u, d, s, _ in oracle.seen})
+
+
+def test_raising_crawl_joins_its_io_thread(monkeypatch, tmp_path):
+    """With the seen write slowed, a raise in ``wave_table`` on a later
+    wave finds a wave's IO thread still writing. ``crawl()`` joins it
+    before the error propagates: no thread the crawl started is left
+    alive, the manifest names only state that is fully on disk, and a
+    resume from it matches the oracle."""
+    import threading
+    import time
+
+    from raycrawl import pipeline
+
+    corpus_dir = cached_corpus("feature", **T2)
+    cfg = _kill_config("bfs")
+    out_dir = str(tmp_path / "out")
+    write_seen, wave_table = pipeline._write_seen_wave, pipeline.wave_table
+    calls = []
+
+    def slow_seen(*args):
+        time.sleep(0.3)
+        write_seen(*args)
+
+    def failing_table(buf):
+        calls.append(buf)
+        if len(calls) == 4:
+            raise _Killed("wave_table")
+        return wave_table(buf)
+
+    monkeypatch.setattr(pipeline, "_write_seen_wave", slow_seen)
+    monkeypatch.setattr(pipeline, "wave_table", failing_table)
+    before = set(threading.enumerate())
+    with pytest.raises(_Killed):
+        crawl(corpus_dir, CrawlConfig(out_dir=out_dir, **cfg))
+    assert [t for t in threading.enumerate()
+            if t not in before and t.is_alive()] == []
+    ckpt = os.path.join(out_dir, "checkpoint")
+    with open(os.path.join(ckpt, "manifest.json")) as f:
+        m = json.load(f)
+    assert m["wave"] >= 1
+    for gen in (m["full_gen"], *m["delta_gens"]):
+        for i in range(cfg["num_shards"]):
+            assert os.path.exists(os.path.join(ckpt, gen, f"shard{i}.bin"))
+    assert [w["wave"] for w in wave_log(out_dir)] == list(range(m["wave"] + 1))
+    seen = CrawlOutcome("", os.path.join(out_dir, "seen"), {}).seen()
+    assert seen.column("seq").to_pylist() == list(range(m["next_seq"]))
+    monkeypatch.undo()
+    resumed = crawl(corpus_dir, CrawlConfig(out_dir=out_dir, resume=True,
+                                            **cfg))
+    oracle = crawl_oracle(feature_corpus(**T2), SEED, wave_budget=8,
+                          **CRAWL_KW)
+    assert _pop_order(resumed) == oracle.order()
+
+
+def test_raising_crawl_surfaces_the_io_threads_error(monkeypatch, tmp_path):
+    """Wave 0's IO thread fails, and the loop raises in wave 1 before it
+    joins that thread: ``crawl()`` raises the IO thread's error."""
+    from raycrawl import pipeline
+
+    write_seen, wave_table = pipeline._write_seen_wave, pipeline.wave_table
+    seen_calls, table_calls = [], []
+
+    def failing_seen(*args):  # the seeds' write, then wave 0's
+        seen_calls.append(args)
+        if len(seen_calls) == 2:
+            raise OSError("disk full")
+        write_seen(*args)
+
+    def failing_table(buf):  # wave 0's one task, then wave 1's
+        table_calls.append(buf)
+        if len(table_calls) == 2:
+            raise _Killed("wave_table")
+        return wave_table(buf)
+
+    monkeypatch.setattr(pipeline, "_write_seen_wave", failing_seen)
+    monkeypatch.setattr(pipeline, "wave_table", failing_table)
+    with pytest.raises(OSError, match="disk full") as err:
+        crawl(cached_corpus("feature", **T2),
+              CrawlConfig(out_dir=str(tmp_path / "out"), **_kill_config("bfs")))
+    assert isinstance(err.value.__context__, _Killed)
+
+
 def test_default_out_dir_separates_priority_modes():
     """ADVICE r3: the default out_dir (cfg_key) must differ between a BFS
     and a priority config on the same corpus/seed/caps — otherwise
@@ -455,7 +669,7 @@ def test_crawl_survives_ray_restart_in_one_process(tmp_path):
         import ray
         from raycrawl.fixtures import cached_corpus
         from raycrawl.gen_golden import CRAWL_KW, SEED, T2
-        from raycrawl.pipeline import CrawlConfig, crawl
+        from raycrawl.pipeline import CrawlConfig, CrawlOutcome, crawl
 
         corpus_dir = cached_corpus("feature", **T2)
         cfg = CrawlConfig(seed_url=SEED, num_shards=2, wave_budget=16,

@@ -2,7 +2,6 @@
 plus crawl()-level checks that the insert contract still surfaces."""
 
 import copy
-import json
 import pickle
 
 import pytest
@@ -278,7 +277,7 @@ def plant_wrong_peeks(monkeypatch):
 
 def test_crawl_with_wrong_peeks_is_exact(monkeypatch, tmp_path):
     """A peek only picks the pages the pool extracts early. With wrong
-    peeks the results, seen set and manifest waves equal those of a crawl
+    peeks the results, seen set and wave log equal those of a crawl
     with true peeks and the serial oracle's order; the mispredicted pages
     are extracted, counted as wasted and never written."""
     sizes = dict(n_hosts=4, host_sizes=[60, 10, 10, 10], with_private=False)
@@ -288,13 +287,14 @@ def test_crawl_with_wrong_peeks_is_exact(monkeypatch, tmp_path):
               exclude_patterns=[r"/skip/", r"\.(jpg|png)$"],
               politeness_rate=4.0, politeness_burst=4.0)
 
+    from tests.test_crawl import wave_log
+
     def run(name):
         out_dir = str(tmp_path / name)
         out = pipeline.crawl(corpus, pipeline.CrawlConfig(
             seed_url=seeds, num_shards=2, extract_concurrency=2,
             batch_size=4, out_dir=out_dir, **kw))
-        with open(f"{out_dir}/checkpoint/manifest.json") as f:
-            return out, json.load(f)["waves"]
+        return out, wave_log(out_dir)
 
     true, true_waves = run("true")
     plant_wrong_peeks(monkeypatch)

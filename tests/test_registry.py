@@ -16,11 +16,13 @@ def test_unknown_stage_raises():
 
 
 def test_apply_stage_pipeline():
-    t = feature_corpus(2, 8)
-    ds = rd.from_arrow(t.select(["url", "warc_ts", "html"]))
+    t = feature_corpus(2, 8).select(["url", "warc_ts", "html"])
+    # one input block per extract task, so no task slot sits idle
+    half = t.num_rows // 2
+    ds = rd.from_arrow([t.slice(0, half), t.slice(half)])
     extracted = apply_stage(ds, "extract", concurrency=2)
     chunks = apply_stage(extracted.select_columns(["url", "markdown"]),
-                         "chunk", concurrency=2)
+                         "chunk")
     df = chunks.to_pandas()
     assert len(df) > 0
     assert "chunk_type" in df.columns
