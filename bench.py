@@ -3,7 +3,7 @@
 Headline: fetch+extract pages/sec — ``read_parquet`` over the bench page
 corpus (Common-Crawl-shaped, host-bucket partitioned, zipf-ish 2-64 KB
 bodies) → ``map_batches(extract_batch)`` on task workers reused across
-calls, one ``PageExtractor`` per worker per call → ``write_parquet``.
+calls, one ``PageExtractor`` per batch → ``write_parquet``.
 Plus per-query timings over $GRAFT_SF_DIR.
 
 Prints ONE JSON line:

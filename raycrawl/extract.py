@@ -2,10 +2,11 @@
 
 Ray-Data-first design: ``PageExtractor`` is the per-batch kernel and
 ``extract_batch`` runs it as a plain ``map_batches`` function, on Ray task
-workers reused across calls, one ``PageExtractor`` per worker per call. A
-reused worker has already imported ``ray.data`` and ``raycrawl``, so a
-``scrape_dataset`` call starts no actor pool (reference keeps its extractor
-long-lived the same way, scraper.py:283-309 / ST2 in SURVEY.md);
+workers reused across calls, one ``PageExtractor`` per batch. A reused
+worker has already imported ``ray.data`` and ``raycrawl``, so a
+``scrape_dataset`` call starts no actor pool (the reference keeps its
+extractor process long-lived the same way, scraper.py:283-309 / ST2 in
+SURVEY.md), and the extractor holds no state, so no call sees another's.
 ``__call__`` handles one Arrow batch. Per-row failures degrade to the
 reference's error shape (status_code=500 + error message,
 scraper.py:1272-1293) and never poison the batch. The crawl's kernel,
@@ -24,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
-import uuid
 from typing import Any, Iterator, Optional
 
 import pyarrow as pa
@@ -155,119 +155,29 @@ def rows_table(rows: list[dict[str, Any]], schema: pa.Schema,
 
 
 class PageExtractor:
-    """Batch kernel: PAGES schema in → EXTRACTED schema out.
+    """Batch kernel: PAGES schema in → EXTRACTED schema out. It keeps no
+    state between calls.
 
     ``include_raw_html=True`` appends the original page source as a
     ``raw_html`` column (the reference's opt-in rawHtml field,
-    models/response.py:23 / scraper.py:1343).
-
-    ``cache_size > 0`` enables an in-process LRU keyed
-    SHA-256(url | options) — the worker-held analogue of the reference's
-    shared TTL result cache (cache_service.py:37-99): a second pass over
-    the same corpus slice (or a repeated-URL workload) skips extraction
-    entirely. It lives as long as this instance: under ``scrape_dataset``
-    that is one task worker for one call (see ``extract_batch``), so the
-    hit rate scales with how often the same url lands on the same worker
-    within a call. Keyed by url+options like the reference, which is
-    sound because a call's input is one snapshot (url → html is
-    functional within a run — a DIFFERENT snapshot is a new call and
-    gets fresh instances, exactly as the reference's TTL bounds
-    staleness). ``cache_hits``/``cache_misses`` counters surface the
-    dedup-hit-rate metric.
-
-    ``shared_cache`` (a ``raycrawl.cache.SharedExtractCache`` actor
-    handle) adds the CROSS-WORKER level — the reference's Redis role
-    (cache_service.py:37-99): local-LRU misses are looked up in ONE
-    ``get_batch`` RPC per batch, fresh results pushed back with one
-    fire-and-forget ``put_batch``; ``shared_cache_hits`` counts them.
-    The two levels compose as L1 (in-process, RPC-free) / L2 (shared,
-    cross-worker and cross-call); either works alone. Cache entries are
-    whole rows."""
+    models/response.py:23 / scraper.py:1343)."""
 
     def __init__(self, only_main: bool = True,
-                 include_raw_html: bool = False,
-                 cache_size: int = 0,
-                 shared_cache=None) -> None:
-        from collections import OrderedDict
-
+                 include_raw_html: bool = False) -> None:
         self.only_main = only_main
         self.include_raw_html = include_raw_html
-        self.cache_size = cache_size
-        self.shared_cache = shared_cache
-        self._cache: "OrderedDict[bytes, dict]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.shared_cache_hits = 0
-
-    def _cache_key(self, url: str) -> bytes:
-        import hashlib
-
-        return hashlib.sha256(
-            f"{url}|main={self.only_main}".encode()).digest()
-
-    def _local_store(self, key: bytes, entry: dict) -> None:
-        self._cache[key] = entry
-        if len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)  # evict LRU
-
-    def _cached_row(self, key: bytes, shared_hits: dict) -> Optional[dict]:
-        """``key``'s row from L1, else from this batch's L2 hits (promoted
-        into L1); None on a miss."""
-        row = self._cache.get(key)
-        if row is not None:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            return row
-        row = shared_hits.get(key)
-        if row is not None:
-            self.shared_cache_hits += 1
-            if self.cache_size > 0:
-                self._local_store(key, row)
-            return row
-        self.cache_misses += 1
-        return None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
         htmls = batch.column("html").to_pylist()
-        caching = self.cache_size > 0 or self.shared_cache is not None
-        keys = ([self._cache_key(u) for u in urls] if caching
-                else [None] * len(urls))
-        shared_hits: dict[bytes, dict] = {}
-        if self.shared_cache is not None:
-            # ONE lookup RPC per batch, only for keys the local L1 misses
-            import ray as _ray
-
-            miss_keys = sorted({k for k in keys if k not in self._cache})
-            if miss_keys:
-                found = _ray.get(
-                    self.shared_cache.get_batch.remote(miss_keys))
-                shared_hits = {k: v for k, v in zip(miss_keys, found)
-                               if v is not None}
-        new_keys: list[bytes] = []
-        new_vals: list[dict] = []
-
         rows: list[dict] = []
         with _collector_paused():
-            for url, html, key in zip(urls, htmls, keys):
-                row = self._cached_row(key, shared_hits) if caching else None
-                if row is None:
-                    try:
-                        row = page_row(extract_page(
-                            url, decode_html(html), only_main=self.only_main))
-                    except Exception as exc:
-                        row = error_row(exc)
-                    if self.cache_size > 0:
-                        self._local_store(key, row)
-                    if self.shared_cache is not None:
-                        new_keys.append(key)
-                        new_vals.append(row)
+            for url, html in zip(batch.column("url").to_pylist(), htmls):
+                try:
+                    row = page_row(extract_page(
+                        url, decode_html(html), only_main=self.only_main))
+                except Exception as exc:
+                    row = error_row(exc)
                 rows.append(row)
-
-        if new_keys:
-            # fire-and-forget publish; the cache is advisory (a lost put
-            # only costs a future miss, never correctness)
-            self.shared_cache.put_batch.remote(new_keys, new_vals)
 
         ts = (batch.column("warc_ts") if "warc_ts" in batch.column_names
               else pa.nulls(len(batch), pa.timestamp("us")))
@@ -281,23 +191,10 @@ class PageExtractor:
         return out
 
 
-# the extractor of this worker process: (call token, PageExtractor)
-_WORKER_EXTRACTOR: Optional[tuple[str, PageExtractor]] = None
-
-
-def extract_batch(batch: pa.Table, token: Optional[str] = None,
-                  **options: Any) -> pa.Table:
+def extract_batch(batch: pa.Table, **options: Any) -> pa.Table:
     """``PageExtractor(**options)`` over one batch, as a plain
-    ``map_batches`` function. The extractor is kept per worker process
-    and per ``token``: a worker holds only the latest token's, so its L1
-    cache never outlives one ``scrape_dataset`` call, which passes a
-    fresh token. With no token the extractor lasts one batch."""
-    global _WORKER_EXTRACTOR
-    if token is None:
-        return PageExtractor(**options)(batch)
-    if _WORKER_EXTRACTOR is None or _WORKER_EXTRACTOR[0] != token:
-        _WORKER_EXTRACTOR = (token, PageExtractor(**options))
-    return _WORKER_EXTRACTOR[1](batch)
+    ``map_batches`` function."""
+    return PageExtractor(**options)(batch)
 
 
 def scrape_dataset(
@@ -306,26 +203,17 @@ def scrape_dataset(
     concurrency: Optional[int] = None,
     batch_size: int = 64,
     include_raw_html: bool = False,
-    cache_size: int = 0,
-    shared_cache=None,
 ):
     """pages Dataset → extracted Dataset (the /scrape pipeline, SURVEY.md
     §3.1 Ray shape), run as Ray tasks on task workers reused across
-    calls, one ``PageExtractor`` per worker per call; ``concurrency``
-    bounds the tasks in flight. Modest batch_size because html rows can
-    be MBs (R5). ``cache_size`` enables each worker's repeated-URL LRU
-    for this call (see PageExtractor) — useful when a slice repeats
-    within one call. ``shared_cache`` (a raycrawl.cache.SharedExtractCache
-    handle) adds the cross-worker shared level — the reference's Redis
-    role — which also serves later calls."""
+    calls, one ``PageExtractor`` per batch; ``concurrency`` bounds the
+    tasks in flight. Modest batch_size because html rows can be MBs
+    (R5)."""
     kwargs: dict[str, Any] = dict(
         batch_format="pyarrow",
         batch_size=batch_size,
-        fn_kwargs={"token": uuid.uuid4().hex,
-                   "only_main": only_main,
-                   "include_raw_html": include_raw_html,
-                   "cache_size": cache_size,
-                   "shared_cache": shared_cache},
+        fn_kwargs={"only_main": only_main,
+                   "include_raw_html": include_raw_html},
     )
     if concurrency is not None:
         kwargs["concurrency"] = concurrency

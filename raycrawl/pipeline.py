@@ -198,33 +198,38 @@ class WaveWorker:
     rows from its corpus bucket files (a ``CorpusReader``) and runs
     ``WaveExtractor`` on them.
 
+    A worker is built with no arguments and serves any crawl: each
+    ``process`` call carries its crawl's token and extractor settings.
+
     Fault tolerance: the only state a worker keeps between calls is its
-    current crawl's ``CorpusReader``, a cache that a restarted worker
-    rebuilds, and that crawl's counters, so Ray restarts workers
-    transparently (max_restarts/max_task_retries; a restart loses the
-    counters, never the results); frontier shards are stateful — their
-    recovery path is the per-wave checkpoint (resume=True).
+    current crawl's ``CorpusReader`` and ``WaveExtractor``, which the next
+    call's token and settings rebuild, and that crawl's counters, so Ray
+    restarts workers transparently (max_restarts/max_task_retries; a
+    restart loses the counters, never the results); frontier shards are
+    stateful — their recovery path is the per-wave checkpoint
+    (resume=True).
     """
 
-    def __init__(self, base_domain: str, exclude: Optional[list[str]],
-                 include: Optional[list[str]], only_main: bool) -> None:
-        self.extractor = WaveExtractor(base_domain, exclude, include, only_main)
-        # (crawl token, that crawl's reader, its EXTRACT_COUNTERS); a
-        # pooled worker serves crawl after crawl, and the corpus may
-        # change in between
-        self._crawl: Optional[tuple[str, CorpusReader, dict]] = None
+    def __init__(self) -> None:
+        # (crawl token, that crawl's reader, its extractor, its
+        # EXTRACT_COUNTERS); a pooled worker serves crawl after crawl, and
+        # the corpus and the settings may change in between
+        self._crawl: Optional[tuple[str, CorpusReader, WaveExtractor,
+                                    dict]] = None
 
     def ping(self) -> bool:
         return True
 
-    def _drop_crawl(self) -> Optional[tuple[str, "CorpusReader", dict]]:
+    def _drop_crawl(self) -> Optional[tuple[str, "CorpusReader",
+                                            WaveExtractor, dict]]:
         state, self._crawl = self._crawl, None
         if state is not None:
             state[1].close()
         return state
 
     def process(self, groups: list[tuple[list[str], list[str]]], token: str,
-                warc_out: Optional[str] = None) -> Optional[bytes]:
+                settings: tuple, warc_out: Optional[str] = None
+                ) -> Optional[bytes]:
         """groups: [(bucket_paths, urls), ...] — one task may span several
         corpus buckets so the driver can pack a wave into exactly
         pool-size equal tasks (per-bucket chunking quantized waves into
@@ -233,8 +238,11 @@ class WaveWorker:
 
         ``token`` names the crawl: calls with the same token share one
         ``CorpusReader`` (open files, url columns, the previous two calls'
-        decoded row groups) and one set of counters; a new token drops the
-        old crawl's.
+        decoded row groups), one ``WaveExtractor`` and one set of
+        counters; a new token drops the old crawl's. ``settings`` are the
+        crawl's ``WaveExtractor`` arguments (seed hosts, exclude and
+        include patterns, only_main); the first call of a token builds
+        the extractor from them, so a restarted worker rebuilds it too.
 
         ``warc_out``: archive this task's fetched rows as one
         Common-Crawl-layout .warc.gz (crawl sink='warc') — written here in
@@ -244,9 +252,9 @@ class WaveWorker:
         (read it with ``wave_table``), or None when no url was found."""
         if self._crawl is None or self._crawl[0] != token:
             self._drop_crawl()
-            self._crawl = (token, CorpusReader(),
+            self._crawl = (token, CorpusReader(), WaveExtractor(*settings),
                            dict.fromkeys(EXTRACT_COUNTERS, 0))
-        _, reader, counters = self._crawl
+        _, reader, extractor, counters = self._crawl
         fetched = reader.read(
             groups, ["url", "warc_ts", "html"] if warc_out else ["url", "html"])
         if fetched is None:
@@ -257,7 +265,7 @@ class WaveWorker:
             write_warc_pages(fetched, warc_out)
         # this thread's CPU: the process's also counts Ray's own threads
         cpu = time.thread_time()
-        table = self.extractor(fetched.select(["url", "html"]))
+        table = extractor(fetched.select(["url", "html"]))
         counters["cpu_s"] += time.thread_time() - cpu
         counters["tasks"] += 1
         counters["pages"] += table.num_rows
@@ -274,7 +282,7 @@ class WaveWorker:
         if state is None or state[0] != token:
             return {"fetch": dict.fromkeys(FETCH_COUNTERS, 0),
                     "extract": dict.fromkeys(EXTRACT_COUNTERS, 0)}
-        return {"fetch": state[1].counters, "extract": state[2]}
+        return {"fetch": state[1].counters, "extract": state[3]}
 
 
 def _corpus_files(corpus_path: str) -> tuple[dict[Optional[int], list[str]], Optional[int]]:
@@ -399,18 +407,20 @@ class CorpusReader:
 
 # process-global persistent actor pools (the reference's browser-pool
 # shape, browser_manager.py: browsers outlive jobs; crawls only borrow
-# them). Workers hold no per-crawl state, so reuse only skips actor spawn
-# + import cost on repeat jobs; they are keyed by the constructor args
-# that define their behavior. Frontier shards are generic (reset()
-# reinitializes them per crawl). One crawl at a time per process — the
-# same contract as the reference's global pool.
-_WORKER_POOLS: dict[tuple, list] = {}
+# them). Both kinds are generic: a worker gets its crawl's settings with
+# each call and a shard is reset() per crawl, so one pool of each serves
+# every crawl, and reuse only skips actor spawn + import cost. One crawl
+# at a time per process — the same contract as the reference's global
+# pool. (``_WORKER_POOLS`` is one list; callers clear it by that name.)
+_WORKER_POOLS: list = []
 _SHARD_POOL: list = []
 
 
-def _prune_dead(pool: list) -> None:
-    """Keep the pooled actors that answer a ping. A killed actor fails the
-    get; a handle from a shut-down Ray session already fails the submit."""
+def _pooled(pool: list, n: int, new) -> list:
+    """The first ``n`` live actors of ``pool``, topped up with
+    ``new(index)``. An actor that fails a ping is dropped first: a killed
+    actor fails the get; a handle from a shut-down Ray session already
+    fails the submit."""
     pings = []
     for a in pool:
         try:
@@ -425,21 +435,17 @@ def _prune_dead(pool: list) -> None:
         except Exception:
             pass
     pool[:] = alive
-
-
-def _get_worker_pool(key: tuple, n: int, ctor_args: tuple) -> list:
-    pool = _WORKER_POOLS.setdefault(key, [])
-    _prune_dead(pool)  # drop actors that died or belong to a past session
     while len(pool) < n:
-        pool.append(WaveWorker.remote(*ctor_args))
+        pool.append(new(len(pool)))
     return pool[:n]
 
 
+def _get_worker_pool(n: int) -> list:
+    return _pooled(_WORKER_POOLS, n, lambda _: WaveWorker.remote())
+
+
 def _get_shard_pool(n: int, shard_kwargs: dict) -> list:
-    _prune_dead(_SHARD_POOL)
-    while len(_SHARD_POOL) < n:
-        _SHARD_POOL.append(FrontierShard.remote(len(_SHARD_POOL)))
-    shards = _SHARD_POOL[:n]
+    shards = _pooled(_SHARD_POOL, n, FrontierShard.remote)
     ray.get([s.reset.remote(i, **shard_kwargs) for i, s in enumerate(shards)])
     return shards
 
@@ -518,13 +524,14 @@ class _WaveLoop:
         # r3): resuming a BFS checkpoint into a priority crawl would yield
         # a hybrid pop order (heap entries keep priorities computed by the
         # old fn) — a different priority_fn must land in a different
-        # default out_dir.
+        # default out_dir. So must a different num_shards: a checkpoint
+        # holds one snapshot per shard.
         prio_tag = ("bfs" if cfg.priority_fn is None else
                     f"{cfg.priority_fn.__module__}.{cfg.priority_fn.__qualname__}"
                     f".{_code_fingerprint(cfg.priority_fn)}")
         cfg_key = hashlib.sha1(
             f"{corpus_path}|{cfg.seed_url}|{cfg.max_depth}|{cfg.max_pages}"
-            f"|{prio_tag}".encode()
+            f"|{prio_tag}|{cfg.num_shards}".encode()
         ).hexdigest()[:16]
         self.out_dir = cfg.out_dir or f"/tmp/raycrawl_run/{cfg_key}"
         self.results_dir, self.seen_dir, self.ckpt_dir, warc_dir = (
@@ -542,6 +549,21 @@ class _WaveLoop:
         # one JSON line of stats per persisted wave; the manifest's
         # ``waves_logged`` says how many of its lines are valid
         self.log_path = os.path.join(self.ckpt_dir, "waves.jsonl")
+        # the checkpoint to resume from, checked before any actor starts
+        self.manifest: Optional[dict] = None
+        if cfg.resume and os.path.exists(self.manifest_path):
+            with open(self.manifest_path) as f:
+                self.manifest = json.load(f)
+            # a frontier key's shard is host_shard(host, S): a checkpoint
+            # of S shards restores only into S shards (older manifests
+            # record S only as their per-shard stats)
+            written = self.manifest.get(
+                "num_shards", len(self.manifest["shard_stats"]))
+            if written != cfg.num_shards:
+                raise ValueError(
+                    f"checkpoint {self.ckpt_dir} was written with "
+                    f"num_shards={written}; this crawl has "
+                    f"num_shards={cfg.num_shards}")
 
         seed_urls = ([cfg.seed_url] if isinstance(cfg.seed_url, str)
                      else list(cfg.seed_url))
@@ -562,16 +584,14 @@ class _WaveLoop:
             respect_robots=cfg.respect_robots,
             priority_fn=cfg.priority_fn,
         ))
-        pool_key = (tuple(sorted(self.seed_hosts)),
-                    tuple(cfg.exclude_patterns or ()),
-                    tuple(cfg.include_patterns or ()), cfg.only_main)
-        self.workers = _get_worker_pool(
-            pool_key, cfg.extract_concurrency,
-            (frozenset(self.seed_hosts), cfg.exclude_patterns,
-             cfg.include_patterns, cfg.only_main))
+        self.workers = _get_worker_pool(cfg.extract_concurrency)
         self.files_by_bucket, self.num_buckets = _corpus_files(corpus_path)
-        # names this crawl's fetch state on the workers (see WaveWorker.process)
+        # name this crawl's state on the workers and build its extractor
+        # there (see WaveWorker.process)
         self.fetch_token = uuid.uuid4().hex
+        self.extract_settings = (frozenset(self.seed_hosts),
+                                 cfg.exclude_patterns, cfg.include_patterns,
+                                 cfg.only_main)
 
         # robots preload: one targeted read of https://host/robots.txt rows.
         # seed-host-only quirk mode loads the seed's rules into every shard.
@@ -641,9 +661,8 @@ class _WaveLoop:
         queue_manager.py:117 equivalent, generalized to a seed list)."""
         S = self.cfg.num_shards
         logged: list[str] = []
-        if self.cfg.resume and os.path.exists(self.manifest_path):
-            with open(self.manifest_path) as f:
-                m = json.load(f)
+        m = self.manifest
+        if m is not None:
             self.wave, self.next_seq = m["wave"] + 1, m["next_seq"]
             self.pages_success, self.pages_failed = (m["pages_success"],
                                                      m["pages_failed"])
@@ -727,7 +746,7 @@ class _WaveLoop:
             warc_dir = os.path.join(self.out_dir, "warc", f"wave={num:06d}")
             os.makedirs(warc_dir, exist_ok=True)
         return [self.workers[i % W].process.remote(
-                    groups, self.fetch_token,
+                    groups, self.fetch_token, self.extract_settings,
                     warc_out=(os.path.join(warc_dir, f"part-{i:04d}.warc.gz")
                               if warc_dir else None))
                 for i, groups in enumerate(tasks) if groups]
@@ -912,6 +931,7 @@ class _WaveLoop:
         with self.timed("io_join_stall"):
             self.join_io()
         manifest = {"wave": w.num, "next_seq": self.next_seq,
+                    "num_shards": self.cfg.num_shards,
                     "gen": f"gen-{w.num}", "full_gen": self.full_gen,
                     "delta_gens": list(self.delta_chain),
                     "pages_success": self.pages_success,

@@ -2,16 +2,23 @@
 its public module-level functions, counted by AST (positional,
 keyword-only and positional-only), and that every one of them is given
 a value by some caller. A new knob must raise ``_MAX_PARAMS`` here and
-say why in CHANGES.md. Also the shape of the crawl loop: ``crawl()``
-stays a short sequence of ``_WaveLoop`` phases."""
+say why in CHANGES.md. The same holds for the knobs of the two entry
+points, ``scrape_dataset`` and ``CrawlConfig``. Also the shape of the
+crawl loop: ``crawl()`` stays a short sequence of ``_WaveLoop`` phases."""
 
 import ast
+import dataclasses
 import glob
+import inspect
 import os
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _OPS = os.path.join(_ROOT, "raycrawl", "ops")
 _MAX_PARAMS = 208
+# the entry points' knobs: scrape_dataset's parameters and CrawlConfig's
+# settable fields (its ClassVar constants are not fields)
+_MAX_SCRAPE_PARAMS = 5
+_MAX_CRAWL_FIELDS = 20
 # every tree that calls ops: the package, its entry points, tools, tests
 _CALLERS = ("raycrawl", "tools", "scripts", "tests", "perfbench",
             "__ray_entry__.py", "bench.py")
@@ -103,6 +110,15 @@ def test_public_ops_parameter_count():
 
 def test_every_public_ops_parameter_is_set_by_a_caller():
     assert _unset_params() == []
+
+
+def test_entry_point_knob_counts():
+    from raycrawl.extract import scrape_dataset
+    from raycrawl.pipeline import CrawlConfig
+
+    assert len(inspect.signature(scrape_dataset).parameters) \
+        <= _MAX_SCRAPE_PARAMS
+    assert len(dataclasses.fields(CrawlConfig)) <= _MAX_CRAWL_FIELDS
 
 
 def test_crawl_stays_a_short_phase_loop():

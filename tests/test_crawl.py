@@ -179,6 +179,27 @@ def test_resume_from_checkpoint():
     assert m["waves_logged"] == len(whole) and "waves" not in m
 
 
+@pytest.mark.parametrize("num_shards", [2, 8])
+def test_resume_with_changed_num_shards_raises(tmp_path, num_shards):
+    """A checkpoint holds one frontier snapshot per shard, and a url's
+    shard depends on the shard count: a resume under another
+    ``num_shards`` raises and names both counts, and leaves the
+    checkpoint as it was for a resume under the right one."""
+    corpus_dir = cached_corpus("feature", **T2)
+    base = dict(seed_url=SEED, wave_budget=8, out_dir=str(tmp_path / "out"),
+                **CRAWL_KW)
+    crawl(corpus_dir, CrawlConfig(num_shards=4, max_waves=2, **base))
+    with pytest.raises(ValueError, match=(
+            f"num_shards=4; this crawl has num_shards={num_shards}$")):
+        crawl(corpus_dir, CrawlConfig(num_shards=num_shards, resume=True,
+                                      **base))
+    resumed = crawl(corpus_dir, CrawlConfig(num_shards=4, resume=True,
+                                            **base))
+    oracle = crawl_oracle(feature_corpus(**T2), SEED, wave_budget=8,
+                          **CRAWL_KW)
+    assert _pop_order(resumed) == oracle.order()
+
+
 def test_resume_reads_a_manifest_that_holds_the_wave_stats(tmp_path,
                                                           uninterrupted):
     """A checkpoint of the older layout kept every wave's stats in the
@@ -583,17 +604,19 @@ def test_default_out_dir_separates_priority_modes():
     and a priority config on the same corpus/seed/caps — otherwise
     resume=True could resume a BFS checkpoint into a priority crawl and
     produce a hybrid pop order (heap entries keep the old fn's
-    priorities)."""
+    priorities). The same holds for the shard count, whose checkpoint
+    holds one snapshot per shard."""
     from raycrawl.gen_golden import url_priority
 
     corpus_dir = cached_corpus("feature", **T2)
     kw = dict(seed_url="https://h0.example/d0/p0.html", max_depth=1,
-              max_pages=4, wave_budget=4, num_shards=2,
-              respect_robots=False)
-    bfs = crawl(corpus_dir, CrawlConfig(**kw))
-    prio = crawl(corpus_dir, CrawlConfig(priority_fn=url_priority, **kw))
-    assert os.path.dirname(bfs.results_dir) != \
-        os.path.dirname(prio.results_dir)
+              max_pages=4, wave_budget=4, respect_robots=False)
+    bfs = crawl(corpus_dir, CrawlConfig(num_shards=2, **kw))
+    prio = crawl(corpus_dir, CrawlConfig(num_shards=2,
+                                         priority_fn=url_priority, **kw))
+    three = crawl(corpus_dir, CrawlConfig(num_shards=3, **kw))
+    dirs = {os.path.dirname(o.results_dir) for o in (bfs, prio, three)}
+    assert len(dirs) == 3
 
 
 def test_crawl_warc_sink_digest_verified_roundtrip(tmp_path):
@@ -695,3 +718,100 @@ def test_crawl_survives_ray_restart_in_one_process(tmp_path):
     exp = [{"seq": p.seq, "depth": p.depth, "url": p.url} for p in oracle.pages]
     assert first == exp
     assert second == exp
+
+
+# three configs that differ in every WaveExtractor setting: another seed
+# host, extra exclude patterns, full-page extraction
+_POOL_CONFIGS = (
+    dict(seed_url="https://h2.example/d0/p0.html"),
+    dict(seed_url=SEED,
+         exclude_patterns=[r"/skip/", r"\.(jpg|png)$", r"/d1/"]),
+    dict(seed_url=SEED, only_main=False),
+)
+
+
+def _check_against_oracle(out, cfg):
+    """``out``'s pages (seq, depth, url, markdown) and seen set equal the
+    serial oracle's under ``cfg``'s crawl settings."""
+    kw = {k: v for k, v in cfg.items()
+          if k not in ("seed_url", "num_shards", "extract_concurrency")}
+    oracle = crawl_oracle(feature_corpus(**T2), cfg["seed_url"], **kw)
+    got = out.results().select(["seq", "depth", "url", "markdown"])
+    assert got.to_pylist() == [
+        {"seq": p.seq, "depth": p.depth, "url": p.url, "markdown": p.markdown}
+        for p in oracle.pages]
+    seen = out.seen()
+    assert ({(canonicalize(u), d, s) for u, d, s in zip(
+        seen.column("url").to_pylist(), seen.column("depth").to_pylist(),
+        seen.column("seq").to_pylist())}
+        == {(canonicalize(u), d, s) for u, d, s, _ in oracle.seen})
+
+
+def _pool_config(i):
+    return {"max_depth": 2, "max_pages": 40, "wave_budget": 16,
+            "num_shards": 2, "extract_concurrency": 2,
+            "exclude_patterns": [r"/skip/", r"\.(jpg|png)$"],
+            **_POOL_CONFIGS[i]}
+
+
+def test_one_worker_pool_serves_every_config(tmp_path):
+    """Crawls that differ in seed host, exclude patterns and only_main
+    all run on one pool of ``extract_concurrency`` workers, and each
+    matches the oracle: a worker builds each crawl's extractor from the
+    settings its calls carry."""
+    from raycrawl import pipeline
+
+    pipeline._WORKER_POOLS.clear()  # the dropped handles end their actors
+    for i in range(len(_POOL_CONFIGS)):
+        cfg = _pool_config(i)
+        out = crawl(cached_corpus("feature", **T2),
+                    CrawlConfig(out_dir=str(tmp_path / str(i)), **cfg))
+        _check_against_oracle(out, cfg)
+        if i == 0:
+            workers = list(pipeline._WORKER_POOLS)
+    assert len(pipeline._WORKER_POOLS) == 2
+    assert list(pipeline._WORKER_POOLS) == workers
+
+
+@pytest.mark.parametrize("when", ["between_crawls", "mid_wave"])
+def test_restarted_worker_rebuilds_its_extractor(monkeypatch, tmp_path, when):
+    """Ray restarts a killed pooled worker with no state. Killed before a
+    crawl of settings the pool has not served, or while wave 2's tasks
+    (its predicted pages among them) are in flight, the restarted worker
+    rebuilds its reader and extractor from the calls it gets, stays in
+    the pool, and the crawl matches the oracle."""
+    import ray
+
+    from raycrawl import pipeline
+
+    corpus_dir = cached_corpus("feature", **T2)
+    crawl(corpus_dir, CrawlConfig(out_dir=str(tmp_path / "first"),
+                                  **_pool_config(0)))
+    victim = pipeline._WORKER_POOLS[0]  # the one every wave's first task uses
+
+    def pid():
+        return ray.get(victim.__ray_call__.remote(lambda _: os.getpid()))
+
+    first_pid, killed = pid(), []
+
+    def kill():
+        ray.kill(victim, no_restart=False)
+        killed.append(True)
+
+    if when == "between_crawls":
+        kill()
+    else:
+        collect = pipeline._WaveLoop.collect
+
+        def kill_then_collect(self, w):
+            if w.num == 2:
+                kill()
+            return collect(self, w)
+
+        monkeypatch.setattr(pipeline._WaveLoop, "collect", kill_then_collect)
+    cfg = _pool_config(2)
+    out = crawl(corpus_dir, CrawlConfig(out_dir=str(tmp_path / "second"),
+                                        **cfg))
+    _check_against_oracle(out, cfg)
+    assert killed and victim in pipeline._WORKER_POOLS[:2]
+    assert pid() != first_pid  # the same actor, in a new process

@@ -218,10 +218,12 @@ def test_worker_fetch_state_is_per_token(tmp_path):
         pq.write_table(pa.table({"url": [url], "html": [html.encode()]}), path)
 
     def title(token):
-        out = ray.get(worker.process.remote([([path], [url])], token=token))
+        out = ray.get(worker.process.remote(
+            [([path], [url])], token, (frozenset({"h.example"}), None, None,
+                                       True)))
         return wave_table(out).column("title").to_pylist()
 
-    worker = WaveWorker.remote(frozenset({"h.example"}), None, None, True)
+    worker = WaveWorker.remote()
     write("one")
     assert title("a") == ["one"] and title("a") == ["one"]
     write("two")
